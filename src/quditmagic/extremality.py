@@ -18,9 +18,10 @@ from math import comb
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .measures import wh_kernel_all, wigner_function
+from .measures import wigner_function
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, max_overlap
+from .weyl import shifted_characters
 
 ZERO_TOL = 1e-10  # |W| below this counts as a vanishing Wigner value
 
@@ -139,23 +140,14 @@ def mana_expansion(frame: PerturbationFrame, zero_tol: float = ZERO_TOL):
     """
     dims = frame.dims
     Wpsi = wigner_function(np.outer(frame.base, frame.base.conj()), dims).values
-    Wsig = wigner_function_hermitian(frame.sigma, dims)
-    Wmu = wigner_function_hermitian(frame.mu, dims)
+    Wsig = wigner_function(frame.sigma, dims).values
+    Wmu = wigner_function(frame.mu, dims).values
     zero = np.abs(Wpsi) <= zero_tol
     linear = float(np.sum(np.abs(Wsig[zero])))
     pattern_ok = bool(np.all(np.abs(Wsig[zero]) <= 1e-9))
     signs = np.sign(Wpsi) * (~zero)
     quadratic = float(signs @ Wmu + np.sum(np.abs(Wmu[zero & (np.abs(Wsig) <= zero_tol)])))
     return linear, quadratic, pattern_ok
-
-
-def wigner_function_hermitian(op: np.ndarray, dims: Dims) -> np.ndarray:
-    """Wigner values of a (not necessarily trace-one) Hermitian operator."""
-    from .weyl import phase_point_table
-
-    A = phase_point_table(dims)
-    vals = np.einsum('kij,ji->k', A, np.asarray(op, dtype=np.complex128)) / dims.D
-    return vals.real.copy()
 
 
 def classify_mana(frame: PerturbationFrame, zero_tol: float = ZERO_TOL,
@@ -195,31 +187,25 @@ def fidelity_expansion(frame: PerturbationFrame, dictionary: StabilizerDictionar
 def xi2_expansion(frame: PerturbationFrame) -> np.ndarray:
     """Taylor coefficients Xi_2^(0..8) of Xi_2(psi(eps)) about eps = 0.
 
-    Built from the Weyl-Heisenberg kernel of the exact polynomial
-    (1+eps^2)^2 P_chi(eps) = sum_i eps^i Ptilde_chi^(i), then divided by
-    (1+eps^2)^4 as a power series.
+    With b, v the frame's base and direction and c_xy = <x|T_chi|y>,
+    (1+eps^2) <psi(eps)|T_chi|psi(eps)> = a0 + eps a1 + eps^2 a2 with
+    a0 = c_bb, a1 = c_bv + c_vb, a2 = c_vv, so the exact polynomial
+    (1+eps^2)^2 P_chi(eps) = sum_i eps^i Ptilde_chi^(i) has coefficients
+    |a0|^2, 2Re(a0* a1), |a1|^2 + 2Re(a0* a2), 2Re(a1* a2), |a2|^2 over d^N.
+    Xi_2 = sum_chi P_chi^2 is then divided by (1+eps^2)^4 as a power series.
     """
     dims = frame.dims
-    psi = np.outer(frame.base, frame.base.conj())
-    phi = np.outer(frame.direction, frame.direction.conj())
-    sig = frame.sigma
-    # K_chi(A, B) != K_chi(B, A) in general (they differ by chi -> -chi)
-    K = {}
-    for an, A in (("psi", psi), ("sig", sig), ("phi", phi)):
-        for bn, B in (("psi", psi), ("sig", sig), ("phi", phi)):
-            K[(an, bn)] = wh_kernel_all(A, B, dims)
+    b, v = frame.base, frame.direction
+    a0 = shifted_characters(b, b, dims)
+    a1 = shifted_characters(b, v, dims) + shifted_characters(v, b, dims)
+    a2 = shifted_characters(v, v, dims)
 
-    def k(an, bn):
-        return K[(an, bn)]
+    def cross(x, y):
+        return 2 * np.real(x.conj() * y)
 
-    P = [
-        k("psi", "psi"),
-        k("psi", "sig") + k("sig", "psi"),
-        k("psi", "phi") + k("sig", "sig") + k("phi", "psi"),
-        k("phi", "sig") + k("sig", "phi"),
-        k("phi", "phi"),
-    ]
-    P = [np.real(x) for x in P]
+    P = [x / dims.D for x in (np.abs(a0) ** 2, cross(a0, a1),
+                              np.abs(a1) ** 2 + cross(a0, a2),
+                              cross(a1, a2), np.abs(a2) ** 2)]
     xt = np.zeros(9)
     for n in range(9):
         for i in range(max(0, n - 4), min(n, 4) + 1):

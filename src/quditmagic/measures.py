@@ -14,9 +14,15 @@ import numpy as np
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .phasespace import Dims, phase_points
 from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap
-from .weyl import asmatrix, density_of, displacement_table, phase_point_table
-
-TOL_OP = 1e-10
+from .weyl import (
+    TOL_OP,
+    _character_matrix,
+    _digit_sums,
+    asmatrix,
+    density_of,
+    displacement_table,
+    shifted_characters,
+)
 
 
 @dataclass
@@ -37,14 +43,19 @@ class WignerFunction:
 
 
 def wigner_function(rho, dims: Dims, tol: float = TOL_OP) -> WignerFunction:
-    """W_chi = d^-N Tr(A_chi rho); accepts density matrices or state vectors."""
+    """W_chi = d^-N Tr(A_chi rho); accepts density matrices, state vectors and
+    Hermitian operators of any trace.
+
+    W(p, q) = d^-N sum_m omega^(2q.m) rho[p-m, p+m]: a gather, then a
+    character sum evaluated at 2q.
+    """
     if not dims.odd:
         raise UnsupportedDimensionError("Wigner function requires odd d")
     rho = density_of(rho)
     if rho.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
-    A = phase_point_table(dims)
-    vals = np.einsum('kij,ji->k', A, rho) / dims.D
+    plus, minus, double = _digit_sums(dims.d, dims.N)
+    vals = ((rho[minus, plus] @ _character_matrix(dims.d, dims.N))[:, double] / dims.D).ravel()
     if np.max(np.abs(vals.imag)) > max(tol, 1e-9) * max(1.0, np.max(np.abs(vals))):
         raise ValueError("Wigner values have a non-negligible imaginary part")
     return WignerFunction(dims, vals.real.copy())
@@ -89,11 +100,7 @@ class PauliDistribution:
 
 
 def pauli_distribution(psi: np.ndarray, dims: Dims) -> PauliDistribution:
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (dims.D,):
-        raise DimensionMismatchError(f"state length {psi.shape} != {dims.D}")
-    T = displacement_table(dims)
-    exps = np.einsum('i,kij,j->k', psi.conj(), T, psi)
+    exps = shifted_characters(psi, psi, dims)
     return PauliDistribution(dims, (np.abs(exps) ** 2) / dims.D)
 
 
@@ -126,8 +133,11 @@ def sre_upper_bound(dims: Dims, alpha: float = 2.0) -> float:
 def mixed_sre2(rho, dims: Dims) -> float:
     """Mixed-state 2-SRE: -log of the quartic/quadratic Pauli-moment ratio."""
     rho = density_of(rho)
-    T = displacement_table(dims)
-    traces = np.abs(np.einsum('kij,ji->k', T, rho))
+    if rho.shape != (dims.D, dims.D):
+        raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
+    plus, _, _ = _digit_sums(dims.d, dims.N)
+    # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|
+    traces = np.abs(rho[np.arange(dims.D), plus] @ _character_matrix(dims.d, dims.N))
     return float(-np.log(np.sum(traces ** 4) / np.sum(traces ** 2)))
 
 

@@ -1,4 +1,4 @@
-"""Dense Weyl-Heisenberg displacement and phase-point operators.
+"""Weyl-Heisenberg displacement and phase-point operators, dense and table-free.
 
 Conventions (odd d):
     omega = exp(2 pi i / d),  zeta = exp(i pi / d),  tau = omega^(2^-1)
@@ -11,6 +11,12 @@ phase-point operators are defined for odd d only.
 
 Group-theoretic phases are kept as integer exponents of roots of unity and
 materialized to complex doubles only when a matrix is built.
+
+Measures and expansions never build the dense tables.  Every Weyl transform
+they need is a shift in p followed by a character sum in q, computed with
+index gathers (`_digit_sums`) and one character matrix (`_character_matrix`)
+in O(D^2) memory and O(D^3) time.  The dense (d^2N, D, D) tables serve only
+stabilizer/Clifford construction and the test oracle.
 """
 
 from __future__ import annotations
@@ -182,6 +188,54 @@ def phase_point_operator(chi, dims: Dims) -> DenseOperator:
     """The Hermitian phase-point operator A_chi (odd d only)."""
     idx = point_index(chi, dims)
     return DenseOperator(phase_point_table(dims)[idx].copy(), dims, role="hermitian")
+
+
+def _digitwise(one: np.ndarray, N: int, place: int) -> np.ndarray:
+    """N-fold digitwise extension of a d x d integer table, lex order:
+    out[a, b] = sum_k one[a_k, b_k] place^(N-1-k) over the base-d digits."""
+    out = np.zeros((1, 1), dtype=np.intp)
+    d = one.shape[0]
+    for _ in range(N):
+        m = out.shape[0] * d
+        out = (out[:, None, :, None] * place + one[None, :, None, :]).reshape(m, m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _digit_sums(d: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices plus[p, j] = p+j, minus[p, j] = p-j (digitwise mod d)
+    and the permutation double[q] = 2q, read-only."""
+    r = np.arange(d)
+    plus = _digitwise((r[:, None] + r) % d, N, d)
+    minus = _digitwise((r[:, None] - r) % d, N, d)
+    double = plus.diagonal().copy()
+    for arr in (plus, minus, double):
+        arr.setflags(write=False)
+    return plus, minus, double
+
+
+@lru_cache(maxsize=None)
+def _character_matrix(d: int, N: int) -> np.ndarray:
+    """Chi[j, q] = omega^(q.j): the N-fold Kronecker power of the d-point DFT."""
+    r = np.arange(d)
+    roots = np.array([unit_phase(k, d) for k in range(d)])
+    chi = roots[_digitwise(np.outer(r, r), N, 1) % d]
+    chi.setflags(write=False)
+    return chi
+
+
+def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
+    """<x|X^p Z^q|y> for every (p, q), in lexicographic point order.
+
+    This is <x|T_(p,q)|y> without the tau/zeta convention phase, which cancels
+    in every |.|^2 and every product of kernels of one point.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    if x.shape != (dims.D,) or y.shape != (dims.D,):
+        raise DimensionMismatchError(f"state lengths {x.shape}, {y.shape} != {dims.D}")
+    plus, _, _ = _digit_sums(dims.d, dims.N)
+    return ((x.conj()[plus] * y) @ _character_matrix(dims.d, dims.N)).ravel()
 
 
 @dataclass(frozen=True)
