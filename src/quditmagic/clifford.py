@@ -6,9 +6,22 @@ Single-qudit generators for odd d (delta_d fixed so det H = 1):
 together with the metaplectic homomorphism V: SL(2, Z_d) -> SU(d).
 For d = 2 the standard qubit H and S = diag(1, i) are used.
 
-Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi); for d = 2 the
-exact phase law holds on the 2N basis points (the affine pair is still
-unique) while general chi carry a residual sign from the i^(pq) convention.
+Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi).  A Clifford is
+handled through its exact integer action on all d^(2N) Pauli labels,
+    U T_chi U^dag = omega^k[chi] T_perm[chi],
+a permutation `perm` of the labels and phase exponents k mod d.  The action
+of a unitary is read once per label with the gather-and-character transform
+of `weyl.pauli_coefficients` (no dense table).  Actions compose exactly,
+(G U): perm2 = g_perm[perm], k2 = k + g_k[perm], and the bytes of (perm, k)
+identify the element modulo global phase, so the reduced group is enumerated
+by a BFS over integer data.  S_C and a_C are read off the 2N unit labels e_i:
+column i of S_C is the label perm[e_i], and a_C = S_C J k_b with
+k_b = -k[e_i], because S_C is symplectic.
+
+For d = 2 the Hermitian representatives i^(p.q) X^p Z^q carry a residual
+sign on non-basis labels that no affine phase omega^(-<a, S chi>) describes;
+the action still holds it exactly, as k[chi] with omega = -1, because it
+covers every label and not only the basis.
 """
 
 from __future__ import annotations
@@ -29,14 +42,14 @@ from .phasespace import (
     Dims,
     mod_inverse,
     phase_points,
-    point_index,
     symplectic_form,
 )
 from .stabilizers import enumerate_stabilizer_states
 from .weyl import (
     asmatrix,
-    displacement_table,
+    displacement_matrix,
     equal_up_to_phase,
+    pauli_coefficients,
     phase_normalize,
     unit_phase,
 )
@@ -109,25 +122,52 @@ def single_qudit_S(d: int) -> np.ndarray:
 
 
 def _conjugated_label(U: np.ndarray, chi: np.ndarray, dims: Dims,
-                      tol: float = 1e-8) -> tuple[np.ndarray, complex]:
-    """Label chi' and phase c with U T_chi U^dag = c T_chi'; NotClifford if none."""
-    T = displacement_table(dims)
-    conj = U @ T[point_index(chi, dims)] @ U.conj().T
-    # expansion coefficients Tr[T_k^dag conj] / D in the orthogonal T basis
-    coeffs = np.einsum('kij,ij->k', T.conj(), conj) / dims.D
+                      tol: float = 1e-8) -> tuple[int, complex]:
+    """Index j and phase c with U T_chi U^dag = c T_j; NotClifford if none."""
+    coeffs = pauli_coefficients(U @ displacement_matrix(chi, dims) @ U.conj().T, dims)
     idx = np.flatnonzero(np.abs(coeffs) > tol)
     if idx.size != 1 or abs(abs(coeffs[idx[0]]) - 1.0) > tol:
         raise NotCliffordError("conjugation leaves the displacement basis")
-    return phase_points(dims)[idx[0]], complex(coeffs[idx[0]])
+    return int(idx[0]), complex(coeffs[idx[0]])
+
+
+def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray, tol: float = 1e-8
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Label indices perm and exponents k with U T_chi U^dag = omega^k T_perm,
+    one entry per row of `labels`."""
+    d = dims.d
+    perm = np.empty(len(labels), dtype=np.intp)
+    k = np.empty(len(labels), dtype=np.int64)
+    for i, chi in enumerate(labels):
+        perm[i], c = _conjugated_label(U, chi, dims, tol)
+        k[i] = int(np.rint(np.angle(c) * d / (2 * np.pi))) % d
+        if abs(c - unit_phase(k[i], d)) > 1e-6:
+            raise NotCliffordError("conjugation phase is not a d-th root of unity")
+    return perm, k
+
+
+def _compose_action(outer: tuple, inner: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer action of C_outer C_inner from the actions of its factors.
+
+    Stacks compose pairwise: outer actions on leading axes (G, n) and inner
+    ones on (F, n) give the (G, F, n) stack of products."""
+    (g_perm, g_k), (perm, k) = outer, inner
+    return g_perm[..., perm], (k + g_k[..., perm]) % d
+
+
+def _affine_data(perm_basis: np.ndarray, k_basis: np.ndarray, dims: Dims
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(S, a) from the action on the unit labels e_i, batched over leading axes:
+    S e_i is the label with index perm_basis[i], and -k_basis[i] = <a, S e_i>
+    gives a = S J (-k_basis) because S is symplectic."""
+    S = np.stack(np.unravel_index(perm_basis, (dims.d,) * (2 * dims.N)), axis=-2)
+    return S, (S @ symplectic_form(dims.N) @ -k_basis[..., None])[..., 0] % dims.d
 
 
 def is_clifford(U, dims: Dims, tol: float = 1e-8) -> bool:
     """True iff U maps every basis displacement to a displacement under conjugation."""
-    U = asmatrix(U)
-    basis = np.eye(2 * dims.N, dtype=np.int64)
     try:
-        for chi in basis:
-            _conjugated_label(U, chi, dims, tol)
+        _pauli_action(asmatrix(U), dims, np.eye(2 * dims.N, dtype=np.int64), tol)
     except NotCliffordError:
         return False
     return True
@@ -135,47 +175,12 @@ def is_clifford(U, dims: Dims, tol: float = 1e-8) -> bool:
 
 def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     """Recover (S_C, a_C) from the conjugation action of a Clifford unitary."""
-    U = asmatrix(U)
-    d = dims.d
     basis = np.eye(2 * dims.N, dtype=np.int64)
-    S = np.zeros((2 * dims.N, 2 * dims.N), dtype=np.int64)
-    ks = np.zeros(2 * dims.N, dtype=np.int64)
-    for i, chi in enumerate(basis):
-        label, c = _conjugated_label(U, chi, dims)
-        S[:, i] = label
-        # c = omega^(-<a, S chi>) = exp(-2 pi i k / d)
-        k = int(np.rint(-np.angle(c) * d / (2 * np.pi))) % d
-        if abs(c - unit_phase(-k, d)) > 1e-6:
-            raise NotCliffordError("conjugation phase is not a d-th root of unity")
-        ks[i] = k
-    if not np.all((S.T @ symplectic_form(dims.N) @ S - symplectic_form(dims.N)) % d == 0):
+    S, a = _affine_data(*_pauli_action(asmatrix(U), dims, basis), dims)
+    J = symplectic_form(dims.N)
+    if not np.all((S.T @ J @ S - J) % dims.d == 0):
         raise NotCliffordError("recovered label map is not symplectic")
-    # <a, S e_i> = a^T J S e_i = k_i: solve the linear system for a mod d
-    A = (symplectic_form(dims.N) @ S).T % d   # rows (J S e_i)^T
-    a = _solve_mod(A.T, ks, d)                # A rows act on a: rows = (J S)_cols^T
-    return S % d, a % d
-
-
-def _solve_mod(M: np.ndarray, rhs: np.ndarray, d: int) -> np.ndarray:
-    """Solve M^T x = rhs mod d for invertible M^T via Gaussian elimination."""
-    n = rhs.shape[0]
-    aug = np.concatenate([M.T % d, rhs[:, None] % d], axis=1).astype(np.int64)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if aug[r, col] % d:
-                piv = r
-                break
-        if piv is None:
-            raise NotCliffordError("singular affine system")
-        aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = (aug[row] * mod_inverse(aug[row, col], d)) % d
-        for r in range(n):
-            if r != row and aug[r, col] % d:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % d
-        row += 1
-    return aug[:, -1] % d
+    return S, a
 
 
 def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray:
@@ -188,8 +193,7 @@ def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray
     S = np.asarray(S, dtype=np.int64) % dims.d
     a = np.asarray(a, dtype=np.int64) % dims.d
     if dims.odd:
-        T = displacement_table(dims)
-        return T[point_index(a, dims)] @ metaplectic_V(S, dims.d)
+        return displacement_matrix(a, dims) @ metaplectic_V(S, dims.d)
     for el in enumerate_reduced_clifford(dims):
         if np.array_equal(el.symplectic, S) and np.array_equal(el.displacement, a):
             return el.unitary
@@ -305,16 +309,11 @@ def _quantize(v: np.ndarray, grid: float) -> bytes:
     return np.round(pairs / grid).astype(np.int64).tobytes()
 
 
-def _canonical_key(U: np.ndarray, grid: float = 1e-8) -> bytes:
-    """Hash key for a unitary modulo global phase (quantized entries)."""
-    return _quantize(phase_normalize(U, tol=1e-6).ravel(), grid)
-
-
 def _exact_key(U: np.ndarray, grid: float = 1e-8) -> bytes:
     return _quantize(np.asarray(U).ravel(), grid)
 
 
-_CLIFFORD_BUDGET = {(2, 1): 24, (3, 1): 216, (5, 1): 3000, (2, 2): 11520}
+_CLIFFORD_DIMS = frozenset({(2, 1), (3, 1), (5, 1), (2, 2)})
 
 
 def clifford_group_order(dims: Dims) -> int:
@@ -341,43 +340,45 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_reduced_cached(d: int, N: int) -> tuple:
-    dims = Dims(d, N)
-    gen_words = clifford_generator_words(dims)
-    gens = [(w, word_unitary(w, dims)) for w in gen_words]
-    seen = {}
-    start = np.eye(dims.D, dtype=np.complex128)
-    seen[_canonical_key(start)] = (start, ())
-    frontier = [(start, ())]
-    while frontier:
-        nxt = []
-        for U, word in frontier:
-            for gw, G in gens:
-                V = G @ U
-                key = _canonical_key(V)
-                if key not in seen:
-                    entry = (V, gw + word)
-                    seen[key] = entry
-                    nxt.append(entry)
-        frontier = nxt
-    return tuple(seen.values())
-
-
-@lru_cache(maxsize=None)
 def _reduced_elements_cached(d: int, N: int) -> tuple:
     dims = Dims(d, N)
-    elems = _enumerate_reduced_cached(d, N)
-    expected = _CLIFFORD_BUDGET[(d, N)]
-    if len(elems) != expected:
-        raise NotCliffordError(
-            f"closure produced {len(elems)} elements, expected {expected}"
-        )
-    return tuple(CliffordElement.from_unitary(U, dims, word) for U, word in elems)
+    n = dims.n_points
+    words = clifford_generator_words(dims)
+    gens = [word_unitary(w, dims) for w in words]
+    actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
+    g_action = (np.array([p for p, _ in actions]), np.array([k for _, k in actions]))
+    # BFS in (element, generator) order; an element's action on every label
+    # is coded as perm * d + k, and the bytes of that code are its key
+    unitaries, elem_words = [np.eye(dims.D, dtype=np.complex128)], [()]
+    levels = [np.arange(n)[None] * d]
+    seen = {levels[0].tobytes()}
+    start = 0
+    while start < len(unitaries):
+        perm, k = _compose_action(g_action, (levels[-1] // d, levels[-1] % d), d)
+        cand = np.ascontiguousarray((perm * d + k).swapaxes(0, 1)).reshape(-1, n)
+        keys = cand.view(np.dtype((np.void, cand.itemsize * n))).ravel().tolist()
+        fresh = []
+        for r, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(r)
+                f, g = divmod(r, len(gens))
+                unitaries.append(gens[g] @ unitaries[start + f])
+                elem_words.append(words[g] + elem_words[start + f])
+        start += len(levels[-1])
+        levels.append(cand[fresh])
+    if len(unitaries) != clifford_group_order(dims):
+        raise NotCliffordError(f"closure produced {len(unitaries)} elements, "
+                               f"expected {clifford_group_order(dims)}")
+    on_basis = np.concatenate(levels)[:, d ** np.arange(2 * N - 1, -1, -1)]
+    S, a = _affine_data(on_basis // d, on_basis % d, dims)
+    return tuple(CliffordElement(U, S[i], a[i], dims, w)
+                 for i, (U, w) in enumerate(zip(unitaries, elem_words)))
 
 
 def enumerate_reduced_clifford(dims: Dims) -> list[CliffordElement]:
     """One representative per element of the reduced Clifford group."""
-    if (dims.d, dims.N) not in _CLIFFORD_BUDGET:
+    if (dims.d, dims.N) not in _CLIFFORD_DIMS:
         raise BudgetExceededError(
             f"(d={dims.d}, N={dims.N}) outside the Clifford enumeration budget"
         )

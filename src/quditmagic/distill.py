@@ -19,7 +19,7 @@ where trivial-syndrome projection preserves the parametrized form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -40,10 +40,7 @@ FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
 def pauli_string(spec: str) -> np.ndarray:
-    op = np.ones((1, 1), dtype=np.complex128)
-    for ch in spec:
-        op = np.kron(op, _PAULI[ch])
-    return op
+    return reduce(np.kron, [_PAULI[ch] for ch in spec], np.ones((1, 1), dtype=np.complex128))
 
 
 def t_gate() -> np.ndarray:
@@ -131,11 +128,7 @@ def project_T_overlaps() -> dict:
     T1 = unit_phase(1, 6) * T1
     vecs = {}
     for x in range(32):
-        bits = [(x >> (4 - i)) & 1 for i in range(5)]
-        v = np.ones(1, dtype=np.complex128)
-        for b in bits:
-            v = np.kron(v, T1 if b else T0)
-        vecs[x] = v
+        vecs[x] = reduce(np.kron, [T1 if (x >> (4 - i)) & 1 else T0 for i in range(5)])
     T0L = np.sqrt(6) * Pi @ vecs[0b11111]   # logical |T0>
     T1L = np.sqrt(6) * Pi @ vecs[0b00000]   # logical |T1>
     out = {}
@@ -168,15 +161,7 @@ def logical_t_states() -> tuple[np.ndarray, np.ndarray]:
     """|T0_L>, |T1_L> of the five-qubit code: sqrt6 Pi |T1^x5> and
     sqrt6 Pi |T0^x5| (the trivial-syndrome projection flips the label)."""
     Pi = code_projector()
-    T0, T1 = t_states()
-
-    def tens(t):
-        v = np.ones(1, dtype=np.complex128)
-        for _ in range(5):
-            v = np.kron(v, t)
-        return v
-
-    return np.sqrt(6) * Pi @ tens(T1), np.sqrt(6) * Pi @ tens(T0)
+    return tuple(np.sqrt(6) * Pi @ reduce(np.kron, [t] * 5) for t in t_states()[::-1])
 
 
 @lru_cache(maxsize=1)
@@ -198,15 +183,20 @@ def logical_pair_vectors() -> np.ndarray:
     perm = _pair_permutation()
     L_pairmajor = L_block[perm, :]
     # express in pair-basis coordinates, matching the kron of 4x4 densities
-    Psi = np.array(basis).T
-    B = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(5):
-        B = np.kron(B, Psi)
-    L = B.conj().T @ L_pairmajor
+    L = _act_on_pairs([np.array(basis).conj()] * 5, L_pairmajor)
     gram = L.conj().T @ L
     if np.max(np.abs(gram - np.eye(4))) > 1e-9:
         raise RuntimeError("logical pair vectors are not orthonormal")
     return L
+
+
+def _act_on_pairs(ops: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """(ops[0] x ... x ops[4]) X for 4x4 ops and X of shape (1024, m), applied
+    one pair axis at a time, so no 1024 x 1024 Kronecker product is formed."""
+    X = X.reshape((4,) * 5 + (-1,))
+    for axis, op in enumerate(ops):
+        X = np.moveaxis(np.tensordot(op, X, axes=([1], [axis])), 0, axis)
+    return X.reshape(1024, -1)
 
 
 def distill_step(params: list[PairParams]) -> tuple[PairParams, float]:
@@ -214,25 +204,18 @@ def distill_step(params: list[PairParams]) -> tuple[PairParams, float]:
 
     Returns the renormalized logical PairParams and the success probability.
     """
-    if len(params) != 5:
-        raise ValueError("need exactly five pairs")
-    rho = np.ones((1, 1), dtype=np.complex128)
-    for p in params:
-        rho = np.kron(rho, p.density())
-    L = logical_pair_vectors()
-    rho_L = L.conj().T @ rho @ L
+    rho_L = logical_density(params)
     p_success = float(np.real(np.trace(rho_L)))
-    out = PairParams.from_density(rho_L / p_success)
-    return out, p_success
+    return PairParams.from_density(rho_L / p_success), p_success
 
 
 def logical_density(params: list[PairParams]) -> np.ndarray:
-    """Unnormalized 4x4 logical operator after trivial-syndrome projection."""
-    rho = np.ones((1, 1), dtype=np.complex128)
-    for p in params:
-        rho = np.kron(rho, p.density())
+    """Unnormalized 4x4 logical operator L^dag (rho_1 x ... x rho_5) L after
+    trivial-syndrome projection."""
+    if len(params) != 5:
+        raise ValueError("need exactly five pairs")
     L = logical_pair_vectors()
-    return L.conj().T @ rho @ L
+    return L.conj().T @ _act_on_pairs([p.density() for p in params], L)
 
 
 def success_probability_exact(eps: float) -> float:

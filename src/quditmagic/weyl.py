@@ -15,14 +15,16 @@ materialized to complex doubles only when a matrix is built.
 Measures and expansions never build the dense tables.  Every Weyl transform
 they need is a shift in p followed by a character sum in q, computed with
 index gathers (`_digit_sums`) and one character matrix (`_character_matrix`)
-in O(D^2) memory and O(D^3) time.  The dense (d^2N, D, D) tables serve only
-stabilizer/Clifford construction and the test oracle.
+in O(D^2) memory and O(D^3) time.  The same transform gives the Pauli
+coefficients Tr[T_chi^dag M] / D of any operator, which the Clifford module
+uses to read conjugation actions.  The dense (d^2N, D, D) tables remain for
+stabilizer construction, `wh_kernel`/`wh_kernel_all` and the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -111,37 +113,33 @@ def density_of(psi) -> np.ndarray:
     return arr
 
 
-def _single_qudit_displacement(p: int, q: int, d: int) -> np.ndarray:
-    mat = np.zeros((d, d), dtype=np.complex128)
-    if d == 2:
-        phase = zeta(2) ** ((p * q) % 4)
-        for j in range(d):
-            mat[(p + j) % d, j] = phase * unit_phase(q * j, d)
-        return mat
-    t = tau_exponent(d)
-    for j in range(d):
-        # tau^(p q) omega^(q j) = omega^(t p q + q j)
-        mat[(p + j) % d, j] = unit_phase(t * p * q + q * j, d)
-    return mat
+@lru_cache(maxsize=None)
+def _single_displacements(d: int) -> np.ndarray:
+    """Single-qudit T_(p,q) as a read-only (d, d, d, d) array indexed [p, q]."""
+    singles = np.zeros((d, d, d, d), dtype=np.complex128)
+    for p, q, j in np.ndindex(d, d, d):
+        if d == 2:
+            singles[p, q, (p + j) % d, j] = zeta(2) ** ((p * q) % 4) * unit_phase(q * j, d)
+        else:  # tau^(p q) omega^(q j) = omega^(t p q + q j)
+            singles[p, q, (p + j) % d, j] = unit_phase(tau_exponent(d) * p * q + q * j, d)
+    singles.setflags(write=False)
+    return singles
+
+
+def _kron_table(singles: np.ndarray, dims: Dims) -> np.ndarray:
+    """Read-only (d^2N, D, D) table of the products singles[p_1, q_1] x ... x
+    singles[p_N, q_N], lex order in (p, q)."""
+    table = np.empty((dims.n_points, dims.D, dims.D), dtype=np.complex128)
+    for i, chi in enumerate(phase_points(dims)):
+        p, q = split_point(chi)
+        table[i] = reduce(np.kron, singles[p, q])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
 def _displacement_table_cached(d: int, N: int) -> np.ndarray:
-    dims = Dims(d, N)
-    singles = np.empty((d, d, d, d), dtype=np.complex128)
-    for p in range(d):
-        for q in range(d):
-            singles[p, q] = _single_qudit_displacement(p, q, d)
-    pts = phase_points(dims)
-    table = np.empty((dims.n_points, dims.D, dims.D), dtype=np.complex128)
-    for i, chi in enumerate(pts):
-        p, q = chi[:N], chi[N:]
-        op = np.ones((1, 1), dtype=np.complex128)
-        for k in range(N):
-            op = np.kron(op, singles[p[k], q[k]])
-        table[i] = op
-    table.setflags(write=False)
-    return table
+    return _kron_table(_single_displacements(d), Dims(d, N))
 
 
 def displacement_table(dims: Dims) -> np.ndarray:
@@ -149,34 +147,25 @@ def displacement_table(dims: Dims) -> np.ndarray:
     return _displacement_table_cached(dims.d, dims.N)
 
 
+def displacement_matrix(chi, dims: Dims) -> np.ndarray:
+    """T_chi alone: the Kronecker product of its single-qudit factors."""
+    p, q = split_point(np.asarray(chi, dtype=np.int64) % dims.d)
+    return reduce(np.kron, _single_displacements(dims.d)[p, q])
+
+
 def displacement_operator(chi, dims: Dims) -> DenseOperator:
     """The Weyl-Heisenberg unitary T_chi."""
-    idx = point_index(chi, dims)
-    return DenseOperator(displacement_table(dims)[idx].copy(), dims, role="unitary")
+    return DenseOperator(displacement_matrix(chi, dims), dims, role="unitary")
 
 
 @lru_cache(maxsize=None)
 def _phase_point_table_cached(d: int, N: int) -> np.ndarray:
     if d % 2 == 0:
         raise UnsupportedDimensionError("phase-point operators require odd d")
-    dims = Dims(d, N)
-    singles = np.empty((d, d, d, d), dtype=np.complex128)
-    for p in range(d):
-        for q in range(d):
-            mat = np.zeros((d, d), dtype=np.complex128)
-            for j in range(d):
-                mat[(2 * p - j) % d, j] = unit_phase(2 * q * (p - j), d)
-            singles[p, q] = mat
-    pts = phase_points(dims)
-    table = np.empty((dims.n_points, dims.D, dims.D), dtype=np.complex128)
-    for i, chi in enumerate(pts):
-        p, q = chi[:N], chi[N:]
-        op = np.ones((1, 1), dtype=np.complex128)
-        for k in range(N):
-            op = np.kron(op, singles[p[k], q[k]])
-        table[i] = op
-    table.setflags(write=False)
-    return table
+    singles = np.zeros((d, d, d, d), dtype=np.complex128)
+    for p, q, j in np.ndindex(d, d, d):
+        singles[p, q, (2 * p - j) % d, j] = unit_phase(2 * q * (p - j), d)
+    return _kron_table(singles, Dims(d, N))
 
 
 def phase_point_table(dims: Dims) -> np.ndarray:
@@ -222,6 +211,29 @@ def _character_matrix(d: int, N: int) -> np.ndarray:
     chi = roots[_digitwise(np.outer(r, r), N, 1) % d]
     chi.setflags(write=False)
     return chi
+
+
+@lru_cache(maxsize=None)
+def _convention_phases(d: int, N: int) -> np.ndarray:
+    """phase[p, q] with T_(p,q) = phase X^p Z^q: tau^(p.q) for odd d and
+    i^(p.q) for d = 2, from exact integer exponents."""
+    r = np.arange(d)
+    pq = _digitwise(np.outer(r, r), N, 1)  # sum_k p_k q_k, not reduced
+    order, expo = (4, pq % 4) if d == 2 else (d, (tau_exponent(d) * pq) % d)
+    phases = np.array([unit_phase(k, order) for k in range(order)])[expo]
+    phases.setflags(write=False)
+    return phases
+
+
+def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
+    """Tr[T_chi^dag M] / D for every chi, in lexicographic point order.
+
+    Tr[T_(p,q)^dag M] = conj(phase_(p,q) sum_j omega^(q.j) conj(M[p+j, j])):
+    a gather, one character sum and the convention phase of each label.
+    """
+    plus, _, _ = _digit_sums(dims.d, dims.N)
+    sums = np.conj(M)[plus, np.arange(dims.D)] @ _character_matrix(dims.d, dims.N)
+    return np.conj(sums * _convention_phases(dims.d, dims.N)).ravel() / dims.D
 
 
 def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quditmagic import clifford, weyl
 from quditmagic.clifford import (
     SL2_H_HAT,
     SL2_S_HAT,
     FiniteUnitaryGroup,
+    _compose_action,
+    _conjugated_label,
+    _pauli_action,
     affine_from_clifford,
     clifford_equivalence_search,
     clifford_from_affine,
+    clifford_generator_words,
     clifford_group_order,
     eigenphase_extended_group,
     enumerate_reduced_clifford,
@@ -32,7 +37,15 @@ from quditmagic.phasespace import (
     point_index,
     symplectic_product,
 )
-from quditmagic.weyl import displacement_table, equal_up_to_phase, unit_phase
+from quditmagic.weyl import (
+    displacement_table,
+    equal_up_to_phase,
+    pauli_coefficients,
+    phase_normalize,
+    unit_phase,
+)
+
+BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
 
 
 def test_generators_are_clifford_and_special():
@@ -145,7 +158,7 @@ def test_clifford_from_affine_round_trip():
             assert np.array_equal(a2, a % d)
 
 
-@pytest.mark.parametrize("d,N", [(2, 1), (3, 1), (5, 1), (2, 2)])
+@pytest.mark.parametrize("d,N", BUDGETED)
 def test_enumerate_reduced_clifford(d, N):
     dims = Dims(d, N)
     els = enumerate_reduced_clifford(dims)
@@ -334,3 +347,97 @@ def test_equivalence_search_deterministic_under_seed():
     w1 = clifford_equivalence_search(src, tgt, dims, budget=100000, seed=9)
     w2 = clifford_equivalence_search(src, tgt, dims, budget=100000, seed=9)
     assert w1 == w2 and w1 is not None
+
+
+def _entangling_clifford(dims):
+    """H then S on every site, then a CZ chain diag(omega^(sum_i j_i j_(i+1))),
+    then H on the first site: a Clifford that mixes every label."""
+    d, N = dims.d, dims.N
+    local = word_unitary(tuple(t for i in range(1, N + 1) for t in (f"S@{i}", f"H@{i}")), dims)
+    digits = np.indices((d,) * N).reshape(N, -1)
+    chain = np.sum(digits[:-1] * digits[1:], axis=0)
+    cz = np.diag([unit_phase(e, d) for e in chain])
+    return word_unitary(("H@1",), dims) @ cz @ local
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_conjugated_label_matches_dense_einsum(d, N):
+    dims = Dims(d, N)
+    T = displacement_table(dims)
+    U = _entangling_clifford(dims)
+    rng = np.random.default_rng(d * 10 + N)
+    M = rng.normal(size=(dims.D, dims.D)) + 1j * rng.normal(size=(dims.D, dims.D))
+    dense = np.einsum('kij,ij->k', T.conj(), M) / dims.D
+    assert np.max(np.abs(pauli_coefficients(M, dims) - dense)) < 1e-12
+    for i, chi in enumerate(phase_points(dims)):
+        dense = np.einsum('kij,ij->k', T.conj(), U @ T[i] @ U.conj().T) / dims.D
+        j, c = _conjugated_label(U, chi, dims)
+        assert np.flatnonzero(np.abs(dense) > 1e-8).tolist() == [j]
+        assert abs(dense[j] - c) < 1e-12
+
+
+def _quantised_key(U, grid=1e-8):
+    v = np.ascontiguousarray(phase_normalize(U, tol=1e-6).ravel()).view(np.float64)
+    return np.round(v / grid).astype(np.int64).tobytes()
+
+
+def _dense_enumeration(dims):
+    """Reference enumeration: BFS over dense unitaries keyed by quantised,
+    phase-normalised entries, with (S, a) recovered per element."""
+    gens = [(w, word_unitary(w, dims)) for w in clifford_generator_words(dims)]
+    start = np.eye(dims.D, dtype=np.complex128)
+    seen = {_quantised_key(start): (start, ())}
+    frontier = [(start, ())]
+    while frontier:
+        nxt = []
+        for U, word in frontier:
+            for gw, G in gens:
+                V = G @ U
+                key = _quantised_key(V)
+                if key not in seen:
+                    seen[key] = (V, gw + word)
+                    nxt.append(seen[key])
+        frontier = nxt
+    return [(word, *affine_from_clifford(U, dims), U) for U, word in seen.values()]
+
+
+@pytest.mark.parametrize("d,N", BUDGETED)
+def test_enumeration_matches_dense_oracle(d, N):
+    dims = Dims(d, N)
+    els = enumerate_reduced_clifford(dims)
+    ref = _dense_enumeration(dims)
+    assert len(els) == len(ref)
+    for el, (word, S, a, U) in zip(els, ref):
+        assert el.word == word
+        assert np.array_equal(el.symplectic, S)
+        assert np.array_equal(el.displacement, a)
+        assert np.array_equal(el.unitary, U)
+
+
+@pytest.mark.parametrize("d,N", BUDGETED)
+def test_composed_action_matches_dense_conjugation(d, N):
+    dims = Dims(d, N)
+    T = displacement_table(dims)
+    labels = phase_points(dims)
+    els = enumerate_reduced_clifford(dims)
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        U1, U2 = (els[i].unitary for i in rng.integers(len(els), size=2))
+        perm, k = _compose_action(_pauli_action(U1, dims, labels),
+                                  _pauli_action(U2, dims, labels), d)
+        U = U1 @ U2
+        for i in range(len(labels)):
+            assert np.allclose(U @ T[i] @ U.conj().T,
+                               unit_phase(k[i], d) * T[perm[i]], atol=1e-10)
+
+
+def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense table or per-element recovery used")
+
+    monkeypatch.setattr(weyl, "_displacement_table_cached", forbidden)
+    monkeypatch.setattr(clifford, "affine_from_clifford", forbidden)
+    clifford._reduced_elements_cached.cache_clear()
+    for d, N in BUDGETED:
+        dims = Dims(d, N)
+        assert len(enumerate_reduced_clifford(dims)) == clifford_group_order(dims)

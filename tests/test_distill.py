@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ def test_structure_preservation_random_draws():
         off[3, 0] = 0
         assert np.max(np.abs(off)) < 1e-9
         assert np.max(np.abs(np.diag(M).imag)) < 1e-12
+
+
+def test_logical_density_matches_kron_oracle():
+    rng = np.random.default_rng(17)
+    L = logical_pair_vectors()
+    for _ in range(6):
+        params = [_random_valid_params(rng) for _ in range(5)]
+        rho = reduce(np.kron, [p.density() for p in params])
+        assert np.max(np.abs(logical_density(params) - L.conj().T @ rho @ L)) < 1e-14
 
 
 def test_dephasing_preparation():
