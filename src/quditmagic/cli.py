@@ -17,6 +17,7 @@ import numpy as np
 from . import catalog
 from .clifford import (
     clifford_equivalence_search,
+    eigenpairs,
     enumerate_reduced_clifford,
     nondegenerate_eigenstates,
     word_unitary,
@@ -35,7 +36,11 @@ from .measures import measure_report, sre, stabilizer_fidelity
 from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
 from .tables import TABLE_IDS, table_rows
-from .weyl import state_from_json
+from .weyl import phase_normalize, state_from_json
+
+# Clifford elements per batched eigendecomposition in `eigenstates
+# --all-cliffords`: bounds the stacked eigenvectors and overlaps in memory
+_EIGEN_CHUNK = 1024
 
 
 def parse_dims(text: str) -> Dims:
@@ -135,17 +140,21 @@ def cmd_eigenstates(args) -> int:
             results.append({"eigenvalue": val, "state": vec})
     elif args.all_cliffords:
         dd = enumerate_stabilizer_states(dims)
+        elements = enumerate_reduced_clifford(dims)
         classes = {}
-        for el in enumerate_reduced_clifford(dims):
-            for val, vec in nondegenerate_eigenstates(el.unitary, dims):
-                ov = dd.overlaps(vec)
-                if np.max(ov) > 1 - 1e-9:
-                    continue
-                key = tuple(np.round(np.sort(ov), 8).tolist())
+        for start in range(0, len(elements), _EIGEN_CHUNK):
+            chunk = elements[start:start + _EIGEN_CHUNK]
+            _, V, single = eigenpairs(np.array([el.unitary for el in chunk]))
+            owner, col = np.nonzero(single)  # element order, then eigenvalue order
+            vecs = V[owner, :, col]
+            ov = np.abs(vecs @ dd.matrix.conj().T) ** 2
+            keys = np.round(np.sort(ov, axis=1), 8)
+            for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - 1e-9):
+                key = keys[i].tobytes()
                 if key not in classes:
-                    classes[key] = {"state": vec,
-                                    "fidelity": float(np.max(ov)),
-                                    "word": list(el.word)}
+                    classes[key] = {"state": phase_normalize(vecs[i]),
+                                    "fidelity": float(np.max(ov[i])),
+                                    "word": list(chunk[owner[i]].word)}
         results = [{"class": i, **v} for i, v in enumerate(classes.values())]
         print(f"# {len(classes)} non-stabilizer inequivalence classes",
               file=sys.stderr)
@@ -279,8 +288,12 @@ def cmd_extent(args) -> int:
     wb = witness_bound(psi, psi, dd) if not args.group else None
     _emit(args, {"extent": sol.value, "l1": sol.l1,
                  "residual": sol.residual, "duality_gap": sol.duality_gap,
-                 "iterations": sol.iterations,
+                 "iterations": sol.iterations, "converged": sol.converged,
                  "self_witness_lower_bound": wb})
+    if not sol.converged:
+        print(f"extent: not converged after {sol.iterations} iterations "
+              f"(duality gap {sol.duality_gap:.3g} > tol {args.tol:g})", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     NonClosedGroupError,
     NotCliffordError,
 )
@@ -446,16 +446,20 @@ def twirl(O, group: FiniteUnitaryGroup) -> np.ndarray:
 
 
 def _eigenspaces(U: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
-    """Orthonormal bases of the eigenspaces of a unitary, via clustering."""
-    T, Z = scipy.linalg.schur(np.asarray(U, dtype=np.complex128), output="complex")
-    evals = np.diag(T)
+    """Orthonormal bases of the eigenspaces of a unitary: eigenvalues are
+    clustered within tol, and each cluster of size k spans the null space of
+    U - lambda I, read off as its k smallest right singular vectors."""
+    U = np.asarray(U, dtype=np.complex128)
+    evals = np.linalg.eigvals(U)
+    eye = np.eye(U.shape[0])
     remaining = list(range(evals.shape[0]))
     spaces = []
     while remaining:
         i = remaining[0]
         idx = [j for j in remaining if abs(evals[j] - evals[i]) < tol]
         remaining = [j for j in remaining if j not in idx]
-        spaces.append(Z[:, idx])
+        _, _, vh = np.linalg.svd(U - np.mean(evals[idx]) * eye)
+        spaces.append(vh[-len(idx):].conj().T)
     return spaces
 
 
@@ -506,25 +510,33 @@ def eigenphase_extended_group(C, dims: Dims, max_order: int = 4096) -> FiniteUni
 # ---------------------------------------------------------------------------
 # eigenstates
 
+def eigenpairs(U: np.ndarray, tol: float = 1e-8
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w (n, D), unit eigenvectors V (n, D, D; column i belongs
+    to w[:, i]) and the mask (n, D) of eigenvalues whose cluster within tol is
+    a singleton, for a stack of n unitaries of shape (n, D, D).
+
+    A singleton eigenvalue of a normal matrix has a one-dimensional
+    eigenspace, so its eigenvector is unique up to phase.
+    """
+    U = np.asarray(U, dtype=np.complex128)
+    eye = np.eye(U.shape[-1])
+    if np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - eye)) > 1e-8:
+        raise ValueError("eigenstate extraction requires a unitary input")
+    w, V = np.linalg.eig(U)
+    single = np.sum(np.abs(w[..., :, None] - w[..., None, :]) < tol, axis=-1) == 1
+    return w, V, single
+
+
 def nondegenerate_eigenstates(C, dims: Dims, tol: float = 1e-8
                               ) -> list[tuple[complex, np.ndarray]]:
-    """Eigenpairs of a unitary whose eigenvalue cluster is one-dimensional.
-
-    Schur-based: the complex Schur form of a normal matrix is diagonal, so the
-    Schur vectors of singleton eigenvalue clusters are the eigenvectors.
-    """
+    """Eigenpairs of a unitary whose eigenvalue cluster is one-dimensional,
+    in eigenvalue order, each eigenvector phase-normalized."""
     U = asmatrix(C)
-    D = dims.D
-    if np.max(np.abs(U.conj().T @ U - np.eye(D))) > 1e-8:
-        raise ValueError("eigenstate extraction requires a unitary input")
-    T, Zs = scipy.linalg.schur(U, output="complex")
-    evals = np.diag(T)
-    out = []
-    for i in range(D):
-        gaps = np.abs(evals - evals[i])
-        if np.sum(gaps < tol) == 1:
-            out.append((complex(evals[i]), phase_normalize(Zs[:, i])))
-    return out
+    if U.shape != (dims.D, dims.D):
+        raise DimensionMismatchError(f"expected a {dims.D}x{dims.D} unitary, got {U.shape}")
+    w, V, single = eigenpairs(U[None], tol)
+    return [(complex(w[0, i]), phase_normalize(V[0, :, i])) for i in np.flatnonzero(single[0])]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ class ExtentSolution:
     dual_certificate: float | None = None
     duality_gap: float | None = None
     iterations: int = 0
+    converged: bool = False  # duality gap within the solver tolerance
 
     @property
     def l1(self) -> float:
@@ -118,6 +119,7 @@ def solve_extent(problem: ExtentProblem, tol: float = 1e-8,
         dual_certificate=dual_val ** 2,
         duality_gap=abs(l1 - dual_val),
         iterations=it,
+        converged=abs(l1 - dual_val) <= tol,
     )
 
 

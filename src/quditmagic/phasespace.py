@@ -224,14 +224,19 @@ class IsotropicSubspace:
         return bool(np.any(np.all(self.elements == np.asarray(chi) % self.dims.d, axis=1)))
 
     def reduce_mod(self, chi: np.ndarray) -> np.ndarray:
-        """Canonical coset representative of chi modulo this subspace."""
-        d = self.dims.d
-        v = np.asarray(chi, dtype=np.int64) % d
-        for row in self.basis:
-            col = int(np.argmax(row != 0))  # pivot column (unit pivot)
-            if v[col] % d != 0:
-                v = (v - v[col] * row) % d
-        return v
+        """Canonical coset representative of chi modulo this subspace;
+        vectorizes over leading axes."""
+        return _reduce_by_pivots(chi, self.basis, self.dims.d)
+
+
+def _reduce_by_pivots(chi: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
+    """chi with its entries at the unit pivots of an echelon basis cleared by
+    subtracting basis rows, mod d; vectorizes over leading axes of chi."""
+    v = np.asarray(chi, dtype=np.int64) % d
+    for row in basis:
+        col = int(np.argmax(row != 0))  # pivot column (unit pivot)
+        v = (v - v[..., col, None] * row) % d
+    return v
 
 
 _ISO_BUDGET = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)}
@@ -241,7 +246,12 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
     """All maximal isotropic subspaces of Z_d^2N, duplicate-free.
 
     Grows subspaces one echelonized basis row at a time, keeping only
-    canonical (RREF) forms, so each subspace is produced exactly once.
+    canonical (RREF) forms, so each subspace is produced exactly once.  The
+    extensions of a basis are found without row-reducing every candidate:
+    an orthogonal point outside the span, with its basis pivots cleared and
+    its leading entry scaled to 1, is the same row for every point of one
+    extension, and inserting that row in pivot order (after clearing its
+    pivot column from the basis) gives the extension's RREF directly.
     """
     if (dims.d, dims.N) not in _ISO_BUDGET:
         raise BudgetExceededError(
@@ -249,19 +259,27 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
         )
     d = dims.d
     pts = phase_points(dims)
+    place = d ** np.arange(2 * dims.N - 1, -1, -1)
+    inverse = np.array([0] + [mod_inverse(a, d) for a in range(1, d)])
     level = {b"": np.zeros((0, 2 * dims.N), dtype=np.int64)}
     for _ in range(dims.N):
         nxt: dict[bytes, np.ndarray] = {}
         for basis in level.values():
-            members = span_elements(basis, d)
-            if basis.shape[0]:
-                ok = np.all(symplectic_product(pts[:, None, :], basis[None, :, :], d) == 0, axis=1)
-                candidates = pts[ok]
-            else:
-                candidates = pts
-            in_span = (candidates[:, None, :] == members[None, :, :]).all(axis=2).any(axis=1)
-            for chi in candidates[~in_span]:
-                new = row_reduce(np.vstack([basis, chi[None, :]]), d)
+            # one canonical row per extension, from the orthogonal points
+            ok = np.all(symplectic_product(pts[:, None, :], basis[None, :, :], d) == 0, axis=1)
+            rows = _reduce_by_pivots(pts[ok], basis, d)
+            rows = rows[np.any(rows != 0, axis=1)]
+            lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+            rows = rows * inverse[lead][:, None] % d
+            rows = rows[np.unique(rows @ place, return_index=True)[1]]
+            # RREF of basis + row: clear the row's pivot column, sort by pivot
+            pivot = np.argmax(rows != 0, axis=1)
+            cleared = (basis - basis[:, pivot].T[:, :, None] * rows[:, None, :]) % d
+            ext = np.concatenate([cleared, rows[:, None, :]], axis=1)
+            order = np.argsort(np.concatenate(
+                [np.broadcast_to(np.argmax(basis != 0, axis=1), cleared.shape[:2]),
+                 pivot[:, None]], axis=1), axis=1)
+            for new in np.take_along_axis(ext, order[:, :, None], axis=1):
                 nxt[new.tobytes()] = new
         level = nxt
     out = [IsotropicSubspace.from_basis(b, dims) for b in level.values()]

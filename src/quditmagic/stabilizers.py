@@ -1,13 +1,23 @@
 """Construction and enumeration of pure stabilizer states.
 
-Odd d: |M, chi> is built from the rank-one projector
-    P = d^-N sum_{m in M} omega^(<chi, m>) T_m,
-the unique joint eigenstate of the displaced stabilizer characters.
+A maximal isotropic subspace M, with echelonized basis rows b_1..b_N, and a
+displacement chi define the state |M, chi> fixed by
 
-d = 2: states are built from signed-generator projector products
-    P = prod_i (I + s_i g_i) / 2,   s_i = (-1)^(<chi, b_i>),
-with g_i the Hermitian Pauli of the i-th echelon basis row; the odd-d
-character route needs the tau convention, which has no analogue mod 2.
+    omega^(<chi, m>) T_m |M, chi> = |M, chi>
+
+for every m in M (for d = 2 only the basis rows are imposed, omega = -1, since
+the Hermitian Paulis of M need not multiply without signs).  The states are
+built in closed form, with monomial gathers (`weyl.displace`) and no
+projector or dense table:
+
+- |M, 0> = prod_i (1/d) sum_k T_(b_i)^k e_0, normalized.  Each factor
+  projects onto the +1 eigenspace of T_(b_i).  e_0 has a nonzero component:
+  only terms with p = 0 reach <0|...|0>, and in echelon form those are
+  products of the pure Z^q rows, each contributing +1.
+- |M, chi> = T_(-chi) |M, 0> up to phase, because
+  T_m T_a = omega^(-<m, a>) T_a T_m; all d^N cosets are one gather.
+
+Every vector is phase-normalized and re-checked against its equations.
 """
 
 from __future__ import annotations
@@ -26,10 +36,9 @@ from .phasespace import (
     IsotropicSubspace,
     enumerate_maximal_isotropic,
     phase_points,
-    point_index,
     symplectic_product,
 )
-from .weyl import displacement_table, phase_normalize, unit_phase
+from .weyl import displace, displacement_matrix, unit_phase
 
 TIE_TOL = 1e-9  # default argmax tie tolerance
 
@@ -50,14 +59,45 @@ class StabilizerState:
         """Re-derive the stabilization equations for the stored vector."""
         dims = self.dims
         d = dims.d
-        T = displacement_table(dims)
         rows = self.subspace.basis if d == 2 else self.subspace.elements
         for m in rows:
             ph = unit_phase(symplectic_product(self.displacement, m, d), d)
-            v = ph * (T[point_index(m, dims)] @ self.vector)
+            v = ph * (displacement_matrix(m, dims) @ self.vector)
             if np.max(np.abs(v - self.vector)) >= tol:
                 return False
         return True
+
+
+def _coset_vectors(subspaces: list[IsotropicSubspace], chis: np.ndarray) -> np.ndarray:
+    """|M, chi> for every subspace M = subspaces[i] and displacement
+    chi = chis[i, j], as an array (len(subspaces), chis.shape[1], D); every
+    vector is checked against its stabilization equations at 1e-8."""
+    dims = subspaces[0].dims
+    d = dims.d
+    basis = np.array([M.basis for M in subspaces])
+    psi = np.zeros((len(subspaces), dims.D), dtype=np.complex128)
+    psi[:, 0] = 1.0
+    for i in range(dims.N):
+        term = acc = psi
+        for _ in range(d - 1):
+            term = displace(basis[:, i], term, dims)
+            acc = acc + term
+        psi = acc / d
+    nrm = np.linalg.norm(psi, axis=1, keepdims=True)
+    if np.min(nrm) < 1e-8:
+        raise InvalidStabilizerError("e_0 has no component on |M, 0>: basis not echelonized")
+    vecs = displace(-chis, (psi / nrm)[:, None, :], dims)
+    # phase-normalize every row: its first entry above 1e-12 made real positive
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs) > 1e-12, axis=-1)[..., None], axis=-1)
+    vecs = vecs / (lead / np.abs(lead))
+    roots = np.array([unit_phase(k, d) for k in range(d)])
+    rows = basis if d == 2 else np.array([M.elements for M in subspaces])
+    for j in range(rows.shape[1]):  # row j of every subspace at once
+        m = rows[:, j, None, :]
+        fixed = roots[symplectic_product(chis, m, d)][..., None] * displace(m, vecs, dims)
+        if np.max(np.abs(fixed - vecs)) >= 1e-8:
+            raise InvalidStabilizerError("constructed vector fails stabilization equations")
+    return vecs
 
 
 def stabilizer_state(M: IsotropicSubspace, chi, dims: Dims) -> StabilizerState:
@@ -66,30 +106,8 @@ def stabilizer_state(M: IsotropicSubspace, chi, dims: Dims) -> StabilizerState:
         raise DimensionMismatchError("subspace dims do not match")
     if not M.maximal:
         raise InvalidStabilizerError("subspace is not maximal")
-    d, D = dims.d, dims.D
-    chi = np.asarray(chi, dtype=np.int64) % d
-    T = displacement_table(dims)
-    if d == 2:
-        proj = np.eye(D, dtype=np.complex128)
-        for b in M.basis:
-            sign = (-1) ** int(symplectic_product(chi, b, d))
-            proj = proj @ (np.eye(D) + sign * T[point_index(b, dims)]) / 2.0
-    else:
-        proj = np.zeros((D, D), dtype=np.complex128)
-        for m in M.elements:
-            ph = unit_phase(symplectic_product(chi, m, d), d)
-            proj += ph * T[point_index(m, dims)]
-        proj /= D
-    # rank-one projector: take its dominant column
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    v = proj[:, col]
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-8:
-        raise InvalidStabilizerError("sign assignment stabilizes no state")
-    state = StabilizerState(M, M.reduce_mod(chi), phase_normalize(v / nrm))
-    if not state.check(tol=1e-8):
-        raise InvalidStabilizerError("constructed vector fails stabilization equations")
-    return state
+    rep = M.reduce_mod(chi)
+    return StabilizerState(M, rep, _coset_vectors([M], rep[None, None])[0, 0])
 
 
 @dataclass
@@ -157,20 +175,23 @@ _ENUM_BUDGET = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)}
 @lru_cache(maxsize=None)
 def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
     dims = Dims(d, N)
-    states = []
-    for M in enumerate_maximal_isotropic(dims):
-        seen = set()
-        for chi in phase_points(dims):
-            rep = M.reduce_mod(chi)
-            key = rep.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            states.append(stabilizer_state(M, rep, dims))
-        if len(seen) != dims.D:
+    place = d ** np.arange(2 * N - 1, -1, -1)
+    subspaces = enumerate_maximal_isotropic(dims)
+    reps = []
+    for M in subspaces:
+        # coset representatives in order of first appearance among the points
+        chis = M.reduce_mod(phase_points(dims))
+        _, first = np.unique(chis @ place, return_index=True)
+        if len(first) != dims.D:
             raise InvalidStabilizerError(
-                f"expected {dims.D} displacement cosets, found {len(seen)}"
+                f"expected {dims.D} displacement cosets, found {len(first)}"
             )
+        reps.append(chis[np.sort(first)])
+    reps = np.array(reps)
+    vecs = _coset_vectors(subspaces, reps)
+    states = [StabilizerState(M, chi, v)
+              for M, M_reps, M_vecs in zip(subspaces, reps, vecs)
+              for chi, v in zip(M_reps, M_vecs)]
     return StabilizerDictionary(dims, states)
 
 

@@ -17,8 +17,10 @@ they need is a shift in p followed by a character sum in q, computed with
 index gathers (`_digit_sums`) and one character matrix (`_character_matrix`)
 in O(D^2) memory and O(D^3) time.  The same transform gives the Pauli
 coefficients Tr[T_chi^dag M] / D of any operator, which the Clifford module
-uses to read conjugation actions.  The dense (d^2N, D, D) tables remain for
-stabilizer construction, `wh_kernel`/`wh_kernel_all` and the test oracle.
+uses to read conjugation actions, and `displace` applies T_chi to vectors
+by the same index arithmetic for the stabilizer dictionary.  The dense
+(d^2N, D, D) tables remain for `wh_kernel`/`wh_kernel_all` and the test
+oracle.
 """
 
 from __future__ import annotations
@@ -234,6 +236,23 @@ def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
     plus, _, _ = _digit_sums(dims.d, dims.N)
     sums = np.conj(M)[plus, np.arange(dims.D)] @ _character_matrix(dims.d, dims.N)
     return np.conj(sums * _convention_phases(dims.d, dims.N)).ravel() / dims.D
+
+
+def displace(chi, vectors, dims: Dims) -> np.ndarray:
+    """T_chi |v> without forming T_chi, broadcast over the leading axes of
+    chi (..., 2N) and vectors (..., D).
+
+    (T_(p,q) v)[i] = phase_(p,q) omega^(q.(i-p)) v[i-p]: a character
+    product followed by one gather at the digitwise differences i - p.
+    """
+    d, N = dims.d, dims.N
+    chi = np.asarray(chi, dtype=np.int64) % d
+    place = d ** np.arange(N - 1, -1, -1)
+    p, q = chi[..., :N] @ place, chi[..., N:] @ place
+    _, minus, _ = _digit_sums(d, N)
+    vals = (_convention_phases(d, N)[p, q][..., None] * _character_matrix(d, N)[q]
+            * np.asarray(vectors, dtype=np.complex128))
+    return np.take_along_axis(vals, np.broadcast_to(minus.T[p], vals.shape), axis=-1)
 
 
 def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from quditmagic import cli, extent
 from quditmagic.cli import main
+from quditmagic.clifford import enumerate_reduced_clifford, nondegenerate_eigenstates
+from quditmagic.phasespace import Dims
+from quditmagic.stabilizers import enumerate_stabilizer_states
 
 
 def run(capsys, *argv):
@@ -68,6 +75,34 @@ def test_eigenstates_all_cliffords_qutrit(capsys):
     assert len(data) == 4
 
 
+def _eigenstate_classes_per_element(dims):
+    """Reference sweep: one eigendecomposition per group element, classes
+    keyed by the rounded sorted stabilizer overlaps, first appearance wins."""
+    dd = enumerate_stabilizer_states(dims)
+    classes = {}
+    for el in enumerate_reduced_clifford(dims):
+        for _, vec in nondegenerate_eigenstates(el.unitary, dims):
+            ov = dd.overlaps(vec)
+            key = tuple(np.round(np.sort(ov), 8).tolist())
+            if np.max(ov) <= 1 - 1e-9 and key not in classes:
+                classes[key] = (list(el.word), float(np.max(ov)), vec)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("dims,chunk", [("3,1", 1024), ("5,1", 1024), ("5,1", 7)])
+def test_eigenstates_batched_sweep_matches_per_element(capsys, monkeypatch, dims, chunk):
+    monkeypatch.setattr(cli, "_EIGEN_CHUNK", chunk)
+    code, out = run(capsys, "eigenstates", "--dims", dims, "--all-cliffords", "--json")
+    assert code == 0
+    data = json.loads(out)
+    ref = _eigenstate_classes_per_element(Dims(*map(int, dims.split(","))))
+    assert len(data) == len(ref) == {"3,1": 4, "5,1": 8}[dims]
+    for got, (word, fid, vec) in zip(data, ref):
+        assert got["word"] == word
+        assert abs(got["fidelity"] - fid) < 1e-12
+        assert np.max(np.abs(np.array(got["state"]) @ [1, 1j] - vec)) < 1e-12
+
+
 def test_extremality_classification(capsys):
     code, out = run(capsys, "extremality", "qutrit:N",
                     "--direction", "phase:0", "--json")
@@ -105,6 +140,28 @@ def test_extent_solve(capsys):
     data = json.loads(out)
     assert abs(data["extent"] - (3 - np.sqrt(3))) < 1e-6
     assert data["self_witness_lower_bound"] <= data["extent"] + 1e-6
+    assert data["converged"] is True
+
+
+def test_extent_solve_unconverged_exits_nonzero(capsys, monkeypatch):
+    def capped(problem, tol):
+        return extent.solve_extent(problem, tol=tol, max_iter=50)
+
+    monkeypatch.setattr(cli, "solve_extent", capped)
+    code = main(["extent", "solve", "--state", "qubit:T0", "--tol", "1e-12", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["converged"] is False
+    assert "not converged" in captured.err
+
+
+def test_cli_import_does_not_load_scipy():
+    code = ("import sys, quditmagic.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_catalog_verify_exit_code(capsys):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from quditmagic import clifford, weyl
 from quditmagic.clifford import (
@@ -9,12 +8,14 @@ from quditmagic.clifford import (
     FiniteUnitaryGroup,
     _compose_action,
     _conjugated_label,
+    _eigenspaces,
     _pauli_action,
     affine_from_clifford,
     clifford_equivalence_search,
     clifford_from_affine,
     clifford_generator_words,
     clifford_group_order,
+    eigenpairs,
     eigenphase_extended_group,
     enumerate_reduced_clifford,
     group_projector,
@@ -200,9 +201,15 @@ def test_rejects_nonunitary_eigeninput():
         nondegenerate_eigenstates(np.diag([1.0, 2.0]), Dims(2, 1))
 
 
+def expi(H, t):
+    """exp(i t H) for a Hermitian H, from its eigendecomposition."""
+    w, V = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
+    return (V * np.exp(1j * t * w)) @ V.conj().T
+
+
 def _order12_group():
-    g1 = scipy.linalg.expm(1j * np.pi * np.array([[0, 1], [1, 0]]) / 3)
-    g2 = scipy.linalg.expm(1j * np.pi * np.array([[1, 0], [0, -1]]) / 2)
+    g1 = expi([[0, 1], [1, 0]], np.pi / 3)
+    g2 = expi([[1, 0], [0, -1]], np.pi / 2)
     return FiniteUnitaryGroup.generate([g1, g2])
 
 
@@ -441,3 +448,61 @@ def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
     for d, N in BUDGETED:
         dims = Dims(d, N)
         assert len(enumerate_reduced_clifford(dims)) == clifford_group_order(dims)
+
+
+def _singleton_eigenvalues(U, tol=1e-8):
+    vals = np.linalg.eigvals(U)
+    return np.sort_complex(np.array([v for v in vals if np.sum(np.abs(vals - v) < tol) == 1]))
+
+
+def _eigen_stack(d, N, count, seed):
+    els = enumerate_reduced_clifford(Dims(d, N))
+    idx = np.random.default_rng(seed).choice(len(els), size=min(count, len(els)), replace=False)
+    return np.array([els[i].unitary for i in idx])
+
+
+@pytest.mark.parametrize("d,N", BUDGETED)
+def test_batched_eigenpairs(d, N):
+    stack = _eigen_stack(d, N, 300, seed=d + N)
+    w, V, single = eigenpairs(stack)
+    assert w.shape == single.shape == stack.shape[:2] and V.shape == stack.shape
+    for U, wi, Vi, si in zip(stack, w, V, single):
+        vecs = Vi[:, si]
+        assert np.max(np.abs(U @ vecs - vecs * wi[si]), initial=0) < 1e-10
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1, atol=1e-12)
+        ref = _singleton_eigenvalues(U)
+        assert len(ref) == si.sum()
+        assert np.max(np.abs(np.sort_complex(wi[si]) - ref), initial=0) < 1e-10
+    # the single-matrix entry point is the n = 1 case
+    eigs = nondegenerate_eigenstates(stack[-1], Dims(d, N))
+    assert [v for v, _ in eigs] == [complex(v) for v in w[-1, single[-1]]]
+    for (_, vec), col in zip(eigs, np.flatnonzero(single[-1])):
+        assert np.array_equal(vec, phase_normalize(V[-1, :, col]))
+
+
+def test_batched_eigenpairs_reject_nonunitary_member():
+    stack = np.array([np.eye(2), np.diag([1.0, 2.0])], dtype=np.complex128)
+    with pytest.raises(ValueError):
+        eigenpairs(stack)
+
+
+def _degenerate_unitary(D, seed):
+    """A random unitary with a doubly and a triply degenerate eigenvalue."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
+    phases = np.exp(1j * np.array([0.3, 0.3, 1.1, 1.1, 1.1] + list(rng.uniform(2, 6, D - 5))))
+    return (Q * phases) @ Q.conj().T
+
+
+def test_eigenspaces_orthonormal_and_invariant():
+    unitaries = ([_degenerate_unitary(8, 1), _degenerate_unitary(9, 2)]
+                 + list(_eigen_stack(2, 2, 40, seed=3)) + list(_eigen_stack(3, 1, 20, seed=4)))
+    for U in unitaries:
+        spaces = _eigenspaces(U)
+        assert sum(E.shape[1] for E in spaces) == U.shape[0]
+        B = np.hstack(spaces)
+        assert np.max(np.abs(B.conj().T @ B - np.eye(U.shape[0]))) < 1e-10
+        for E in spaces:
+            lam = np.vdot(E[:, 0], U @ E[:, 0])
+            assert abs(abs(lam) - 1) < 1e-10
+            assert np.max(np.abs(U @ E - lam * E)) < 1e-10

@@ -251,14 +251,16 @@ def test_order12_group_first_order_structure():
     # group-stabilizer states that are not Pauli-stabilizer states, while
     # the G-stabilizer fidelity (covariant for any finite group) stays
     # first-order flat at every one of them
-    import scipy.linalg
-
     from quditmagic.clifford import FiniteUnitaryGroup, group_stabilizer_states
     from quditmagic.measures import group_stabilizer_fidelity
 
+    def expi(H, t):  # exp(i t H) for a Hermitian H
+        w, V = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
+        return (V * np.exp(1j * t * w)) @ V.conj().T
+
     qb = Dims(2, 1)
-    g1 = scipy.linalg.expm(1j * np.pi * np.array([[0, 1], [1, 0]]) / 3)
-    g2 = scipy.linalg.expm(1j * np.pi * np.array([[1, 0], [0, -1]]) / 2)
+    g1 = expi([[0, 1], [1, 0]], np.pi / 3)
+    g2 = expi([[1, 0], [0, -1]], np.pi / 2)
     G = FiniteUnitaryGroup.generate([g1, g2])
     states = group_stabilizer_states(G)
     assert len(states) == 8

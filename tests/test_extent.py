@@ -31,6 +31,15 @@ def test_qubit_T_extent():
     sol = solve_extent(ExtentProblem.from_dictionary(build("qubit:T0"), dd))
     assert abs(sol.value - (3 - np.sqrt(3))) < 1e-6
     assert sol.duality_gap < 1e-7
+    assert sol.converged
+
+
+def test_unconverged_solve_is_flagged():
+    dd = enumerate_stabilizer_states(Dims(2, 1))
+    sol = solve_extent(ExtentProblem.from_dictionary(build("qubit:T0"), dd),
+                       tol=1e-12, max_iter=50)
+    assert not sol.converged
+    assert sol.duality_gap > 1e-12 and sol.iterations == 50
 
 
 def test_multiplicativity_TT():

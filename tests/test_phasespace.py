@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from quditmagic.errors import BudgetExceededError, NonInvertibleError
 from quditmagic.phasespace import (
+    _ISO_BUDGET,
     Dims,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
@@ -14,6 +15,7 @@ from quditmagic.phasespace import (
     phase_points,
     point,
     row_reduce,
+    span_elements,
     symplectic_group_order,
     symplectic_product,
 )
@@ -142,3 +144,45 @@ def test_reduce_mod_canonical_coset():
     for chi in phase_points(dims):
         rep = sub.reduce_mod(chi)
         assert sub.contains((chi - rep) % 3) or np.all((chi - rep) % 3 == 0)
+
+
+def _isotropic_by_row_reduction(dims):
+    """Reference enumeration: every orthogonal point outside the span extends
+    the basis, and every extension is row-reduced to its canonical key."""
+    d = dims.d
+    pts = phase_points(dims)
+    level = {b"": np.zeros((0, 2 * dims.N), dtype=np.int64)}
+    for _ in range(dims.N):
+        nxt = {}
+        for basis in level.values():
+            members = span_elements(basis, d)
+            if basis.shape[0]:
+                ok = np.all(symplectic_product(pts[:, None, :], basis[None, :, :], d) == 0, axis=1)
+                candidates = pts[ok]
+            else:
+                candidates = pts
+            in_span = (candidates[:, None, :] == members[None, :, :]).all(axis=2).any(axis=1)
+            for chi in candidates[~in_span]:
+                new = row_reduce(np.vstack([basis, chi[None, :]]), d)
+                nxt[new.tobytes()] = new
+        level = nxt
+    return sorted(level)
+
+
+@pytest.mark.parametrize("d,N", sorted(_ISO_BUDGET))
+def test_isotropic_enumeration_matches_row_reduction_oracle(d, N):
+    dims = Dims(d, N)
+    subs = enumerate_maximal_isotropic(dims)
+    assert [s.key() for s in subs] == _isotropic_by_row_reduction(dims)
+    for s in subs:
+        assert s.maximal
+        assert np.array_equal(s.elements, span_elements(s.basis, d))
+
+
+def test_reduce_mod_vectorizes_over_points():
+    dims = Dims(3, 2)
+    sub = enumerate_maximal_isotropic(dims)[7]
+    pts = phase_points(dims)
+    reps = sub.reduce_mod(pts)
+    assert np.array_equal(reps, np.array([sub.reduce_mod(chi) for chi in pts]))
+    assert len({r.tobytes() for r in reps}) == dims.D

@@ -1,16 +1,32 @@
 import numpy as np
 import pytest
 
+from quditmagic import stabilizers, weyl
 from quditmagic.errors import BudgetExceededError
 from quditmagic.measures import wigner_function
-from quditmagic.phasespace import Dims, enumerate_maximal_isotropic, point
+from quditmagic.phasespace import (
+    Dims,
+    enumerate_maximal_isotropic,
+    phase_points,
+    point,
+    point_index,
+    symplectic_product,
+)
 from quditmagic.stabilizers import (
+    _ENUM_BUDGET,
     enumerate_stabilizer_states,
     max_overlap,
     stabilizer_count,
     stabilizer_state,
 )
-from quditmagic.weyl import equal_up_to_phase
+from quditmagic.weyl import (
+    displace,
+    displacement_matrix,
+    displacement_table,
+    equal_up_to_phase,
+    phase_normalize,
+    unit_phase,
+)
 
 
 def test_z_line_gives_ket0():
@@ -120,3 +136,87 @@ def test_lookup_by_subspace_and_coset():
     assert s.subspace.key() == M.key()
     assert equal_up_to_phase(s.vector,
                              stabilizer_state(M, point(2, 1, dims), dims).vector)
+
+
+def _projector_state(M, chi, dims):
+    """Reference construction: the dominant column of the rank-one projector
+    d^-N sum_m omega^<chi,m> T_m (odd d) or prod_i (I + s_i T_(b_i)) / 2
+    (d = 2) on the dense displacement table, phase-normalized."""
+    d, D = dims.d, dims.D
+    T = displacement_table(dims)
+    if d == 2:
+        proj = np.eye(D, dtype=np.complex128)
+        for b in M.basis:
+            sign = (-1) ** int(symplectic_product(chi, b, d))
+            proj = proj @ (np.eye(D) + sign * T[point_index(b, dims)]) / 2.0
+    else:
+        proj = np.zeros((D, D), dtype=np.complex128)
+        for m in M.elements:
+            proj += unit_phase(symplectic_product(chi, m, d), d) * T[point_index(m, dims)]
+        proj /= D
+    v = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    return phase_normalize(v / np.linalg.norm(v))
+
+
+def _projector_dictionary(dims):
+    """Reference dictionary: subspaces in enumeration order, cosets in order of
+    first appearance of their canonical representative among the points."""
+    out = []
+    for M in enumerate_maximal_isotropic(dims):
+        seen = set()
+        for chi in phase_points(dims):
+            rep = M.reduce_mod(chi)
+            if rep.tobytes() not in seen:
+                seen.add(rep.tobytes())
+                out.append((M.key(), rep.tobytes(), _projector_state(M, rep, dims)))
+    return out
+
+
+@pytest.mark.parametrize("d,N", sorted(_ENUM_BUDGET))
+def test_dictionary_matches_projector_oracle(d, N):
+    dims = Dims(d, N)
+    dd = enumerate_stabilizer_states(dims)
+    ref = _projector_dictionary(dims)
+    assert [(s.subspace.key(), s.displacement.tobytes()) for s in dd] == \
+        [(key, disp) for key, disp, _ in ref]
+    assert np.max(np.abs(dd.matrix - np.array([v for _, _, v in ref]))) < 1e-12
+
+
+def test_single_coset_matches_dictionary():
+    rng = np.random.default_rng(5)
+    for d, N in sorted(_ENUM_BUDGET):
+        dims = Dims(d, N)
+        dd = enumerate_stabilizer_states(dims)
+        for M in enumerate_maximal_isotropic(dims)[::7]:
+            chi = rng.integers(d, size=2 * N)  # any member of the coset
+            st = stabilizer_state(M, chi, dims)
+            assert np.array_equal(st.displacement, M.reduce_mod(chi))
+            assert np.max(np.abs(st.vector - dd.lookup(M, chi).vector)) < 1e-12
+            assert st.check(tol=1e-10)
+
+
+def test_dictionary_builds_no_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense displacement table built")
+
+    monkeypatch.setattr(weyl, "_displacement_table_cached", forbidden)
+    stabilizers._dictionary_cached.cache_clear()
+    for d, N in sorted(_ENUM_BUDGET):
+        dims = Dims(d, N)
+        dd = enumerate_stabilizer_states(dims)
+        assert len(dd) == stabilizer_count(dims)
+        assert dd.states[-1].check()
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_displace_matches_dense_operator(d, N):
+    dims = Dims(d, N)
+    rng = np.random.default_rng(d + N)
+    pts = phase_points(dims)
+    V = rng.normal(size=(len(pts), dims.D)) + 1j * rng.normal(size=(len(pts), dims.D))
+    dense = np.array([displacement_matrix(chi, dims) @ v for chi, v in zip(pts, V)])
+    assert np.max(np.abs(displace(pts, V, dims) - dense)) < 1e-12
+    # one label on many vectors, and many labels on one vector
+    assert np.max(np.abs(displace(pts[-1], V, dims) - V @ displacement_matrix(pts[-1], dims).T)) < 1e-12
+    assert np.max(np.abs(displace(pts, V[0], dims)
+                         - np.array([displacement_matrix(chi, dims) @ V[0] for chi in pts]))) < 1e-12
