@@ -28,9 +28,9 @@ from .clifford import (
     word_unitary,
 )
 from .errors import UnknownStateError
-from .measures import sre, sre_upper_bound, stabilizer_fidelity, wigner_trace_norm, xi
-from .phasespace import Dims, point_index
-from .weyl import displacement_table, equal_up_to_phase, unit_phase
+from .measures import sre, sre_upper_bound, stabilizer_fidelity, wigner_trace_norm
+from .phasespace import Dims
+from .weyl import displacement_matrix, equal_up_to_phase, unit_phase
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -216,8 +216,7 @@ def _op_qutrit_N():
 
 
 def _op_qutrit_T():
-    d3 = Dims(3, 1)
-    T11 = displacement_table(d3)[point_index(np.array([1, 1]), d3)]
+    T11 = displacement_matrix([1, 1], Dims(3, 1))
     return T11 @ metaplectic_V(SL2_S_HAT, 3)
 
 

@@ -32,7 +32,7 @@ from .extremality import (
     fidelity_expansion,
     xi2_expansion,
 )
-from .measures import measure_report, sre, stabilizer_fidelity
+from .measures import measure_report
 from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
 from .tables import TABLE_IDS, table_rows
@@ -44,8 +44,12 @@ _EIGEN_CHUNK = 1024
 
 
 def parse_dims(text: str) -> Dims:
-    d, n = text.split(",")
-    return Dims(int(d), int(n))
+    """The `--dims d,N` argument; argparse reports a malformed value."""
+    try:
+        d, n = text.split(",")
+        return Dims(int(d), int(n))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not d,N with d prime: {exc}")
 
 
 def parse_state(spec: str, dims: Dims | None = None) -> tuple[np.ndarray, Dims]:
@@ -132,7 +136,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_eigenstates(args) -> int:
-    dims = parse_dims(args.dims)
+    dims = args.dims
     results = []
     if args.word:
         U = word_unitary(args.word.split(), dims)
@@ -269,8 +273,8 @@ def cmd_distill(args) -> int:
 
 def cmd_extent(args) -> int:
     psi, dims = parse_state(args.state)
-    if args.dims and parse_dims(args.dims) != dims:
-        raise SystemExit(f"--dims {args.dims} does not match the state")
+    if args.dims and args.dims != dims:
+        raise SystemExit(f"--dims {args.dims} does not match the state's {dims}")
     dd = enumerate_stabilizer_states(dims)
     if args.group:
         from .clifford import FiniteUnitaryGroup, group_stabilizer_states
@@ -323,8 +327,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_dictionary(args) -> int:
-    dims = parse_dims(args.dims)
-    dd = enumerate_stabilizer_states(dims)
+    dd = enumerate_stabilizer_states(args.dims)
     text = dd.to_json() if args.json else dd.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
@@ -366,7 +369,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("eigenstates", help="non-degenerate Clifford eigenstates")
-    p.add_argument("--dims", required=True)
+    p.add_argument("--dims", required=True, type=parse_dims)
     p.add_argument("--all-cliffords", action="store_true")
     p.add_argument("--word", default=None,
                    help="space-separated tokens, e.g. 'CZ@1,2 H@2 H@1'")
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("extent", help="stabilizer extent by L1 minimization")
     p.add_argument("mode", choices=["solve"])
     p.add_argument("--state", required=True)
-    p.add_argument("--dims", default=None,
+    p.add_argument("--dims", default=None, type=parse_dims,
                    help="d,N cross-check for JSON state specs")
     p.add_argument("--group", default=None,
                    help="comma-separated generator tokens for the G-variant")
@@ -414,7 +417,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("dictionary", help="dump a stabilizer dictionary")
-    p.add_argument("--dims", required=True)
+    p.add_argument("--dims", required=True, type=parse_dims)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_dictionary)

@@ -37,6 +37,8 @@ from .errors import (
     DimensionMismatchError,
     NonClosedGroupError,
     NotCliffordError,
+    UnsupportedDimensionError,
+    check_budget,
 )
 from .phasespace import (
     Dims,
@@ -313,9 +315,6 @@ def _exact_key(U: np.ndarray, grid: float = 1e-8) -> bytes:
     return _quantize(np.asarray(U).ravel(), grid)
 
 
-_CLIFFORD_DIMS = frozenset({(2, 1), (3, 1), (5, 1), (2, 2)})
-
-
 def clifford_group_order(dims: Dims) -> int:
     """d^2N * d^(N^2) * prod_i (d^(2i) - 1)  (reduced group)."""
     order = dims.d ** (2 * dims.N) * dims.d ** (dims.N ** 2)
@@ -328,7 +327,7 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
     if dims.N == 1:
         return [("H@1",), ("S@1",)]
     if dims.d != 2:
-        raise BudgetExceededError("multi-qudit generators implemented for qubits only")
+        raise UnsupportedDimensionError("multi-qudit generators implemented for qubits only")
     words = []
     for i in range(1, dims.N + 1):
         words.append((f"H@{i}",))
@@ -344,6 +343,9 @@ def _reduced_elements_cached(d: int, N: int) -> tuple:
     dims = Dims(d, N)
     n = dims.n_points
     words = clifford_generator_words(dims)
+    # per element: its (perm, k) action codes and its dense unitary
+    check_budget(clifford_group_order(dims) * (2 * n * 8 + dims.D ** 2 * 16),
+                 f"the reduced Clifford group for {dims}")
     gens = [word_unitary(w, dims) for w in words]
     actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
     g_action = (np.array([p for p, _ in actions]), np.array([k for _, k in actions]))
@@ -378,10 +380,6 @@ def _reduced_elements_cached(d: int, N: int) -> tuple:
 
 def enumerate_reduced_clifford(dims: Dims) -> list[CliffordElement]:
     """One representative per element of the reduced Clifford group."""
-    if (dims.d, dims.N) not in _CLIFFORD_DIMS:
-        raise BudgetExceededError(
-            f"(d={dims.d}, N={dims.N}) outside the Clifford enumeration budget"
-        )
     return list(_reduced_elements_cached(dims.d, dims.N))
 
 
@@ -419,7 +417,7 @@ class FiniteUnitaryGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def check_closed(self, tol: float = 1e-8) -> None:
+    def check_closed(self) -> None:
         keys = {_exact_key(U) for U in self.elements}
         for U in self.elements:
             for G in self.generators or self.elements:
@@ -427,9 +425,9 @@ class FiniteUnitaryGroup:
                     raise NonClosedGroupError("set is not closed under multiplication")
 
 
-def group_projector(group: FiniteUnitaryGroup, tol: float = 1e-8) -> np.ndarray:
+def group_projector(group: FiniteUnitaryGroup) -> np.ndarray:
     """Projector onto the jointly stabilized subspace: the group average."""
-    group.check_closed(tol)
+    group.check_closed()
     P = sum(group.elements) / len(group.elements)
     if np.max(np.abs(P @ P - P)) > 1e-7 or np.max(np.abs(P - P.conj().T)) > 1e-7:
         raise NonClosedGroupError("group average is not a projector")

@@ -14,11 +14,25 @@ class DimensionMismatchError(QuditMagicError):
 
 
 class BudgetExceededError(QuditMagicError):
-    """Enumeration or search size exceeds the supported desk-scale budget."""
+    """A build would need more than MEMORY_BUDGET bytes, or a group closure
+    more elements than its max_order; raised before the allocation."""
+
+
+MEMORY_BUDGET = 2 ** 31  # bytes; the one memory limit of the package
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise BudgetExceededError, before anything is allocated, when building
+    `what` is estimated to need more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs an estimated {nbytes:.3g} bytes ({nbytes / 2 ** 30:.3g} GiB), "
+            f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
 
 
 class UnsupportedDimensionError(QuditMagicError):
-    """Operation requires odd prime d (phase-space constructions reject d=2)."""
+    """Operation not implemented for this (d, N): phase-point operators need
+    odd d, and multi-qudit Clifford generators exist for d = 2 only."""
 
 
 class InvalidStabilizerError(QuditMagicError):

@@ -69,12 +69,13 @@ def solve_extent(problem: ExtentProblem, tol: float = 1e-8,
     if problem.projector is not None:
         b = problem.projector @ b
     D, K = A.shape
+    Ah = A.conj().T                  # (K, D)
     # feasibility: b must lie in the column span of A
-    gram = A @ A.conj().T            # (D, D)
+    gram = A @ Ah                    # (D, D)
     w, V = np.linalg.eigh(gram)
     keep = w > max(w.max(), 1.0) * 1e-12
     pinv = (V[:, keep] / w[keep]) @ V[:, keep].conj().T
-    b_span = A @ (A.conj().T @ (pinv @ b))
+    b_span = A @ (Ah @ (pinv @ b))
     if np.linalg.norm(b_span - b) > max(feas_tol, 1e-9):
         raise InfeasibleExtentError(
             f"projected target misses the dictionary span by "
@@ -82,10 +83,10 @@ def solve_extent(problem: ExtentProblem, tol: float = 1e-8,
         )
 
     def project_affine(v: np.ndarray) -> np.ndarray:
-        return v - A.conj().T @ (pinv @ (A @ v - b))
+        return v - Ah @ (pinv @ (A @ v - b))
 
     alpha = 1.6  # over-relaxation
-    x = A.conj().T @ (pinv @ b)      # least-norm feasible start
+    x = Ah @ (pinv @ b)              # least-norm feasible start
     z = x.copy()
     u = np.zeros(K, dtype=np.complex128)
     best = None
@@ -103,7 +104,7 @@ def solve_extent(problem: ExtentProblem, tol: float = 1e-8,
             # dual candidate: least-squares lift of the subgradient rho*u
             g = rho * u
             y = pinv @ (A @ g)
-            dual_inf = float(np.max(np.abs(A.conj().T @ y)))
+            dual_inf = float(np.max(np.abs(Ah @ y)))
             y_feas = y / max(dual_inf, 1.0)
             gap = abs(l1 - float(np.real(np.vdot(b, y_feas))))
             if best is None or l1 < best[0]:

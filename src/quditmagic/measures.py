@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
-from .phasespace import Dims, phase_points
+from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap
 from .weyl import (
     TOL_OP,

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionMismatchError, NonInvertibleError
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+from .errors import DimensionMismatchError, NonInvertibleError, check_budget
 
 
 def _is_prime(n: int) -> bool:
@@ -40,10 +38,6 @@ class Dims:
             raise ValueError(f"d={self.d} is not prime")
         if self.N < 1:
             raise ValueError(f"N={self.N} must be >= 1")
-        if self.d ** self.N > 1024:
-            raise BudgetExceededError(
-                f"dense dimension {self.d ** self.N} exceeds the desk budget"
-            )
 
     @property
     def D(self) -> int:
@@ -88,6 +82,7 @@ def split_point(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def phase_points(dims: Dims) -> np.ndarray:
     """All d^(2N) points as a (d^(2N), 2N) array, lexicographic in (p, q)."""
+    check_budget(dims.n_points * 2 * dims.N * 8, f"the phase-point array for {dims}")
     grids = np.indices((dims.d,) * (2 * dims.N)).reshape(2 * dims.N, -1).T
     return np.ascontiguousarray(grids.astype(np.int64))
 
@@ -239,9 +234,6 @@ def _reduce_by_pivots(chi: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
     return v
 
 
-_ISO_BUDGET = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)}
-
-
 def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
     """All maximal isotropic subspaces of Z_d^2N, duplicate-free.
 
@@ -253,10 +245,8 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
     extension, and inserting that row in pivot order (after clearing its
     pivot column from the basis) gives the extension's RREF directly.
     """
-    if (dims.d, dims.N) not in _ISO_BUDGET:
-        raise BudgetExceededError(
-            f"(d={dims.d}, N={dims.N}) outside the supported enumeration budget"
-        )
+    check_budget(count_maximal_isotropic(dims) * dims.D * 2 * dims.N * 8,
+                 f"the isotropic-subspace enumeration for {dims}")
     d = dims.d
     pts = phase_points(dims)
     place = d ** np.arange(2 * dims.N - 1, -1, -1)

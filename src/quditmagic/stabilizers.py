@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionMismatchError, InvalidStabilizerError
+from .errors import DimensionMismatchError, InvalidStabilizerError, check_budget
 from .phasespace import (
     Dims,
     IsotropicSubspace,
@@ -169,18 +169,19 @@ def stabilizer_count(dims: Dims) -> int:
     return n
 
 
-_ENUM_BUDGET = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)}
-
-
 @lru_cache(maxsize=None)
 def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
     dims = Dims(d, N)
+    # the coset vectors, which the states view, and the `matrix` copy
+    check_budget(2 * stabilizer_count(dims) * dims.D * 16,
+                 f"the stabilizer dictionary for {dims}")
     place = d ** np.arange(2 * N - 1, -1, -1)
     subspaces = enumerate_maximal_isotropic(dims)
+    pts = phase_points(dims)
     reps = []
     for M in subspaces:
         # coset representatives in order of first appearance among the points
-        chis = M.reduce_mod(phase_points(dims))
+        chis = M.reduce_mod(pts)
         _, first = np.unique(chis @ place, return_index=True)
         if len(first) != dims.D:
             raise InvalidStabilizerError(
@@ -197,10 +198,6 @@ def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
 
 def enumerate_stabilizer_states(dims: Dims) -> StabilizerDictionary:
     """The full stabilizer dictionary for dims; cached per (d, N)."""
-    if (dims.d, dims.N) not in _ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"(d={dims.d}, N={dims.N}) outside the stabilizer enumeration budget"
-        )
     return _dictionary_cached(dims.d, dims.N)
 
 

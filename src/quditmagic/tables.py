@@ -280,6 +280,18 @@ def computed_l_matrix(name: str, basis_names: tuple[str, ...]) -> np.ndarray:
     return l_matrix(basis, [s.vector for s in nearest])
 
 
+def ququint_l_matrix(name: str) -> np.ndarray:
+    """ell on the listed eigenvectors of QUQUINT_L_PRINTED[name], as printed.
+
+    The two degenerate Hadamard eigenvectors are not mutually orthogonal, so
+    this is the raw bilinear form, not an orthonormal-frame L matrix."""
+    psi = build(name)
+    dirs = [build(b) for b in QUQUINT_L_PRINTED[name][0]]
+    _, nearest = stabilizer_fidelity(psi, dims=Dims(5, 1))
+    return np.array([[np.vdot(b, s.vector) * np.vdot(s.vector, psi)
+                      for b in dirs] for s in nearest])
+
+
 def row_multiset_error(A: np.ndarray, B: np.ndarray) -> float:
     """Best-match row assignment error between two complex matrices."""
     if A.shape != B.shape:
@@ -314,16 +326,8 @@ def check_l_tables(exact_tol: float = 1e-9, printed_tol: float = 1e-4) -> list[T
         got = computed_l_matrix(name, _L_BASES[name])
         err = row_multiset_error(expected, got)
         out.append(TableResult(f"L[{name}]", got.tolist(), err, exact_tol))
-    dd = enumerate_stabilizer_states(Dims(5, 1))
-    for name, (basis_names, expected) in QUQUINT_L_PRINTED.items():
-        # ell is evaluated on the listed eigenvectors as printed; the two
-        # degenerate Hadamard eigenvectors are not mutually orthogonal, so
-        # this is the raw bilinear form, not an orthonormal-frame L matrix
-        psi = build(name)
-        dirs = [build(b) for b in basis_names]
-        _, nearest = stabilizer_fidelity(psi, dictionary=dd)
-        got = np.array([[np.vdot(b, s.vector) * np.vdot(s.vector, psi)
-                         for b in dirs] for s in nearest])
+    for name, (_, expected) in QUQUINT_L_PRINTED.items():
+        got = ququint_l_matrix(name)
         err = row_multiset_error(expected, got)
         out.append(TableResult(f"L[{name}]", got.tolist(), err, printed_tol))
     return out
@@ -414,16 +418,8 @@ def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
         for name in sources:
             if not name.startswith(prefix):
                 continue
-            if prefix == "ququint":
-                basis_names, _ = QUQUINT_L_PRINTED[name]
-                psi = build(name)
-                dirs = [build(b) for b in basis_names]
-                dd5 = enumerate_stabilizer_states(Dims(5, 1))
-                _, nearest = stabilizer_fidelity(psi, dictionary=dd5)
-                got = np.array([[np.vdot(b, s.vector) * np.vdot(s.vector, psi)
-                                 for b in dirs] for s in nearest])
-            else:
-                got = computed_l_matrix(name, _L_BASES[name])
+            got = ququint_l_matrix(name) if prefix == "ququint" else \
+                computed_l_matrix(name, _L_BASES[name])
             rows.append([name, np.round(got, 10).tolist()])
         return rows
     if table_id in ("qutrit-W", "ququint-W"):

@@ -30,11 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    UnsupportedDimensionError,
-)
+from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
 from .phasespace import Dims, mod_inverse, phase_points, point_index, split_point
 
 TOL_OP = 1e-10  # default operator tolerance
@@ -131,6 +127,7 @@ def _single_displacements(d: int) -> np.ndarray:
 def _kron_table(singles: np.ndarray, dims: Dims) -> np.ndarray:
     """Read-only (d^2N, D, D) table of the products singles[p_1, q_1] x ... x
     singles[p_N, q_N], lex order in (p, q)."""
+    check_budget(dims.n_points * dims.D ** 2 * 16, f"the dense operator table for {dims}")
     table = np.empty((dims.n_points, dims.D, dims.D), dtype=np.complex128)
     for i, chi in enumerate(phase_points(dims)):
         p, q = split_point(chi)
@@ -195,7 +192,11 @@ def _digitwise(one: np.ndarray, N: int, place: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _digit_sums(d: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices plus[p, j] = p+j, minus[p, j] = p-j (digitwise mod d)
-    and the permutation double[q] = 2q, read-only."""
+    and the permutation double[q] = 2q, read-only.
+
+    Every transform calls this first, so its budget check also covers
+    `_character_matrix` and `_convention_phases`: 48 D^2 bytes in all."""
+    check_budget(48 * d ** (2 * N), f"the transform caches for {Dims(d, N)}")
     r = np.arange(d)
     plus = _digitwise((r[:, None] + r) % d, N, d)
     minus = _digitwise((r[:, None] - r) % d, N, d)
@@ -297,8 +298,6 @@ def pauli_group(dims: Dims, phase_reduced: bool = True) -> list[DenseOperator]:
 
     Phase-reduced representatives are the displacement operators T_chi.
     """
-    if dims.D > 64:
-        raise BudgetExceededError("pauli_group materialization beyond desk budget")
     table = displacement_table(dims)
     if phase_reduced:
         return [DenseOperator(table[i].copy(), dims, role="unitary")
@@ -315,10 +314,6 @@ def pauli_group(dims: Dims, phase_reduced: bool = True) -> list[DenseOperator]:
                 phase = (-1) ** x * unit_phase(k, 2 * d)
                 out.append(DenseOperator(phase * base, dims, role="unitary"))
     return out
-
-
-def approx_equal(A, B, tol: float = TOL_EQ) -> bool:
-    return bool(np.max(np.abs(asmatrix(A) - asmatrix(B))) < tol)
 
 
 def global_phase(A, B, tol: float = TOL_EQ):

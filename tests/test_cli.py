@@ -176,6 +176,14 @@ def test_dictionary_dump(capsys):
     assert len(out.strip().splitlines()) == 7
 
 
+@pytest.mark.parametrize("dims", ["4,1", "2"])
+def test_dictionary_rejects_bad_dims(capsys, dims):
+    with pytest.raises(SystemExit) as exc:
+        main(["dictionary", "--dims", dims])
+    assert exc.value.code == 2
+    assert "error: argument --dims" in capsys.readouterr().err
+
+
 def test_search_roundtrip(capsys):
     code, out = run(capsys, "search", "--source", "2q:G20,1",
                     "--target", "2q:G20,4", "--budget", "200000")

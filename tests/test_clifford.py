@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from quditmagic.clifford import (
     twirl,
     word_unitary,
 )
-from quditmagic.errors import NotCliffordError
+from quditmagic.errors import BudgetExceededError, NotCliffordError, UnsupportedDimensionError
 from quditmagic.phasespace import (
     Dims,
     enumerate_symplectic_2x2,
@@ -448,6 +451,18 @@ def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
     for d, N in BUDGETED:
         dims = Dims(d, N)
         assert len(enumerate_reduced_clifford(dims)) == clifford_group_order(dims)
+
+
+def test_enumeration_refusals():
+    # order * (2 n_points * 8 + D^2 * 16) bytes: 1.90e11 for three qubits
+    nbytes = clifford_group_order(Dims(2, 3)) * (2 * 64 * 8 + 64 * 16)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
+        enumerate_reduced_clifford(Dims(2, 3))
+    assert time.perf_counter() - start < 1.0
+    # odd-d multi-qudit generators are not implemented: no size limit at all
+    with pytest.raises(UnsupportedDimensionError):
+        enumerate_reduced_clifford(Dims(3, 2))
 
 
 def _singleton_eigenvalues(U, tol=1e-8):

@@ -1,3 +1,6 @@
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,6 @@ from hypothesis import strategies as st
 
 from quditmagic.errors import BudgetExceededError, NonInvertibleError
 from quditmagic.phasespace import (
-    _ISO_BUDGET,
     Dims,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
@@ -126,10 +128,13 @@ def test_subspace_structure():
 
 
 def test_budget_errors():
-    with pytest.raises(BudgetExceededError):
-        enumerate_maximal_isotropic(Dims(7, 2))
-    with pytest.raises(BudgetExceededError):
-        Dims(2, 11)
+    # count_maximal_isotropic * D * 2N * 8 bytes: 3.02e10 for six qubits
+    nbytes = 3 * 5 * 9 * 17 * 33 * 65 * 64 * 12 * 8
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
+        enumerate_maximal_isotropic(Dims(2, 6))
+    assert time.perf_counter() - start < 1.0
+    assert Dims(2, 11).D == 2048  # Dims itself sets no size limit
 
 
 def test_row_reduce_canonical():
@@ -169,7 +174,7 @@ def _isotropic_by_row_reduction(dims):
     return sorted(level)
 
 
-@pytest.mark.parametrize("d,N", sorted(_ISO_BUDGET))
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
 def test_isotropic_enumeration_matches_row_reduction_oracle(d, N):
     dims = Dims(d, N)
     subs = enumerate_maximal_isotropic(dims)

@@ -1,11 +1,21 @@
+import functools
+import math
+import re
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from quditmagic import stabilizers, weyl
+from quditmagic.catalog import build
+from quditmagic.clifford import clifford_group_order, enumerate_reduced_clifford
 from quditmagic.errors import BudgetExceededError
+from quditmagic.measures import stabilizer_fidelity
 from quditmagic.measures import wigner_function
 from quditmagic.phasespace import (
     Dims,
+    count_maximal_isotropic,
     enumerate_maximal_isotropic,
     phase_points,
     point,
@@ -13,7 +23,6 @@ from quditmagic.phasespace import (
     symplectic_product,
 )
 from quditmagic.stabilizers import (
-    _ENUM_BUDGET,
     enumerate_stabilizer_states,
     max_overlap,
     stabilizer_count,
@@ -27,6 +36,10 @@ from quditmagic.weyl import (
     phase_normalize,
     unit_phase,
 )
+
+# the dims whose dictionaries the oracle tests rebuild (the seven-dim oracle
+# lists add (5, 2))
+ENUMERATED = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 
 def test_z_line_gives_ket0():
@@ -116,8 +129,31 @@ def test_max_overlap_strange_state():
 
 
 def test_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_stabilizer_states(Dims(5, 2))
+    # 2 * stabilizer_count * D * 16 bytes: 2.48e9 for five qubits
+    nbytes = 2 * 32 * 3 * 5 * 9 * 17 * 33 * 32 * 16
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
+        enumerate_stabilizer_states(Dims(2, 5))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_newly_admitted_dims():
+    for d, N in [(2, 4), (3, 3), (5, 2), (7, 2)]:
+        dims = Dims(d, N)
+        dd = enumerate_stabilizer_states(dims)
+        cosets = Counter(s.subspace.key() for s in dd)
+        assert len(dd) == stabilizer_count(dims)
+        assert len(cosets) == count_maximal_isotropic(dims)
+        assert set(cosets.values()) == {dims.D}
+        assert all(s.check() for s in dd.states[::97])
+    # stabilizer fidelity is multiplicative for products of single-qubit states
+    F, nearest = stabilizer_fidelity(
+        functools.reduce(np.kron, [build("qubit:T0")] * 4), dims=Dims(2, 4))
+    assert abs(F - ((3 + math.sqrt(3)) / 6) ** 4) < 1e-12
+    assert len(nearest) == 81
+    els = enumerate_reduced_clifford(Dims(7, 1))
+    assert len(els) == 16464 == clifford_group_order(Dims(7, 1))
+    assert len({(e.symplectic.tobytes(), e.displacement.tobytes()) for e in els}) == 16464
 
 
 def test_dictionary_dump_round_trip():
@@ -172,7 +208,7 @@ def _projector_dictionary(dims):
     return out
 
 
-@pytest.mark.parametrize("d,N", sorted(_ENUM_BUDGET))
+@pytest.mark.parametrize("d,N", ENUMERATED + [(5, 2)])
 def test_dictionary_matches_projector_oracle(d, N):
     dims = Dims(d, N)
     dd = enumerate_stabilizer_states(dims)
@@ -184,7 +220,7 @@ def test_dictionary_matches_projector_oracle(d, N):
 
 def test_single_coset_matches_dictionary():
     rng = np.random.default_rng(5)
-    for d, N in sorted(_ENUM_BUDGET):
+    for d, N in ENUMERATED:
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
         for M in enumerate_maximal_isotropic(dims)[::7]:
@@ -201,7 +237,7 @@ def test_dictionary_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(weyl, "_displacement_table_cached", forbidden)
     stabilizers._dictionary_cached.cache_clear()
-    for d, N in sorted(_ENUM_BUDGET):
+    for d, N in ENUMERATED + [(5, 2)]:
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
         assert len(dd) == stabilizer_count(dims)

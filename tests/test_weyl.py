@@ -1,7 +1,11 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
-from quditmagic.errors import UnsupportedDimensionError
+from quditmagic.errors import BudgetExceededError, UnsupportedDimensionError
+from quditmagic.measures import sre
 from quditmagic.phasespace import Dims, phase_points, point, point_index, symplectic_product
 from quditmagic.weyl import (
     DenseOperator,
@@ -170,3 +174,15 @@ def test_equal_up_to_phase():
     a = np.array([1, 1j]) / np.sqrt(2)
     assert equal_up_to_phase(a, np.exp(0.37j) * a)
     assert not equal_up_to_phase(a, np.array([1, -1j]) / np.sqrt(2))
+
+
+def test_budget_refuses_table_and_caches():
+    psi = np.zeros(2 ** 13, dtype=np.complex128)
+    psi[0] = 1.0
+    # n_points * D^2 * 16 bytes for the table, 48 D^2 for the transform caches
+    for build, nbytes in [(lambda: displacement_table(Dims(2, 7)), 4 ** 7 * 4 ** 7 * 16),
+                          (lambda: sre(psi, Dims(2, 13)), 48 * 4 ** 13)]:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
+            build()
+        assert time.perf_counter() - start < 1.0
