@@ -199,8 +199,8 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
 
 def cmd_extremality(args) -> int:
     psi, dims = parse_state(args.state)
+    dd = enumerate_stabilizer_states(dims)  # its budget check also covers the D^2 basis
     basis = _direction_basis(args.state, psi, dims)
-    dd = enumerate_stabilizer_states(dims)
 
     def classify(direction):
         frame = PerturbationFrame(dims, psi, direction)

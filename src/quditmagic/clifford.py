@@ -297,6 +297,8 @@ def gate_unitary(token: str, dims: Dims) -> np.ndarray:
 
 def word_unitary(word, dims: Dims) -> np.ndarray:
     """Product of tokens in writing order (leftmost acts last on kets)."""
+    # the product, one embedded gate and its unpermuted copy (a later eig of U: a few D^2 more)
+    check_budget(3 * dims.D ** 2 * 16, f"a dense Clifford word on {dims}")
     U = np.eye(dims.D, dtype=np.complex128)
     for token in word:
         U = U @ gate_unitary(token, dims)

@@ -25,9 +25,11 @@ def check_budget(nbytes: int, what: str) -> None:
     """Raise BudgetExceededError, before anything is allocated, when building
     `what` is estimated to need more than MEMORY_BUDGET bytes."""
     if nbytes > MEMORY_BUDGET:
-        raise BudgetExceededError(
-            f"{what} needs an estimated {nbytes:.3g} bytes ({nbytes / 2 ** 30:.3g} GiB), "
-            f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
+        bits = int(nbytes).bit_length()  # beyond ~2^1024 a float conversion overflows
+        size = (f"{nbytes:.3g} bytes ({nbytes / 2 ** 30:.3g} GiB)" if bits <= 1000
+                else f"about 2^{bits - 1} bytes")
+        raise BudgetExceededError(f"{what} needs an estimated {size}, "
+                                  f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
 
 
 class UnsupportedDimensionError(QuditMagicError):

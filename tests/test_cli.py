@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_dictionary_rejects_bad_dims(capsys, dims):
         main(["dictionary", "--dims", dims])
     assert exc.value.code == 2
     assert "error: argument --dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    # 3 D^2 * 16 bytes for a dense word at D = 2^14
+    (["eigenstates", "--dims", "2,14", "--word", "H@1"], f"{3 * 4 ** 14 * 16:.3g} bytes"),
+    # 2 * stabilizer_count * D * 16 bytes is past the float range at 45 qubits
+    (["dictionary", "--dims", "2,45"], "about 2^"),
+])
+def test_oversized_dims_exit_2_before_allocating(capsys, argv, estimate):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and estimate in err and "memory budget" in err
 
 
 def test_search_roundtrip(capsys):

@@ -137,6 +137,15 @@ def test_budget():
     assert time.perf_counter() - start < 1.0
 
 
+def test_budget_message_for_estimates_beyond_float_range():
+    dims = Dims(2, 45)
+    nbytes = 2 * stabilizer_count(dims) * dims.D * 16  # about 2^1129, past the float range
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape(f"about 2^{nbytes.bit_length() - 1} bytes")):
+        enumerate_stabilizer_states(dims)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_newly_admitted_dims():
     for d, N in [(2, 4), (3, 3), (5, 2), (7, 2)]:
         dims = Dims(d, N)
