@@ -80,11 +80,15 @@ def split_point(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chi[..., :n], chi[..., n:]
 
 
+def lex_grid(d: int, n: int) -> np.ndarray:
+    """All d^n tuples over Z_d as a (d^n, n) int64 array, in lexicographic order."""
+    return np.ascontiguousarray(np.indices((d,) * n).reshape(n, d ** n).T, dtype=np.int64)
+
+
 def phase_points(dims: Dims) -> np.ndarray:
     """All d^(2N) points as a (d^(2N), 2N) array, lexicographic in (p, q)."""
     check_budget(dims.n_points * 2 * dims.N * 8, f"the phase-point array for {dims}")
-    grids = np.indices((dims.d,) * (2 * dims.N)).reshape(2 * dims.N, -1).T
-    return np.ascontiguousarray(grids.astype(np.int64))
+    return lex_grid(dims.d, 2 * dims.N)
 
 
 def point_index(chi: np.ndarray, dims: Dims) -> int:
@@ -176,13 +180,12 @@ def row_reduce(rows: np.ndarray, d: int) -> np.ndarray:
 
 
 def span_elements(basis: np.ndarray, d: int) -> np.ndarray:
-    """All d^k points in the span of k basis rows, lexicographic in coefficients."""
+    """All d^k points in the span of k basis rows, lexicographic in coefficients;
+    a stack of bases (..., k, 2N) gives a stack of spans (..., d^k, 2N)."""
     basis = np.asarray(basis, dtype=np.int64)
-    k = basis.shape[0]
-    if k == 0:
-        return np.zeros((1, basis.shape[1]), dtype=np.int64)
-    coeffs = np.indices((d,) * k).reshape(k, -1).T
-    return (coeffs @ basis) % d
+    span = lex_grid(d, basis.shape[-2]) @ basis
+    span %= d
+    return span
 
 
 @dataclass(frozen=True)
@@ -193,20 +196,6 @@ class IsotropicSubspace:
     basis: np.ndarray  # echelonized, shape (k, 2N)
     elements: np.ndarray = field(compare=False)  # shape (d^k, 2N)
     maximal: bool
-
-    @classmethod
-    def from_basis(cls, basis: np.ndarray, dims: Dims) -> "IsotropicSubspace":
-        basis = row_reduce(basis, dims.d)
-        elements = span_elements(basis, dims.d)
-        prods = symplectic_product(elements[:, None, :], elements[None, :, :], dims.d)
-        if np.any(prods != 0):
-            raise ValueError("basis does not span an isotropic subspace")
-        return cls(
-            dims=dims,
-            basis=basis,
-            elements=elements,
-            maximal=basis.shape[0] == dims.N,
-        )
 
     @property
     def dim(self) -> int:
@@ -221,60 +210,88 @@ class IsotropicSubspace:
     def reduce_mod(self, chi: np.ndarray) -> np.ndarray:
         """Canonical coset representative of chi modulo this subspace;
         vectorizes over leading axes."""
-        return _reduce_by_pivots(chi, self.basis, self.dims.d)
+        return reduce_by_pivots(chi, self.basis, self.dims.d)
 
 
-def _reduce_by_pivots(chi: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
-    """chi with its entries at the unit pivots of an echelon basis cleared by
-    subtracting basis rows, mod d; vectorizes over leading axes of chi."""
+def reduce_by_pivots(chi: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
+    """chi with its entries at the unit pivots of an echelon basis (k, 2N)
+    cleared by subtracting basis rows, mod d.  A stack of bases (..., k, 2N)
+    reduces chi (..., 2N) with the basis its leading axes broadcast to."""
     v = np.asarray(chi, dtype=np.int64) % d
-    for row in basis:
-        col = int(np.argmax(row != 0))  # pivot column (unit pivot)
-        v = (v - v[..., col, None] * row) % d
+    basis = np.asarray(basis)
+    nonzero = basis != 0
+    lead = nonzero & (np.cumsum(nonzero, axis=-1) == 1)  # each row's pivot, one-hot
+    for i in range(nonzero.shape[-2]):
+        coef = np.sum(v * lead[..., i, :], axis=-1, keepdims=True)
+        v = (v - coef * basis[..., i, :]) % d
     return v
 
 
-def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
-    """All maximal isotropic subspaces of Z_d^2N, duplicate-free.
+def _rref_matrices(k: int, N: int, d: int):
+    """Every k x N matrix over Z_d in reduced row echelon form with k unit
+    pivots, with its pivot columns; [N choose k]_d of them."""
+    for pivots in itertools.combinations(range(N), k):
+        free = [(i, j) for i, p in enumerate(pivots)
+                for j in range(p + 1, N) if j not in pivots]
+        for vals in itertools.product(range(d), repeat=len(free)):
+            R = np.zeros((k, N), dtype=np.int64)
+            R[np.arange(k), pivots] = 1
+            for (i, j), v in zip(free, vals):
+                R[i, j] = v
+            yield R, list(pivots)
 
-    Grows subspaces one echelonized basis row at a time, keeping only
-    canonical (RREF) forms, so each subspace is produced exactly once.  The
-    extensions of a basis are found without row-reducing every candidate:
-    an orthogonal point outside the span, with its basis pivots cleared and
-    its leading entry scaled to 1, is the same row for every point of one
-    extension, and inserting that row in pivot order (after clearing its
-    pivot column from the basis) gives the extension's RREF directly.
+
+def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
+    """All maximal isotropic (Lagrangian) subspaces of Z_d^2N, sorted by key.
+
+    Built in closed form (Dehaene & De Moor, quant-ph/0304125; Gross,
+    quant-ph/0602001).  The RREF basis of a Lagrangian M whose p block has
+    rank k is [[R | Q], [0 | W]]:
+
+    - R is a k x N RREF over Z_d with pivot columns P, one of [N choose k]_d;
+    - W is the RREF of the right null space of R, so that (0 | W) spans the
+      points of M with p = 0;
+    - Q is zero off P with Q[:, P] = S for a symmetric S in Z_d^(k x k), then
+      cleared at W's pivot columns c_j by Q <- Q - Q[:, c_j] W_j.  Isotropy is
+      R Q^T = S symmetric, and the clearing leaves R Q^T unchanged because
+      R W^T = 0.
+
+    Each (R, S) gives one subspace and every subspace arises once, so the
+    count is sum_k [N choose k]_d d^(k(k+1)/2) = prod_i (d^i + 1).  The
+    symmetric matrices of one R are built at once; the basis is already the
+    subspace's canonical key, and isotropy is re-checked on basis-row pairs.
     """
     check_budget(count_maximal_isotropic(dims) * dims.D * 2 * dims.N * 8,
                  f"the isotropic-subspace enumeration for {dims}")
-    d = dims.d
-    pts = phase_points(dims)
-    place = d ** np.arange(2 * dims.N - 1, -1, -1)
-    inverse = np.array([0] + [mod_inverse(a, d) for a in range(1, d)])
-    level = {b"": np.zeros((0, 2 * dims.N), dtype=np.int64)}
-    for _ in range(dims.N):
-        nxt: dict[bytes, np.ndarray] = {}
-        for basis in level.values():
-            # one canonical row per extension, from the orthogonal points
-            ok = np.all(symplectic_product(pts[:, None, :], basis[None, :, :], d) == 0, axis=1)
-            rows = _reduce_by_pivots(pts[ok], basis, d)
-            rows = rows[np.any(rows != 0, axis=1)]
-            lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-            rows = rows * inverse[lead][:, None] % d
-            rows = rows[np.unique(rows @ place, return_index=True)[1]]
-            # RREF of basis + row: clear the row's pivot column, sort by pivot
-            pivot = np.argmax(rows != 0, axis=1)
-            cleared = (basis - basis[:, pivot].T[:, :, None] * rows[:, None, :]) % d
-            ext = np.concatenate([cleared, rows[:, None, :]], axis=1)
-            order = np.argsort(np.concatenate(
-                [np.broadcast_to(np.argmax(basis != 0, axis=1), cleared.shape[:2]),
-                 pivot[:, None]], axis=1), axis=1)
-            for new in np.take_along_axis(ext, order[:, :, None], axis=1):
-                nxt[new.tobytes()] = new
-        level = nxt
-    out = [IsotropicSubspace.from_basis(b, dims) for b in level.values()]
-    out.sort(key=lambda s: s.key())
-    return out
+    d, N = dims.d, dims.N
+    blocks = []
+    for k in range(N + 1):
+        upper = np.triu_indices(k)
+        entries = lex_grid(d, len(upper[0]))
+        S = np.zeros((len(entries), k, k), dtype=np.int64)
+        S[:, upper[0], upper[1]] = entries
+        S[:, upper[1], upper[0]] = entries
+        for R, pivots in _rref_matrices(k, N, d):
+            free = [j for j in range(N) if j not in pivots]
+            null = np.zeros((N - k, N), dtype=np.int64)
+            null[np.arange(N - k), free] = 1
+            null[:, pivots] = -R[:, free].T
+            W = row_reduce(null, d)
+            Q = np.zeros((len(S), k, N), dtype=np.int64)
+            Q[:, :, pivots] = S
+            for row in W:
+                Q = (Q - Q[:, :, int(np.argmax(row != 0)), None] * row) % d
+            top = np.concatenate([np.broadcast_to(R, Q.shape), Q], axis=2)
+            bottom = np.broadcast_to(np.concatenate([np.zeros_like(W), W], axis=1),
+                                     (len(S), N - k, 2 * N))
+            blocks.append(np.concatenate([top, bottom], axis=1))
+    bases = np.concatenate(blocks)
+    keys = [b.tobytes() for b in bases]
+    bases = bases[sorted(range(len(keys)), key=keys.__getitem__)]
+    if np.any(symplectic_product(bases[:, :, None, :], bases[:, None, :, :], d) != 0):
+        raise ValueError("basis does not span an isotropic subspace")
+    elements = span_elements(bases, d)
+    return [IsotropicSubspace(dims, b, e, maximal=True) for b, e in zip(bases, elements)]
 
 
 def count_maximal_isotropic(dims: Dims) -> int:

@@ -16,6 +16,13 @@ projector or dense table:
   products of the pure Z^q rows, each contributing +1.
 - |M, chi> = T_(-chi) |M, 0> up to phase, because
   T_m T_a = omega^(-<m, a>) T_a T_m; all d^N cosets are one gather.
+- The dictionary labels each coset of M by its canonical representative:
+  the point that is zero at the N pivot columns of M's basis, with the other
+  N columns running through Z_d^N in lex order.  `reduce_mod` fixes exactly
+  these points, and each is the lex-first point of its coset (a nonzero
+  m in M has its first nonzero entry at a pivot column, where the
+  representative is 0), so this order is the order of first appearance
+  among the lex-ordered phase-space points.
 
 Every vector is phase-normalized and re-checked against its equations.
 """
@@ -35,7 +42,8 @@ from .phasespace import (
     Dims,
     IsotropicSubspace,
     enumerate_maximal_isotropic,
-    phase_points,
+    lex_grid,
+    reduce_by_pivots,
     symplectic_product,
 )
 from .weyl import displace, displacement_matrix, unit_phase
@@ -175,20 +183,17 @@ def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
     # the coset vectors, which the states view, and the `matrix` copy
     check_budget(2 * stabilizer_count(dims) * dims.D * 16,
                  f"the stabilizer dictionary for {dims}")
-    place = d ** np.arange(2 * N - 1, -1, -1)
     subspaces = enumerate_maximal_isotropic(dims)
-    pts = phase_points(dims)
-    reps = []
-    for M in subspaces:
-        # coset representatives in order of first appearance among the points
-        chis = M.reduce_mod(pts)
-        _, first = np.unique(chis @ place, return_index=True)
-        if len(first) != dims.D:
-            raise InvalidStabilizerError(
-                f"expected {dims.D} displacement cosets, found {len(first)}"
-            )
-        reps.append(chis[np.sort(first)])
-    reps = np.array(reps)
+    basis = np.array([M.basis for M in subspaces])
+    # coset representatives: zero at M's pivot columns, the free columns in lex order
+    is_free = np.ones((len(subspaces), 2 * N), dtype=bool)
+    is_free[np.arange(len(subspaces))[:, None], np.argmax(basis != 0, axis=2)] = False
+    free = np.nonzero(is_free)[1].reshape(len(subspaces), 1, N)
+    reps = np.zeros((len(subspaces), dims.D, 2 * N), dtype=np.int64)
+    np.put_along_axis(reps, np.broadcast_to(free, (len(subspaces), dims.D, N)),
+                      lex_grid(d, N), axis=2)
+    if not np.array_equal(reduce_by_pivots(reps, basis[:, None], d), reps):
+        raise InvalidStabilizerError("a coset representative is not reduced modulo its subspace")
     vecs = _coset_vectors(subspaces, reps)
     states = [StabilizerState(M, chi, v)
               for M, M_reps, M_vecs in zip(subspaces, reps, vecs)

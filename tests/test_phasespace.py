@@ -1,5 +1,6 @@
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from quditmagic.phasespace import (
     mod_inverse,
     phase_points,
     point,
+    reduce_by_pivots,
     row_reduce,
     span_elements,
     symplectic_group_order,
@@ -191,3 +193,79 @@ def test_reduce_mod_vectorizes_over_points():
     reps = sub.reduce_mod(pts)
     assert np.array_equal(reps, np.array([sub.reduce_mod(chi) for chi in pts]))
     assert len({r.tobytes() for r in reps}) == dims.D
+
+
+def test_reduce_by_pivots_over_a_stack_of_bases():
+    dims = Dims(3, 2)
+    subs = enumerate_maximal_isotropic(dims)
+    pts = phase_points(dims)
+    stacked = reduce_by_pivots(np.broadcast_to(pts, (len(subs),) + pts.shape),
+                               np.array([s.basis for s in subs])[:, None], 3)
+    assert np.array_equal(stacked, np.array([s.reduce_mod(pts) for s in subs]))
+
+
+def _isotropic_by_canonical_rows(dims):
+    """Reference enumeration, level by level: each extension of a basis is
+    identified by one canonical row (an orthogonal point with the basis pivots
+    cleared and a unit leading entry), and its RREF is formed by clearing that
+    row's pivot column from the basis and inserting the row in pivot order."""
+    d = dims.d
+    pts = phase_points(dims)
+    place = d ** np.arange(2 * dims.N - 1, -1, -1)
+    inverse = np.array([0] + [mod_inverse(a, d) for a in range(1, d)])
+    level = {b"": np.zeros((0, 2 * dims.N), dtype=np.int64)}
+    for _ in range(dims.N):
+        nxt = {}
+        for basis in level.values():
+            ok = np.all(symplectic_product(pts[:, None, :], basis[None, :, :], d) == 0, axis=1)
+            rows = reduce_by_pivots(pts[ok], basis, d)
+            rows = rows[np.any(rows != 0, axis=1)]
+            lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+            rows = rows * inverse[lead][:, None] % d
+            rows = rows[np.unique(rows @ place, return_index=True)[1]]
+            pivot = np.argmax(rows != 0, axis=1)
+            cleared = (basis - basis[:, pivot].T[:, :, None] * rows[:, None, :]) % d
+            ext = np.concatenate([cleared, rows[:, None, :]], axis=1)
+            order = np.argsort(np.concatenate(
+                [np.broadcast_to(np.argmax(basis != 0, axis=1), cleared.shape[:2]),
+                 pivot[:, None]], axis=1), axis=1)
+            for new in np.take_along_axis(ext, order[:, :, None], axis=1):
+                nxt[new.tobytes()] = new
+        level = nxt
+    return [level[key] for key in sorted(level)]
+
+
+@pytest.mark.parametrize("d,N", [(7, 1), (7, 2), (3, 3)])
+def test_isotropic_enumeration_matches_canonical_row_oracle(d, N):
+    dims = Dims(d, N)
+    subs = enumerate_maximal_isotropic(dims)
+    oracle = _isotropic_by_canonical_rows(dims)
+    assert [s.key() for s in subs] == [b.tobytes() for b in oracle]
+    for s, basis in zip(subs, oracle):
+        assert np.array_equal(s.elements, span_elements(basis, d))
+
+
+def _gaussian_binomial(N, k, d):
+    """[N choose k]_d, the number of k-dimensional subspaces of Z_d^N."""
+    num = den = 1
+    for i in range(k):
+        num *= d ** (N - i) - 1
+        den *= d ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("d,N", [(2, 4), (3, 3), (7, 2)])
+def test_isotropic_counts_per_p_block_rank(d, N):
+    ranks = Counter(int(np.count_nonzero(np.any(s.basis[:, :N] != 0, axis=1)))
+                    for s in enumerate_maximal_isotropic(Dims(d, N)))
+    assert ranks == {k: _gaussian_binomial(N, k, d) * d ** (k * (k + 1) // 2)
+                     for k in range(N + 1)}
+
+
+def test_lagrangian_count_identity():
+    assert [_gaussian_binomial(4, k, 2) for k in range(5)] == [1, 15, 35, 15, 1]
+    for d in (2, 3, 5, 7):
+        for N in range(1, 7):
+            total = sum(_gaussian_binomial(N, k, d) * d ** (k * (k + 1) // 2)
+                        for k in range(N + 1))
+            assert total == count_maximal_isotropic(Dims(d, N))

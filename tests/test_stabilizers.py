@@ -227,6 +227,24 @@ def test_dictionary_matches_projector_oracle(d, N):
     assert np.max(np.abs(dd.matrix - np.array([v for _, _, v in ref]))) < 1e-12
 
 
+@pytest.mark.parametrize("d,N", [(2, 4), (3, 3), (7, 2)])
+def test_coset_representatives_match_first_appearance(d, N):
+    """The closed-form representatives (zero at the pivot columns, free
+    columns in lex order) equal the per-subspace scan they replaced: every
+    point reduced mod M, kept in order of first appearance."""
+    dims = Dims(d, N)
+    pts = phase_points(dims)
+    place = d ** np.arange(2 * N - 1, -1, -1)
+    reps = []
+    for M in enumerate_maximal_isotropic(dims):
+        chis = M.reduce_mod(pts)
+        _, first = np.unique(chis @ place, return_index=True)
+        reps.append(chis[np.sort(first)])
+    dd = enumerate_stabilizer_states(dims)
+    assert np.array_equal(np.array([s.displacement for s in dd]),
+                          np.concatenate(reps))
+
+
 def test_single_coset_matches_dictionary():
     rng = np.random.default_rng(5)
     for d, N in ENUMERATED:
