@@ -10,6 +10,7 @@ from .catalog import build, entries, entry, verify_catalog, verify_equivalences
 from .clifford import (
     CliffordElement,
     FiniteUnitaryGroup,
+    ReducedCliffordGroup,
     affine_from_clifford,
     clifford_equivalence_search,
     clifford_from_affine,
@@ -21,6 +22,7 @@ from .clifford import (
     metaplectic_V,
     nondegenerate_eigenstates,
     qudit_clifford_generators,
+    reduced_clifford_group,
     twirl,
     word_unitary,
 )

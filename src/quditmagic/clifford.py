@@ -7,16 +7,25 @@ together with the metaplectic homomorphism V: SL(2, Z_d) -> SU(d).
 For d = 2 the standard qubit H and S = diag(1, i) are used.
 
 Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi).  A Clifford is
-handled through its exact integer action on all d^(2N) Pauli labels,
+handled through its exact integer action on the d^(2N) Pauli labels,
     U T_chi U^dag = omega^k[chi] T_perm[chi],
 a permutation `perm` of the labels and phase exponents k mod d.  The action
 of a unitary is read once per label with the gather-and-character transform
 of `weyl.pauli_coefficients` (no dense table).  Actions compose exactly,
-(G U): perm2 = g_perm[perm], k2 = k + g_k[perm], and the bytes of (perm, k)
-identify the element modulo global phase, so the reduced group is enumerated
-by a BFS over integer data.  S_C and a_C are read off the 2N unit labels e_i:
-column i of S_C is the label perm[e_i], and a_C = S_C J k_b with
-k_b = -k[e_i], because S_C is symplectic.
+(G U): perm2 = g_perm[perm], k2 = k + g_k[perm].
+
+The action on the 2N unit labels e_i (X_i and Z_i) already identifies an
+element modulo global phase: every T_chi is a product of the T_(e_i) up to a
+known phase, so their images fix the image of every label, and a unitary that
+commutes with every Pauli is a scalar.  The reduced group is therefore
+enumerated by a BFS that stores, per element, only the 2N codes
+perm[e_i] * d + k[e_i], packed into one exact int64 key.  A child G U needs
+only its parent's 2N codes and the generator's full action:
+    code[e_i] = g_perm[perm[e_i]] * d + (k[e_i] + g_k[perm[e_i]]) mod d.
+S_C and a_C are read off the same codes: column i of S_C is the label
+perm[e_i], and a_C = S_C J k_b with k_b = -k[e_i], because S_C is
+symplectic.  Words and unitaries are rebuilt from each element's parent and
+generator, the unitaries in one batched pass when a caller asks for them.
 
 For d = 2 the Hermitian representatives i^(p.q) X^p Z^q carry a residual
 sign on non-basis labels that no affine phase omega^(-<a, S chi>) describes;
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -161,9 +170,11 @@ def _affine_data(perm_basis: np.ndarray, k_basis: np.ndarray, dims: Dims
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(S, a) from the action on the unit labels e_i, batched over leading axes:
     S e_i is the label with index perm_basis[i], and -k_basis[i] = <a, S e_i>
-    gives a = S J (-k_basis) because S is symplectic."""
+    gives a = S J (-k_basis) because S is symplectic.  The inputs may be
+    unsigned codes; k is negated as int64, where it cannot wrap."""
     S = np.stack(np.unravel_index(perm_basis, (dims.d,) * (2 * dims.N)), axis=-2)
-    return S, (S @ symplectic_form(dims.N) @ -k_basis[..., None])[..., 0] % dims.d
+    k = k_basis.astype(np.int64)
+    return S, (S @ symplectic_form(dims.N) @ -k[..., None])[..., 0] % dims.d
 
 
 def is_clifford(U, dims: Dims, tol: float = 1e-8) -> bool:
@@ -188,17 +199,20 @@ def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
 def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray:
     """A unitary with affine data (S, a) for a single qudit.
 
-    Odd d uses the closed-form section T_a V_S; d = 2 falls back to a
-    lookup in the enumerated reduced group (24 elements)."""
+    Odd d uses the closed-form section T_a V_S; d = 2 falls back to one
+    match against the (S, a) arrays of the reduced group (24 elements)."""
     if dims.N != 1:
         raise NotCliffordError("closed-form section implemented for single qudits")
     S = np.asarray(S, dtype=np.int64) % dims.d
     a = np.asarray(a, dtype=np.int64) % dims.d
     if dims.odd:
         return displacement_matrix(a, dims) @ metaplectic_V(S, dims.d)
-    for el in enumerate_reduced_clifford(dims):
-        if np.array_equal(el.symplectic, S) and np.array_equal(el.displacement, a):
-            return el.unitary
+    group = reduced_clifford_group(dims)
+    S_all, a_all = group.affine
+    if S.shape == S_all.shape[1:] and a.shape == a_all.shape[1:]:
+        hit = np.flatnonzero(np.all(S_all == S, axis=(1, 2)) & np.all(a_all == a, axis=1))
+        if hit.size:
+            return group.unitaries[hit[0]]
     raise NotCliffordError("no qubit Clifford with the requested affine data")
 
 
@@ -340,49 +354,140 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
     return words
 
 
+_STACK_BLOCK = 4096   # elements per batched product when the unitary stack is filled
+_ELEMENT_BYTES = 1024  # one CliffordElement: the object, three array views, its word
+
+
+def _group_bytes(dims: Dims, n_gens: int) -> int:
+    """Peak bytes of the reduced group and what callers build from it.
+
+    The BFS holds the codes, parent and generator arrays, the sorted keys
+    and their merged copy, and one level's candidate block, bounded by the
+    order: per candidate four int64 code blocks of 2N (composed perm and k,
+    their code and its transposed copy) and its key, search position, mask
+    and sort index.  On demand come the unitary stack with one block's
+    gathered generators and parents, the (S, a) arrays with their int64
+    transients, and one CliffordElement per element."""
+    order, L, D2 = clifford_group_order(dims), 2 * dims.N, dims.D ** 2 * 16
+    code_size = np.min_scalar_type(dims.n_points * dims.d - 1).itemsize
+    return (order * (L * code_size + 8 + 1 + 2 * 8) + order * n_gens * (4 * L * 8 + 4 * 8)
+            + (order + 2 * min(order, _STACK_BLOCK)) * D2
+            + order * (4 * L * L * 8 + 4 * L * 8 + _ELEMENT_BYTES))
+
+
+@dataclass
+class ReducedCliffordGroup:
+    """The reduced Clifford group as integer arrays, in BFS order.
+
+    Element 0 is the identity; element i > 0 is gens[generator[i]] times
+    element parent[i], which lies on the previous BFS level.  codes[i, j] =
+    perm * d + k codes element i's action on the unit label e_(j+1), and
+    offsets[l]:offsets[l + 1] is level l.  Words, (S, a), the unitary stack
+    and the CliffordElement views are built from these on demand."""
+
+    dims: Dims
+    gen_words: list[tuple[str, ...]]
+    gens: np.ndarray       # (G, D, D) generator unitaries
+    codes: np.ndarray      # (order, 2N), the smallest unsigned dtype holding n_points * d
+    parent: np.ndarray     # (order,)
+    generator: np.ndarray  # (order,) indices into gen_words
+    offsets: np.ndarray    # (levels + 1,)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def word(self, i: int) -> tuple[str, ...]:
+        """The word of element i: its generator, then its parent's word."""
+        word = ()
+        while i:
+            word += self.gen_words[self.generator[i]]
+            i = int(self.parent[i])
+        return word
+
+    @cached_property
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, a) of every element, shapes (order, 2N, 2N) and (order, 2N)."""
+        d = self.dims.d
+        return _affine_data(self.codes // d, self.codes % d, self.dims)
+
+    @cached_property
+    def unitaries(self) -> np.ndarray:
+        """The (order, D, D) unitary stack, filled level by level: each block
+        of a level is one batched product of its generators and its parents."""
+        U = np.empty((len(self),) + self.gens.shape[1:], dtype=np.complex128)
+        U[0] = np.eye(self.dims.D)
+        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+            for start in range(lo, hi, _STACK_BLOCK):
+                block = slice(start, min(start + _STACK_BLOCK, hi))
+                np.matmul(self.gens[self.generator[block]], U[self.parent[block]], out=U[block])
+        return U
+
+    @cached_property
+    def elements(self) -> tuple[CliffordElement, ...]:
+        """One CliffordElement per element, viewing the stack and (S, a)."""
+        (S, a), U = self.affine, self.unitaries
+        words = [()]
+        for g, p in zip(self.generator[1:].tolist(), self.parent[1:].tolist()):
+            words.append(self.gen_words[g] + words[p])
+        return tuple(CliffordElement(U[i], S[i], a[i], self.dims, w) for i, w in enumerate(words))
+
+
 @lru_cache(maxsize=None)
-def _reduced_elements_cached(d: int, N: int) -> tuple:
+def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
     dims = Dims(d, N)
-    n = dims.n_points
+    n, order = dims.n_points, clifford_group_order(dims)
     words = clifford_generator_words(dims)
-    # per element: its (perm, k) action codes and its dense unitary
-    check_budget(clifford_group_order(dims) * (2 * n * 8 + dims.D ** 2 * 16),
-                 f"the reduced Clifford group for {dims}")
-    gens = [word_unitary(w, dims) for w in words]
+    gens = np.array([word_unitary(w, dims) for w in words])
     actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
     g_action = (np.array([p for p, _ in actions]), np.array([k for _, k in actions]))
-    # BFS in (element, generator) order; an element's action on every label
-    # is coded as perm * d + k, and the bytes of that code are its key
-    unitaries, elem_words = [np.eye(dims.D, dtype=np.complex128)], [()]
-    levels = [np.arange(n)[None] * d]
-    seen = {levels[0].tobytes()}
-    start = 0
-    while start < len(unitaries):
-        perm, k = _compose_action(g_action, (levels[-1] // d, levels[-1] % d), d)
-        cand = np.ascontiguousarray((perm * d + k).swapaxes(0, 1)).reshape(-1, n)
-        keys = cand.view(np.dtype((np.void, cand.itemsize * n))).ravel().tolist()
-        fresh = []
-        for r, key in enumerate(keys):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(r)
-                f, g = divmod(r, len(gens))
-                unitaries.append(gens[g] @ unitaries[start + f])
-                elem_words.append(words[g] + elem_words[start + f])
-        start += len(levels[-1])
-        levels.append(cand[fresh])
-    if len(unitaries) != clifford_group_order(dims):
-        raise NotCliffordError(f"closure produced {len(unitaries)} elements, "
-                               f"expected {clifford_group_order(dims)}")
-    on_basis = np.concatenate(levels)[:, d ** np.arange(2 * N - 1, -1, -1)]
-    S, a = _affine_data(on_basis // d, on_basis % d, dims)
-    return tuple(CliffordElement(U, S[i], a[i], dims, w)
-                 for i, (U, w) in enumerate(zip(unitaries, elem_words)))
+    # the 2N unit-label codes, each below n * d, read as digits of one int64
+    # key; (n * d)^(2N) fits in 63 bits for every group within the budget
+    units = d ** np.arange(2 * N - 1, -1, -1)
+    radix = (n * d) ** np.arange(2 * N - 1, -1, -1)
+    codes = np.empty((order, 2 * N), dtype=np.min_scalar_type(n * d - 1))
+    parent = np.zeros(order, dtype=np.min_scalar_type(order - 1))
+    generator = np.zeros(order, dtype=np.uint8)
+    codes[0] = units * d
+    seen = codes[:1].astype(np.int64) @ radix
+    offsets = [0, 1]
+    while offsets[-1] > offsets[-2]:
+        lo, hi = offsets[-2:]
+        level = codes[lo:hi].astype(np.intp)
+        perm, k = _compose_action(g_action, (level // d, level % d), d)
+        # candidates in (element, generator) order; the first of each new key is kept
+        cand = (perm * d + k).swapaxes(0, 1).reshape(-1, 2 * N)
+        keys = cand @ radix
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        new = np.flatnonzero(seen[pos] != keys)
+        uniq, first = np.unique(keys[new], return_index=True)
+        fresh = new[np.sort(first)]
+        if hi + len(fresh) > order:
+            raise NotCliffordError(f"closure exceeds the expected {order} elements")
+        codes[hi:hi + len(fresh)] = cand[fresh]
+        parent[hi:hi + len(fresh)] = lo + fresh // len(words)
+        generator[hi:hi + len(fresh)] = fresh % len(words)
+        seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
+        offsets.append(hi + len(fresh))
+    if offsets[-1] != order:
+        raise NotCliffordError(f"closure produced {offsets[-1]} elements, expected {order}")
+    return ReducedCliffordGroup(dims, words, gens, codes, parent, generator,
+                                np.array(offsets[:-1]))
+
+
+def reduced_clifford_group(dims: Dims) -> ReducedCliffordGroup:
+    """The reduced Clifford group as integer arrays, cached per (d, N).
+
+    The budget check before the BFS also counts the unitary stack, (S, a)
+    and the element views, which every caller builds from it on demand."""
+    words = clifford_generator_words(dims)
+    check_budget(_group_bytes(dims, len(words)), f"the reduced Clifford group for {dims}")
+    return _reduced_group_cached(dims.d, dims.N)
 
 
 def enumerate_reduced_clifford(dims: Dims) -> list[CliffordElement]:
-    """One representative per element of the reduced Clifford group."""
-    return list(_reduced_elements_cached(dims.d, dims.N))
+    """One representative per element of the reduced Clifford group, in BFS
+    order: views into the group's unitary stack and (S, a) arrays."""
+    return list(reduced_clifford_group(dims).elements)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,10 +127,13 @@ class StabilizerDictionary:
 
     def __post_init__(self):
         self.matrix = np.array([s.vector for s in self.states])
-        self.index = {
-            (s.subspace.key(), s.displacement.tobytes()): i
-            for i, s in enumerate(self.states)
-        }
+
+    @cached_property
+    def index(self) -> dict[tuple[bytes, bytes], int]:
+        """Position of each state by (subspace key, displacement bytes); built
+        on the first lookup."""
+        return {(s.subspace.key(), s.displacement.tobytes()): i
+                for i, s in enumerate(self.states)}
 
     def __len__(self) -> int:
         return len(self.states)

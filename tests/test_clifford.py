@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,6 +12,7 @@ from quditmagic.clifford import (
     SL2_H_HAT,
     SL2_S_HAT,
     FiniteUnitaryGroup,
+    _affine_data,
     _compose_action,
     _conjugated_label,
     _eigenspaces,
@@ -28,6 +32,7 @@ from quditmagic.clifford import (
     metaplectic_V,
     nondegenerate_eigenstates,
     qudit_clifford_generators,
+    reduced_clifford_group,
     twirl,
     word_unitary,
 )
@@ -39,6 +44,7 @@ from quditmagic.phasespace import (
     phase_points,
     point,
     point_index,
+    symplectic_form,
     symplectic_product,
 )
 from quditmagic.weyl import (
@@ -301,11 +307,15 @@ def test_equivalence_search_finds_word():
 
 def test_clifford_from_affine_qubit_lookup():
     dims = Dims(2, 1)
-    for el in enumerate_reduced_clifford(dims)[::5]:
+    for el in enumerate_reduced_clifford(dims):
         U = clifford_from_affine(el.symplectic, el.displacement, dims)
+        assert np.array_equal(U, el.unitary)
         S2, a2 = affine_from_clifford(U, dims)
         assert np.array_equal(S2, el.symplectic)
         assert np.array_equal(a2, el.displacement)
+    for S, a in [(np.array([[1, 1], [1, 1]]), np.zeros(2)), (np.eye(2), np.zeros(3))]:
+        with pytest.raises(NotCliffordError):
+            clifford_from_affine(S, a, dims)
 
 
 def test_qubit_affine_law_proportionality():
@@ -424,6 +434,82 @@ def test_enumeration_matches_dense_oracle(d, N):
         assert np.array_equal(el.unitary, U)
 
 
+def _action_enumeration(dims):
+    """Reference enumeration: BFS over each element's full integer action on
+    all d^(2N) labels, keyed by the bytes of its codes perm * d + k, with one
+    dense product per element."""
+    d, n = dims.d, dims.n_points
+    words = clifford_generator_words(dims)
+    gens = [word_unitary(w, dims) for w in words]
+    actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
+    g_action = (np.array([p for p, _ in actions]), np.array([k for _, k in actions]))
+    unitaries, elem_words = [np.eye(dims.D, dtype=np.complex128)], [()]
+    levels = [np.arange(n)[None] * d]
+    seen = {levels[0].tobytes()}
+    start = 0
+    while start < len(unitaries):
+        perm, k = _compose_action(g_action, (levels[-1] // d, levels[-1] % d), d)
+        cand = np.ascontiguousarray((perm * d + k).swapaxes(0, 1)).reshape(-1, n)
+        keys = cand.view(np.dtype((np.void, cand.itemsize * n))).ravel().tolist()
+        fresh = []
+        for r, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(r)
+                f, g = divmod(r, len(gens))
+                unitaries.append(gens[g] @ unitaries[start + f])
+                elem_words.append(words[g] + elem_words[start + f])
+        start += len(levels[-1])
+        levels.append(cand[fresh])
+    on_basis = np.concatenate(levels)[:, d ** np.arange(2 * dims.N - 1, -1, -1)]
+    S, a = _affine_data(on_basis // d, on_basis % d, dims)
+    return list(zip(elem_words, S, a, unitaries))
+
+
+@pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
+def test_enumeration_matches_full_action_oracle(d, N):
+    dims = Dims(d, N)
+    els = enumerate_reduced_clifford(dims)
+    ref = _action_enumeration(dims)
+    assert len(els) == len(ref) == clifford_group_order(dims)
+    for el, (word, S, a, U) in zip(els, ref):
+        assert el.word == word
+        assert np.array_equal(el.symplectic, S) and el.symplectic.dtype == S.dtype
+        assert np.array_equal(el.displacement, a) and el.displacement.dtype == a.dtype
+        assert np.array_equal(el.unitary, U)
+
+
+@pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
+def test_reduced_group_arrays(d, N):
+    dims = Dims(d, N)
+    group = reduced_clifford_group(dims)
+    els = enumerate_reduced_clifford(dims)
+    assert group.codes.dtype == np.min_scalar_type(dims.n_points * d - 1)
+    assert group.codes.dtype.kind == "u" and group.codes.shape == (len(els), 2 * N)
+    # every element's parent lies on the previous BFS level
+    offsets = group.offsets
+    level = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    assert offsets[-1] == len(els) and np.all(level[group.parent[1:]] == level[1:] - 1)
+    for i in range(0, len(els), 97):
+        assert group.word(i) == els[i].word
+        assert np.shares_memory(els[i].unitary, group.unitaries)
+    # the action on the unit labels identifies the element
+    keys = {row.tobytes() for row in group.codes}
+    assert len(keys) == len(els)
+
+
+def test_affine_data_negates_unsigned_codes_exactly():
+    # -k on an unsigned dtype wraps mod 2^8, not mod d: for odd d that changes a
+    dims = Dims(3, 1)
+    perm = np.array([[3, 1], [4, 7], [8, 2]])
+    k = np.array([[1, 2], [0, 1], [2, 2]])
+    S, a = _affine_data(perm, k, dims)
+    S_u, a_u = _affine_data(perm.astype(np.uint8), k.astype(np.uint8), dims)
+    assert np.array_equal(S_u, S) and np.array_equal(a_u, a)
+    wrapped = (S @ symplectic_form(1) @ (-k.astype(np.uint8))[..., None])[..., 0] % 3
+    assert not np.array_equal(wrapped, a)
+
+
 @pytest.mark.parametrize("d,N", BUDGETED)
 def test_composed_action_matches_dense_conjugation(d, N):
     dims = Dims(d, N)
@@ -447,15 +533,17 @@ def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
 
     monkeypatch.setattr(weyl, "_displacement_table_cached", forbidden)
     monkeypatch.setattr(clifford, "affine_from_clifford", forbidden)
-    clifford._reduced_elements_cached.cache_clear()
+    clifford._reduced_group_cached.cache_clear()
     for d, N in BUDGETED:
         dims = Dims(d, N)
         assert len(enumerate_reduced_clifford(dims)) == clifford_group_order(dims)
 
 
 def test_enumeration_refusals():
-    # order * (2 n_points * 8 + D^2 * 16) bytes: 1.90e11 for three qubits
-    nbytes = clifford_group_order(Dims(2, 3)) * (2 * 64 * 8 + 64 * 16)
+    # three qubits: 92 897 280 elements, each with its codes, parent, generator
+    # and keys, a candidate block of 9 per element, a 64 x 64 unitary, (S, a)
+    # and a CliffordElement, 5.05e11 bytes in all
+    nbytes = 505_276_694_528
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_reduced_clifford(Dims(2, 3))
@@ -463,6 +551,44 @@ def test_enumeration_refusals():
     # odd-d multi-qudit generators are not implemented: no size limit at all
     with pytest.raises(UnsupportedDimensionError):
         enumerate_reduced_clifford(Dims(3, 2))
+
+
+def test_unitary_stack_refused_before_the_bfs(monkeypatch):
+    # (17,1): the integer BFS alone would fit the budget, its 8.6 GB stack does not
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BFS started")
+
+    monkeypatch.setattr(clifford, "_reduced_group_cached", forbidden)
+    with pytest.raises(BudgetExceededError, match="reduced Clifford group"):
+        enumerate_reduced_clifford(Dims(17, 1))
+
+
+# The peak RSS is read as VmHWM: ru_maxrss of a process forked from a large
+# one (such as the test runner) starts at its parent's size, which would hide
+# the rise of a small build.
+_PEAK_PROBE = """
+import re, sys
+from quditmagic import clifford
+from quditmagic.phasespace import Dims
+def peak():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) * 1024
+base, dims = peak(), Dims(int(sys.argv[1]), 1)
+clifford.enumerate_reduced_clifford(dims)
+print(peak() - base, clifford._group_bytes(dims, 2))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+@pytest.mark.parametrize("d", [7, 11])
+def test_group_peak_within_estimate(d):
+    # the rise of the peak RSS over import, in a fresh process, is bounded by
+    # the estimate the budget checks
+    src = os.path.dirname(os.path.dirname(clifford.__file__))
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(d)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    rise, estimate = map(int, out.stdout.split())
+    assert 0 < rise <= estimate
 
 
 def _singleton_eigenvalues(U, tol=1e-8):

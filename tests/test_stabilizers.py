@@ -23,6 +23,7 @@ from quditmagic.phasespace import (
     symplectic_product,
 )
 from quditmagic.stabilizers import (
+    StabilizerDictionary,
     enumerate_stabilizer_states,
     max_overlap,
     stabilizer_count,
@@ -175,9 +176,11 @@ def test_dictionary_dump_round_trip():
 
 def test_lookup_by_subspace_and_coset():
     dims = Dims(3, 1)
-    dd = enumerate_stabilizer_states(dims)
+    dd = StabilizerDictionary(dims, enumerate_stabilizer_states(dims).states)
+    assert "index" not in vars(dd)  # built on the first lookup
     M = enumerate_maximal_isotropic(dims)[2]
     s = dd.lookup(M, point(2, 1, dims))
+    assert len(dd.index) == len(dd)
     assert s.subspace.key() == M.key()
     assert equal_up_to_phase(s.vector,
                              stabilizer_state(M, point(2, 1, dims), dims).vector)
