@@ -341,8 +341,7 @@ def cmd_dictionary(args) -> int:
 def cmd_search(args) -> int:
     psi1, dims = parse_state(args.source)
     psi2, _ = parse_state(args.target)
-    word = clifford_equivalence_search(psi1, psi2, dims, budget=args.budget,
-                                       seed=args.seed)
+    word = clifford_equivalence_search(psi1, psi2, dims, budget=args.budget)
     if word is None:
         print(json.dumps({"found": False}))
         return 1
@@ -423,11 +422,12 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_dictionary)
 
-    p = sub.add_parser("search", help="randomized Clifford equivalence search")
+    p = sub.add_parser("search", help="deterministic Clifford equivalence search")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the search is deterministic")
     p.set_defaults(fn=cmd_search)
 
     args = ap.parse_args(argv)

@@ -1,5 +1,6 @@
 """Clifford unitaries: generators, affine-symplectic data, enumeration,
-eigenstates, twirling, and randomized equivalence search.
+eigenstates, twirling, and a deterministic equivalence search, batched by
+breadth-first level.
 
 Single-qudit generators for odd d (delta_d fixed so det H = 1):
     S = sum_j tau^(j(j+1)) |j><j|,   H = (delta_d / sqrt d) sum_jk omega^(jk) |j><k|
@@ -645,7 +646,10 @@ def nondegenerate_eigenstates(C, dims: Dims, tol: float = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# randomized Clifford equivalence search
+# Clifford equivalence search
+
+_SEARCH_BLOCK_BYTES = 1 << 22  # bound on one batched expansion of frontier vectors
+
 
 def state_invariant(psi: np.ndarray, dims: Dims, decimals: int = 8) -> tuple:
     """Sorted multiset of |<s|psi>|^2 over the stabilizer dictionary."""
@@ -654,17 +658,76 @@ def state_invariant(psi: np.ndarray, dims: Dims, decimals: int = 8) -> tuple:
     return tuple(np.round(ov, decimals).tolist())
 
 
-def _state_key(psi: np.ndarray, grid: float = 1e-7) -> bytes:
-    return _quantize(phase_normalize(psi, tol=1e-6), grid)
+def _state_keys(vecs: np.ndarray) -> np.ndarray:
+    """One exact key per row of vecs, as raw bytes: the row with its first
+    entry above 1e-6 rotated to the positive real axis, on a 1e-7 grid."""
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs) > 1e-6, axis=1)[:, None], axis=1)
+    grid = np.round((vecs / (lead / np.abs(lead))).view(np.float64) / 1e-7).astype(np.int64)
+    return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
+
+
+@dataclass
+class _SearchSide:
+    """One side of the equivalence search, grown level by level from a start
+    vector by the matrices in `stack`.
+
+    State 0 is the start; state i > 0 is stack[generator[i]] applied to state
+    parent[i].  `seen` holds the sorted keys of all states, with the state
+    index at each position in `seen_at`; `frontier` holds the vectors of the
+    last level, whose first state is `lo`."""
+
+    stack: np.ndarray
+    seen: np.ndarray
+    seen_at: np.ndarray
+    parent: np.ndarray
+    generator: np.ndarray
+    frontier: np.ndarray
+    lo: int = 0
+
+    @classmethod
+    def start(cls, psi: np.ndarray, stack: np.ndarray) -> "_SearchSide":
+        zero = np.zeros(1, dtype=np.intp)
+        return cls(stack, _state_keys(psi[None]), zero, zero, zero, psi[None])
+
+    def chain(self, i: int) -> list[int]:
+        """The generators of state i, the last applied first."""
+        out = []
+        while i:
+            out.append(int(self.generator[i]))
+            i = int(self.parent[i])
+        return out
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The state index of each key, or -1 where no state has it."""
+        pos = np.minimum(np.searchsorted(self.seen, keys), len(self.seen) - 1)
+        return np.where(self.seen[pos] == keys, self.seen_at[pos], -1)
+
+    def add(self, keys: np.ndarray, parent: np.ndarray, generator: np.ndarray) -> None:
+        """Append states with distinct new keys."""
+        order = np.argsort(keys)
+        at = len(self.parent) + order
+        pos = np.searchsorted(self.seen, keys[order])
+        self.seen = np.insert(self.seen, pos, keys[order])
+        self.seen_at = np.insert(self.seen_at, pos, at)
+        self.parent = np.concatenate([self.parent, parent])
+        self.generator = np.concatenate([self.generator, generator])
 
 
 def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
-                                budget: int = 20000, seed: int = 0,
-                                max_depth: int = 40):
+                                budget: int = 20000):
     """Search for a generator word mapping psi1 to psi2 up to global phase.
 
-    Meet-in-the-middle over the generator alphabet; a found word is verified
-    before being returned.  None means inconclusive, not inequivalence.
+    A deterministic meet-in-the-middle search over the generator alphabet
+    (the generators and the inverses that differ from them), level-synchronous
+    from both ends: the forward side applies the alphabet to psi1, the
+    backward side its inverses to psi2, and they alternate a level each.  A
+    level is one batched product of the frontier with the alphabet, its
+    candidates in (frontier, generator) order; each is keyed by its
+    phase-normalized vector on a 1e-7 grid, and the first candidate with a new
+    key is kept.  `budget` caps the candidates over both sides, and the level
+    that reaches it is cut there.  A key reached from both ends gives the word
+    (backward generators, first applied leftmost) + (forward word), verified
+    before it is returned.  None means inconclusive, not inequivalence.
     """
     psi1 = np.asarray(psi1, dtype=np.complex128)
     psi2 = np.asarray(psi2, dtype=np.complex128)
@@ -672,48 +735,44 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
         return ()
     if state_invariant(psi1, dims) != state_invariant(psi2, dims):
         return None
-    rng = np.random.default_rng(seed)
-    gen_words = clifford_generator_words(dims)
-    gens = [(w, word_unitary(w, dims)) for w in gen_words]
-    gens += [(invert_word(w), U.conj().T) for w, U in list(gens)
-             if invert_word(w) != w]
-
-    # forward layer from psi1, backward layer from psi2
-    fwd = {_state_key(psi1): ((), psi1)}
-    bwd = {_state_key(psi2): ((), psi2)}
-    frontier_f = [((), psi1)]
-    frontier_b = [((), psi2)]
+    D = dims.D
+    # keys of every stored state, one side's copy while it grows, the frontier
+    # vectors, and the transients of one expansion block
+    check_budget(3 * budget * D * 16 + 4 * _SEARCH_BLOCK_BYTES,
+                 f"a Clifford equivalence search on {dims} with budget {budget}")
+    words = clifford_generator_words(dims)
+    words += [invert_word(w) for w in words if invert_word(w) != w]
+    stack = np.array([word_unitary(w, dims) for w in words])
+    fwd = _SearchSide.start(psi1, stack)
+    bwd = _SearchSide.start(psi2, stack.conj().swapaxes(1, 2))
+    G = len(words)
+    rows = max(1, _SEARCH_BLOCK_BYTES // (G * D * 16))
     expansions = 0
-    while expansions < budget and (frontier_f or frontier_b):
-        for layer, frontier, other in ((fwd, frontier_f, bwd), (bwd, frontier_b, fwd)):
-            new = []
-            order = rng.permutation(len(frontier))
-            for i in order:
-                word, v = frontier[i]
-                if len(word) >= max_depth:
-                    continue
-                for gw, G in gens:
-                    expansions += 1
-                    w2 = gw + word
-                    v2 = G @ v
-                    key = _state_key(v2)
-                    if key in layer:
-                        continue
-                    layer[key] = (w2, v2)
-                    new.append((w2, v2))
-                    if key in other:
-                        candidate = _compose_meet(
-                            w2 if layer is fwd else other[key][0],
-                            other[key][0] if layer is fwd else w2,
-                        )
-                        U = word_unitary(candidate, dims)
-                        if equal_up_to_phase(U @ psi1, psi2):
-                            return candidate
-                    if expansions >= budget:
-                        break
+    while expansions < budget and (len(fwd.frontier) or len(bwd.frontier)):
+        for side, other in ((fwd, bwd), (bwd, fwd)):
+            frontier, base, kept = side.frontier, side.lo, []
+            side.lo = len(side.parent)
+            for start in range(0, len(frontier), rows):
+                block = np.einsum("gij,fj->fgi", side.stack, frontier[start:start + rows])
+                block = block.reshape(-1, D)[:budget - expansions]
+                expansions += len(block)
+                keys = _state_keys(block)
+                new = np.flatnonzero(side.lookup(keys) < 0)
+                first = np.unique(keys[new], return_index=True)[1]
+                fresh = new[np.sort(first)]
+                at = len(side.parent)
+                side.add(keys[fresh], base + start + fresh // G, fresh % G)
+                kept.append(block[fresh])
+                met = other.lookup(keys[fresh])
+                for j in np.flatnonzero(met >= 0):
+                    i_fwd, i_bwd = (at + j, met[j]) if side is fwd else (met[j], at + j)
+                    word = tuple(t for g in bwd.chain(i_bwd)[::-1] for t in words[g])
+                    word += tuple(t for g in fwd.chain(i_fwd) for t in words[g])
+                    if equal_up_to_phase(word_unitary(word, dims) @ psi1, psi2):
+                        return word
                 if expansions >= budget:
                     break
-            frontier[:] = new
+            side.frontier = np.concatenate(kept) if kept else frontier[:0]
             if expansions >= budget:
                 break
     return None
@@ -735,7 +794,3 @@ def invert_word(word: tuple) -> tuple:
             out.append(name + "†@" + where)
     return tuple(out)
 
-
-def _compose_meet(word_fwd: tuple, word_bwd: tuple) -> tuple:
-    # word_bwd maps psi2 toward the meeting state; invert it to continue to psi2
-    return invert_word(word_bwd) + word_fwd

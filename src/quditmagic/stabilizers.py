@@ -24,7 +24,10 @@ projector or dense table:
   representative is 0), so this order is the order of first appearance
   among the lex-ordered phase-space points.
 
-Every vector is phase-normalized and re-checked against its equations.
+Every vector is phase-normalized and re-checked against the equations of
+the N basis rows.  For odd d these imply the rest: on an isotropic M,
+T_m T_m' = T_(m + m') and m -> omega^(<chi, m>) is a character, so the
+stabilizers of the basis rows generate those of all d^N elements.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .errors import DimensionMismatchError, InvalidStabilizerError, check_budget
 from .phasespace import (
     Dims,
     IsotropicSubspace,
+    count_maximal_isotropic,
     enumerate_maximal_isotropic,
     lex_grid,
     reduce_by_pivots,
@@ -64,13 +68,12 @@ class StabilizerState:
         return self.subspace.dims
 
     def check(self, tol: float = 1e-10) -> bool:
-        """Re-derive the stabilization equations for the stored vector."""
-        dims = self.dims
-        d = dims.d
-        rows = self.subspace.basis if d == 2 else self.subspace.elements
-        for m in rows:
+        """Re-derive the stabilization equations of the basis rows, which
+        imply those of every element of the subspace, for the stored vector."""
+        d = self.dims.d
+        for m in self.subspace.basis:
             ph = unit_phase(symplectic_product(self.displacement, m, d), d)
-            v = ph * (displacement_matrix(m, dims) @ self.vector)
+            v = ph * (displacement_matrix(m, self.dims) @ self.vector)
             if np.max(np.abs(v - self.vector)) >= tol:
                 return False
         return True
@@ -79,7 +82,7 @@ class StabilizerState:
 def _coset_vectors(subspaces: list[IsotropicSubspace], chis: np.ndarray) -> np.ndarray:
     """|M, chi> for every subspace M = subspaces[i] and displacement
     chi = chis[i, j], as an array (len(subspaces), chis.shape[1], D); every
-    vector is checked against its stabilization equations at 1e-8."""
+    vector is checked against the equations of M's basis rows at 1e-8."""
     dims = subspaces[0].dims
     d = dims.d
     basis = np.array([M.basis for M in subspaces])
@@ -99,12 +102,14 @@ def _coset_vectors(subspaces: list[IsotropicSubspace], chis: np.ndarray) -> np.n
     lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs) > 1e-12, axis=-1)[..., None], axis=-1)
     vecs = vecs / (lead / np.abs(lead))
     roots = np.array([unit_phase(k, d) for k in range(d)])
-    rows = basis if d == 2 else np.array([M.elements for M in subspaces])
-    for j in range(rows.shape[1]):  # row j of every subspace at once
-        m = rows[:, j, None, :]
-        fixed = roots[symplectic_product(chis, m, d)][..., None] * displace(m, vecs, dims)
-        if np.max(np.abs(fixed - vecs)) >= 1e-8:
+    for i in range(dims.N):  # basis row i of every subspace at once
+        m = basis[:, i, None, :]
+        err = displace(m, vecs, dims)
+        err *= roots[symplectic_product(chis, m, d)][..., None]
+        err -= vecs
+        if np.max(np.abs(err)) >= 1e-8:
             raise InvalidStabilizerError("constructed vector fails stabilization equations")
+        del err  # freed before the next row's gather
     return vecs
 
 
@@ -180,12 +185,29 @@ def stabilizer_count(dims: Dims) -> int:
     return n
 
 
+_STATE_BYTES = 512      # one StabilizerState: the object, its two array views, a list slot
+_SUBSPACE_BYTES = 1024  # one IsotropicSubspace: the object, its two array views, its key
+
+
+def _dictionary_bytes(dims: Dims) -> int:
+    """An upper bound on the peak bytes of a dictionary build.
+
+    Per state: three vectors, for the coset vectors with one `displace`
+    output and its gather at the peak of the check, which also covers the
+    coset vectors with the `matrix` copy afterwards; the StabilizerState
+    object; and six int64 points of 2N (its subspace element, its coset
+    representative and their transients).  Per subspace: five basis stacks
+    (the enumeration's blocks, their sorted copy, its isotropy check and the
+    stack taken here), its key and its object."""
+    n_s, L = stabilizer_count(dims), 2 * dims.N
+    return (n_s * (3 * dims.D * 16 + _STATE_BYTES + 6 * L * 8)
+            + count_maximal_isotropic(dims) * (5 * dims.N * L * 8 + _SUBSPACE_BYTES))
+
+
 @lru_cache(maxsize=None)
 def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
     dims = Dims(d, N)
-    # the coset vectors, which the states view, and the `matrix` copy
-    check_budget(2 * stabilizer_count(dims) * dims.D * 16,
-                 f"the stabilizer dictionary for {dims}")
+    check_budget(_dictionary_bytes(dims), f"the stabilizer dictionary for {dims}")
     subspaces = enumerate_maximal_isotropic(dims)
     basis = np.array([M.basis for M in subspaces])
     # coset representatives: zero at M's pivot columns, the free columns in lex order

@@ -165,6 +165,17 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_search_does_not_load_numpy_random():
+    code = ("import sys\nfrom quditmagic.cli import main\n"
+            "rc = main(['search', '--source', '2q:G20,1', '--target', '2q:G20,4', '--seed', '1'])\n"
+            "print(rc, sorted(m for m in sys.modules if m == 'numpy.random' "
+            "or m.startswith('numpy.random.')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
 def test_catalog_verify_exit_code(capsys):
     code, out = run(capsys, "catalog", "verify")
     assert code == 0

@@ -300,7 +300,7 @@ def test_equivalence_search_finds_word():
     dims = Dims(2, 2)
     src = np.kron([1, 0], [1, 0]).astype(complex)
     tgt = word_unitary(("H@1", "CZ@1,2", "S@2"), dims) @ src
-    word = clifford_equivalence_search(src, tgt, dims, budget=50000, seed=1)
+    word = clifford_equivalence_search(src, tgt, dims, budget=50000)
     assert word is not None
     assert equal_up_to_phase(word_unitary(word, dims) @ src, tgt)
 
@@ -364,8 +364,8 @@ def test_equivalence_search_deterministic_under_seed():
     dims = Dims(2, 2)
     from quditmagic.catalog import build
     src, tgt = build("2q:G20,1"), build("2q:G20,3")
-    w1 = clifford_equivalence_search(src, tgt, dims, budget=100000, seed=9)
-    w2 = clifford_equivalence_search(src, tgt, dims, budget=100000, seed=9)
+    w1 = clifford_equivalence_search(src, tgt, dims, budget=100000)
+    w2 = clifford_equivalence_search(src, tgt, dims, budget=100000)
     assert w1 == w2 and w1 is not None
 
 
@@ -568,26 +568,41 @@ def test_unitary_stack_refused_before_the_bfs(monkeypatch):
 # the rise of a small build.
 _PEAK_PROBE = """
 import re, sys
-from quditmagic import clifford
+from quditmagic import clifford, stabilizers
 from quditmagic.phasespace import Dims
 def peak():
     with open("/proc/self/status") as fh:
         return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) * 1024
-base, dims = peak(), Dims(int(sys.argv[1]), 1)
-clifford.enumerate_reduced_clifford(dims)
-print(peak() - base, clifford._group_bytes(dims, 2))
+base, dims = peak(), Dims(int(sys.argv[1]), int(sys.argv[2]))
+{build}
+print(peak() - base, {estimate})
 """
+
+
+def _peak_rise_and_estimate(build: str, estimate: str, d: int, N: int) -> tuple[int, int]:
+    """The rise of the peak RSS over import for `build` in a fresh process,
+    and the estimate the budget checks."""
+    src = os.path.dirname(os.path.dirname(clifford.__file__))
+    probe = _PEAK_PROBE.format(build=build, estimate=estimate)
+    out = subprocess.run([sys.executable, "-c", probe, str(d), str(N)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    rise, est = map(int, out.stdout.split())
+    return rise, est
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
 @pytest.mark.parametrize("d", [7, 11])
 def test_group_peak_within_estimate(d):
-    # the rise of the peak RSS over import, in a fresh process, is bounded by
-    # the estimate the budget checks
-    src = os.path.dirname(os.path.dirname(clifford.__file__))
-    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(d)], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    rise, estimate = map(int, out.stdout.split())
+    rise, estimate = _peak_rise_and_estimate("clifford.enumerate_reduced_clifford(dims)",
+                                             "clifford._group_bytes(dims, 2)", d, 1)
+    assert 0 < rise <= estimate
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+@pytest.mark.parametrize("d,N", [(3, 3), (2, 4)])
+def test_dictionary_peak_within_estimate(d, N):
+    rise, estimate = _peak_rise_and_estimate("stabilizers.enumerate_stabilizer_states(dims)",
+                                             "stabilizers._dictionary_bytes(dims)", d, N)
     assert 0 < rise <= estimate
 
 

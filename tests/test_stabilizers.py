@@ -10,7 +10,7 @@ import pytest
 from quditmagic import stabilizers, weyl
 from quditmagic.catalog import build
 from quditmagic.clifford import clifford_group_order, enumerate_reduced_clifford
-from quditmagic.errors import BudgetExceededError
+from quditmagic.errors import BudgetExceededError, InvalidStabilizerError
 from quditmagic.measures import stabilizer_fidelity
 from quditmagic.measures import wigner_function
 from quditmagic.phasespace import (
@@ -24,6 +24,8 @@ from quditmagic.phasespace import (
 )
 from quditmagic.stabilizers import (
     StabilizerDictionary,
+    StabilizerState,
+    _dictionary_bytes,
     enumerate_stabilizer_states,
     max_overlap,
     stabilizer_count,
@@ -130,8 +132,10 @@ def test_max_overlap_strange_state():
 
 
 def test_budget():
-    # 2 * stabilizer_count * D * 16 bytes: 2.48e9 for five qubits
-    nbytes = 2 * 32 * 3 * 5 * 9 * 17 * 33 * 32 * 16
+    # _dictionary_bytes: per state three D-vectors, 512 B and six 2N points,
+    # per subspace five N x 2N bases and 1024 B; 6.36e9 for five qubits
+    nbytes = (32 * 3 * 5 * 9 * 17 * 33 * (3 * 32 * 16 + 512 + 6 * 10 * 8)
+              + 3 * 5 * 9 * 17 * 33 * (5 * 5 * 10 * 8 + 1024))
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_stabilizer_states(Dims(2, 5))
@@ -140,7 +144,7 @@ def test_budget():
 
 def test_budget_message_for_estimates_beyond_float_range():
     dims = Dims(2, 45)
-    nbytes = 2 * stabilizer_count(dims) * dims.D * 16  # about 2^1129, past the float range
+    nbytes = _dictionary_bytes(dims)  # about 2^1131, past the float range
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"about 2^{nbytes.bit_length() - 1} bytes")):
         enumerate_stabilizer_states(dims)
@@ -259,6 +263,31 @@ def test_single_coset_matches_dictionary():
             assert np.array_equal(st.displacement, M.reduce_mod(chi))
             assert np.max(np.abs(st.vector - dd.lookup(M, chi).vector)) < 1e-12
             assert st.check(tol=1e-10)
+
+
+@pytest.mark.parametrize("d,N", [(3, 1), (3, 2), (5, 2)])
+def test_flipped_coset_sign_raises_for_odd_d(monkeypatch, d, N):
+    # the equations are checked on the N basis rows only; a wrong phase
+    # omega^(<chi, b_i>) on any single row is still caught
+    dims = Dims(d, N)
+    M = enumerate_maximal_isotropic(dims)[-1]
+    chi = np.arange(2 * N) % d
+    for row in range(N):
+        calls = iter(range(N))
+
+        def flipped(a, b, d, row=row, calls=calls):
+            return (symplectic_product(a, b, d) + (next(calls) == row)) % d
+
+        monkeypatch.setattr(stabilizers, "symplectic_product", flipped)
+        with pytest.raises(InvalidStabilizerError):
+            stabilizer_state(M, chi, dims)
+    monkeypatch.undo()
+    st = stabilizer_state(M, chi, dims)
+    assert st.check()
+    # the vector of another coset fails the equations of this one
+    off = next(p for p in phase_points(dims) if not M.contains(p))
+    other = stabilizer_state(M, chi + off, dims)
+    assert not StabilizerState(M, st.displacement, other.vector).check()
 
 
 def test_dictionary_builds_no_table(monkeypatch):
