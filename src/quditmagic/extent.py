@@ -129,8 +129,8 @@ def witness_bound(psi: np.ndarray, omega: np.ndarray, states) -> float:
     psi = np.asarray(psi, dtype=np.complex128)
     omega = np.asarray(omega, dtype=np.complex128)
     if isinstance(states, StabilizerDictionary):
-        states = list(states.matrix)
-    F, _ = group_stabilizer_fidelity(omega, list(states))
+        states = states.matrix
+    F, _ = group_stabilizer_fidelity(omega, states)
     if F <= 0:
         raise ZeroDivisionError("witness has zero G-stabilizer fidelity")
     return float(abs(np.vdot(psi, omega)) ** 2 / F)
@@ -151,7 +151,7 @@ def verify_clifford_stabilizer_extent(psi: np.ndarray,
                                       name: str = "", tol: float = 1e-6,
                                       solver_tol: float = 1e-8) -> ExtentCheck:
     """Check xi = 1/F for a Clifford-stabilizer state."""
-    F, _ = group_stabilizer_fidelity(psi, list(dictionary.matrix))
+    F, _ = group_stabilizer_fidelity(psi, dictionary.matrix)
     sol = solve_extent(ExtentProblem.from_dictionary(psi, dictionary), tol=solver_tol)
     err = abs(sol.value - 1.0 / F)
     return ExtentCheck(name=name, fidelity=F, solved=sol.value,

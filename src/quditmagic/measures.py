@@ -7,6 +7,7 @@ All phase-space sums run over the lexicographic point order of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,12 +17,11 @@ from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap
 from .weyl import (
     TOL_OP,
-    _character_matrix,
-    _digit_sums,
     asmatrix,
     density_of,
     displacement_table,
     shifted_characters,
+    transform_plan,
 )
 
 
@@ -39,7 +39,7 @@ class WignerFunction:
 
     @property
     def trace_norm(self) -> float:
-        return float(np.sum(np.abs(self.values)))
+        return float(np.abs(self.values).sum())
 
 
 def wigner_function(rho, dims: Dims, tol: float = TOL_OP) -> WignerFunction:
@@ -47,16 +47,25 @@ def wigner_function(rho, dims: Dims, tol: float = TOL_OP) -> WignerFunction:
     Hermitian operators of any trace.
 
     W(p, q) = d^-N sum_m omega^(2q.m) rho[p-m, p+m]: a gather, then a
-    character sum evaluated at 2q.
+    character sum evaluated at 2q.  A state vector psi is gathered as
+    psi[p-m] conj(psi[p+m]), the same products |psi><psi| holds, without
+    forming |psi><psi|.
     """
     if not dims.odd:
         raise UnsupportedDimensionError("Wigner function requires odd d")
-    rho = density_of(rho)
-    if rho.shape != (dims.D, dims.D):
-        raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
-    plus, minus, double = _digit_sums(dims.d, dims.N)
-    vals = ((rho[minus, plus] @ _character_matrix(dims.d, dims.N))[:, double] / dims.D).ravel()
-    if np.max(np.abs(vals.imag)) > max(tol, 1e-9) * max(1.0, np.max(np.abs(vals))):
+    arr = asmatrix(rho)
+    D = dims.D
+    if arr.shape != (D,) and arr.shape != (D, D):
+        raise DimensionMismatchError(f"shape {arr.shape} is neither {(D,)} nor {(D, D)}")
+    plan = transform_plan(dims.d, dims.N)
+    if arr.ndim == 1:
+        gathered = arr[plan.minus] * arr.conj()[plan.plus]
+    else:
+        gathered = arr[plan.minus, plan.plus]
+    vals = ((gathered @ plan.characters).take(plan.double, axis=1) / D).ravel()
+    imag, limit = np.abs(vals.imag).max(), max(tol, 1e-9)
+    # the scale max(1, |W|) only matters once imag exceeds the limit itself
+    if imag > limit and imag > limit * max(1.0, np.abs(vals).max()):
         raise ValueError("Wigner values have a non-negligible imaginary part")
     return WignerFunction(dims, vals.real.copy())
 
@@ -67,7 +76,7 @@ def wigner_trace_norm(rho, dims: Dims) -> float:
 
 def mana(rho, dims: Dims) -> float:
     """log of the Wigner trace norm; 0 exactly on the stabilizer polytope."""
-    return float(np.log(wigner_trace_norm(rho, dims)))
+    return math.log(wigner_trace_norm(rho, dims))
 
 
 def stabilizer_fidelity(psi: np.ndarray, dictionary: StabilizerDictionary | None = None,
@@ -80,15 +89,16 @@ def stabilizer_fidelity(psi: np.ndarray, dictionary: StabilizerDictionary | None
     return max_overlap(psi, dictionary, tie_tol)
 
 
-def group_stabilizer_fidelity(psi: np.ndarray, states: list[np.ndarray],
+def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndarray],
                               tie_tol: float = 1e-9):
-    """Fidelity against an arbitrary finite set of rays (the G-stabilizer set)."""
+    """Fidelity against an arbitrary finite set of rays (the G-stabilizer set),
+    given as a (K, D) array of rows, used as it is, or a sequence of vectors."""
     if len(states) == 0:
         raise ValueError("empty G-stabilizer set")
     psi = np.asarray(psi, dtype=np.complex128)
-    ov = np.abs(np.array(states).conj() @ psi) ** 2
-    best = float(np.max(ov))
-    return best, [states[i] for i in np.flatnonzero(ov >= best - tie_tol)]
+    ov = np.abs(np.asarray(states) @ psi.conj()) ** 2
+    best = float(ov.max())
+    return best, [states[i] for i in (ov >= best - tie_tol).nonzero()[0]]
 
 
 @dataclass
@@ -108,8 +118,8 @@ def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     """Xi_alpha = sum_chi P_chi^alpha."""
     probs = pauli_distribution(psi, dims).probs
     if float(alpha) == int(alpha):
-        return float(np.sum(probs ** int(alpha)))
-    return float(np.sum(np.power(probs, alpha)))
+        return float((probs ** int(alpha)).sum())
+    return float(np.power(probs, alpha).sum())
 
 
 def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0,
@@ -121,7 +131,7 @@ def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0,
     if alpha == 1:
         raise ValueError("alpha = 1 not supported")
     val = xi(psi, dims, alpha)
-    return float(np.log(val) / (1 - alpha) - dims.N * np.log(dims.d))
+    return float(math.log(val) / (1 - alpha) - dims.N * math.log(dims.d))
 
 
 def sre_upper_bound(dims: Dims, alpha: float = 2.0) -> float:
@@ -135,10 +145,10 @@ def mixed_sre2(rho, dims: Dims) -> float:
     rho = density_of(rho)
     if rho.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
-    plus, _, _ = _digit_sums(dims.d, dims.N)
+    plan = transform_plan(dims.d, dims.N)
     # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|
-    traces = np.abs(rho[np.arange(dims.D), plus] @ _character_matrix(dims.d, dims.N))
-    return float(-np.log(np.sum(traces ** 4) / np.sum(traces ** 2)))
+    traces = np.abs(rho[plan.rows, plan.plus] @ plan.characters)
+    return -math.log((traces ** 4).sum() / (traces ** 2).sum())
 
 
 def wh_kernel(O1, O2, chi, dims: Dims) -> complex:
@@ -200,5 +210,5 @@ def measure_report(psi: np.ndarray, dims: Dims, alphas=(2.0,),
     )
     if dims.odd:
         rep.wigner_trace_norm = wigner_trace_norm(psi, dims)
-        rep.mana = float(np.log(rep.wigner_trace_norm))
+        rep.mana = math.log(rep.wigner_trace_norm)
     return rep

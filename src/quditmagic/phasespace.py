@@ -261,8 +261,7 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
     symmetric matrices of one R are built at once; the basis is already the
     subspace's canonical key, and isotropy is re-checked on basis-row pairs.
     """
-    check_budget(count_maximal_isotropic(dims) * dims.D * 2 * dims.N * 8,
-                 f"the isotropic-subspace enumeration for {dims}")
+    check_budget(_isotropic_bytes(dims), f"the isotropic-subspace enumeration for {dims}")
     d, N = dims.d, dims.N
     blocks = []
     for k in range(N + 1):
@@ -292,6 +291,23 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
         raise ValueError("basis does not span an isotropic subspace")
     elements = span_elements(bases, d)
     return [IsotropicSubspace(dims, b, e, maximal=True) for b, e in zip(bases, elements)]
+
+
+_SUBSPACE_BYTES = 1024  # one IsotropicSubspace beyond its arrays: the object, two views, its key
+_FIRST_CALL_BYTES = 2 ** 20  # a first enumeration in a process peaks 0.5 MiB higher at any size
+
+
+def _isotropic_bytes(dims: Dims) -> int:
+    """An upper bound on the peak bytes of `enumerate_maximal_isotropic`.
+
+    Per subspace: four N x 2N stacks (the basis blocks, their concatenation,
+    its sorted copy and the bytes keys), the two N x N x N products of the
+    pairwise isotropy check, the d^N span elements and the object.  Once per
+    process, the first use of the numpy routines it calls."""
+    N, L = dims.N, 2 * dims.N
+    return (count_maximal_isotropic(dims) * ((4 * N * L + N * N * L + dims.D * L) * 8
+                                             + _SUBSPACE_BYTES)
+            + _FIRST_CALL_BYTES)
 
 
 def count_maximal_isotropic(dims: Dims) -> int:

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStabilizerError, check_budget
 from .phasespace import (
+    _SUBSPACE_BYTES,
     Dims,
     IsotropicSubspace,
     count_maximal_isotropic,
@@ -151,8 +152,9 @@ class StabilizerDictionary:
         return self.states[self.index[key]]
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
-        """|<s|psi>|^2 for every dictionary state."""
-        return np.abs(self.matrix.conj() @ np.asarray(psi, dtype=np.complex128)) ** 2
+        """|<s|psi>|^2 for every dictionary state, as |<psi|s>|^2 so that only
+        psi is conjugated."""
+        return np.abs(self.matrix @ np.asarray(psi, dtype=np.complex128).conj()) ** 2
 
     def to_json(self) -> str:
         recs = []
@@ -185,8 +187,7 @@ def stabilizer_count(dims: Dims) -> int:
     return n
 
 
-_STATE_BYTES = 512      # one StabilizerState: the object, its two array views, a list slot
-_SUBSPACE_BYTES = 1024  # one IsotropicSubspace: the object, its two array views, its key
+_STATE_BYTES = 512  # one StabilizerState: the object, its two array views, a list slot
 
 
 def _dictionary_bytes(dims: Dims) -> int:
@@ -240,6 +241,6 @@ def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary,
             f"state has length {psi.shape}, dictionary needs {dictionary.dims.D}"
         )
     ov = dictionary.overlaps(psi)
-    best = float(np.max(ov))
-    nearest = [dictionary.states[i] for i in np.flatnonzero(ov >= best - tie_tol)]
+    best = float(ov.max())
+    nearest = [dictionary.states[i] for i in (ov >= best - tie_tol).nonzero()[0]]
     return best, nearest

@@ -13,9 +13,11 @@ Group-theoretic phases are kept as integer exponents of roots of unity and
 materialized to complex doubles only when a matrix is built.
 
 Measures and expansions never build the dense tables.  Every Weyl transform
-they need is a shift in p followed by a character sum in q, computed with
-index gathers (`_digit_sums`) and one character matrix (`_character_matrix`)
-in O(D^2) memory and O(D^3) time.  The same transform gives the Pauli
+they need is a shift in p followed by a character sum in q: index gathers and
+one character matrix, in O(D^2) memory and O(D^3) time.  All of them read one
+cached `TransformPlan` per (d, N), which holds the index tables, the character
+matrix and the convention phases and passes one budget check for all of them
+(48 D^2 bytes) when it is built.  The same transform gives the Pauli
 coefficients Tr[T_chi^dag M] / D of any operator, which the Clifford module
 uses to read conjugation actions, and `displace` applies T_chi to vectors
 by the same index arithmetic for the stabilizer dictionary.  The dense
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,43 +192,46 @@ def _digitwise(one: np.ndarray, N: int, place: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _digit_sums(d: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices plus[p, j] = p+j, minus[p, j] = p-j (digitwise mod d)
-    and the permutation double[q] = 2q, read-only.
+class TransformPlan(NamedTuple):
+    """The read-only index and phase tables every table-free transform of one
+    (d, N) reads, built once per (d, N) by `transform_plan`.
 
-    Every transform calls this first, so its budget check also covers
-    `_character_matrix` and `_convention_phases`: 48 D^2 bytes in all."""
-    check_budget(48 * d ** (2 * N), f"the transform caches for {Dims(d, N)}")
+    plus[p, j] = p+j, minus[p, j] = p-j  flat indices, digitwise mod d
+    double[q] = 2q                       digitwise mod d, a permutation
+    rows[j] = j
+    characters[j, q] = omega^(q.j)       the N-fold Kronecker power of the DFT
+    phases[p, q]                         T_(p,q) = phases[p, q] X^p Z^q: tau^(p.q)
+                                         for odd d and i^(p.q) for d = 2, from
+                                         exact integer exponents
+    """
+
+    D: int
+    plus: np.ndarray
+    minus: np.ndarray
+    double: np.ndarray
+    rows: np.ndarray
+    characters: np.ndarray
+    phases: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def transform_plan(d: int, N: int) -> TransformPlan:
+    """The `TransformPlan` of (d, N): 48 D^2 bytes (two index and two complex
+    D x D tables), checked against the budget before any is built."""
+    check_budget(48 * d ** (2 * N), f"the transform plan for {Dims(d, N)}")
     r = np.arange(d)
     plus = _digitwise((r[:, None] + r) % d, N, d)
     minus = _digitwise((r[:, None] - r) % d, N, d)
-    double = plus.diagonal().copy()
-    for arr in (plus, minus, double):
-        arr.setflags(write=False)
-    return plus, minus, double
-
-
-@lru_cache(maxsize=None)
-def _character_matrix(d: int, N: int) -> np.ndarray:
-    """Chi[j, q] = omega^(q.j): the N-fold Kronecker power of the d-point DFT."""
-    r = np.arange(d)
-    roots = np.array([unit_phase(k, d) for k in range(d)])
-    chi = roots[_digitwise(np.outer(r, r), N, 1) % d]
-    chi.setflags(write=False)
-    return chi
-
-
-@lru_cache(maxsize=None)
-def _convention_phases(d: int, N: int) -> np.ndarray:
-    """phase[p, q] with T_(p,q) = phase X^p Z^q: tau^(p.q) for odd d and
-    i^(p.q) for d = 2, from exact integer exponents."""
-    r = np.arange(d)
     pq = _digitwise(np.outer(r, r), N, 1)  # sum_k p_k q_k, not reduced
+    roots = np.array([unit_phase(k, d) for k in range(d)])
     order, expo = (4, pq % 4) if d == 2 else (d, (tau_exponent(d) * pq) % d)
-    phases = np.array([unit_phase(k, order) for k in range(order)])[expo]
-    phases.setflags(write=False)
-    return phases
+    plan = TransformPlan(
+        D=d ** N, plus=plus, minus=minus, double=plus.diagonal().copy(),
+        rows=np.arange(d ** N), characters=roots[pq % d],
+        phases=np.array([unit_phase(k, order) for k in range(order)])[expo])
+    for arr in plan[1:]:
+        arr.setflags(write=False)
+    return plan
 
 
 def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
@@ -234,9 +240,9 @@ def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
     Tr[T_(p,q)^dag M] = conj(phase_(p,q) sum_j omega^(q.j) conj(M[p+j, j])):
     a gather, one character sum and the convention phase of each label.
     """
-    plus, _, _ = _digit_sums(dims.d, dims.N)
-    sums = np.conj(M)[plus, np.arange(dims.D)] @ _character_matrix(dims.d, dims.N)
-    return np.conj(sums * _convention_phases(dims.d, dims.N)).ravel() / dims.D
+    plan = transform_plan(dims.d, dims.N)
+    sums = np.conj(M)[plan.plus, plan.rows] @ plan.characters
+    return np.conj(sums * plan.phases).ravel() / plan.D
 
 
 def displace(chi, vectors, dims: Dims) -> np.ndarray:
@@ -247,13 +253,13 @@ def displace(chi, vectors, dims: Dims) -> np.ndarray:
     product followed by one gather at the digitwise differences i - p.
     """
     d, N = dims.d, dims.N
+    plan = transform_plan(d, N)
     chi = np.asarray(chi, dtype=np.int64) % d
     place = d ** np.arange(N - 1, -1, -1)
     p, q = chi[..., :N] @ place, chi[..., N:] @ place
-    _, minus, _ = _digit_sums(d, N)
-    vals = (_convention_phases(d, N)[p, q][..., None] * _character_matrix(d, N)[q]
+    vals = (plan.phases[p, q][..., None] * plan.characters[q]
             * np.asarray(vectors, dtype=np.complex128))
-    return np.take_along_axis(vals, np.broadcast_to(minus.T[p], vals.shape), axis=-1)
+    return np.take_along_axis(vals, np.broadcast_to(plan.minus.T[p], vals.shape), axis=-1)
 
 
 def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
@@ -266,8 +272,8 @@ def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     if x.shape != (dims.D,) or y.shape != (dims.D,):
         raise DimensionMismatchError(f"state lengths {x.shape}, {y.shape} != {dims.D}")
-    plus, _, _ = _digit_sums(dims.d, dims.N)
-    return ((x.conj()[plus] * y) @ _character_matrix(dims.d, dims.N)).ravel()
+    plan = transform_plan(dims.d, dims.N)
+    return ((x.conj()[plan.plus] * y) @ plan.characters).ravel()
 
 
 @dataclass(frozen=True)

@@ -568,7 +568,7 @@ def test_unitary_stack_refused_before_the_bfs(monkeypatch):
 # the rise of a small build.
 _PEAK_PROBE = """
 import re, sys
-from quditmagic import clifford, stabilizers
+from quditmagic import clifford, phasespace, stabilizers
 from quditmagic.phasespace import Dims
 def peak():
     with open("/proc/self/status") as fh:
@@ -603,6 +603,14 @@ def test_group_peak_within_estimate(d):
 def test_dictionary_peak_within_estimate(d, N):
     rise, estimate = _peak_rise_and_estimate("stabilizers.enumerate_stabilizer_states(dims)",
                                              "stabilizers._dictionary_bytes(dims)", d, N)
+    assert 0 < rise <= estimate
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+@pytest.mark.parametrize("d,N", [(3, 3), (2, 4)])
+def test_isotropic_enumeration_peak_within_estimate(d, N):
+    rise, estimate = _peak_rise_and_estimate("phasespace.enumerate_maximal_isotropic(dims)",
+                                             "phasespace._isotropic_bytes(dims)", d, N)
     assert 0 < rise <= estimate
 
 

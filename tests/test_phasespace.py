@@ -130,8 +130,10 @@ def test_subspace_structure():
 
 
 def test_budget_errors():
-    # count_maximal_isotropic * D * 2N * 8 bytes: 3.02e10 for six qubits
-    nbytes = 3 * 5 * 9 * 17 * 33 * 65 * 64 * 12 * 8
+    # _isotropic_bytes: per subspace four N x 2N stacks, an N x N x 2N
+    # transient, D points of 2N and 1024 B, plus 1 MiB; 6.36e10 for six qubits
+    nbytes = (3 * 5 * 9 * 17 * 33 * 65 * ((4 * 6 * 12 + 6 * 6 * 12 + 64 * 12) * 8 + 1024)
+              + 2 ** 20)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_maximal_isotropic(Dims(2, 6))
