@@ -1,9 +1,9 @@
 """Stabilizer formalism and magic measures for prime-dimensional qudits.
 
-Dense phase-space operators, stabilizer-state enumeration, Clifford groups,
-the mana / stabilizer-fidelity / stabilizer-Renyi-entropy measure family,
-perturbative extremality analysis, a doubled five-qubit distillation
-simulator, and a stabilizer-extent solver.
+Table-free Weyl-Heisenberg transforms, stabilizer-state enumeration,
+Clifford groups, the mana / stabilizer-fidelity / stabilizer-Renyi-entropy
+measure family, perturbative extremality analysis, a doubled five-qubit
+distillation simulator, and a stabilizer-extent solver.
 """
 
 from .catalog import build, entries, entry, verify_catalog, verify_equivalences
@@ -55,7 +55,6 @@ from .measures import (
     sre,
     sre_upper_bound,
     stabilizer_fidelity,
-    wh_kernel,
     wigner_function,
     wigner_trace_norm,
     xi,
@@ -74,13 +73,6 @@ from .stabilizers import (
     enumerate_stabilizer_states,
     max_overlap,
     stabilizer_state,
-)
-from .weyl import (
-    DenseOperator,
-    PauliElement,
-    displacement_operator,
-    pauli_group,
-    phase_point_operator,
 )
 
 __version__ = "0.1.0"

@@ -53,6 +53,17 @@ def parse_dims(text: str) -> Dims:
         raise argparse.ArgumentTypeError(f"{text!r} is not d,N with d prime: {exc}")
 
 
+def parse_grid(text: str) -> tuple[int, int]:
+    """An `RxC` grid argument; argparse reports a malformed value."""
+    try:
+        rows, cols = (int(x) for x in text.split("x"))
+        if min(rows, cols) < 1:
+            raise ValueError("sizes must be positive")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not RxC: {exc}")
+    return rows, cols
+
+
 def parse_state(spec: str, dims: Dims | None = None) -> tuple[np.ndarray, Dims]:
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
@@ -130,8 +141,7 @@ def cmd_measures(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    grid = tuple(int(x) for x in args.grid.split("x")) if args.grid else (181, 361)
-    rows = table_rows(args.table, grid=grid)
+    rows = table_rows(args.table, grid=args.grid)
     _emit(args, {"table": args.table, "rows": rows}, rows=rows)
     return 0
 
@@ -212,7 +222,7 @@ def cmd_extremality(args) -> int:
         return out
 
     if args.sweep:
-        nt, np_ = (int(x) for x in args.sweep.split("x"))
+        nt, np_ = args.sweep
         rows = [["theta", "phi", "measure", "kind", "leading_order",
                  "leading_coefficient"]]
         for th in np.linspace(0, np.pi / 2, nt):
@@ -363,7 +373,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("tables", help="regenerate a reference table")
     p.add_argument("table", choices=TABLE_IDS)
-    p.add_argument("--grid", default=None, help="RxC for the sphere grid")
+    p.add_argument("--grid", type=parse_grid, default=(181, 361),
+                   help="RxC for the sphere grid")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tables)
@@ -381,7 +392,8 @@ def main(argv=None) -> int:
     p.add_argument("state")
     p.add_argument("--direction", default=None,
                    help="phase:<phi> or state:<spec>")
-    p.add_argument("--sweep", default=None, help="NTxNP angle grid -> CSV")
+    p.add_argument("--sweep", type=parse_grid, default=None,
+                   help="NTxNP angle grid -> CSV")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_extremality)

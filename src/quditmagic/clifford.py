@@ -58,7 +58,6 @@ from .phasespace import (
 )
 from .stabilizers import enumerate_stabilizer_states
 from .weyl import (
-    asmatrix,
     displacement_matrix,
     equal_up_to_phase,
     pauli_coefficients,
@@ -180,8 +179,9 @@ def _affine_data(perm_basis: np.ndarray, k_basis: np.ndarray, dims: Dims
 
 def is_clifford(U, dims: Dims, tol: float = 1e-8) -> bool:
     """True iff U maps every basis displacement to a displacement under conjugation."""
+    U = np.asarray(U, dtype=np.complex128)
     try:
-        _pauli_action(asmatrix(U), dims, np.eye(2 * dims.N, dtype=np.int64), tol)
+        _pauli_action(U, dims, np.eye(2 * dims.N, dtype=np.int64), tol)
     except NotCliffordError:
         return False
     return True
@@ -189,8 +189,8 @@ def is_clifford(U, dims: Dims, tol: float = 1e-8) -> bool:
 
 def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     """Recover (S_C, a_C) from the conjugation action of a Clifford unitary."""
-    basis = np.eye(2 * dims.N, dtype=np.int64)
-    S, a = _affine_data(*_pauli_action(asmatrix(U), dims, basis), dims)
+    U, basis = np.asarray(U, dtype=np.complex128), np.eye(2 * dims.N, dtype=np.int64)
+    S, a = _affine_data(*_pauli_action(U, dims, basis), dims)
     J = symplectic_form(dims.N)
     if not np.all((S.T @ J @ S - J) % dims.d == 0):
         raise NotCliffordError("recovered label map is not symplectic")
@@ -229,7 +229,7 @@ class CliffordElement:
 
     @classmethod
     def from_unitary(cls, U, dims: Dims, word: tuple = ()) -> "CliffordElement":
-        U = asmatrix(U)
+        U = np.asarray(U, dtype=np.complex128)
         S, a = affine_from_clifford(U, dims)
         return cls(U, S, a, dims, word)
 
@@ -503,7 +503,7 @@ class FiniteUnitaryGroup:
 
     @classmethod
     def generate(cls, generators, max_order: int = 20000) -> "FiniteUnitaryGroup":
-        gens = [asmatrix(g) for g in generators]
+        gens = [np.asarray(g, dtype=np.complex128) for g in generators]
         D = gens[0].shape[0]
         eye = np.eye(D, dtype=np.complex128)
         seen = {_exact_key(eye): eye}
@@ -544,7 +544,7 @@ def group_projector(group: FiniteUnitaryGroup) -> np.ndarray:
 
 def twirl(O, group: FiniteUnitaryGroup) -> np.ndarray:
     """Average of g O g^dag over the group; projects onto the commutant."""
-    O = asmatrix(O)
+    O = np.asarray(O, dtype=np.complex128)
     acc = np.zeros_like(O)
     for g in group.elements:
         acc += g @ O @ g.conj().T
@@ -607,7 +607,7 @@ def group_stabilizer_states(group: FiniteUnitaryGroup,
 
 def eigenphase_extended_group(C, dims: Dims, max_order: int = 4096) -> FiniteUnitaryGroup:
     """Closure of <C> together with the scalar phases from its spectrum."""
-    C = asmatrix(C)
+    C = np.asarray(C, dtype=np.complex128)
     vals = np.linalg.eigvals(C)
     scalars = [val * np.eye(dims.D, dtype=np.complex128) for val in vals]
     return FiniteUnitaryGroup.generate([C] + scalars, max_order=max_order)
@@ -638,7 +638,7 @@ def nondegenerate_eigenstates(C, dims: Dims, tol: float = 1e-8
                               ) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of a unitary whose eigenvalue cluster is one-dimensional,
     in eigenvalue order, each eigenvector phase-normalized."""
-    U = asmatrix(C)
+    U = np.asarray(C, dtype=np.complex128)
     if U.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"expected a {dims.D}x{dims.D} unitary, got {U.shape}")
     w, V, single = eigenpairs(U[None], tol)
@@ -728,14 +728,18 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     that reaches it is cut there.  A key reached from both ends gives the word
     (backward generators, first applied leftmost) + (forward word), verified
     before it is returned.  None means inconclusive, not inequivalence.
+    States that are not both length-D vectors raise DimensionMismatchError.
     """
+    D = dims.D
     psi1 = np.asarray(psi1, dtype=np.complex128)
     psi2 = np.asarray(psi2, dtype=np.complex128)
+    if psi1.shape != (D,) or psi2.shape != (D,):
+        raise DimensionMismatchError(
+            f"states of shapes {psi1.shape} and {psi2.shape} are not both vectors on {dims}")
     if equal_up_to_phase(psi1, psi2):
         return ()
     if state_invariant(psi1, dims) != state_invariant(psi2, dims):
         return None
-    D = dims.D
     # keys of every stored state, one side's copy while it grows, the frontier
     # vectors, and the transients of one expansion block
     check_budget(3 * budget * D * 16 + 4 * _SEARCH_BLOCK_BYTES,

@@ -63,17 +63,6 @@ class CriticalReport:
     leading_coefficient: float
 
 
-def orthogonal_direction(base: np.ndarray, coeffs, basis) -> np.ndarray:
-    """Normalized direction sum_k coeffs[k] basis[k], checked orthogonal to base."""
-    v = np.zeros_like(np.asarray(base, dtype=np.complex128))
-    for c, b in zip(coeffs, basis):
-        v = v + c * np.asarray(b, dtype=np.complex128)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        raise ValueError("zero direction")
-    return v / n
-
-
 def angle_direction(basis, angles, phases) -> np.ndarray:
     """Hyperspherical direction over `basis` with polar angles and phases.
 

@@ -15,14 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap
-from .weyl import (
-    TOL_OP,
-    asmatrix,
-    density_of,
-    displacement_table,
-    shifted_characters,
-    transform_plan,
-)
+from .weyl import TOL_OP, density_of, shifted_characters, transform_plan
 
 
 @dataclass
@@ -53,7 +46,7 @@ def wigner_function(rho, dims: Dims, tol: float = TOL_OP) -> WignerFunction:
     """
     if not dims.odd:
         raise UnsupportedDimensionError("Wigner function requires odd d")
-    arr = asmatrix(rho)
+    arr = np.asarray(rho, dtype=np.complex128)
     D = dims.D
     if arr.shape != (D,) and arr.shape != (D, D):
         raise DimensionMismatchError(f"shape {arr.shape} is neither {(D,)} nor {(D, D)}")
@@ -149,22 +142,6 @@ def mixed_sre2(rho, dims: Dims) -> float:
     # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|
     traces = np.abs(rho[plan.rows, plan.plus] @ plan.characters)
     return -math.log((traces ** 4).sum() / (traces ** 2).sum())
-
-
-def wh_kernel(O1, O2, chi, dims: Dims) -> complex:
-    """K_chi(O1, O2) = d^-N Tr[O1 T_chi O2 T_chi^dag]."""
-    from .phasespace import point_index
-
-    T = displacement_table(dims)[point_index(np.asarray(chi), dims)]
-    return complex(np.trace(asmatrix(O1) @ T @ asmatrix(O2) @ T.conj().T) / dims.D)
-
-
-def wh_kernel_all(O1, O2, dims: Dims) -> np.ndarray:
-    """K_chi(O1, O2) for every chi, in lexicographic point order."""
-    T = displacement_table(dims)
-    A = asmatrix(O1)
-    B = asmatrix(O2)
-    return np.einsum('ij,kjl,lm,kim->k', A, T, B, T.conj()) / dims.D
 
 
 @dataclass

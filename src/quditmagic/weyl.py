@@ -1,4 +1,4 @@
-"""Weyl-Heisenberg displacement and phase-point operators, dense and table-free.
+"""Weyl-Heisenberg displacement and phase-point transforms, table-free.
 
 Conventions (odd d):
     omega = exp(2 pi i / d),  zeta = exp(i pi / d),  tau = omega^(2^-1)
@@ -12,29 +12,27 @@ phase-point operators are defined for odd d only.
 Group-theoretic phases are kept as integer exponents of roots of unity and
 materialized to complex doubles only when a matrix is built.
 
-Measures and expansions never build the dense tables.  Every Weyl transform
-they need is a shift in p followed by a character sum in q: index gathers and
-one character matrix, in O(D^2) memory and O(D^3) time.  All of them read one
-cached `TransformPlan` per (d, N), which holds the index tables, the character
-matrix and the convention phases and passes one budget check for all of them
-(48 D^2 bytes) when it is built.  The same transform gives the Pauli
-coefficients Tr[T_chi^dag M] / D of any operator, which the Clifford module
-uses to read conjugation actions, and `displace` applies T_chi to vectors
-by the same index arithmetic for the stabilizer dictionary.  The dense
-(d^2N, D, D) tables remain for `wh_kernel`/`wh_kernel_all` and the test
-oracle.
+No table of all d^(2N) operators is ever built.  Every Weyl transform the
+package needs is a shift in p followed by a character sum in q: index gathers
+and one character matrix, in O(D^2) memory and O(D^3) time.  All of them read
+one cached `TransformPlan` per (d, N), which holds the index tables, the
+character matrix and the convention phases and passes one budget check for
+all of them (48 D^2 bytes) when it is built.  The same transform gives the
+Pauli coefficients Tr[T_chi^dag M] / D of any operator, which the Clifford
+module uses to read conjugation actions, and `displace` applies T_chi to
+vectors by the same index arithmetic for the stabilizer dictionary.  A single
+T_chi is built on demand by `displacement_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
-from .phasespace import Dims, mod_inverse, phase_points, point_index, split_point
+from .phasespace import Dims, mod_inverse, split_point
 
 TOL_OP = 1e-10  # default operator tolerance
 TOL_EQ = 1e-9   # default operator-equality tolerance
@@ -61,54 +59,9 @@ def tau_exponent(d: int) -> int:
     return mod_inverse(2, d)
 
 
-@dataclass
-class DenseOperator:
-    """A D x D complex matrix with a role tag checked at construction."""
-
-    entries: np.ndarray
-    dims: Dims
-    role: str = "general"  # general | unitary | hermitian | density
-    tol: float = TOL_OP
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
-        D = self.dims.D
-        if self.entries.shape != (D, D):
-            raise DimensionMismatchError(
-                f"expected {D}x{D} matrix, got {self.entries.shape}"
-            )
-        m = self.entries
-        if self.role == "unitary":
-            if np.max(np.abs(m.conj().T @ m - np.eye(D))) >= self.tol:
-                raise ValueError("matrix is not unitary to tolerance")
-        elif self.role == "hermitian":
-            if np.max(np.abs(m - m.conj().T)) >= self.tol:
-                raise ValueError("matrix is not Hermitian to tolerance")
-        elif self.role == "density":
-            if np.max(np.abs(m - m.conj().T)) >= self.tol:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(m) - 1.0) >= max(self.tol, 1e-9):
-                raise ValueError("density matrix trace is not 1")
-            if np.min(np.linalg.eigvalsh(m)) < -self.tol:
-                raise ValueError("density matrix has a negative eigenvalue")
-        elif self.role != "general":
-            raise ValueError(f"unknown role {self.role!r}")
-
-    @property
-    def m(self) -> np.ndarray:
-        return self.entries
-
-
-def asmatrix(op) -> np.ndarray:
-    """Coerce DenseOperator | ndarray to a complex matrix."""
-    if isinstance(op, DenseOperator):
-        return op.entries
-    return np.asarray(op, dtype=np.complex128)
-
-
 def density_of(psi) -> np.ndarray:
     """Outer product |psi><psi| from a state vector; matrices pass through."""
-    arr = asmatrix(psi) if not isinstance(psi, np.ndarray) else np.asarray(psi, dtype=np.complex128)
+    arr = np.asarray(psi, dtype=np.complex128)
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
     return arr
@@ -127,58 +80,10 @@ def _single_displacements(d: int) -> np.ndarray:
     return singles
 
 
-def _kron_table(singles: np.ndarray, dims: Dims) -> np.ndarray:
-    """Read-only (d^2N, D, D) table of the products singles[p_1, q_1] x ... x
-    singles[p_N, q_N], lex order in (p, q)."""
-    check_budget(dims.n_points * dims.D ** 2 * 16, f"the dense operator table for {dims}")
-    table = np.empty((dims.n_points, dims.D, dims.D), dtype=np.complex128)
-    for i, chi in enumerate(phase_points(dims)):
-        p, q = split_point(chi)
-        table[i] = reduce(np.kron, singles[p, q])
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _displacement_table_cached(d: int, N: int) -> np.ndarray:
-    return _kron_table(_single_displacements(d), Dims(d, N))
-
-
-def displacement_table(dims: Dims) -> np.ndarray:
-    """All T_chi as a read-only (d^2N, D, D) array, lex order in (p, q)."""
-    return _displacement_table_cached(dims.d, dims.N)
-
-
 def displacement_matrix(chi, dims: Dims) -> np.ndarray:
     """T_chi alone: the Kronecker product of its single-qudit factors."""
     p, q = split_point(np.asarray(chi, dtype=np.int64) % dims.d)
     return reduce(np.kron, _single_displacements(dims.d)[p, q])
-
-
-def displacement_operator(chi, dims: Dims) -> DenseOperator:
-    """The Weyl-Heisenberg unitary T_chi."""
-    return DenseOperator(displacement_matrix(chi, dims), dims, role="unitary")
-
-
-@lru_cache(maxsize=None)
-def _phase_point_table_cached(d: int, N: int) -> np.ndarray:
-    if d % 2 == 0:
-        raise UnsupportedDimensionError("phase-point operators require odd d")
-    singles = np.zeros((d, d, d, d), dtype=np.complex128)
-    for p, q, j in np.ndindex(d, d, d):
-        singles[p, q, (2 * p - j) % d, j] = unit_phase(2 * q * (p - j), d)
-    return _kron_table(singles, Dims(d, N))
-
-
-def phase_point_table(dims: Dims) -> np.ndarray:
-    """All A_chi as a read-only (d^2N, D, D) array, lex order in (p, q)."""
-    return _phase_point_table_cached(dims.d, dims.N)
-
-
-def phase_point_operator(chi, dims: Dims) -> DenseOperator:
-    """The Hermitian phase-point operator A_chi (odd d only)."""
-    idx = point_index(chi, dims)
-    return DenseOperator(phase_point_table(dims)[idx].copy(), dims, role="hermitian")
 
 
 def _digitwise(one: np.ndarray, N: int, place: int) -> np.ndarray:
@@ -276,56 +181,10 @@ def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
     return ((x.conj()[plan.plus] * y) @ plan.characters).ravel()
 
 
-@dataclass(frozen=True)
-class PauliElement:
-    """(-1)^x zeta^k X^a Z^b with integer exponents."""
-
-    a: tuple
-    b: tuple
-    k: int = 0  # exponent of zeta, in Z_2d
-    x: int = 0  # sign bit
-
-    def materialize(self, dims: Dims) -> np.ndarray:
-        d = dims.d
-        op = np.ones((1, 1), dtype=np.complex128)
-        for ai, bi in zip(self.a, self.b):
-            X = np.zeros((d, d), dtype=np.complex128)
-            Z = np.zeros((d, d), dtype=np.complex128)
-            for j in range(d):
-                X[(j + ai) % d, j] = 1.0
-                Z[j, j] = unit_phase(bi * j, d)
-            op = np.kron(op, X @ Z)
-        phase = (-1) ** (self.x % 2) * unit_phase(self.k, 2 * d)
-        return phase * op
-
-
-def pauli_group(dims: Dims, phase_reduced: bool = True) -> list[DenseOperator]:
-    """The generalized Pauli group; d^2N elements if phase-reduced, else 2 d^(2N+1).
-
-    Phase-reduced representatives are the displacement operators T_chi.
-    """
-    table = displacement_table(dims)
-    if phase_reduced:
-        return [DenseOperator(table[i].copy(), dims, role="unitary")
-                for i in range(table.shape[0])]
-    d = dims.d
-    out = []
-    pts = phase_points(dims)
-    for i in range(table.shape[0]):
-        a, b = split_point(pts[i])
-        # strip the tau/zeta convention phase so every (k, x) pair is distinct
-        base = PauliElement(tuple(int(v) for v in a), tuple(int(v) for v in b)).materialize(dims)
-        for x in range(2):
-            for k in range(d):
-                phase = (-1) ** x * unit_phase(k, 2 * d)
-                out.append(DenseOperator(phase * base, dims, role="unitary"))
-    return out
-
-
 def global_phase(A, B, tol: float = TOL_EQ):
     """Phase c with A = c B (|c| = 1), or None.  Works on vectors and matrices."""
-    A = asmatrix(A) if not isinstance(A, np.ndarray) else np.asarray(A, dtype=np.complex128)
-    B = asmatrix(B) if not isinstance(B, np.ndarray) else np.asarray(B, dtype=np.complex128)
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
     if A.shape != B.shape:
         return None
     idx = np.unravel_index(np.argmax(np.abs(B)), B.shape)
@@ -352,24 +211,6 @@ def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         return v.copy()
     ph = flat[idx[0]] / abs(flat[idx[0]])
     return v / ph
-
-
-def operator_to_json(op: DenseOperator) -> dict:
-    """Row-major [re, im] pairs plus dims and role."""
-    m = op.entries
-    return {
-        "d": op.dims.d,
-        "N": op.dims.N,
-        "role": op.role,
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
-
-
-def operator_from_json(data: dict) -> DenseOperator:
-    dims = Dims(int(data["d"]), int(data["N"]))
-    D = dims.D
-    flat = np.array([complex(re, im) for re, im in data["entries"]], dtype=np.complex128)
-    return DenseOperator(flat.reshape(D, D), dims, role=data.get("role", "general"))
 
 
 def state_to_json(psi: np.ndarray, dims: Dims) -> dict:

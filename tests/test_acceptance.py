@@ -52,11 +52,9 @@ from quditmagic.tables import (
     computed_l_matrix,
     _L_BASES,
 )
-from quditmagic.weyl import (
-    displacement_table,
-    phase_point_table,
-    tau_exponent,
-)
+from quditmagic.weyl import tau_exponent
+
+from oracles import displacement_table, phase_point_table
 
 SQ2, SQ3, SQ5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 

@@ -60,6 +60,19 @@ def test_tables_csv_and_unknown(capsys, tmp_path):
     assert lines[0].startswith("theta") and len(lines) == 1 + 5 * 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["tables", "qubit-fidelity-sphere", "--grid", "3by4"],
+    ["tables", "qubit-fidelity-sphere", "--grid", "3x4x5"],
+    ["tables", "qubit-fidelity-sphere", "--grid", "0x4"],
+    ["extremality", "qubit:T0", "--sweep", "3x"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_malformed_grid_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}" in capsys.readouterr().err
+
+
 def test_eigenstates_word(capsys):
     code, out = run(capsys, "eigenstates", "--dims", "2,2",
                     "--word", "CZ@1,2 H@2 H@1", "--json")
@@ -216,3 +229,10 @@ def test_search_roundtrip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["found"]
+
+
+def test_search_across_dims_exits_2(capsys):
+    assert main(["search", "--source", "qubit:T0", "--target", "qutrit:S"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

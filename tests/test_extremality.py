@@ -17,7 +17,13 @@ from quditmagic.extremality import (
 from quditmagic.measures import xi
 from quditmagic.phasespace import Dims
 from quditmagic.stabilizers import enumerate_stabilizer_states, max_overlap
-from quditmagic.tables import check_l_tables, check_w_tables
+from quditmagic.tables import (
+    QUQUINT_WIGNER_PRINTED,
+    QUTRIT_WIGNER,
+    check_l_tables,
+    check_w_tables,
+    check_wigner_tables,
+)
 
 
 def rand_direction(psi, seed):
@@ -91,6 +97,14 @@ def test_w_matrix_tables_and_diagonal():
     basis = [dd.states[0].vector, dd.states[3].vector, dd.states[6].vector]
     W = w_matrix(basis, d3)
     assert np.allclose(np.diag(W), 1.0, atol=1e-12)
+
+
+def test_wigner_tables():
+    # the qutrit grids are exact (1e-9), the printed ququint grids to 1e-4
+    results = check_wigner_tables()
+    assert len(results) == len(QUTRIT_WIGNER) + len(QUQUINT_WIGNER_PRINTED)
+    for res in results:
+        assert res.passed, f"{res.table_id}: err {res.max_error}"
 
 
 def test_w_matrix_diagonal_dominance():

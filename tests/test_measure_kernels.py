@@ -110,7 +110,7 @@ def test_kernels_match_previous_formulas(dims):
         ratio = mixed_ratio(rho, dims)
         assert mixed_sre2(rho, dims) == -log(ratio)
         if dims.odd:
-            for op in (psi, rho, weyl.DenseOperator(rho, dims)):
+            for op in (psi, rho):
                 assert np.array_equal(wigner_function(op, dims).values, oracle_wigner(op, dims))
             norm = float(np.sum(np.abs(oracle_wigner(psi, dims))))
             assert wigner_trace_norm(psi, dims) == norm

@@ -15,14 +15,14 @@ from quditmagic.measures import (
     sre,
     sre_upper_bound,
     stabilizer_fidelity,
-    wh_kernel,
-    wh_kernel_all,
     wigner_function,
     wigner_trace_norm,
     xi,
 )
 from quditmagic.phasespace import Dims, phase_points, point_index
 from quditmagic.stabilizers import enumerate_stabilizer_states
+
+from oracles import displacement_table, kernel_all, phase_point_table
 
 
 def rand_state(D, seed):
@@ -38,7 +38,6 @@ def test_wigner_uniform_and_reconstruction():
     psi = rand_state(3, 4)
     rho = np.outer(psi, psi.conj())
     Wv = wigner_function(rho, d3).values
-    from quditmagic.weyl import phase_point_table
     A = phase_point_table(d3)
     recon = np.einsum('k,kij->ij', Wv, A)
     assert np.allclose(recon, rho, atol=1e-12)
@@ -54,7 +53,6 @@ def test_wigner_rejects_qubits():
 
 def test_wigner_translation_covariance():
     d3 = Dims(3, 1)
-    from quditmagic.weyl import displacement_table
     T = displacement_table(d3)
     psi = rand_state(3, 7)
     rho = np.outer(psi, psi.conj())
@@ -156,12 +154,12 @@ def test_mixed_sre2_matches_pure():
 
 def test_wh_kernel_identities():
     d3 = Dims(3, 1)
-    val = wh_kernel(np.eye(3) / 3, np.eye(3) / 3, np.array([1, 2]), d3)
+    val = kernel_all(np.eye(3) / 3, np.eye(3) / 3, d3)[point_index(np.array([1, 2]), d3)]
     assert abs(val - 1 / 9) < 1e-12
     # K recovers the Pauli distribution
     psi = rand_state(3, 13)
     rho = np.outer(psi, psi.conj())
-    K = wh_kernel_all(rho, rho, d3)
+    K = kernel_all(rho, rho, d3)
     P = pauli_distribution(psi, d3).probs
     assert np.allclose(np.real(K), P, atol=1e-12)
     # Wigner cross-correlation identity for odd d
@@ -170,7 +168,7 @@ def test_wh_kernel_identities():
     Wa = wigner_function(rho, d3).values
     Wb = wigner_function(sig, d3).values
     pts = phase_points(d3)
-    K2 = wh_kernel_all(rho, sig, d3)
+    K2 = kernel_all(rho, sig, d3)
     for i, c in enumerate(pts):
         conv = sum(Wa[point_index(cp, d3)] * Wb[point_index((cp - c) % 3, d3)]
                    for cp in pts)
@@ -182,9 +180,9 @@ def test_wh_kernel_clifford_covariance():
     H, _ = qudit_clifford_generators(3)
     rho = np.outer(rand_state(3, 17), rand_state(3, 17).conj())
     sig = np.outer(rand_state(3, 19), rand_state(3, 19).conj())
-    K = wh_kernel_all(H.unitary.conj().T @ rho @ H.unitary,
-                      H.unitary.conj().T @ sig @ H.unitary, d3)
-    K0 = wh_kernel_all(rho, sig, d3)
+    K = kernel_all(H.unitary.conj().T @ rho @ H.unitary,
+                   H.unitary.conj().T @ sig @ H.unitary, d3)
+    K0 = kernel_all(rho, sig, d3)
     pts = phase_points(d3)
     for i, c in enumerate(pts):
         j = point_index((H.symplectic @ c) % 3, d3)
@@ -218,7 +216,6 @@ def test_clifford_invariance_qutrit():
               ("qutrit:S", "qutrit:N", "qutrit:Hplus", "qutrit:T0")]
     els = enumerate_reduced_clifford(d3)
     U = np.array([el.unitary for el in els])
-    from quditmagic.weyl import displacement_table, phase_point_table
     A, T = phase_point_table(d3), displacement_table(d3)
     for psi in states:
         rotated = np.einsum('nij,j->ni', U, psi)
@@ -246,7 +243,6 @@ def test_clifford_invariance_ququint():
     dd = enumerate_stabilizer_states(d5)
     els = enumerate_reduced_clifford(Dims(5, 1))
     U = np.array([el.unitary for el in els])
-    from quditmagic.weyl import displacement_table, phase_point_table
     A, T = phase_point_table(d5), displacement_table(d5)
     for name in ("ququint:H,-1", "ququint:XVS,1", "ququint:A,-w2"):
         psi = build(name)

@@ -4,7 +4,7 @@ meet-in-the-middle it replaced, kept here as the oracle."""
 import numpy as np
 import pytest
 
-from quditmagic import catalog
+from quditmagic import catalog, clifford
 from quditmagic.clifford import (
     _quantize,
     _state_keys,
@@ -14,7 +14,7 @@ from quditmagic.clifford import (
     state_invariant,
     word_unitary,
 )
-from quditmagic.errors import BudgetExceededError
+from quditmagic.errors import BudgetExceededError, DimensionMismatchError
 from quditmagic.phasespace import Dims
 from quditmagic.weyl import equal_up_to_phase, phase_normalize
 
@@ -135,3 +135,16 @@ def test_search_budget_refused_before_expansion():
     psi1, psi2, dims = _pair("2q:G20,1", "2q:G20,4")
     with pytest.raises(BudgetExceededError, match="equivalence search"):
         clifford_equivalence_search(psi1, psi2, dims, budget=10 ** 8)
+
+
+def test_search_refuses_states_of_other_dims(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(clifford, "state_invariant", forbidden)
+    monkeypatch.setattr(clifford, "word_unitary", forbidden)
+    qubit, qutrit = catalog.build("qubit:T0"), catalog.build("qutrit:S")
+    dims = Dims(2, 1)
+    for psi1, psi2 in [(qubit, qutrit), (qutrit, qubit), (qubit, np.outer(qubit, qubit))]:
+        with pytest.raises(DimensionMismatchError):
+            clifford_equivalence_search(psi1, psi2, dims)

@@ -1,8 +1,7 @@
 """Table-free Weyl transforms against the dense-table oracle.
 
-The oracles below contract the dense `displacement_table` /
-`phase_point_table` directly; they are the slow references for the
-gather-and-character path in the measures.
+The references below contract the dense tables of `oracles` directly; they
+are the slow references for the gather-and-character path in the measures.
 """
 
 from functools import reduce
@@ -11,7 +10,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from quditmagic import weyl
 from quditmagic.catalog import build
 from quditmagic.extremality import PerturbationFrame, classify_mana, xi2_expansion
 from quditmagic.measures import (
@@ -24,7 +22,8 @@ from quditmagic.measures import (
     xi,
 )
 from quditmagic.phasespace import Dims
-from quditmagic.weyl import displacement_table, phase_point_table
+
+from oracles import displacement_table, kernel_all, phase_point_table
 
 # every (d, N) whose dense table is at most 20 MB
 ORACLE_DIMS = ([Dims(2, n) for n in range(1, 6)] + [Dims(3, n) for n in range(1, 4)]
@@ -58,20 +57,13 @@ def dense_wigner(op, dims):
     return np.einsum('kij,ji->k', phase_point_table(dims), op) / dims.D
 
 
-def dense_kernel_all(A, B, dims):
-    """`measures.wh_kernel_all`'s contraction, with an explicit einsum path so
-    the larger oracle sizes stay fast."""
-    T = displacement_table(dims)
-    return np.einsum('ij,kjl,lm,kim->k', A, T, B, T.conj(), optimize=True) / dims.D
-
-
 def dense_xi2_expansion(frame):
     """Xi_2^(0..8) from the nine Weyl-Heisenberg kernels K_chi(A, B)."""
     dims = frame.dims
     ops = {"psi": np.outer(frame.base, frame.base.conj()),
            "sig": frame.sigma,
            "phi": np.outer(frame.direction, frame.direction.conj())}
-    K = {(a, b): dense_kernel_all(ops[a], ops[b], dims) for a in ops for b in ops}
+    K = {(a, b): kernel_all(ops[a], ops[b], dims) for a in ops for b in ops}
     P = [K["psi", "psi"],
          K["psi", "sig"] + K["sig", "psi"],
          K["psi", "phi"] + K["sig", "sig"] + K["phi", "psi"],
@@ -109,12 +101,7 @@ def test_transforms_match_dense_oracle(dims):
 
 
 @pytest.mark.parametrize("dims", [Dims(3, 2), Dims(2, 4)], ids=str)
-def test_measures_build_no_dense_table(dims, monkeypatch):
-    def refuse(d, N):
-        raise AssertionError(f"dense table built for ({d}, {N})")
-
-    monkeypatch.setattr(weyl, "_displacement_table_cached", refuse)
-    monkeypatch.setattr(weyl, "_phase_point_table_cached", refuse)
+def test_measures_build_no_dense_table(dims):
     rng = np.random.default_rng(7)
     psi = rand_state(dims.D, rng)
     rho = 0.8 * np.outer(psi, psi.conj()) + 0.2 * np.eye(dims.D) / dims.D
