@@ -4,75 +4,61 @@ Table-free Weyl-Heisenberg transforms, stabilizer-state enumeration,
 Clifford groups, the mana / stabilizer-fidelity / stabilizer-Renyi-entropy
 measure family, perturbative extremality analysis, a doubled five-qubit
 distillation simulator, and a stabilizer-extent solver.
+
+The public names below load their submodule on first access (PEP 562), so
+`import quditmagic` itself imports no submodule.
 """
 
-from .catalog import build, entries, entry, verify_catalog, verify_equivalences
-from .clifford import (
-    CliffordElement,
-    FiniteUnitaryGroup,
-    ReducedCliffordGroup,
-    affine_from_clifford,
-    clifford_equivalence_search,
-    clifford_from_affine,
-    clifford_group_order,
-    enumerate_reduced_clifford,
-    group_projector,
-    group_stabilizer_states,
-    is_clifford,
-    metaplectic_V,
-    nondegenerate_eigenstates,
-    qudit_clifford_generators,
-    reduced_clifford_group,
-    twirl,
-    word_unitary,
-)
-from .distill import (
-    PairParams,
-    distill_step,
-    iterate_protocol,
-    pair_basis,
-    project_T_overlaps,
-)
-from .extent import ExtentProblem, ExtentSolution, solve_extent, witness_bound
-from .extremality import (
-    CriticalReport,
-    PerturbationFrame,
-    classify_mana,
-    classify_xi2,
-    fidelity_expansion,
-    l_matrix,
-    mana_expansion,
-    w_matrix,
-    xi2_expansion,
-)
-from .measures import (
-    MeasureReport,
-    group_stabilizer_fidelity,
-    mana,
-    measure_report,
-    mixed_sre2,
-    pauli_distribution,
-    sre,
-    sre_upper_bound,
-    stabilizer_fidelity,
-    wigner_function,
-    wigner_trace_norm,
-    xi,
-)
-from .phasespace import (
-    Dims,
-    IsotropicSubspace,
-    enumerate_maximal_isotropic,
-    is_symplectic,
-    mod_inverse,
-    symplectic_product,
-)
-from .stabilizers import (
-    StabilizerDictionary,
-    StabilizerState,
-    enumerate_stabilizer_states,
-    max_overlap,
-    stabilizer_state,
-)
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "catalog": ("build", "entries", "entry", "verify_catalog", "verify_equivalences"),
+    "clifford": ("CliffordElement", "FiniteUnitaryGroup", "ReducedCliffordGroup",
+                 "affine_from_clifford", "clifford_equivalence_search", "clifford_from_affine",
+                 "clifford_group_order", "enumerate_reduced_clifford", "group_projector",
+                 "group_stabilizer_states", "is_clifford", "metaplectic_V",
+                 "nondegenerate_eigenstates", "qudit_clifford_generators",
+                 "reduced_clifford_group", "twirl", "word_unitary"),
+    "distill": ("PairParams", "distill_step", "iterate_protocol", "pair_basis",
+                "project_T_overlaps"),
+    "extent": ("ExtentProblem", "ExtentSolution", "solve_extent", "witness_bound"),
+    "extremality": ("CriticalReport", "PerturbationFrame", "classify_mana", "classify_xi2",
+                    "fidelity_expansion", "l_matrix", "mana_expansion", "w_matrix",
+                    "xi2_expansion"),
+    "measures": ("MeasureReport", "group_stabilizer_fidelity", "mana", "measure_report",
+                 "mixed_sre2", "pauli_distribution", "sre", "sre_upper_bound",
+                 "stabilizer_fidelity", "wigner_function", "wigner_trace_norm", "xi"),
+    "phasespace": ("Dims", "IsotropicSubspace", "enumerate_maximal_isotropic",
+                   "is_symplectic", "mod_inverse", "symplectic_product"),
+    "stabilizers": ("StabilizerDictionary", "StabilizerState", "enumerate_stabilizer_states",
+                    "max_overlap", "stabilizer_state"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "tables", "weyl"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # the import binds it here
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import_module(f".{_HOME[name]}", __name__)
+    # Bind the public names of every loaded submodule at once: later reads of
+    # any of them are plain attribute lookups, so a hot loop over
+    # `quditmagic.sre` and its siblings never comes back here.
+    namespace = globals()
+    for home, names in _EXPORTS.items():
+        module = sys.modules.get(f"{__name__}.{home}")
+        if module is not None:
+            for export in names:
+                namespace.setdefault(export, getattr(module, export))
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -13,9 +13,8 @@ is the one this construction actually produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -256,12 +255,11 @@ def _op_2q_class(k: int):
 # ---------------------------------------------------------------------------
 # catalog entries
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     dims: Dims
     build: Callable[[], np.ndarray]
-    expected: dict = field(default_factory=dict)    # key -> (exact_str, value)
+    expected: dict    # key -> (exact_str, value)
     expected_nearest_count: int | None = None
     nearest_state: Callable[[], np.ndarray] | None = None
     eigen_operator: Callable[[], np.ndarray] | None = None
@@ -277,6 +275,7 @@ def _log(x: float) -> float:
 
 def _entry(registry, name, dims, vec_or_fn, **kw):
     build = vec_or_fn if callable(vec_or_fn) else (lambda v=vec_or_fn: v.copy())
+    kw.setdefault("expected", {})
     registry[name] = CatalogEntry(name=name, dims=dims, build=build, **kw)
 
 
@@ -594,7 +593,7 @@ def entries() -> dict:
             kw["saturates_sre_bound"] = False  # strictly below the generic bound
         _entry(reg, f"2q:{name}", d22, vec, **kw)
     reg["2q:psi0"].expected["F"] = ("3/4", 0.75)
-    reg["2q:psi0"].expected_nearest_count = 2
+    reg["2q:psi0"] = reg["2q:psi0"]._replace(expected_nearest_count=2)
     reg["2q:psimax0"].expected["M2"] = ("log(16/7)", _log(16 / 7))
 
     q3q = _three_qubit_states()
@@ -638,8 +637,7 @@ def entry(name: str) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # verification harness
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     expected: float
     got: float
@@ -735,8 +733,7 @@ def _resolve_state(label: str) -> tuple[np.ndarray, Dims]:
     return build(label), entry(label).dims
 
 
-@dataclass
-class EquivalenceCheck:
+class EquivalenceCheck(NamedTuple):
     source: str
     target: str
     word: tuple

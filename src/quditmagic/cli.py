@@ -8,35 +8,23 @@ catalog, dictionary, search.  State specs are catalog names (qutrit:S),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import catalog
-from .clifford import (
-    clifford_equivalence_search,
-    eigenpairs,
-    nondegenerate_eigenstates,
-    reduced_clifford_group,
-    word_unitary,
-)
-from .distill import PairParams, distill_step, iterate_protocol
 from .errors import QuditMagicError
-from .extent import ExtentProblem, solve_extent, witness_bound
-from .extremality import (
-    PerturbationFrame,
-    classify_mana,
-    classify_xi2,
-    fidelity_expansion,
-    xi2_expansion,
-)
-from .measures import measure_report
-from .phasespace import Dims
-from .stabilizers import enumerate_stabilizer_states
-from .tables import TABLE_IDS, table_rows
-from .weyl import phase_normalize, state_from_json
+
+if TYPE_CHECKING:
+    from .phasespace import Dims
+
+# Each command imports the modules it uses, so a process loads only those;
+# the table ids are listed here so that parsing them does not import tables.
+TABLE_IDS = ["qutrit-wigner", "qutrit-fidelity", "ququint-wigner",
+             "ququint-fidelity", "2q-eigenstates", "qubit-L", "qutrit-L",
+             "ququint-L", "qutrit-W", "ququint-W", "qubit-sre", "qutrit-sre",
+             "ququint-sre", "2q-sre", "qubit-fidelity-sphere"]
 
 # Clifford elements per batched eigendecomposition in `eigenstates
 # --all-cliffords`: bounds the eigenvectors, overlaps and keys in memory
@@ -46,6 +34,8 @@ _EIGEN_CHUNK = 512
 
 def parse_dims(text: str) -> Dims:
     """The `--dims d,N` argument; argparse reports a malformed value."""
+    from .phasespace import Dims
+
     try:
         d, n = text.split(",")
         return Dims(int(d), int(n))
@@ -64,7 +54,34 @@ def parse_grid(text: str) -> tuple[int, int]:
     return rows, cols
 
 
+def parse_alphas(text: str) -> tuple[float, ...]:
+    """The `--alphas a,b,..` argument; the SRE order must be at least 2."""
+    try:
+        alphas = tuple(float(a) for a in text.split(","))
+        if min(alphas) < 2:
+            raise ValueError("every alpha must be >= 2")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of alphas: {exc}")
+    return alphas
+
+
+def parse_eps3(text: str) -> float | tuple[float, float, float]:
+    """The `--eps3` argument: a float, or a start:stop:step range with step > 0."""
+    try:
+        values = tuple(float(x) for x in text.split(":"))
+        if len(values) == 1:
+            return values[0]
+        if len(values) != 3 or values[2] <= 0:
+            raise ValueError("need a float or start:stop:step with step > 0")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a float or a range: {exc}")
+    return values
+
+
 def parse_state(spec: str, dims: Dims | None = None) -> tuple[np.ndarray, Dims]:
+    from . import catalog
+    from .weyl import state_from_json
+
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
             return state_from_json(json.load(fh))
@@ -79,6 +96,8 @@ def _emit(args, payload, rows=None):
     if getattr(args, "json", False) or rows is None:
         text = json.dumps(payload, indent=1, default=_jsonable)
     else:
+        import csv
+
         buf = []
         w = csv.writer(_ListWriter(buf))
         for r in rows:
@@ -110,11 +129,14 @@ def _jsonable(obj):
 
 
 def cmd_measures(args) -> int:
+    from . import catalog
+    from .measures import measure_report
+
     if not args.state and not args.file:
         raise SystemExit("need a state name or --file")
     spec = f"@{args.file}" if args.file else args.state
     psi, dims = parse_state(spec)
-    alphas = tuple(float(a) for a in args.alphas.split(","))
+    alphas = args.alphas
     exact = {}
     if args.state:
         try:
@@ -141,12 +163,19 @@ def cmd_measures(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .tables import table_rows
+
     rows = table_rows(args.table, grid=args.grid)
     _emit(args, {"table": args.table, "rows": rows}, rows=rows)
     return 0
 
 
 def cmd_eigenstates(args) -> int:
+    from .clifford import (eigenpairs, nondegenerate_eigenstates, reduced_clifford_group,
+                           word_unitary)
+    from .stabilizers import enumerate_stabilizer_states
+    from .weyl import phase_normalize
+
     dims = args.dims
     results = []
     if args.word:
@@ -182,6 +211,9 @@ def cmd_eigenstates(args) -> int:
 def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]:
     """Companion directions: other eigenstates of the catalog eigen-operator
     when available, else a Gram-Schmidt completion."""
+    from . import catalog
+    from .clifford import nondegenerate_eigenstates
+
     try:
         e = catalog.entry(name)
     except QuditMagicError:
@@ -209,6 +241,10 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
 
 
 def cmd_extremality(args) -> int:
+    from .extremality import (PerturbationFrame, classify_mana, classify_xi2,
+                              fidelity_expansion, xi2_expansion)
+    from .stabilizers import enumerate_stabilizer_states
+
     psi, dims = parse_state(args.state)
     dd = enumerate_stabilizer_states(dims)  # its budget check also covers the D^2 basis
     basis = _direction_basis(args.state, psi, dims)
@@ -250,7 +286,7 @@ def cmd_extremality(args) -> int:
     else:
         raise SystemExit(f"bad direction spec {spec!r}")
     reports = classify(direction)
-    payload = {m: vars(r) for m, r in reports.items()}
+    payload = {m: r._asdict() for m, r in reports.items()}
     payload["xi2_coefficients"] = xi2_expansion(
         PerturbationFrame(dims, psi, direction)).tolist()
     _emit(args, payload)
@@ -258,14 +294,15 @@ def cmd_extremality(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    from .distill import PairParams, distill_step, iterate_protocol
+
     if args.mode == "step":
         params = PairParams(eps1=args.eps1, eps2=args.eps2,
-                            eps3=float(args.eps3 or 0.0), a=args.a, b=args.b)
+                            eps3=args.eps3 or 0.0, a=args.a, b=args.b)
         out, p = distill_step([params] * 5)
-        _emit(args, {"p_success": p, "out": vars(out)})
+        _emit(args, {"p_success": p, "out": out._asdict()})
         return 0
-    # sweep: --eps3 takes a start:stop:step range here
-    start, stop, step = (float(x) for x in (args.eps3 or "0:0.2:0.01").split(":"))
+    start, stop, step = args.eps3 or (0.0, 0.2, 0.01)
     rows = [["eps3_in", "round", "eps3_out", "p_success"]]
     payload = []
     for eps in np.arange(start, stop + 1e-12, step):
@@ -283,12 +320,14 @@ def cmd_distill(args) -> int:
 
 
 def cmd_extent(args) -> int:
+    from .extent import ExtentProblem, solve_extent, witness_bound
+
     psi, dims = parse_state(args.state)
     if args.dims and args.dims != dims:
         raise SystemExit(f"--dims {args.dims} does not match the state's {dims}")
-    dd = enumerate_stabilizer_states(dims)
     if args.group:
-        from .clifford import FiniteUnitaryGroup, group_stabilizer_states
+        from .clifford import FiniteUnitaryGroup, group_stabilizer_states, word_unitary
+
         gens = [word_unitary([g], dims) for g in args.group.split(",")]
         G = FiniteUnitaryGroup.generate(gens)
         states = group_stabilizer_states(G)
@@ -296,11 +335,14 @@ def cmd_extent(args) -> int:
         q, _ = np.linalg.qr(span)
         rank = int(np.sum(np.linalg.svd(span, compute_uv=False) > 1e-10))
         P = q[:, :rank] @ q[:, :rank].conj().T
-        problem = ExtentProblem.from_states(psi, states, projector=P)
+        sol = solve_extent(ExtentProblem.from_states(psi, states, projector=P), tol=args.tol)
+        wb = None
     else:
-        problem = ExtentProblem.from_dictionary(psi, dd)
-    sol = solve_extent(problem, tol=args.tol)
-    wb = witness_bound(psi, psi, dd) if not args.group else None
+        from .stabilizers import enumerate_stabilizer_states
+
+        dd = enumerate_stabilizer_states(dims)
+        sol = solve_extent(ExtentProblem.from_dictionary(psi, dd), tol=args.tol)
+        wb = witness_bound(psi, psi, dd)
     _emit(args, {"extent": sol.value, "l1": sol.l1,
                  "residual": sol.residual, "duality_gap": sol.duality_gap,
                  "iterations": sol.iterations, "converged": sol.converged,
@@ -313,12 +355,14 @@ def cmd_extent(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     checks = catalog.verify_catalog(tolerance=args.tol)
     equivs = catalog.verify_equivalences()
     n_fail = sum(not c.passed for c in checks) + sum(not e.passed for e in equivs)
     if args.json:
         payload = {
-            "checks": [vars(c) for c in checks],
+            "checks": [c._asdict() for c in checks],
             "equivalences": [{"source": e.source, "target": e.target,
                               "word": list(e.word), "passed": e.passed}
                              for e in equivs],
@@ -338,6 +382,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_dictionary(args) -> int:
+    from .stabilizers import enumerate_stabilizer_states
+
     dd = enumerate_stabilizer_states(args.dims)
     text = dd.to_json() if args.json else dd.to_csv()
     if args.out:
@@ -349,6 +395,8 @@ def cmd_dictionary(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .clifford import clifford_equivalence_search
+
     psi1, dims = parse_state(args.source)
     psi2, _ = parse_state(args.target)
     word = clifford_equivalence_search(psi1, psi2, dims, budget=args.budget)
@@ -367,7 +415,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("measures", help="magic measures of a state")
     p.add_argument("state", nargs="?", default=None)
     p.add_argument("--file", default=None, help="JSON state file")
-    p.add_argument("--alphas", default="2")
+    p.add_argument("--alphas", type=parse_alphas, default=(2.0,),
+                   help="comma-separated SRE orders, each >= 2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_measures)
 
@@ -398,11 +447,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_extremality)
 
-    p = sub.add_parser("distill", help="doubled five-qubit code simulation")
+    p = distill = sub.add_parser("distill", help="doubled five-qubit code simulation")
     p.add_argument("mode", choices=["step", "sweep"])
     p.add_argument("--eps1", type=float, default=0.0)
     p.add_argument("--eps2", type=float, default=0.0)
-    p.add_argument("--eps3", default=None,
+    p.add_argument("--eps3", type=parse_eps3, default=None,
                    help="a float for step, start:stop:step for sweep")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
@@ -443,6 +492,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_search)
 
     args = ap.parse_args(argv)
+    if args.command == "distill" and args.eps3 is not None:
+        form = "start:stop:step" if args.mode == "sweep" else "a float"
+        if isinstance(args.eps3, tuple) != (args.mode == "sweep"):
+            distill.error(f"argument --eps3: {args.mode} takes {form}")
     try:
         return args.fn(args)
     except QuditMagicError as exc:

@@ -37,8 +37,8 @@ covers every label and not only the basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,8 +217,7 @@ def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray
     raise NotCliffordError("no qubit Clifford with the requested affine data")
 
 
-@dataclass
-class CliffordElement:
+class CliffordElement(NamedTuple):
     """A Clifford unitary with its associated symplectic matrix and displacement."""
 
     unitary: np.ndarray
@@ -376,7 +375,6 @@ def _group_bytes(dims: Dims, n_gens: int) -> int:
             + order * (4 * L * L * 8 + 4 * L * 8 + _ELEMENT_BYTES))
 
 
-@dataclass
 class ReducedCliffordGroup:
     """The reduced Clifford group as integer arrays, in BFS order.
 
@@ -386,13 +384,16 @@ class ReducedCliffordGroup:
     offsets[l]:offsets[l + 1] is level l.  Words, (S, a), the unitary stack
     and the CliffordElement views are built from these on demand."""
 
-    dims: Dims
-    gen_words: list[tuple[str, ...]]
-    gens: np.ndarray       # (G, D, D) generator unitaries
-    codes: np.ndarray      # (order, 2N), the smallest unsigned dtype holding n_points * d
-    parent: np.ndarray     # (order,)
-    generator: np.ndarray  # (order,) indices into gen_words
-    offsets: np.ndarray    # (levels + 1,)
+    def __init__(self, dims: Dims, gen_words: list[tuple[str, ...]], gens: np.ndarray,
+                 codes: np.ndarray, parent: np.ndarray, generator: np.ndarray,
+                 offsets: np.ndarray):
+        self.dims = dims
+        self.gen_words = gen_words
+        self.gens = gens            # (G, D, D) generator unitaries
+        self.codes = codes          # (order, 2N), the smallest unsigned dtype holding n_points * d
+        self.parent = parent        # (order,)
+        self.generator = generator  # (order,) indices into gen_words
+        self.offsets = offsets      # (levels + 1,)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -494,12 +495,12 @@ def enumerate_reduced_clifford(dims: Dims) -> list[CliffordElement]:
 # ---------------------------------------------------------------------------
 # finite unitary groups, projectors, twirling
 
-@dataclass
 class FiniteUnitaryGroup:
     """A finite set of unitaries closed under multiplication with exact phases."""
 
-    elements: list[np.ndarray]
-    generators: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, elements: list[np.ndarray], generators: list[np.ndarray] = ()):
+        self.elements = elements
+        self.generators = list(generators)
 
     @classmethod
     def generate(cls, generators, max_order: int = 20000) -> "FiniteUnitaryGroup":
@@ -666,28 +667,21 @@ def _state_keys(vecs: np.ndarray) -> np.ndarray:
     return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
 
 
-@dataclass
 class _SearchSide:
     """One side of the equivalence search, grown level by level from a start
-    vector by the matrices in `stack`.
+    vector psi by the matrices in `stack`.
 
     State 0 is the start; state i > 0 is stack[generator[i]] applied to state
     parent[i].  `seen` holds the sorted keys of all states, with the state
     index at each position in `seen_at`; `frontier` holds the vectors of the
     last level, whose first state is `lo`."""
 
-    stack: np.ndarray
-    seen: np.ndarray
-    seen_at: np.ndarray
-    parent: np.ndarray
-    generator: np.ndarray
-    frontier: np.ndarray
-    lo: int = 0
-
-    @classmethod
-    def start(cls, psi: np.ndarray, stack: np.ndarray) -> "_SearchSide":
+    def __init__(self, psi: np.ndarray, stack: np.ndarray):
         zero = np.zeros(1, dtype=np.intp)
-        return cls(stack, _state_keys(psi[None]), zero, zero, zero, psi[None])
+        self.stack = stack
+        self.seen, self.seen_at = _state_keys(psi[None]), zero
+        self.parent = self.generator = zero
+        self.frontier, self.lo = psi[None], 0
 
     def chain(self, i: int) -> list[int]:
         """The generators of state i, the last applied first."""
@@ -747,8 +741,8 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     words = clifford_generator_words(dims)
     words += [invert_word(w) for w in words if invert_word(w) != w]
     stack = np.array([word_unitary(w, dims) for w in words])
-    fwd = _SearchSide.start(psi1, stack)
-    bwd = _SearchSide.start(psi2, stack.conj().swapaxes(1, 2))
+    fwd = _SearchSide(psi1, stack)
+    bwd = _SearchSide(psi2, stack.conj().swapaxes(1, 2))
     G = len(words)
     rows = max(1, _SEARCH_BLOCK_BYTES // (G * D * 16))
     expansions = 0

@@ -18,8 +18,8 @@ where trivial-syndrome projection preserves the parametrized form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def t_states() -> tuple[np.ndarray, np.ndarray]:
     return T0, T1
 
 
-@dataclass(frozen=True)
-class PairParams:
+class PairParams(NamedTuple):
     """Error populations and psi_0/psi_3 coherences of one pair."""
 
     eps1: float = 0.0
@@ -96,22 +95,13 @@ def pair_basis() -> list[np.ndarray]:
     return [psi0, psi1, psi2, psi3]
 
 
-@dataclass
-class CodeSpec:
-    """The five-qubit perfect code: generators and trivial-syndrome projector."""
-
-    generators: tuple[str, ...] = FIVE_QUBIT_GENERATORS
-
-    def projector(self) -> np.ndarray:
-        P = np.eye(32, dtype=np.complex128)
-        for g in self.generators:
-            P = P @ (np.eye(32) + pauli_string(g)) / 2.0
-        return P
-
-
 @lru_cache(maxsize=1)
 def code_projector() -> np.ndarray:
-    return CodeSpec().projector()
+    """The five-qubit perfect code's trivial-syndrome projector."""
+    P = np.eye(32, dtype=np.complex128)
+    for g in FIVE_QUBIT_GENERATORS:
+        P = P @ (np.eye(32) + pauli_string(g)) / 2.0
+    return P
 
 
 def project_T_overlaps() -> dict:

@@ -11,7 +11,7 @@ rule.  The dual of min ||c||_1 s.t. Ac = b is max Re<b, y> s.t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .measures import group_stabilizer_fidelity
 from .stabilizers import StabilizerDictionary
 
 
-@dataclass
-class ExtentProblem:
+class ExtentProblem(NamedTuple):
     target: np.ndarray
     dictionary: np.ndarray               # (K, D): rows are dictionary states
     projector: np.ndarray | None = None  # optional projector onto span(S_G)
@@ -36,8 +35,7 @@ class ExtentProblem:
         return cls(np.asarray(target, dtype=np.complex128), dictionary.matrix.copy())
 
 
-@dataclass
-class ExtentSolution:
+class ExtentSolution(NamedTuple):
     value: float
     coefficients: np.ndarray
     residual: float
@@ -136,8 +134,7 @@ def witness_bound(psi: np.ndarray, omega: np.ndarray, states) -> float:
     return float(abs(np.vdot(psi, omega)) ** 2 / F)
 
 
-@dataclass
-class ExtentCheck:
+class ExtentCheck(NamedTuple):
     name: str
     fidelity: float
     solved: float

@@ -12,8 +12,8 @@ the stabilizer fidelity, and the order-8 series of Xi_2 along the path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,17 +26,13 @@ from .weyl import shifted_characters
 ZERO_TOL = 1e-10  # |W| below this counts as a vanishing Wigner value
 
 
-@dataclass
 class PerturbationFrame:
     """Base state, orthogonal direction, and the induced sigma/mu operators."""
 
-    dims: Dims
-    base: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=np.complex128)
-        self.direction = np.asarray(self.direction, dtype=np.complex128)
+    def __init__(self, dims: Dims, base: np.ndarray, direction: np.ndarray):
+        self.dims = dims
+        self.base = np.asarray(base, dtype=np.complex128)
+        self.direction = np.asarray(direction, dtype=np.complex128)
         for name, v in (("base", self.base), ("direction", self.direction)):
             if abs(np.linalg.norm(v) - 1.0) > 1e-9:
                 raise ValueError(f"{name} is not normalized")
@@ -55,8 +51,7 @@ class PerturbationFrame:
         return np.outer(psi, psi.conj())
 
 
-@dataclass
-class CriticalReport:
+class CriticalReport(NamedTuple):
     measure: str       # mana | fidelity | xi2
     kind: str          # sharp_min | smooth_max | smooth_min | flat | inflection | undetermined
     leading_order: int

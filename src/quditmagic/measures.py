@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,12 +18,14 @@ from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_
 from .weyl import TOL_OP, density_of, shifted_characters, transform_plan
 
 
-@dataclass
 class WignerFunction:
     """Real quasi-probability values indexed by phase-space point."""
 
-    dims: Dims
-    values: np.ndarray
+    __slots__ = ("dims", "values")
+
+    def __init__(self, dims: Dims, values: np.ndarray):
+        self.dims = dims
+        self.values = values
 
     def as_grid(self) -> np.ndarray:
         """(d^N, d^N) view with rows indexed by p and columns by q."""
@@ -94,12 +96,17 @@ def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndar
     return best, [states[i] for i in (ov >= best - tie_tol).nonzero()[0]]
 
 
-@dataclass
 class PauliDistribution:
-    """P_chi = d^-N |<psi|T_chi|psi>|^2 over phase-reduced Pauli labels."""
+    """P_chi = d^-N |<psi|T_chi|psi>|^2 over phase-reduced Pauli labels.
 
-    dims: Dims
-    probs: np.ndarray
+    This and WignerFunction are built on every measure call, so they are
+    slotted classes, which are quicker to build and read than NamedTuples."""
+
+    __slots__ = ("dims", "probs")
+
+    def __init__(self, dims: Dims, probs: np.ndarray):
+        self.dims = dims
+        self.probs = probs
 
 
 def pauli_distribution(psi: np.ndarray, dims: Dims) -> PauliDistribution:
@@ -144,18 +151,17 @@ def mixed_sre2(rho, dims: Dims) -> float:
     return -math.log((traces ** 4).sum() / (traces ** 2).sum())
 
 
-@dataclass
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Bundle of the three measures for one state."""
 
     dims: Dims
     stabilizer_fidelity: float
     nearest_count: int
-    sre: dict = field(default_factory=dict)     # alpha -> value
-    xi: dict = field(default_factory=dict)      # alpha -> value
-    mana: float | None = None
-    wigner_trace_norm: float | None = None
-    exact_forms: dict = field(default_factory=dict)
+    sre: dict                # alpha -> value
+    xi: dict                 # alpha -> value
+    mana: float | None       # None for even d
+    wigner_trace_norm: float | None
+    exact_forms: dict
 
     def to_json(self) -> str:
         payload = {
@@ -177,15 +183,14 @@ def measure_report(psi: np.ndarray, dims: Dims, alphas=(2.0,),
                    exact_forms: dict | None = None) -> MeasureReport:
     """Evaluate all applicable measures on a pure state."""
     F, nearest = stabilizer_fidelity(psi, dims=dims)
-    rep = MeasureReport(
+    norm = wigner_trace_norm(psi, dims) if dims.odd else None
+    return MeasureReport(
         dims=dims,
         stabilizer_fidelity=F,
         nearest_count=len(nearest),
         sre={a: sre(psi, dims, a) for a in alphas},
         xi={a: xi(psi, dims, a) for a in alphas},
+        mana=None if norm is None else math.log(norm),
+        wigner_trace_norm=norm,
         exact_forms=exact_forms or {},
     )
-    if dims.odd:
-        rep.wigner_trace_norm = wigner_trace_norm(psi, dims)
-        rep.mana = math.log(rep.wigner_trace_norm)
-    return rep

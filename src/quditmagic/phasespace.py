@@ -8,7 +8,7 @@ Phase-space points chi = (p, q) are stored as flat integer arrays of length
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,18 +26,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Dims:
-    """System shape: N qudits of prime dimension d."""
+    """System shape: N qudits of prime dimension d; immutable and hashable.
 
-    d: int
-    N: int = 1
+    A slotted class rather than a NamedTuple: every kernel reads its fields,
+    and slot reads cost about half of NamedTuple field reads."""
 
-    def __post_init__(self):
-        if not _is_prime(self.d):
-            raise ValueError(f"d={self.d} is not prime")
-        if self.N < 1:
-            raise ValueError(f"N={self.N} must be >= 1")
+    __slots__ = ("d", "N")
+
+    def __init__(self, d: int, N: int = 1):
+        if not _is_prime(d):
+            raise ValueError(f"d={d} is not prime")
+        if N < 1:
+            raise ValueError(f"N={N} must be >= 1")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Dims.{name}: Dims is immutable")
+
+    def __reduce__(self):
+        return self.__class__, (self.d, self.N)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and self.N == other.N
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.N))
+
+    def __repr__(self) -> str:
+        return f"Dims(d={self.d}, N={self.N})"
 
     @property
     def D(self) -> int:
@@ -188,13 +208,12 @@ def span_elements(basis: np.ndarray, d: int) -> np.ndarray:
     return span
 
 
-@dataclass(frozen=True)
-class IsotropicSubspace:
+class IsotropicSubspace(NamedTuple):
     """A subspace of the phase space with vanishing symplectic products."""
 
     dims: Dims
     basis: np.ndarray  # echelonized, shape (k, 2N)
-    elements: np.ndarray = field(compare=False)  # shape (d^k, 2N)
+    elements: np.ndarray  # shape (d^k, 2N)
     maximal: bool
 
     @property

@@ -32,11 +32,10 @@ stabilizers of the basis rows generate those of all d^N elements.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ from .weyl import displace, displacement_matrix, unit_phase
 TIE_TOL = 1e-9  # default argmax tie tolerance
 
 
-@dataclass(frozen=True)
-class StabilizerState:
+class StabilizerState(NamedTuple):
     """A pure stabilizer state |M, chi> with its materialized vector."""
 
     subspace: IsotropicSubspace
@@ -124,15 +122,13 @@ def stabilizer_state(M: IsotropicSubspace, chi, dims: Dims) -> StabilizerState:
     return StabilizerState(M, rep, _coset_vectors([M], rep[None, None])[0, 0])
 
 
-@dataclass
 class StabilizerDictionary:
     """The complete set SS_(N,d), indexed by (subspace, displacement coset)."""
 
-    dims: Dims
-    states: list[StabilizerState]
-
-    def __post_init__(self):
-        self.matrix = np.array([s.vector for s in self.states])
+    def __init__(self, dims: Dims, states: list[StabilizerState]):
+        self.dims = dims
+        self.states = states
+        self.matrix = np.array([s.vector for s in states])
 
     @cached_property
     def index(self) -> dict[tuple[bytes, bytes], int]:
@@ -167,6 +163,8 @@ class StabilizerDictionary:
         return json.dumps({"d": self.dims.d, "N": self.dims.N, "states": recs}, indent=1)
 
     def to_csv(self) -> str:
+        import csv  # only a dictionary dump needs it
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["basis", "displacement", "amplitudes"])

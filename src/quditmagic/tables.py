@@ -7,7 +7,7 @@ to the printed number of digits carry a per-table tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,8 +258,7 @@ TABLE1_ROWS = ["2q:00", "2q:H0", "2q:T0", "2q:HH", "2q:TH", "2q:TT",
 # ---------------------------------------------------------------------------
 # recompute-and-compare helpers
 
-@dataclass
-class TableResult:
+class TableResult(NamedTuple):
     table_id: str
     rows: list
     max_error: float
@@ -445,9 +444,3 @@ def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
         rows += [list(map(float, r)) for r in qubit_fidelity_sphere(*grid)]
         return rows
     raise UnknownTableError(f"unknown table id {table_id!r}")
-
-
-TABLE_IDS = ["qutrit-wigner", "qutrit-fidelity", "ququint-wigner",
-             "ququint-fidelity", "2q-eigenstates", "qubit-L", "qutrit-L",
-             "ququint-L", "qutrit-W", "ququint-W", "qubit-sre", "qutrit-sre",
-             "ququint-sre", "2q-sre", "qubit-fidelity-sphere"]

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from quditmagic import cli, extent
+from quditmagic import cli, extent, stabilizers
 from quditmagic.cli import main
 from quditmagic.clifford import enumerate_reduced_clifford, nondegenerate_eigenstates
 from quditmagic.phasespace import Dims
@@ -60,6 +60,14 @@ def test_tables_csv_and_unknown(capsys, tmp_path):
     assert lines[0].startswith("theta") and len(lines) == 1 + 5 * 9
 
 
+def test_every_table_id_has_rows():
+    # the CLI lists the ids itself, so that parsing them does not import tables
+    from quditmagic.tables import table_rows
+
+    for table_id in cli.TABLE_IDS:
+        assert len(table_rows(table_id, grid=(2, 3))) > 1, table_id
+
+
 @pytest.mark.parametrize("argv", [
     ["tables", "qubit-fidelity-sphere", "--grid", "3by4"],
     ["tables", "qubit-fidelity-sphere", "--grid", "3x4x5"],
@@ -67,6 +75,20 @@ def test_tables_csv_and_unknown(capsys, tmp_path):
     ["extremality", "qubit:T0", "--sweep", "3x"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_malformed_grid_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "qutrit:S", "--alphas", "2,x"],
+    ["distill", "sweep", "--eps3", "0:0.02"],
+    ["distill", "sweep", "--eps3", "abc"],
+    ["distill", "step", "--eps3", "abc"],
+    ["distill", "step", "--eps3", "0:0.2:0.01"],
+], ids=" ".join)
+def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -158,15 +180,28 @@ def test_extent_solve(capsys):
 
 
 def test_extent_solve_unconverged_exits_nonzero(capsys, monkeypatch):
-    def capped(problem, tol):
-        return extent.solve_extent(problem, tol=tol, max_iter=50)
+    solve = extent.solve_extent
 
-    monkeypatch.setattr(cli, "solve_extent", capped)
+    def capped(problem, tol):
+        return solve(problem, tol=tol, max_iter=50)
+
+    monkeypatch.setattr(extent, "solve_extent", capped)
     code = main(["extent", "solve", "--state", "qubit:T0", "--tol", "1e-12", "--json"])
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out)["converged"] is False
     assert "not converged" in captured.err
+
+
+def test_extent_group_builds_no_dictionary(capsys, monkeypatch):
+    def refuse(dims):
+        raise AssertionError("the --group path built the stabilizer dictionary")
+
+    monkeypatch.setattr(stabilizers, "enumerate_stabilizer_states", refuse)
+    code, out = run(capsys, "extent", "solve", "--state", "qubit:T0", "--group", "S@1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["converged"] is True and data["self_witness_lower_bound"] is None
 
 
 def test_cli_import_does_not_load_scipy():
