@@ -8,13 +8,15 @@ catalog, dictionary, search.  State specs are catalog names (qutrit:S),
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import re
 import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import QuditMagicError
+from .errors import DimensionMismatchError, QuditMagicError, UnknownStateError
 
 if TYPE_CHECKING:
     from .phasespace import Dims
@@ -78,44 +80,50 @@ def parse_eps3(text: str) -> float | tuple[float, float, float]:
     return values
 
 
-def parse_state(spec: str, dims: Dims | None = None) -> tuple[np.ndarray, Dims]:
+def parse_direction(text: str) -> tuple[str, float | str]:
+    """The `--direction` argument: phase:<phi> or state:<spec>."""
+    kind, _, value = text.partition(":")
+    try:
+        if kind in ("phase", "state") and value:
+            return kind, float(value) if kind == "phase" else value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not phase:<phi> or state:<spec>")
+
+
+def parse_state(spec: str) -> tuple[np.ndarray, Dims]:
+    """A catalog name, @file.json or inline JSON; UnknownStateError, naming
+    the spec, for one that cannot be read."""
     from . import catalog
     from .weyl import state_from_json
 
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return state_from_json(json.load(fh))
-    if spec.lstrip().startswith("{"):
-        return state_from_json(json.loads(spec))
+    try:
+        if spec.startswith("@"):
+            with open(spec[1:]) as fh:
+                return state_from_json(json.load(fh))
+        if spec.lstrip().startswith("{"):
+            return state_from_json(json.loads(spec))
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise UnknownStateError(f"cannot read state spec {spec!r}: "
+                                f"{type(exc).__name__}: {exc}") from None
     psi = catalog.build(spec)
     return psi, catalog.entry(spec).dims
 
 
 def _emit(args, payload, rows=None):
-    text = None
     if getattr(args, "json", False) or rows is None:
         text = json.dumps(payload, indent=1, default=_jsonable)
     else:
         import csv
 
-        buf = []
-        w = csv.writer(_ListWriter(buf))
-        for r in rows:
-            w.writerow(r)
-        text = "".join(buf)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue()
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + ("\n" if not text.endswith("\n") else ""))
     else:
         print(text)
-
-
-class _ListWriter:
-    def __init__(self, buf):
-        self.buf = buf
-
-    def write(self, s):
-        self.buf.append(s)
 
 
 def _jsonable(obj):
@@ -275,16 +283,17 @@ def cmd_extremality(args) -> int:
         _emit(args, {"rows": rows}, rows=rows)
         return 0
 
-    spec = args.direction or "phase:0"
-    if spec.startswith("phase:"):
-        phi = float(spec.split(":", 1)[1])
-        direction = np.exp(1j * phi) * basis[0]
-    elif spec.startswith("state:"):
-        vec, _ = parse_state(spec.split(":", 1)[1])
-        vec = vec - np.vdot(psi, vec) * psi
-        direction = vec / np.linalg.norm(vec)
+    kind, value = args.direction
+    if kind == "phase":
+        direction = np.exp(1j * value) * basis[0]
     else:
-        raise SystemExit(f"bad direction spec {spec!r}")
+        vec, vec_dims = parse_state(value)
+        if vec_dims != dims:
+            raise DimensionMismatchError(f"direction {value!r} is not on {dims}")
+        vec = vec - np.vdot(psi, vec) * psi
+        if np.linalg.norm(vec) < 1e-9:
+            raise QuditMagicError(f"direction {value!r} has no part orthogonal to the state")
+        direction = vec / np.linalg.norm(vec)
     reports = classify(direction)
     payload = {m: r._asdict() for m, r in reports.items()}
     payload["xi2_coefficients"] = xi2_expansion(
@@ -328,7 +337,8 @@ def cmd_extent(args) -> int:
     if args.group:
         from .clifford import FiniteUnitaryGroup, group_stabilizer_states, word_unitary
 
-        gens = [word_unitary([g], dims) for g in args.group.split(",")]
+        # a comma before a letter starts a token; others separate sites, as in CZ@1,2
+        gens = [word_unitary([g], dims) for g in re.split(r",(?=[^\d\s])", args.group)]
         G = FiniteUnitaryGroup.generate(gens)
         states = group_stabilizer_states(G)
         span = np.array(states).T
@@ -439,7 +449,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("extremality", help="criticality along a direction")
     p.add_argument("state")
-    p.add_argument("--direction", default=None,
+    p.add_argument("--direction", type=parse_direction, default=("phase", 0.0),
                    help="phase:<phi> or state:<spec>")
     p.add_argument("--sweep", type=parse_grid, default=None,
                    help="NTxNP angle grid -> CSV")

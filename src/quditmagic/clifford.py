@@ -55,6 +55,7 @@ from .phasespace import (
     mod_inverse,
     phase_points,
     symplectic_form,
+    symplectic_group_order,
 )
 from .stabilizers import enumerate_stabilizer_states
 from .weyl import (
@@ -272,14 +273,37 @@ def _embed(op: np.ndarray, sites: tuple[int, ...], dims: Dims) -> np.ndarray:
     return full.transpose(order).reshape(dims.D, dims.D)
 
 
+_TWO_QUBIT_GATES = {
+    "CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                     dtype=np.complex128),
+    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                     dtype=np.complex128),
+}
+
+
 def gate_unitary(token: str, dims: Dims) -> np.ndarray:
-    """Matrix for a word token like 'H@1', 'S†@2', 'CZ@1,2', 'CNOT@1,2', 'SWAP@1,2'."""
+    """Matrix for a word token like 'H@1', 'S†@2', 'CZ@1,2', 'CNOT@1,2', 'SWAP@1,2'.
+
+    A one-qudit token without sites acts on qudit 1.  NotCliffordError for an
+    unknown gate, or for sites that are not distinct integers in 1..N, one
+    per qudit the gate acts on."""
     name, _, where = token.partition("@")
     dagger = name.endswith("†") or name.endswith("dag")
     name = name.removesuffix("†").removesuffix("dag")
-    sites = tuple(int(s) for s in where.split(",")) if where else (1,)
+    if name not in _QUBIT_GATES and name not in _TWO_QUBIT_GATES:
+        raise NotCliffordError(f"unknown gate token {token!r}")
+    arity = 1 if name in _QUBIT_GATES else 2
+    sites = tuple(int(s) if s.isdecimal() else 0 for s in where.split(",")) if where else (1,)
+    if len(sites) != arity or len(set(sites)) != arity or not all(0 < s <= dims.N for s in sites):
+        raise NotCliffordError(f"gate token {token!r} needs {arity} distinct site(s) "
+                               f"in 1..{dims.N}")
     d = dims.d
-    if name in ("H", "S", "X", "Z"):
+    if arity == 2:
+        if d != 2:
+            raise NotCliffordError("two-qudit word tokens are qubit-only here")
+        mat = _embed(_TWO_QUBIT_GATES[name], sites, dims)
+    else:
         if d == 2:
             op = _QUBIT_GATES[name]
         else:
@@ -290,22 +314,7 @@ def gate_unitary(token: str, dims: Dims) -> np.ndarray:
                 op = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
             else:
                 op = np.diag([unit_phase(j, d) for j in range(d)])
-        mat = _embed(op, sites[:1], dims)
-    elif name == "CZ":
-        if d != 2:
-            raise NotCliffordError("CZ word tokens are qubit-only here")
-        cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)
-        mat = _embed(cz, sites, dims)
-    elif name == "CNOT":
-        cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                      dtype=np.complex128)
-        mat = _embed(cx, sites, dims)
-    elif name == "SWAP":
-        sw = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                      dtype=np.complex128)
-        mat = _embed(sw, sites, dims)
-    else:
-        raise NotCliffordError(f"unknown gate token {token!r}")
+        mat = _embed(op, sites, dims)
     return mat.conj().T if dagger else mat
 
 
@@ -322,21 +331,15 @@ def word_unitary(word, dims: Dims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # group enumeration
 
-def _quantize(v: np.ndarray, grid: float) -> bytes:
+def _quantize(v: np.ndarray, grid: float = 1e-8) -> bytes:
+    """The real and imaginary parts of v, every entry in C order, on a grid."""
     pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
     return np.round(pairs / grid).astype(np.int64).tobytes()
 
 
-def _exact_key(U: np.ndarray, grid: float = 1e-8) -> bytes:
-    return _quantize(np.asarray(U).ravel(), grid)
-
-
 def clifford_group_order(dims: Dims) -> int:
-    """d^2N * d^(N^2) * prod_i (d^(2i) - 1)  (reduced group)."""
-    order = dims.d ** (2 * dims.N) * dims.d ** (dims.N ** 2)
-    for i in range(1, dims.N + 1):
-        order *= dims.d ** (2 * i) - 1
-    return order
+    """d^2N |Sp(2N, Z_d)|  (reduced group)."""
+    return dims.n_points * symplectic_group_order(dims.d, dims.N)
 
 
 def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
@@ -354,8 +357,7 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
     return words
 
 
-_STACK_BLOCK = 4096   # elements per batched product when the unitary stack is filled
-_ELEMENT_BYTES = 1024  # one CliffordElement: the object, three array views, its word
+_STACK_BLOCK = 4096  # elements per batched product when the unitary stack is filled
 
 
 def _group_bytes(dims: Dims, n_gens: int) -> int:
@@ -366,13 +368,13 @@ def _group_bytes(dims: Dims, n_gens: int) -> int:
     order: per candidate four int64 code blocks of 2N (composed perm and k,
     their code and its transposed copy) and its key, search position, mask
     and sort index.  On demand come the unitary stack with one block's
-    gathered generators and parents, the (S, a) arrays with their int64
-    transients, and one CliffordElement per element."""
+    gathered generators and parents, and the (S, a) arrays with their int64
+    transients."""
     order, L, D2 = clifford_group_order(dims), 2 * dims.N, dims.D ** 2 * 16
     code_size = np.min_scalar_type(dims.n_points * dims.d - 1).itemsize
     return (order * (L * code_size + 8 + 1 + 2 * 8) + order * n_gens * (4 * L * 8 + 4 * 8)
             + (order + 2 * min(order, _STACK_BLOCK)) * D2
-            + order * (4 * L * L * 8 + 4 * L * 8 + _ELEMENT_BYTES))
+            + order * (4 * L * L * 8 + 4 * L * 8))
 
 
 class ReducedCliffordGroup:
@@ -382,7 +384,7 @@ class ReducedCliffordGroup:
     element parent[i], which lies on the previous BFS level.  codes[i, j] =
     perm * d + k codes element i's action on the unit label e_(j+1), and
     offsets[l]:offsets[l + 1] is level l.  Words, (S, a), the unitary stack
-    and the CliffordElement views are built from these on demand."""
+    and each CliffordElement view are built from these on demand."""
 
     def __init__(self, dims: Dims, gen_words: list[tuple[str, ...]], gens: np.ndarray,
                  codes: np.ndarray, parent: np.ndarray, generator: np.ndarray,
@@ -402,8 +404,8 @@ class ReducedCliffordGroup:
         """The word of element i: its generator, then its parent's word."""
         word = ()
         while i:
-            word += self.gen_words[self.generator[i]]
-            i = int(self.parent[i])
+            word += self.gen_words[self.generator.item(i)]
+            i = self.parent.item(i)
         return word
 
     @cached_property
@@ -424,14 +426,13 @@ class ReducedCliffordGroup:
                 np.matmul(self.gens[self.generator[block]], U[self.parent[block]], out=U[block])
         return U
 
-    @cached_property
-    def elements(self) -> tuple[CliffordElement, ...]:
-        """One CliffordElement per element, viewing the stack and (S, a)."""
+    def __getitem__(self, i: int) -> CliffordElement:
+        """Element i as a CliffordElement viewing the stack and (S, a), which
+        the first read fills.  List-like: negative indices count from the end,
+        and the IndexError past it also ends iteration."""
+        i = range(len(self))[i]
         (S, a), U = self.affine, self.unitaries
-        words = [()]
-        for g, p in zip(self.generator[1:].tolist(), self.parent[1:].tolist()):
-            words.append(self.gen_words[g] + words[p])
-        return tuple(CliffordElement(U[i], S[i], a[i], self.dims, w) for i, w in enumerate(words))
+        return CliffordElement(U[i], S[i], a[i], self.dims, self.word(i))
 
 
 @lru_cache(maxsize=None)
@@ -479,17 +480,17 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
 def reduced_clifford_group(dims: Dims) -> ReducedCliffordGroup:
     """The reduced Clifford group as integer arrays, cached per (d, N).
 
-    The budget check before the BFS also counts the unitary stack, (S, a)
-    and the element views, which every caller builds from it on demand."""
+    The budget check before the BFS also counts the unitary stack and
+    (S, a), which callers build from it on demand."""
     words = clifford_generator_words(dims)
     check_budget(_group_bytes(dims, len(words)), f"the reduced Clifford group for {dims}")
     return _reduced_group_cached(dims.d, dims.N)
 
 
-def enumerate_reduced_clifford(dims: Dims) -> list[CliffordElement]:
-    """One representative per element of the reduced Clifford group, in BFS
-    order: views into the group's unitary stack and (S, a) arrays."""
-    return list(reduced_clifford_group(dims).elements)
+def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
+    """The reduced Clifford group as a sequence of CliffordElement views in
+    BFS order; the unitary stack and (S, a) are filled by the first read."""
+    return reduced_clifford_group(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +508,14 @@ class FiniteUnitaryGroup:
         gens = [np.asarray(g, dtype=np.complex128) for g in generators]
         D = gens[0].shape[0]
         eye = np.eye(D, dtype=np.complex128)
-        seen = {_exact_key(eye): eye}
+        seen = {_quantize(eye): eye}
         frontier = [eye]
         while frontier:
             nxt = []
             for U in frontier:
                 for G in gens:
                     V = G @ U
-                    key = _exact_key(V)
+                    key = _quantize(V)
                     if key not in seen:
                         if len(seen) >= max_order:
                             raise BudgetExceededError("group closure exceeds budget")
@@ -527,10 +528,10 @@ class FiniteUnitaryGroup:
         return len(self.elements)
 
     def check_closed(self) -> None:
-        keys = {_exact_key(U) for U in self.elements}
+        keys = {_quantize(U) for U in self.elements}
         for U in self.elements:
             for G in self.generators or self.elements:
-                if _exact_key(G @ U) not in keys:
+                if _quantize(G @ U) not in keys:
                     raise NonClosedGroupError("set is not closed under multiplication")
 
 
@@ -604,14 +605,6 @@ def group_stabilizer_states(group: FiniteUnitaryGroup,
                 if F.shape[1] == 1:
                     _add(E @ F[:, 0])
     return states
-
-
-def eigenphase_extended_group(C, dims: Dims, max_order: int = 4096) -> FiniteUnitaryGroup:
-    """Closure of <C> together with the scalar phases from its spectrum."""
-    C = np.asarray(C, dtype=np.complex128)
-    vals = np.linalg.eigvals(C)
-    scalars = [val * np.eye(dims.D, dtype=np.complex128) for val in vals]
-    return FiniteUnitaryGroup.generate([C] + scalars, max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ class InfeasibleExtentError(QuditMagicError):
 
 
 class UnknownStateError(QuditMagicError):
-    """Catalog name not recognized."""
+    """State spec not recognized: an unknown catalog name, or a file or JSON
+    spec that cannot be read as a state."""
 
 
 class UnknownTableError(QuditMagicError):

@@ -162,15 +162,6 @@ def symplectic_group_order(d: int, N: int) -> int:
     return order
 
 
-def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
-    """Brute-force Sp(2, Z_d) = SL(2, Z_d); test-scale only."""
-    out = []
-    for a, b, c, e in itertools.product(range(d), repeat=4):
-        if (a * e - b * c) % d == 1:
-            out.append(np.array([[a, b], [c, e]], dtype=np.int64))
-    return out
-
-
 def row_reduce(rows: np.ndarray, d: int) -> np.ndarray:
     """Reduced row echelon form over Z_d with unit pivots; zero rows dropped."""
     mat = np.array(rows, dtype=np.int64) % d
@@ -213,12 +204,19 @@ class IsotropicSubspace(NamedTuple):
 
     dims: Dims
     basis: np.ndarray  # echelonized, shape (k, 2N)
-    elements: np.ndarray  # shape (d^k, 2N)
-    maximal: bool
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def maximal(self) -> bool:
+        return self.dim == self.dims.N
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The d^k points of the span, lexicographic in coefficients; built on each call."""
+        return span_elements(self.basis, self.dims.d)
 
     def key(self) -> bytes:
         return self.basis.tobytes()
@@ -308,11 +306,10 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
     bases = bases[sorted(range(len(keys)), key=keys.__getitem__)]
     if np.any(symplectic_product(bases[:, :, None, :], bases[:, None, :, :], d) != 0):
         raise ValueError("basis does not span an isotropic subspace")
-    elements = span_elements(bases, d)
-    return [IsotropicSubspace(dims, b, e, maximal=True) for b, e in zip(bases, elements)]
+    return [IsotropicSubspace(dims, b) for b in bases]
 
 
-_SUBSPACE_BYTES = 1024  # one IsotropicSubspace beyond its arrays: the object, two views, its key
+_SUBSPACE_BYTES = 1024  # one IsotropicSubspace beyond its basis: the object, its view, its key
 _FIRST_CALL_BYTES = 2 ** 20  # a first enumeration in a process peaks 0.5 MiB higher at any size
 
 
@@ -321,11 +318,10 @@ def _isotropic_bytes(dims: Dims) -> int:
 
     Per subspace: four N x 2N stacks (the basis blocks, their concatenation,
     its sorted copy and the bytes keys), the two N x N x N products of the
-    pairwise isotropy check, the d^N span elements and the object.  Once per
-    process, the first use of the numpy routines it calls."""
+    pairwise isotropy check and the object.  Once per process, the first use
+    of the numpy routines it calls."""
     N, L = dims.N, 2 * dims.N
-    return (count_maximal_isotropic(dims) * ((4 * N * L + N * N * L + dims.D * L) * 8
-                                             + _SUBSPACE_BYTES)
+    return (count_maximal_isotropic(dims) * ((4 * N * L + N * N * L) * 8 + _SUBSPACE_BYTES)
             + _FIRST_CALL_BYTES)
 
 

@@ -34,19 +34,22 @@ from __future__ import annotations
 
 import io
 import json
-from functools import cached_property, lru_cache
+from bisect import bisect_left
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStabilizerError, check_budget
 from .phasespace import (
+    _FIRST_CALL_BYTES,
     _SUBSPACE_BYTES,
     Dims,
     IsotropicSubspace,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
     lex_grid,
+    point_index,
     reduce_by_pivots,
     symplectic_product,
 )
@@ -78,14 +81,12 @@ class StabilizerState(NamedTuple):
         return True
 
 
-def _coset_vectors(subspaces: list[IsotropicSubspace], chis: np.ndarray) -> np.ndarray:
-    """|M, chi> for every subspace M = subspaces[i] and displacement
-    chi = chis[i, j], as an array (len(subspaces), chis.shape[1], D); every
-    vector is checked against the equations of M's basis rows at 1e-8."""
-    dims = subspaces[0].dims
+def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarray:
+    """|M, chi> for every subspace M with echelon basis basis[i] and
+    displacement chi = chis[i, j], as an array (len(basis), chis.shape[1], D);
+    every vector is checked against the equations of M's basis rows at 1e-8."""
     d = dims.d
-    basis = np.array([M.basis for M in subspaces])
-    psi = np.zeros((len(subspaces), dims.D), dtype=np.complex128)
+    psi = np.zeros((len(basis), dims.D), dtype=np.complex128)
     psi[:, 0] = 1.0
     for i in range(dims.N):
         term = acc = psi
@@ -119,33 +120,41 @@ def stabilizer_state(M: IsotropicSubspace, chi, dims: Dims) -> StabilizerState:
     if not M.maximal:
         raise InvalidStabilizerError("subspace is not maximal")
     rep = M.reduce_mod(chi)
-    return StabilizerState(M, rep, _coset_vectors([M], rep[None, None])[0, 0])
+    return StabilizerState(M, rep, _coset_vectors(M.basis[None], rep[None, None], dims)[0, 0])
 
 
 class StabilizerDictionary:
-    """The complete set SS_(N,d), indexed by (subspace, displacement coset)."""
+    """The complete set SS_(N,d) as arrays, in key order of the subspaces:
+    state i is |M, chi> with M = subspaces[i // D], chi = displacements[i]
+    (the coset's canonical representative) and vector matrix[i].  A
+    StabilizerState is built only when a state is read."""
 
-    def __init__(self, dims: Dims, states: list[StabilizerState]):
+    def __init__(self, dims: Dims, subspaces: list[IsotropicSubspace],
+                 displacements: np.ndarray, matrix: np.ndarray):
         self.dims = dims
-        self.states = states
-        self.matrix = np.array([s.vector for s in states])
-
-    @cached_property
-    def index(self) -> dict[tuple[bytes, bytes], int]:
-        """Position of each state by (subspace key, displacement bytes); built
-        on the first lookup."""
-        return {(s.subspace.key(), s.displacement.tobytes()): i
-                for i, s in enumerate(self.states)}
+        self.subspaces = subspaces          # sorted by key, D cosets each
+        self.displacements = displacements  # (n, 2N)
+        self.matrix = matrix                # (n, D)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrix)
 
-    def __iter__(self):
-        return iter(self.states)
+    def __getitem__(self, i: int) -> StabilizerState:
+        """State i, list-like: negative indices count from the end, and the
+        IndexError past it also ends iteration."""
+        vector = self.matrix[i]
+        i %= len(self.matrix)
+        return StabilizerState(self.subspaces[i // len(vector)], self.displacements[i], vector)
 
     def lookup(self, subspace: IsotropicSubspace, chi) -> StabilizerState:
-        key = (subspace.key(), subspace.reduce_mod(chi).tobytes())
-        return self.states[self.index[key]]
+        """The state of M = subspace and the coset of chi: M's rank in key
+        order times D, plus the lex index of the representative's free columns."""
+        key = subspace.key()
+        rank = bisect_left(self.subspaces, key, key=IsotropicSubspace.key)
+        if rank == len(self.subspaces) or self.subspaces[rank].key() != key:
+            raise KeyError("subspace is not in the dictionary")
+        free = np.delete(subspace.reduce_mod(chi), np.argmax(subspace.basis != 0, axis=1))
+        return self[rank * self.dims.D + point_index(free, self.dims)]
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """|<s|psi>|^2 for every dictionary state, as |<psi|s>|^2 so that only
@@ -153,13 +162,8 @@ class StabilizerDictionary:
         return np.abs(self.matrix @ np.asarray(psi, dtype=np.complex128).conj()) ** 2
 
     def to_json(self) -> str:
-        recs = []
-        for s in self.states:
-            recs.append({
-                "basis": s.subspace.basis.tolist(),
-                "displacement": s.displacement.tolist(),
-                "amplitudes": [[float(a.real), float(a.imag)] for a in s.vector],
-            })
+        recs = [{"basis": s.subspace.basis.tolist(), "displacement": s.displacement.tolist(),
+                 "amplitudes": [[float(a.real), float(a.imag)] for a in s.vector]} for s in self]
         return json.dumps({"d": self.dims.d, "N": self.dims.N, "states": recs}, indent=1)
 
     def to_csv(self) -> str:
@@ -168,7 +172,7 @@ class StabilizerDictionary:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["basis", "displacement", "amplitudes"])
-        for s in self.states:
+        for s in self:
             w.writerow([
                 ";".join(",".join(map(str, row)) for row in s.subspace.basis),
                 ",".join(map(str, s.displacement)),
@@ -179,28 +183,24 @@ class StabilizerDictionary:
 
 def stabilizer_count(dims: Dims) -> int:
     """d^N prod_{i=1..N} (d^i + 1)."""
-    n = dims.D
-    for i in range(1, dims.N + 1):
-        n *= dims.d ** i + 1
-    return n
-
-
-_STATE_BYTES = 512  # one StabilizerState: the object, its two array views, a list slot
+    return dims.D * count_maximal_isotropic(dims)
 
 
 def _dictionary_bytes(dims: Dims) -> int:
     """An upper bound on the peak bytes of a dictionary build.
 
-    Per state: three vectors, for the coset vectors with one `displace`
-    output and its gather at the peak of the check, which also covers the
-    coset vectors with the `matrix` copy afterwards; the StabilizerState
-    object; and six int64 points of 2N (its subspace element, its coset
-    representative and their transients).  Per subspace: five basis stacks
-    (the enumeration's blocks, their sorted copy, its isotropy check and the
-    stack taken here), its key and its object."""
+    Per state: three vectors, for the coset vectors (which `matrix` views)
+    with one `displace` output and its gather at the peak of the check; an
+    int64 index of D, the index of the gather that builds the coset vectors;
+    and six int64 points of 2N, for its coset representative (which
+    `displacements` views) and the transients of its reduction.  Per
+    subspace: five basis stacks (the enumeration's blocks, their sorted copy,
+    its isotropy check and the stack taken here), its key and its object.
+    Once per process, the enumeration's first call."""
     n_s, L = stabilizer_count(dims), 2 * dims.N
-    return (n_s * (3 * dims.D * 16 + _STATE_BYTES + 6 * L * 8)
-            + count_maximal_isotropic(dims) * (5 * dims.N * L * 8 + _SUBSPACE_BYTES))
+    return (n_s * (3 * dims.D * 16 + dims.D * 8 + 6 * L * 8)
+            + count_maximal_isotropic(dims) * (5 * dims.N * L * 8 + _SUBSPACE_BYTES)
+            + _FIRST_CALL_BYTES)
 
 
 @lru_cache(maxsize=None)
@@ -218,11 +218,8 @@ def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
                       lex_grid(d, N), axis=2)
     if not np.array_equal(reduce_by_pivots(reps, basis[:, None], d), reps):
         raise InvalidStabilizerError("a coset representative is not reduced modulo its subspace")
-    vecs = _coset_vectors(subspaces, reps)
-    states = [StabilizerState(M, chi, v)
-              for M, M_reps, M_vecs in zip(subspaces, reps, vecs)
-              for chi, v in zip(M_reps, M_vecs)]
-    return StabilizerDictionary(dims, states)
+    vecs = _coset_vectors(basis, reps, dims)
+    return StabilizerDictionary(dims, subspaces, reps.reshape(-1, 2 * N), vecs.reshape(-1, dims.D))
 
 
 def enumerate_stabilizer_states(dims: Dims) -> StabilizerDictionary:
@@ -240,5 +237,5 @@ def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary,
         )
     ov = dictionary.overlaps(psi)
     best = float(ov.max())
-    nearest = [dictionary.states[i] for i in (ov >= best - tie_tol).nonzero()[0]]
+    nearest = [dictionary[i] for i in (ov >= best - tie_tol).nonzero()[0].tolist()]
     return best, nearest

@@ -5,9 +5,11 @@ index gathers and character sums.  The tables below stack every T_chi and
 every A_chi as a (d^(2N), D, D) array in lexicographic point order, so the
 tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
-cached per (d, N).
+cached per (d, N).  The brute-force Sp(2, Z_d) enumeration at the end is a
+reference for the single-qudit Clifford tests.
 """
 
+import itertools
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -51,3 +53,12 @@ def kernel_all(O1, O2, dims: Dims) -> np.ndarray:
     for every chi, in lexicographic point order."""
     T = displacement_table(dims)
     return np.einsum('ij,kjl,lm,kim->k', O1, T, O2, T.conj(), optimize=True) / dims.D
+
+
+def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
+    """Brute-force Sp(2, Z_d) = SL(2, Z_d); test-scale only."""
+    out = []
+    for a, b, c, e in itertools.product(range(d), repeat=4):
+        if (a * e - b * c) % d == 1:
+            out.append(np.array([[a, b], [c, e]], dtype=np.int64))
+    return out

@@ -9,7 +9,8 @@ import pytest
 
 from quditmagic import cli, extent, stabilizers
 from quditmagic.cli import main
-from quditmagic.clifford import enumerate_reduced_clifford, nondegenerate_eigenstates
+from quditmagic.clifford import enumerate_reduced_clifford, gate_unitary, nondegenerate_eigenstates
+from quditmagic.errors import NotCliffordError, UnknownStateError
 from quditmagic.phasespace import Dims
 from quditmagic.stabilizers import enumerate_stabilizer_states
 
@@ -93,6 +94,64 @@ def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"error: argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token, N", [
+    ("H@5", 1), ("H@0", 1), ("CZ@1,1", 2), ("CZ@1,2", 1), ("SWAP@1", 2), ("H@x", 1),
+    ("H@1,2", 2),
+])
+def test_bad_word_sites_exit_2(capsys, token, N):
+    dims = Dims(2, N)
+    with pytest.raises(NotCliffordError, match="site"):
+        gate_unitary(token, dims)
+    state = "qubit:T0" if N == 1 else "2q:G20,1"
+    for argv in (["eigenstates", "--dims", f"2,{N}", "--word", token],
+                 ["extent", "solve", "--state", state, "--group", f"S@1,{token}"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert repr(token) in captured.err
+
+
+def test_extent_group_takes_two_qubit_tokens(capsys):
+    code, out = run(capsys, "extent", "solve", "--state", "2q:G20,1",
+                    "--group", "CZ@1,2,H@1", "--json")
+    assert code == 0 and json.loads(out)["converged"]
+
+
+@pytest.mark.parametrize("direction", ["phase:abc", "foo", "state:"])
+def test_malformed_direction_exits_2(capsys, direction):
+    with pytest.raises(SystemExit) as exc:
+        main(["extremality", "qutrit:S", "--direction", direction])
+    assert exc.value.code == 2
+    assert "error: argument --direction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction, message", [
+    ("state:qutrit:S", "no part orthogonal"),
+    ("state:qubit:T0", "is not on Dims(d=3, N=1)"),
+])
+def test_unusable_direction_state_exits_2(capsys, direction, message):
+    assert main(["extremality", "qutrit:S", "--direction", direction]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("@{missing}", "No such file"),
+    ('{"d": 3, "N": 1, "amplitudes": [[1, 0]', "Expecting"),
+    ('{"d": 3, "N": 1}', "KeyError: 'amplitudes'"),
+    ('{"d": 4, "N": 1, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "not prime"),
+    ("qutrit:nope", "unknown catalog state"),
+], ids=["missing file", "malformed json", "no amplitudes", "d not prime", "unknown name"])
+def test_unreadable_state_spec_exits_2(capsys, tmp_path, spec, message):
+    spec = spec.replace("{missing}", str(tmp_path / "missing.json"))
+    with pytest.raises(UnknownStateError, match=message):
+        cli.parse_state(spec)
+    assert main(["measures", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert repr(spec) in captured.err
 
 
 def test_eigenstates_word(capsys):

@@ -23,7 +23,6 @@ from quditmagic.clifford import (
     clifford_generator_words,
     clifford_group_order,
     eigenpairs,
-    eigenphase_extended_group,
     enumerate_reduced_clifford,
     group_projector,
     group_stabilizer_states,
@@ -39,7 +38,6 @@ from quditmagic.clifford import (
 from quditmagic.errors import BudgetExceededError, NotCliffordError, UnsupportedDimensionError
 from quditmagic.phasespace import (
     Dims,
-    enumerate_symplectic_2x2,
     mod_inverse,
     phase_points,
     point,
@@ -54,7 +52,7 @@ from quditmagic.weyl import (
     unit_phase,
 )
 
-from oracles import displacement_table, phase_point_table
+from oracles import displacement_table, enumerate_symplectic_2x2, phase_point_table
 
 BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
 
@@ -272,8 +270,10 @@ def test_twirl_properties():
 
 
 def test_eigenphase_extended_closure_qutrit_H():
+    # the closure of <H> together with the scalar phases from its spectrum
     H, _ = qudit_clifford_generators(3)
-    G = eigenphase_extended_group(H.unitary, Dims(3, 1))
+    scalars = [val * np.eye(3, dtype=np.complex128) for val in np.linalg.eigvals(H.unitary)]
+    G = FiniteUnitaryGroup.generate([H.unitary] + scalars, max_order=4096)
     G.check_closed()
     assert any(np.allclose(g, np.eye(3)) for g in G.elements)
 
@@ -538,11 +538,42 @@ def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
         assert len(enumerate_reduced_clifford(dims)) == clifford_group_order(dims)
 
 
+def test_enumeration_fills_nothing_until_an_element_is_read(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("CliffordElement built")
+
+    clifford._reduced_group_cached.cache_clear()
+    monkeypatch.setattr(clifford, "CliffordElement", forbidden)
+    group = enumerate_reduced_clifford(Dims(3, 1))
+    assert len(group) == 216
+    assert "unitaries" not in vars(group) and "affine" not in vars(group)
+    monkeypatch.undo()
+    el = group[-1]
+    assert "unitaries" in vars(group) and "affine" in vars(group)
+    assert np.shares_memory(el.unitary, group.unitaries)
+    assert el.word == group.word(215)
+
+
+def test_group_indexing_is_list_like():
+    group = enumerate_reduced_clifford(Dims(2, 1))
+    S, a = group.affine
+    for i in (0, 5, 23):
+        for j in (i, i - 24):
+            el = group[j]
+            assert np.array_equal(el.unitary, group.unitaries[i])
+            assert np.array_equal(el.symplectic, S[i]) and np.array_equal(el.displacement, a[i])
+            assert el.word == group.word(i) and el.dims == Dims(2, 1)
+    for bad in (24, -25):
+        with pytest.raises(IndexError):
+            group[bad]
+    assert [el.word for el in group] == [group.word(i) for i in range(24)]
+
+
 def test_enumeration_refusals():
     # three qubits: 92 897 280 elements, each with its codes, parent, generator
-    # and keys, a candidate block of 9 per element, a 64 x 64 unitary, (S, a)
-    # and a CliffordElement, 5.05e11 bytes in all
-    nbytes = 505_276_694_528
+    # and keys, a candidate block of 9 per element, a 64 x 64 unitary and
+    # (S, a), 4.10e11 bytes in all
+    nbytes = 410_149_879_808
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_reduced_clifford(Dims(2, 3))

@@ -21,7 +21,7 @@ def rand_state(D, seed):
 
 def test_stabilizer_target_extent_one():
     dd = enumerate_stabilizer_states(Dims(3, 1))
-    sol = solve_extent(ExtentProblem.from_dictionary(dd.states[4].vector, dd))
+    sol = solve_extent(ExtentProblem.from_dictionary(dd[4].vector, dd))
     assert abs(sol.value - 1.0) < 1e-6
     assert sol.residual < 1e-7
 
@@ -66,7 +66,7 @@ def test_witness_bounds():
     t0 = build("qubit:T0")
     assert abs(witness_bound(t0, t0, dd) - (3 - np.sqrt(3))) < 1e-12
     # stabilizer witness gives a trivial bound <= 1
-    assert witness_bound(t0, dd.states[0].vector, dd) <= 1 + 1e-12
+    assert witness_bound(t0, dd[0].vector, dd) <= 1 + 1e-12
     dd3 = enumerate_stabilizer_states(Dims(3, 1))
     rng = np.random.default_rng(0)
     for seed in range(20):
@@ -90,7 +90,7 @@ def test_projected_variant_and_infeasible():
     dd = enumerate_stabilizer_states(Dims(3, 1))
     # restrict the dictionary to states supported on a 2-dim subspace: a
     # generic target is infeasible without the projector
-    sub = [s.vector for s in dd.states
+    sub = [s.vector for s in dd
            if abs(s.vector[2]) < 1e-12]
     psi = rand_state(3, 2)
     with pytest.raises(InfeasibleExtentError):

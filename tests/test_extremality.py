@@ -94,7 +94,7 @@ def test_w_matrix_tables_and_diagonal():
     # diagonal = trace norm; stabilizer diagonal = 1
     d3 = Dims(3, 1)
     dd = enumerate_stabilizer_states(d3)
-    basis = [dd.states[0].vector, dd.states[3].vector, dd.states[6].vector]
+    basis = [dd[0].vector, dd[3].vector, dd[6].vector]
     W = w_matrix(basis, d3)
     assert np.allclose(np.diag(W), 1.0, atol=1e-12)
 

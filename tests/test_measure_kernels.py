@@ -127,7 +127,7 @@ def test_fidelity_matches_conjugated_dictionary(dims):
     states = [haar_state(dims.D, rng) for _ in range(STATES_PER_DIMS)]
     # catalog states have large tied nearest sets, stabilizer states a single one
     states += [e.build() for e in catalog.entries().values() if e.dims == dims]
-    states += [dictionary.states[0].vector, dictionary.states[-1].vector]
+    states += [dictionary[0].vector, dictionary[-1].vector]
     for psi in states:
         ov = oracle_overlaps(psi, dictionary.matrix)
         assert np.array_equal(dictionary.overlaps(psi), ov)
@@ -136,7 +136,7 @@ def test_fidelity_matches_conjugated_dictionary(dims):
         F, nearest = stabilizer_fidelity(psi, dims=dims)
         assert F == best
         assert [s.vector.tobytes() for s in nearest] == \
-            [dictionary.states[i].vector.tobytes() for i in tied]
+            [dictionary[i].vector.tobytes() for i in tied]
         G, rows = group_stabilizer_fidelity(psi, dictionary.matrix)
         assert G == best and len(rows) == len(tied)
         assert all(np.shares_memory(r, dictionary.matrix) for r in rows)
@@ -152,7 +152,7 @@ def test_extent_reads_the_dictionary_as_it_is():
     bound = witness_bound(omega, omega, dictionary)
     assert bound == float(abs(np.vdot(omega, omega)) ** 2 / F)
     assert bound == witness_bound(omega, omega, list(dictionary.matrix))
-    psi = dictionary.states[4].vector
+    psi = dictionary[4].vector
     check = verify_clifford_stabilizer_extent(psi, dictionary)
     assert check.fidelity == float(np.max(oracle_overlaps(psi, dictionary.matrix)))
 

@@ -12,7 +12,6 @@ from quditmagic.phasespace import (
     Dims,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
-    enumerate_symplectic_2x2,
     is_symplectic,
     mod_inverse,
     phase_points,
@@ -23,6 +22,8 @@ from quditmagic.phasespace import (
     symplectic_group_order,
     symplectic_product,
 )
+
+from oracles import enumerate_symplectic_2x2
 
 
 def brute_force_lines(d):
@@ -131,8 +132,8 @@ def test_subspace_structure():
 
 def test_budget_errors():
     # _isotropic_bytes: per subspace four N x 2N stacks, an N x N x 2N
-    # transient, D points of 2N and 1024 B, plus 1 MiB; 6.36e10 for six qubits
-    nbytes = (3 * 5 * 9 * 17 * 33 * 65 * ((4 * 6 * 12 + 6 * 6 * 12 + 64 * 12) * 8 + 1024)
+    # transient and 1024 B, plus 1 MiB; 3.34e10 for six qubits
+    nbytes = (3 * 5 * 9 * 17 * 33 * 65 * ((4 * 6 * 12 + 6 * 6 * 12) * 8 + 1024)
               + 2 ** 20)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):

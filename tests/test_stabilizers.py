@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import re
 import time
@@ -15,6 +16,7 @@ from quditmagic.measures import stabilizer_fidelity
 from quditmagic.measures import wigner_function
 from quditmagic.phasespace import (
     Dims,
+    IsotropicSubspace,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
     phase_points,
@@ -23,7 +25,6 @@ from quditmagic.phasespace import (
     symplectic_product,
 )
 from quditmagic.stabilizers import (
-    StabilizerDictionary,
     StabilizerState,
     _dictionary_bytes,
     enumerate_stabilizer_states,
@@ -107,7 +108,7 @@ def test_qutrit_stabilizer_wigner_support():
 def test_max_overlap_stabilizer_input():
     dims = Dims(3, 1)
     dd = enumerate_stabilizer_states(dims)
-    F, near = max_overlap(dd.states[5].vector, dd)
+    F, near = max_overlap(dd[5].vector, dd)
     assert abs(F - 1) < 1e-12 and len(near) == 1
 
 
@@ -133,10 +134,11 @@ def test_max_overlap_strange_state():
 
 
 def test_budget():
-    # _dictionary_bytes: per state three D-vectors, 512 B and six 2N points,
-    # per subspace five N x 2N bases and 1024 B; 6.36e9 for five qubits
-    nbytes = (32 * 3 * 5 * 9 * 17 * 33 * (3 * 32 * 16 + 512 + 6 * 10 * 8)
-              + 3 * 5 * 9 * 17 * 33 * (5 * 5 * 10 * 8 + 1024))
+    # _dictionary_bytes: per state three D-vectors, an int64 D-index and six
+    # 2N points, per subspace five N x 2N bases and 1024 B, plus 1 MiB;
+    # 5.74e9 for five qubits
+    nbytes = (32 * 3 * 5 * 9 * 17 * 33 * (3 * 32 * 16 + 32 * 8 + 6 * 10 * 8)
+              + 3 * 5 * 9 * 17 * 33 * (5 * 5 * 10 * 8 + 1024) + 2 ** 20)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_stabilizer_states(Dims(2, 5))
@@ -160,7 +162,7 @@ def test_newly_admitted_dims():
         assert len(dd) == stabilizer_count(dims)
         assert len(cosets) == count_maximal_isotropic(dims)
         assert set(cosets.values()) == {dims.D}
-        assert all(s.check() for s in dd.states[::97])
+        assert all(dd[i].check() for i in range(0, len(dd), 97))
     # stabilizer fidelity is multiplicative for products of single-qubit states
     F, nearest = stabilizer_fidelity(
         functools.reduce(np.kron, [build("qubit:T0")] * 4), dims=Dims(2, 4))
@@ -180,15 +182,85 @@ def test_dictionary_dump_round_trip():
 
 
 def test_lookup_by_subspace_and_coset():
-    dims = Dims(3, 1)
-    dd = StabilizerDictionary(dims, enumerate_stabilizer_states(dims).states)
-    assert "index" not in vars(dd)  # built on the first lookup
-    M = enumerate_maximal_isotropic(dims)[2]
-    s = dd.lookup(M, point(2, 1, dims))
-    assert len(dd.index) == len(dd)
-    assert s.subspace.key() == M.key()
-    assert equal_up_to_phase(s.vector,
-                             stabilizer_state(M, point(2, 1, dims), dims).vector)
+    # every coset of every subspace, named by a random member: lookup finds
+    # the state at position rank(M) * D + coset index, and the single-coset
+    # construction agrees with it
+    rng = np.random.default_rng(11)
+    for d, N in ENUMERATED:
+        dims = Dims(d, N)
+        dd = enumerate_stabilizer_states(dims)
+        for pos in range(len(dd)):
+            M = dd.subspaces[pos // dims.D]
+            chi = (dd.displacements[pos] + M.elements[rng.integers(dims.D)]) % d
+            s = dd.lookup(M, chi)
+            ref = dd[pos]
+            assert s.subspace is ref.subspace is M
+            assert np.array_equal(s.displacement, ref.displacement)
+            assert np.array_equal(s.vector, ref.vector)
+            assert np.max(np.abs(stabilizer_state(M, chi, dims).vector - s.vector)) < 1e-12
+    with pytest.raises(KeyError):  # a basis without unit pivots is no dictionary key
+        dd.lookup(IsotropicSubspace(dims, 2 * M.basis % d), chi)
+
+
+def test_dictionary_builds_no_state_objects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("StabilizerState built")
+
+    stabilizers._dictionary_cached.cache_clear()
+    monkeypatch.setattr(stabilizers, "StabilizerState", forbidden)
+    for d, N in ENUMERATED:
+        dd = enumerate_stabilizer_states(Dims(d, N))
+        assert len(dd) == len(dd.matrix) == len(dd.displacements)
+        assert not dd.matrix.flags.owndata  # a view of the build's coset vectors
+        with pytest.raises(AssertionError, match="StabilizerState built"):
+            dd[0]
+    monkeypatch.undo()
+    assert dd[0].check()
+
+
+def test_dictionary_indexing_is_list_like():
+    dd = enumerate_stabilizer_states(Dims(3, 2))
+    n = len(dd)
+    for i in (0, 7, n - 1):
+        for j in (i, i - n):
+            s = dd[j]
+            assert s.subspace is dd.subspaces[i // 9]
+            assert np.shares_memory(s.vector, dd.matrix)
+            assert np.array_equal(s.vector, dd.matrix[i])
+            assert np.array_equal(s.displacement, dd.displacements[i])
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            dd[bad]
+    assert [s.displacement.tolist() for s in dd] == dd.displacements.tolist()
+
+
+# sha1 of the dictionary's integer labels in order, (subspace key bytes,
+# displacement bytes) per state, as built by the per-state construction the
+# array layout replaced
+LABEL_SHA1 = {
+    (2, 1): "219cdc28305f4234b8140d116a4a6fc4f30876ba",
+    (2, 2): "931044e587a7c1dcd12d18a4318aeac72322e4ed",
+    (2, 3): "4e06d37f651a162b000b84c9b204dabe06d06e5f",
+    (3, 1): "640fadfbe7cbdd2ed4223e7fb63c343d8597ee02",
+    (3, 2): "03a44216314c718265bb24f21868af9470143a53",
+    (5, 1): "ed85dac46b994529ad0d48ee4a50aae1914557cc",
+    (5, 2): "3d3cf6bd27fb2576e0d92c4f054f8d49201ba27a",
+    (7, 1): "a155d4b5e80b875487926880211ff70b150c8d81",
+    (2, 4): "5cc14020f32779424bdd9728eeed3da4c699fea8",
+    (3, 3): "2764a9f46f0036bbe22f49b8c0f921a34e1f8194",
+    (7, 2): "76a8b1d00057b2483742d52aa1ec269c27eb756c",
+}
+
+
+@pytest.mark.parametrize("d,N", list(LABEL_SHA1))
+def test_dictionary_labels_pinned(d, N):
+    dims = Dims(d, N)
+    dd = enumerate_stabilizer_states(dims)
+    h = hashlib.sha1()
+    for pos, chi in enumerate(dd.displacements.astype("<i8")):
+        h.update(dd.subspaces[pos // dims.D].basis.astype("<i8").tobytes())
+        h.update(chi.tobytes())
+    assert h.hexdigest() == LABEL_SHA1[(d, N)]
 
 
 def _projector_state(M, chi, dims):
@@ -297,7 +369,7 @@ def test_dictionary_builds_no_table():
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
         assert len(dd) == stabilizer_count(dims)
-        assert dd.states[-1].check()
+        assert dd[-1].check()
 
 
 @pytest.mark.parametrize("d,N", [(2, 1), (2, 3), (3, 2), (5, 1)])
