@@ -37,7 +37,7 @@ _EXPORTS = {
                     "max_overlap", "stabilizer_state"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "errors", "tables", "weyl"}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "tables", "tolerances", "weyl"}
 
 __all__ = list(_HOME)
 

@@ -29,6 +29,8 @@ from .clifford import (
 from .errors import UnknownStateError
 from .measures import sre, sre_upper_bound, stabilizer_fidelity, wigner_trace_norm
 from .phasespace import Dims
+from .tolerances import (CATALOG_NORM_TOL, EIGEN_RESIDUAL_TOL, EQUALITY_TOL, EXACT_TOL,
+                         IDENTITY_TOL, PRINTED_TOL)
 from .weyl import displacement_matrix, equal_up_to_phase, unit_phase
 
 SQ2 = math.sqrt(2.0)
@@ -269,10 +271,6 @@ class CatalogEntry(NamedTuple):
     notes: str = ""
 
 
-def _log(x: float) -> float:
-    return math.log(x)
-
-
 def _entry(registry, name, dims, vec_or_fn, **kw):
     build = vec_or_fn if callable(vec_or_fn) else (lambda v=vec_or_fn: v.copy())
     kw.setdefault("expected", {})
@@ -293,32 +291,32 @@ def entries() -> dict:
             acc = 1.0
             for b in logs_args:
                 acc *= (1 + b ** (1 - alpha)) / 2
-            return _log(acc) / (1 - alpha)
+            return math.log(acc) / (1 - alpha)
         return f
 
     _entry(reg, "qubit:T0", qb, T0,
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
-                     "M2": ("log(3/2)", _log(1.5))},
+                     "M2": ("log(3/2)", math.log(1.5))},
            expected_nearest_count=3,
            nearest_state=lambda: ket(0),
            eigen_operator=_op_qubit_T, eigen_value=unit_phase(1, 6),
            m_alpha=ma_prod(3.0), saturates_sre_bound=True)
     _entry(reg, "qubit:T1", qb, T1,
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
-                     "M2": ("log(3/2)", _log(1.5))},
+                     "M2": ("log(3/2)", math.log(1.5))},
            expected_nearest_count=3,
            eigen_operator=_op_qubit_T, eigen_value=unit_phase(-1, 6),
            m_alpha=ma_prod(3.0), saturates_sre_bound=True)
     _entry(reg, "qubit:H0", qb, H0,
            expected={"F": ("(2+sqrt2)/4", (2 + SQ2) / 4),
-                     "M2": ("log(4/3)", _log(4 / 3))},
+                     "M2": ("log(4/3)", math.log(4 / 3))},
            expected_nearest_count=2,
            nearest_state=lambda: ket(0),
            eigen_operator=lambda: single_qudit_H(2), eigen_value=1.0 + 0j,
            m_alpha=ma_prod(2.0))
     _entry(reg, "qubit:H1", qb, H1,
            expected={"F": ("(2+sqrt2)/4", (2 + SQ2) / 4),
-                     "M2": ("log(4/3)", _log(4 / 3))},
+                     "M2": ("log(4/3)", math.log(4 / 3))},
            expected_nearest_count=2,
            eigen_operator=lambda: single_qudit_H(2), eigen_value=-1.0 + 0j,
            m_alpha=ma_prod(2.0))
@@ -326,20 +324,20 @@ def entries() -> dict:
     q3 = _qutrit_states()
 
     def ma_qutrit_SN(alpha):
-        return _log((8 + 4 ** alpha) / (3 * 4 ** alpha)) / (1 - alpha)
+        return math.log((8 + 4 ** alpha) / (3 * 4 ** alpha)) / (1 - alpha)
 
     def ma_qutrit_Hp(alpha):
-        return _log((8 ** alpha + 4 * (2 - SQ3) ** alpha + 4 * (2 + SQ3) ** alpha)
-                    / (3 * 8 ** alpha)) / (1 - alpha)
+        return math.log((8 ** alpha + 4 * (2 - SQ3) ** alpha + 4 * (2 + SQ3) ** alpha)
+                        / (3 * 8 ** alpha)) / (1 - alpha)
 
     def ma_qutrit_T(alpha):
-        return _log((6 + 3 ** alpha) / 3 ** (alpha + 1)) / (1 - alpha)
+        return math.log((6 + 3 ** alpha) / 3 ** (alpha + 1)) / (1 - alpha)
 
     _entry(reg, "qutrit:S", d3, q3["S"],
            expected={"F": ("1/2", 0.5),
                      "wnorm": ("5/3", 5 / 3),
-                     "mana": ("log(5/3)", _log(5 / 3)),
-                     "M2": ("log 2", _log(2))},
+                     "mana": ("log(5/3)", math.log(5 / 3)),
+                     "M2": ("log 2", math.log(2))},
            expected_nearest_count=8,
            nearest_state=lambda: ket(1, d=3),
            eigen_operator=_op_qutrit_H, eigen_value=1.0 + 0j,
@@ -347,7 +345,7 @@ def entries() -> dict:
     _entry(reg, "qutrit:N", d3, q3["N"],
            expected={"F": ("2/3", 2 / 3),
                      "wnorm": ("5/3", 5 / 3),
-                     "M2": ("log 2", _log(2))},
+                     "M2": ("log 2", math.log(2))},
            expected_nearest_count=3,
            nearest_state=lambda: ket(1, d=3),
            eigen_operator=_op_qutrit_N, eigen_value=unit_phase(1, 6),
@@ -355,14 +353,14 @@ def entries() -> dict:
     _entry(reg, "qutrit:Hplus", d3, q3["Hplus"],
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
                      "wnorm": ("1/3+2/sqrt3", 1 / 3 + 2 / SQ3),
-                     "M2": ("log(8/5)", _log(8 / 5))},
+                     "M2": ("log(8/5)", math.log(8 / 5))},
            expected_nearest_count=2,
            nearest_state=lambda: ket(0, d=3),
            eigen_operator=_op_qutrit_H, eigen_value=-1j,
            m_alpha=ma_qutrit_Hp,
            notes="the M2 value differs from part of the earlier literature")
     _entry(reg, "qutrit:Hminus", d3, q3["Hminus"],
-           expected={"M2": ("log(8/5)", _log(8 / 5))},
+           expected={"M2": ("log(8/5)", math.log(8 / 5))},
            eigen_operator=_op_qutrit_H, eigen_value=1j,
            m_alpha=ma_qutrit_Hp)
     _entry(reg, "qutrit:T0", d3, q3["T0"],
@@ -370,17 +368,17 @@ def entries() -> dict:
                            (1 + 2 * math.cos(2 * math.pi / 9)) ** 2 / 9),
                      "wnorm": ("(1+4cos(pi/9))/3",
                                (1 + 4 * math.cos(math.pi / 9)) / 3),
-                     "M2": ("log(9/5)", _log(9 / 5))},
+                     "M2": ("log(9/5)", math.log(9 / 5))},
            expected_nearest_count=3,
            nearest_state=lambda: _nm([1, 1, 1]),
            eigen_operator=_op_qutrit_T, eigen_value=np.exp(-4j * math.pi / 9),
            m_alpha=ma_qutrit_T)
     _entry(reg, "qutrit:T1", d3, q3["T1"],
-           expected={"M2": ("log(9/5)", _log(9 / 5))},
+           expected={"M2": ("log(9/5)", math.log(9 / 5))},
            eigen_operator=_op_qutrit_T, eigen_value=np.exp(8j * math.pi / 9),
            m_alpha=ma_qutrit_T)
     _entry(reg, "qutrit:T2", d3, q3["T2"],
-           expected={"M2": ("log(9/5)", _log(9 / 5))},
+           expected={"M2": ("log(9/5)", math.log(9 / 5))},
            eigen_operator=_op_qutrit_T, eigen_value=np.exp(2j * math.pi / 9),
            m_alpha=ma_qutrit_T)
     _entry(reg, "qutrit:NB1", d3, q3["NB1"],
@@ -433,7 +431,7 @@ def entries() -> dict:
     }
 
     def ma_q5_Hi(alpha):
-        return _log(2.0 ** (-5 * alpha) / 5 * (
+        return math.log(2.0 ** (-5 * alpha) / 5 * (
             2.0 ** (3 + alpha) + 32.0 ** alpha
             + 4 * (7 - SQ5 - 2 * math.sqrt(10 - 2 * SQ5)) ** alpha
             + 4 * (7 - SQ5 + 2 * math.sqrt(10 - 2 * SQ5)) ** alpha
@@ -442,21 +440,21 @@ def entries() -> dict:
         )) / (1 - alpha)
 
     def ma_q5_Hm1(alpha):
-        return _log(2.0 ** (-5 * alpha) / 5 * (
+        return math.log(2.0 ** (-5 * alpha) / 5 * (
             2.0 ** (3 + alpha) + 32.0 ** alpha
             + 8 * (7 - 3 * SQ5) ** alpha + 8 * (7 + 3 * SQ5) ** alpha
         )) / (1 - alpha)
 
     def ma_q5_XVS(alpha):
-        return _log(0.2 + 4 * 5.0 ** (-alpha)) / (1 - alpha)
+        return math.log(0.2 + 4 * 5.0 ** (-alpha)) / (1 - alpha)
 
     def ma_q5_Bm1(alpha):
-        return _log(18.0 ** (-alpha) / 5 * (
+        return math.log(18.0 ** (-alpha) / 5 * (
             18.0 ** alpha + 12 * (3 - SQ5) ** alpha + 12 * (3 + SQ5) ** alpha
         )) / (1 - alpha)
 
     def ma_q5_Bmw(alpha):
-        return _log(144.0 ** (-alpha) / 5 * (
+        return math.log(144.0 ** (-alpha) / 5 * (
             3 * 2.0 ** (1 + alpha) * (12 + SQ5 - math.sqrt(15 - 6 * SQ5)) ** alpha
             + 2 * (2 + SQ5 + math.sqrt(15 - 6 * SQ5)) ** (2 * alpha)
             + 2.0 ** alpha * (
@@ -467,7 +465,7 @@ def entries() -> dict:
             ))) / (1 - alpha)
 
     def ma_q5_Bw(alpha):
-        return _log(24.0 ** (-alpha) / 5 * (
+        return math.log(24.0 ** (-alpha) / 5 * (
             24.0 ** alpha
             + 6 * (4 - SQ5 - math.sqrt(15 - 6 * SQ5)) ** alpha
             + 6 * (4 - SQ5 + math.sqrt(15 - 6 * SQ5)) ** alpha
@@ -476,23 +474,23 @@ def entries() -> dict:
         )) / (1 - alpha)
 
     def ma_q5_A(alpha):
-        return _log(8.0 ** (-alpha) / 5 * (
+        return math.log(8.0 ** (-alpha) / 5 * (
             2.0 ** alpha * (10 + 4.0 ** alpha)
             + 2 * (3 - SQ5) ** alpha + 2 * (3 + SQ5) ** alpha
         )) / (1 - alpha)
 
     q5_m2 = {
-        "H,i": ("log 2", _log(2), ma_q5_Hi),
-        "H,-i": ("log 2", _log(2), ma_q5_Hi),
-        "H,-1": ("log 2", _log(2), ma_q5_Hm1),
-        "XVS,1": ("log(25/9)", _log(25 / 9), ma_q5_XVS),
-        "Bprime,-1": ("log(27/11)", _log(27 / 11), ma_q5_Bm1),
-        "Bprime,-w": ("log(54/19)", _log(54 / 19), ma_q5_Bmw),
-        "Bprime,-wc": ("log(54/19)", _log(54 / 19), ma_q5_Bmw),
-        "Bprime,w": ("log 2", _log(2), ma_q5_Bw),
-        "Bprime,wc": ("log 2", _log(2), ma_q5_Bw),
-        "A,w2": ("log 2", _log(2), ma_q5_A),
-        "A,-w2": ("log 2", _log(2), ma_q5_A),
+        "H,i": ("log 2", math.log(2), ma_q5_Hi),
+        "H,-i": ("log 2", math.log(2), ma_q5_Hi),
+        "H,-1": ("log 2", math.log(2), ma_q5_Hm1),
+        "XVS,1": ("log(25/9)", math.log(25 / 9), ma_q5_XVS),
+        "Bprime,-1": ("log(27/11)", math.log(27 / 11), ma_q5_Bm1),
+        "Bprime,-w": ("log(54/19)", math.log(54 / 19), ma_q5_Bmw),
+        "Bprime,-wc": ("log(54/19)", math.log(54 / 19), ma_q5_Bmw),
+        "Bprime,w": ("log 2", math.log(2), ma_q5_Bw),
+        "Bprime,wc": ("log 2", math.log(2), ma_q5_Bw),
+        "A,w2": ("log 2", math.log(2), ma_q5_A),
+        "A,-w2": ("log 2", math.log(2), ma_q5_A),
     }
     q5_ops = {
         "H,i": (_op_ququint_H, -1j), "H,-i": (_op_ququint_H, 1j),
@@ -536,17 +534,17 @@ def entries() -> dict:
     q2 = _two_qubit_states()
 
     def ma_psi0(alpha):
-        return _log(0.25 * (1 + 3 * 9.0 ** (-alpha)
-                            + 4 * 1.5 ** (1 - 2 * alpha))) / (1 - alpha)
+        return math.log(0.25 * (1 + 3 * 9.0 ** (-alpha)
+                                + 4 * 1.5 ** (1 - 2 * alpha))) / (1 - alpha)
 
     def ma_G16(alpha):
-        return _log(0.25 * (1 + 5.0 ** (1 - alpha)
-                            + 5.0 ** (1 - 2 * alpha)
-                            * (5.0 ** alpha + (5 + 2 * SQ5) ** (2 * alpha))
-                            / (5 + 2 * SQ5) ** alpha)) / (1 - alpha)
+        return math.log(0.25 * (1 + 5.0 ** (1 - alpha)
+                                + 5.0 ** (1 - 2 * alpha)
+                                * (5.0 ** alpha + (5 + 2 * SQ5) ** (2 * alpha))
+                                / (5 + 2 * SQ5) ** alpha)) / (1 - alpha)
 
     def ma_G20(alpha):
-        return _log(0.25 * (1 + 3 * 4.0 ** (1 - alpha))) / (1 - alpha)
+        return math.log(0.25 * (1 + 3 * 4.0 ** (1 - alpha))) / (1 - alpha)
 
     table1 = {
         "00": ("1", 1.0, 1, None),
@@ -562,19 +560,16 @@ def entries() -> dict:
         "G20,1": ("5/8", 0.625, 8, ma_G20),
     }
     m2_2q = {
-        "G4,2": ("log(9/5)", _log(9 / 5)), "psi0": ("log(9/5)", _log(9 / 5)),
-        "G16,1": ("log(25/12)", _log(25 / 12)),
-        "G20,1": ("log(16/7)", _log(16 / 7)),
-        "psimax0": ("log(16/7)", _log(16 / 7)),
+        "G4,2": ("log(9/5)", math.log(9 / 5)), "psi0": ("log(9/5)", math.log(9 / 5)),
+        "G16,1": ("log(25/12)", math.log(25 / 12)),
+        "G20,1": ("log(16/7)", math.log(16 / 7)),
+        "psimax0": ("log(16/7)", math.log(16 / 7)),
     }
     eig2q = {
-        "G4,2": (4, None), "G4,3": (4, None), "G4,4": (4, None),
-        "G16,1": (16, None), "G16,2": (16, None), "G16,3": (16, None),
-        "G16,4": (16, None),
-        "G18,1": (18, None), "G18,2": (18, None), "G18,3": (18, None),
-        "G18,4": (18, None),
-        "G20,1": (20, None), "G20,2": (20, None), "G20,3": (20, None),
-        "G20,4": (20, None),
+        "G4,2": 4, "G4,3": 4, "G4,4": 4,
+        "G16,1": 16, "G16,2": 16, "G16,3": 16, "G16,4": 16,
+        "G18,1": 18, "G18,2": 18, "G18,3": 18, "G18,4": 18,
+        "G20,1": 20, "G20,2": 20, "G20,3": 20, "G20,4": 20,
     }
     for name, vec in q2.items():
         kw = {}
@@ -587,14 +582,10 @@ def entries() -> dict:
         if name in m2_2q:
             kw.setdefault("expected", {})["M2"] = m2_2q[name]
         if name in eig2q:
-            cls, _ = eig2q[name]
-            kw["eigen_operator"] = (lambda c=cls: _op_2q_class(c))
-        if name.startswith("psimax") or name == "G20,1":
-            kw["saturates_sre_bound"] = False  # strictly below the generic bound
+            kw["eigen_operator"] = (lambda c=eig2q[name]: _op_2q_class(c))
         _entry(reg, f"2q:{name}", d22, vec, **kw)
     reg["2q:psi0"].expected["F"] = ("3/4", 0.75)
     reg["2q:psi0"] = reg["2q:psi0"]._replace(expected_nearest_count=2)
-    reg["2q:psimax0"].expected["M2"] = ("log(16/7)", _log(16 / 7))
 
     q3q = _three_qubit_states()
     _entry(reg, "3q:W", d23, q3q["W"],
@@ -646,7 +637,7 @@ class Check(NamedTuple):
     exact: str = ""
 
 
-def verify_catalog(tolerance: float = 1e-9, printed_tol: float = 1e-4) -> list[Check]:
+def verify_catalog(tolerance: float = EXACT_TOL) -> list[Check]:
     """Recompute every expected value in the catalog; failures are data."""
     out: list[Check] = []
 
@@ -657,7 +648,7 @@ def verify_catalog(tolerance: float = 1e-9, printed_tol: float = 1e-4) -> list[C
 
     for name, e in entries().items():
         psi = e.build()
-        add(f"{name}:norm", 1.0, float(np.linalg.norm(psi)), 1e-12)
+        add(f"{name}:norm", 1.0, float(np.linalg.norm(psi)), CATALOG_NORM_TOL)
         F = None
         if e.expected or e.expected_nearest_count is not None:
             F, nearest = stabilizer_fidelity(psi, dims=e.dims)
@@ -665,7 +656,7 @@ def verify_catalog(tolerance: float = 1e-9, printed_tol: float = 1e-4) -> list[C
             if key == "F":
                 add(f"{name}:F", val, F, tolerance, exact)
             elif key == "F_printed":
-                add(f"{name}:F~", val, F, printed_tol, exact)
+                add(f"{name}:F~", val, F, PRINTED_TOL, exact)
             elif key == "wnorm":
                 add(f"{name}:wnorm", val, wigner_trace_norm(psi, e.dims),
                     tolerance, exact)
@@ -688,13 +679,13 @@ def verify_catalog(tolerance: float = 1e-9, printed_tol: float = 1e-4) -> list[C
             U = e.eigen_operator()
             resid = float(np.linalg.norm(U @ psi - (e.eigen_value or 1.0) * psi)) \
                 if e.eigen_value is not None else 0.0
-            add(f"{name}:eigen", 0.0, resid, 1e-8)
+            add(f"{name}:eigen", 0.0, resid, EIGEN_RESIDUAL_TOL)
             eigs = nondegenerate_eigenstates(U, e.dims)
             hit = any(equal_up_to_phase(v, psi) for _, v in eigs)
             add(f"{name}:nondegenerate", 1.0, 1.0 if hit else 0.0, 0.5)
         if e.saturates_sre_bound:
             add(f"{name}:sre-bound-saturated", sre_upper_bound(e.dims, 2.0),
-                sre(psi, e.dims, 2.0), 1e-10)
+                sre(psi, e.dims, 2.0), IDENTITY_TOL)
     return out
 
 
@@ -741,7 +732,7 @@ class EquivalenceCheck(NamedTuple):
     passed: bool
 
 
-def verify_equivalences(tol: float = 1e-9) -> list[EquivalenceCheck]:
+def verify_equivalences(tol: float = EQUALITY_TOL) -> list[EquivalenceCheck]:
     """Apply each stated Clifford word and compare up to a global phase."""
     from .weyl import global_phase
 

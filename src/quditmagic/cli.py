@@ -16,7 +16,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatchError, QuditMagicError, UnknownStateError
+from .errors import (DimensionMismatchError, InfeasibleExtentError, QuditMagicError,
+                     UnknownStateError)
+from .tolerances import (COMPANION_TOL, EXACT_TOL, EXTENT_TOL, ORTHONORMAL_TOL, OVERLAP_DECIMALS,
+                         RANGE_END_SLACK, RANK_TOL, SPAN_TOL, TIE_TOL)
 
 if TYPE_CHECKING:
     from .phasespace import Dims
@@ -141,7 +144,7 @@ def cmd_measures(args) -> int:
     from .measures import measure_report
 
     if not args.state and not args.file:
-        raise SystemExit("need a state name or --file")
+        raise QuditMagicError("need a state name or --file")
     spec = f"@{args.file}" if args.file else args.state
     psi, dims = parse_state(spec)
     alphas = args.alphas
@@ -185,12 +188,14 @@ def cmd_eigenstates(args) -> int:
     from .weyl import phase_normalize
 
     dims = args.dims
+    if not args.word and not args.all_cliffords:
+        raise QuditMagicError("need --word or --all-cliffords")
     results = []
     if args.word:
         U = word_unitary(args.word.split(), dims)
         for val, vec in nondegenerate_eigenstates(U, dims):
             results.append({"eigenvalue": val, "state": vec})
-    elif args.all_cliffords:
+    else:
         dd = enumerate_stabilizer_states(dims)
         group = reduced_clifford_group(dims)
         stack, states = group.unitaries, dd.matrix.conj().T
@@ -200,8 +205,8 @@ def cmd_eigenstates(args) -> int:
             owner, col = np.nonzero(single)  # element order, then eigenvalue order
             vecs = V[owner, :, col]
             ov = np.abs(vecs @ states) ** 2
-            keys = np.round(np.sort(ov, axis=1), 8)
-            for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - 1e-9):
+            keys = np.round(np.sort(ov, axis=1), OVERLAP_DECIMALS)
+            for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
                 key = keys[i].tobytes()
                 if key not in classes:
                     classes[key] = {"state": phase_normalize(vecs[i]),
@@ -210,8 +215,6 @@ def cmd_eigenstates(args) -> int:
         results = [{"class": i, **v} for i, v in enumerate(classes.values())]
         print(f"# {len(classes)} non-stabilizer inequivalence classes",
               file=sys.stderr)
-    else:
-        raise SystemExit("need --word or --all-cliffords")
     _emit(args, results)
     return 0
 
@@ -229,7 +232,7 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
     basis = []
     if e is not None and e.eigen_operator is not None:
         for _, vec in nondegenerate_eigenstates(e.eigen_operator(), e.dims):
-            if abs(np.vdot(vec, psi)) < 1e-6:
+            if abs(np.vdot(vec, psi)) < COMPANION_TOL:
                 basis.append(vec)
     if len(basis) < dims.D - 1:
         # complete with Gram-Schmidt over the computational basis
@@ -239,7 +242,7 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
             v[k] = 1.0
             for b in cur:
                 v = v - np.vdot(b, v) * b
-            if np.linalg.norm(v) > 1e-8:
+            if np.linalg.norm(v) > SPAN_TOL:
                 v = v / np.linalg.norm(v)
                 basis.append(v)
                 cur.append(v)
@@ -291,7 +294,7 @@ def cmd_extremality(args) -> int:
         if vec_dims != dims:
             raise DimensionMismatchError(f"direction {value!r} is not on {dims}")
         vec = vec - np.vdot(psi, vec) * psi
-        if np.linalg.norm(vec) < 1e-9:
+        if np.linalg.norm(vec) < ORTHONORMAL_TOL:
             raise QuditMagicError(f"direction {value!r} has no part orthogonal to the state")
         direction = vec / np.linalg.norm(vec)
     reports = classify(direction)
@@ -314,7 +317,7 @@ def cmd_distill(args) -> int:
     start, stop, step = args.eps3 or (0.0, 0.2, 0.01)
     rows = [["eps3_in", "round", "eps3_out", "p_success"]]
     payload = []
-    for eps in np.arange(start, stop + 1e-12, step):
+    for eps in np.arange(start, stop + RANGE_END_SLACK, step):
         traj = iterate_protocol(PairParams(eps3=float(eps)), args.rounds)
         payload.append({"eps3": float(eps),
                         "trajectory": [{"round": t["round"],
@@ -333,7 +336,7 @@ def cmd_extent(args) -> int:
 
     psi, dims = parse_state(args.state)
     if args.dims and args.dims != dims:
-        raise SystemExit(f"--dims {args.dims} does not match the state's {dims}")
+        raise DimensionMismatchError(f"--dims {args.dims} does not match the state's {dims}")
     if args.group:
         from .clifford import FiniteUnitaryGroup, group_stabilizer_states, word_unitary
 
@@ -341,10 +344,11 @@ def cmd_extent(args) -> int:
         gens = [word_unitary([g], dims) for g in re.split(r",(?=[^\d\s])", args.group)]
         G = FiniteUnitaryGroup.generate(gens)
         states = group_stabilizer_states(G)
-        span = np.array(states).T
-        q, _ = np.linalg.qr(span)
-        rank = int(np.sum(np.linalg.svd(span, compute_uv=False) > 1e-10))
-        P = q[:, :rank] @ q[:, :rank].conj().T
+        if not states:
+            raise InfeasibleExtentError(f"group {args.group!r} stabilizes no state")
+        u, s, _ = np.linalg.svd(np.array(states).T, full_matrices=False)
+        basis = u[:, :int(np.sum(s > RANK_TOL))]  # left singular vectors span the states
+        P = basis @ basis.conj().T
         sol = solve_extent(ExtentProblem.from_states(psi, states, projector=P), tol=args.tol)
         wb = None
     else:
@@ -477,13 +481,13 @@ def main(argv=None) -> int:
                    help="d,N cross-check for JSON state specs")
     p.add_argument("--group", default=None,
                    help="comma-separated generator tokens for the G-variant")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=EXTENT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_extent)
 
     p = sub.add_parser("catalog", help="verify tabulated values")
     p.add_argument("mode", choices=["verify"])
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=EXACT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_catalog)
 

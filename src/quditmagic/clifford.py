@@ -58,6 +58,9 @@ from .phasespace import (
     symplectic_group_order,
 )
 from .stabilizers import enumerate_stabilizer_states
+from .tolerances import (EIGEN_CLUSTER_TOL, GROUP_MATRIX_TOL, KEY_DECIMALS, KEY_GRID,
+                         OVERLAP_DECIMALS, PAULI_TOL, ROOT_OF_UNITY_TOL, SEARCH_GRID,
+                         SEARCH_LEAD_TOL, UNITARY_TOL)
 from .weyl import (
     displacement_matrix,
     equal_up_to_phase,
@@ -133,17 +136,16 @@ def single_qudit_S(d: int) -> np.ndarray:
     return np.diag(diag).astype(np.complex128)
 
 
-def _conjugated_label(U: np.ndarray, chi: np.ndarray, dims: Dims,
-                      tol: float = 1e-8) -> tuple[int, complex]:
+def _conjugated_label(U: np.ndarray, chi: np.ndarray, dims: Dims) -> tuple[int, complex]:
     """Index j and phase c with U T_chi U^dag = c T_j; NotClifford if none."""
     coeffs = pauli_coefficients(U @ displacement_matrix(chi, dims) @ U.conj().T, dims)
-    idx = np.flatnonzero(np.abs(coeffs) > tol)
-    if idx.size != 1 or abs(abs(coeffs[idx[0]]) - 1.0) > tol:
+    idx = np.flatnonzero(np.abs(coeffs) > PAULI_TOL)
+    if idx.size != 1 or abs(abs(coeffs[idx[0]]) - 1.0) > PAULI_TOL:
         raise NotCliffordError("conjugation leaves the displacement basis")
     return int(idx[0]), complex(coeffs[idx[0]])
 
 
-def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray, tol: float = 1e-8
+def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Label indices perm and exponents k with U T_chi U^dag = omega^k T_perm,
     one entry per row of `labels`."""
@@ -151,9 +153,9 @@ def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray, tol: float = 1e
     perm = np.empty(len(labels), dtype=np.intp)
     k = np.empty(len(labels), dtype=np.int64)
     for i, chi in enumerate(labels):
-        perm[i], c = _conjugated_label(U, chi, dims, tol)
+        perm[i], c = _conjugated_label(U, chi, dims)
         k[i] = int(np.rint(np.angle(c) * d / (2 * np.pi))) % d
-        if abs(c - unit_phase(k[i], d)) > 1e-6:
+        if abs(c - unit_phase(k[i], d)) > ROOT_OF_UNITY_TOL:
             raise NotCliffordError("conjugation phase is not a d-th root of unity")
     return perm, k
 
@@ -178,11 +180,11 @@ def _affine_data(perm_basis: np.ndarray, k_basis: np.ndarray, dims: Dims
     return S, (S @ symplectic_form(dims.N) @ -k[..., None])[..., 0] % dims.d
 
 
-def is_clifford(U, dims: Dims, tol: float = 1e-8) -> bool:
+def is_clifford(U, dims: Dims) -> bool:
     """True iff U maps every basis displacement to a displacement under conjugation."""
     U = np.asarray(U, dtype=np.complex128)
     try:
-        _pauli_action(U, dims, np.eye(2 * dims.N, dtype=np.int64), tol)
+        _pauli_action(U, dims, np.eye(2 * dims.N, dtype=np.int64))
     except NotCliffordError:
         return False
     return True
@@ -331,7 +333,7 @@ def word_unitary(word, dims: Dims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # group enumeration
 
-def _quantize(v: np.ndarray, grid: float = 1e-8) -> bytes:
+def _quantize(v: np.ndarray, grid: float = KEY_GRID) -> bytes:
     """The real and imaginary parts of v, every entry in C order, on a grid."""
     pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
     return np.round(pairs / grid).astype(np.int64).tobytes()
@@ -539,7 +541,8 @@ def group_projector(group: FiniteUnitaryGroup) -> np.ndarray:
     """Projector onto the jointly stabilized subspace: the group average."""
     group.check_closed()
     P = sum(group.elements) / len(group.elements)
-    if np.max(np.abs(P @ P - P)) > 1e-7 or np.max(np.abs(P - P.conj().T)) > 1e-7:
+    if (np.max(np.abs(P @ P - P)) > GROUP_MATRIX_TOL
+            or np.max(np.abs(P - P.conj().T)) > GROUP_MATRIX_TOL):
         raise NonClosedGroupError("group average is not a projector")
     return P
 
@@ -553,10 +556,11 @@ def twirl(O, group: FiniteUnitaryGroup) -> np.ndarray:
     return acc / len(group.elements)
 
 
-def _eigenspaces(U: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
+def _eigenspaces(U: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases of the eigenspaces of a unitary: eigenvalues are
-    clustered within tol, and each cluster of size k spans the null space of
-    U - lambda I, read off as its k smallest right singular vectors."""
+    clustered within EIGEN_CLUSTER_TOL, and each cluster of size k spans the
+    null space of U - lambda I, read off as its k smallest right singular
+    vectors."""
     U = np.asarray(U, dtype=np.complex128)
     evals = np.linalg.eigvals(U)
     eye = np.eye(U.shape[0])
@@ -564,15 +568,14 @@ def _eigenspaces(U: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
     spaces = []
     while remaining:
         i = remaining[0]
-        idx = [j for j in remaining if abs(evals[j] - evals[i]) < tol]
+        idx = [j for j in remaining if abs(evals[j] - evals[i]) < EIGEN_CLUSTER_TOL]
         remaining = [j for j in remaining if j not in idx]
         _, _, vh = np.linalg.svd(U - np.mean(evals[idx]) * eye)
         spaces.append(vh[-len(idx):].conj().T)
     return spaces
 
 
-def group_stabilizer_states(group: FiniteUnitaryGroup,
-                            tol: float = 1e-8) -> list[np.ndarray]:
+def group_stabilizer_states(group: FiniteUnitaryGroup) -> list[np.ndarray]:
     """Rays uniquely stabilized, up to phase, by subgroups of `group`.
 
     Equivalently: one-dimensional joint eigenspaces of single elements or of
@@ -584,12 +587,12 @@ def group_stabilizer_states(group: FiniteUnitaryGroup,
 
     def _add(vec: np.ndarray) -> None:
         vec = phase_normalize(vec)
-        key = _quantize(np.round(vec, 9), 1e-8)
+        key = _quantize(np.round(vec, KEY_DECIMALS))
         if key not in state_keys:
             state_keys.add(key)
             states.append(vec)
 
-    spaces_per_element = [_eigenspaces(u, tol) for u in group.elements]
+    spaces_per_element = [_eigenspaces(u) for u in group.elements]
     for spaces in spaces_per_element:
         for E in spaces:
             if E.shape[1] == 1:
@@ -599,9 +602,9 @@ def group_stabilizer_states(group: FiniteUnitaryGroup,
             if E.shape[1] < 2:
                 continue
             sub = E.conj().T @ u2 @ E
-            if np.max(np.abs(sub.conj().T @ sub - np.eye(E.shape[1]))) > 1e-7:
+            if np.max(np.abs(sub.conj().T @ sub - np.eye(E.shape[1]))) > GROUP_MATRIX_TOL:
                 continue  # u2 does not preserve this eigenspace
-            for F in _eigenspaces(sub, tol):
+            for F in _eigenspaces(sub):
                 if F.shape[1] == 1:
                     _add(E @ F[:, 0])
     return states
@@ -610,32 +613,31 @@ def group_stabilizer_states(group: FiniteUnitaryGroup,
 # ---------------------------------------------------------------------------
 # eigenstates
 
-def eigenpairs(U: np.ndarray, tol: float = 1e-8
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eigenpairs(U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues w (n, D), unit eigenvectors V (n, D, D; column i belongs
-    to w[:, i]) and the mask (n, D) of eigenvalues whose cluster within tol is
-    a singleton, for a stack of n unitaries of shape (n, D, D).
+    to w[:, i]) and the mask (n, D) of eigenvalues whose cluster within
+    EIGEN_CLUSTER_TOL is a singleton, for a stack of n unitaries of shape
+    (n, D, D).
 
     A singleton eigenvalue of a normal matrix has a one-dimensional
     eigenspace, so its eigenvector is unique up to phase.
     """
     U = np.asarray(U, dtype=np.complex128)
     eye = np.eye(U.shape[-1])
-    if np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - eye)) > 1e-8:
+    if np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - eye)) > UNITARY_TOL:
         raise ValueError("eigenstate extraction requires a unitary input")
     w, V = np.linalg.eig(U)
-    single = np.sum(np.abs(w[..., :, None] - w[..., None, :]) < tol, axis=-1) == 1
+    single = np.sum(np.abs(w[..., :, None] - w[..., None, :]) < EIGEN_CLUSTER_TOL, axis=-1) == 1
     return w, V, single
 
 
-def nondegenerate_eigenstates(C, dims: Dims, tol: float = 1e-8
-                              ) -> list[tuple[complex, np.ndarray]]:
+def nondegenerate_eigenstates(C, dims: Dims) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of a unitary whose eigenvalue cluster is one-dimensional,
     in eigenvalue order, each eigenvector phase-normalized."""
     U = np.asarray(C, dtype=np.complex128)
     if U.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"expected a {dims.D}x{dims.D} unitary, got {U.shape}")
-    w, V, single = eigenpairs(U[None], tol)
+    w, V, single = eigenpairs(U[None])
     return [(complex(w[0, i]), phase_normalize(V[0, :, i])) for i in np.flatnonzero(single[0])]
 
 
@@ -645,18 +647,20 @@ def nondegenerate_eigenstates(C, dims: Dims, tol: float = 1e-8
 _SEARCH_BLOCK_BYTES = 1 << 22  # bound on one batched expansion of frontier vectors
 
 
-def state_invariant(psi: np.ndarray, dims: Dims, decimals: int = 8) -> tuple:
+def state_invariant(psi: np.ndarray, dims: Dims) -> tuple:
     """Sorted multiset of |<s|psi>|^2 over the stabilizer dictionary."""
     dd = enumerate_stabilizer_states(dims)
     ov = np.sort(dd.overlaps(psi))
-    return tuple(np.round(ov, decimals).tolist())
+    return tuple(np.round(ov, OVERLAP_DECIMALS).tolist())
 
 
 def _state_keys(vecs: np.ndarray) -> np.ndarray:
     """One exact key per row of vecs, as raw bytes: the row with its first
-    entry above 1e-6 rotated to the positive real axis, on a 1e-7 grid."""
-    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs) > 1e-6, axis=1)[:, None], axis=1)
-    grid = np.round((vecs / (lead / np.abs(lead))).view(np.float64) / 1e-7).astype(np.int64)
+    entry above SEARCH_LEAD_TOL rotated to the positive real axis, on the
+    SEARCH_GRID grid."""
+    first = np.argmax(np.abs(vecs) > SEARCH_LEAD_TOL, axis=1)
+    lead = np.take_along_axis(vecs, first[:, None], axis=1)
+    grid = np.round((vecs / (lead / np.abs(lead))).view(np.float64) / SEARCH_GRID).astype(np.int64)
     return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
 
 
@@ -710,12 +714,13 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     backward side its inverses to psi2, and they alternate a level each.  A
     level is one batched product of the frontier with the alphabet, its
     candidates in (frontier, generator) order; each is keyed by its
-    phase-normalized vector on a 1e-7 grid, and the first candidate with a new
-    key is kept.  `budget` caps the candidates over both sides, and the level
-    that reaches it is cut there.  A key reached from both ends gives the word
-    (backward generators, first applied leftmost) + (forward word), verified
-    before it is returned.  None means inconclusive, not inequivalence.
-    States that are not both length-D vectors raise DimensionMismatchError.
+    phase-normalized vector on the `tolerances.SEARCH_GRID` grid (1e-7), and
+    the first candidate with a new key is kept.  `budget` caps the candidates
+    over both sides, and the level that reaches it is cut there.  A key
+    reached from both ends gives the word (backward generators, first applied
+    leftmost) + (forward word), verified before it is returned.  None means
+    inconclusive, not inequivalence.  States that are not both length-D
+    vectors raise DimensionMismatchError.
     """
     D = dims.D
     psi1 = np.asarray(psi1, dtype=np.complex128)

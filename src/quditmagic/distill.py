@@ -25,6 +25,7 @@ import numpy as np
 
 from .clifford import qudit_clifford_generators
 from .phasespace import Dims
+from .tolerances import ORTHONORMAL_TOL, PSD_TOL
 from .weyl import unit_phase
 
 DIMS_PAIR = Dims(2, 2)
@@ -74,7 +75,7 @@ class PairParams(NamedTuple):
                        self.eps1, self.eps2, self.eps3]).astype(np.complex128)
         rho[0, 3] = self.a + 1j * self.b
         rho[3, 0] = self.a - 1j * self.b
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
+        if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
             raise ValueError("parameters do not define a PSD density matrix")
         return rho
 
@@ -175,7 +176,7 @@ def logical_pair_vectors() -> np.ndarray:
     # express in pair-basis coordinates, matching the kron of 4x4 densities
     L = _act_on_pairs([np.array(basis).conj()] * 5, L_pairmajor)
     gram = L.conj().T @ L
-    if np.max(np.abs(gram - np.eye(4))) > 1e-9:
+    if np.max(np.abs(gram - np.eye(4))) > ORTHONORMAL_TOL:
         raise RuntimeError("logical pair vectors are not orthonormal")
     return L
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InfeasibleExtentError
 from .measures import group_stabilizer_fidelity
 from .stabilizers import StabilizerDictionary
+from .tolerances import EXTENT_CHECK_TOL, EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF
 
 
 class ExtentProblem(NamedTuple):
@@ -58,9 +59,8 @@ def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:
     return out
 
 
-def solve_extent(problem: ExtentProblem, tol: float = 1e-8,
-                 max_iter: int = 100_000, rho: float = 1.0,
-                 feas_tol: float = 1e-9) -> ExtentSolution:
+def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
+                 max_iter: int = 100_000, rho: float = 1.0) -> ExtentSolution:
     """Minimize the l1 norm of c subject to A c = b (b = projected target)."""
     A = problem.dictionary.T           # (D, K) with columns the states
     b = problem.target.astype(np.complex128)
@@ -71,10 +71,10 @@ def solve_extent(problem: ExtentProblem, tol: float = 1e-8,
     # feasibility: b must lie in the column span of A
     gram = A @ Ah                    # (D, D)
     w, V = np.linalg.eigh(gram)
-    keep = w > max(w.max(), 1.0) * 1e-12
+    keep = w > max(w.max(), 1.0) * GRAM_CUTOFF
     pinv = (V[:, keep] / w[keep]) @ V[:, keep].conj().T
     b_span = A @ (Ah @ (pinv @ b))
-    if np.linalg.norm(b_span - b) > max(feas_tol, 1e-9):
+    if np.linalg.norm(b_span - b) > FEASIBILITY_TOL:
         raise InfeasibleExtentError(
             f"projected target misses the dictionary span by "
             f"{np.linalg.norm(b_span - b):.2e}"
@@ -145,11 +145,10 @@ class ExtentCheck(NamedTuple):
 
 def verify_clifford_stabilizer_extent(psi: np.ndarray,
                                       dictionary: StabilizerDictionary,
-                                      name: str = "", tol: float = 1e-6,
-                                      solver_tol: float = 1e-8) -> ExtentCheck:
+                                      name: str = "") -> ExtentCheck:
     """Check xi = 1/F for a Clifford-stabilizer state."""
     F, _ = group_stabilizer_fidelity(psi, dictionary.matrix)
-    sol = solve_extent(ExtentProblem.from_dictionary(psi, dictionary), tol=solver_tol)
+    sol = solve_extent(ExtentProblem.from_dictionary(psi, dictionary))
     err = abs(sol.value - 1.0 / F)
     return ExtentCheck(name=name, fidelity=F, solved=sol.value,
-                       expected=1.0 / F, error=err, passed=err <= tol)
+                       expected=1.0 / F, error=err, passed=err <= EXTENT_CHECK_TOL)

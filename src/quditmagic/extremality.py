@@ -21,9 +21,8 @@ from .errors import UnsupportedDimensionError
 from .measures import wigner_function
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, max_overlap
+from .tolerances import COEFF_TOL, ORTHONORMAL_TOL, WIGNER_ZERO_TOL
 from .weyl import shifted_characters
-
-ZERO_TOL = 1e-10  # |W| below this counts as a vanishing Wigner value
 
 
 class PerturbationFrame:
@@ -34,9 +33,9 @@ class PerturbationFrame:
         self.base = np.asarray(base, dtype=np.complex128)
         self.direction = np.asarray(direction, dtype=np.complex128)
         for name, v in (("base", self.base), ("direction", self.direction)):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            if abs(np.linalg.norm(v) - 1.0) > ORTHONORMAL_TOL:
                 raise ValueError(f"{name} is not normalized")
-        if abs(np.vdot(self.base, self.direction)) > 1e-9:
+        if abs(np.vdot(self.base, self.direction)) > ORTHONORMAL_TOL:
             raise ValueError("direction is not orthogonal to the base state")
         self.sigma = (np.outer(self.direction, self.base.conj())
                       + np.outer(self.base, self.direction.conj()))
@@ -81,8 +80,7 @@ def angle_direction(basis, angles, phases) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # L and W matrices
 
-def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray],
-             tol: float = 1e-9) -> np.ndarray:
+def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray]) -> np.ndarray:
     """First-order fidelity data: L[i, j] = <b_(j+1)|s_i><s_i|b_0>.
 
     `basis` is orthonormal with the candidate first; `nearest_states` fixes
@@ -90,7 +88,7 @@ def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray],
     """
     basis = [np.asarray(b, dtype=np.complex128) for b in basis]
     G = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-    if np.max(np.abs(G - np.eye(len(basis)))) > tol:
+    if np.max(np.abs(G - np.eye(len(basis)))) > ORTHONORMAL_TOL:
         raise ValueError("basis is not orthonormal")
     psi = basis[0]
     rows = []
@@ -100,20 +98,19 @@ def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray],
     return np.array(rows)
 
 
-def w_matrix(basis: list[np.ndarray], dims: Dims,
-             zero_tol: float = ZERO_TOL) -> np.ndarray:
+def w_matrix(basis: list[np.ndarray], dims: Dims) -> np.ndarray:
     """W[i, j] = sum_chi sign(W_chi(psi_i)) W_chi(psi_j), with sign(0) = 0."""
     if not dims.odd:
         raise UnsupportedDimensionError("W matrix requires odd d")
     W = np.array([wigner_function(b, dims).values for b in basis])
-    signs = np.sign(W) * (np.abs(W) > zero_tol)
+    signs = np.sign(W) * (np.abs(W) > WIGNER_ZERO_TOL)
     return signs @ W.T
 
 
 # ---------------------------------------------------------------------------
 # measure expansions along a frame
 
-def mana_expansion(frame: PerturbationFrame, zero_tol: float = ZERO_TOL):
+def mana_expansion(frame: PerturbationFrame):
     """(linear_abs_coeff, quadratic_coeff, vanishing_pattern_ok) for the
     Wigner trace norm along the frame's path.
 
@@ -126,44 +123,43 @@ def mana_expansion(frame: PerturbationFrame, zero_tol: float = ZERO_TOL):
     Wpsi = wigner_function(np.outer(frame.base, frame.base.conj()), dims).values
     Wsig = wigner_function(frame.sigma, dims).values
     Wmu = wigner_function(frame.mu, dims).values
-    zero = np.abs(Wpsi) <= zero_tol
+    zero = np.abs(Wpsi) <= WIGNER_ZERO_TOL
     linear = float(np.sum(np.abs(Wsig[zero])))
-    pattern_ok = bool(np.all(np.abs(Wsig[zero]) <= 1e-9))
+    pattern_ok = bool(np.all(np.abs(Wsig[zero]) <= COEFF_TOL))
     signs = np.sign(Wpsi) * (~zero)
-    quadratic = float(signs @ Wmu + np.sum(np.abs(Wmu[zero & (np.abs(Wsig) <= zero_tol)])))
+    quadratic = float(signs @ Wmu + np.sum(np.abs(Wmu[zero & (np.abs(Wsig) <= WIGNER_ZERO_TOL)])))
     return linear, quadratic, pattern_ok
 
 
-def classify_mana(frame: PerturbationFrame, zero_tol: float = ZERO_TOL,
-                  coeff_tol: float = 1e-9) -> CriticalReport:
-    linear, quadratic, _ = mana_expansion(frame, zero_tol)
-    if linear > coeff_tol:
+def classify_mana(frame: PerturbationFrame) -> CriticalReport:
+    linear, quadratic, _ = mana_expansion(frame)
+    if linear > COEFF_TOL:
         return CriticalReport("mana", "sharp_min", 1, linear)
-    if quadratic < -coeff_tol:
+    if quadratic < -COEFF_TOL:
         return CriticalReport("mana", "smooth_max", 2, quadratic)
-    if quadratic > coeff_tol:
+    if quadratic > COEFF_TOL:
         return CriticalReport("mana", "smooth_min", 2, quadratic)
     return CriticalReport("mana", "flat", 2, quadratic)
 
 
-def fidelity_expansion(frame: PerturbationFrame, dictionary: StabilizerDictionary,
-                       tie_tol: float = 1e-9, coeff_tol: float = 1e-9) -> CriticalReport:
+def fidelity_expansion(frame: PerturbationFrame,
+                       dictionary: StabilizerDictionary) -> CriticalReport:
     """Classify the stabilizer fidelity at eps = 0 along the frame's path.
 
     |<s|psi(eps)>|^2 = F + eps/(1+eps^2) 2 Re l_s + eps^2/(1+eps^2) <s|mu|s>
     exactly, for each nearest state s.
     """
-    F, nearest = max_overlap(frame.base, dictionary, tie_tol)
+    F, nearest = max_overlap(frame.base, dictionary)
     linear = np.array([2 * np.real(np.vdot(frame.direction, s.vector)
                                    * np.vdot(s.vector, frame.base))
                        for s in nearest])
-    if np.max(np.abs(linear)) > coeff_tol:
+    if np.max(np.abs(linear)) > COEFF_TOL:
         return CriticalReport("fidelity", "sharp_min", 1, float(np.max(np.abs(linear))))
     quad = np.array([np.real(np.vdot(s.vector, frame.mu @ s.vector)) for s in nearest])
     top = float(np.max(quad))
-    if top < -coeff_tol:
+    if top < -COEFF_TOL:
         return CriticalReport("fidelity", "smooth_max", 2, top)
-    if top > coeff_tol:
+    if top > COEFF_TOL:
         return CriticalReport("fidelity", "smooth_min", 2, top)
     return CriticalReport("fidelity", "flat", 2, top)
 
@@ -208,13 +204,13 @@ def xi2_series_bound(frame: PerturbationFrame) -> float:
     return 200.0 * max(1.0, float(np.sum(np.abs(coeffs))))
 
 
-def classify_xi2(coefficients: np.ndarray, tol: float = 1e-9) -> CriticalReport:
+def classify_xi2(coefficients: np.ndarray) -> CriticalReport:
     """First nonzero of Xi_2^(2..8): even index -> min/max by sign, odd ->
     inflection; all zero -> the path is exactly flat."""
     coefficients = np.asarray(coefficients, dtype=float)
     for m in range(2, min(9, coefficients.shape[0])):
         c = coefficients[m]
-        if abs(c) > tol:
+        if abs(c) > COEFF_TOL:
             if m % 2 == 1:
                 return CriticalReport("xi2", "inflection", m, float(c))
             kind = "smooth_min" if c > 0 else "smooth_max"

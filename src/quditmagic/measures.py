@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap
-from .weyl import TOL_OP, density_of, shifted_characters, transform_plan
+from .tolerances import TIE_TOL, WIGNER_IMAG_TOL
+from .weyl import density_of, shifted_characters, transform_plan
 
 
 class WignerFunction:
@@ -37,7 +38,7 @@ class WignerFunction:
         return float(np.abs(self.values).sum())
 
 
-def wigner_function(rho, dims: Dims, tol: float = TOL_OP) -> WignerFunction:
+def wigner_function(rho, dims: Dims) -> WignerFunction:
     """W_chi = d^-N Tr(A_chi rho); accepts density matrices, state vectors and
     Hermitian operators of any trace.
 
@@ -58,9 +59,9 @@ def wigner_function(rho, dims: Dims, tol: float = TOL_OP) -> WignerFunction:
     else:
         gathered = arr[plan.minus, plan.plus]
     vals = ((gathered @ plan.characters).take(plan.double, axis=1) / D).ravel()
-    imag, limit = np.abs(vals.imag).max(), max(tol, 1e-9)
-    # the scale max(1, |W|) only matters once imag exceeds the limit itself
-    if imag > limit and imag > limit * max(1.0, np.abs(vals).max()):
+    imag = np.abs(vals.imag).max()
+    # the scale max(1, |W|) only matters once imag exceeds the tolerance itself
+    if imag > WIGNER_IMAG_TOL and imag > WIGNER_IMAG_TOL * max(1.0, np.abs(vals).max()):
         raise ValueError("Wigner values have a non-negligible imaginary part")
     return WignerFunction(dims, vals.real.copy())
 
@@ -75,17 +76,16 @@ def mana(rho, dims: Dims) -> float:
 
 
 def stabilizer_fidelity(psi: np.ndarray, dictionary: StabilizerDictionary | None = None,
-                        dims: Dims | None = None, tie_tol: float = 1e-9):
+                        dims: Dims | None = None):
     """Max squared overlap with the stabilizer set, plus the argmax states."""
     if dictionary is None:
         if dims is None:
             raise ValueError("need a dictionary or dims")
         dictionary = enumerate_stabilizer_states(dims)
-    return max_overlap(psi, dictionary, tie_tol)
+    return max_overlap(psi, dictionary)
 
 
-def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndarray],
-                              tie_tol: float = 1e-9):
+def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndarray]):
     """Fidelity against an arbitrary finite set of rays (the G-stabilizer set),
     given as a (K, D) array of rows, used as it is, or a sequence of vectors."""
     if len(states) == 0:
@@ -93,7 +93,7 @@ def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndar
     psi = np.asarray(psi, dtype=np.complex128)
     ov = np.abs(np.asarray(states) @ psi.conj()) ** 2
     best = float(ov.max())
-    return best, [states[i] for i in (ov >= best - tie_tol).nonzero()[0]]
+    return best, [states[i] for i in (ov >= best - TIE_TOL).nonzero()[0]]
 
 
 class PauliDistribution:

@@ -53,9 +53,8 @@ from .phasespace import (
     reduce_by_pivots,
     symplectic_product,
 )
+from .tolerances import AMPLITUDE_TOL, BUILD_CHECK_TOL, IDENTITY_TOL, SPAN_TOL, TIE_TOL
 from .weyl import displace, displacement_matrix, unit_phase
-
-TIE_TOL = 1e-9  # default argmax tie tolerance
 
 
 class StabilizerState(NamedTuple):
@@ -69,7 +68,7 @@ class StabilizerState(NamedTuple):
     def dims(self) -> Dims:
         return self.subspace.dims
 
-    def check(self, tol: float = 1e-10) -> bool:
+    def check(self, tol: float = IDENTITY_TOL) -> bool:
         """Re-derive the stabilization equations of the basis rows, which
         imply those of every element of the subspace, for the stored vector."""
         d = self.dims.d
@@ -84,7 +83,8 @@ class StabilizerState(NamedTuple):
 def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarray:
     """|M, chi> for every subspace M with echelon basis basis[i] and
     displacement chi = chis[i, j], as an array (len(basis), chis.shape[1], D);
-    every vector is checked against the equations of M's basis rows at 1e-8."""
+    every vector is checked against the equations of M's basis rows within
+    BUILD_CHECK_TOL."""
     d = dims.d
     psi = np.zeros((len(basis), dims.D), dtype=np.complex128)
     psi[:, 0] = 1.0
@@ -95,11 +95,12 @@ def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarra
             acc = acc + term
         psi = acc / d
     nrm = np.linalg.norm(psi, axis=1, keepdims=True)
-    if np.min(nrm) < 1e-8:
+    if np.min(nrm) < SPAN_TOL:
         raise InvalidStabilizerError("e_0 has no component on |M, 0>: basis not echelonized")
     vecs = displace(-chis, (psi / nrm)[:, None, :], dims)
-    # phase-normalize every row: its first entry above 1e-12 made real positive
-    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs) > 1e-12, axis=-1)[..., None], axis=-1)
+    # phase-normalize every row: its first entry above AMPLITUDE_TOL made real positive
+    first = np.argmax(np.abs(vecs) > AMPLITUDE_TOL, axis=-1)
+    lead = np.take_along_axis(vecs, first[..., None], axis=-1)
     vecs = vecs / (lead / np.abs(lead))
     roots = np.array([unit_phase(k, d) for k in range(d)])
     for i in range(dims.N):  # basis row i of every subspace at once
@@ -107,7 +108,7 @@ def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarra
         err = displace(m, vecs, dims)
         err *= roots[symplectic_product(chis, m, d)][..., None]
         err -= vecs
-        if np.max(np.abs(err)) >= 1e-8:
+        if np.max(np.abs(err)) >= BUILD_CHECK_TOL:
             raise InvalidStabilizerError("constructed vector fails stabilization equations")
         del err  # freed before the next row's gather
     return vecs
@@ -227,8 +228,8 @@ def enumerate_stabilizer_states(dims: Dims) -> StabilizerDictionary:
     return _dictionary_cached(dims.d, dims.N)
 
 
-def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary,
-                tie_tol: float = TIE_TOL) -> tuple[float, list[StabilizerState]]:
+def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary
+                ) -> tuple[float, list[StabilizerState]]:
     """Largest squared overlap with the dictionary and all states tied for it."""
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (dictionary.dims.D,):
@@ -237,5 +238,5 @@ def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary,
         )
     ov = dictionary.overlaps(psi)
     best = float(ov.max())
-    nearest = [dictionary[i] for i in (ov >= best - tie_tol).nonzero()[0].tolist()]
+    nearest = [dictionary[i] for i in (ov >= best - TIE_TOL).nonzero()[0].tolist()]
     return best, nearest

@@ -17,6 +17,7 @@ from .extremality import l_matrix, w_matrix
 from .measures import sre, stabilizer_fidelity, wigner_function
 from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
+from .tolerances import EXACT_TOL, PRINTED_TOL
 from .weyl import unit_phase
 
 SQ2, SQ3, SQ5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
@@ -319,7 +320,8 @@ _L_BASES = {
 }
 
 
-def check_l_tables(exact_tol: float = 1e-9, printed_tol: float = 1e-4) -> list[TableResult]:
+def check_l_tables(exact_tol: float = EXACT_TOL,
+                   printed_tol: float = PRINTED_TOL) -> list[TableResult]:
     out = []
     for name, expected in {**QUBIT_L, **QUTRIT_L}.items():
         got = computed_l_matrix(name, _L_BASES[name])
@@ -332,7 +334,8 @@ def check_l_tables(exact_tol: float = 1e-9, printed_tol: float = 1e-4) -> list[T
     return out
 
 
-def check_w_tables(exact_tol: float = 1e-9, printed_tol: float = 1e-4) -> list[TableResult]:
+def check_w_tables(exact_tol: float = EXACT_TOL,
+                   printed_tol: float = PRINTED_TOL) -> list[TableResult]:
     out = []
     for name, (basis_names, expected) in QUTRIT_W.items():
         got = w_matrix([build(b) for b in basis_names], Dims(3, 1))
@@ -345,16 +348,16 @@ def check_w_tables(exact_tol: float = 1e-9, printed_tol: float = 1e-4) -> list[T
     return out
 
 
-def check_wigner_tables(exact_tol: float = 1e-9, printed_tol: float = 1e-4) -> list[TableResult]:
+def check_wigner_tables() -> list[TableResult]:
     out = []
     for name, expected in QUTRIT_WIGNER.items():
         got = wigner_function(build(name), Dims(3, 1)).as_grid()
         err = float(np.max(np.abs(got - expected)))
-        out.append(TableResult(f"Wigner[{name}]", got.tolist(), err, exact_tol))
+        out.append(TableResult(f"Wigner[{name}]", got.tolist(), err, EXACT_TOL))
     for name, expected in QUQUINT_WIGNER_PRINTED.items():
         got = wigner_function(build(name), Dims(5, 1)).as_grid()
         err = float(np.max(np.abs(got - expected)))
-        out.append(TableResult(f"Wigner[{name}]", got.tolist(), err, printed_tol))
+        out.append(TableResult(f"Wigner[{name}]", got.tolist(), err, PRINTED_TOL))
     return out
 
 

@@ -33,9 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
 from .phasespace import Dims, mod_inverse, split_point
-
-TOL_OP = 1e-10  # default operator tolerance
-TOL_EQ = 1e-9   # default operator-equality tolerance
+from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, UNIT_PHASE_TOL
 
 
 def unit_phase(k: int, order: int) -> complex:
@@ -181,7 +179,7 @@ def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
     return ((x.conj()[plan.plus] * y) @ plan.characters).ravel()
 
 
-def global_phase(A, B, tol: float = TOL_EQ):
+def global_phase(A, B, tol: float = EQUALITY_TOL):
     """Phase c with A = c B (|c| = 1), or None.  Works on vectors and matrices."""
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
@@ -191,18 +189,18 @@ def global_phase(A, B, tol: float = TOL_EQ):
     if np.abs(B[idx]) < tol:
         return 1.0 if np.max(np.abs(A)) < tol else None
     c = A[idx] / B[idx]
-    if abs(abs(c) - 1.0) > max(tol, 1e-7):
+    if abs(abs(c) - 1.0) > max(tol, UNIT_PHASE_TOL):
         return None
     if np.max(np.abs(A - c * B)) < tol * max(1.0, np.max(np.abs(B))):
         return c
     return None
 
 
-def equal_up_to_phase(A, B, tol: float = TOL_EQ) -> bool:
-    return global_phase(A, B, tol) is not None
+def equal_up_to_phase(A, B) -> bool:
+    return global_phase(A, B) is not None
 
 
-def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def phase_normalize(v: np.ndarray, tol: float = AMPLITUDE_TOL) -> np.ndarray:
     """Rotate the first non-negligible entry to the positive real axis."""
     v = np.asarray(v, dtype=np.complex128)
     flat = v.ravel()

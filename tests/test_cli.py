@@ -127,12 +127,20 @@ def test_malformed_direction_exits_2(capsys, direction):
     assert "error: argument --direction" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("direction, message", [
-    ("state:qutrit:S", "no part orthogonal"),
-    ("state:qubit:T0", "is not on Dims(d=3, N=1)"),
-])
-def test_unusable_direction_state_exits_2(capsys, direction, message):
-    assert main(["extremality", "qutrit:S", "--direction", direction]) == 2
+@pytest.mark.parametrize("argv, message", [
+    (["extremality", "qutrit:S", "--direction", "state:qutrit:S"], "no part orthogonal"),
+    (["extremality", "qutrit:S", "--direction", "state:qubit:T0"], "is not on Dims(d=3, N=1)"),
+    (["measures"], "need a state name or --file"),
+    (["eigenstates", "--dims", "3,1"], "need --word or --all-cliffords"),
+    (["extent", "solve", "--state", "qubit:T0", "--dims", "3,1"],
+     "--dims Dims(d=3, N=1) does not match the state's Dims(d=2, N=1)"),
+    (["extent", "solve", "--state", "2q:TT", "--group", "H@1"], "group 'H@1' stabilizes no state"),
+    (["extent", "solve", "--state", "2q:TT", "--group", "X@1"], "group 'X@1' stabilizes no state"),
+], ids=["direction with no orthogonal part", "direction on other dims", "measures without a state",
+        "eigenstates without an operator", "extent dims mismatch", "extent group H",
+        "extent group X"])
+def test_input_error_exits_2(capsys, argv, message):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
