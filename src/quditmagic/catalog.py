@@ -22,8 +22,9 @@ from .clifford import (
     SL2_S_HAT,
     metaplectic_V,
     nondegenerate_eigenstates,
+    qubit_T_gate,
+    qubit_T_states,
     single_qudit_H,
-    single_qudit_S,
     word_unitary,
 )
 from .errors import UnknownStateError
@@ -36,7 +37,6 @@ from .weyl import displacement_matrix, equal_up_to_phase, unit_phase
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)
-SQ6 = math.sqrt(6.0)
 
 
 def _nm(vals) -> np.ndarray:
@@ -55,13 +55,6 @@ def ket(*bits, d: int = 2) -> np.ndarray:
     v = np.zeros(D, dtype=np.complex128)
     v[idx] = 1.0
     return v
-
-
-def qubit_T_states() -> tuple[np.ndarray, np.ndarray]:
-    a = math.sqrt((3 + SQ3) / 6)
-    b = math.sqrt((3 - SQ3) / 6)
-    e = unit_phase(1, 8)
-    return np.array([a, e * b]), np.array([-b, e * a])
 
 
 def qubit_H_states() -> tuple[np.ndarray, np.ndarray]:
@@ -198,21 +191,12 @@ def _three_qubit_states() -> dict:
 # ---------------------------------------------------------------------------
 # eigen-operator builders
 
-def qutrit_X() -> np.ndarray:
-    return np.roll(np.eye(3, dtype=np.complex128), 1, axis=0)
-
-
-def _op_qubit_T():
-    H, S = single_qudit_H(2), single_qudit_S(2)
-    return unit_phase(1, 8) * S @ H
-
-
 def _op_qutrit_H():
     return single_qudit_H(3)
 
 
 def _op_qutrit_N():
-    XH = qutrit_X() @ single_qudit_H(3)
+    XH = displacement_matrix([1, 0], Dims(3, 1)) @ single_qudit_H(3)
     return XH @ metaplectic_V(np.array([[2, 0], [2, 2]]), 3) @ XH.conj().T
 
 
@@ -226,8 +210,7 @@ def _op_ququint_H():
 
 
 def _op_ququint_XVS():
-    X5 = np.roll(np.eye(5, dtype=np.complex128), 1, axis=0)
-    return X5 @ metaplectic_V(SL2_S_HAT, 5)
+    return displacement_matrix([1, 0], Dims(5, 1)) @ metaplectic_V(SL2_S_HAT, 5)
 
 
 def _op_ququint_Bprime():
@@ -299,13 +282,13 @@ def entries() -> dict:
                      "M2": ("log(3/2)", math.log(1.5))},
            expected_nearest_count=3,
            nearest_state=lambda: ket(0),
-           eigen_operator=_op_qubit_T, eigen_value=unit_phase(1, 6),
+           eigen_operator=qubit_T_gate, eigen_value=unit_phase(1, 6),
            m_alpha=ma_prod(3.0), saturates_sre_bound=True)
     _entry(reg, "qubit:T1", qb, T1,
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
                      "M2": ("log(3/2)", math.log(1.5))},
            expected_nearest_count=3,
-           eigen_operator=_op_qubit_T, eigen_value=unit_phase(-1, 6),
+           eigen_operator=qubit_T_gate, eigen_value=unit_phase(-1, 6),
            m_alpha=ma_prod(3.0), saturates_sre_bound=True)
     _entry(reg, "qubit:H0", qb, H0,
            expected={"F": ("(2+sqrt2)/4", (2 + SQ2) / 4),
@@ -610,11 +593,7 @@ _ALIASES = {
 
 def build(name: str) -> np.ndarray:
     """Construct a catalog state by name; see `entries()` for the registry."""
-    reg = entries()
-    key = _ALIASES.get(name, name)
-    if key not in reg:
-        raise UnknownStateError(f"unknown catalog state {name!r}")
-    return reg[key].build()
+    return entry(name).build()
 
 
 def entry(name: str) -> CatalogEntry:

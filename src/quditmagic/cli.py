@@ -70,6 +70,13 @@ def parse_alphas(text: str) -> tuple[float, ...]:
     return alphas
 
 
+def parse_rounds(text: str) -> int:
+    """The `--rounds` argument: a number of distillation rounds, at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a round count >= 1")
+    return int(text)
+
+
 def parse_eps3(text: str) -> float | tuple[float, float, float]:
     """The `--eps3` argument: a float, or a start:stop:step range with step > 0."""
     try:
@@ -308,17 +315,23 @@ def cmd_extremality(args) -> int:
 def cmd_distill(args) -> int:
     from .distill import PairParams, distill_step, iterate_protocol
 
+    try:  # PairParams.density raises ValueError for parameters that are not a state
+        if args.mode == "step":
+            params = PairParams(eps1=args.eps1, eps2=args.eps2,
+                                eps3=args.eps3 or 0.0, a=args.a, b=args.b)
+            out, p = distill_step([params] * 5)
+        else:
+            start, stop, step = args.eps3 or (0.0, 0.2, 0.01)
+            sweep = [(eps, iterate_protocol(PairParams(eps3=float(eps)), args.rounds))
+                     for eps in np.arange(start, stop + RANGE_END_SLACK, step)]
+    except ValueError as exc:
+        raise QuditMagicError(f"distill {args.mode}: {exc}") from None
     if args.mode == "step":
-        params = PairParams(eps1=args.eps1, eps2=args.eps2,
-                            eps3=args.eps3 or 0.0, a=args.a, b=args.b)
-        out, p = distill_step([params] * 5)
         _emit(args, {"p_success": p, "out": out._asdict()})
         return 0
-    start, stop, step = args.eps3 or (0.0, 0.2, 0.01)
     rows = [["eps3_in", "round", "eps3_out", "p_success"]]
     payload = []
-    for eps in np.arange(start, stop + RANGE_END_SLACK, step):
-        traj = iterate_protocol(PairParams(eps3=float(eps)), args.rounds)
+    for eps, traj in sweep:
         payload.append({"eps3": float(eps),
                         "trajectory": [{"round": t["round"],
                                         "eps3": t["params"].eps3,
@@ -469,7 +482,7 @@ def main(argv=None) -> int:
                    help="a float for step, start:stop:step for sweep")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=parse_rounds, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_distill)

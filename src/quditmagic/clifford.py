@@ -11,8 +11,10 @@ Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi).  A Clifford is
 handled through its exact integer action on the d^(2N) Pauli labels,
     U T_chi U^dag = omega^k[chi] T_perm[chi],
 a permutation `perm` of the labels and phase exponents k mod d.  The action
-of a unitary is read once per label with the gather-and-character transform
-of `weyl.pauli_coefficients` (no dense table).  Actions compose exactly,
+of a unitary is read for all labels in one batched transform: `weyl.displace`
+applies every T_chi to the columns of U^dag, and the gather-and-character
+transform of `weyl.pauli_coefficients` reads the whole stack U T_chi U^dag
+(no dense table).  Actions compose exactly,
 (G U): perm2 = g_perm[perm], k2 = k + g_k[perm].
 
 The action on the 2N unit labels e_i (X_i and Z_i) already identifies an
@@ -62,6 +64,7 @@ from .tolerances import (EIGEN_CLUSTER_TOL, GROUP_MATRIX_TOL, KEY_DECIMALS, KEY_
                          OVERLAP_DECIMALS, PAULI_TOL, ROOT_OF_UNITY_TOL, SEARCH_GRID,
                          SEARCH_LEAD_TOL, UNITARY_TOL)
 from .weyl import (
+    displace,
     displacement_matrix,
     equal_up_to_phase,
     pauli_coefficients,
@@ -136,27 +139,35 @@ def single_qudit_S(d: int) -> np.ndarray:
     return np.diag(diag).astype(np.complex128)
 
 
-def _conjugated_label(U: np.ndarray, chi: np.ndarray, dims: Dims) -> tuple[int, complex]:
-    """Index j and phase c with U T_chi U^dag = c T_j; NotClifford if none."""
-    coeffs = pauli_coefficients(U @ displacement_matrix(chi, dims) @ U.conj().T, dims)
-    idx = np.flatnonzero(np.abs(coeffs) > PAULI_TOL)
-    if idx.size != 1 or abs(abs(coeffs[idx[0]]) - 1.0) > PAULI_TOL:
-        raise NotCliffordError("conjugation leaves the displacement basis")
-    return int(idx[0]), complex(coeffs[idx[0]])
+def qubit_T_gate() -> np.ndarray:
+    """T = e^(i pi/4) S H, the order-3 qubit Clifford (the transversal gate of
+    the five-qubit code)."""
+    return unit_phase(1, 8) * single_qudit_S(2) @ single_qudit_H(2)
+
+
+def qubit_T_states() -> tuple[np.ndarray, np.ndarray]:
+    """|T0>, |T1>: the eigenstates of `qubit_T_gate` at e^(+-i pi/3)."""
+    a, b, e = np.sqrt((3 + np.sqrt(3)) / 6), np.sqrt((3 - np.sqrt(3)) / 6), unit_phase(1, 8)
+    return np.array([a, e * b]), np.array([-b, e * a])
 
 
 def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Label indices perm and exponents k with U T_chi U^dag = omega^k T_perm,
-    one entry per row of `labels`."""
-    d = dims.d
-    perm = np.empty(len(labels), dtype=np.intp)
-    k = np.empty(len(labels), dtype=np.int64)
-    for i, chi in enumerate(labels):
-        perm[i], c = _conjugated_label(U, chi, dims)
-        k[i] = int(np.rint(np.angle(c) * d / (2 * np.pi))) % d
-        if abs(c - unit_phase(k[i], d)) > ROOT_OF_UNITY_TOL:
-            raise NotCliffordError("conjugation phase is not a d-th root of unity")
+    one entry per row of `labels`, read in one transform of the stack
+    U T_chi U^dag (T_chi applied to the columns of U^dag by `displace`)."""
+    d = dims.d  # the stack peaks at four (n, D, D) arrays while its coefficients are read
+    check_budget(4 * len(labels) * dims.D ** 2 * 16, f"the Pauli action on {dims}")
+    conjugated = U @ displace(labels[:, None, :], U.conj(), dims).swapaxes(1, 2)
+    coeffs = pauli_coefficients(conjugated, dims)
+    hits = np.abs(coeffs) > PAULI_TOL
+    perm = np.argmax(hits, axis=1)
+    c = coeffs[np.arange(len(labels)), perm]
+    if np.any(np.sum(hits, axis=1) != 1) or np.any(np.abs(np.abs(c) - 1.0) > PAULI_TOL):
+        raise NotCliffordError("conjugation leaves the displacement basis")
+    k = np.rint(np.angle(c) * d / (2 * np.pi)).astype(np.int64) % d
+    if np.any(np.abs(c - np.exp(2j * np.pi * k / d)) > ROOT_OF_UNITY_TOL):
+        raise NotCliffordError("conjugation phase is not a d-th root of unity")
     return perm, k
 
 
@@ -308,14 +319,10 @@ def gate_unitary(token: str, dims: Dims) -> np.ndarray:
     else:
         if d == 2:
             op = _QUBIT_GATES[name]
+        elif name in ("X", "Z"):
+            op = displacement_matrix((1, 0) if name == "X" else (0, 1), Dims(d, 1))
         else:
-            op = {"H": single_qudit_H, "S": single_qudit_S}.get(name, None)
-            if op is not None:
-                op = op(d)
-            elif name == "X":
-                op = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
-            else:
-                op = np.diag([unit_phase(j, d) for j in range(d)])
+            op = {"H": single_qudit_H, "S": single_qudit_S}[name](d)
         mat = _embed(op, sites, dims)
     return mat.conj().T if dagger else mat
 
@@ -379,6 +386,15 @@ def _group_bytes(dims: Dims, n_gens: int) -> int:
             + order * (4 * L * L * 8 + 4 * L * 8))
 
 
+def _lineage(parent: np.ndarray, generator: np.ndarray, i: int) -> list[int]:
+    """The generators that reach BFS node i from node 0, the last applied first."""
+    out = []
+    while i:
+        out.append(generator.item(i))
+        i = parent.item(i)
+    return out
+
+
 class ReducedCliffordGroup:
     """The reduced Clifford group as integer arrays, in BFS order.
 
@@ -404,11 +420,8 @@ class ReducedCliffordGroup:
 
     def word(self, i: int) -> tuple[str, ...]:
         """The word of element i: its generator, then its parent's word."""
-        word = ()
-        while i:
-            word += self.gen_words[self.generator.item(i)]
-            i = self.parent.item(i)
-        return word
+        chain = _lineage(self.parent, self.generator, i)
+        return tuple(t for g in chain for t in self.gen_words[g])
 
     @cached_property
     def affine(self) -> tuple[np.ndarray, np.ndarray]:
@@ -680,14 +693,6 @@ class _SearchSide:
         self.parent = self.generator = zero
         self.frontier, self.lo = psi[None], 0
 
-    def chain(self, i: int) -> list[int]:
-        """The generators of state i, the last applied first."""
-        out = []
-        while i:
-            out.append(int(self.generator[i]))
-            i = int(self.parent[i])
-        return out
-
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The state index of each key, or -1 where no state has it."""
         pos = np.minimum(np.searchsorted(self.seen, keys), len(self.seen) - 1)
@@ -762,8 +767,9 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
                 met = other.lookup(keys[fresh])
                 for j in np.flatnonzero(met >= 0):
                     i_fwd, i_bwd = (at + j, met[j]) if side is fwd else (met[j], at + j)
-                    word = tuple(t for g in bwd.chain(i_bwd)[::-1] for t in words[g])
-                    word += tuple(t for g in fwd.chain(i_fwd) for t in words[g])
+                    chain = _lineage(bwd.parent, bwd.generator, i_bwd)[::-1]
+                    chain += _lineage(fwd.parent, fwd.generator, i_fwd)
+                    word = tuple(t for g in chain for t in words[g])
                     if equal_up_to_phase(word_unitary(word, dims) @ psi1, psi2):
                         return word
                 if expansions >= budget:

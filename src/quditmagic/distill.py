@@ -23,12 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import qudit_clifford_generators
-from .phasespace import Dims
+from .clifford import qubit_T_gate, qubit_T_states
 from .tolerances import ORTHONORMAL_TOL, PSD_TOL
 from .weyl import unit_phase
-
-DIMS_PAIR = Dims(2, 2)
 
 _PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -42,22 +39,6 @@ FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 def pauli_string(spec: str) -> np.ndarray:
     return reduce(np.kron, [_PAULI[ch] for ch in spec], np.ones((1, 1), dtype=np.complex128))
-
-
-def t_gate() -> np.ndarray:
-    """T = e^(i pi/4) S H, the transversal gate of the five-qubit code."""
-    H, S = qudit_clifford_generators(2)
-    return unit_phase(1, 8) * S.unitary @ H.unitary
-
-
-def t_states() -> tuple[np.ndarray, np.ndarray]:
-    """|T0>, |T1>: eigenstates of the T gate at e^(+-i pi/3)."""
-    r3 = np.sqrt(3)
-    T0 = np.array([np.sqrt((3 + r3) / 6),
-                   unit_phase(1, 8) * np.sqrt((3 - r3) / 6)])
-    T1 = np.array([-np.sqrt((3 - r3) / 6),
-                   unit_phase(1, 8) * np.sqrt((3 + r3) / 6)])
-    return T0, T1
 
 
 class PairParams(NamedTuple):
@@ -86,14 +67,15 @@ class PairParams(NamedTuple):
                    a=float(rho[0, 3].real), b=float(rho[0, 3].imag))
 
 
+def _pairs(T0: np.ndarray, T1: np.ndarray) -> list[np.ndarray]:
+    """psi_0..psi_3 built from a pair of T states, physical or logical."""
+    return [(np.kron(T0, T0) - np.kron(T1, T1)) / np.sqrt(2), np.kron(T0, T1),
+            np.kron(T1, T0), (np.kron(T0, T0) + np.kron(T1, T1)) / np.sqrt(2)]
+
+
 def pair_basis() -> list[np.ndarray]:
     """The four orthonormal two-qubit pair states psi_0..psi_3."""
-    T0, T1 = t_states()
-    psi0 = (np.kron(T0, T0) - np.kron(T1, T1)) / np.sqrt(2)
-    psi1 = np.kron(T0, T1)
-    psi2 = np.kron(T1, T0)
-    psi3 = (np.kron(T0, T0) + np.kron(T1, T1)) / np.sqrt(2)
-    return [psi0, psi1, psi2, psi3]
+    return _pairs(*qubit_T_states())
 
 
 @lru_cache(maxsize=1)
@@ -115,7 +97,7 @@ def project_T_overlaps() -> dict:
     the partition of bitstrings into equal-phase sets is gauge-independent.
     """
     Pi = code_projector()
-    T0, T1 = t_states()
+    T0, T1 = qubit_T_states()
     T1 = unit_phase(1, 6) * T1
     vecs = {}
     for x in range(32):
@@ -152,7 +134,7 @@ def logical_t_states() -> tuple[np.ndarray, np.ndarray]:
     """|T0_L>, |T1_L> of the five-qubit code: sqrt6 Pi |T1^x5> and
     sqrt6 Pi |T0^x5| (the trivial-syndrome projection flips the label)."""
     Pi = code_projector()
-    return tuple(np.sqrt(6) * Pi @ reduce(np.kron, [t] * 5) for t in t_states()[::-1])
+    return tuple(np.sqrt(6) * Pi @ reduce(np.kron, [t] * 5) for t in qubit_T_states()[::-1])
 
 
 @lru_cache(maxsize=1)
@@ -165,12 +147,7 @@ def logical_pair_vectors() -> np.ndarray:
     as the input ones.
     """
     basis = pair_basis()
-    T0L, T1L = logical_t_states()
-    psi0L = (np.kron(T0L, T0L) - np.kron(T1L, T1L)) / np.sqrt(2)
-    psi1L = np.kron(T0L, T1L)
-    psi2L = np.kron(T1L, T0L)
-    psi3L = (np.kron(T0L, T0L) + np.kron(T1L, T1L)) / np.sqrt(2)
-    L_block = np.array([psi0L, psi1L, psi2L, psi3L]).T  # (A-block, B-block) order
+    L_block = np.array(_pairs(*logical_t_states())).T  # (A-block, B-block) order
     perm = _pair_permutation()
     L_pairmajor = L_block[perm, :]
     # express in pair-basis coordinates, matching the kron of 4x4 densities
@@ -240,7 +217,7 @@ def dephasing_channel(rho_pair: np.ndarray) -> np.ndarray:
     entangling Clifford fixing psi_0 and flipping the sign of psi_3.
 
     The output is diagonal in the pair basis (all coherences removed)."""
-    T = t_gate()
+    T = qubit_T_gate()
     Psi = np.array(pair_basis()).T
     TT = Psi.conj().T @ np.kron(T, np.linalg.inv(T)) @ Psi
     G = np.array([[0, 0, 0, 1j],

@@ -60,7 +60,7 @@ def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
-                 max_iter: int = 100_000, rho: float = 1.0) -> ExtentSolution:
+                 max_iter: int = 100_000) -> ExtentSolution:
     """Minimize the l1 norm of c subject to A c = b (b = projected target)."""
     A = problem.dictionary.T           # (D, K) with columns the states
     b = problem.target.astype(np.complex128)
@@ -92,16 +92,15 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     for it in range(1, max_iter + 1):
         x = project_affine(z - u)
         x_relax = alpha * x + (1 - alpha) * z
-        z_new = _soft_threshold(x_relax + u, 1.0 / rho)
+        z_new = _soft_threshold(x_relax + u, 1.0)
         u = u + x_relax - z_new
         z_step = np.linalg.norm(z_new - z)
         z = z_new
         if it % 25 == 0 or z_step < tol * 0.01:
             c = project_affine(z)
             l1 = float(np.sum(np.abs(c)))
-            # dual candidate: least-squares lift of the subgradient rho*u
-            g = rho * u
-            y = pinv @ (A @ g)
+            # dual candidate: least-squares lift of the subgradient u
+            y = pinv @ (A @ u)
             dual_inf = float(np.max(np.abs(Ah @ y)))
             y_feas = y / max(dual_inf, 1.0)
             gap = abs(l1 - float(np.real(np.vdot(b, y_feas))))

@@ -54,7 +54,7 @@ from .phasespace import (
     symplectic_product,
 )
 from .tolerances import AMPLITUDE_TOL, BUILD_CHECK_TOL, IDENTITY_TOL, SPAN_TOL, TIE_TOL
-from .weyl import displace, displacement_matrix, unit_phase
+from .weyl import displace, unit_phase
 
 
 class StabilizerState(NamedTuple):
@@ -71,13 +71,25 @@ class StabilizerState(NamedTuple):
     def check(self, tol: float = IDENTITY_TOL) -> bool:
         """Re-derive the stabilization equations of the basis rows, which
         imply those of every element of the subspace, for the stored vector."""
-        d = self.dims.d
-        for m in self.subspace.basis:
-            ph = unit_phase(symplectic_product(self.displacement, m, d), d)
-            v = ph * (displacement_matrix(m, self.dims) @ self.vector)
-            if np.max(np.abs(v - self.vector)) >= tol:
-                return False
-        return True
+        return _stabilizer_residual(self.subspace.basis[None], self.displacement[None, None],
+                                    self.vector[None, None], self.dims) < tol
+
+
+def _stabilizer_residual(basis: np.ndarray, chis: np.ndarray, vecs: np.ndarray,
+                         dims: Dims) -> float:
+    """The largest |omega^<chi, m> T_m v - v| over the basis rows m of every
+    subspace, for basis (n, N, 2N) and displacements chis and vectors vecs of
+    leading shape (n, k)."""
+    d, worst = dims.d, 0.0
+    roots = np.array([unit_phase(k, d) for k in range(d)])
+    for i in range(dims.N):  # basis row i of every subspace at once
+        m = basis[:, i, None, :]
+        err = displace(m, vecs, dims)
+        err *= roots[symplectic_product(chis, m, d)][..., None]
+        err -= vecs
+        worst = max(worst, float(np.max(np.abs(err))))
+        del err  # freed before the next row's gather
+    return worst
 
 
 def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarray:
@@ -102,15 +114,8 @@ def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarra
     first = np.argmax(np.abs(vecs) > AMPLITUDE_TOL, axis=-1)
     lead = np.take_along_axis(vecs, first[..., None], axis=-1)
     vecs = vecs / (lead / np.abs(lead))
-    roots = np.array([unit_phase(k, d) for k in range(d)])
-    for i in range(dims.N):  # basis row i of every subspace at once
-        m = basis[:, i, None, :]
-        err = displace(m, vecs, dims)
-        err *= roots[symplectic_product(chis, m, d)][..., None]
-        err -= vecs
-        if np.max(np.abs(err)) >= BUILD_CHECK_TOL:
-            raise InvalidStabilizerError("constructed vector fails stabilization equations")
-        del err  # freed before the next row's gather
+    if _stabilizer_residual(basis, chis, vecs, dims) >= BUILD_CHECK_TOL:
+        raise InvalidStabilizerError("constructed vector fails stabilization equations")
     return vecs
 
 

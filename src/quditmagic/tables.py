@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import build
+from .catalog import SQ2, SQ3, build, entries, entry
 from .errors import UnknownTableError
 from .extremality import l_matrix, w_matrix
 from .measures import sre, stabilizer_fidelity, wigner_function
@@ -20,7 +20,6 @@ from .stabilizers import enumerate_stabilizer_states
 from .tolerances import EXACT_TOL, PRINTED_TOL
 from .weyl import unit_phase
 
-SQ2, SQ3, SQ5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 E4 = unit_phase(1, 8)
 W3 = unit_phase(1, 3)
 
@@ -255,6 +254,17 @@ QUQUINT_L_PRINTED = {
 TABLE1_ROWS = ["2q:00", "2q:H0", "2q:T0", "2q:HH", "2q:TH", "2q:TT",
                "2q:G4,2", "2q:G16,1", "2q:G20,1"]
 
+# the states, candidates or bases each table lists, by table id; an SRE table
+# lists the catalog states of its system with a closed-form M2, the sphere a grid
+_TABLE_STATES = {
+    "qutrit-wigner": QUTRIT_WIGNER, "qutrit-fidelity": QUTRIT_WIGNER,
+    "ququint-wigner": QUQUINT_WIGNER_PRINTED, "ququint-fidelity": QUQUINT_WIGNER_PRINTED,
+    "2q-eigenstates": TABLE1_ROWS, "qubit-L": QUBIT_L, "qutrit-L": QUTRIT_L,
+    "ququint-L": QUQUINT_L_PRINTED, "qutrit-W": QUTRIT_W, "ququint-W": QUQUINT_W_PRINTED,
+    "qubit-sre": (), "qutrit-sre": (), "ququint-sre": (), "2q-sre": (),
+    "qubit-fidelity-sphere": (),
+}
+
 
 # ---------------------------------------------------------------------------
 # recompute-and-compare helpers
@@ -271,13 +281,9 @@ class TableResult(NamedTuple):
 
 
 def computed_l_matrix(name: str, basis_names: tuple[str, ...]) -> np.ndarray:
-    e_dims = Dims(3, 1) if name.startswith("qutrit") else (
-        Dims(2, 1) if name.startswith("qubit") else Dims(5, 1))
     psi = build(name)
-    basis = [psi] + [build(b) for b in basis_names]
-    dd = enumerate_stabilizer_states(e_dims)
-    _, nearest = stabilizer_fidelity(psi, dictionary=dd)
-    return l_matrix(basis, [s.vector for s in nearest])
+    _, nearest = stabilizer_fidelity(psi, dims=entry(name).dims)
+    return l_matrix([psi] + [build(b) for b in basis_names], [s.vector for s in nearest])
 
 
 def ququint_l_matrix(name: str) -> np.ndarray:
@@ -287,9 +293,19 @@ def ququint_l_matrix(name: str) -> np.ndarray:
     this is the raw bilinear form, not an orthonormal-frame L matrix."""
     psi = build(name)
     dirs = [build(b) for b in QUQUINT_L_PRINTED[name][0]]
-    _, nearest = stabilizer_fidelity(psi, dims=Dims(5, 1))
+    _, nearest = stabilizer_fidelity(psi, dims=entry(name).dims)
     return np.array([[np.vdot(b, s.vector) * np.vdot(s.vector, psi)
                       for b in dirs] for s in nearest])
+
+
+def _l_table(name: str) -> np.ndarray:
+    """The L matrix of a tabulated candidate, in the form its table prints."""
+    return ququint_l_matrix(name) if name in QUQUINT_L_PRINTED else \
+        computed_l_matrix(name, _L_BASES[name])
+
+
+def _w_table(basis_names: tuple[str, ...]) -> np.ndarray:
+    return w_matrix([build(b) for b in basis_names], entry(basis_names[0]).dims)
 
 
 def row_multiset_error(A: np.ndarray, B: np.ndarray) -> float:
@@ -322,42 +338,34 @@ _L_BASES = {
 
 def check_l_tables(exact_tol: float = EXACT_TOL,
                    printed_tol: float = PRINTED_TOL) -> list[TableResult]:
+    printed = {name: L for name, (_, L) in QUQUINT_L_PRINTED.items()}
     out = []
-    for name, expected in {**QUBIT_L, **QUTRIT_L}.items():
-        got = computed_l_matrix(name, _L_BASES[name])
-        err = row_multiset_error(expected, got)
-        out.append(TableResult(f"L[{name}]", got.tolist(), err, exact_tol))
-    for name, (_, expected) in QUQUINT_L_PRINTED.items():
-        got = ququint_l_matrix(name)
-        err = row_multiset_error(expected, got)
-        out.append(TableResult(f"L[{name}]", got.tolist(), err, printed_tol))
+    for tables, tol in (({**QUBIT_L, **QUTRIT_L}, exact_tol), (printed, printed_tol)):
+        for name, expected in tables.items():
+            got = _l_table(name)
+            out.append(TableResult(f"L[{name}]", got.tolist(),
+                                   row_multiset_error(expected, got), tol))
     return out
 
 
 def check_w_tables(exact_tol: float = EXACT_TOL,
                    printed_tol: float = PRINTED_TOL) -> list[TableResult]:
     out = []
-    for name, (basis_names, expected) in QUTRIT_W.items():
-        got = w_matrix([build(b) for b in basis_names], Dims(3, 1))
-        err = float(np.max(np.abs(got - expected)))
-        out.append(TableResult(f"W[{name}]", got.tolist(), err, exact_tol))
-    for key, (basis_names, expected) in QUQUINT_W_PRINTED.items():
-        got = w_matrix([build(b) for b in basis_names], Dims(5, 1))
-        err = float(np.max(np.abs(got - expected)))
-        out.append(TableResult(f"W[{key}]", got.tolist(), err, printed_tol))
+    for tables, tol in ((QUTRIT_W, exact_tol), (QUQUINT_W_PRINTED, printed_tol)):
+        for key, (basis_names, expected) in tables.items():
+            got = _w_table(basis_names)
+            out.append(TableResult(f"W[{key}]", got.tolist(),
+                                   float(np.max(np.abs(got - expected))), tol))
     return out
 
 
 def check_wigner_tables() -> list[TableResult]:
     out = []
-    for name, expected in QUTRIT_WIGNER.items():
-        got = wigner_function(build(name), Dims(3, 1)).as_grid()
-        err = float(np.max(np.abs(got - expected)))
-        out.append(TableResult(f"Wigner[{name}]", got.tolist(), err, EXACT_TOL))
-    for name, expected in QUQUINT_WIGNER_PRINTED.items():
-        got = wigner_function(build(name), Dims(5, 1)).as_grid()
-        err = float(np.max(np.abs(got - expected)))
-        out.append(TableResult(f"Wigner[{name}]", got.tolist(), err, PRINTED_TOL))
+    for tables, tol in ((QUTRIT_WIGNER, EXACT_TOL), (QUQUINT_WIGNER_PRINTED, PRINTED_TOL)):
+        for name, expected in tables.items():
+            got = wigner_function(build(name), entry(name).dims).as_grid()
+            out.append(TableResult(f"Wigner[{name}]", got.tolist(),
+                                   float(np.max(np.abs(got - expected))), tol))
     return out
 
 
@@ -378,72 +386,33 @@ def qubit_fidelity_sphere(n_theta: int = 181, n_phi: int = 361) -> np.ndarray:
 
 def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
     """Rows (lists of strings/numbers) for a named table; CSV-ready."""
-    d3, d5 = Dims(3, 1), Dims(5, 1)
-    if table_id == "qutrit-wigner":
+    if table_id not in _TABLE_STATES:
+        raise UnknownTableError(f"unknown table id {table_id!r}")
+    system, _, kind = table_id.partition("-")
+    names = _TABLE_STATES[table_id]
+    if kind == "wigner":
         rows = [["state", "wigner(row p, col q)", "trace_norm"]]
-        for name in QUTRIT_WIGNER:
-            Wf = wigner_function(build(name), d3)
+        for name in names:
+            Wf = wigner_function(build(name), entry(name).dims)
             rows.append([name, np.round(Wf.as_grid(), 10).tolist(), Wf.trace_norm])
         return rows
-    if table_id == "qutrit-fidelity":
-        rows = [["state", "fidelity", "nearest_count"]]
-        for name in ("qutrit:S", "qutrit:N", "qutrit:Hplus", "qutrit:T0"):
-            F, near = stabilizer_fidelity(build(name), dims=d3)
-            rows.append([name, F, len(near)])
+    if kind in ("fidelity", "eigenstates"):
+        m2 = kind == "eigenstates"  # Table 1 also lists M2
+        rows = [["state", "fidelity", "nearest_count"] + ["M2"] * m2]
+        for name in names:
+            psi, dims = build(name), entry(name).dims
+            F, near = stabilizer_fidelity(psi, dims=dims)
+            rows.append([name, F, len(near)] + [sre(psi, dims)] * m2)
         return rows
-    if table_id == "ququint-wigner":
-        rows = [["state", "wigner(row p, col q)", "trace_norm"]]
-        for name in QUQUINT_WIGNER_PRINTED:
-            Wf = wigner_function(build(name), d5)
-            rows.append([name, np.round(Wf.as_grid(), 10).tolist(), Wf.trace_norm])
-        return rows
-    if table_id == "ququint-fidelity":
-        rows = [["state", "fidelity", "nearest_count"]]
-        for name in ("ququint:H,i", "ququint:H,-1", "ququint:XVS,1",
-                     "ququint:Bprime,-1", "ququint:Bprime,-w",
-                     "ququint:Bprime,w", "ququint:A,-w2", "ququint:A,w2"):
-            F, near = stabilizer_fidelity(build(name), dims=d5)
-            rows.append([name, F, len(near)])
-        return rows
-    if table_id == "2q-eigenstates":
-        rows = [["state", "fidelity", "nearest_count", "M2"]]
-        for name in TABLE1_ROWS:
-            psi = build(name)
-            F, near = stabilizer_fidelity(psi, dims=Dims(2, 2))
-            rows.append([name, F, len(near), sre(psi, Dims(2, 2))])
-        return rows
-    if table_id in ("qubit-L", "qutrit-L", "ququint-L"):
-        prefix = table_id.split("-")[0]
-        rows = [["candidate", "L matrix"]]
-        sources = {**QUBIT_L, **QUTRIT_L} if prefix != "ququint" else \
-            {k: v[1] for k, v in QUQUINT_L_PRINTED.items()}
-        for name in sources:
-            if not name.startswith(prefix):
-                continue
-            got = ququint_l_matrix(name) if prefix == "ququint" else \
-                computed_l_matrix(name, _L_BASES[name])
-            rows.append([name, np.round(got, 10).tolist()])
-        return rows
-    if table_id in ("qutrit-W", "ququint-W"):
-        rows = [["basis", "W matrix"]]
-        src = QUTRIT_W if table_id == "qutrit-W" else QUQUINT_W_PRINTED
-        dims = d3 if table_id == "qutrit-W" else d5
-        for key, (basis_names, _) in src.items():
-            got = w_matrix([build(b) for b in basis_names], dims)
-            rows.append([key, np.round(got, 10).tolist()])
-        return rows
-    if table_id in ("qubit-sre", "qutrit-sre", "ququint-sre", "2q-sre"):
-        from .catalog import entries
-        prefix = {"qubit-sre": "qubit:", "qutrit-sre": "qutrit:",
-                  "ququint-sre": "ququint:", "2q-sre": "2q:"}[table_id]
-        rows = [["state", "M2", "exact"]]
-        for name, e in entries().items():
-            if name.startswith(prefix) and "M2" in e.expected:
-                rows.append([name, sre(e.build(), e.dims),
-                             e.expected["M2"][0]])
-        return rows
-    if table_id == "qubit-fidelity-sphere":
-        rows = [["theta", "phi", "fidelity"]]
-        rows += [list(map(float, r)) for r in qubit_fidelity_sphere(*grid)]
-        return rows
-    raise UnknownTableError(f"unknown table id {table_id!r}")
+    if kind == "L":
+        return [["candidate", "L matrix"]] + [[name, np.round(_l_table(name), 10).tolist()]
+                                              for name in names]
+    if kind == "W":
+        return [["basis", "W matrix"]] + [[key, np.round(_w_table(basis), 10).tolist()]
+                                          for key, (basis, _) in names.items()]
+    if kind == "sre":
+        return [["state", "M2", "exact"]] + [
+            [name, sre(e.build(), e.dims), e.expected["M2"][0]] for name, e in entries().items()
+            if name.startswith(f"{system}:") and "M2" in e.expected]
+    return [["theta", "phi", "fidelity"]] + [list(map(float, r))
+                                             for r in qubit_fidelity_sphere(*grid)]

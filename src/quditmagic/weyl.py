@@ -33,17 +33,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
 from .phasespace import Dims, mod_inverse, split_point
-from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, UNIT_PHASE_TOL
+from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, ORTHONORMAL_TOL, UNIT_PHASE_TOL
 
 
 def unit_phase(k: int, order: int) -> complex:
     """exp(2 pi i k / order) with the exponent reduced first."""
     k = int(k) % order
     return np.exp(2j * np.pi * k / order)
-
-
-def omega(d: int) -> complex:
-    return unit_phase(1, d)
 
 
 def zeta(d: int) -> complex:
@@ -138,14 +134,15 @@ def transform_plan(d: int, N: int) -> TransformPlan:
 
 
 def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
-    """Tr[T_chi^dag M] / D for every chi, in lexicographic point order.
+    """Tr[T_chi^dag M] / D for every chi, in lexicographic point order, for
+    an operator M (D, D) or each operator of a stack (..., D, D).
 
     Tr[T_(p,q)^dag M] = conj(phase_(p,q) sum_j omega^(q.j) conj(M[p+j, j])):
     a gather, one character sum and the convention phase of each label.
     """
     plan = transform_plan(dims.d, dims.N)
-    sums = np.conj(M)[plan.plus, plan.rows] @ plan.characters
-    return np.conj(sums * plan.phases).ravel() / plan.D
+    sums = np.conj(M)[..., plan.plus, plan.rows] @ plan.characters
+    return np.conj(sums * plan.phases).reshape(M.shape[:-2] + (-1,)) / plan.D
 
 
 def displace(chi, vectors, dims: Dims) -> np.ndarray:
@@ -224,4 +221,6 @@ def state_from_json(data: dict) -> tuple[np.ndarray, Dims]:
     psi = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
     if psi.shape != (dims.D,):
         raise DimensionMismatchError(f"expected {dims.D} amplitudes, got {psi.shape}")
+    if abs(np.linalg.norm(psi) - 1.0) > ORTHONORMAL_TOL:
+        raise ValueError(f"amplitudes of norm {np.linalg.norm(psi):.6g} are not a unit vector")
     return psi, dims

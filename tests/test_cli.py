@@ -88,6 +88,7 @@ def test_malformed_grid_exits_2(capsys, argv):
     ["distill", "sweep", "--eps3", "abc"],
     ["distill", "step", "--eps3", "abc"],
     ["distill", "step", "--eps3", "0:0.2:0.01"],
+    ["distill", "sweep", "--rounds", "0"],
 ], ids=" ".join)
 def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -136,9 +137,11 @@ def test_malformed_direction_exits_2(capsys, direction):
      "--dims Dims(d=3, N=1) does not match the state's Dims(d=2, N=1)"),
     (["extent", "solve", "--state", "2q:TT", "--group", "H@1"], "group 'H@1' stabilizes no state"),
     (["extent", "solve", "--state", "2q:TT", "--group", "X@1"], "group 'X@1' stabilizes no state"),
+    (["distill", "step", "--eps1", "0.9", "--eps2", "0.9"], "not define a PSD density matrix"),
+    (["distill", "sweep", "--eps3", "0.9:1.2:0.2"], "not define a PSD density matrix"),
 ], ids=["direction with no orthogonal part", "direction on other dims", "measures without a state",
         "eigenstates without an operator", "extent dims mismatch", "extent group H",
-        "extent group X"])
+        "extent group X", "distill step not PSD", "distill sweep not PSD"])
 def test_input_error_exits_2(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -151,7 +154,10 @@ def test_input_error_exits_2(capsys, argv, message):
     ('{"d": 3, "N": 1}', "KeyError: 'amplitudes'"),
     ('{"d": 4, "N": 1, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "not prime"),
     ("qutrit:nope", "unknown catalog state"),
-], ids=["missing file", "malformed json", "no amplitudes", "d not prime", "unknown name"])
+    ('{"d": 2, "N": 1, "amplitudes": [[1, 0], [1, 0]]}', "norm 1.41421 are not a unit vector"),
+    ('{"d": 2, "N": 1, "amplitudes": [[0, 0], [0, 0]]}', "norm 0 are not a unit vector"),
+], ids=["missing file", "malformed json", "no amplitudes", "d not prime", "unknown name",
+        "norm sqrt2", "zero vector"])
 def test_unreadable_state_spec_exits_2(capsys, tmp_path, spec, message):
     spec = spec.replace("{missing}", str(tmp_path / "missing.json"))
     with pytest.raises(UnknownStateError, match=message):

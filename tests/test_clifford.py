@@ -14,7 +14,6 @@ from quditmagic.clifford import (
     FiniteUnitaryGroup,
     _affine_data,
     _compose_action,
-    _conjugated_label,
     _eigenspaces,
     _pauli_action,
     affine_from_clifford,
@@ -389,11 +388,16 @@ def test_conjugated_label_matches_dense_einsum(d, N):
     M = rng.normal(size=(dims.D, dims.D)) + 1j * rng.normal(size=(dims.D, dims.D))
     dense = np.einsum('kij,ij->k', T.conj(), M) / dims.D
     assert np.max(np.abs(pauli_coefficients(M, dims) - dense)) < 1e-12
-    for i, chi in enumerate(phase_points(dims)):
-        dense = np.einsum('kij,ij->k', T.conj(), U @ T[i] @ U.conj().T) / dims.D
-        j, c = _conjugated_label(U, chi, dims)
-        assert np.flatnonzero(np.abs(dense) > 1e-8).tolist() == [j]
-        assert abs(dense[j] - c) < 1e-12
+    # a stack of operators gives, bit for bit, the coefficients of each one
+    stack = np.array([M, M.conj().T, U, M @ U])
+    assert np.array_equal(pauli_coefficients(stack, dims),
+                          np.array([pauli_coefficients(A, dims) for A in stack]))
+    # the batched action over all labels against U T_chi U^dag, one dense contraction each
+    perm, k = _pauli_action(U, dims, phase_points(dims))
+    dense = np.einsum('kij,nij->nk', T.conj(), U @ T @ U.conj().T) / dims.D
+    for n in range(dims.n_points):
+        assert np.flatnonzero(np.abs(dense[n]) > 1e-8).tolist() == [perm[n]]
+        assert abs(dense[n, perm[n]] - unit_phase(k[n], d)) < 1e-12
 
 
 def _quantised_key(U, grid=1e-8):

@@ -3,6 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from quditmagic.clifford import qubit_T_gate, qubit_T_states
 from quditmagic.distill import (
     PairParams,
     code_projector,
@@ -14,8 +15,6 @@ from quditmagic.distill import (
     pair_basis,
     project_T_overlaps,
     success_probability_exact,
-    t_gate,
-    t_states,
     updated_error_exact,
 )
 
@@ -34,7 +33,7 @@ def test_code_projector_properties():
 
 
 def test_transversal_T_commutes_with_projector():
-    T = t_gate()
+    T = qubit_T_gate()
     TL = np.ones((1, 1), dtype=complex)
     for _ in range(5):
         TL = np.kron(TL, T)
@@ -43,8 +42,8 @@ def test_transversal_T_commutes_with_projector():
 
 
 def test_t_states_eigenvalues():
-    T = t_gate()
-    T0, T1 = t_states()
+    T = qubit_T_gate()
+    T0, T1 = qubit_T_states()
     assert np.linalg.norm(T @ T0 - np.exp(1j * np.pi / 3) * T0) < 1e-12
     assert np.linalg.norm(T @ T1 - np.exp(-1j * np.pi / 3) * T1) < 1e-12
 
@@ -53,7 +52,7 @@ def test_pair_basis_orthonormal_and_eigen():
     basis = pair_basis()
     G = np.array([[np.vdot(a, b) for b in basis] for a in basis])
     assert np.allclose(G, np.eye(4), atol=1e-12)
-    T = t_gate()
+    T = qubit_T_gate()
     TT = np.kron(T, np.linalg.inv(T))
     for n, v in enumerate(basis):
         lam = np.exp(2j * np.pi * n / 3)
