@@ -77,6 +77,17 @@ def parse_rounds(text: str) -> int:
     return int(text)
 
 
+def parse_tol(text: str) -> float:
+    """The `extent --tol` argument: a duality gap the solver can reach, above 0."""
+    try:
+        tol = float(text)
+        if not tol > 0:
+            raise ValueError("must be > 0")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive tolerance: {exc}")
+    return tol
+
+
 def parse_eps3(text: str) -> float | tuple[float, float, float]:
     """The `--eps3` argument: a float, or a start:stop:step range with step > 0."""
     try:
@@ -494,7 +505,7 @@ def main(argv=None) -> int:
                    help="d,N cross-check for JSON state specs")
     p.add_argument("--group", default=None,
                    help="comma-separated generator tokens for the G-variant")
-    p.add_argument("--tol", type=float, default=EXTENT_TOL)
+    p.add_argument("--tol", type=parse_tol, default=EXTENT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_extent)
 

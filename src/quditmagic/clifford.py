@@ -742,7 +742,7 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     check_budget(3 * budget * D * 16 + 4 * _SEARCH_BLOCK_BYTES,
                  f"a Clifford equivalence search on {dims} with budget {budget}")
     words = clifford_generator_words(dims)
-    words += [invert_word(w) for w in words if invert_word(w) != w]
+    words += [invert_word(w, dims.d) for w in words if invert_word(w, dims.d) != w]
     stack = np.array([word_unitary(w, dims) for w in words])
     fwd = _SearchSide(psi1, stack)
     bwd = _SearchSide(psi2, stack.conj().swapaxes(1, 2))
@@ -780,19 +780,23 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     return None
 
 
-_SELF_INVERSE = {"H", "Z", "X", "CZ", "CNOT", "SWAP"}
+_QUBIT_INVOLUTIONS = {"H", "Z", "X", "CZ", "CNOT", "SWAP"}
 
 
-def invert_word(word: tuple) -> tuple:
-    """Token-wise inverse in reverse order; involutions stay as they are."""
+def invert_word(word: tuple, d: int) -> tuple:
+    """Token-wise inverse in reverse order, for qudit dimension d.  On qubits
+    H, X, Z and the two-qubit gates are involutions and stay as they are; any
+    other token takes a dagger or drops the one it has.  For odd d, H^2 is
+    the parity and X^2, Z^2 are not 1, so every token does."""
     out = []
     for t in reversed(word):
-        name, _, where = t.partition("@")
-        if name in _SELF_INVERSE:
+        name, sep, where = t.partition("@")
+        base = name.removesuffix("†").removesuffix("dag")
+        if d == 2 and name in _QUBIT_INVOLUTIONS:
             out.append(t)
-        elif name.endswith("†"):
-            out.append(name[:-1] + "@" + where)
+        elif base != name:
+            out.append(base + sep + where)
         else:
-            out.append(name + "†@" + where)
+            out.append(name + "†" + sep + where)
     return tuple(out)
 

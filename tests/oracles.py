@@ -1,12 +1,13 @@
-"""Dense Weyl-Heisenberg references for the tests.
+"""Dense Weyl-Heisenberg references and other slow oracles for the tests.
 
 The package never builds a table of all d^(2N) operators: its transforms are
 index gathers and character sums.  The tables below stack every T_chi and
 every A_chi as a (d^(2N), D, D) array in lexicographic point order, so the
 tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
-cached per (d, N).  The brute-force Sp(2, Z_d) enumeration at the end is a
-reference for the single-qudit Clifford tests.
+cached per (d, N).  The brute-force Sp(2, Z_d) enumeration is a reference
+for the single-qudit Clifford tests, and the plain ADMM loop at the end, with
+no active-set polish, is the reference for `extent.solve_extent`.
 """
 
 import itertools
@@ -14,7 +15,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from quditmagic.errors import InfeasibleExtentError
+from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.phasespace import Dims, phase_points, split_point
+from quditmagic.tolerances import EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF
 from quditmagic.weyl import displacement_matrix, unit_phase
 
 
@@ -62,3 +66,73 @@ def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
         if (a * e - b * c) % d == 1:
             out.append(np.array([[a, b], [c, e]], dtype=np.int64))
     return out
+
+
+def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:
+    mag = np.abs(z)
+    scale = np.maximum(mag - kappa, 0.0)
+    out = np.zeros_like(z)
+    nz = mag > 0
+    out[nz] = z[nz] / mag[nz] * scale[nz]
+    return out
+
+
+def admm_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
+                max_iter: int = 100_000) -> ExtentSolution:
+    """The extent solver before its active-set polish: scaled, over-relaxed
+    ADMM that stops only when its own iterate closes the duality gap."""
+    A = problem.dictionary.T
+    b = problem.target.astype(np.complex128)
+    if problem.projector is not None:
+        b = problem.projector @ b
+    D, K = A.shape
+    Ah = A.conj().T
+    gram = A @ Ah
+    w, V = np.linalg.eigh(gram)
+    keep = w > max(w.max(), 1.0) * GRAM_CUTOFF
+    pinv = (V[:, keep] / w[keep]) @ V[:, keep].conj().T
+    b_span = A @ (Ah @ (pinv @ b))
+    if np.linalg.norm(b_span - b) > FEASIBILITY_TOL:
+        raise InfeasibleExtentError(
+            f"projected target misses the dictionary span by "
+            f"{np.linalg.norm(b_span - b):.2e}"
+        )
+
+    def project_affine(v: np.ndarray) -> np.ndarray:
+        return v - Ah @ (pinv @ (A @ v - b))
+
+    alpha = 1.6
+    x = Ah @ (pinv @ b)
+    z = x.copy()
+    u = np.zeros(K, dtype=np.complex128)
+    best = None
+    it = 0
+    for it in range(1, max_iter + 1):
+        x = project_affine(z - u)
+        x_relax = alpha * x + (1 - alpha) * z
+        z_new = _soft_threshold(x_relax + u, 1.0)
+        u = u + x_relax - z_new
+        z_step = np.linalg.norm(z_new - z)
+        z = z_new
+        if it % 25 == 0 or z_step < tol * 0.01:
+            c = project_affine(z)
+            l1 = float(np.sum(np.abs(c)))
+            y = pinv @ (A @ u)
+            dual_inf = float(np.max(np.abs(Ah @ y)))
+            y_feas = y / max(dual_inf, 1.0)
+            gap = abs(l1 - float(np.real(np.vdot(b, y_feas))))
+            if best is None or l1 < best[0]:
+                best = (l1, c.copy(), float(np.real(np.vdot(b, y_feas))))
+            if gap < tol and np.linalg.norm(A @ c - b) < 10 * tol:
+                best = (l1, c.copy(), float(np.real(np.vdot(b, y_feas))))
+                break
+    l1, c, dual_val = best
+    return ExtentSolution(
+        value=l1 ** 2,
+        coefficients=c,
+        residual=float(np.linalg.norm(A @ c - b)),
+        dual_certificate=dual_val ** 2,
+        duality_gap=abs(l1 - dual_val),
+        iterations=it,
+        converged=abs(l1 - dual_val) <= tol,
+    )

@@ -89,6 +89,9 @@ def test_malformed_grid_exits_2(capsys, argv):
     ["distill", "step", "--eps3", "abc"],
     ["distill", "step", "--eps3", "0:0.2:0.01"],
     ["distill", "sweep", "--rounds", "0"],
+    ["extent", "solve", "--state", "qubit:T0", "--tol", "0"],
+    ["extent", "solve", "--state", "qubit:T0", "--tol", "-1"],
+    ["extent", "solve", "--state", "qubit:T0", "--tol", "nan"],
 ], ids=" ".join)
 def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

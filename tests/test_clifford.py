@@ -279,11 +279,27 @@ def test_eigenphase_extended_closure_qutrit_H():
 
 def test_invert_word():
     w = ("H@1", "S@2", "CZ@1,2", "S†@1")
-    assert invert_word(w) == ("S@1", "CZ@1,2", "S†@2", "H@1")
+    assert invert_word(w, 2) == ("S@1", "CZ@1,2", "S†@2", "H@1")
+    assert invert_word(w[:2] + w[3:], 3) == ("S@1", "S†@2", "H†@1")
+    assert invert_word(("Hdag@1", "X"), 5) == ("X†", "H@1")
     dims = Dims(2, 2)
     U = word_unitary(w, dims)
-    V = word_unitary(invert_word(w), dims)
+    V = word_unitary(invert_word(w, 2), dims)
     assert np.allclose(U @ V, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 1), Dims(2, 2), Dims(3, 1), Dims(3, 2), Dims(5, 1)],
+                         ids=str)
+def test_word_times_its_inverse_is_identity(dims):
+    rng = np.random.default_rng(dims.d * 10 + dims.N)
+    tokens = [f"{g}{dag}@{i}" for g in "HSXZ" for dag in ("", "†")
+              for i in range(1, dims.N + 1)]
+    if dims.d == 2 and dims.N == 2:
+        tokens += ["CZ@1,2", "CNOT@2,1", "SWAP@1,2"]
+    for _ in range(20):
+        w = tuple(rng.choice(tokens, size=rng.integers(1, 9)))
+        U = word_unitary(w + invert_word(w, dims.d), dims)
+        assert equal_up_to_phase(U, np.eye(dims.D)), w
 
 
 def test_equivalence_search_trivial_and_prefilter():

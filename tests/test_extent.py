@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quditmagic.catalog import build
+from oracles import admm_extent
+from quditmagic.catalog import build, entries, entry
 from quditmagic.errors import InfeasibleExtentError
 from quditmagic.extent import (
     ExtentProblem,
@@ -122,3 +123,58 @@ def test_three_qubit_extents():
     assert abs(sol.value - 8 / 5) < 1e-6
     sol = solve_extent(ExtentProblem.from_dictionary(build("3q:W"), dd))
     assert abs(sol.value - 4 / 3) < 1e-6
+
+
+def _problem(name):
+    e = entry(name)
+    return ExtentProblem.from_dictionary(e.build(), enumerate_stabilizer_states(e.dims))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in entries().items() if e.dims.D <= 8))
+def test_catalog_extents_match_admm_oracle(name):
+    sol, ref = solve_extent(_problem(name)), admm_extent(_problem(name))
+    assert sol.converged and ref.converged
+    assert abs(sol.value - ref.value) < 1e-7
+    assert sol.iterations <= ref.iterations
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 1), Dims(3, 1), Dims(5, 1), Dims(2, 2)], ids=str)
+def test_haar_extents_match_admm_oracle(dims):
+    dd = enumerate_stabilizer_states(dims)
+    for seed in range(5):
+        problem = ExtentProblem.from_dictionary(rand_state(dims.D, 100 + seed), dd)
+        sol, ref = solve_extent(problem), admm_extent(problem)
+        assert sol.converged and ref.converged
+        assert abs(sol.value - ref.value) < 1e-7, (seed, sol.value, ref.value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("3q:W", 4 / 3), ("3q:TOF", 16 / 9), ("3q:CCZ", 16 / 9), ("3q:Wi", 8 / 5),
+    ("2q:G20,1", 8 / 5), ("2q:TT", (3 - np.sqrt(3)) ** 2),
+])
+def test_polished_extents_are_exact(name, value):
+    # the polished candidate closes the gap to rounding, well inside tol
+    sol = solve_extent(_problem(name))
+    assert sol.converged and abs(sol.value - value) < 1e-12
+    assert sol.duality_gap < 1e-12 and sol.residual < 1e-12
+
+
+def test_w_state_stops_at_first_exact_certificate():
+    # the ADMM iterate alone needs 4825 steps to close the gap
+    assert solve_extent(_problem("3q:W")).iterations <= 500
+
+
+@pytest.mark.parametrize("name", ["3q:W", "qubit:T0"])
+def test_single_step_cap_returns_unconverged_solution(name):
+    problem = _problem(name)
+    sol = solve_extent(problem, max_iter=1)
+    assert not sol.converged and sol.iterations == 1
+    A = problem.dictionary.T
+    assert np.linalg.norm(A @ sol.coefficients - problem.target) < 1e-9
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -5}, {"tol": 0.0},
+                                    {"tol": -1.0}, {"tol": float("nan")}], ids=str)
+def test_bad_tol_or_cap_raises(kwargs):
+    with pytest.raises(ValueError):
+        solve_extent(_problem("qubit:T0"), **kwargs)

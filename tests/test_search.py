@@ -34,7 +34,8 @@ def oracle_search(psi1, psi2, dims, budget=20000, seed=0, max_depth=40):
         return None
     rng = np.random.default_rng(seed)
     gens = [(w, word_unitary(w, dims)) for w in clifford_generator_words(dims)]
-    gens += [(invert_word(w), U.conj().T) for w, U in list(gens) if invert_word(w) != w]
+    gens += [(invert_word(w, dims.d), U.conj().T) for w, U in list(gens)
+             if invert_word(w, dims.d) != w]
     fwd = {_state_key(psi1): ((), psi1)}
     bwd = {_state_key(psi2): ((), psi2)}
     frontier_f, frontier_b = [((), psi1)], [((), psi2)]
@@ -56,7 +57,7 @@ def oracle_search(psi1, psi2, dims, budget=20000, seed=0, max_depth=40):
                     new.append((w2, v2))
                     if key in other:
                         w_fwd, w_bwd = (w2, other[key][0]) if layer is fwd else (other[key][0], w2)
-                        candidate = invert_word(w_bwd) + w_fwd
+                        candidate = invert_word(w_bwd, dims.d) + w_fwd
                         if equal_up_to_phase(word_unitary(candidate, dims) @ psi1, psi2):
                             return candidate
                     if expansions >= budget:
