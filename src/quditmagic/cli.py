@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, InfeasibleExtentError, QuditMagicError,
                      UnknownStateError)
-from .tolerances import (COMPANION_TOL, EXACT_TOL, EXTENT_TOL, ORTHONORMAL_TOL, OVERLAP_DECIMALS,
-                         RANGE_END_SLACK, RANK_TOL, SPAN_TOL, TIE_TOL)
+from .tolerances import (COMPANION_TOL, EXACT_TOL, EXTENT_TOL, ORTHONORMAL_TOL, RANGE_END_SLACK,
+                         RANK_TOL, SPAN_TOL, TIE_TOL)
 
 if TYPE_CHECKING:
     from .phasespace import Dims
@@ -78,7 +78,7 @@ def parse_rounds(text: str) -> int:
 
 
 def parse_tol(text: str) -> float:
-    """The `extent --tol` argument: a duality gap the solver can reach, above 0."""
+    """A `--tol` argument of `extent` or `catalog verify`: a tolerance above 0."""
     try:
         tol = float(text)
         if not tol > 0:
@@ -200,8 +200,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_eigenstates(args) -> int:
-    from .clifford import (eigenpairs, nondegenerate_eigenstates, reduced_clifford_group,
-                           word_unitary)
+    from .clifford import (class_keys, eigenpairs, nondegenerate_eigenstates,
+                           reduced_clifford_group, word_unitary)
     from .stabilizers import enumerate_stabilizer_states
     from .weyl import phase_normalize
 
@@ -223,7 +223,7 @@ def cmd_eigenstates(args) -> int:
             owner, col = np.nonzero(single)  # element order, then eigenvalue order
             vecs = V[owner, :, col]
             ov = np.abs(vecs @ states) ** 2
-            keys = np.round(np.sort(ov, axis=1), OVERLAP_DECIMALS)
+            keys = class_keys(ov)
             for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
                 key = keys[i].tobytes()
                 if key not in classes:
@@ -511,7 +511,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("catalog", help="verify tabulated values")
     p.add_argument("mode", choices=["verify"])
-    p.add_argument("--tol", type=float, default=EXACT_TOL)
+    p.add_argument("--tol", type=parse_tol, default=EXACT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_catalog)
 

@@ -60,9 +60,8 @@ from .phasespace import (
     symplectic_group_order,
 )
 from .stabilizers import enumerate_stabilizer_states
-from .tolerances import (EIGEN_CLUSTER_TOL, GROUP_MATRIX_TOL, KEY_DECIMALS, KEY_GRID,
-                         OVERLAP_DECIMALS, PAULI_TOL, ROOT_OF_UNITY_TOL, SEARCH_GRID,
-                         SEARCH_LEAD_TOL, UNITARY_TOL)
+from .tolerances import (EIGEN_CLUSTER_TOL, GROUP_MATRIX_TOL, KEY_GRID, OVERLAP_DECIMALS,
+                         PAULI_TOL, ROOT_OF_UNITY_TOL, SEARCH_LEAD_TOL, UNITARY_TOL)
 from .weyl import (
     displace,
     displacement_matrix,
@@ -338,13 +337,73 @@ def word_unitary(word, dims: Dims) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# breadth-first closures and their exact keys
+
+def _grid_keys(arr: np.ndarray) -> np.ndarray:
+    """One exact key per leading entry of arr, as raw bytes: the real and
+    imaginary parts of its entries, in C order, on the KEY_GRID grid."""
+    grid = np.round(np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64) / KEY_GRID)
+    grid = grid.astype(np.int64).reshape(len(grid), -1)
+    return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
+
+
+def _ray_keys(vecs: np.ndarray) -> np.ndarray:
+    """One exact key per row of vecs, the same for every global phase: the
+    row's `_grid_keys` after its first entry above SEARCH_LEAD_TOL is rotated
+    onto the positive real axis."""
+    first = np.argmax(np.abs(vecs) > SEARCH_LEAD_TOL, axis=1)
+    lead = np.take_along_axis(vecs, first[:, None], axis=1)
+    return _grid_keys(vecs / (lead / np.abs(lead)))
+
+
+class _Closure:
+    """The states of a breadth-first closure, by exact key.
+
+    States 0 .. len(roots) - 1 are the roots; every later state i was reached
+    from state parent[i] by generator generator[i].  `keys` holds the sorted
+    keys of all states, with the state index at each position in `at`."""
+
+    def __init__(self, roots: np.ndarray):
+        self.at = np.argsort(roots, kind="stable")
+        self.keys = roots[self.at]
+        self.parent = self.generator = np.zeros(len(roots), dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The state index of each key, or -1 where no state has it."""
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.at[pos], -1)
+
+    def extend(self, keys: np.ndarray, base: int, G: int) -> np.ndarray:
+        """Add the candidates with new keys and return their positions in
+        `keys`.  Candidate j is generator j % G applied to state base + j // G,
+        so `keys` runs in (state, generator) order; of equal new keys the
+        first is kept."""
+        new = np.flatnonzero(self.lookup(keys) < 0)
+        uniq, first = np.unique(keys[new], return_index=True)
+        kept = np.sort(first)
+        pos = np.searchsorted(self.keys, uniq)
+        self.keys = np.insert(self.keys, pos, uniq)
+        self.at = np.insert(self.at, pos, len(self) + np.searchsorted(kept, first))
+        fresh = new[kept]
+        self.parent = np.concatenate([self.parent, base + fresh // G])
+        self.generator = np.concatenate([self.generator, fresh % G])
+        return fresh
+
+
+def _lineage(parent: np.ndarray, generator: np.ndarray, i: int) -> list[int]:
+    """The generators that reach BFS node i from node 0, the last applied first."""
+    out = []
+    while i:
+        out.append(generator.item(i))
+        i = parent.item(i)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # group enumeration
-
-def _quantize(v: np.ndarray, grid: float = KEY_GRID) -> bytes:
-    """The real and imaginary parts of v, every entry in C order, on a grid."""
-    pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    return np.round(pairs / grid).astype(np.int64).tobytes()
-
 
 def clifford_group_order(dims: Dims) -> int:
     """d^2N |Sp(2N, Z_d)|  (reduced group)."""
@@ -372,27 +431,19 @@ _STACK_BLOCK = 4096  # elements per batched product when the unitary stack is fi
 def _group_bytes(dims: Dims, n_gens: int) -> int:
     """Peak bytes of the reduced group and what callers build from it.
 
-    The BFS holds the codes, parent and generator arrays, the sorted keys
-    and their merged copy, and one level's candidate block, bounded by the
-    order: per candidate four int64 code blocks of 2N (composed perm and k,
-    their code and its transposed copy) and its key, search position, mask
-    and sort index.  On demand come the unitary stack with one block's
-    gathered generators and parents, and the (S, a) arrays with their int64
-    transients."""
+    The BFS holds the codes, the closure's four intp arrays (keys, their
+    state indices, parent and generator) and the merged copy of one, the
+    narrowed parent and generator, and one level's candidate block, bounded
+    by the order: per candidate four int64 code blocks of 2N (composed perm
+    and k, their code and its transposed copy) and its key, search position,
+    looked-up key and state index.  On demand come the unitary stack with one
+    block's gathered generators and parents, and the (S, a) arrays with their
+    int64 transients."""
     order, L, D2 = clifford_group_order(dims), 2 * dims.N, dims.D ** 2 * 16
     code_size = np.min_scalar_type(dims.n_points * dims.d - 1).itemsize
-    return (order * (L * code_size + 8 + 1 + 2 * 8) + order * n_gens * (4 * L * 8 + 4 * 8)
+    return (order * (L * code_size + 5 * 8 + 8 + 1) + order * n_gens * (4 * L * 8 + 4 * 8)
             + (order + 2 * min(order, _STACK_BLOCK)) * D2
             + order * (4 * L * L * 8 + 4 * L * 8))
-
-
-def _lineage(parent: np.ndarray, generator: np.ndarray, i: int) -> list[int]:
-    """The generators that reach BFS node i from node 0, the last applied first."""
-    out = []
-    while i:
-        out.append(generator.item(i))
-        i = parent.item(i)
-    return out
 
 
 class ReducedCliffordGroup:
@@ -463,33 +514,24 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
     units = d ** np.arange(2 * N - 1, -1, -1)
     radix = (n * d) ** np.arange(2 * N - 1, -1, -1)
     codes = np.empty((order, 2 * N), dtype=np.min_scalar_type(n * d - 1))
-    parent = np.zeros(order, dtype=np.min_scalar_type(order - 1))
-    generator = np.zeros(order, dtype=np.uint8)
     codes[0] = units * d
-    seen = codes[:1].astype(np.int64) @ radix
+    closure = _Closure(codes[:1].astype(np.int64) @ radix)
     offsets = [0, 1]
     while offsets[-1] > offsets[-2]:
         lo, hi = offsets[-2:]
         level = codes[lo:hi].astype(np.intp)
         perm, k = _compose_action(g_action, (level // d, level % d), d)
-        # candidates in (element, generator) order; the first of each new key is kept
-        cand = (perm * d + k).swapaxes(0, 1).reshape(-1, 2 * N)
-        keys = cand @ radix
-        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        new = np.flatnonzero(seen[pos] != keys)
-        uniq, first = np.unique(keys[new], return_index=True)
-        fresh = new[np.sort(first)]
-        if hi + len(fresh) > order:
+        cand = (perm * d + k).swapaxes(0, 1).reshape(-1, 2 * N)  # (element, generator) order
+        fresh = closure.extend(cand @ radix, lo, len(words))
+        if len(closure) > order:
             raise NotCliffordError(f"closure exceeds the expected {order} elements")
-        codes[hi:hi + len(fresh)] = cand[fresh]
-        parent[hi:hi + len(fresh)] = lo + fresh // len(words)
-        generator[hi:hi + len(fresh)] = fresh % len(words)
-        seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
-        offsets.append(hi + len(fresh))
+        codes[hi:len(closure)] = cand[fresh]
+        offsets.append(len(closure))
     if offsets[-1] != order:
         raise NotCliffordError(f"closure produced {offsets[-1]} elements, expected {order}")
-    return ReducedCliffordGroup(dims, words, gens, codes, parent, generator,
-                                np.array(offsets[:-1]))
+    return ReducedCliffordGroup(dims, words, gens, codes,
+                                closure.parent.astype(np.min_scalar_type(order - 1)),
+                                closure.generator.astype(np.uint8), np.array(offsets[:-1]))
 
 
 def reduced_clifford_group(dims: Dims) -> ReducedCliffordGroup:
@@ -511,49 +553,51 @@ def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
 # ---------------------------------------------------------------------------
 # finite unitary groups, projectors, twirling
 
-class FiniteUnitaryGroup:
-    """A finite set of unitaries closed under multiplication with exact phases."""
+def _products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Every gens[g] @ frontier[f] as one (F G, D, D) stack in (f, g) order."""
+    # the stack and at most two transients of its keys at a time
+    check_budget(3 * gens.size * len(frontier) * 16, "a finite group closure level")
+    return np.matmul(gens, frontier[:, None]).reshape((-1,) + gens.shape[1:])
 
-    def __init__(self, elements: list[np.ndarray], generators: list[np.ndarray] = ()):
-        self.elements = elements
-        self.generators = list(generators)
+
+class FiniteUnitaryGroup:
+    """A finite set of unitaries closed under multiplication with exact phases,
+    `elements` an (n, D, D) array."""
+
+    def __init__(self, elements, generators=()):
+        self.elements = np.asarray(elements, dtype=np.complex128)
+        self.generators = np.asarray(generators, dtype=np.complex128)
 
     @classmethod
     def generate(cls, generators, max_order: int = 20000) -> "FiniteUnitaryGroup":
-        gens = [np.asarray(g, dtype=np.complex128) for g in generators]
-        D = gens[0].shape[0]
-        eye = np.eye(D, dtype=np.complex128)
-        seen = {_quantize(eye): eye}
-        frontier = [eye]
-        while frontier:
-            nxt = []
-            for U in frontier:
-                for G in gens:
-                    V = G @ U
-                    key = _quantize(V)
-                    if key not in seen:
-                        if len(seen) >= max_order:
-                            raise BudgetExceededError("group closure exceeds budget")
-                        seen[key] = V
-                        nxt.append(V)
-            frontier = nxt
-        return cls(list(seen.values()), gens)
+        """The closure of the generators, in breadth-first order from the
+        identity, each level one batched product keyed by `_grid_keys`.
+        BudgetExceededError when it exceeds max_order elements."""
+        gens = np.asarray(generators, dtype=np.complex128)
+        levels = [np.eye(gens.shape[1], dtype=np.complex128)[None]]
+        closure = _Closure(_grid_keys(levels[0]))
+        while len(levels[-1]):
+            cand = _products(gens, levels[-1])
+            base = len(closure) - len(levels[-1])
+            levels.append(cand[closure.extend(_grid_keys(cand), base, len(gens))])
+            if len(closure) > max_order:
+                raise BudgetExceededError("group closure exceeds budget")
+        return cls(np.concatenate(levels), gens)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def check_closed(self) -> None:
-        keys = {_quantize(U) for U in self.elements}
-        for U in self.elements:
-            for G in self.generators or self.elements:
-                if _quantize(G @ U) not in keys:
-                    raise NonClosedGroupError("set is not closed under multiplication")
+        gens = self.generators if len(self.generators) else self.elements
+        products = _grid_keys(_products(gens, self.elements))
+        if np.any(_Closure(_grid_keys(self.elements)).lookup(products) < 0):
+            raise NonClosedGroupError("set is not closed under multiplication")
 
 
 def group_projector(group: FiniteUnitaryGroup) -> np.ndarray:
     """Projector onto the jointly stabilized subspace: the group average."""
     group.check_closed()
-    P = sum(group.elements) / len(group.elements)
+    P = group.elements.mean(axis=0)
     if (np.max(np.abs(P @ P - P)) > GROUP_MATRIX_TOL
             or np.max(np.abs(P - P.conj().T)) > GROUP_MATRIX_TOL):
         raise NonClosedGroupError("group average is not a projector")
@@ -595,21 +639,8 @@ def group_stabilizer_states(group: FiniteUnitaryGroup) -> list[np.ndarray]:
     pairs of elements (the phase needed to turn an eigenvector relation into
     exact stabilization lives in the eigenphase extension of the group).
     """
-    states: list[np.ndarray] = []
-    state_keys = set()
-
-    def _add(vec: np.ndarray) -> None:
-        vec = phase_normalize(vec)
-        key = _quantize(np.round(vec, KEY_DECIMALS))
-        if key not in state_keys:
-            state_keys.add(key)
-            states.append(vec)
-
     spaces_per_element = [_eigenspaces(u) for u in group.elements]
-    for spaces in spaces_per_element:
-        for E in spaces:
-            if E.shape[1] == 1:
-                _add(E[:, 0])
+    rays = [E[:, 0] for spaces in spaces_per_element for E in spaces if E.shape[1] == 1]
     for (s1, u2) in itertools.product(spaces_per_element, group.elements):
         for E in s1:
             if E.shape[1] < 2:
@@ -617,10 +648,11 @@ def group_stabilizer_states(group: FiniteUnitaryGroup) -> list[np.ndarray]:
             sub = E.conj().T @ u2 @ E
             if np.max(np.abs(sub.conj().T @ sub - np.eye(E.shape[1]))) > GROUP_MATRIX_TOL:
                 continue  # u2 does not preserve this eigenspace
-            for F in _eigenspaces(sub):
-                if F.shape[1] == 1:
-                    _add(E @ F[:, 0])
-    return states
+            rays += [E @ F[:, 0] for F in _eigenspaces(sub) if F.shape[1] == 1]
+    if not rays:
+        return []
+    first = np.unique(_ray_keys(np.array(rays)), return_index=True)[1]
+    return [phase_normalize(rays[i]) for i in np.sort(first)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,53 +692,16 @@ def nondegenerate_eigenstates(C, dims: Dims) -> list[tuple[complex, np.ndarray]]
 _SEARCH_BLOCK_BYTES = 1 << 22  # bound on one batched expansion of frontier vectors
 
 
+def class_keys(overlaps: np.ndarray) -> np.ndarray:
+    """The Clifford-class key of each row of stabilizer overlaps |<s|psi>|^2:
+    the row sorted and rounded to OVERLAP_DECIMALS."""
+    return np.round(np.sort(overlaps, axis=-1), OVERLAP_DECIMALS)
+
+
 def state_invariant(psi: np.ndarray, dims: Dims) -> tuple:
-    """Sorted multiset of |<s|psi>|^2 over the stabilizer dictionary."""
-    dd = enumerate_stabilizer_states(dims)
-    ov = np.sort(dd.overlaps(psi))
-    return tuple(np.round(ov, OVERLAP_DECIMALS).tolist())
-
-
-def _state_keys(vecs: np.ndarray) -> np.ndarray:
-    """One exact key per row of vecs, as raw bytes: the row with its first
-    entry above SEARCH_LEAD_TOL rotated to the positive real axis, on the
-    SEARCH_GRID grid."""
-    first = np.argmax(np.abs(vecs) > SEARCH_LEAD_TOL, axis=1)
-    lead = np.take_along_axis(vecs, first[:, None], axis=1)
-    grid = np.round((vecs / (lead / np.abs(lead))).view(np.float64) / SEARCH_GRID).astype(np.int64)
-    return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
-
-
-class _SearchSide:
-    """One side of the equivalence search, grown level by level from a start
-    vector psi by the matrices in `stack`.
-
-    State 0 is the start; state i > 0 is stack[generator[i]] applied to state
-    parent[i].  `seen` holds the sorted keys of all states, with the state
-    index at each position in `seen_at`; `frontier` holds the vectors of the
-    last level, whose first state is `lo`."""
-
-    def __init__(self, psi: np.ndarray, stack: np.ndarray):
-        zero = np.zeros(1, dtype=np.intp)
-        self.stack = stack
-        self.seen, self.seen_at = _state_keys(psi[None]), zero
-        self.parent = self.generator = zero
-        self.frontier, self.lo = psi[None], 0
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The state index of each key, or -1 where no state has it."""
-        pos = np.minimum(np.searchsorted(self.seen, keys), len(self.seen) - 1)
-        return np.where(self.seen[pos] == keys, self.seen_at[pos], -1)
-
-    def add(self, keys: np.ndarray, parent: np.ndarray, generator: np.ndarray) -> None:
-        """Append states with distinct new keys."""
-        order = np.argsort(keys)
-        at = len(self.parent) + order
-        pos = np.searchsorted(self.seen, keys[order])
-        self.seen = np.insert(self.seen, pos, keys[order])
-        self.seen_at = np.insert(self.seen_at, pos, at)
-        self.parent = np.concatenate([self.parent, parent])
-        self.generator = np.concatenate([self.generator, generator])
+    """Sorted multiset of |<s|psi>|^2 over the stabilizer dictionary: psi's
+    `class_keys` as a tuple."""
+    return tuple(class_keys(enumerate_stabilizer_states(dims).overlaps(psi)).tolist())
 
 
 def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
@@ -718,13 +713,13 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     from both ends: the forward side applies the alphabet to psi1, the
     backward side its inverses to psi2, and they alternate a level each.  A
     level is one batched product of the frontier with the alphabet, its
-    candidates in (frontier, generator) order; each is keyed by its
-    phase-normalized vector on the `tolerances.SEARCH_GRID` grid (1e-7), and
-    the first candidate with a new key is kept.  `budget` caps the candidates
-    over both sides, and the level that reaches it is cut there.  A key
-    reached from both ends gives the word (backward generators, first applied
-    leftmost) + (forward word), verified before it is returned.  None means
-    inconclusive, not inequivalence.  States that are not both length-D
+    candidates in (frontier, generator) order; each is keyed by `_ray_keys`
+    (its phase-normalized vector on the `tolerances.KEY_GRID` grid, 1e-8),
+    and the first candidate with a new key is kept.  `budget` caps the
+    candidates over both sides, and the level that reaches it is cut there.
+    A key reached from both ends gives the word (backward generators, first
+    applied leftmost) + (forward word), verified before it is returned.  None
+    means inconclusive, not inequivalence.  States that are not both length-D
     vectors raise DimensionMismatchError.
     """
     D = dims.D
@@ -744,25 +739,21 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     words = clifford_generator_words(dims)
     words += [invert_word(w, dims.d) for w in words if invert_word(w, dims.d) != w]
     stack = np.array([word_unitary(w, dims) for w in words])
-    fwd = _SearchSide(psi1, stack)
-    bwd = _SearchSide(psi2, stack.conj().swapaxes(1, 2))
+    stacks, frontiers = (stack, stack.conj().swapaxes(1, 2)), [psi1[None], psi2[None]]
+    fwd, bwd = (_Closure(_ray_keys(f)) for f in frontiers)
     G = len(words)
     rows = max(1, _SEARCH_BLOCK_BYTES // (G * D * 16))
     expansions = 0
-    while expansions < budget and (len(fwd.frontier) or len(bwd.frontier)):
-        for side, other in ((fwd, bwd), (bwd, fwd)):
-            frontier, base, kept = side.frontier, side.lo, []
-            side.lo = len(side.parent)
+    while expansions < budget and (len(frontiers[0]) or len(frontiers[1])):
+        for n, (side, other) in enumerate(((fwd, bwd), (bwd, fwd))):
+            frontier, kept = frontiers[n], []
+            base = len(side) - len(frontier)  # the frontier is the last level
             for start in range(0, len(frontier), rows):
-                block = np.einsum("gij,fj->fgi", side.stack, frontier[start:start + rows])
+                block = np.einsum("gij,fj->fgi", stacks[n], frontier[start:start + rows])
                 block = block.reshape(-1, D)[:budget - expansions]
                 expansions += len(block)
-                keys = _state_keys(block)
-                new = np.flatnonzero(side.lookup(keys) < 0)
-                first = np.unique(keys[new], return_index=True)[1]
-                fresh = new[np.sort(first)]
-                at = len(side.parent)
-                side.add(keys[fresh], base + start + fresh // G, fresh % G)
+                keys, at = _ray_keys(block), len(side)
+                fresh = side.extend(keys, base + start, G)
                 kept.append(block[fresh])
                 met = other.lookup(keys[fresh])
                 for j in np.flatnonzero(met >= 0):
@@ -774,7 +765,7 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
                         return word
                 if expansions >= budget:
                     break
-            side.frontier = np.concatenate(kept) if kept else frontier[:0]
+            frontiers[n] = np.concatenate(kept) if kept else frontier[:0]
             if expansions >= budget:
                 break
     return None

@@ -118,18 +118,6 @@ def project_T_overlaps() -> dict:
     return out
 
 
-def _pair_permutation() -> np.ndarray:
-    """Basis permutation from pair-major (A1 B1 A2 B2 ...) to block
-    (A1..A5 B1..B5) qubit ordering, as an index array."""
-    perm = [0, 2, 4, 6, 8, 1, 3, 5, 7, 9]  # block position -> interleaved axis
-    idx = np.arange(1024)
-    bits = (idx[:, None] >> (9 - np.arange(10))) & 1  # interleaved bit rows
-    out = np.zeros(1024, dtype=np.int64)
-    for pos, ax in enumerate(perm):
-        out = (out << 1) | bits[:, ax]
-    return out
-
-
 def logical_t_states() -> tuple[np.ndarray, np.ndarray]:
     """|T0_L>, |T1_L> of the five-qubit code: sqrt6 Pi |T1^x5> and
     sqrt6 Pi |T0^x5| (the trivial-syndrome projection flips the label)."""
@@ -148,8 +136,9 @@ def logical_pair_vectors() -> np.ndarray:
     """
     basis = pair_basis()
     L_block = np.array(_pairs(*logical_t_states())).T  # (A-block, B-block) order
-    perm = _pair_permutation()
-    L_pairmajor = L_block[perm, :]
+    # A1..A5 B1..B5 qubit axes to pair-major A1 B1 A2 B2 ..
+    L_pairmajor = L_block.reshape((2,) * 10 + (4,)).transpose(
+        0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 10).reshape(1024, 4)
     # express in pair-basis coordinates, matching the kron of 4x4 densities
     L = _act_on_pairs([np.array(basis).conj()] * 5, L_pairmajor)
     gram = L.conj().T @ L

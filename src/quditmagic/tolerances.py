@@ -34,12 +34,10 @@ ROOT_OF_UNITY_TOL = 1e-6   # a conjugation phase this close to a d-th root of un
 UNITARY_TOL = 1e-8         # |U^dag U - 1| allowed before eigenvectors are read off U
 EIGEN_CLUSTER_TOL = 1e-8   # eigenvalues closer than this are one degenerate eigenvalue
 GROUP_MATRIX_TOL = 1e-7    # a group average is a projector, a restricted element unitary
-KEY_GRID = 1e-8            # grid of the exact keys of group elements and group-stabilized states
-KEY_DECIMALS = 9           # decimals a group-stabilized state is rounded to before it is keyed
+KEY_GRID = 1e-8            # grid of exact keys: group elements, searched and stabilized states
 OVERLAP_DECIMALS = 8       # decimals of the sorted stabilizer overlaps that key a Clifford class
 COMPANION_TOL = 1e-6       # an eigenstate overlapping the state by less is a companion direction
-SEARCH_LEAD_TOL = 1e-6     # the search's phase reference is the first entry above this
-SEARCH_GRID = 1e-7         # grid of the equivalence search's exact state keys
+SEARCH_LEAD_TOL = 1e-6     # a state key's phase reference is the first entry above this
 
 # stabilizer extent
 FEASIBILITY_TOL = 1e-9     # the projected target may miss the dictionary span by this much

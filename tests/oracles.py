@@ -6,8 +6,9 @@ every A_chi as a (d^(2N), D, D) array in lexicographic point order, so the
 tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
 cached per (d, N).  The brute-force Sp(2, Z_d) enumeration is a reference
-for the single-qudit Clifford tests, and the plain ADMM loop at the end, with
-no active-set polish, is the reference for `extent.solve_extent`.
+for the single-qudit Clifford tests, the per-element closure loop for
+`FiniteUnitaryGroup.generate`, and the plain ADMM loop at the end, with no
+active-set polish, is the reference for `extent.solve_extent`.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from quditmagic.errors import InfeasibleExtentError
+from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.phasespace import Dims, phase_points, split_point
 from quditmagic.tolerances import EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF
@@ -66,6 +67,32 @@ def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
         if (a * e - b * c) % d == 1:
             out.append(np.array([[a, b], [c, e]], dtype=np.int64))
     return out
+
+
+def generate_group(generators, max_order: int = 20000) -> list[np.ndarray]:
+    """The closure of the generators one product at a time, breadth-first
+    from the identity; each element is keyed by its real and imaginary parts
+    on the 1e-8 grid, and the first product with a new key is kept."""
+    def key(V):
+        return np.round(V.view(np.float64) / 1e-8).astype(np.int64).tobytes()
+
+    gens = [np.asarray(g, dtype=np.complex128) for g in generators]
+    eye = np.eye(gens[0].shape[0], dtype=np.complex128)
+    seen = {key(eye): eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for U in frontier:
+            for G in gens:
+                V = G @ U
+                k = key(V)
+                if k not in seen:
+                    if len(seen) >= max_order:
+                        raise BudgetExceededError("group closure exceeds budget")
+                    seen[k] = V
+                    nxt.append(V)
+        frontier = nxt
+    return list(seen.values())
 
 
 def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:

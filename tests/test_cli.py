@@ -92,6 +92,8 @@ def test_malformed_grid_exits_2(capsys, argv):
     ["extent", "solve", "--state", "qubit:T0", "--tol", "0"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "-1"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "nan"],
+    ["catalog", "verify", "--tol", "0"],
+    ["catalog", "verify", "--tol", "-1"],
 ], ids=" ".join)
 def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -34,7 +35,8 @@ from quditmagic.clifford import (
     twirl,
     word_unitary,
 )
-from quditmagic.errors import BudgetExceededError, NotCliffordError, UnsupportedDimensionError
+from quditmagic.errors import (BudgetExceededError, NonClosedGroupError, NotCliffordError,
+                               UnsupportedDimensionError)
 from quditmagic.phasespace import (
     Dims,
     mod_inverse,
@@ -51,7 +53,8 @@ from quditmagic.weyl import (
     unit_phase,
 )
 
-from oracles import displacement_table, enumerate_symplectic_2x2, phase_point_table
+from oracles import (displacement_table, enumerate_symplectic_2x2, generate_group,
+                     phase_point_table)
 
 BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
 
@@ -275,6 +278,59 @@ def test_eigenphase_extended_closure_qutrit_H():
     G = FiniteUnitaryGroup.generate([H.unitary] + scalars, max_order=4096)
     G.check_closed()
     assert any(np.allclose(g, np.eye(3)) for g in G.elements)
+
+
+def _generators(name):
+    (H3, S3), (H5, S5) = qudit_clifford_generators(3), qudit_clifford_generators(5)
+    return {"order 12": [expi([[0, 1], [1, 0]], np.pi / 3), expi([[1, 0], [0, -1]], np.pi / 2)],
+            "qutrit <S, H>": [S3.unitary, H3.unitary],
+            "ququint <H, S>": [H5.unitary, S5.unitary]}[name]
+
+
+@pytest.mark.parametrize("name, order", [("order 12", 12), ("qutrit <S, H>", 648),
+                                         ("ququint <H, S>", 15000)])
+def test_finite_group_matches_per_element_oracle(name, order):
+    gens = _generators(name)
+    G = FiniteUnitaryGroup.generate(gens)
+    ref = np.array(generate_group(gens))
+    assert G.elements.shape == ref.shape == (order,) + gens[0].shape
+    assert np.array_equal(G.elements, ref)  # bit for bit, in the oracle's order
+
+
+def test_finite_group_closure_over_max_order_raises():
+    gens = _generators("qutrit <S, H>")
+    for generate in (FiniteUnitaryGroup.generate, generate_group):
+        with pytest.raises(BudgetExceededError, match="group closure"):
+            generate(gens, max_order=647)
+        assert len(generate(gens, max_order=648)) == 648
+
+
+def test_check_closed_rejects_a_missing_product():
+    Z3 = np.diag([1, unit_phase(1, 3), unit_phase(2, 3)])
+    FiniteUnitaryGroup([np.eye(3), Z3, Z3 @ Z3]).check_closed()
+    for elements, generators in [([np.eye(3), Z3], ()), ([np.eye(3), Z3], [Z3])]:
+        with pytest.raises(NonClosedGroupError):
+            FiniteUnitaryGroup(elements, generators).check_closed()
+
+
+# sha1 of the reduced group's BFS arrays (codes, parent, generator, offsets,
+# each with its dtype): pins the BFS order itself, not only the group
+BFS_SHA1 = {
+    (2, 1): "158134132d5de0324643b7a5c529df7705adeeec",
+    (3, 1): "f5dfb1bd874e88b18b652a009b49e5fd80ccb2f7",
+    (5, 1): "3b38679b3c02545164f9791173a74c20afd11e97",
+    (2, 2): "e92492925db0b55724f57700a0ce44ea43521647",
+    (7, 1): "f317a7815aeac28b0e7579f697b692ff35f7c028",
+}
+
+
+@pytest.mark.parametrize("d,N", list(BFS_SHA1))
+def test_reduced_group_bfs_pinned(d, N):
+    group = reduced_clifford_group(Dims(d, N))
+    h = hashlib.sha1()
+    for a in (group.codes, group.parent, group.generator, group.offsets):
+        h.update(a.dtype.str.encode() + a.tobytes())
+    assert h.hexdigest() == BFS_SHA1[(d, N)]
 
 
 def test_invert_word():
@@ -590,10 +646,10 @@ def test_group_indexing_is_list_like():
 
 
 def test_enumeration_refusals():
-    # three qubits: 92 897 280 elements, each with its codes, parent, generator
-    # and keys, a candidate block of 9 per element, a 64 x 64 unitary and
-    # (S, a), 4.10e11 bytes in all
-    nbytes = 410_149_879_808
+    # three qubits: 92 897 280 elements, each with its codes and closure arrays,
+    # a candidate block of 9 per element, a 64 x 64 unitary and (S, a),
+    # 4.12e11 bytes in all
+    nbytes = 412_379_414_528
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_reduced_clifford(Dims(2, 3))

@@ -6,8 +6,8 @@ import pytest
 
 from quditmagic import catalog, clifford
 from quditmagic.clifford import (
-    _quantize,
-    _state_keys,
+    _grid_keys,
+    _ray_keys,
     clifford_equivalence_search,
     clifford_generator_words,
     invert_word,
@@ -19,8 +19,8 @@ from quditmagic.phasespace import Dims
 from quditmagic.weyl import equal_up_to_phase, phase_normalize
 
 
-def _state_key(psi, grid=1e-7):
-    return _quantize(phase_normalize(psi, tol=1e-6), grid)
+def _state_key(psi):
+    return _grid_keys(phase_normalize(psi, tol=1e-6)[None])[0].tobytes()
 
 
 def oracle_search(psi1, psi2, dims, budget=20000, seed=0, max_depth=40):
@@ -126,10 +126,10 @@ def test_state_keys_match_per_vector_keys():
     vecs[:10, :3] = 0          # leading zeros
     vecs[10:20, 0] = 1e-7      # a leading entry below the 1e-6 threshold
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    keys = _state_keys(vecs)
+    keys = _ray_keys(vecs)
     assert [k.tobytes() for k in keys] == [_state_key(v) for v in vecs]
     # a global phase leaves the key unchanged
-    assert np.array_equal(_state_keys(vecs * np.exp(0.7j)), keys)
+    assert np.array_equal(_ray_keys(vecs * np.exp(0.7j)), keys)
 
 
 def test_search_budget_refused_before_expansion():

@@ -25,7 +25,7 @@ KEPT_PARAMETERS = {
     ("verify_equivalences", "tol"), ("global_phase", "tol"),
     ("check_l_tables", "exact_tol"), ("check_l_tables", "printed_tol"),
     ("check_w_tables", "exact_tol"), ("check_w_tables", "printed_tol"),
-    ("check", "tol"), ("phase_normalize", "tol"), ("_quantize", "grid"),
+    ("check", "tol"), ("phase_normalize", "tol"),
 }
 
 
