@@ -59,10 +59,18 @@ def parse_grid(text: str) -> tuple[int, int]:
     return rows, cols
 
 
+def finite_float(text: str) -> float:
+    """A float argument that must be finite; argparse reports any other."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def parse_alphas(text: str) -> tuple[float, ...]:
-    """The `--alphas a,b,..` argument; the SRE order must be at least 2."""
+    """The `--alphas a,b,..` argument: finite SRE orders, each at least 2."""
     try:
-        alphas = tuple(float(a) for a in text.split(","))
+        alphas = tuple(finite_float(a) for a in text.split(","))
         if min(alphas) < 2:
             raise ValueError("every alpha must be >= 2")
     except ValueError as exc:
@@ -78,20 +86,20 @@ def parse_rounds(text: str) -> int:
 
 
 def parse_tol(text: str) -> float:
-    """A `--tol` argument of `extent` or `catalog verify`: a tolerance above 0."""
+    """A `--tol` argument of `extent` or `catalog verify`: 0 < tol < 1."""
     try:
         tol = float(text)
-        if not tol > 0:
-            raise ValueError("must be > 0")
+        if not 0 < tol < 1:
+            raise ValueError("must be > 0 and < 1")
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive tolerance: {exc}")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a tolerance: {exc}")
     return tol
 
 
 def parse_eps3(text: str) -> float | tuple[float, float, float]:
-    """The `--eps3` argument: a float, or a start:stop:step range with step > 0."""
+    """The `--eps3` argument: a finite float, or a finite start:stop:step with step > 0."""
     try:
-        values = tuple(float(x) for x in text.split(":"))
+        values = tuple(finite_float(x) for x in text.split(":"))
         if len(values) == 1:
             return values[0]
         if len(values) != 3 or values[2] <= 0:
@@ -106,7 +114,7 @@ def parse_direction(text: str) -> tuple[str, float | str]:
     kind, _, value = text.partition(":")
     try:
         if kind in ("phase", "state") and value:
-            return kind, float(value) if kind == "phase" else value
+            return kind, finite_float(value) if kind == "phase" else value
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"{text!r} is not phase:<phi> or state:<spec>")
@@ -487,12 +495,12 @@ def main(argv=None) -> int:
 
     p = distill = sub.add_parser("distill", help="doubled five-qubit code simulation")
     p.add_argument("mode", choices=["step", "sweep"])
-    p.add_argument("--eps1", type=float, default=0.0)
-    p.add_argument("--eps2", type=float, default=0.0)
+    p.add_argument("--eps1", type=finite_float, default=0.0)
+    p.add_argument("--eps2", type=finite_float, default=0.0)
     p.add_argument("--eps3", type=parse_eps3, default=None,
                    help="a float for step, start:stop:step for sweep")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
+    p.add_argument("--a", type=finite_float, default=0.0)
+    p.add_argument("--b", type=finite_float, default=0.0)
     p.add_argument("--rounds", type=parse_rounds, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)

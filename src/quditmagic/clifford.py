@@ -38,7 +38,7 @@ covers every label and not only the basis.
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -268,21 +268,12 @@ _QUBIT_GATES = {
 def _embed(op: np.ndarray, sites: tuple[int, ...], dims: Dims) -> np.ndarray:
     """Embed an operator acting on `sites` (1-based) into the N-qudit space."""
     d, N = dims.d, dims.N
-    k = len(sites)
-    full = np.tensordot(
-        op.reshape((d,) * (2 * k)),
-        np.eye(d ** (N - k)).reshape((d,) * (2 * (N - k))),
-        axes=0,
-    )
-    # axes: out(sites), in(sites), out(rest), in(rest) -> interleave to site order
-    out_axes = list(range(k)) + list(range(2 * k, 2 * k + (N - k)))
-    in_axes = list(range(k, 2 * k)) + list(range(2 * k + (N - k), 2 * N))
-    order = [0] * (2 * N)
     rest = [s for s in range(1, N + 1) if s not in sites]
-    for pos, site in enumerate(list(sites) + rest):
-        order[site - 1] = out_axes[pos]
-        order[N + site - 1] = in_axes[pos]
-    return full.transpose(order).reshape(dims.D, dims.D)
+    # op (x) 1 with axes out(sites, rest), in(sites, rest), each half permuted to site order
+    full = np.tensordot(op, np.eye(d ** len(rest)), axes=0).transpose(0, 2, 1, 3)
+    full = full.reshape((d,) * (2 * N))
+    order = sorted(range(N), key=(list(sites) + rest).__getitem__)
+    return full.transpose(order + [N + i for i in order]).reshape(dims.D, dims.D)
 
 
 _TWO_QUBIT_GATES = {
@@ -343,7 +334,7 @@ def _grid_keys(arr: np.ndarray) -> np.ndarray:
     """One exact key per leading entry of arr, as raw bytes: the real and
     imaginary parts of its entries, in C order, on the KEY_GRID grid."""
     grid = np.round(np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64) / KEY_GRID)
-    grid = grid.astype(np.int64).reshape(len(grid), -1)
+    grid = grid.astype(np.int64).reshape(len(grid), math.prod(grid.shape[1:]))
     return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
 
 
@@ -606,30 +597,19 @@ def group_projector(group: FiniteUnitaryGroup) -> np.ndarray:
 
 def twirl(O, group: FiniteUnitaryGroup) -> np.ndarray:
     """Average of g O g^dag over the group; projects onto the commutant."""
-    O = np.asarray(O, dtype=np.complex128)
-    acc = np.zeros_like(O)
-    for g in group.elements:
-        acc += g @ O @ g.conj().T
-    return acc / len(group.elements)
+    U = group.elements
+    check_budget(3 * U.nbytes, "a group twirl")  # U O, U^dag and their product
+    return (U @ np.asarray(O, dtype=np.complex128) @ U.conj().swapaxes(1, 2)).mean(axis=0)
 
 
-def _eigenspaces(U: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal bases of the eigenspaces of a unitary: eigenvalues are
-    clustered within EIGEN_CLUSTER_TOL, and each cluster of size k spans the
-    null space of U - lambda I, read off as its k smallest right singular
-    vectors."""
-    U = np.asarray(U, dtype=np.complex128)
-    evals = np.linalg.eigvals(U)
-    eye = np.eye(U.shape[0])
-    remaining = list(range(evals.shape[0]))
-    spaces = []
-    while remaining:
-        i = remaining[0]
-        idx = [j for j in remaining if abs(evals[j] - evals[i]) < EIGEN_CLUSTER_TOL]
-        remaining = [j for j in remaining if j not in idx]
-        _, _, vh = np.linalg.svd(U - np.mean(evals[idx]) * eye)
-        spaces.append(vh[-len(idx):].conj().T)
-    return spaces
+def _degenerate_bases(w: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+    """An orthonormal basis of every degenerate eigenspace of a stack of
+    `eigenpairs` (w, V), in (element, eigenvalue) order: the QR of the
+    eigenvector columns of each cluster, listed at its first eigenvalue."""
+    close = np.abs(w[:, :, None] - w[:, None, :]) < EIGEN_CLUSTER_TOL
+    first = np.argmax(close, axis=-1) == np.arange(w.shape[1])
+    leads = np.argwhere(first & (close.sum(axis=-1) > 1))
+    return [np.linalg.qr(V[i][:, close[i, j]])[0] for i, j in leads]
 
 
 def group_stabilizer_states(group: FiniteUnitaryGroup) -> list[np.ndarray]:
@@ -638,20 +618,26 @@ def group_stabilizer_states(group: FiniteUnitaryGroup) -> list[np.ndarray]:
     Equivalently: one-dimensional joint eigenspaces of single elements or of
     pairs of elements (the phase needed to turn an eigenvector relation into
     exact stabilization lives in the eigenphase extension of the group).
+    Phase classes share eigenspaces, so one `eigenpairs` call decomposes the
+    first element g of each, and one more per distinct degenerate eigenspace
+    E the restrictions E^dag g E that are unitary (g preserves E).  Rays are
+    phase-normalized, in order of first appearance.
     """
-    spaces_per_element = [_eigenspaces(u) for u in group.elements]
-    rays = [E[:, 0] for spaces in spaces_per_element for E in spaces if E.shape[1] == 1]
-    for (s1, u2) in itertools.product(spaces_per_element, group.elements):
-        for E in s1:
-            if E.shape[1] < 2:
-                continue
-            sub = E.conj().T @ u2 @ E
-            if np.max(np.abs(sub.conj().T @ sub - np.eye(E.shape[1]))) > GROUP_MATRIX_TOL:
-                continue  # u2 does not preserve this eigenspace
-            rays += [E @ F[:, 0] for F in _eigenspaces(sub) if F.shape[1] == 1]
-    if not rays:
-        return []
-    first = np.unique(_ray_keys(np.array(rays)), return_index=True)[1]
+    els = group.elements
+    first = np.unique(_ray_keys(els.reshape(len(els), -1)), return_index=True)[1]
+    reps = els[np.sort(first)]
+    w, V, single = eigenpairs(reps)
+    rays = [V.swapaxes(1, 2)[single]]
+    spaces = _degenerate_bases(w, V)
+    projectors = np.array([E @ E.conj().T for E in spaces]).reshape((-1,) + reps.shape[1:])
+    for i in np.sort(np.unique(_grid_keys(projectors), return_index=True)[1]):
+        E = spaces[i]
+        sub = E.conj().T @ reps @ E
+        drift = np.abs(sub.conj().swapaxes(1, 2) @ sub - np.eye(E.shape[1])).max(axis=(1, 2))
+        _, F, kept_single = eigenpairs(sub[drift <= UNITARY_TOL])
+        rays.append((E @ F).swapaxes(1, 2)[kept_single])
+    rays = np.concatenate(rays)
+    first = np.unique(_ray_keys(rays), return_index=True)[1]
     return [phase_normalize(rays[i]) for i in np.sort(first)]
 
 

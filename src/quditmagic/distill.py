@@ -51,7 +51,9 @@ class PairParams(NamedTuple):
     b: float = 0.0
 
     def density(self) -> np.ndarray:
-        """4x4 density matrix in the pair basis; raises if not PSD."""
+        """4x4 density matrix in the pair basis; raises unless finite and PSD."""
+        if not np.all(np.isfinite(self)):
+            raise ValueError(f"parameters must be finite, got {self}")
         rho = np.diag([1.0 - self.eps1 - self.eps2 - self.eps3,
                        self.eps1, self.eps2, self.eps3]).astype(np.complex128)
         rho[0, 3] = self.a + 1j * self.b

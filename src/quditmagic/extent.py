@@ -70,8 +70,8 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     within `tol`, with |A c - b| < 10 tol, is returned.  A solve that reaches
     `max_iter` first returns the checked ADMM candidate of least l1 norm, and
     `converged` says whether its gap is within `tol`."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < 1:  # an extent is at least 1: a gap of 1 or more certifies nothing
+        raise ValueError(f"tol must be > 0 and < 1, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     A = problem.dictionary.T           # (D, K) with columns the states

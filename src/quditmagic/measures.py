@@ -115,7 +115,9 @@ def pauli_distribution(psi: np.ndarray, dims: Dims) -> PauliDistribution:
 
 
 def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
-    """Xi_alpha = sum_chi P_chi^alpha."""
+    """Xi_alpha = sum_chi P_chi^alpha, for a finite alpha."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     probs = pauli_distribution(psi, dims).probs
     if float(alpha) == int(alpha):
         return float((probs ** int(alpha)).sum())

@@ -7,7 +7,8 @@ tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
 cached per (d, N).  The brute-force Sp(2, Z_d) enumeration is a reference
 for the single-qudit Clifford tests, the per-element closure loop for
-`FiniteUnitaryGroup.generate`, and the plain ADMM loop at the end, with no
+`FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
+`group_stabilizer_states`, and the plain ADMM loop at the end, with no
 active-set polish, is the reference for `extent.solve_extent`.
 """
 
@@ -16,11 +17,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from quditmagic.clifford import _ray_keys
 from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.phasespace import Dims, phase_points, split_point
-from quditmagic.tolerances import EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF
-from quditmagic.weyl import displacement_matrix, unit_phase
+from quditmagic.tolerances import (EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF,
+                                   GROUP_MATRIX_TOL)
+from quditmagic.weyl import displacement_matrix, phase_normalize, unit_phase
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +96,46 @@ def generate_group(generators, max_order: int = 20000) -> list[np.ndarray]:
                     nxt.append(V)
         frontier = nxt
     return list(seen.values())
+
+
+def eigenspaces(U: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases of the eigenspaces of a unitary: eigenvalues are
+    clustered within EIGEN_CLUSTER_TOL, and each cluster of size k spans the
+    null space of U - lambda I, read off as its k smallest right singular
+    vectors."""
+    U = np.asarray(U, dtype=np.complex128)
+    evals = np.linalg.eigvals(U)
+    eye = np.eye(U.shape[0])
+    remaining = list(range(evals.shape[0]))
+    spaces = []
+    while remaining:
+        i = remaining[0]
+        idx = [j for j in remaining if abs(evals[j] - evals[i]) < EIGEN_CLUSTER_TOL]
+        remaining = [j for j in remaining if j not in idx]
+        _, _, vh = np.linalg.svd(U - np.mean(evals[idx]) * eye)
+        spaces.append(vh[-len(idx):].conj().T)
+    return spaces
+
+
+def group_stabilizer_states(group) -> list[np.ndarray]:
+    """The one-dimensional joint eigenspaces of single elements and of pairs
+    of elements of a FiniteUnitaryGroup, one `eigenspaces` call per element
+    and per (element, element) pair, phases included; the rays in order of
+    first appearance, each phase-normalized."""
+    spaces_per_element = [eigenspaces(u) for u in group.elements]
+    rays = [E[:, 0] for spaces in spaces_per_element for E in spaces if E.shape[1] == 1]
+    for (s1, u2) in itertools.product(spaces_per_element, group.elements):
+        for E in s1:
+            if E.shape[1] < 2:
+                continue
+            sub = E.conj().T @ u2 @ E
+            if np.max(np.abs(sub.conj().T @ sub - np.eye(E.shape[1]))) > GROUP_MATRIX_TOL:
+                continue  # u2 does not preserve this eigenspace
+            rays += [E @ F[:, 0] for F in eigenspaces(sub) if F.shape[1] == 1]
+    if not rays:
+        return []
+    first = np.unique(_ray_keys(np.array(rays)), return_index=True)[1]
+    return [phase_normalize(rays[i]) for i in np.sort(first)]
 
 
 def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:

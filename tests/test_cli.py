@@ -94,6 +94,19 @@ def test_malformed_grid_exits_2(capsys, argv):
     ["extent", "solve", "--state", "qubit:T0", "--tol", "nan"],
     ["catalog", "verify", "--tol", "0"],
     ["catalog", "verify", "--tol", "-1"],
+    ["measures", "qutrit:S", "--alphas", "inf"],
+    ["measures", "qutrit:S", "--alphas", "nan"],
+    ["measures", "qutrit:S", "--alphas", "2,1e400"],
+    ["extent", "solve", "--state", "qubit:T0", "--tol", "inf"],
+    ["extent", "solve", "--state", "qubit:T0", "--tol", "1e300"],
+    ["extent", "solve", "--state", "qubit:T0", "--tol", "1"],
+    ["catalog", "verify", "--tol", "inf"],
+    ["distill", "step", "--eps3", "nan"],
+    ["distill", "sweep", "--eps3", "0:inf:0.1"],
+    ["distill", "step", "--eps1", "nan"],
+    ["distill", "step", "--eps2", "inf"],
+    ["distill", "step", "--a", "-inf"],
+    ["distill", "step", "--b", "1e400"],
 ], ids=" ".join)
 def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -125,7 +138,7 @@ def test_extent_group_takes_two_qubit_tokens(capsys):
     assert code == 0 and json.loads(out)["converged"]
 
 
-@pytest.mark.parametrize("direction", ["phase:abc", "foo", "state:"])
+@pytest.mark.parametrize("direction", ["phase:abc", "foo", "state:", "phase:inf", "phase:nan"])
 def test_malformed_direction_exits_2(capsys, direction):
     with pytest.raises(SystemExit) as exc:
         main(["extremality", "qutrit:S", "--direction", direction])

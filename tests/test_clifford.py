@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ from quditmagic.clifford import (
     FiniteUnitaryGroup,
     _affine_data,
     _compose_action,
-    _eigenspaces,
+    _degenerate_bases,
     _pauli_action,
     affine_from_clifford,
     clifford_equivalence_search,
@@ -35,6 +36,7 @@ from quditmagic.clifford import (
     twirl,
     word_unitary,
 )
+from quditmagic.cli import main
 from quditmagic.errors import (BudgetExceededError, NonClosedGroupError, NotCliffordError,
                                UnsupportedDimensionError)
 from quditmagic.phasespace import (
@@ -46,6 +48,7 @@ from quditmagic.phasespace import (
     symplectic_form,
     symplectic_product,
 )
+from quditmagic.stabilizers import enumerate_stabilizer_states
 from quditmagic.weyl import (
     equal_up_to_phase,
     pauli_coefficients,
@@ -53,6 +56,7 @@ from quditmagic.weyl import (
     unit_phase,
 )
 
+import oracles
 from oracles import (displacement_table, enumerate_symplectic_2x2, generate_group,
                      phase_point_table)
 
@@ -271,13 +275,73 @@ def test_twirl_properties():
     assert np.max(np.abs(twirl(np.outer(psi, phi.conj()), G))) < 1e-12
 
 
-def test_eigenphase_extended_closure_qutrit_H():
+def _eigenphase_extended_qutrit_H():
     # the closure of <H> together with the scalar phases from its spectrum
     H, _ = qudit_clifford_generators(3)
     scalars = [val * np.eye(3, dtype=np.complex128) for val in np.linalg.eigvals(H.unitary)]
-    G = FiniteUnitaryGroup.generate([H.unitary] + scalars, max_order=4096)
+    return FiniteUnitaryGroup.generate([H.unitary] + scalars, max_order=4096)
+
+
+def test_eigenphase_extended_closure_qutrit_H():
+    G = _eigenphase_extended_qutrit_H()
     G.check_closed()
     assert any(np.allclose(g, np.eye(3)) for g in G.elements)
+
+
+def _token_group(tokens, d, N):
+    return FiniteUnitaryGroup.generate([word_unitary([t], Dims(d, N)) for t in tokens.split()])
+
+
+_G_STABILIZER_GROUPS = {
+    "order 12": _order12_group,
+    "qubit <S>": lambda: _token_group("S@1", 2, 1),
+    "qubit <H, S>": lambda: _token_group("H@1 S@1", 2, 1),
+    "<CZ@1,2, H@1>": lambda: _token_group("CZ@1,2 H@1", 2, 2),
+    "<S@1, CZ@1,2>": lambda: _token_group("S@1 CZ@1,2", 2, 2),
+    "two-qubit <H@1>": lambda: _token_group("H@1", 2, 2),
+    "qutrit <H, S>": lambda: _token_group("H@1 S@1", 3, 1),
+    "eigenphase-extended qutrit <H>": _eigenphase_extended_qutrit_H,
+}
+
+
+@pytest.mark.parametrize("name", list(_G_STABILIZER_GROUPS))
+def test_group_stabilizer_states_match_per_pair_oracle(name):
+    G = _G_STABILIZER_GROUPS[name]()
+    states, ref = group_stabilizer_states(G), oracles.group_stabilizer_states(G)
+    assert len(states) == len(ref)
+    for s, r in zip(states, ref):  # the same rays in the same order
+        assert np.max(np.abs(s - r)) < 1e-12
+
+
+_R2, _R3 = np.sqrt(2), np.sqrt(3)
+
+
+@pytest.mark.parametrize("tokens, d, N, order, split", [
+    ("H@1 S@1", 2, 1, 192, {1: 6, (3 + _R3) / 6: 8, (2 + _R2) / 4: 12}),
+    ("H@1 S@1", 3, 1, 648, {1: 12, 1 / 2: 9, 2 / 3: 36,
+                            (1 + 2 * np.cos(2 * np.pi / 9)) ** 2 / 9: 72, (3 + _R3) / 6: 54}),
+    ("H@1 S@1 CZ@1,2", 2, 2, 3072, {1: 12, (3 + _R3) / 6: 16, (2 + _R2) / 4: 24}),
+], ids=["qubit <H, S>", "qutrit <H, S>", "two-qubit <H@1, S@1, CZ@1,2>"])
+def test_group_stabilizer_states_by_stabilizer_fidelity(tokens, d, N, order, split):
+    G = _token_group(tokens, d, N)
+    states = group_stabilizer_states(G)
+    assert len(G) == order and len(states) == sum(split.values())
+    dd = enumerate_stabilizer_states(Dims(d, N))
+    fidelity = np.array([np.max(dd.overlaps(s)) for s in states])
+    for value, count in split.items():
+        assert np.sum(np.abs(fidelity - value) < 1e-9) == count
+
+
+def test_qutrit_group_stabilizer_states_hold_every_eigenstate_class(capsys):
+    # the stabilizer states and the Clifford orbits of the non-degenerate
+    # eigenstate classes
+    assert main(["eigenstates", "--all-cliffords", "--dims", "3,1", "--json"]) == 0
+    classes = json.loads(capsys.readouterr().out)
+    states = group_stabilizer_states(_token_group("H@1 S@1", 3, 1))
+    assert len(classes) == 4
+    for c in classes:
+        vec = np.array([complex(re, im) for re, im in c["state"]])
+        assert any(equal_up_to_phase(vec, s) for s in states)
 
 
 def _generators(name):
@@ -765,10 +829,13 @@ def _degenerate_unitary(D, seed):
 
 
 def test_eigenspaces_orthonormal_and_invariant():
+    # the singleton eigenvectors of `eigenpairs` and the QR bases of its
+    # degenerate clusters together span each eigenspace orthonormally
     unitaries = ([_degenerate_unitary(8, 1), _degenerate_unitary(9, 2)]
                  + list(_eigen_stack(2, 2, 40, seed=3)) + list(_eigen_stack(3, 1, 20, seed=4)))
     for U in unitaries:
-        spaces = _eigenspaces(U)
+        w, V, single = eigenpairs(U[None])
+        spaces = [V[0][:, [j]] for j in np.flatnonzero(single[0])] + _degenerate_bases(w, V)
         assert sum(E.shape[1] for E in spaces) == U.shape[0]
         B = np.hstack(spaces)
         assert np.max(np.abs(B.conj().T @ B - np.eye(U.shape[0]))) < 1e-10

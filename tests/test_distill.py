@@ -171,5 +171,9 @@ def test_iterate_protocol():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         PairParams(eps3=0.1, a=0.45).density()  # 0/3 block not PSD
+    for bad in (PairParams(eps3=float("nan")), PairParams(a=float("inf")),
+                PairParams(eps1=-float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            bad.density()
     with pytest.raises(ValueError):
         distill_step([PairParams()] * 4)

@@ -174,7 +174,8 @@ def test_single_step_cap_returns_unconverged_solution(name):
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -5}, {"tol": 0.0},
-                                    {"tol": -1.0}, {"tol": float("nan")}], ids=str)
+                                    {"tol": -1.0}, {"tol": float("nan")}, {"tol": 1.0},
+                                    {"tol": 1e300}, {"tol": float("inf")}], ids=str)
 def test_bad_tol_or_cap_raises(kwargs):
     with pytest.raises(ValueError):
         solve_extent(_problem("qubit:T0"), **kwargs)

@@ -127,6 +127,11 @@ def test_sre_contract_and_additivity():
     with pytest.raises(ValueError):
         sre(psi, d3, alpha=1.5)
     sre(psi, d3, alpha=1.5, allow_small_alpha=True)
+    for alpha in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            sre(psi, d3, alpha=alpha)
+        with pytest.raises(ValueError, match="finite"):
+            xi(psi, d3, alpha=alpha)
     phi = rand_state(3, 5)
     both = np.kron(psi, phi)
     assert abs(sre(both, Dims(3, 2)) - sre(psi, d3) - sre(phi, d3)) < 1e-10
