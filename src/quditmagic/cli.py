@@ -224,20 +224,20 @@ def cmd_eigenstates(args) -> int:
     else:
         dd = enumerate_stabilizer_states(dims)
         group = reduced_clifford_group(dims)
-        stack, states = group.unitaries, dd.matrix.conj().T
-        classes = {}
-        for start in range(0, len(stack), _EIGEN_CHUNK):
-            _, V, single = eigenpairs(stack[start:start + _EIGEN_CHUNK])
-            owner, col = np.nonzero(single)  # element order, then eigenvalue order
-            vecs = V[owner, :, col]
-            ov = np.abs(vecs @ states) ** 2
-            keys = class_keys(ov)
-            for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
-                key = keys[i].tobytes()
-                if key not in classes:
-                    classes[key] = {"state": phase_normalize(vecs[i]),
-                                    "fidelity": float(np.max(ov[i])),
-                                    "word": list(group.word(start + owner[i]))}
+        states, classes = dd.matrix.conj().T, {}
+        for lo, level in group.levels():
+            for start in range(0, len(level), _EIGEN_CHUNK):
+                _, V, single = eigenpairs(level[start:start + _EIGEN_CHUNK])
+                owner, col = np.nonzero(single)  # element order, then eigenvalue order
+                vecs = V[owner, :, col]
+                ov = np.abs(vecs @ states) ** 2
+                keys = class_keys(ov)
+                for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
+                    key = keys[i].tobytes()
+                    if key not in classes:
+                        classes[key] = {"state": phase_normalize(vecs[i]),
+                                        "fidelity": float(np.max(ov[i])),
+                                        "word": list(group.word(lo + start + owner[i]))}
         results = [{"class": i, **v} for i, v in enumerate(classes.values())]
         print(f"# {len(classes)} non-stabilizer inequivalence classes",
               file=sys.stderr)

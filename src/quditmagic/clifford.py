@@ -28,7 +28,8 @@ only its parent's 2N codes and the generator's full action:
 S_C and a_C are read off the same codes: column i of S_C is the label
 perm[e_i], and a_C = S_C J k_b with k_b = -k[e_i], because S_C is
 symplectic.  Words and unitaries are rebuilt from each element's parent and
-generator, the unitaries in one batched pass when a caller asks for them.
+generator when they are asked for: one element from its lineage, or a whole
+BFS level in one batched product with the level before it.
 
 For d = 2 the Hermitian representatives i^(p.q) X^p Z^q carry a residual
 sign on non-basis labels that no affine phase omega^(-<a, S chi>) describes;
@@ -39,7 +40,7 @@ covers every label and not only the basis.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -222,11 +223,11 @@ def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray
     if dims.odd:
         return displacement_matrix(a, dims) @ metaplectic_V(S, dims.d)
     group = reduced_clifford_group(dims)
-    S_all, a_all = group.affine
+    S_all, a_all = group.affine()
     if S.shape == S_all.shape[1:] and a.shape == a_all.shape[1:]:
         hit = np.flatnonzero(np.all(S_all == S, axis=(1, 2)) & np.all(a_all == a, axis=1))
         if hit.size:
-            return group.unitaries[hit[0]]
+            return group.unitary(hit[0])
     raise NotCliffordError("no qubit Clifford with the requested affine data")
 
 
@@ -416,24 +417,19 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
     return words
 
 
-_STACK_BLOCK = 4096  # elements per batched product when the unitary stack is filled
-
-
 def _group_bytes(dims: Dims, n_gens: int) -> int:
-    """Peak bytes of the reduced group and what callers build from it.
+    """Peak bytes of the reduced group and of the (S, a) read off it.
 
     The BFS holds the codes, the closure's four intp arrays (keys, their
     state indices, parent and generator) and the merged copy of one, the
     narrowed parent and generator, and one level's candidate block, bounded
     by the order: per candidate four int64 code blocks of 2N (composed perm
     and k, their code and its transposed copy) and its key, search position,
-    looked-up key and state index.  On demand come the unitary stack with one
-    block's gathered generators and parents, and the (S, a) arrays with their
-    int64 transients."""
-    order, L, D2 = clifford_group_order(dims), 2 * dims.N, dims.D ** 2 * 16
+    looked-up key and state index.  On demand come the (S, a) arrays of every
+    element with their int64 transients."""
+    order, L = clifford_group_order(dims), 2 * dims.N
     code_size = np.min_scalar_type(dims.n_points * dims.d - 1).itemsize
     return (order * (L * code_size + 5 * 8 + 8 + 1) + order * n_gens * (4 * L * 8 + 4 * 8)
-            + (order + 2 * min(order, _STACK_BLOCK)) * D2
             + order * (4 * L * L * 8 + 4 * L * 8))
 
 
@@ -443,8 +439,8 @@ class ReducedCliffordGroup:
     Element 0 is the identity; element i > 0 is gens[generator[i]] times
     element parent[i], which lies on the previous BFS level.  codes[i, j] =
     perm * d + k codes element i's action on the unit label e_(j+1), and
-    offsets[l]:offsets[l + 1] is level l.  Words, (S, a), the unitary stack
-    and each CliffordElement view are built from these on demand."""
+    offsets[l]:offsets[l + 1] is level l.  Words, (S, a), unitaries and each
+    CliffordElement view are derived from these, uncached, when asked for."""
 
     def __init__(self, dims: Dims, gen_words: list[tuple[str, ...]], gens: np.ndarray,
                  codes: np.ndarray, parent: np.ndarray, generator: np.ndarray,
@@ -465,31 +461,38 @@ class ReducedCliffordGroup:
         chain = _lineage(self.parent, self.generator, i)
         return tuple(t for g in chain for t in self.gen_words[g])
 
-    @cached_property
-    def affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, a) of every element, shapes (order, 2N, 2N) and (order, 2N)."""
-        d = self.dims.d
-        return _affine_data(self.codes // d, self.codes % d, self.dims)
+    def affine(self, i=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(S, a) of element i, or of all: shapes (order, 2N, 2N), (order, 2N)."""
+        codes = self.codes[i]
+        return _affine_data(codes // self.dims.d, codes % self.dims.d, self.dims)
 
-    @cached_property
-    def unitaries(self) -> np.ndarray:
-        """The (order, D, D) unitary stack, filled level by level: each block
-        of a level is one batched product of its generators and its parents."""
-        U = np.empty((len(self),) + self.gens.shape[1:], dtype=np.complex128)
-        U[0] = np.eye(self.dims.D)
-        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
-            for start in range(lo, hi, _STACK_BLOCK):
-                block = slice(start, min(start + _STACK_BLOCK, hi))
-                np.matmul(self.gens[self.generator[block]], U[self.parent[block]], out=U[block])
+    def unitary(self, i: int) -> np.ndarray:
+        """The unitary of element i: the generators of its lineage applied to
+        the identity, root first, the same products `levels` makes."""
+        U = np.eye(self.dims.D, dtype=np.complex128)
+        for g in reversed(_lineage(self.parent, self.generator, i)):
+            U = self.gens[g] @ U
         return U
 
+    def levels(self):
+        """(first index, unitaries) of each BFS level in turn, each one batched
+        product of its generators and its parents on the level before."""
+        width = np.diff(self.offsets)  # two levels at most, one with its two gathers
+        check_budget(int(np.max(width[:-1] + 3 * width[1:])) * self.dims.D ** 2 * 16,
+                     f"the Clifford unitaries of {self.dims} by BFS level")
+        U = np.eye(self.dims.D, dtype=np.complex128)[None]
+        yield 0, U
+        for prev, lo, hi in zip(self.offsets[:-2], self.offsets[1:-1], self.offsets[2:]):
+            U = np.matmul(self.gens[self.generator[lo:hi]], U[self.parent[lo:hi] - prev])
+            yield lo, U
+
     def __getitem__(self, i: int) -> CliffordElement:
-        """Element i as a CliffordElement viewing the stack and (S, a), which
-        the first read fills.  List-like: negative indices count from the end,
-        and the IndexError past it also ends iteration."""
+        """Element i as a CliffordElement, derived from its lineage and its
+        codes.  List-like: negative indices count from the end, and the
+        IndexError past it also ends iteration."""
         i = range(len(self))[i]
-        (S, a), U = self.affine, self.unitaries
-        return CliffordElement(U[i], S[i], a[i], self.dims, self.word(i))
+        S, a = self.affine(i)
+        return CliffordElement(self.unitary(i), S, a, self.dims, self.word(i))
 
 
 @lru_cache(maxsize=None)
@@ -528,8 +531,8 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
 def reduced_clifford_group(dims: Dims) -> ReducedCliffordGroup:
     """The reduced Clifford group as integer arrays, cached per (d, N).
 
-    The budget check before the BFS also counts the unitary stack and
-    (S, a), which callers build from it on demand."""
+    The budget check before the BFS also counts (S, a) of every element,
+    which callers read off it on demand."""
     words = clifford_generator_words(dims)
     check_budget(_group_bytes(dims, len(words)), f"the reduced Clifford group for {dims}")
     return _reduced_group_cached(dims.d, dims.N)
@@ -537,17 +540,18 @@ def reduced_clifford_group(dims: Dims) -> ReducedCliffordGroup:
 
 def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
     """The reduced Clifford group as a sequence of CliffordElement views in
-    BFS order; the unitary stack and (S, a) are filled by the first read."""
+    BFS order, each derived when it is read."""
     return reduced_clifford_group(dims)
 
 
 # ---------------------------------------------------------------------------
 # finite unitary groups, projectors, twirling
 
-def _products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+def _products(gens: np.ndarray, frontier: np.ndarray, held: int = 0) -> np.ndarray:
     """Every gens[g] @ frontier[f] as one (F G, D, D) stack in (f, g) order."""
-    # the stack and at most two transients of its keys at a time
-    check_budget(3 * gens.size * len(frontier) * 16, "a finite group closure level")
+    # the bytes the caller holds, the stack, its keys and the key-sized transients
+    # of `_Closure.extend` (looked-up keys; new keys, their sorted copies, unique)
+    check_budget(held + 6 * gens.size * len(frontier) * 16, "a finite group closure level")
     return np.matmul(gens, frontier[:, None]).reshape((-1,) + gens.shape[1:])
 
 
@@ -568,7 +572,8 @@ class FiniteUnitaryGroup:
         levels = [np.eye(gens.shape[1], dtype=np.complex128)[None]]
         closure = _Closure(_grid_keys(levels[0]))
         while len(levels[-1]):
-            cand = _products(gens, levels[-1])
+            # the elements kept so far, their keys and the copy np.insert makes of them
+            cand = _products(gens, levels[-1], 3 * len(closure) * gens[0].size * 16)
             base = len(closure) - len(levels[-1])
             levels.append(cand[closure.extend(_grid_keys(cand), base, len(gens))])
             if len(closure) > max_order:
@@ -675,9 +680,6 @@ def nondegenerate_eigenstates(C, dims: Dims) -> list[tuple[complex, np.ndarray]]
 # ---------------------------------------------------------------------------
 # Clifford equivalence search
 
-_SEARCH_BLOCK_BYTES = 1 << 22  # bound on one batched expansion of frontier vectors
-
-
 def class_keys(overlaps: np.ndarray) -> np.ndarray:
     """The Clifford-class key of each row of stabilizer overlaps |<s|psi>|^2:
     the row sorted and rounded to OVERLAP_DECIMALS."""
@@ -718,40 +720,34 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
         return ()
     if state_invariant(psi1, dims) != state_invariant(psi2, dims):
         return None
-    # keys of every stored state, one side's copy while it grows, the frontier
-    # vectors, and the transients of one expansion block
-    check_budget(3 * budget * D * 16 + 4 * _SEARCH_BLOCK_BYTES,
-                 f"a Clifford equivalence search on {dims} with budget {budget}")
     words = clifford_generator_words(dims)
     words += [invert_word(w, dims.d) for w in words if invert_word(w, dims.d) != w]
+    G = len(words)
+    # keys of every stored state, one side's copy while it grows, the frontier,
+    # and one level block (budget + G - 1 vectors at most) with 3 key transients
+    check_budget((3 * budget + 4 * (budget + G)) * D * 16,
+                 f"a Clifford equivalence search on {dims} with budget {budget}")
     stack = np.array([word_unitary(w, dims) for w in words])
     stacks, frontiers = (stack, stack.conj().swapaxes(1, 2)), [psi1[None], psi2[None]]
     fwd, bwd = (_Closure(_ray_keys(f)) for f in frontiers)
-    G = len(words)
-    rows = max(1, _SEARCH_BLOCK_BYTES // (G * D * 16))
     expansions = 0
     while expansions < budget and (len(frontiers[0]) or len(frontiers[1])):
         for n, (side, other) in enumerate(((fwd, bwd), (bwd, fwd))):
-            frontier, kept = frontiers[n], []
-            base = len(side) - len(frontier)  # the frontier is the last level
-            for start in range(0, len(frontier), rows):
-                block = np.einsum("gij,fj->fgi", stacks[n], frontier[start:start + rows])
-                block = block.reshape(-1, D)[:budget - expansions]
-                expansions += len(block)
-                keys, at = _ray_keys(block), len(side)
-                fresh = side.extend(keys, base + start, G)
-                kept.append(block[fresh])
-                met = other.lookup(keys[fresh])
-                for j in np.flatnonzero(met >= 0):
-                    i_fwd, i_bwd = (at + j, met[j]) if side is fwd else (met[j], at + j)
-                    chain = _lineage(bwd.parent, bwd.generator, i_bwd)[::-1]
-                    chain += _lineage(fwd.parent, fwd.generator, i_fwd)
-                    word = tuple(t for g in chain for t in words[g])
-                    if equal_up_to_phase(word_unitary(word, dims) @ psi1, psi2):
-                        return word
-                if expansions >= budget:
-                    break
-            frontiers[n] = np.concatenate(kept) if kept else frontier[:0]
+            base = len(side) - len(frontiers[n])  # the frontier is the last level
+            rows = frontiers[n][:-(-(budget - expansions) // G)]  # those the budget allows
+            block = np.einsum("gij,fj->fgi", stacks[n], rows).reshape(-1, D)[:budget - expansions]
+            expansions += len(block)
+            keys, at = _ray_keys(block), len(side)
+            fresh = side.extend(keys, base, G)
+            frontiers[n] = block[fresh]
+            met = other.lookup(keys[fresh])
+            for j in np.flatnonzero(met >= 0):
+                i_fwd, i_bwd = (at + j, met[j]) if side is fwd else (met[j], at + j)
+                chain = _lineage(bwd.parent, bwd.generator, i_bwd)[::-1]
+                chain += _lineage(fwd.parent, fwd.generator, i_fwd)
+                word = tuple(t for g in chain for t in words[g])
+                if equal_up_to_phase(word_unitary(word, dims) @ psi1, psi2):
+                    return word
             if expansions >= budget:
                 break
     return None

@@ -14,8 +14,9 @@ class DimensionMismatchError(QuditMagicError):
 
 
 class BudgetExceededError(QuditMagicError):
-    """A build would need more than MEMORY_BUDGET bytes, or a group closure
-    more elements than its max_order; raised before the allocation."""
+    """A build's estimated peak, with its transients and what it holds
+    meanwhile (a closure's elements so far), is over MEMORY_BUDGET bytes, or
+    a group closure over its max_order elements; raised before allocating."""
 
 
 MEMORY_BUDGET = 2 ** 31  # bytes; the one memory limit of the package

@@ -17,8 +17,9 @@ package needs is a shift in p followed by a character sum in q: index gathers
 and one character matrix, in O(D^2) memory and O(D^3) time.  All of them read
 one cached `TransformPlan` per (d, N), which holds the index tables, the
 character matrix and the convention phases and passes one budget check for
-all of them (48 D^2 bytes) when it is built.  The same transform gives the
-Pauli coefficients Tr[T_chi^dag M] / D of any operator, which the Clifford
+all of them and one call's transients (120 D^2 bytes) when it is built.  The
+same transform gives the Pauli coefficients Tr[T_chi^dag M] / D of any
+operator, which the Clifford
 module uses to read conjugation actions, and `displace` applies T_chi to
 vectors by the same index arithmetic for the stabilizer dictionary.  A single
 T_chi is built on demand by `displacement_matrix`.
@@ -116,8 +117,10 @@ class TransformPlan(NamedTuple):
 @lru_cache(maxsize=None)
 def transform_plan(d: int, N: int) -> TransformPlan:
     """The `TransformPlan` of (d, N): 48 D^2 bytes (two index and two complex
-    D x D tables), checked against the budget before any is built."""
-    check_budget(48 * d ** (2 * N), f"the transform plan for {Dims(d, N)}")
+    D x D tables), checked against the budget before any is built together
+    with 72 D^2 for the transients of one call that reads it.  The hungriest,
+    `wigner_function` of a density matrix, peaks at 108 D^2 in all at (3,6)."""
+    check_budget(120 * d ** (2 * N), f"the transform plan for {Dims(d, N)}")
     r = np.arange(d)
     plus = _digitwise((r[:, None] + r) % d, N, d)
     minus = _digitwise((r[:, None] - r) % d, N, d)

@@ -6,8 +6,9 @@ every A_chi as a (d^(2N), D, D) array in lexicographic point order, so the
 tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
 cached per (d, N).  The brute-force Sp(2, Z_d) enumeration is a reference
-for the single-qudit Clifford tests, the per-element closure loop for
-`FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
+for the single-qudit Clifford tests, the stack of every reduced-group
+unitary for `ReducedCliffordGroup.unitary` and `.levels`, the per-element
+closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
 `group_stabilizer_states`, and the plain ADMM loop at the end, with no
 active-set polish, is the reference for `extent.solve_extent`.
 """
@@ -70,6 +71,19 @@ def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
         if (a * e - b * c) % d == 1:
             out.append(np.array([[a, b], [c, e]], dtype=np.int64))
     return out
+
+
+def clifford_unitary_stack(group) -> np.ndarray:
+    """The (order, D, D) unitaries of a ReducedCliffordGroup, filled level by
+    level in blocks of 4096: each block one batched product of its
+    generators and its parents, read back from the stack."""
+    U = np.empty((len(group),) + group.gens.shape[1:], dtype=np.complex128)
+    U[0] = np.eye(group.dims.D)
+    for lo, hi in zip(group.offsets[1:-1], group.offsets[2:]):
+        for start in range(lo, hi, 4096):
+            block = slice(start, min(start + 4096, hi))
+            np.matmul(group.gens[group.generator[block]], U[group.parent[block]], out=U[block])
+    return U
 
 
 def generate_group(generators, max_order: int = 20000) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from quditmagic import clifford
+from quditmagic import clifford, errors
 from quditmagic.clifford import (
     SL2_H_HAT,
     SL2_S_HAT,
@@ -369,6 +369,20 @@ def test_finite_group_closure_over_max_order_raises():
         assert len(generate(gens, max_order=648)) == 648
 
 
+def test_finite_group_closure_counts_what_it_holds(monkeypatch):
+    gens = np.array(_generators("ququint <H, S>"))
+    frontiers, products = [], clifford._products
+    monkeypatch.setattr(clifford, "_products",
+                        lambda g, f, held=0: frontiers.append(len(f)) or products(g, f, held))
+    FiniteUnitaryGroup.generate(gens)
+    levels = len(frontiers)
+    # every level's products and their key transients alone fit this budget
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 6 * gens.size * max(frontiers) * 16)
+    with pytest.raises(BudgetExceededError, match="finite group closure level"):
+        FiniteUnitaryGroup.generate(gens)
+    assert len(frontiers) - levels < levels  # refused at a level's check, before its product
+
+
 def test_check_closed_rejects_a_missing_product():
     Z3 = np.diag([1, unit_phase(1, 3), unit_phase(2, 3)])
     FiniteUnitaryGroup([np.eye(3), Z3, Z3 @ Z3]).check_closed()
@@ -632,7 +646,9 @@ def test_reduced_group_arrays(d, N):
     assert offsets[-1] == len(els) and np.all(level[group.parent[1:]] == level[1:] - 1)
     for i in range(0, len(els), 97):
         assert group.word(i) == els[i].word
-        assert np.shares_memory(els[i].unitary, group.unitaries)
+        assert np.array_equal(els[i].unitary, group.unitary(i))
+    # integer arrays only: no array of unitaries beyond the generators
+    assert all(v is group.gens or np.ndim(v) < 3 for v in vars(group).values())
     # the action on the unit labels identifies the element
     keys = {row.tobytes() for row in group.codes}
     assert len(keys) == len(els)
@@ -678,7 +694,7 @@ def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
         assert len(enumerate_reduced_clifford(dims)) == clifford_group_order(dims)
 
 
-def test_enumeration_fills_nothing_until_an_element_is_read(monkeypatch):
+def test_enumeration_and_reads_fill_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("CliffordElement built")
 
@@ -686,21 +702,22 @@ def test_enumeration_fills_nothing_until_an_element_is_read(monkeypatch):
     monkeypatch.setattr(clifford, "CliffordElement", forbidden)
     group = enumerate_reduced_clifford(Dims(3, 1))
     assert len(group) == 216
-    assert "unitaries" not in vars(group) and "affine" not in vars(group)
+    held = dict(vars(group))
     monkeypatch.undo()
     el = group[-1]
-    assert "unitaries" in vars(group) and "affine" in vars(group)
-    assert np.shares_memory(el.unitary, group.unitaries)
+    assert vars(group) == held  # the read derived el and cached nothing
+    assert np.array_equal(el.unitary, oracles.clifford_unitary_stack(group)[215])
     assert el.word == group.word(215)
 
 
 def test_group_indexing_is_list_like():
     group = enumerate_reduced_clifford(Dims(2, 1))
-    S, a = group.affine
+    S, a = group.affine()
+    stack = oracles.clifford_unitary_stack(group)
     for i in (0, 5, 23):
         for j in (i, i - 24):
             el = group[j]
-            assert np.array_equal(el.unitary, group.unitaries[i])
+            assert np.array_equal(el.unitary, stack[i])
             assert np.array_equal(el.symplectic, S[i]) and np.array_equal(el.displacement, a[i])
             assert el.word == group.word(i) and el.dims == Dims(2, 1)
     for bad in (24, -25):
@@ -709,11 +726,31 @@ def test_group_indexing_is_list_like():
     assert [el.word for el in group] == [group.word(i) for i in range(24)]
 
 
+@pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
+def test_levels_match_the_stack_oracle(d, N):
+    group = reduced_clifford_group(Dims(d, N))
+    firsts, levels = zip(*group.levels())
+    assert list(firsts) == group.offsets[:-1].tolist()
+    assert [len(U) for U in levels] == np.diff(group.offsets).tolist()
+    assert np.array_equal(np.concatenate(levels), oracles.clifford_unitary_stack(group))
+
+
+def test_levels_refused_before_the_first_product(monkeypatch):
+    group = reduced_clifford_group(Dims(5, 1))
+    width = np.diff(group.offsets)
+    # the widest pair of levels: the previous one, and the next with its two gathers
+    need = int(np.max(width[:-1] + 3 * width[1:])) * 25 * 16
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
+    with pytest.raises(BudgetExceededError, match="by BFS level"):
+        next(group.levels())
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
+    assert sum(len(U) for _, U in group.levels()) == len(group)
+
+
 def test_enumeration_refusals():
     # three qubits: 92 897 280 elements, each with its codes and closure arrays,
-    # a candidate block of 9 per element, a 64 x 64 unitary and (S, a),
-    # 4.12e11 bytes in all
-    nbytes = 412_379_414_528
+    # a candidate block of 9 per element, and (S, a): 3.17e11 bytes in all
+    nbytes = 317_244_211_200
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_reduced_clifford(Dims(2, 3))
@@ -723,14 +760,14 @@ def test_enumeration_refusals():
         enumerate_reduced_clifford(Dims(3, 2))
 
 
-def test_unitary_stack_refused_before_the_bfs(monkeypatch):
-    # (17,1): the integer BFS alone would fit the budget, its 8.6 GB stack does not
+def test_group_refused_before_the_bfs(monkeypatch):
+    # (23,1): 6.4 M elements, an estimated 2.8 GB of codes, closure and (S, a)
     def forbidden(*args, **kwargs):
         raise AssertionError("BFS started")
 
     monkeypatch.setattr(clifford, "_reduced_group_cached", forbidden)
     with pytest.raises(BudgetExceededError, match="reduced Clifford group"):
-        enumerate_reduced_clifford(Dims(17, 1))
+        enumerate_reduced_clifford(Dims(23, 1))
 
 
 # The peak RSS is read as VmHWM: ru_maxrss of a process forked from a large
@@ -765,6 +802,30 @@ def _peak_rise_and_estimate(build: str, estimate: str, d: int, N: int) -> tuple[
 def test_group_peak_within_estimate(d):
     rise, estimate = _peak_rise_and_estimate("clifford.enumerate_reduced_clifford(dims)",
                                              "clifford._group_bytes(dims, 2)", d, 1)
+    assert 0 < rise <= estimate
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+def test_reading_one_element_builds_no_stack():
+    # the (order, D, D) stack of every (11,1) unitary is 295 MiB
+    rise, stack = _peak_rise_and_estimate("clifford.enumerate_reduced_clifford(dims)[-1]",
+                                          "len(clifford.reduced_clifford_group(dims)) * 121 * 16",
+                                          11, 1)
+    assert stack == 159_720 * 121 * 16
+    assert 0 < rise < stack / 4
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+def test_finite_group_closure_peak_within_estimate():
+    # the two-qubit Clifford group with the phases of its generators: 92 160
+    # elements; the estimate is the largest of its level checks
+    build = """
+estimates, check = [], clifford.check_budget
+clifford.check_budget = lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what)
+gens = [clifford.word_unitary([t], dims) for t in ("H@1", "S@1", "H@2", "S@2", "CZ@1,2")]
+assert len(clifford.FiniteUnitaryGroup.generate(gens, max_order=10 ** 5)) == 92160
+"""
+    rise, estimate = _peak_rise_and_estimate(build, "max(estimates)", 2, 2)
     assert 0 < rise <= estimate
 
 

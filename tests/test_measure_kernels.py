@@ -11,6 +11,9 @@ the formula is exact.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,3 +217,43 @@ def test_kernels_keep_their_input_checks(dims):
         nonhermitian[0, 1] = 1.0
         with pytest.raises(ValueError, match="imaginary part"):
             wigner_function(nonhermitian, dims)
+
+
+# VmHWM of a fresh process, read around one kernel call whose input is
+# already built: the rise holds the transform plan and the call's transients,
+# and the estimate is the one budget check, made when the plan is built.
+_KERNEL_PROBE = """
+import re, sys
+import numpy as np
+from quditmagic import measures, weyl
+from quditmagic.phasespace import Dims
+def peak():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) * 1024
+dims = Dims(int(sys.argv[1]), int(sys.argv[2]))
+psi = [1, 1j] @ np.random.default_rng(3).normal(size=(2, dims.D))
+psi /= np.linalg.norm(psi)
+rho = np.outer(psi, psi.conj())
+estimates, check = [], weyl.check_budget
+weyl.check_budget = lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what)
+base = peak()
+{call}
+print(peak() - base, *estimates)
+"""
+
+KERNEL_CALLS = [(call, dims) for dims in (Dims(2, 10), Dims(3, 6))
+                for call in ("measures.sre(psi, dims)", "measures.mixed_sre2(rho, dims)",
+                             "weyl.pauli_coefficients(rho, dims)")]
+KERNEL_CALLS += [(call, Dims(3, 6)) for call in ("measures.mana(psi, dims)",
+                                                 "measures.wigner_function(rho, dims)")]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
+@pytest.mark.parametrize("call,dims", KERNEL_CALLS, ids=str)
+def test_kernel_peak_within_plan_estimate(call, dims):
+    src = os.path.dirname(os.path.dirname(weyl.__file__))
+    out = subprocess.run([sys.executable, "-c", _KERNEL_PROBE.format(call=call),
+                          str(dims.d), str(dims.N)], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    rise, estimate = map(int, out.stdout.split())
+    assert 0 < rise <= estimate
