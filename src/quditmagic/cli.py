@@ -31,11 +31,6 @@ TABLE_IDS = ["qutrit-wigner", "qutrit-fidelity", "ququint-wigner",
              "ququint-L", "qutrit-W", "ququint-W", "qubit-sre", "qutrit-sre",
              "ququint-sre", "2q-sre", "qubit-fidelity-sphere"]
 
-# Clifford elements per batched eigendecomposition in `eigenstates
-# --all-cliffords`: bounds the eigenvectors, overlaps and keys in memory
-# (about 4 MB at two qubits; 1024 was no faster and peaked 4 MB higher)
-_EIGEN_CHUNK = 512
-
 
 def parse_dims(text: str) -> Dims:
     """The `--dims d,N` argument; argparse reports a malformed value."""
@@ -224,20 +219,21 @@ def cmd_eigenstates(args) -> int:
     else:
         dd = enumerate_stabilizer_states(dims)
         group = reduced_clifford_group(dims)
-        states, classes = dd.matrix.conj().T, {}
-        for lo, level in group.levels():
-            for start in range(0, len(level), _EIGEN_CHUNK):
-                _, V, single = eigenpairs(level[start:start + _EIGEN_CHUNK])
-                owner, col = np.nonzero(single)  # element order, then eigenvalue order
-                vecs = V[owner, :, col]
-                ov = np.abs(vecs @ states) ** 2
-                keys = class_keys(ov)
-                for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
-                    key = keys[i].tobytes()
-                    if key not in classes:
-                        classes[key] = {"state": phase_normalize(vecs[i]),
-                                        "fidelity": float(np.max(ov[i])),
-                                        "word": list(group.word(lo + start + owner[i]))}
+        # conjugate elements have the same eigenstate classes, and the first
+        # element to show a class is the lowest of its conjugacy class
+        labels = group.conjugacy_classes()
+        reps = np.flatnonzero(labels == np.arange(len(group)))
+        _, V, single = eigenpairs(np.array([group.unitary(i) for i in reps]))
+        owner, col = np.nonzero(single)  # element order, then eigenvalue order
+        vecs = V[owner, :, col]
+        ov = np.abs(vecs @ dd.matrix.conj().T) ** 2
+        keys, classes = class_keys(ov), {}
+        for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
+            key = keys[i].tobytes()
+            if key not in classes:
+                classes[key] = {"state": phase_normalize(vecs[i]),
+                                "fidelity": float(np.max(ov[i])),
+                                "word": list(group.word(reps[owner[i]]))}
         results = [{"class": i, **v} for i, v in enumerate(classes.values())]
         print(f"# {len(classes)} non-stabilizer inequivalence classes",
               file=sys.stderr)

@@ -24,12 +24,19 @@ commutes with every Pauli is a scalar.  The reduced group is therefore
 enumerated by a BFS that stores, per element, only the 2N codes
 perm[e_i] * d + k[e_i], packed into one exact int64 key.  A child G U needs
 only its parent's 2N codes and the generator's full action:
-    code[e_i] = g_perm[perm[e_i]] * d + (k[e_i] + g_k[perm[e_i]]) mod d.
+    code[e_i] = g_perm[perm[e_i]] * d + (k[e_i] + g_k[perm[e_i]]) mod d,
+one gather per level from the table of that map over every code.
 S_C and a_C are read off the same codes: column i of S_C is the label
 perm[e_i], and a_C = S_C J k_b with k_b = -k[e_i], because S_C is
 symplectic.  Words and unitaries are rebuilt from each element's parent and
-generator when they are asked for: one element from its lineage, or a whole
-BFS level in one batched product with the level before it.
+generator when they are asked for, one element from its lineage.
+
+Conjugacy classes are exact on the same codes.  With y = perm_h^-1(e_i),
+h g h^-1 sends e_i to perm_h(perm_g(y)) with exponent
+k_g(y) + k_h(perm_g(y)) - k_h(y), so the action of every element on the few
+labels y, built level by level from its parent's, gives the codes of all
+its conjugates by the generators; one lookup of their keys gives the
+conjugation permutations, and the classes are their orbits.
 
 For d = 2 the Hermitian representatives i^(p.q) X^p Z^q carry a residual
 sign on non-basis labels that no affine phase omega^(-<a, S chi>) describes;
@@ -373,13 +380,13 @@ class _Closure:
         `keys`.  Candidate j is generator j % G applied to state base + j // G,
         so `keys` runs in (state, generator) order; of equal new keys the
         first is kept."""
-        new = np.flatnonzero(self.lookup(keys) < 0)
-        uniq, first = np.unique(keys[new], return_index=True)
-        kept = np.sort(first)
-        pos = np.searchsorted(self.keys, uniq)
+        uniq, first = np.unique(keys, return_index=True)
+        pos = np.searchsorted(self.keys, uniq)  # sorted queries search faster
+        new = self.keys[np.minimum(pos, len(self.keys) - 1)] != uniq
+        uniq, first, pos = uniq[new], first[new], pos[new]
+        fresh = np.sort(first)
         self.keys = np.insert(self.keys, pos, uniq)
-        self.at = np.insert(self.at, pos, len(self) + np.searchsorted(kept, first))
-        fresh = new[kept]
+        self.at = np.insert(self.at, pos, len(self) + np.searchsorted(fresh, first))
         self.parent = np.concatenate([self.parent, base + fresh // G])
         self.generator = np.concatenate([self.generator, fresh % G])
         return fresh
@@ -392,6 +399,33 @@ def _lineage(parent: np.ndarray, generator: np.ndarray, i: int) -> list[int]:
         out.append(generator.item(i))
         i = parent.item(i)
     return out
+
+
+def _orbit_minima(maps: np.ndarray) -> tuple[np.ndarray, int]:
+    """The lowest point of the orbit of every point of range(n) under the
+    permutations `maps` (the rows of an (m, n) array), and the rounds taken.
+
+    A round pulls to each point the smallest label across every permutation
+    and its inverse, hands that label on to the point its old label names,
+    and jumps each label to its label's label.  Labels only ever name points
+    of their own orbit and only decrease, and a round that changes nothing
+    leaves them constant on each orbit."""
+    n = maps.shape[1]
+    edges = list(maps)
+    for m in maps:
+        edges.append(np.empty_like(m))
+        edges[-1][m] = np.arange(n)
+    labels, rounds = np.arange(n), 0
+    while True:
+        pulled = labels.copy()
+        for e in edges:
+            np.minimum(pulled, labels[e], out=pulled)
+        np.minimum.at(pulled, labels, pulled)
+        pulled = pulled[pulled]
+        rounds += 1
+        if np.array_equal(pulled, labels):
+            return labels, rounds
+        labels = pulled
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +451,46 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
     return words
 
 
+def _code_steps(g_perm: np.ndarray, g_k: np.ndarray, d: int) -> np.ndarray:
+    """steps[g, c]: the code perm * d + k of generator g composed after an
+    action with code c on some label, for every c below n_points * d."""
+    perm, k = _compose_action((g_perm, g_k), np.divmod(np.arange(g_perm.shape[1] * d), d), d)
+    return perm * d + k
+
+
+def _code_radix(dims: Dims) -> np.ndarray:
+    """Digit weights that read the 2N unit-label codes, each below n * d, as
+    one int64 key; (n * d)^(2N) fits in 63 bits for every group within the
+    budget."""
+    return (dims.n_points * dims.d) ** np.arange(2 * dims.N - 1, -1, -1)
+
+
 def _group_bytes(dims: Dims, n_gens: int) -> int:
     """Peak bytes of the reduced group and of the (S, a) read off it.
 
     The BFS holds the codes, the closure's four intp arrays (keys, their
     state indices, parent and generator) and the merged copy of one, the
     narrowed parent and generator, and one level's candidate block, bounded
-    by the order: per candidate four int64 code blocks of 2N (composed perm
-    and k, their code and its transposed copy) and its key, search position,
-    looked-up key and state index.  On demand come the (S, a) arrays of every
-    element with their int64 transients."""
+    by the order: per candidate four int64 code blocks of 2N (its gathered
+    codes and their transposed copy, counted twice) and four int64 (its key,
+    and the copy, sort order and sorted key of `np.unique`).  On demand come
+    the (S, a) arrays of every element with their int64 transients."""
     order, L = clifford_group_order(dims), 2 * dims.N
     code_size = np.min_scalar_type(dims.n_points * dims.d - 1).itemsize
     return (order * (L * code_size + 5 * 8 + 8 + 1) + order * n_gens * (4 * L * 8 + 4 * 8)
             + order * (4 * L * L * 8 + 4 * L * 8))
+
+
+def _class_bytes(order: int, n_y: int, L: int, G: int) -> int:
+    """Peak bytes of `ReducedCliffordGroup.conjugacy_classes`, with these
+    arrays counted as int64 and as alive at once: the action on the n_y
+    labels y; the (order, G, L) blocks of conjugate codes and of their key
+    digits; the group's int64 codes and keys, and the argsort, sorted keys
+    and parent array of its `_Closure`; per conjugate its key, sort order,
+    search position, found index, and its forward and inverse map; and four
+    labels-sized arrays.  The lookup's other transients live while some of
+    these are already freed."""
+    return 8 * order * (n_y + 2 * G * L + L + 4 + 6 * G + 4)
 
 
 class ReducedCliffordGroup:
@@ -439,15 +499,17 @@ class ReducedCliffordGroup:
     Element 0 is the identity; element i > 0 is gens[generator[i]] times
     element parent[i], which lies on the previous BFS level.  codes[i, j] =
     perm * d + k codes element i's action on the unit label e_(j+1), and
-    offsets[l]:offsets[l + 1] is level l.  Words, (S, a), unitaries and each
-    CliffordElement view are derived from these, uncached, when asked for."""
+    offsets[l]:offsets[l + 1] is level l.  Words, (S, a), unitaries,
+    conjugacy classes and each CliffordElement view are derived from these,
+    uncached, when asked for."""
 
     def __init__(self, dims: Dims, gen_words: list[tuple[str, ...]], gens: np.ndarray,
-                 codes: np.ndarray, parent: np.ndarray, generator: np.ndarray,
-                 offsets: np.ndarray):
+                 steps: np.ndarray, codes: np.ndarray, parent: np.ndarray,
+                 generator: np.ndarray, offsets: np.ndarray):
         self.dims = dims
         self.gen_words = gen_words
         self.gens = gens            # (G, D, D) generator unitaries
+        self.steps = steps          # (G, n_points * d): `_code_steps` of the generators
         self.codes = codes          # (order, 2N), the smallest unsigned dtype holding n_points * d
         self.parent = parent        # (order,)
         self.generator = generator  # (order,) indices into gen_words
@@ -468,23 +530,42 @@ class ReducedCliffordGroup:
 
     def unitary(self, i: int) -> np.ndarray:
         """The unitary of element i: the generators of its lineage applied to
-        the identity, root first, the same products `levels` makes."""
+        the identity, root first."""
         U = np.eye(self.dims.D, dtype=np.complex128)
         for g in reversed(_lineage(self.parent, self.generator, i)):
             U = self.gens[g] @ U
         return U
 
-    def levels(self):
-        """(first index, unitaries) of each BFS level in turn, each one batched
-        product of its generators and its parents on the level before."""
-        width = np.diff(self.offsets)  # two levels at most, one with its two gathers
-        check_budget(int(np.max(width[:-1] + 3 * width[1:])) * self.dims.D ** 2 * 16,
-                     f"the Clifford unitaries of {self.dims} by BFS level")
-        U = np.eye(self.dims.D, dtype=np.complex128)[None]
-        yield 0, U
-        for prev, lo, hi in zip(self.offsets[:-2], self.offsets[1:-1], self.offsets[2:]):
-            U = np.matmul(self.gens[self.generator[lo:hi]], U[self.parent[lo:hi] - prev])
-            yield lo, U
+    def conjugacy_classes(self) -> np.ndarray:
+        """The class label of every element: the lowest BFS index in its
+        conjugacy class, read off the codes exactly (see the module
+        docstring).  The action on y = perm_h^-1(e_i) follows the BFS, one
+        gather per level; the codes of the conjugates by each generator h are
+        looked up among the group's keys; the labels are the orbit minima of
+        those G permutations."""
+        d, L, order, radix = self.dims.d, 2 * self.dims.N, len(self), _code_radix(self.dims)
+        perm, k = np.divmod(self.steps[:, ::d], d)  # each generator on every label
+        y = np.argsort(perm, axis=1)[:, d ** np.arange(L - 1, -1, -1)]  # (G, L)
+        ys, at = np.unique(y, return_inverse=True)
+        G, nd = self.steps.shape
+        check_budget(_class_bytes(order, len(ys), L, G),
+                     f"the conjugacy classes of the Clifford group for {self.dims}")
+        acts = np.empty((order, len(ys)), dtype=self.codes.dtype)  # the codes on ys
+        acts[0] = ys * d
+        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+            acts[lo:hi] = self.steps[self.generator[lo:hi, None], acts[self.parent[lo:hi]]]
+        # digit[h, i, c]: the key digit of h g h^-1 on e_i when g has code c on y[h, i]
+        high, low = np.divmod(self.steps[:, None], d)
+        digit = (high * d + (low - np.take_along_axis(k, y, axis=1)[..., None]) % d
+                 ) * radix[:, None]
+        rows = np.arange(G * L).reshape(G, L) * nd
+        keys = digit.ravel()[acts[:, at.reshape(G, L)] + rows].sum(axis=2).ravel()
+        by_key = np.argsort(keys)  # sorted queries search the sorted keys faster
+        maps = np.empty_like(by_key)
+        maps[by_key] = _Closure(self.codes.astype(np.int64) @ radix).lookup(keys[by_key])
+        if np.any(maps < 0):
+            raise NotCliffordError("a conjugate by a generator left the enumerated group")
+        return _orbit_minima(maps.reshape(order, G).T)[0]
 
     def __getitem__(self, i: int) -> CliffordElement:
         """Element i as a CliffordElement, derived from its lineage and its
@@ -502,20 +583,15 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
     words = clifford_generator_words(dims)
     gens = np.array([word_unitary(w, dims) for w in words])
     actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
-    g_action = (np.array([p for p, _ in actions]), np.array([k for _, k in actions]))
-    # the 2N unit-label codes, each below n * d, read as digits of one int64
-    # key; (n * d)^(2N) fits in 63 bits for every group within the budget
-    units = d ** np.arange(2 * N - 1, -1, -1)
-    radix = (n * d) ** np.arange(2 * N - 1, -1, -1)
+    steps = _code_steps(np.array([p for p, _ in actions]), np.array([k for _, k in actions]), d)
+    units, radix = d ** np.arange(2 * N - 1, -1, -1), _code_radix(dims)
     codes = np.empty((order, 2 * N), dtype=np.min_scalar_type(n * d - 1))
     codes[0] = units * d
     closure = _Closure(codes[:1].astype(np.int64) @ radix)
     offsets = [0, 1]
     while offsets[-1] > offsets[-2]:
         lo, hi = offsets[-2:]
-        level = codes[lo:hi].astype(np.intp)
-        perm, k = _compose_action(g_action, (level // d, level % d), d)
-        cand = (perm * d + k).swapaxes(0, 1).reshape(-1, 2 * N)  # (element, generator) order
+        cand = steps[:, codes[lo:hi]].swapaxes(0, 1).reshape(-1, 2 * N)  # (element, generator)
         fresh = closure.extend(cand @ radix, lo, len(words))
         if len(closure) > order:
             raise NotCliffordError(f"closure exceeds the expected {order} elements")
@@ -523,7 +599,7 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
         offsets.append(len(closure))
     if offsets[-1] != order:
         raise NotCliffordError(f"closure produced {offsets[-1]} elements, expected {order}")
-    return ReducedCliffordGroup(dims, words, gens, codes,
+    return ReducedCliffordGroup(dims, words, gens, steps, codes,
                                 closure.parent.astype(np.min_scalar_type(order - 1)),
                                 closure.generator.astype(np.uint8), np.array(offsets[:-1]))
 

@@ -7,7 +7,8 @@ tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
 cached per (d, N).  The brute-force Sp(2, Z_d) enumeration is a reference
 for the single-qudit Clifford tests, the stack of every reduced-group
-unitary for `ReducedCliffordGroup.unitary` and `.levels`, the per-element
+unitary for `ReducedCliffordGroup.unitary`, its conjugation by the
+generators, keyed by floats, for `.conjugacy_classes`, the per-element
 closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
 `group_stabilizer_states`, and the plain ADMM loop at the end, with no
 active-set polish, is the reference for `extent.solve_extent`.
@@ -84,6 +85,35 @@ def clifford_unitary_stack(group) -> np.ndarray:
             block = slice(start, min(start + 4096, hi))
             np.matmul(group.gens[group.generator[block]], U[group.parent[block]], out=U[block])
     return U
+
+
+def conjugation_maps(group) -> np.ndarray:
+    """(2G, order) for a ReducedCliffordGroup: the index of h U h^dag, then
+    of h^dag U h, for every generator h and element U, found by matching the
+    dense products by their `_ray_keys` (entries up to a global phase)."""
+    U = clifford_unitary_stack(group)
+    index = {key: i for i, key in enumerate(_ray_keys(U.reshape(len(U), -1)).tolist())}
+    maps = []
+    for h in group.gens:
+        for conj in (h @ U @ h.conj().T, h.conj().T @ U @ h):
+            maps.append([index[key] for key in _ray_keys(conj.reshape(len(U), -1)).tolist()])
+    return np.array(maps)
+
+
+def conjugacy_class_labels(group) -> np.ndarray:
+    """The lowest index in each element's conjugacy class, by walking the
+    orbits of `conjugation_maps` one element at a time."""
+    maps = conjugation_maps(group)
+    labels = np.full(len(group), -1)
+    for i in range(len(group)):
+        if labels[i] < 0:
+            labels[i], todo = i, [i]
+            while todo:
+                for j in maps[:, todo.pop()]:
+                    if labels[j] < 0:
+                        labels[j] = i
+                        todo.append(j)
+    return labels
 
 
 def generate_group(generators, max_order: int = 20000) -> list[np.ndarray]:

@@ -216,14 +216,14 @@ def _eigenstate_classes_per_element(dims):
     return list(classes.values())
 
 
-@pytest.mark.parametrize("dims,chunk", [("3,1", 1024), ("5,1", 1024), ("5,1", 7)])
-def test_eigenstates_batched_sweep_matches_per_element(capsys, monkeypatch, dims, chunk):
-    monkeypatch.setattr(cli, "_EIGEN_CHUNK", chunk)
+@pytest.mark.parametrize("dims", ["3,1", "5,1", "2,2"])
+def test_eigenstates_batched_sweep_matches_per_element(capsys, dims):
+    # the sweep diagonalizes one element per conjugacy class
     code, out = run(capsys, "eigenstates", "--dims", dims, "--all-cliffords", "--json")
     assert code == 0
     data = json.loads(out)
     ref = _eigenstate_classes_per_element(Dims(*map(int, dims.split(","))))
-    assert len(data) == len(ref) == {"3,1": 4, "5,1": 8}[dims]
+    assert len(data) == len(ref) == {"3,1": 4, "5,1": 8, "2,2": 8}[dims]
     for got, (word, fid, vec) in zip(data, ref):
         assert got["word"] == word
         assert abs(got["fidelity"] - fid) < 1e-12

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -726,25 +727,86 @@ def test_group_indexing_is_list_like():
     assert [el.word for el in group] == [group.word(i) for i in range(24)]
 
 
-@pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
-def test_levels_match_the_stack_oracle(d, N):
+CLASS_COUNTS = {(2, 1): 5, (3, 1): 10, (5, 1): 14, (2, 2): 21, (7, 1): 18}
+
+
+@pytest.mark.parametrize("d,N", BUDGETED[1:])
+def test_conjugacy_classes_match_the_dense_oracle(d, N):
     group = reduced_clifford_group(Dims(d, N))
-    firsts, levels = zip(*group.levels())
-    assert list(firsts) == group.offsets[:-1].tolist()
-    assert [len(U) for U in levels] == np.diff(group.offsets).tolist()
-    assert np.array_equal(np.concatenate(levels), oracles.clifford_unitary_stack(group))
+    assert np.array_equal(group.conjugacy_classes(), oracles.conjugacy_class_labels(group))
 
 
-def test_levels_refused_before_the_first_product(monkeypatch):
-    group = reduced_clifford_group(Dims(5, 1))
-    width = np.diff(group.offsets)
-    # the widest pair of levels: the previous one, and the next with its two gathers
-    need = int(np.max(width[:-1] + 3 * width[1:])) * 25 * 16
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
-    with pytest.raises(BudgetExceededError, match="by BFS level"):
-        next(group.levels())
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
-    assert sum(len(U) for _, U in group.levels()) == len(group)
+@pytest.mark.parametrize("d,N", list(CLASS_COUNTS))
+def test_conjugacy_classes_are_closed_and_counted(d, N):
+    group = reduced_clifford_group(Dims(d, N))
+    labels = group.conjugacy_classes()
+    for m in oracles.conjugation_maps(group):  # by every generator and its inverse
+        assert np.array_equal(labels[m], labels)
+    reps = np.flatnonzero(labels == np.arange(len(group)))
+    sizes = np.bincount(labels)[reps]
+    assert len(reps) == CLASS_COUNTS[(d, N)] and labels[0] == 0 and sizes[0] == 1
+    assert sizes.sum() == len(group) and np.all(len(group) % sizes == 0)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_orbit_minima_take_logarithmic_rounds_on_a_cycle(seed):
+    # one 4096-cycle, in index order or shuffled: pulling across one
+    # direction only, or without the jumps, takes hundreds of rounds here
+    n = 4096
+    order = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
+    cycle = np.empty(n, dtype=np.intp)
+    cycle[order] = np.roll(order, -1)
+    labels, rounds = clifford._orbit_minima(cycle[None])
+    assert np.all(labels == 0) and rounds <= 2 * 12
+    halves = np.concatenate([np.roll(np.arange(n // 2), 1), n // 2 + np.roll(np.arange(n // 2), 1)])
+    labels, _ = clifford._orbit_minima(halves[None])
+    assert np.array_equal(labels, np.repeat([0, n // 2], n // 2))
+
+
+@pytest.fixture
+def class_estimates(monkeypatch):
+    """The estimates the class computation checks against the budget."""
+    estimates, check = [], clifford.check_budget
+
+    def spy(nbytes, what):
+        if "conjugacy classes" in what:
+            estimates.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(clifford, "check_budget", spy)
+    return estimates
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conjugacy_classes_refused_before_allocating(monkeypatch, class_estimates):
+    group = reduced_clifford_group(Dims(7, 1))
+    labels = group.conjugacy_classes()
+    # H and S pull X and Z back to four distinct labels y
+    assert class_estimates == [clifford._class_bytes(16464, 4, 2, 2)]
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", class_estimates[0] - 1)
+
+    def refused():
+        with pytest.raises(BudgetExceededError, match="conjugacy classes"):
+            group.conjugacy_classes()
+
+    assert _traced_peak(refused) < 2 ** 14 < class_estimates[0] / 100
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", class_estimates[0])
+    assert np.array_equal(group.conjugacy_classes(), labels)
+
+
+@pytest.mark.parametrize("d,N", [(3, 1), (2, 2), (7, 1), (11, 1)])
+def test_conjugacy_classes_peak_within_estimate(class_estimates, d, N):
+    group = reduced_clifford_group(Dims(d, N))
+    assert 0 < _traced_peak(group.conjugacy_classes) <= class_estimates[0]
 
 
 def test_enumeration_refusals():
