@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from quditmagic import cli, extent, stabilizers
+from quditmagic import cli, errors, extent, stabilizers
 from quditmagic.cli import main
 from quditmagic.clifford import enumerate_reduced_clifford, gate_unitary, nondegenerate_eigenstates
 from quditmagic.errors import NotCliffordError, UnknownStateError
@@ -216,9 +216,11 @@ def _eigenstate_classes_per_element(dims):
     return list(classes.values())
 
 
-@pytest.mark.parametrize("dims", ["3,1", "5,1", "2,2"])
-def test_eigenstates_batched_sweep_matches_per_element(capsys, dims):
-    # the sweep diagonalizes one element per conjugacy class
+@pytest.mark.parametrize("dims,budget_mib", [("3,1", 1024), ("5,1", 1024), ("5,1", 7), ("2,2", 1024)])
+def test_eigenstates_batched_sweep_matches_per_element(capsys, monkeypatch, dims, budget_mib):
+    # the sweep diagonalizes one element per conjugacy class, and its output
+    # does not depend on the memory budget: (5,1) runs whole within 7 MiB
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", budget_mib * 2 ** 20)
     code, out = run(capsys, "eigenstates", "--dims", dims, "--all-cliffords", "--json")
     assert code == 0
     data = json.loads(out)
