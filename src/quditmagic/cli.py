@@ -73,11 +73,14 @@ def parse_alphas(text: str) -> tuple[float, ...]:
     return alphas
 
 
-def parse_rounds(text: str) -> int:
-    """The `--rounds` argument: a number of distillation rounds, at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a round count >= 1")
-    return int(text)
+def parse_count(least: int, what: str):
+    """The parser of a whole-number argument, `what`, of at least `least`:
+    distillation `--rounds` (1) and search `--budget` (0)."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what} >= {least}")
+        return int(text)
+    return parse
 
 
 def parse_tol(text: str) -> float:
@@ -203,8 +206,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_eigenstates(args) -> int:
-    from .clifford import (class_keys, eigenpairs, nondegenerate_eigenstates,
-                           reduced_clifford_group, word_unitary)
+    from .clifford import (class_keys, eigenpairs, enumerate_reduced_clifford,
+                           nondegenerate_eigenstates, word_unitary)
     from .stabilizers import enumerate_stabilizer_states
     from .weyl import phase_normalize
 
@@ -218,7 +221,7 @@ def cmd_eigenstates(args) -> int:
             results.append({"eigenvalue": val, "state": vec})
     else:
         dd = enumerate_stabilizer_states(dims)
-        group = reduced_clifford_group(dims)
+        group = enumerate_reduced_clifford(dims)
         # conjugate elements have the same eigenstate classes, and the first
         # element to show a class is the lowest of its conjugacy class
         labels = group.conjugacy_classes()
@@ -227,11 +230,11 @@ def cmd_eigenstates(args) -> int:
         owner, col = np.nonzero(single)  # element order, then eigenvalue order
         vecs = V[owner, :, col]
         ov = np.abs(vecs @ dd.matrix.conj().T) ** 2
-        keys, classes = class_keys(ov), {}
+        keys, states, classes = class_keys(ov), phase_normalize(vecs), {}
         for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
             key = keys[i].tobytes()
             if key not in classes:
-                classes[key] = {"state": phase_normalize(vecs[i]),
+                classes[key] = {"state": states[i],
                                 "fidelity": float(np.max(ov[i])),
                                 "word": list(group.word(reps[owner[i]]))}
         results = [{"class": i, **v} for i, v in enumerate(classes.values())]
@@ -274,7 +277,7 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
 
 
 def cmd_extremality(args) -> int:
-    from .extremality import (PerturbationFrame, classify_mana, classify_xi2,
+    from .extremality import (PerturbationFrame, angle_direction, classify_mana, classify_xi2,
                               fidelity_expansion, xi2_expansion)
     from .stabilizers import enumerate_stabilizer_states
 
@@ -283,12 +286,14 @@ def cmd_extremality(args) -> int:
     basis = _direction_basis(args.state, psi, dims)
 
     def classify(direction):
+        """The reports along one direction, and its Xi_2 coefficients."""
         frame = PerturbationFrame(dims, psi, direction)
+        coefficients = xi2_expansion(frame)
         out = {"fidelity": fidelity_expansion(frame, dd)}
         if dims.odd:
             out["mana"] = classify_mana(frame)
-        out["xi2"] = classify_xi2(xi2_expansion(frame))
-        return out
+        out["xi2"] = classify_xi2(coefficients)
+        return out, coefficients
 
     if args.sweep:
         nt, np_ = args.sweep
@@ -296,13 +301,12 @@ def cmd_extremality(args) -> int:
                  "leading_coefficient"]]
         for th in np.linspace(0, np.pi / 2, nt):
             for ph in np.linspace(0, 2 * np.pi, np_, endpoint=False):
+                # cos(th) b0 + e^(i ph) sin(th) b1, or e^(i ph) b0 on a qubit
                 if len(basis) == 1:
-                    direction = np.exp(1j * ph) * basis[0]
+                    direction = angle_direction(basis, [], [ph])
                 else:
-                    direction = (np.cos(th) * basis[0]
-                                 + np.exp(1j * ph) * np.sin(th) * basis[1])
-                    direction /= np.linalg.norm(direction)
-                for m, rep in classify(direction).items():
+                    direction = angle_direction(basis[:2], [th], [0.0, ph])
+                for m, rep in classify(direction)[0].items():
                     rows.append([float(th), float(ph), m, rep.kind,
                                  rep.leading_order, rep.leading_coefficient])
         _emit(args, {"rows": rows}, rows=rows)
@@ -319,10 +323,9 @@ def cmd_extremality(args) -> int:
         if np.linalg.norm(vec) < ORTHONORMAL_TOL:
             raise QuditMagicError(f"direction {value!r} has no part orthogonal to the state")
         direction = vec / np.linalg.norm(vec)
-    reports = classify(direction)
+    reports, coefficients = classify(direction)
     payload = {m: r._asdict() for m, r in reports.items()}
-    payload["xi2_coefficients"] = xi2_expansion(
-        PerturbationFrame(dims, psi, direction)).tolist()
+    payload["xi2_coefficients"] = coefficients.tolist()
     _emit(args, payload)
     return 0
 
@@ -497,7 +500,7 @@ def main(argv=None) -> int:
                    help="a float for step, start:stop:step for sweep")
     p.add_argument("--a", type=finite_float, default=0.0)
     p.add_argument("--b", type=finite_float, default=0.0)
-    p.add_argument("--rounds", type=parse_rounds, default=1)
+    p.add_argument("--rounds", type=parse_count(1, "a round count"), default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_distill)
@@ -528,7 +531,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("search", help="deterministic Clifford equivalence search")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--budget", type=parse_count(0, "an expansion count"),
+                   default=100000)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: the search is deterministic")
     p.set_defaults(fn=cmd_search)

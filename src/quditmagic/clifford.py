@@ -229,7 +229,7 @@ def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray
     a = np.asarray(a, dtype=np.int64) % dims.d
     if dims.odd:
         return displacement_matrix(a, dims) @ metaplectic_V(S, dims.d)
-    group = reduced_clifford_group(dims)
+    group = enumerate_reduced_clifford(dims)
     S_all, a_all = group.affine()
     if S.shape == S_all.shape[1:] and a.shape == a_all.shape[1:]:
         hit = np.flatnonzero(np.all(S_all == S, axis=(1, 2)) & np.all(a_all == a, axis=1))
@@ -350,9 +350,7 @@ def _ray_keys(vecs: np.ndarray) -> np.ndarray:
     """One exact key per row of vecs, the same for every global phase: the
     row's `_grid_keys` after its first entry above SEARCH_LEAD_TOL is rotated
     onto the positive real axis."""
-    first = np.argmax(np.abs(vecs) > SEARCH_LEAD_TOL, axis=1)
-    lead = np.take_along_axis(vecs, first[:, None], axis=1)
-    return _grid_keys(vecs / (lead / np.abs(lead)))
+    return _grid_keys(phase_normalize(vecs, SEARCH_LEAD_TOL))
 
 
 class _Closure:
@@ -604,20 +602,16 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
                                 closure.generator.astype(np.uint8), np.array(offsets[:-1]))
 
 
-def reduced_clifford_group(dims: Dims) -> ReducedCliffordGroup:
-    """The reduced Clifford group as integer arrays, cached per (d, N).
+def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
+    """The reduced Clifford group as integer arrays, cached per (d, N): a
+    sequence of CliffordElement views in BFS order, each derived when it is
+    read.
 
     The budget check before the BFS also counts (S, a) of every element,
     which callers read off it on demand."""
     words = clifford_generator_words(dims)
     check_budget(_group_bytes(dims, len(words)), f"the reduced Clifford group for {dims}")
     return _reduced_group_cached(dims.d, dims.N)
-
-
-def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
-    """The reduced Clifford group as a sequence of CliffordElement views in
-    BFS order, each derived when it is read."""
-    return reduced_clifford_group(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +713,7 @@ def group_stabilizer_states(group: FiniteUnitaryGroup) -> list[np.ndarray]:
         rays.append((E @ F).swapaxes(1, 2)[kept_single])
     rays = np.concatenate(rays)
     first = np.unique(_ray_keys(rays), return_index=True)[1]
-    return [phase_normalize(rays[i]) for i in np.sort(first)]
+    return list(phase_normalize(rays[np.sort(first)]))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +744,7 @@ def nondegenerate_eigenstates(C, dims: Dims) -> list[tuple[complex, np.ndarray]]
     if U.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"expected a {dims.D}x{dims.D} unitary, got {U.shape}")
     w, V, single = eigenpairs(U[None])
-    return [(complex(w[0, i]), phase_normalize(V[0, :, i])) for i in np.flatnonzero(single[0])]
+    return list(zip(w[0, single[0]].tolist(), phase_normalize(V[0].T[single[0]])))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import InfeasibleExtentError
 from .measures import group_stabilizer_fidelity
 from .stabilizers import StabilizerDictionary
-from .tolerances import (ACTIVE_SET_TOL, EXTENT_CHECK_TOL, EXTENT_TOL, FEASIBILITY_TOL,
-                         GRAM_CUTOFF)
+from .tolerances import ACTIVE_SET_TOL, EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF
 
 
 class ExtentProblem(NamedTuple):
@@ -156,23 +155,3 @@ def witness_bound(psi: np.ndarray, omega: np.ndarray, states) -> float:
     if F <= 0:
         raise ZeroDivisionError("witness has zero G-stabilizer fidelity")
     return float(abs(np.vdot(psi, omega)) ** 2 / F)
-
-
-class ExtentCheck(NamedTuple):
-    name: str
-    fidelity: float
-    solved: float
-    expected: float
-    error: float
-    passed: bool
-
-
-def verify_clifford_stabilizer_extent(psi: np.ndarray,
-                                      dictionary: StabilizerDictionary,
-                                      name: str = "") -> ExtentCheck:
-    """Check xi = 1/F for a Clifford-stabilizer state."""
-    F, _ = group_stabilizer_fidelity(psi, dictionary.matrix)
-    sol = solve_extent(ExtentProblem.from_dictionary(psi, dictionary))
-    err = abs(sol.value - 1.0 / F)
-    return ExtentCheck(name=name, fidelity=F, solved=sol.value,
-                       expected=1.0 / F, error=err, passed=err <= EXTENT_CHECK_TOL)

@@ -6,8 +6,12 @@ has the exact density decomposition
     psi(eps) = psi + eps/(1+eps^2) sigma + eps^2/(1+eps^2) mu,
     sigma = |phi><psi| + |psi><phi|,   mu = |phi><phi| - |psi><psi|.
 
-The module computes first/second-order data for the Wigner trace norm and
-the stabilizer fidelity, and the order-8 series of Xi_2 along the path.
+Every coefficient below is a bilinear form in the frame's two vectors (psi,
+phi), so each is computed from vector transforms, with no D x D operator:
+W(sigma) = W(psi + phi) - W(psi) - W(phi) and W(mu) = W(phi) - W(psi) from
+three vector Wigner functions, the fidelity terms from the amplitudes
+<s|psi> and <s|phi> of the nearest stabilizer states, and the order-8
+series of Xi_2 from the characters <x|X^p Z^q|y> of the pair.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import UnsupportedDimensionError, check_budget
 from .measures import wigner_function
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, max_overlap
@@ -26,7 +30,8 @@ from .weyl import shifted_characters
 
 
 class PerturbationFrame:
-    """Base state, orthogonal direction, and the induced sigma/mu operators."""
+    """Base state psi and orthogonal unit direction phi, the two vectors every
+    expansion reads; sigma and mu are built only when read."""
 
     def __init__(self, dims: Dims, base: np.ndarray, direction: np.ndarray):
         self.dims = dims
@@ -37,10 +42,16 @@ class PerturbationFrame:
                 raise ValueError(f"{name} is not normalized")
         if abs(np.vdot(self.base, self.direction)) > ORTHONORMAL_TOL:
             raise ValueError("direction is not orthogonal to the base state")
-        self.sigma = (np.outer(self.direction, self.base.conj())
-                      + np.outer(self.base, self.direction.conj()))
-        self.mu = (np.outer(self.direction, self.direction.conj())
-                   - np.outer(self.base, self.base.conj()))
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return (np.outer(self.direction, self.base.conj())
+                + np.outer(self.base, self.direction.conj()))
+
+    @property
+    def mu(self) -> np.ndarray:
+        return (np.outer(self.direction, self.direction.conj())
+                - np.outer(self.base, self.base.conj()))
 
     def state(self, eps: float) -> np.ndarray:
         return (self.base + eps * self.direction) / np.sqrt(1 + eps ** 2)
@@ -55,6 +66,24 @@ class CriticalReport(NamedTuple):
     kind: str          # sharp_min | smooth_max | smooth_min | flat | inflection | undetermined
     leading_order: int
     leading_coefficient: float
+
+
+def _critical(measure: str, series) -> CriticalReport:
+    """The report of the first (order, coefficient) pair of `series` whose
+    coefficient exceeds COEFF_TOL in magnitude: order 1, an |eps| term, is a
+    sharp minimum, another odd order an inflection and an even order a smooth
+    minimum or maximum by sign.  When none does, the path is flat at the last
+    pair."""
+    for order, c in series:
+        if abs(c) > COEFF_TOL:
+            if order == 1:
+                kind = "sharp_min"
+            elif order % 2:
+                kind = "inflection"
+            else:
+                kind = "smooth_min" if c > 0 else "smooth_max"
+            return CriticalReport(measure, kind, order, float(c))
+    return CriticalReport(measure, "flat", order, float(c))
 
 
 def angle_direction(basis, angles, phases) -> np.ndarray:
@@ -80,22 +109,24 @@ def angle_direction(basis, angles, phases) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # L and W matrices
 
+def amplitudes(bras, kets) -> np.ndarray:
+    """<x_i|y_j> for every row x_i of `bras` and y_j of `kets`, as an array
+    (len(bras), len(kets)): one broadcast `np.vecdot`, which rounds each
+    entry as `np.vdot(x_i, y_j)` does."""
+    return np.vecdot(np.asarray(bras, dtype=np.complex128)[:, None],
+                     np.asarray(kets, dtype=np.complex128)[None])
+
+
 def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray]) -> np.ndarray:
     """First-order fidelity data: L[i, j] = <b_(j+1)|s_i><s_i|b_0>.
 
     `basis` is orthonormal with the candidate first; `nearest_states` fixes
     the row order.  Every column sums to zero for Clifford-stabilizer bases.
     """
-    basis = [np.asarray(b, dtype=np.complex128) for b in basis]
-    G = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-    if np.max(np.abs(G - np.eye(len(basis)))) > ORTHONORMAL_TOL:
+    basis = np.asarray(basis, dtype=np.complex128)
+    if np.max(np.abs(amplitudes(basis, basis) - np.eye(len(basis)))) > ORTHONORMAL_TOL:
         raise ValueError("basis is not orthonormal")
-    psi = basis[0]
-    rows = []
-    for s in nearest_states:
-        s = np.asarray(s, dtype=np.complex128)
-        rows.append([np.vdot(b, s) * np.vdot(s, psi) for b in basis[1:]])
-    return np.array(rows)
+    return amplitudes(basis[1:], nearest_states).T * amplitudes(nearest_states, basis[:1])
 
 
 def w_matrix(basis: list[np.ndarray], dims: Dims) -> np.ndarray:
@@ -110,6 +141,14 @@ def w_matrix(basis: list[np.ndarray], dims: Dims) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # measure expansions along a frame
 
+def _expansion_bytes(measure: str, dims: Dims) -> int:
+    """An upper bound on the peak bytes of one mana or Xi_2 expansion: the
+    transform plan (48 D^2), the arrays the expansion holds and one call's
+    transients.  Traced peaks, plan build included, are 112-113 D^2 (mana)
+    and 168-177 D^2 (xi2) from (2,6) to (3,6)."""
+    return {"mana": 120, "xi2": 184}[measure] * dims.D ** 2
+
+
 def mana_expansion(frame: PerturbationFrame):
     """(linear_abs_coeff, quadratic_coeff, vanishing_pattern_ok) for the
     Wigner trace norm along the frame's path.
@@ -117,12 +156,15 @@ def mana_expansion(frame: PerturbationFrame):
     linear_abs_coeff multiplies |eps|/(1+eps^2): the sum of |W_chi(sigma)|
     over the zero set of W(psi).  When it vanishes, quadratic_coeff
     multiplies eps^2/(1+eps^2): sign-weighted W(mu) plus |W(mu)| on the
-    common zero set.
+    common zero set.  W is real-linear in the operator, so
+    W(sigma) = W(psi + phi) - W(psi) - W(phi) and W(mu) = W(phi) - W(psi).
     """
-    dims = frame.dims
-    Wpsi = wigner_function(np.outer(frame.base, frame.base.conj()), dims).values
-    Wsig = wigner_function(frame.sigma, dims).values
-    Wmu = wigner_function(frame.mu, dims).values
+    dims, b, v = frame.dims, frame.base, frame.direction
+    check_budget(_expansion_bytes("mana", dims), f"the mana expansion for {dims}")
+    Wpsi = wigner_function(b, dims).values
+    Wphi = wigner_function(v, dims).values
+    Wsig = wigner_function(b + v, dims).values - Wpsi - Wphi
+    Wmu = Wphi - Wpsi
     zero = np.abs(Wpsi) <= WIGNER_ZERO_TOL
     linear = float(np.sum(np.abs(Wsig[zero])))
     pattern_ok = bool(np.all(np.abs(Wsig[zero]) <= COEFF_TOL))
@@ -133,35 +175,28 @@ def mana_expansion(frame: PerturbationFrame):
 
 def classify_mana(frame: PerturbationFrame) -> CriticalReport:
     linear, quadratic, _ = mana_expansion(frame)
-    if linear > COEFF_TOL:
-        return CriticalReport("mana", "sharp_min", 1, linear)
-    if quadratic < -COEFF_TOL:
-        return CriticalReport("mana", "smooth_max", 2, quadratic)
-    if quadratic > COEFF_TOL:
-        return CriticalReport("mana", "smooth_min", 2, quadratic)
-    return CriticalReport("mana", "flat", 2, quadratic)
+    return _critical("mana", [(1, linear), (2, quadratic)])
 
 
 def fidelity_expansion(frame: PerturbationFrame,
                        dictionary: StabilizerDictionary) -> CriticalReport:
     """Classify the stabilizer fidelity at eps = 0 along the frame's path.
 
-    |<s|psi(eps)>|^2 = F + eps/(1+eps^2) 2 Re l_s + eps^2/(1+eps^2) <s|mu|s>
+    |<s|psi(eps)>|^2 = F + eps/(1+eps^2) 2 Re(<phi|s><s|psi>)
+                     + eps^2/(1+eps^2) (|<s|phi>|^2 - |<s|psi>|^2)
     exactly, for each nearest state s.
     """
-    F, nearest = max_overlap(frame.base, dictionary)
-    linear = np.array([2 * np.real(np.vdot(frame.direction, s.vector)
-                                   * np.vdot(s.vector, frame.base))
-                       for s in nearest])
-    if np.max(np.abs(linear)) > COEFF_TOL:
-        return CriticalReport("fidelity", "sharp_min", 1, float(np.max(np.abs(linear))))
-    quad = np.array([np.real(np.vdot(s.vector, frame.mu @ s.vector)) for s in nearest])
-    top = float(np.max(quad))
-    if top < -COEFF_TOL:
-        return CriticalReport("fidelity", "smooth_max", 2, top)
-    if top > COEFF_TOL:
-        return CriticalReport("fidelity", "smooth_min", 2, top)
-    return CriticalReport("fidelity", "flat", 2, top)
+    _, nearest = max_overlap(frame.base, dictionary)
+    amp = amplitudes([s.vector for s in nearest], [frame.base, frame.direction])
+    linear = 2 * np.real(amp[:, 1].conj() * amp[:, 0])  # <phi|s> = conj(<s|phi>)
+    quad = np.abs(amp[:, 1]) ** 2 - np.abs(amp[:, 0]) ** 2
+    return _critical("fidelity", [(1, np.max(np.abs(linear))), (2, np.max(quad))])
+
+
+# (1+eps^2)^-4 = sum_i comb(i+3, 3) (-eps^2)^i, as the matrix that takes the
+# coefficients of (1+eps^2)^4 Xi_2 to those of Xi_2 up to order 8 (eps^(2i)
+# shifts a coefficient by 2i)
+_SERIES = sum(comb(i + 3, 3) * (-1) ** i * np.eye(9, k=-2 * i) for i in range(5))
 
 
 def xi2_expansion(frame: PerturbationFrame) -> np.ndarray:
@@ -175,6 +210,7 @@ def xi2_expansion(frame: PerturbationFrame) -> np.ndarray:
     Xi_2 = sum_chi P_chi^2 is then divided by (1+eps^2)^4 as a power series.
     """
     dims = frame.dims
+    check_budget(_expansion_bytes("xi2", dims), f"the Xi_2 expansion for {dims}")
     b, v = frame.base, frame.direction
     a0 = shifted_characters(b, b, dims)
     a1 = shifted_characters(b, v, dims) + shifted_characters(v, b, dims)
@@ -183,36 +219,21 @@ def xi2_expansion(frame: PerturbationFrame) -> np.ndarray:
     def cross(x, y):
         return 2 * np.real(x.conj() * y)
 
-    P = [x / dims.D for x in (np.abs(a0) ** 2, cross(a0, a1),
-                              np.abs(a1) ** 2 + cross(a0, a2),
-                              cross(a1, a2), np.abs(a2) ** 2)]
-    xt = np.zeros(9)
-    for n in range(9):
-        for i in range(max(0, n - 4), min(n, 4) + 1):
-            xt[n] += float(np.sum(P[i] * P[n - i]))
-    out = np.zeros(9)
-    for n in range(9):
-        for i in range(n // 2 + 1):
-            out[n] += comb(i + 3, 3) * (-1) ** i * xt[n - 2 * i]
-    return out
-
-
-def xi2_series_bound(frame: PerturbationFrame) -> float:
-    """Crude envelope constant K with |Xi_2 - order-8 truncation| <= K eps^9
-    for |eps| <= 0.1 (used by the series cross-check)."""
-    coeffs = xi2_expansion(frame)
-    return 200.0 * max(1.0, float(np.sum(np.abs(coeffs))))
+    P = np.empty((5, a0.size))  # row i: Ptilde_chi^(i) over d^N
+    P[0] = np.abs(a0) ** 2
+    P[1] = cross(a0, a1)
+    P[2] = np.abs(a1) ** 2 + cross(a0, a2)
+    P[3] = cross(a1, a2)
+    P[4] = np.abs(a2) ** 2
+    P /= dims.D
+    # order n of (1+eps^2)^4 Xi_2 = sum_chi (sum_i eps^i P_i)^2 sums (P P^T)[i, j] over i + j = n
+    return _SERIES @ np.bincount(np.add.outer(np.arange(5), np.arange(5)).ravel(),
+                                 (P @ P.T).ravel())
 
 
 def classify_xi2(coefficients: np.ndarray) -> CriticalReport:
     """First nonzero of Xi_2^(2..8): even index -> min/max by sign, odd ->
-    inflection; all zero -> the path is exactly flat."""
+    inflection; all zero -> the path is exactly flat, reported at order 0."""
     coefficients = np.asarray(coefficients, dtype=float)
-    for m in range(2, min(9, coefficients.shape[0])):
-        c = coefficients[m]
-        if abs(c) > COEFF_TOL:
-            if m % 2 == 1:
-                return CriticalReport("xi2", "inflection", m, float(c))
-            kind = "smooth_min" if c > 0 else "smooth_max"
-            return CriticalReport("xi2", kind, m, float(c))
-    return CriticalReport("xi2", "flat", 0, 0.0)
+    orders = range(2, min(9, coefficients.shape[0]))
+    return _critical("xi2", [*((m, coefficients[m]) for m in orders), (0, 0.0)])

@@ -53,8 +53,8 @@ from .phasespace import (
     reduce_by_pivots,
     symplectic_product,
 )
-from .tolerances import AMPLITUDE_TOL, BUILD_CHECK_TOL, IDENTITY_TOL, SPAN_TOL, TIE_TOL
-from .weyl import displace, unit_phase
+from .tolerances import BUILD_CHECK_TOL, IDENTITY_TOL, SPAN_TOL, TIE_TOL
+from .weyl import displace, phase_normalize, unit_phase
 
 
 class StabilizerState(NamedTuple):
@@ -109,11 +109,7 @@ def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarra
     nrm = np.linalg.norm(psi, axis=1, keepdims=True)
     if np.min(nrm) < SPAN_TOL:
         raise InvalidStabilizerError("e_0 has no component on |M, 0>: basis not echelonized")
-    vecs = displace(-chis, (psi / nrm)[:, None, :], dims)
-    # phase-normalize every row: its first entry above AMPLITUDE_TOL made real positive
-    first = np.argmax(np.abs(vecs) > AMPLITUDE_TOL, axis=-1)
-    lead = np.take_along_axis(vecs, first[..., None], axis=-1)
-    vecs = vecs / (lead / np.abs(lead))
+    vecs = phase_normalize(displace(-chis, (psi / nrm)[:, None, :], dims))
     if _stabilizer_residual(basis, chis, vecs, dims) >= BUILD_CHECK_TOL:
         raise InvalidStabilizerError("constructed vector fails stabilization equations")
     return vecs

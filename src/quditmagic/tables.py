@@ -13,7 +13,7 @@ import numpy as np
 
 from .catalog import SQ2, SQ3, build, entries, entry
 from .errors import UnknownTableError
-from .extremality import l_matrix, w_matrix
+from .extremality import amplitudes, l_matrix, w_matrix
 from .measures import sre, stabilizer_fidelity, wigner_function
 from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
@@ -294,8 +294,8 @@ def ququint_l_matrix(name: str) -> np.ndarray:
     psi = build(name)
     dirs = [build(b) for b in QUQUINT_L_PRINTED[name][0]]
     _, nearest = stabilizer_fidelity(psi, dims=entry(name).dims)
-    return np.array([[np.vdot(b, s.vector) * np.vdot(s.vector, psi)
-                      for b in dirs] for s in nearest])
+    states = [s.vector for s in nearest]
+    return amplitudes(dirs, states).T * amplitudes(states, [psi])
 
 
 def _l_table(name: str) -> np.ndarray:

@@ -43,7 +43,6 @@ SEARCH_LEAD_TOL = 1e-6     # a state key's phase reference is the first entry ab
 FEASIBILITY_TOL = 1e-9     # the projected target may miss the dictionary span by this much
 GRAM_CUTOFF = 1e-12        # Gram eigenvalues below this times max(1, the largest) count as zero
 RANK_TOL = 1e-10           # singular values above this count toward the rank of a span
-EXTENT_CHECK_TOL = 1e-6    # |xi - 1/F| allowed for a Clifford-stabilizer state
 ACTIVE_SET_TOL = 1e-6      # |(A^dag y)_i| >= 1 - this puts atom i in the dual's active set
 
 # catalog and tables

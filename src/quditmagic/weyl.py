@@ -201,22 +201,14 @@ def equal_up_to_phase(A, B) -> bool:
 
 
 def phase_normalize(v: np.ndarray, tol: float = AMPLITUDE_TOL) -> np.ndarray:
-    """Rotate the first non-negligible entry to the positive real axis."""
+    """Rotate the first entry above tol of every row (the last axis) onto the
+    positive real axis, dividing by lead / hypot(lead), the rounding of the
+    scalar abs(lead); a row with no entry above tol is left unchanged."""
     v = np.asarray(v, dtype=np.complex128)
-    flat = v.ravel()
-    idx = np.flatnonzero(np.abs(flat) > tol)
-    if idx.size == 0:
-        return v.copy()
-    ph = flat[idx[0]] / abs(flat[idx[0]])
-    return v / ph
-
-
-def state_to_json(psi: np.ndarray, dims: Dims) -> dict:
-    return {
-        "d": dims.d,
-        "N": dims.N,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in np.asarray(psi).ravel()],
-    }
+    first = np.argmax(np.abs(v) > tol, axis=-1)[..., None]
+    lead = np.take_along_axis(v, first, axis=-1)
+    size = np.hypot(lead.real, lead.imag)
+    return v / np.divide(lead, size, out=np.ones_like(lead), where=size > tol)
 
 
 def state_from_json(data: dict) -> tuple[np.ndarray, Dims]:

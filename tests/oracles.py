@@ -10,7 +10,11 @@ for the single-qudit Clifford tests, the stack of every reduced-group
 unitary for `ReducedCliffordGroup.unitary`, its conjugation by the
 generators, keyed by floats, for `.conjugacy_classes`, the per-element
 closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
-`group_stabilizer_states`, and the plain ADMM loop at the end, with no
+`group_stabilizer_states`, the per-vector scalar phase of
+`weyl.phase_normalize`, the per-entry L form for `extremality.l_matrix`,
+the Wigner functions and nearest-state forms of
+the dense operators sigma and mu for `extremality.mana_expansion` and
+`extremality.fidelity_expansion`, and the plain ADMM loop at the end, with no
 active-set polish, is the reference for `extent.solve_extent`.
 """
 
@@ -22,9 +26,12 @@ import numpy as np
 from quditmagic.clifford import _ray_keys
 from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
+from quditmagic.extremality import CriticalReport
+from quditmagic.measures import wigner_function
 from quditmagic.phasespace import Dims, phase_points, split_point
-from quditmagic.tolerances import (EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF,
-                                   GROUP_MATRIX_TOL)
+from quditmagic.stabilizers import max_overlap
+from quditmagic.tolerances import (COEFF_TOL, EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL,
+                                   GRAM_CUTOFF, GROUP_MATRIX_TOL, WIGNER_ZERO_TOL)
 from quditmagic.weyl import displacement_matrix, phase_normalize, unit_phase
 
 
@@ -180,6 +187,66 @@ def group_stabilizer_states(group) -> list[np.ndarray]:
         return []
     first = np.unique(_ray_keys(np.array(rays)), return_index=True)[1]
     return [phase_normalize(rays[i]) for i in np.sort(first)]
+
+
+def scalar_phase_normalize(v: np.ndarray, tol: float) -> np.ndarray:
+    """One vector divided by the phase of its first entry above tol, taken
+    with the scalar abs(); a vector with none is returned as it is."""
+    idx = np.flatnonzero(np.abs(v) > tol)
+    return v / (v[idx[0]] / abs(v[idx[0]])) if idx.size else v.copy()
+
+
+def ell_form(psi, directions, nearest_states) -> np.ndarray:
+    """<b_j|s_i><s_i|psi> for every nearest state s_i and direction b_j, one
+    pair of `np.vdot` calls per entry."""
+    return np.array([[np.vdot(b, s) * np.vdot(s, psi) for b in directions]
+                     for s in nearest_states])
+
+
+def mana_expansion(frame):
+    """(linear, quadratic, pattern_ok) of the Wigner trace norm along a
+    PerturbationFrame, from the Wigner functions of the D x D operators
+    |psi><psi|, sigma and mu."""
+    dims = frame.dims
+    Wpsi = wigner_function(np.outer(frame.base, frame.base.conj()), dims).values
+    Wsig = wigner_function(frame.sigma, dims).values
+    Wmu = wigner_function(frame.mu, dims).values
+    zero = np.abs(Wpsi) <= WIGNER_ZERO_TOL
+    linear = float(np.sum(np.abs(Wsig[zero])))
+    pattern_ok = bool(np.all(np.abs(Wsig[zero]) <= COEFF_TOL))
+    signs = np.sign(Wpsi) * (~zero)
+    quadratic = float(signs @ Wmu + np.sum(np.abs(Wmu[zero & (np.abs(Wsig) <= WIGNER_ZERO_TOL)])))
+    return linear, quadratic, pattern_ok
+
+
+def classify_mana(frame) -> CriticalReport:
+    """The mana report of the dense expansion, by its own ladder."""
+    linear, quadratic, _ = mana_expansion(frame)
+    if linear > COEFF_TOL:
+        return CriticalReport("mana", "sharp_min", 1, linear)
+    if quadratic < -COEFF_TOL:
+        return CriticalReport("mana", "smooth_max", 2, quadratic)
+    if quadratic > COEFF_TOL:
+        return CriticalReport("mana", "smooth_min", 2, quadratic)
+    return CriticalReport("mana", "flat", 2, quadratic)
+
+
+def fidelity_expansion(frame, dictionary) -> CriticalReport:
+    """The fidelity report from 2 Re <phi|s><s|psi> and <s|mu|s> of each
+    nearest state s, one `np.vdot` and one product with the dense mu each."""
+    _, nearest = max_overlap(frame.base, dictionary)
+    linear = np.array([2 * np.real(np.vdot(frame.direction, s.vector)
+                                   * np.vdot(s.vector, frame.base))
+                       for s in nearest])
+    if np.max(np.abs(linear)) > COEFF_TOL:
+        return CriticalReport("fidelity", "sharp_min", 1, float(np.max(np.abs(linear))))
+    quad = np.array([np.real(np.vdot(s.vector, frame.mu @ s.vector)) for s in nearest])
+    top = float(np.max(quad))
+    if top < -COEFF_TOL:
+        return CriticalReport("fidelity", "smooth_max", 2, top)
+    if top > COEFF_TOL:
+        return CriticalReport("fidelity", "smooth_min", 2, top)
+    return CriticalReport("fidelity", "flat", 2, top)
 
 
 def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:

@@ -107,6 +107,7 @@ def test_malformed_grid_exits_2(capsys, argv):
     ["distill", "step", "--eps2", "inf"],
     ["distill", "step", "--a", "-inf"],
     ["distill", "step", "--b", "1e400"],
+    ["search", "--source", "qubit:T0", "--target", "qubit:T1", "--budget", "-5"],
 ], ids=" ".join)
 def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

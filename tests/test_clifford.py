@@ -33,7 +33,6 @@ from quditmagic.clifford import (
     metaplectic_V,
     nondegenerate_eigenstates,
     qudit_clifford_generators,
-    reduced_clifford_group,
     twirl,
     word_unitary,
 )
@@ -405,7 +404,7 @@ BFS_SHA1 = {
 
 @pytest.mark.parametrize("d,N", list(BFS_SHA1))
 def test_reduced_group_bfs_pinned(d, N):
-    group = reduced_clifford_group(Dims(d, N))
+    group = enumerate_reduced_clifford(Dims(d, N))
     h = hashlib.sha1()
     for a in (group.codes, group.parent, group.generator, group.offsets):
         h.update(a.dtype.str.encode() + a.tobytes())
@@ -552,7 +551,7 @@ def test_conjugated_label_matches_dense_einsum(d, N):
 
 
 def _quantised_key(U, grid=1e-8):
-    v = np.ascontiguousarray(phase_normalize(U, tol=1e-6).ravel()).view(np.float64)
+    v = np.ascontiguousarray(phase_normalize(U.ravel(), tol=1e-6)).view(np.float64)
     return np.round(v / grid).astype(np.int64).tobytes()
 
 
@@ -637,7 +636,7 @@ def test_enumeration_matches_full_action_oracle(d, N):
 @pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
 def test_reduced_group_arrays(d, N):
     dims = Dims(d, N)
-    group = reduced_clifford_group(dims)
+    group = enumerate_reduced_clifford(dims)
     els = enumerate_reduced_clifford(dims)
     assert group.codes.dtype == np.min_scalar_type(dims.n_points * d - 1)
     assert group.codes.dtype.kind == "u" and group.codes.shape == (len(els), 2 * N)
@@ -732,13 +731,13 @@ CLASS_COUNTS = {(2, 1): 5, (3, 1): 10, (5, 1): 14, (2, 2): 21, (7, 1): 18}
 
 @pytest.mark.parametrize("d,N", BUDGETED[1:])
 def test_conjugacy_classes_match_the_dense_oracle(d, N):
-    group = reduced_clifford_group(Dims(d, N))
+    group = enumerate_reduced_clifford(Dims(d, N))
     assert np.array_equal(group.conjugacy_classes(), oracles.conjugacy_class_labels(group))
 
 
 @pytest.mark.parametrize("d,N", list(CLASS_COUNTS))
 def test_conjugacy_classes_are_closed_and_counted(d, N):
-    group = reduced_clifford_group(Dims(d, N))
+    group = enumerate_reduced_clifford(Dims(d, N))
     labels = group.conjugacy_classes()
     for m in oracles.conjugation_maps(group):  # by every generator and its inverse
         assert np.array_equal(labels[m], labels)
@@ -788,7 +787,7 @@ def _traced_peak(call) -> int:
 
 
 def test_conjugacy_classes_refused_before_allocating(monkeypatch, class_estimates):
-    group = reduced_clifford_group(Dims(7, 1))
+    group = enumerate_reduced_clifford(Dims(7, 1))
     labels = group.conjugacy_classes()
     # H and S pull X and Z back to four distinct labels y
     assert class_estimates == [clifford._class_bytes(16464, 4, 2, 2)]
@@ -805,7 +804,7 @@ def test_conjugacy_classes_refused_before_allocating(monkeypatch, class_estimate
 
 @pytest.mark.parametrize("d,N", [(3, 1), (2, 2), (7, 1), (11, 1)])
 def test_conjugacy_classes_peak_within_estimate(class_estimates, d, N):
-    group = reduced_clifford_group(Dims(d, N))
+    group = enumerate_reduced_clifford(Dims(d, N))
     assert 0 < _traced_peak(group.conjugacy_classes) <= class_estimates[0]
 
 
@@ -871,7 +870,7 @@ def test_group_peak_within_estimate(d):
 def test_reading_one_element_builds_no_stack():
     # the (order, D, D) stack of every (11,1) unitary is 295 MiB
     rise, stack = _peak_rise_and_estimate("clifford.enumerate_reduced_clifford(dims)[-1]",
-                                          "len(clifford.reduced_clifford_group(dims)) * 121 * 16",
+                                          "len(clifford.enumerate_reduced_clifford(dims)) * 121 * 16",
                                           11, 1)
     assert stack == 159_720 * 121 * 16
     assert 0 < rise < stack / 4

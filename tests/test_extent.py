@@ -7,11 +7,10 @@ from quditmagic.errors import InfeasibleExtentError
 from quditmagic.extent import (
     ExtentProblem,
     solve_extent,
-    verify_clifford_stabilizer_extent,
     witness_bound,
 )
 from quditmagic.phasespace import Dims
-from quditmagic.stabilizers import enumerate_stabilizer_states
+from quditmagic.stabilizers import enumerate_stabilizer_states, max_overlap
 
 
 def rand_state(D, seed):
@@ -58,8 +57,10 @@ def test_strange_state_extent_two():
 def test_inverse_fidelity_for_clifford_stabilizer_states():
     dd5 = enumerate_stabilizer_states(Dims(5, 1))
     for name in ("ququint:H,-1", "ququint:A,-w2"):
-        chk = verify_clifford_stabilizer_extent(build(name), dd5, name)
-        assert chk.passed, (name, chk.error)
+        psi = build(name)
+        F, _ = max_overlap(psi, dd5)
+        xi = solve_extent(ExtentProblem.from_dictionary(psi, dd5)).value
+        assert abs(xi - 1 / F) <= 1e-6, (name, xi - 1 / F)
 
 
 def test_witness_bounds():

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
+from quditmagic import extremality, weyl
 from quditmagic.catalog import build, entries
+from quditmagic.errors import BudgetExceededError
 from quditmagic.extremality import (
     PerturbationFrame,
     angle_direction,
@@ -12,7 +17,6 @@ from quditmagic.extremality import (
     mana_expansion,
     w_matrix,
     xi2_expansion,
-    xi2_series_bound,
 )
 from quditmagic.measures import xi
 from quditmagic.phasespace import Dims
@@ -51,6 +55,23 @@ def test_frame_density_decomposition():
         assert np.allclose(direct, recon, atol=1e-12)
 
 
+def test_frame_holds_two_vectors():
+    # sigma, mu and psi(eps) are built from the two vectors when read
+    dims = Dims(3, 1)
+    psi, phi = build("qutrit:T0"), rand_direction(build("qutrit:T0"), 2)
+    fr = PerturbationFrame(dims, psi, phi)
+    assert np.array_equal(fr.sigma, np.outer(phi, psi.conj()) + np.outer(psi, phi.conj()))
+    assert np.array_equal(fr.mu, np.outer(phi, phi.conj()) - np.outer(psi, psi.conj()))
+    state = (psi + 0.3 * phi) / np.sqrt(1 + 0.3 ** 2)
+    assert np.array_equal(fr.density(0.3), np.outer(state, state.conj()))
+    # (2,10): two 16 KiB vectors, where a dense sigma and mu held 32 MiB
+    dims = Dims(2, 10)
+    psi = np.zeros(dims.D, dtype=complex)
+    psi[0] = 1
+    phi = rand_direction(psi, 3)
+    assert _traced_peak(lambda: PerturbationFrame(dims, psi, phi)) < 2 ** 20
+
+
 def test_frame_validation():
     d3 = Dims(3, 1)
     psi = build("qutrit:S")
@@ -66,6 +87,26 @@ def test_l_matrix_contract_and_tables():
         l_matrix([psi, psi], [np.array([1, 0])])
     for res in check_l_tables():
         assert res.passed, f"{res.table_id}: err {res.max_error}"
+
+
+def test_l_forms_match_the_per_entry_oracle():
+    # the amplitudes round as np.vdot does, so the L tables, printed to 10
+    # decimals, keep every byte, signed zeros included
+    from quditmagic.tables import _L_BASES, QUQUINT_L_PRINTED, ququint_l_matrix
+
+    def printed(L):
+        return np.round(L, 10).tobytes()
+
+    for name, basis_names in _L_BASES.items():
+        psi, basis = build(name), [build(b) for b in basis_names]
+        _, nearest = max_overlap(psi, enumerate_stabilizer_states(entries()[name].dims))
+        states = [s.vector for s in nearest]
+        assert printed(l_matrix([psi] + basis, states)) == printed(
+            oracles.ell_form(psi, basis, states)), name
+    for name, (dirs, _) in QUQUINT_L_PRINTED.items():
+        _, nearest = max_overlap(build(name), enumerate_stabilizer_states(Dims(5, 1)))
+        assert printed(ququint_l_matrix(name)) == printed(oracles.ell_form(
+            build(name), [build(b) for b in dirs], [s.vector for s in nearest])), name
 
 
 def test_l_matrix_column_sums_vanish():
@@ -118,6 +159,67 @@ def test_w_matrix_diagonal_dominance():
         for i in range(W.shape[0]):
             row = np.delete(W[i], i)
             assert np.all(W[i, i] > row + 1e-9)
+
+
+def test_expansions_match_the_dense_oracles():
+    # every catalog state along 20 seeded directions: the vector routes
+    # against the Wigner functions and forms of the dense sigma and mu
+    for name, e in entries().items():
+        psi, dd = e.build(), enumerate_stabilizer_states(e.dims)
+        for seed in range(20):
+            fr = PerturbationFrame(e.dims, psi, rand_direction(psi, seed))
+            got, want = fidelity_expansion(fr, dd), oracles.fidelity_expansion(fr, dd)
+            assert got[:3] == want[:3], (name, seed, got, want)
+            assert abs(got.leading_coefficient - want.leading_coefficient) <= 1e-12
+            if not e.dims.odd:
+                continue
+            (lin, quad, ok), (lin0, quad0, ok0) = mana_expansion(fr), oracles.mana_expansion(fr)
+            assert ok == ok0 and abs(lin - lin0) <= 1e-12 and abs(quad - quad0) <= 1e-12
+            got, want = classify_mana(fr), oracles.classify_mana(fr)
+            assert got[:3] == want[:3], (name, seed, got, want)
+            assert abs(got.leading_coefficient - want.leading_coefficient) <= 1e-12
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d,N", [(2, 6), (2, 10), (3, 4), (3, 6)])
+def test_expansion_peaks_within_estimates(d, N):
+    dims = Dims(d, N)
+    psi = np.full(dims.D, dims.D ** -0.5, dtype=complex)
+    fr = PerturbationFrame(dims, psi, rand_direction(psi, 4))
+    expansions = [("xi2", xi2_expansion)] + [("mana", mana_expansion)] * dims.odd
+    try:
+        for measure, expand in expansions:
+            weyl.transform_plan.cache_clear()  # the plan is built inside the trace
+            peak = _traced_peak(lambda: expand(fr))
+            assert 0 < peak <= extremality._expansion_bytes(measure, dims), measure
+    finally:
+        weyl.transform_plan.cache_clear()
+
+
+@pytest.mark.parametrize("d,N,measure,expand", [
+    (2, 12, "Xi_2", xi2_expansion),  # the transform plan's own check admits (2,12)
+    (3, 8, "mana", mana_expansion),
+])
+def test_expansions_refused_before_allocating(d, N, measure, expand):
+    dims = Dims(d, N)
+    psi, phi = np.zeros((2, dims.D), dtype=complex)
+    psi[0] = phi[1] = 1
+    fr = PerturbationFrame(dims, psi, phi)
+
+    def refused():
+        with pytest.raises(BudgetExceededError, match=f"the {measure} expansion"):
+            expand(fr)
+
+    assert _traced_peak(refused) < 2 ** 16
 
 
 def test_mana_expansion_strange_state():
@@ -224,7 +326,7 @@ def test_xi2_series_matches_direct():
             phi = rand_direction(psi, 100 + trial)
             fr = PerturbationFrame(dims, psi, phi)
             co = xi2_expansion(fr)
-            K = xi2_series_bound(fr)
+            K = 200.0 * max(1.0, float(np.sum(np.abs(co))))  # crude envelope for |eps| <= 0.1
             for eps in (-0.1, -0.05, 0.02, 0.08):
                 direct = xi(fr.state(eps), dims)
                 series = sum(co[n] * eps ** n for n in range(9))
@@ -245,7 +347,7 @@ def test_xi2_first_order_vanishes_for_invariant_states():
 
 
 def test_classify_xi2_rules():
-    assert classify_xi2(np.array([1, 0, 0, 0, 0, 0, 0, 0, 0])).kind == "flat"
+    assert classify_xi2(np.array([1, 0, 0, 0, 0, 0, 0, 0, 0])) == ("xi2", "flat", 0, 0.0)
     assert classify_xi2(np.array([1, 0, 0.5, 0, 0, 0, 0, 0, 0])).kind == "smooth_min"
     assert classify_xi2(np.array([1, 0, -0.5, 0, 0, 0, 0, 0, 0])).kind == "smooth_max"
     assert classify_xi2(np.array([1, 0, 0, 0.5, 0, 0, 0, 0, 0])).kind == "inflection"

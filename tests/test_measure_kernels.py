@@ -20,7 +20,7 @@ import pytest
 
 from quditmagic import catalog, weyl
 from quditmagic.errors import DimensionMismatchError
-from quditmagic.extent import verify_clifford_stabilizer_extent, witness_bound
+from quditmagic.extent import ExtentProblem, solve_extent, witness_bound
 from quditmagic.measures import (
     group_stabilizer_fidelity,
     mana,
@@ -156,8 +156,9 @@ def test_extent_reads_the_dictionary_as_it_is():
     assert bound == float(abs(np.vdot(omega, omega)) ** 2 / F)
     assert bound == witness_bound(omega, omega, list(dictionary.matrix))
     psi = dictionary[4].vector
-    check = verify_clifford_stabilizer_extent(psi, dictionary)
-    assert check.fidelity == float(np.max(oracle_overlaps(psi, dictionary.matrix)))
+    F, _ = group_stabilizer_fidelity(psi, dictionary.matrix)
+    assert F == float(np.max(oracle_overlaps(psi, dictionary.matrix)))
+    assert abs(solve_extent(ExtentProblem.from_dictionary(psi, dictionary)).value - 1 / F) <= 1e-6
 
 
 def test_transform_plan_entries():

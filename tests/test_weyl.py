@@ -10,12 +10,13 @@ from quditmagic.phasespace import Dims, phase_points, point, point_index, symple
 from quditmagic.weyl import (
     displacement_matrix,
     equal_up_to_phase,
+    phase_normalize,
     state_from_json,
-    state_to_json,
     tau_exponent,
     unit_phase,
 )
 
+import oracles
 from oracles import displacement_table, phase_point_table
 
 
@@ -119,8 +120,26 @@ def test_pair_and_triple_products_d3():
 def test_json_round_trip():
     d3 = Dims(3, 1)
     psi = np.array([1, 1j, -1]) / np.sqrt(3)
-    vec, dims = state_from_json(state_to_json(psi, d3))
+    s = 1 / np.sqrt(3)
+    vec, dims = state_from_json({"d": 3, "N": 1, "amplitudes": [[s, 0.0], [0.0, s], [-s, 0.0]]})
     assert np.allclose(vec, psi) and dims == d3
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_phase_normalize_rows_match_the_scalar_phase(tol):
+    # every row of a batch, bit for bit, against the one-vector reference:
+    # leading zeros, entries at and just above tol, and rows with none above it
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(4000, 5)) + 1j * rng.normal(size=(4000, 5))
+    v[::3, 0] = 0
+    v[::5, :2] = tol
+    v[::7, 2] = 1.5 * tol
+    v[::11] *= tol
+    batch = phase_normalize(v.reshape(40, 100, 5), tol).reshape(v.shape)
+    for row, got in zip(v, batch):
+        assert np.array_equal(got, oracles.scalar_phase_normalize(row, tol))
+    small = np.full((2, 3), 0.5j * tol)
+    assert np.array_equal(phase_normalize(small, tol), small)
 
 
 def test_equal_up_to_phase():
