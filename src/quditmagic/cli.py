@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Subcommands: measures, tables, eigenstates, extremality, distill, extent,
-catalog, dictionary, search.  State specs are catalog names (qutrit:S),
-@file.json, or inline JSON {"d":..,"N":..,"amplitudes":[[re,im],..]}.
+The nine subcommands are declared in COMMANDS.  State specs are catalog names
+(qutrit:S), @file.json, or inline JSON {"d":..,"N":..,"amplitudes":[[re,im],..]}.
 """
 
 from __future__ import annotations
@@ -138,7 +137,11 @@ def parse_state(spec: str) -> tuple[np.ndarray, Dims]:
 
 
 def _emit(args, payload, rows=None):
-    if getattr(args, "json", False) or rows is None:
+    """Print, or write to --out, a text as it is, else `payload` as JSON, or
+    `rows` as CSV when not --json.  A file always ends with a newline."""
+    if isinstance(payload, str):
+        text = payload
+    elif args.json or rows is None:
         text = json.dumps(payload, indent=1, default=_jsonable)
     else:
         import csv
@@ -406,14 +409,11 @@ def cmd_catalog(args) -> int:
     equivs = catalog.verify_equivalences()
     n_fail = sum(not c.passed for c in checks) + sum(not e.passed for e in equivs)
     if args.json:
-        payload = {
-            "checks": [c._asdict() for c in checks],
-            "equivalences": [{"source": e.source, "target": e.target,
-                              "word": list(e.word), "passed": e.passed}
-                             for e in equivs],
-            "failures": n_fail,
-        }
-        print(json.dumps(payload, indent=1, default=_jsonable))
+        _emit(args, {"checks": [c._asdict() for c in checks],
+                     "equivalences": [{"source": e.source, "target": e.target,
+                                       "word": list(e.word), "passed": e.passed}
+                                      for e in equivs],
+                     "failures": n_fail})
     else:
         for c in checks:
             status = "ok " if c.passed else "FAIL"
@@ -430,12 +430,7 @@ def cmd_dictionary(args) -> int:
     from .stabilizers import enumerate_stabilizer_states
 
     dd = enumerate_stabilizer_states(args.dims)
-    text = dd.to_json() if args.json else dd.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _emit(args, dd.to_json() if args.json else dd.to_csv())
     return 0
 
 
@@ -452,96 +447,98 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _arg(*flags, **options):
+    """The arguments of one `add_argument` call."""
+    return flags, options
+
+
+JSON = _arg("--json", action="store_true")
+OUT = _arg("--out", default=None)
+
+# name: (help, handler, arguments); a list of arguments is a mutually exclusive group
+COMMANDS = {
+    "measures": ("magic measures of a state", cmd_measures, [
+        [_arg("state", nargs="?", default=None),
+         _arg("--file", default=None, help="JSON state file")],
+        _arg("--alphas", type=parse_alphas, default=(2.0,),
+             help="comma-separated SRE orders, each >= 2"),
+        JSON]),
+    "tables": ("regenerate a reference table", cmd_tables, [
+        _arg("table", choices=TABLE_IDS),
+        _arg("--grid", type=parse_grid, default=(181, 361), help="RxC for the sphere grid"),
+        JSON, OUT]),
+    "eigenstates": ("non-degenerate Clifford eigenstates", cmd_eigenstates, [
+        _arg("--dims", required=True, type=parse_dims),
+        [_arg("--all-cliffords", action="store_true"),
+         _arg("--word", default=None, help="space-separated tokens, e.g. 'CZ@1,2 H@2 H@1'")],
+        JSON, OUT]),
+    "extremality": ("criticality along a direction", cmd_extremality, [
+        _arg("state"),
+        [_arg("--direction", type=parse_direction, default=("phase", 0.0),
+              help="phase:<phi> or state:<spec>"),
+         _arg("--sweep", type=parse_grid, default=None, help="NTxNP angle grid -> CSV")],
+        JSON, OUT]),
+    "distill": ("doubled five-qubit code simulation", cmd_distill, [
+        _arg("mode", choices=["step", "sweep"]),
+        _arg("--eps1", type=finite_float, default=0.0),
+        _arg("--eps2", type=finite_float, default=0.0),
+        _arg("--eps3", type=parse_eps3, default=None,
+             help="a float for step, start:stop:step for sweep"),
+        _arg("--a", type=finite_float, default=0.0),
+        _arg("--b", type=finite_float, default=0.0),
+        _arg("--rounds", type=parse_count(1, "a round count"), default=1),
+        JSON, OUT]),
+    "extent": ("stabilizer extent by L1 minimization", cmd_extent, [
+        _arg("mode", choices=["solve"]),
+        _arg("--state", required=True),
+        _arg("--dims", default=None, type=parse_dims, help="d,N cross-check for JSON state specs"),
+        _arg("--group", default=None,
+             help="comma-separated generator tokens for the G-variant"),
+        _arg("--tol", type=parse_tol, default=EXTENT_TOL),
+        JSON]),
+    "catalog": ("verify tabulated values", cmd_catalog, [
+        _arg("mode", choices=["verify"]),
+        _arg("--tol", type=parse_tol, default=EXACT_TOL),
+        JSON]),
+    "dictionary": ("dump a stabilizer dictionary", cmd_dictionary, [
+        _arg("--dims", required=True, type=parse_dims),
+        JSON, OUT]),
+    "search": ("deterministic Clifford equivalence search", cmd_search, [
+        _arg("--source", required=True),
+        _arg("--target", required=True),
+        _arg("--budget", type=parse_count(0, "an expansion count"), default=100000),
+        _arg("--seed", type=int, default=0,
+             help="accepted and ignored: the search is deterministic")]),
+}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's parser is built; with no known command, all of
+    # them, for the help and the invalid-choice error.  Either way the
+    # top-level usage names all nine.
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
     ap = argparse.ArgumentParser(prog="quditmagic",
                                  description=__doc__.strip().splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("measures", help="magic measures of a state")
-    p.add_argument("state", nargs="?", default=None)
-    p.add_argument("--file", default=None, help="JSON state file")
-    p.add_argument("--alphas", type=parse_alphas, default=(2.0,),
-                   help="comma-separated SRE orders, each >= 2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_measures)
-
-    p = sub.add_parser("tables", help="regenerate a reference table")
-    p.add_argument("table", choices=TABLE_IDS)
-    p.add_argument("--grid", type=parse_grid, default=(181, 361),
-                   help="RxC for the sphere grid")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_tables)
-
-    p = sub.add_parser("eigenstates", help="non-degenerate Clifford eigenstates")
-    p.add_argument("--dims", required=True, type=parse_dims)
-    p.add_argument("--all-cliffords", action="store_true")
-    p.add_argument("--word", default=None,
-                   help="space-separated tokens, e.g. 'CZ@1,2 H@2 H@1'")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_eigenstates)
-
-    p = sub.add_parser("extremality", help="criticality along a direction")
-    p.add_argument("state")
-    p.add_argument("--direction", type=parse_direction, default=("phase", 0.0),
-                   help="phase:<phi> or state:<spec>")
-    p.add_argument("--sweep", type=parse_grid, default=None,
-                   help="NTxNP angle grid -> CSV")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_extremality)
-
-    p = distill = sub.add_parser("distill", help="doubled five-qubit code simulation")
-    p.add_argument("mode", choices=["step", "sweep"])
-    p.add_argument("--eps1", type=finite_float, default=0.0)
-    p.add_argument("--eps2", type=finite_float, default=0.0)
-    p.add_argument("--eps3", type=parse_eps3, default=None,
-                   help="a float for step, start:stop:step for sweep")
-    p.add_argument("--a", type=finite_float, default=0.0)
-    p.add_argument("--b", type=finite_float, default=0.0)
-    p.add_argument("--rounds", type=parse_count(1, "a round count"), default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_distill)
-
-    p = sub.add_parser("extent", help="stabilizer extent by L1 minimization")
-    p.add_argument("mode", choices=["solve"])
-    p.add_argument("--state", required=True)
-    p.add_argument("--dims", default=None, type=parse_dims,
-                   help="d,N cross-check for JSON state specs")
-    p.add_argument("--group", default=None,
-                   help="comma-separated generator tokens for the G-variant")
-    p.add_argument("--tol", type=parse_tol, default=EXTENT_TOL)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_extent)
-
-    p = sub.add_parser("catalog", help="verify tabulated values")
-    p.add_argument("mode", choices=["verify"])
-    p.add_argument("--tol", type=parse_tol, default=EXACT_TOL)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("dictionary", help="dump a stabilizer dictionary")
-    p.add_argument("--dims", required=True, type=parse_dims)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_dictionary)
-
-    p = sub.add_parser("search", help="deterministic Clifford equivalence search")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--budget", type=parse_count(0, "an expansion count"),
-                   default=100000)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: the search is deterministic")
-    p.set_defaults(fn=cmd_search)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{%s}" % ",".join(COMMANDS) if len(names) == 1 else None)
+    parsers = {}
+    for name in names:
+        help_text, fn, arguments = COMMANDS[name]
+        p = parsers[name] = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            group = p.add_mutually_exclusive_group() if isinstance(arg, list) else p
+            for flags, options in arg if isinstance(arg, list) else [arg]:
+                group.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
-    if args.command == "distill" and args.eps3 is not None:
-        form = "start:stop:step" if args.mode == "sweep" else "a float"
-        if isinstance(args.eps3, tuple) != (args.mode == "sweep"):
-            distill.error(f"argument --eps3: {args.mode} takes {form}")
+    if args.command == "distill":
+        if args.eps3 is not None and isinstance(args.eps3, tuple) != (args.mode == "sweep"):
+            form = "start:stop:step" if args.mode == "sweep" else "a float"
+            parsers["distill"].error(f"argument --eps3: {args.mode} takes {form}")
+        if args.mode == "step" and args.rounds != 1:
+            parsers["distill"].error(f"argument --rounds: step runs one round, not {args.rounds}")
     try:
         return args.fn(args)
     except QuditMagicError as exc:

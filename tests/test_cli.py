@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -82,6 +83,15 @@ def test_malformed_grid_exits_2(capsys, argv):
     assert f"error: argument {argv[-2]}" in capsys.readouterr().err
 
 
+# option pairs of which one would be silently ignored: (argv, the other option)
+REJECTED_PAIRS = [
+    (["eigenstates", "--dims", "3,1", "--all-cliffords", "--word", "H@1"], "--all-cliffords"),
+    (["extremality", "qutrit:S", "--direction", "phase:0", "--sweep", "3x4"], "--direction"),
+    (["measures", "qutrit:S", "--file", "psi.json"], "state"),
+    (["distill", "step", "--rounds", "2"], "step"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["measures", "qutrit:S", "--alphas", "2,x"],
     ["distill", "sweep", "--eps3", "0:0.02"],
@@ -108,12 +118,76 @@ def test_malformed_grid_exits_2(capsys, argv):
     ["distill", "step", "--a", "-inf"],
     ["distill", "step", "--b", "1e400"],
     ["search", "--source", "qubit:T0", "--target", "qubit:T1", "--budget", "-5"],
+    *(argv for argv, _ in REJECTED_PAIRS),
 ], ids=" ".join)
 def test_malformed_alphas_and_eps3_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"error: argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, other", REJECTED_PAIRS,
+                         ids=[" ".join(argv) for argv, _ in REJECTED_PAIRS])
+def test_rejected_pair_names_both_options(capsys, argv, other):
+    with pytest.raises(SystemExit):
+        main(argv)
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: argument {argv[-2]}" in line and other in line.split(":", 2)[2]
+
+
+def _count_parsers(monkeypatch):
+    """The list that every ArgumentParser built from now on is appended to."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+NINE = "{measures,tables,eigenstates,extremality,distill,extent,catalog,dictionary,search}"
+
+
+@pytest.mark.parametrize("command", NINE[1:-1].split(","))
+def test_a_known_command_builds_two_parsers(capsys, monkeypatch, command):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and len(built) == 2
+    assert capsys.readouterr().out.startswith(f"usage: quditmagic {command}")
+
+
+def test_help_lists_the_nine_commands(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and len(built) == 10
+    words = " ".join(capsys.readouterr().out.split())  # whatever the terminal width
+    assert "{" + ",".join(cli.COMMANDS) + "}" == NINE and words.count(NINE) == 2
+    for name, (help_text, _, _) in cli.COMMANDS.items():
+        assert f" {name} {help_text} " in words, name
+
+
+def test_unknown_command_names_the_nine(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    choices = ", ".join(repr(name) for name in NINE[1:-1].split(","))
+    assert capsys.readouterr().err.endswith(
+        f"quditmagic: error: argument command: invalid choice: 'bogus' (choose from {choices})\n")
+
+
+def test_unrecognized_argument_shows_the_nine_in_the_usage(capsys):
+    # only the measures parser is built, yet the top-level usage lists every command
+    with pytest.raises(SystemExit) as exc:
+        main(["measures", "qutrit:S", "--bogus"])
+    assert exc.value.code == 2
+    usage, _, message = capsys.readouterr().err.partition("quditmagic: error: ")
+    assert NINE in usage and message == "unrecognized arguments: --bogus\n"
 
 
 @pytest.mark.parametrize("token, N", [
@@ -324,10 +398,15 @@ def test_catalog_verify_exit_code(capsys):
     assert "0 failures" in out
 
 
-def test_dictionary_dump(capsys):
+def test_dictionary_dump(capsys, tmp_path):
     code, out = run(capsys, "dictionary", "--dims", "2,1")
     assert code == 0
     assert len(out.strip().splitlines()) == 7
+    # a JSON file holds what stdout shows, final newline included
+    _, out = run(capsys, "dictionary", "--dims", "2,1", "--json")
+    path = tmp_path / "dict.json"
+    assert run(capsys, "dictionary", "--dims", "2,1", "--json", "--out", str(path)) == (0, "")
+    assert path.read_text() == out
 
 
 @pytest.mark.parametrize("dims", ["4,1", "2"])
