@@ -20,8 +20,7 @@ _EXPORTS = {
                  "affine_from_clifford", "clifford_equivalence_search", "clifford_from_affine",
                  "clifford_group_order", "enumerate_reduced_clifford", "group_projector",
                  "group_stabilizer_states", "is_clifford", "metaplectic_V",
-                 "nondegenerate_eigenstates", "qudit_clifford_generators", "twirl",
-                 "word_unitary"),
+                 "nondegenerate_eigenstates", "twirl", "word_unitary"),
     "distill": ("PairParams", "distill_step", "iterate_protocol", "pair_basis",
                 "project_T_overlaps"),
     "extent": ("ExtentProblem", "ExtentSolution", "solve_extent", "witness_bound"),

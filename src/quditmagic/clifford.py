@@ -247,20 +247,6 @@ class CliffordElement(NamedTuple):
     dims: Dims
     word: tuple = ()
 
-    @classmethod
-    def from_unitary(cls, U, dims: Dims, word: tuple = ()) -> "CliffordElement":
-        U = np.asarray(U, dtype=np.complex128)
-        S, a = affine_from_clifford(U, dims)
-        return cls(U, S, a, dims, word)
-
-
-def qudit_clifford_generators(d: int) -> tuple[CliffordElement, CliffordElement]:
-    """The (H, S) generator pair for a single qudit."""
-    dims = Dims(d, 1)
-    H = CliffordElement.from_unitary(single_qudit_H(d), dims, word=("H@1",))
-    S = CliffordElement.from_unitary(single_qudit_S(d), dims, word=("S@1",))
-    return H, S
-
 
 # ---------------------------------------------------------------------------
 # qubit gate library and Clifford words

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import qubit_T_gate, qubit_T_states
+from .clifford import qubit_T_states
 from .tolerances import ORTHONORMAL_TOL, PSD_TOL
 from .weyl import unit_phase
 
@@ -201,23 +201,3 @@ def iterate_protocol(params: PairParams, rounds: int) -> list[dict]:
         traj.append({"round": r + 1, "params": current, "p_success": p})
     return traj
 
-
-def dephasing_channel(rho_pair: np.ndarray) -> np.ndarray:
-    """The preparation channel on a pair-basis density matrix: average over
-    {I, TxT^-1, T^2xT^-2} (1/3 each), then over {I, G} (1/2 each) with G the
-    entangling Clifford fixing psi_0 and flipping the sign of psi_3.
-
-    The output is diagonal in the pair basis (all coherences removed)."""
-    T = qubit_T_gate()
-    Psi = np.array(pair_basis()).T
-    TT = Psi.conj().T @ np.kron(T, np.linalg.inv(T)) @ Psi
-    G = np.array([[0, 0, 0, 1j],
-                  [0, 1, 0, 0],
-                  [0, 0, 1, 0],
-                  [-1j, 0, 0, 0]], dtype=np.complex128)
-    G = Psi.conj().T @ G @ Psi
-    acc = np.zeros_like(rho_pair, dtype=np.complex128)
-    for k in range(3):
-        U = np.linalg.matrix_power(TT, k)
-        acc += U @ rho_pair @ U.conj().T / 3.0
-    return (acc + G @ acc @ G.conj().T) / 2.0

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import UnsupportedDimensionError, check_budget
 from .measures import wigner_function
 from .phasespace import Dims
-from .stabilizers import StabilizerDictionary, max_overlap
+from .stabilizers import StabilizerDictionary
 from .tolerances import COEFF_TOL, ORTHONORMAL_TOL, WIGNER_ZERO_TOL
 from .weyl import shifted_characters
 
@@ -186,8 +186,8 @@ def fidelity_expansion(frame: PerturbationFrame,
                      + eps^2/(1+eps^2) (|<s|phi>|^2 - |<s|psi>|^2)
     exactly, for each nearest state s.
     """
-    _, nearest = max_overlap(frame.base, dictionary)
-    amp = amplitudes([s.vector for s in nearest], [frame.base, frame.direction])
+    _, ties = dictionary.nearest(frame.base)
+    amp = amplitudes(dictionary.matrix[ties], [frame.base, frame.direction])
     linear = 2 * np.real(amp[:, 1].conj() * amp[:, 0])  # <phi|s> = conj(<s|phi>)
     quad = np.abs(amp[:, 1]) ** 2 - np.abs(amp[:, 0]) ** 2
     return _critical("fidelity", [(1, np.max(np.abs(linear))), (2, np.max(quad))])

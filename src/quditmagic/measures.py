@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .phasespace import Dims
-from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap
-from .tolerances import TIE_TOL, WIGNER_IMAG_TOL
+from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap, nearest_set
+from .tolerances import WIGNER_IMAG_TOL
 from .weyl import density_of, shifted_characters, transform_plan
 
 
@@ -91,9 +91,8 @@ def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndar
     if len(states) == 0:
         raise ValueError("empty G-stabilizer set")
     psi = np.asarray(psi, dtype=np.complex128)
-    ov = np.abs(np.asarray(states) @ psi.conj()) ** 2
-    best = float(ov.max())
-    return best, [states[i] for i in (ov >= best - TIE_TOL).nonzero()[0]]
+    best, ties = nearest_set(np.abs(np.asarray(states) @ psi.conj()) ** 2)
+    return best, [states[i] for i in ties]
 
 
 class PauliDistribution:
@@ -124,14 +123,10 @@ def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     return float(np.power(probs, alpha).sum())
 
 
-def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0,
-        allow_small_alpha: bool = False) -> float:
+def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     """alpha-stabilizer Renyi entropy, offset so stabilizer states give 0."""
-    if alpha < 2 and not allow_small_alpha:
-        raise ValueError("alpha < 2 is outside the supported contract "
-                         "(pass allow_small_alpha=True to override)")
-    if alpha == 1:
-        raise ValueError("alpha = 1 not supported")
+    if alpha < 2:
+        raise ValueError("alpha < 2 is outside the supported contract")
     val = xi(psi, dims, alpha)
     return float(math.log(val) / (1 - alpha) - dims.N * math.log(dims.d))
 

@@ -218,9 +218,6 @@ class IsotropicSubspace(NamedTuple):
         """The d^k points of the span, lexicographic in coefficients; built on each call."""
         return span_elements(self.basis, self.dims.d)
 
-    def key(self) -> bytes:
-        return self.basis.tobytes()
-
     def contains(self, chi: np.ndarray) -> bool:
         return bool(np.any(np.all(self.elements == np.asarray(chi) % self.dims.d, axis=1)))
 
@@ -258,8 +255,33 @@ def _rref_matrices(k: int, N: int, d: int):
             yield R, list(pivots)
 
 
-def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
-    """All maximal isotropic (Lagrangian) subspaces of Z_d^2N, sorted by key.
+def _rank_blocks(k: int, N: int, d: int):
+    """The bases [[R | Q], [0 | W]] of `enumerate_maximal_isotropic` whose p
+    block has rank k, one (d^(k(k+1)/2), N, 2N) block per R."""
+    upper = np.triu_indices(k)
+    entries = lex_grid(d, len(upper[0]))
+    S = np.zeros((len(entries), k, k), dtype=np.int64)
+    S[:, upper[0], upper[1]] = entries
+    S[:, upper[1], upper[0]] = entries
+    for R, pivots in _rref_matrices(k, N, d):
+        free = [j for j in range(N) if j not in pivots]
+        null = np.zeros((N - k, N), dtype=np.int64)
+        null[np.arange(N - k), free] = 1
+        null[:, pivots] = -R[:, free].T
+        W = row_reduce(null, d)
+        Q = np.zeros((len(S), k, N), dtype=np.int64)
+        Q[:, :, pivots] = S
+        for row in W:
+            Q = (Q - Q[:, :, int(np.argmax(row != 0)), None] * row) % d
+        top = np.concatenate([np.broadcast_to(R, Q.shape), Q], axis=2)
+        bottom = np.broadcast_to(np.concatenate([np.zeros_like(W), W], axis=1),
+                                 (len(S), N - k, 2 * N))
+        yield np.concatenate([top, bottom], axis=1)
+
+
+def enumerate_maximal_isotropic(dims: Dims) -> np.ndarray:
+    """All maximal isotropic (Lagrangian) subspaces of Z_d^2N, as the
+    (n, N, 2N) int64 stack of their RREF bases sorted by `basis_keys`.
 
     Built in closed form (Dehaene & De Moor, quant-ph/0304125; Gross,
     quant-ph/0602001).  The RREF basis of a Lagrangian M whose p block has
@@ -276,53 +298,39 @@ def enumerate_maximal_isotropic(dims: Dims) -> list[IsotropicSubspace]:
     Each (R, S) gives one subspace and every subspace arises once, so the
     count is sum_k [N choose k]_d d^(k(k+1)/2) = prod_i (d^i + 1).  The
     symmetric matrices of one R are built at once; the basis is already the
-    subspace's canonical key, and isotropy is re-checked on basis-row pairs.
+    subspace's canonical key, and isotropy is re-checked as B J B^T = 0 mod d
+    for every basis B at once.  `IsotropicSubspace(dims, bases[i])` reads one.
     """
     check_budget(_isotropic_bytes(dims), f"the isotropic-subspace enumeration for {dims}")
     d, N = dims.d, dims.N
-    blocks = []
-    for k in range(N + 1):
-        upper = np.triu_indices(k)
-        entries = lex_grid(d, len(upper[0]))
-        S = np.zeros((len(entries), k, k), dtype=np.int64)
-        S[:, upper[0], upper[1]] = entries
-        S[:, upper[1], upper[0]] = entries
-        for R, pivots in _rref_matrices(k, N, d):
-            free = [j for j in range(N) if j not in pivots]
-            null = np.zeros((N - k, N), dtype=np.int64)
-            null[np.arange(N - k), free] = 1
-            null[:, pivots] = -R[:, free].T
-            W = row_reduce(null, d)
-            Q = np.zeros((len(S), k, N), dtype=np.int64)
-            Q[:, :, pivots] = S
-            for row in W:
-                Q = (Q - Q[:, :, int(np.argmax(row != 0)), None] * row) % d
-            top = np.concatenate([np.broadcast_to(R, Q.shape), Q], axis=2)
-            bottom = np.broadcast_to(np.concatenate([np.zeros_like(W), W], axis=1),
-                                     (len(S), N - k, 2 * N))
-            blocks.append(np.concatenate([top, bottom], axis=1))
-    bases = np.concatenate(blocks)
-    keys = [b.tobytes() for b in bases]
-    bases = bases[sorted(range(len(keys)), key=keys.__getitem__)]
-    if np.any(symplectic_product(bases[:, :, None, :], bases[:, None, :, :], d) != 0):
+    bases = np.concatenate([block for k in range(N + 1) for block in _rank_blocks(k, N, d)])
+    bases = bases[np.argsort(basis_keys(bases))]
+    if np.any(bases @ symplectic_form(N) @ bases.transpose(0, 2, 1) % d != 0):
         raise ValueError("basis does not span an isotropic subspace")
-    return [IsotropicSubspace(dims, b) for b in bases]
+    return bases
 
 
-_SUBSPACE_BYTES = 1024  # one IsotropicSubspace beyond its basis: the object, its view, its key
+def basis_keys(bases: np.ndarray) -> np.ndarray:
+    """One np.void scalar per basis of an (n, k, 2N) int64 stack, holding its
+    bytes: a zero-copy view that sorts and searches as Python bytes do."""
+    bases = np.ascontiguousarray(bases, dtype=np.int64)
+    flat = bases.reshape(len(bases), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1] * 8)))[:, 0]
+
+
 _FIRST_CALL_BYTES = 2 ** 20  # a first enumeration in a process peaks 0.5 MiB higher at any size
 
 
 def _isotropic_bytes(dims: Dims) -> int:
     """An upper bound on the peak bytes of `enumerate_maximal_isotropic`.
 
-    Per subspace: four N x 2N stacks (the basis blocks, their concatenation,
-    its sorted copy and the bytes keys), the two N x N x N products of the
-    pairwise isotropy check and the object.  Once per process, the first use
-    of the numpy routines it calls."""
+    Per subspace, every array it makes, of which at most two N x 2N stacks
+    are alive at once: four N x 2N stacks (the basis blocks, their
+    concatenation, its sorted copy and B J), the sort index and the N x N
+    product B J B^T.  Once per process, the first use of the numpy routines
+    it calls."""
     N, L = dims.N, 2 * dims.N
-    return (count_maximal_isotropic(dims) * ((4 * N * L + N * N * L) * 8 + _SUBSPACE_BYTES)
-            + _FIRST_CALL_BYTES)
+    return count_maximal_isotropic(dims) * (4 * N * L + 1 + N * N) * 8 + _FIRST_CALL_BYTES
 
 
 def count_maximal_isotropic(dims: Dims) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import io
 import json
-from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,10 +41,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStabilizerError, check_budget
 from .phasespace import (
-    _FIRST_CALL_BYTES,
-    _SUBSPACE_BYTES,
     Dims,
     IsotropicSubspace,
+    _isotropic_bytes,
+    basis_keys,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
     lex_grid,
@@ -126,15 +125,15 @@ def stabilizer_state(M: IsotropicSubspace, chi, dims: Dims) -> StabilizerState:
 
 
 class StabilizerDictionary:
-    """The complete set SS_(N,d) as arrays, in key order of the subspaces:
-    state i is |M, chi> with M = subspaces[i // D], chi = displacements[i]
-    (the coset's canonical representative) and vector matrix[i].  A
-    StabilizerState is built only when a state is read."""
+    """The complete set SS_(N,d) as arrays: state i is |M, chi> with M
+    spanned by bases[i // D], chi = displacements[i] (the coset's canonical
+    representative) and vector matrix[i].  An IsotropicSubspace and a
+    StabilizerState are built only when a state is read."""
 
-    def __init__(self, dims: Dims, subspaces: list[IsotropicSubspace],
-                 displacements: np.ndarray, matrix: np.ndarray):
+    def __init__(self, dims: Dims, bases: np.ndarray, displacements: np.ndarray,
+                 matrix: np.ndarray):
         self.dims = dims
-        self.subspaces = subspaces          # sorted by key, D cosets each
+        self.bases = bases                  # (n / D, N, 2N), sorted by basis_keys
         self.displacements = displacements  # (n, 2N)
         self.matrix = matrix                # (n, D)
 
@@ -146,17 +145,28 @@ class StabilizerDictionary:
         IndexError past it also ends iteration."""
         vector = self.matrix[i]
         i %= len(self.matrix)
-        return StabilizerState(self.subspaces[i // len(vector)], self.displacements[i], vector)
+        return StabilizerState(IsotropicSubspace(self.dims, self.bases[i // len(vector)]),
+                               self.displacements[i], vector)
 
     def lookup(self, subspace: IsotropicSubspace, chi) -> StabilizerState:
         """The state of M = subspace and the coset of chi: M's rank in key
         order times D, plus the lex index of the representative's free columns."""
-        key = subspace.key()
-        rank = bisect_left(self.subspaces, key, key=IsotropicSubspace.key)
-        if rank == len(self.subspaces) or self.subspaces[rank].key() != key:
+        if subspace.basis.shape != self.bases.shape[1:]:
+            raise KeyError("subspace is not in the dictionary")
+        rank = int(np.searchsorted(basis_keys(self.bases), basis_keys(subspace.basis[None])[0]))
+        if rank == len(self.bases) or not np.array_equal(self.bases[rank], subspace.basis):
             raise KeyError("subspace is not in the dictionary")
         free = np.delete(subspace.reduce_mod(chi), np.argmax(subspace.basis != 0, axis=1))
         return self[rank * self.dims.D + point_index(free, self.dims)]
+
+    def nearest(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
+        """Largest squared overlap with psi and the indices of the states tied for it."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        if psi.shape != (self.dims.D,):
+            raise DimensionMismatchError(
+                f"state has length {psi.shape}, dictionary needs {self.dims.D}"
+            )
+        return nearest_set(self.overlaps(psi))
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """|<s|psi>|^2 for every dictionary state, as |<psi|s>|^2 so that only
@@ -195,33 +205,28 @@ def _dictionary_bytes(dims: Dims) -> int:
     with one `displace` output and its gather at the peak of the check; an
     int64 index of D, the index of the gather that builds the coset vectors;
     and six int64 points of 2N, for its coset representative (which
-    `displacements` views) and the transients of its reduction.  Per
-    subspace: five basis stacks (the enumeration's blocks, their sorted copy,
-    its isotropy check and the stack taken here), its key and its object.
-    Once per process, the enumeration's first call."""
-    n_s, L = stabilizer_count(dims), 2 * dims.N
-    return (n_s * (3 * dims.D * 16 + dims.D * 8 + 6 * L * 8)
-            + count_maximal_isotropic(dims) * (5 * dims.N * L * 8 + _SUBSPACE_BYTES)
-            + _FIRST_CALL_BYTES)
+    `displacements` views) and the transients of its reduction.  Besides,
+    the bound of the enumeration, whose sorted basis stack `bases` keeps."""
+    return (stabilizer_count(dims) * (3 * dims.D * 16 + dims.D * 8 + 6 * 2 * dims.N * 8)
+            + _isotropic_bytes(dims))
 
 
 @lru_cache(maxsize=None)
 def _dictionary_cached(d: int, N: int) -> StabilizerDictionary:
     dims = Dims(d, N)
     check_budget(_dictionary_bytes(dims), f"the stabilizer dictionary for {dims}")
-    subspaces = enumerate_maximal_isotropic(dims)
-    basis = np.array([M.basis for M in subspaces])
+    bases = enumerate_maximal_isotropic(dims)
     # coset representatives: zero at M's pivot columns, the free columns in lex order
-    is_free = np.ones((len(subspaces), 2 * N), dtype=bool)
-    is_free[np.arange(len(subspaces))[:, None], np.argmax(basis != 0, axis=2)] = False
-    free = np.nonzero(is_free)[1].reshape(len(subspaces), 1, N)
-    reps = np.zeros((len(subspaces), dims.D, 2 * N), dtype=np.int64)
-    np.put_along_axis(reps, np.broadcast_to(free, (len(subspaces), dims.D, N)),
+    is_free = np.ones((len(bases), 2 * N), dtype=bool)
+    is_free[np.arange(len(bases))[:, None], np.argmax(bases != 0, axis=2)] = False
+    free = np.nonzero(is_free)[1].reshape(len(bases), 1, N)
+    reps = np.zeros((len(bases), dims.D, 2 * N), dtype=np.int64)
+    np.put_along_axis(reps, np.broadcast_to(free, (len(bases), dims.D, N)),
                       lex_grid(d, N), axis=2)
-    if not np.array_equal(reduce_by_pivots(reps, basis[:, None], d), reps):
+    if not np.array_equal(reduce_by_pivots(reps, bases[:, None], d), reps):
         raise InvalidStabilizerError("a coset representative is not reduced modulo its subspace")
-    vecs = _coset_vectors(basis, reps, dims)
-    return StabilizerDictionary(dims, subspaces, reps.reshape(-1, 2 * N), vecs.reshape(-1, dims.D))
+    vecs = _coset_vectors(bases, reps, dims)
+    return StabilizerDictionary(dims, bases, reps.reshape(-1, 2 * N), vecs.reshape(-1, dims.D))
 
 
 def enumerate_stabilizer_states(dims: Dims) -> StabilizerDictionary:
@@ -229,15 +234,15 @@ def enumerate_stabilizer_states(dims: Dims) -> StabilizerDictionary:
     return _dictionary_cached(dims.d, dims.N)
 
 
+def nearest_set(overlaps: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest of the overlaps and the indices of every overlap within
+    TIE_TOL of it: the nearest set."""
+    best = float(overlaps.max())
+    return best, (overlaps >= best - TIE_TOL).nonzero()[0]
+
+
 def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary
                 ) -> tuple[float, list[StabilizerState]]:
     """Largest squared overlap with the dictionary and all states tied for it."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (dictionary.dims.D,):
-        raise DimensionMismatchError(
-            f"state has length {psi.shape}, dictionary needs {dictionary.dims.D}"
-        )
-    ov = dictionary.overlaps(psi)
-    best = float(ov.max())
-    nearest = [dictionary[i] for i in (ov >= best - TIE_TOL).nonzero()[0].tolist()]
-    return best, nearest
+    best, ties = dictionary.nearest(psi)
+    return best, [dictionary[i] for i in ties.tolist()]

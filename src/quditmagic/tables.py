@@ -14,7 +14,7 @@ import numpy as np
 from .catalog import SQ2, SQ3, build, entries, entry
 from .errors import UnknownTableError
 from .extremality import amplitudes, l_matrix, w_matrix
-from .measures import sre, stabilizer_fidelity, wigner_function
+from .measures import sre, wigner_function
 from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
 from .tolerances import EXACT_TOL, PRINTED_TOL
@@ -281,9 +281,8 @@ class TableResult(NamedTuple):
 
 
 def computed_l_matrix(name: str, basis_names: tuple[str, ...]) -> np.ndarray:
-    psi = build(name)
-    _, nearest = stabilizer_fidelity(psi, dims=entry(name).dims)
-    return l_matrix([psi] + [build(b) for b in basis_names], [s.vector for s in nearest])
+    psi, dd = build(name), enumerate_stabilizer_states(entry(name).dims)
+    return l_matrix([psi] + [build(b) for b in basis_names], dd.matrix[dd.nearest(psi)[1]])
 
 
 def ququint_l_matrix(name: str) -> np.ndarray:
@@ -291,10 +290,9 @@ def ququint_l_matrix(name: str) -> np.ndarray:
 
     The two degenerate Hadamard eigenvectors are not mutually orthogonal, so
     this is the raw bilinear form, not an orthonormal-frame L matrix."""
-    psi = build(name)
+    psi, dd = build(name), enumerate_stabilizer_states(entry(name).dims)
     dirs = [build(b) for b in QUQUINT_L_PRINTED[name][0]]
-    _, nearest = stabilizer_fidelity(psi, dims=entry(name).dims)
-    states = [s.vector for s in nearest]
+    states = dd.matrix[dd.nearest(psi)[1]]
     return amplitudes(dirs, states).T * amplitudes(states, [psi])
 
 
@@ -401,7 +399,7 @@ def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
         rows = [["state", "fidelity", "nearest_count"] + ["M2"] * m2]
         for name in names:
             psi, dims = build(name), entry(name).dims
-            F, near = stabilizer_fidelity(psi, dims=dims)
+            F, near = enumerate_stabilizer_states(dims).nearest(psi)
             rows.append([name, F, len(near)] + [sre(psi, dims)] * m2)
         return rows
     if kind == "L":

@@ -32,7 +32,8 @@ from quditmagic.clifford import (
     is_clifford,
     metaplectic_V,
     nondegenerate_eigenstates,
-    qudit_clifford_generators,
+    single_qudit_H,
+    single_qudit_S,
     twirl,
     word_unitary,
 )
@@ -65,36 +66,33 @@ BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
 
 def test_generators_are_clifford_and_special():
     for d in (2, 3, 5):
-        H, S = qudit_clifford_generators(d)
+        H, S = single_qudit_H(d), single_qudit_S(d)
         dims = Dims(d, 1)
-        assert is_clifford(H.unitary, dims)
-        assert is_clifford(S.unitary, dims)
+        assert is_clifford(H, dims)
+        assert is_clifford(S, dims)
         if d > 2:
-            assert abs(np.linalg.det(H.unitary) - 1) < 1e-10
+            assert abs(np.linalg.det(H) - 1) < 1e-10
         if d >= 5:
-            assert abs(np.linalg.det(S.unitary) - 1) < 1e-10
+            assert abs(np.linalg.det(S) - 1) < 1e-10
 
 
 def test_qutrit_H_order_four_up_to_phase():
-    H, _ = qudit_clifford_generators(3)
-    H4 = np.linalg.matrix_power(H.unitary, 4)
+    H4 = np.linalg.matrix_power(single_qudit_H(3), 4)
     assert equal_up_to_phase(H4, np.eye(3))
 
 
 def test_qubit_H_maps_0_to_plus():
-    H, _ = qudit_clifford_generators(2)
-    assert np.allclose(H.unitary @ [1, 0], np.ones(2) / np.sqrt(2))
+    assert np.allclose(single_qudit_H(2) @ [1, 0], np.ones(2) / np.sqrt(2))
 
 
 def test_metaplectic_identities():
     for d in (3, 5):
         assert np.allclose(metaplectic_V(np.eye(2, dtype=int), d), np.eye(d))
-        H, S = qudit_clifford_generators(d)
-        assert np.allclose(metaplectic_V(SL2_H_HAT, d), H.unitary, atol=1e-12)
+        assert np.allclose(metaplectic_V(SL2_H_HAT, d), single_qudit_H(d), atol=1e-12)
         dims = Dims(d, 1)
         T = displacement_table(dims)
         chi = point_index(point(0, mod_inverse(2, d), dims), dims)
-        assert np.allclose(T[chi] @ metaplectic_V(SL2_S_HAT, d), S.unitary,
+        assert np.allclose(T[chi] @ metaplectic_V(SL2_S_HAT, d), single_qudit_S(d),
                            atol=1e-12)
 
 
@@ -130,8 +128,7 @@ def test_affine_from_clifford_examples():
     d3 = Dims(3, 1)
     S, a = affine_from_clifford(np.eye(3), d3)
     assert np.array_equal(S, np.eye(2, dtype=int)) and np.all(a == 0)
-    H, _ = qudit_clifford_generators(3)
-    SH, aH = affine_from_clifford(H.unitary, d3)
+    SH, aH = affine_from_clifford(single_qudit_H(3), d3)
     assert np.array_equal(SH, SL2_H_HAT % 3)
     # displacement: conjugating by T_chi0 gives identity symplectic part
     T = displacement_table(d3)
@@ -149,9 +146,8 @@ def test_affine_law_exhaustive_odd_d():
         dims = Dims(d, 1)
         T = displacement_table(dims)
         pts = phase_points(dims)
-        H, Sg = qudit_clifford_generators(d)
-        for el in (H, Sg):
-            U, S, a = el.unitary, el.symplectic, el.displacement
+        for U in (single_qudit_H(d), single_qudit_S(d)):
+            S, a = affine_from_clifford(U, dims)
             for i, c in enumerate(pts):
                 lab = (S @ c) % d
                 ph = unit_phase(-symplectic_product(a, lab, d), d)
@@ -187,8 +183,7 @@ def test_enumerate_reduced_clifford(d, N):
 def test_nondegenerate_eigenstates_identity_and_T():
     dims = Dims(2, 1)
     assert nondegenerate_eigenstates(np.eye(2), dims) == []
-    H, S = qudit_clifford_generators(2)
-    That = np.exp(1j * np.pi / 4) * S.unitary @ H.unitary
+    That = np.exp(1j * np.pi / 4) * single_qudit_S(2) @ single_qudit_H(2)
     eigs = nondegenerate_eigenstates(That, dims)
     assert len(eigs) == 2
     T0 = np.array([np.sqrt((3 + np.sqrt(3)) / 6),
@@ -200,8 +195,7 @@ def test_nondegenerate_eigenstates_identity_and_T():
 
 def test_qutrit_H_eigenstates():
     dims = Dims(3, 1)
-    H, _ = qudit_clifford_generators(3)
-    eigs = nondegenerate_eigenstates(H.unitary, dims)
+    eigs = nondegenerate_eigenstates(single_qudit_H(3), dims)
     S = np.array([0, 1, -1]) / np.sqrt(2)
     Hp = np.array([1 + np.sqrt(3), 1, 1]) / np.sqrt(2 * (3 + np.sqrt(3)))
     Hm = np.array([1 - np.sqrt(3), 1, 1]) / np.sqrt(2 * (3 - np.sqrt(3)))
@@ -277,9 +271,9 @@ def test_twirl_properties():
 
 def _eigenphase_extended_qutrit_H():
     # the closure of <H> together with the scalar phases from its spectrum
-    H, _ = qudit_clifford_generators(3)
-    scalars = [val * np.eye(3, dtype=np.complex128) for val in np.linalg.eigvals(H.unitary)]
-    return FiniteUnitaryGroup.generate([H.unitary] + scalars, max_order=4096)
+    H = single_qudit_H(3)
+    scalars = [val * np.eye(3, dtype=np.complex128) for val in np.linalg.eigvals(H)]
+    return FiniteUnitaryGroup.generate([H] + scalars, max_order=4096)
 
 
 def test_eigenphase_extended_closure_qutrit_H():
@@ -345,10 +339,9 @@ def test_qutrit_group_stabilizer_states_hold_every_eigenstate_class(capsys):
 
 
 def _generators(name):
-    (H3, S3), (H5, S5) = qudit_clifford_generators(3), qudit_clifford_generators(5)
     return {"order 12": [expi([[0, 1], [1, 0]], np.pi / 3), expi([[1, 0], [0, -1]], np.pi / 2)],
-            "qutrit <S, H>": [S3.unitary, H3.unitary],
-            "ququint <H, S>": [H5.unitary, S5.unitary]}[name]
+            "qutrit <S, H>": [single_qudit_S(3), single_qudit_H(3)],
+            "ququint <H, S>": [single_qudit_H(5), single_qudit_S(5)]}[name]
 
 
 @pytest.mark.parametrize("name, order", [("order 12", 12), ("qutrit <S, H>", 648),
@@ -899,7 +892,7 @@ def test_dictionary_peak_within_estimate(d, N):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
-@pytest.mark.parametrize("d,N", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("d,N", [(3, 3), (2, 4), (2, 5)])
 def test_isotropic_enumeration_peak_within_estimate(d, N):
     rise, estimate = _peak_rise_and_estimate("phasespace.enumerate_maximal_isotropic(dims)",
                                              "phasespace._isotropic_bytes(dims)", d, N)

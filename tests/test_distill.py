@@ -7,7 +7,6 @@ from quditmagic.clifford import qubit_T_gate, qubit_T_states
 from quditmagic.distill import (
     PairParams,
     code_projector,
-    dephasing_channel,
     distill_step,
     iterate_protocol,
     logical_density,
@@ -145,6 +144,27 @@ def test_logical_density_matches_kron_oracle():
         params = [_random_valid_params(rng) for _ in range(5)]
         rho = reduce(np.kron, [p.density() for p in params])
         assert np.max(np.abs(logical_density(params) - L.conj().T @ rho @ L)) < 1e-14
+
+
+def dephasing_channel(rho_pair: np.ndarray) -> np.ndarray:
+    """The preparation channel on a pair-basis density matrix: average over
+    {I, TxT^-1, T^2xT^-2} (1/3 each), then over {I, G} (1/2 each) with G the
+    entangling Clifford fixing psi_0 and flipping the sign of psi_3.
+
+    The output is diagonal in the pair basis (all coherences removed)."""
+    T = qubit_T_gate()
+    Psi = np.array(pair_basis()).T
+    TT = Psi.conj().T @ np.kron(T, np.linalg.inv(T)) @ Psi
+    G = np.array([[0, 0, 0, 1j],
+                  [0, 1, 0, 0],
+                  [0, 0, 1, 0],
+                  [-1j, 0, 0, 0]], dtype=np.complex128)
+    G = Psi.conj().T @ G @ Psi
+    acc = np.zeros_like(rho_pair, dtype=np.complex128)
+    for k in range(3):
+        U = np.linalg.matrix_power(TT, k)
+        acc += U @ rho_pair @ U.conj().T / 3.0
+    return (acc + G @ acc @ G.conj().T) / 2.0
 
 
 def test_dephasing_preparation():

@@ -79,12 +79,11 @@ def test_witness_bounds():
 
 
 def test_extent_clifford_invariance():
-    from quditmagic.clifford import qudit_clifford_generators
+    from quditmagic.clifford import single_qudit_H
     dd = enumerate_stabilizer_states(Dims(3, 1))
     psi = rand_state(3, 5)
-    H, S = qudit_clifford_generators(3)
     sol0 = solve_extent(ExtentProblem.from_dictionary(psi, dd))
-    sol1 = solve_extent(ExtentProblem.from_dictionary(H.unitary @ psi, dd))
+    sol1 = solve_extent(ExtentProblem.from_dictionary(single_qudit_H(3) @ psi, dd))
     assert abs(sol0.value - sol1.value) < 1e-6
 
 

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from quditmagic import extremality, weyl
 from quditmagic.catalog import build, entries
-from quditmagic.errors import BudgetExceededError
+from quditmagic.errors import BudgetExceededError, DimensionMismatchError
 from quditmagic.extremality import (
     PerturbationFrame,
     angle_direction,
@@ -286,6 +286,9 @@ def test_fidelity_expansion_catalog_cases():
     for seed in range(8):
         rep = fidelity_expansion(PerturbationFrame(qb, t0, rand_direction(t0, seed)), ddq)
         assert rep.kind == "sharp_min"
+    # a dictionary of other dims is refused, as max_overlap refuses it
+    with pytest.raises(DimensionMismatchError):
+        fidelity_expansion(PerturbationFrame(qb, t0, rand_direction(t0, 0)), dd)
 
 
 def test_fidelity_exact_path_for_norell():

@@ -200,6 +200,8 @@ def test_kernels_keep_their_input_checks(dims):
             pauli_distribution(bad, dims)
         with pytest.raises(DimensionMismatchError):
             max_overlap(bad, enumerate_stabilizer_states(dims))
+        with pytest.raises(DimensionMismatchError):  # the nearest rows of fidelity_expansion
+            enumerate_stabilizer_states(dims).nearest(bad)
         if dims.odd:
             with pytest.raises(DimensionMismatchError):
                 wigner_function(bad, dims)
@@ -209,7 +211,7 @@ def test_kernels_keep_their_input_checks(dims):
     with pytest.raises(ValueError):
         sre(psi, dims, alpha=1.5)
     with pytest.raises(ValueError):
-        sre(psi, dims, alpha=1, allow_small_alpha=True)
+        sre(psi, dims, alpha=1)
     if dims.odd:
         # i |psi><psi| has Wigner values i W
         with pytest.raises(ValueError, match="imaginary part"):

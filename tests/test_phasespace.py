@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from quditmagic.errors import BudgetExceededError, NonInvertibleError
 from quditmagic.phasespace import (
     Dims,
+    IsotropicSubspace,
+    basis_keys,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
     is_symplectic,
@@ -24,6 +26,11 @@ from quditmagic.phasespace import (
 )
 
 from oracles import enumerate_symplectic_2x2
+
+
+def subspaces(dims):
+    """The enumerated bases, each read as an IsotropicSubspace."""
+    return [IsotropicSubspace(dims, b) for b in enumerate_maximal_isotropic(dims)]
 
 
 def brute_force_lines(d):
@@ -110,7 +117,7 @@ def test_maximal_isotropic_counts():
 
 def test_lines_match_brute_force():
     for d in (2, 3, 5):
-        subs = enumerate_maximal_isotropic(Dims(d, 1))
+        subs = subspaces(Dims(d, 1))
         got = {frozenset(map(tuple, s.elements.tolist())) for s in subs}
         assert got == brute_force_lines(d)
 
@@ -118,7 +125,7 @@ def test_lines_match_brute_force():
 def test_subspace_structure():
     for d, N in ((3, 1), (2, 2)):
         dims = Dims(d, N)
-        for sub in enumerate_maximal_isotropic(dims):
+        for sub in subspaces(dims):
             assert sub.elements.shape[0] == dims.D
             # closed under addition
             sums = (sub.elements[:, None, :] + sub.elements[None, :, :]) % d
@@ -131,10 +138,9 @@ def test_subspace_structure():
 
 
 def test_budget_errors():
-    # _isotropic_bytes: per subspace four N x 2N stacks, an N x N x 2N
-    # transient and 1024 B, plus 1 MiB; 3.34e10 for six qubits
-    nbytes = (3 * 5 * 9 * 17 * 33 * 65 * ((4 * 6 * 12 + 6 * 6 * 12) * 8 + 1024)
-              + 2 ** 20)
+    # _isotropic_bytes: per subspace four N x 2N stacks, an int64 sort index
+    # and an N x N product, plus 1 MiB; 1.28e10 for six qubits
+    nbytes = 3 * 5 * 9 * 17 * 33 * 65 * (4 * 6 * 12 + 1 + 6 * 6) * 8 + 2 ** 20
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_maximal_isotropic(Dims(2, 6))
@@ -150,7 +156,7 @@ def test_row_reduce_canonical():
 
 def test_reduce_mod_canonical_coset():
     dims = Dims(3, 1)
-    sub = enumerate_maximal_isotropic(dims)[0]
+    sub = IsotropicSubspace(dims, enumerate_maximal_isotropic(dims)[0])
     for chi in phase_points(dims):
         rep = sub.reduce_mod(chi)
         assert sub.contains((chi - rep) % 3) or np.all((chi - rep) % 3 == 0)
@@ -182,8 +188,8 @@ def _isotropic_by_row_reduction(dims):
 @pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
 def test_isotropic_enumeration_matches_row_reduction_oracle(d, N):
     dims = Dims(d, N)
-    subs = enumerate_maximal_isotropic(dims)
-    assert [s.key() for s in subs] == _isotropic_by_row_reduction(dims)
+    subs = subspaces(dims)
+    assert [s.basis.tobytes() for s in subs] == _isotropic_by_row_reduction(dims)
     for s in subs:
         assert s.maximal
         assert np.array_equal(s.elements, span_elements(s.basis, d))
@@ -191,7 +197,7 @@ def test_isotropic_enumeration_matches_row_reduction_oracle(d, N):
 
 def test_reduce_mod_vectorizes_over_points():
     dims = Dims(3, 2)
-    sub = enumerate_maximal_isotropic(dims)[7]
+    sub = IsotropicSubspace(dims, enumerate_maximal_isotropic(dims)[7])
     pts = phase_points(dims)
     reps = sub.reduce_mod(pts)
     assert np.array_equal(reps, np.array([sub.reduce_mod(chi) for chi in pts]))
@@ -200,10 +206,10 @@ def test_reduce_mod_vectorizes_over_points():
 
 def test_reduce_by_pivots_over_a_stack_of_bases():
     dims = Dims(3, 2)
-    subs = enumerate_maximal_isotropic(dims)
+    subs = subspaces(dims)
     pts = phase_points(dims)
     stacked = reduce_by_pivots(np.broadcast_to(pts, (len(subs),) + pts.shape),
-                               np.array([s.basis for s in subs])[:, None], 3)
+                               enumerate_maximal_isotropic(dims)[:, None], 3)
     assert np.array_equal(stacked, np.array([s.reduce_mod(pts) for s in subs]))
 
 
@@ -241,9 +247,9 @@ def _isotropic_by_canonical_rows(dims):
 @pytest.mark.parametrize("d,N", [(7, 1), (7, 2), (3, 3)])
 def test_isotropic_enumeration_matches_canonical_row_oracle(d, N):
     dims = Dims(d, N)
-    subs = enumerate_maximal_isotropic(dims)
+    subs = subspaces(dims)
     oracle = _isotropic_by_canonical_rows(dims)
-    assert [s.key() for s in subs] == [b.tobytes() for b in oracle]
+    assert [s.basis.tobytes() for s in subs] == [b.tobytes() for b in oracle]
     for s, basis in zip(subs, oracle):
         assert np.array_equal(s.elements, span_elements(basis, d))
 
@@ -259,8 +265,8 @@ def _gaussian_binomial(N, k, d):
 
 @pytest.mark.parametrize("d,N", [(2, 4), (3, 3), (7, 2)])
 def test_isotropic_counts_per_p_block_rank(d, N):
-    ranks = Counter(int(np.count_nonzero(np.any(s.basis[:, :N] != 0, axis=1)))
-                    for s in enumerate_maximal_isotropic(Dims(d, N)))
+    ranks = Counter(int(np.count_nonzero(np.any(b[:, :N] != 0, axis=1)))
+                    for b in enumerate_maximal_isotropic(Dims(d, N)))
     assert ranks == {k: _gaussian_binomial(N, k, d) * d ** (k * (k + 1) // 2)
                      for k in range(N + 1)}
 
@@ -272,3 +278,26 @@ def test_lagrangian_count_identity():
             total = sum(_gaussian_binomial(N, k, d) * d ** (k * (k + 1) // 2)
                         for k in range(N + 1))
             assert total == count_maximal_isotropic(Dims(d, N))
+
+
+ORDER_DIMS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+              (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("d,N", ORDER_DIMS)
+def test_enumeration_is_one_array_in_bytes_order(d, N):
+    # the void-view argsort orders the bases as a sort of their Python bytes
+    bases = enumerate_maximal_isotropic(Dims(d, N))
+    assert bases.shape == (count_maximal_isotropic(Dims(d, N)), N, 2 * N)
+    assert bases.dtype == np.int64 and bases.flags.c_contiguous
+    keys = [b.tobytes() for b in bases]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+
+
+def test_basis_keys_view_and_search():
+    bases = enumerate_maximal_isotropic(Dims(3, 2))
+    keys = basis_keys(bases)
+    assert keys.shape == (len(bases),) and np.shares_memory(keys, bases)
+    for i in (0, 17, len(bases) - 1):
+        assert np.searchsorted(keys, basis_keys(bases[i][None])[0]) == i

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quditmagic import stabilizers
+from quditmagic import phasespace, stabilizers
 from quditmagic.catalog import build
 from quditmagic.clifford import clifford_group_order, enumerate_reduced_clifford
 from quditmagic.errors import BudgetExceededError, InvalidStabilizerError
@@ -47,9 +47,14 @@ from oracles import displacement_table
 ENUMERATED = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 
+def subspaces(dims):
+    """The enumerated bases, each read as an IsotropicSubspace."""
+    return [IsotropicSubspace(dims, b) for b in enumerate_maximal_isotropic(dims)]
+
+
 def test_z_line_gives_ket0():
     dims = Dims(3, 1)
-    M = next(s for s in enumerate_maximal_isotropic(dims)
+    M = next(s for s in subspaces(dims)
              if s.contains(point(0, 1, dims)))
     st = stabilizer_state(M, point(0, 0, dims), dims)
     assert np.allclose(st.vector, [1, 0, 0])
@@ -57,7 +62,7 @@ def test_z_line_gives_ket0():
 
 def test_x_line_gives_uniform():
     dims = Dims(3, 1)
-    M = next(s for s in enumerate_maximal_isotropic(dims)
+    M = next(s for s in subspaces(dims)
              if s.contains(point(1, 0, dims)))
     st = stabilizer_state(M, point(0, 0, dims), dims)
     assert np.allclose(st.vector, np.ones(3) / np.sqrt(3))
@@ -65,7 +70,7 @@ def test_x_line_gives_uniform():
 
 def test_same_coset_same_ray():
     dims = Dims(3, 1)
-    M = enumerate_maximal_isotropic(dims)[0]
+    M = subspaces(dims)[0]
     chi = point(1, 2, dims)
     shifted = (chi + M.elements[1]) % 3
     s1 = stabilizer_state(M, chi, dims)
@@ -135,10 +140,11 @@ def test_max_overlap_strange_state():
 
 def test_budget():
     # _dictionary_bytes: per state three D-vectors, an int64 D-index and six
-    # 2N points, per subspace five N x 2N bases and 1024 B, plus 1 MiB;
-    # 5.74e9 for five qubits
+    # 2N points, plus the enumeration's bound (per subspace four N x 2N
+    # stacks, an int64 sort index and an N x N product, plus 1 MiB); 5.64e9
+    # for five qubits
     nbytes = (32 * 3 * 5 * 9 * 17 * 33 * (3 * 32 * 16 + 32 * 8 + 6 * 10 * 8)
-              + 3 * 5 * 9 * 17 * 33 * (5 * 5 * 10 * 8 + 1024) + 2 ** 20)
+              + 3 * 5 * 9 * 17 * 33 * (4 * 5 * 10 + 1 + 5 * 5) * 8 + 2 ** 20)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_stabilizer_states(Dims(2, 5))
@@ -158,7 +164,7 @@ def test_newly_admitted_dims():
     for d, N in [(2, 4), (3, 3), (5, 2), (7, 2)]:
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
-        cosets = Counter(s.subspace.key() for s in dd)
+        cosets = Counter(s.subspace.basis.tobytes() for s in dd)
         assert len(dd) == stabilizer_count(dims)
         assert len(cosets) == count_maximal_isotropic(dims)
         assert set(cosets.values()) == {dims.D}
@@ -190,16 +196,19 @@ def test_lookup_by_subspace_and_coset():
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
         for pos in range(len(dd)):
-            M = dd.subspaces[pos // dims.D]
+            M = IsotropicSubspace(dims, dd.bases[pos // dims.D])
             chi = (dd.displacements[pos] + M.elements[rng.integers(dims.D)]) % d
             s = dd.lookup(M, chi)
             ref = dd[pos]
-            assert s.subspace is ref.subspace is M
+            assert np.array_equal(s.subspace.basis, M.basis)
+            assert np.array_equal(ref.subspace.basis, M.basis)
             assert np.array_equal(s.displacement, ref.displacement)
             assert np.array_equal(s.vector, ref.vector)
             assert np.max(np.abs(stabilizer_state(M, chi, dims).vector - s.vector)) < 1e-12
     with pytest.raises(KeyError):  # a basis without unit pivots is no dictionary key
         dd.lookup(IsotropicSubspace(dims, 2 * M.basis % d), chi)
+    with pytest.raises(KeyError):  # nor is a basis of fewer than N rows
+        dd.lookup(IsotropicSubspace(dims, M.basis[:-1]), chi)
 
 
 def test_dictionary_builds_no_state_objects(monkeypatch):
@@ -218,13 +227,31 @@ def test_dictionary_builds_no_state_objects(monkeypatch):
     assert dd[0].check()
 
 
+def test_enumeration_and_dictionary_build_no_subspace_objects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("IsotropicSubspace built")
+
+    stabilizers._dictionary_cached.cache_clear()
+    monkeypatch.setattr(phasespace, "IsotropicSubspace", forbidden)
+    monkeypatch.setattr(stabilizers, "IsotropicSubspace", forbidden)
+    for d, N in ENUMERATED + [(5, 2)]:
+        dims = Dims(d, N)
+        assert len(enumerate_maximal_isotropic(dims)) == count_maximal_isotropic(dims)
+        dd = enumerate_stabilizer_states(dims)
+        assert dd.bases.shape == (count_maximal_isotropic(dims), N, 2 * N)
+        with pytest.raises(AssertionError, match="IsotropicSubspace built"):
+            dd[0]
+    monkeypatch.undo()
+    assert dd[0].check()
+
+
 def test_dictionary_indexing_is_list_like():
     dd = enumerate_stabilizer_states(Dims(3, 2))
     n = len(dd)
     for i in (0, 7, n - 1):
         for j in (i, i - n):
             s = dd[j]
-            assert s.subspace is dd.subspaces[i // 9]
+            assert np.array_equal(s.subspace.basis, dd.bases[i // 9])
             assert np.shares_memory(s.vector, dd.matrix)
             assert np.array_equal(s.vector, dd.matrix[i])
             assert np.array_equal(s.displacement, dd.displacements[i])
@@ -258,7 +285,7 @@ def test_dictionary_labels_pinned(d, N):
     dd = enumerate_stabilizer_states(dims)
     h = hashlib.sha1()
     for pos, chi in enumerate(dd.displacements.astype("<i8")):
-        h.update(dd.subspaces[pos // dims.D].basis.astype("<i8").tobytes())
+        h.update(dd.bases[pos // dims.D].astype("<i8").tobytes())
         h.update(chi.tobytes())
     assert h.hexdigest() == LABEL_SHA1[(d, N)]
 
@@ -287,13 +314,13 @@ def _projector_dictionary(dims):
     """Reference dictionary: subspaces in enumeration order, cosets in order of
     first appearance of their canonical representative among the points."""
     out = []
-    for M in enumerate_maximal_isotropic(dims):
+    for M in subspaces(dims):
         seen = set()
         for chi in phase_points(dims):
             rep = M.reduce_mod(chi)
             if rep.tobytes() not in seen:
                 seen.add(rep.tobytes())
-                out.append((M.key(), rep.tobytes(), _projector_state(M, rep, dims)))
+                out.append((M.basis.tobytes(), rep.tobytes(), _projector_state(M, rep, dims)))
     return out
 
 
@@ -302,7 +329,7 @@ def test_dictionary_matches_projector_oracle(d, N):
     dims = Dims(d, N)
     dd = enumerate_stabilizer_states(dims)
     ref = _projector_dictionary(dims)
-    assert [(s.subspace.key(), s.displacement.tobytes()) for s in dd] == \
+    assert [(s.subspace.basis.tobytes(), s.displacement.tobytes()) for s in dd] == \
         [(key, disp) for key, disp, _ in ref]
     assert np.max(np.abs(dd.matrix - np.array([v for _, _, v in ref]))) < 1e-12
 
@@ -316,7 +343,7 @@ def test_coset_representatives_match_first_appearance(d, N):
     pts = phase_points(dims)
     place = d ** np.arange(2 * N - 1, -1, -1)
     reps = []
-    for M in enumerate_maximal_isotropic(dims):
+    for M in subspaces(dims):
         chis = M.reduce_mod(pts)
         _, first = np.unique(chis @ place, return_index=True)
         reps.append(chis[np.sort(first)])
@@ -330,7 +357,7 @@ def test_single_coset_matches_dictionary():
     for d, N in ENUMERATED:
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
-        for M in enumerate_maximal_isotropic(dims)[::7]:
+        for M in subspaces(dims)[::7]:
             chi = rng.integers(d, size=2 * N)  # any member of the coset
             st = stabilizer_state(M, chi, dims)
             assert np.array_equal(st.displacement, M.reduce_mod(chi))
@@ -343,7 +370,7 @@ def test_flipped_coset_sign_raises_for_odd_d(monkeypatch, d, N):
     # the equations are checked on the N basis rows only; a wrong phase
     # omega^(<chi, b_i>) on any single row is still caught
     dims = Dims(d, N)
-    M = enumerate_maximal_isotropic(dims)[-1]
+    M = subspaces(dims)[-1]
     chi = np.arange(2 * N) % d
     for row in range(N):
         calls = iter(range(N))
