@@ -30,8 +30,8 @@ _EXPORTS = {
     "measures": ("MeasureReport", "group_stabilizer_fidelity", "mana", "measure_report",
                  "mixed_sre2", "pauli_distribution", "sre", "sre_upper_bound",
                  "stabilizer_fidelity", "wigner_function", "wigner_trace_norm", "xi"),
-    "phasespace": ("Dims", "IsotropicSubspace", "enumerate_maximal_isotropic",
-                   "is_symplectic", "mod_inverse", "symplectic_product"),
+    "phasespace": ("Dims", "enumerate_maximal_isotropic", "is_symplectic", "mod_inverse",
+                   "symplectic_product"),
     "stabilizers": ("StabilizerDictionary", "StabilizerState", "enumerate_stabilizer_states",
                     "max_overlap", "stabilizer_state"),
 }

@@ -28,8 +28,9 @@ from .clifford import (
     word_unitary,
 )
 from .errors import UnknownStateError
-from .measures import sre, sre_upper_bound, stabilizer_fidelity, wigner_trace_norm
+from .measures import sre, sre_upper_bound, wigner_trace_norm
 from .phasespace import Dims
+from .stabilizers import enumerate_stabilizer_states
 from .tolerances import (CATALOG_NORM_TOL, EIGEN_RESIDUAL_TOL, EQUALITY_TOL, EXACT_TOL,
                          IDENTITY_TOL, PRINTED_TOL)
 from .weyl import displacement_matrix, equal_up_to_phase, unit_phase
@@ -630,7 +631,7 @@ def verify_catalog(tolerance: float = EXACT_TOL) -> list[Check]:
         add(f"{name}:norm", 1.0, float(np.linalg.norm(psi)), CATALOG_NORM_TOL)
         F = None
         if e.expected or e.expected_nearest_count is not None:
-            F, nearest = stabilizer_fidelity(psi, dims=e.dims)
+            F, nearest = enumerate_stabilizer_states(e.dims).nearest(psi)
         for key, (exact, val) in e.expected.items():
             if key == "F":
                 add(f"{name}:F", val, F, tolerance, exact)

@@ -62,6 +62,7 @@ from .errors import (
 )
 from .phasespace import (
     Dims,
+    is_symplectic,
     mod_inverse,
     phase_points,
     symplectic_form,
@@ -212,8 +213,7 @@ def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     """Recover (S_C, a_C) from the conjugation action of a Clifford unitary."""
     U, basis = np.asarray(U, dtype=np.complex128), np.eye(2 * dims.N, dtype=np.int64)
     S, a = _affine_data(*_pauli_action(U, dims, basis), dims)
-    J = symplectic_form(dims.N)
-    if not np.all((S.T @ J @ S - J) % dims.d == 0):
+    if not is_symplectic(S, dims.d):
         raise NotCliffordError("recovered label map is not symplectic")
     return S, a
 

@@ -179,7 +179,7 @@ class MeasureReport(NamedTuple):
 def measure_report(psi: np.ndarray, dims: Dims, alphas=(2.0,),
                    exact_forms: dict | None = None) -> MeasureReport:
     """Evaluate all applicable measures on a pure state."""
-    F, nearest = stabilizer_fidelity(psi, dims=dims)
+    F, nearest = enumerate_stabilizer_states(dims).nearest(psi)
     norm = wigner_trace_norm(psi, dims) if dims.odd else None
     return MeasureReport(
         dims=dims,

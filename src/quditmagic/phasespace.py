@@ -8,7 +8,6 @@ Phase-space points chi = (p, q) are stored as flat integer arrays of length
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -199,34 +198,6 @@ def span_elements(basis: np.ndarray, d: int) -> np.ndarray:
     return span
 
 
-class IsotropicSubspace(NamedTuple):
-    """A subspace of the phase space with vanishing symplectic products."""
-
-    dims: Dims
-    basis: np.ndarray  # echelonized, shape (k, 2N)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def maximal(self) -> bool:
-        return self.dim == self.dims.N
-
-    @property
-    def elements(self) -> np.ndarray:
-        """The d^k points of the span, lexicographic in coefficients; built on each call."""
-        return span_elements(self.basis, self.dims.d)
-
-    def contains(self, chi: np.ndarray) -> bool:
-        return bool(np.any(np.all(self.elements == np.asarray(chi) % self.dims.d, axis=1)))
-
-    def reduce_mod(self, chi: np.ndarray) -> np.ndarray:
-        """Canonical coset representative of chi modulo this subspace;
-        vectorizes over leading axes."""
-        return reduce_by_pivots(chi, self.basis, self.dims.d)
-
-
 def reduce_by_pivots(chi: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
     """chi with its entries at the unit pivots of an echelon basis (k, 2N)
     cleared by subtracting basis rows, mod d.  A stack of bases (..., k, 2N)
@@ -299,7 +270,9 @@ def enumerate_maximal_isotropic(dims: Dims) -> np.ndarray:
     count is sum_k [N choose k]_d d^(k(k+1)/2) = prod_i (d^i + 1).  The
     symmetric matrices of one R are built at once; the basis is already the
     subspace's canonical key, and isotropy is re-checked as B J B^T = 0 mod d
-    for every basis B at once.  `IsotropicSubspace(dims, bases[i])` reads one.
+    for every basis B at once.  A subspace is its basis everywhere: its
+    points are `span_elements(basis, d)` and the canonical representative of
+    chi's coset is `reduce_by_pivots(chi, basis, d)`.
     """
     check_budget(_isotropic_bytes(dims), f"the isotropic-subspace enumeration for {dims}")
     d, N = dims.d, dims.N
@@ -318,7 +291,7 @@ def basis_keys(bases: np.ndarray) -> np.ndarray:
     return flat.view(np.dtype((np.void, flat.shape[1] * 8)))[:, 0]
 
 
-_FIRST_CALL_BYTES = 2 ** 20  # a first enumeration in a process peaks 0.5 MiB higher at any size
+_FIRST_CALL_BYTES = 2 ** 20  # a first enumeration, or dictionary build, peaks ~0.5 MiB higher
 
 
 def _isotropic_bytes(dims: Dims) -> int:

@@ -18,8 +18,8 @@ projector or dense table:
   T_m T_a = omega^(-<m, a>) T_a T_m; all d^N cosets are one gather.
 - The dictionary labels each coset of M by its canonical representative:
   the point that is zero at the N pivot columns of M's basis, with the other
-  N columns running through Z_d^N in lex order.  `reduce_mod` fixes exactly
-  these points, and each is the lex-first point of its coset (a nonzero
+  N columns running through Z_d^N in lex order.  `reduce_by_pivots` fixes
+  exactly these points, and each is the lex-first point of its coset (a nonzero
   m in M has its first nonzero entry at a pivot column, where the
   representative is 0), so this order is the order of first appearance
   among the lex-ordered phase-space points.
@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStabilizerError, check_budget
 from .phasespace import (
+    _FIRST_CALL_BYTES,
     Dims,
-    IsotropicSubspace,
     _isotropic_bytes,
     basis_keys,
     count_maximal_isotropic,
@@ -57,20 +57,18 @@ from .weyl import displace, phase_normalize, unit_phase
 
 
 class StabilizerState(NamedTuple):
-    """A pure stabilizer state |M, chi> with its materialized vector."""
+    """A pure stabilizer state |M, chi>: the (N, 2N) echelon basis of M, the
+    coset's canonical representative chi and the materialized vector."""
 
-    subspace: IsotropicSubspace
+    basis: np.ndarray
     displacement: np.ndarray
     vector: np.ndarray
-
-    @property
-    def dims(self) -> Dims:
-        return self.subspace.dims
+    dims: Dims
 
     def check(self, tol: float = IDENTITY_TOL) -> bool:
         """Re-derive the stabilization equations of the basis rows, which
         imply those of every element of the subspace, for the stored vector."""
-        return _stabilizer_residual(self.subspace.basis[None], self.displacement[None, None],
+        return _stabilizer_residual(self.basis[None], self.displacement[None, None],
                                     self.vector[None, None], self.dims) < tol
 
 
@@ -114,21 +112,24 @@ def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarra
     return vecs
 
 
-def stabilizer_state(M: IsotropicSubspace, chi, dims: Dims) -> StabilizerState:
-    """The stabilizer state for a maximal isotropic M and displacement chi."""
-    if M.dims != dims:
-        raise DimensionMismatchError("subspace dims do not match")
-    if not M.maximal:
+def stabilizer_state(basis, chi, dims: Dims) -> StabilizerState:
+    """The stabilizer state for the echelon basis (N, 2N) of a maximal
+    isotropic M and displacement chi."""
+    basis = np.asarray(basis, dtype=np.int64)
+    if basis.ndim != 2 or basis.shape[1] != 2 * dims.N:
+        raise DimensionMismatchError(f"basis of shape {basis.shape} for rows of {2 * dims.N}")
+    if len(basis) != dims.N:
         raise InvalidStabilizerError("subspace is not maximal")
-    rep = M.reduce_mod(chi)
-    return StabilizerState(M, rep, _coset_vectors(M.basis[None], rep[None, None], dims)[0, 0])
+    rep = reduce_by_pivots(chi, basis, dims.d)
+    return StabilizerState(basis, rep, _coset_vectors(basis[None], rep[None, None], dims)[0, 0],
+                           dims)
 
 
 class StabilizerDictionary:
     """The complete set SS_(N,d) as arrays: state i is |M, chi> with M
     spanned by bases[i // D], chi = displacements[i] (the coset's canonical
-    representative) and vector matrix[i].  An IsotropicSubspace and a
-    StabilizerState are built only when a state is read."""
+    representative) and vector matrix[i].  A StabilizerState is built only
+    when a state is read."""
 
     def __init__(self, dims: Dims, bases: np.ndarray, displacements: np.ndarray,
                  matrix: np.ndarray):
@@ -145,18 +146,20 @@ class StabilizerDictionary:
         IndexError past it also ends iteration."""
         vector = self.matrix[i]
         i %= len(self.matrix)
-        return StabilizerState(IsotropicSubspace(self.dims, self.bases[i // len(vector)]),
-                               self.displacements[i], vector)
+        return StabilizerState(self.bases[i // len(vector)], self.displacements[i], vector,
+                               self.dims)
 
-    def lookup(self, subspace: IsotropicSubspace, chi) -> StabilizerState:
-        """The state of M = subspace and the coset of chi: M's rank in key
-        order times D, plus the lex index of the representative's free columns."""
-        if subspace.basis.shape != self.bases.shape[1:]:
+    def lookup(self, basis, chi) -> StabilizerState:
+        """The state of the subspace M with echelon basis `basis` and the coset
+        of chi: M's rank in key order times D, plus the lex index of the
+        representative's free columns."""
+        basis = np.asarray(basis, dtype=np.int64)
+        if basis.shape != self.bases.shape[1:]:
             raise KeyError("subspace is not in the dictionary")
-        rank = int(np.searchsorted(basis_keys(self.bases), basis_keys(subspace.basis[None])[0]))
-        if rank == len(self.bases) or not np.array_equal(self.bases[rank], subspace.basis):
+        rank = int(np.searchsorted(basis_keys(self.bases), basis_keys(basis[None])[0]))
+        if rank == len(self.bases) or not np.array_equal(self.bases[rank], basis):
             raise KeyError("subspace is not in the dictionary")
-        free = np.delete(subspace.reduce_mod(chi), np.argmax(subspace.basis != 0, axis=1))
+        free = np.delete(reduce_by_pivots(chi, basis, self.dims.d), np.argmax(basis != 0, axis=1))
         return self[rank * self.dims.D + point_index(free, self.dims)]
 
     def nearest(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -174,7 +177,7 @@ class StabilizerDictionary:
         return np.abs(self.matrix @ np.asarray(psi, dtype=np.complex128).conj()) ** 2
 
     def to_json(self) -> str:
-        recs = [{"basis": s.subspace.basis.tolist(), "displacement": s.displacement.tolist(),
+        recs = [{"basis": s.basis.tolist(), "displacement": s.displacement.tolist(),
                  "amplitudes": [[float(a.real), float(a.imag)] for a in s.vector]} for s in self]
         return json.dumps({"d": self.dims.d, "N": self.dims.N, "states": recs}, indent=1)
 
@@ -186,7 +189,7 @@ class StabilizerDictionary:
         w.writerow(["basis", "displacement", "amplitudes"])
         for s in self:
             w.writerow([
-                ";".join(",".join(map(str, row)) for row in s.subspace.basis),
+                ";".join(",".join(map(str, row)) for row in s.basis),
                 ",".join(map(str, s.displacement)),
                 ";".join(f"{a.real:.17g}{a.imag:+.17g}j" for a in s.vector),
             ])
@@ -206,9 +209,11 @@ def _dictionary_bytes(dims: Dims) -> int:
     int64 index of D, the index of the gather that builds the coset vectors;
     and six int64 points of 2N, for its coset representative (which
     `displacements` views) and the transients of its reduction.  Besides,
-    the bound of the enumeration, whose sorted basis stack `bases` keeps."""
+    the bound of the enumeration, whose sorted basis stack `bases` keeps,
+    and, as the enumeration counts for its own, the first use in a process
+    of the numpy routines the build calls, about 0.5 MiB at any size."""
     return (stabilizer_count(dims) * (3 * dims.D * 16 + dims.D * 8 + 6 * 2 * dims.N * 8)
-            + _isotropic_bytes(dims))
+            + _isotropic_bytes(dims) + _FIRST_CALL_BYTES)
 
 
 @lru_cache(maxsize=None)

@@ -884,7 +884,7 @@ assert len(clifford.FiniteUnitaryGroup.generate(gens, max_order=10 ** 5)) == 921
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux procfs")
-@pytest.mark.parametrize("d,N", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
 def test_dictionary_peak_within_estimate(d, N):
     rise, estimate = _peak_rise_and_estimate("stabilizers.enumerate_stabilizer_states(dims)",
                                              "stabilizers._dictionary_bytes(dims)", d, N)

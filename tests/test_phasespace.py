@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quditmagic.errors import BudgetExceededError, NonInvertibleError
 from quditmagic.phasespace import (
     Dims,
-    IsotropicSubspace,
     basis_keys,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
@@ -29,8 +28,13 @@ from oracles import enumerate_symplectic_2x2
 
 
 def subspaces(dims):
-    """The enumerated bases, each read as an IsotropicSubspace."""
-    return [IsotropicSubspace(dims, b) for b in enumerate_maximal_isotropic(dims)]
+    """The enumerated bases, one (N, 2N) array per subspace."""
+    return list(enumerate_maximal_isotropic(dims))
+
+
+def contains(basis, chi, d):
+    """Whether chi lies in the span of the basis rows."""
+    return bool(np.any(np.all(span_elements(basis, d) == np.asarray(chi) % d, axis=1)))
 
 
 def brute_force_lines(d):
@@ -118,7 +122,7 @@ def test_maximal_isotropic_counts():
 def test_lines_match_brute_force():
     for d in (2, 3, 5):
         subs = subspaces(Dims(d, 1))
-        got = {frozenset(map(tuple, s.elements.tolist())) for s in subs}
+        got = {frozenset(map(tuple, span_elements(s, d).tolist())) for s in subs}
         assert got == brute_force_lines(d)
 
 
@@ -126,14 +130,14 @@ def test_subspace_structure():
     for d, N in ((3, 1), (2, 2)):
         dims = Dims(d, N)
         for sub in subspaces(dims):
-            assert sub.elements.shape[0] == dims.D
+            elements = span_elements(sub, d)
+            assert elements.shape[0] == dims.D
             # closed under addition
-            sums = (sub.elements[:, None, :] + sub.elements[None, :, :]) % d
-            members = {tuple(r) for r in sub.elements.tolist()}
+            sums = (elements[:, None, :] + elements[None, :, :]) % d
+            members = {tuple(r) for r in elements.tolist()}
             assert all(tuple(r) in members
                        for r in sums.reshape(-1, 2 * N).tolist())
-            prods = symplectic_product(sub.elements[:, None, :],
-                                       sub.elements[None, :, :], d)
+            prods = symplectic_product(elements[:, None, :], elements[None, :, :], d)
             assert np.all(prods == 0)
 
 
@@ -156,10 +160,10 @@ def test_row_reduce_canonical():
 
 def test_reduce_mod_canonical_coset():
     dims = Dims(3, 1)
-    sub = IsotropicSubspace(dims, enumerate_maximal_isotropic(dims)[0])
+    sub = enumerate_maximal_isotropic(dims)[0]
     for chi in phase_points(dims):
-        rep = sub.reduce_mod(chi)
-        assert sub.contains((chi - rep) % 3) or np.all((chi - rep) % 3 == 0)
+        rep = reduce_by_pivots(chi, sub, 3)
+        assert contains(sub, (chi - rep) % 3, 3)
 
 
 def _isotropic_by_row_reduction(dims):
@@ -189,18 +193,16 @@ def _isotropic_by_row_reduction(dims):
 def test_isotropic_enumeration_matches_row_reduction_oracle(d, N):
     dims = Dims(d, N)
     subs = subspaces(dims)
-    assert [s.basis.tobytes() for s in subs] == _isotropic_by_row_reduction(dims)
-    for s in subs:
-        assert s.maximal
-        assert np.array_equal(s.elements, span_elements(s.basis, d))
+    assert [s.tobytes() for s in subs] == _isotropic_by_row_reduction(dims)
+    assert all(s.shape == (N, 2 * N) for s in subs)  # every subspace is maximal
 
 
 def test_reduce_mod_vectorizes_over_points():
     dims = Dims(3, 2)
-    sub = IsotropicSubspace(dims, enumerate_maximal_isotropic(dims)[7])
+    sub = enumerate_maximal_isotropic(dims)[7]
     pts = phase_points(dims)
-    reps = sub.reduce_mod(pts)
-    assert np.array_equal(reps, np.array([sub.reduce_mod(chi) for chi in pts]))
+    reps = reduce_by_pivots(pts, sub, 3)
+    assert np.array_equal(reps, np.array([reduce_by_pivots(chi, sub, 3) for chi in pts]))
     assert len({r.tobytes() for r in reps}) == dims.D
 
 
@@ -210,7 +212,7 @@ def test_reduce_by_pivots_over_a_stack_of_bases():
     pts = phase_points(dims)
     stacked = reduce_by_pivots(np.broadcast_to(pts, (len(subs),) + pts.shape),
                                enumerate_maximal_isotropic(dims)[:, None], 3)
-    assert np.array_equal(stacked, np.array([s.reduce_mod(pts) for s in subs]))
+    assert np.array_equal(stacked, np.array([reduce_by_pivots(pts, s, 3) for s in subs]))
 
 
 def _isotropic_by_canonical_rows(dims):
@@ -249,9 +251,7 @@ def test_isotropic_enumeration_matches_canonical_row_oracle(d, N):
     dims = Dims(d, N)
     subs = subspaces(dims)
     oracle = _isotropic_by_canonical_rows(dims)
-    assert [s.basis.tobytes() for s in subs] == [b.tobytes() for b in oracle]
-    for s, basis in zip(subs, oracle):
-        assert np.array_equal(s.elements, span_elements(basis, d))
+    assert [s.tobytes() for s in subs] == [b.tobytes() for b in oracle]
 
 
 def _gaussian_binomial(N, k, d):

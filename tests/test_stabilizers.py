@@ -8,20 +8,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quditmagic import phasespace, stabilizers
-from quditmagic.catalog import build
+from quditmagic import stabilizers
+from quditmagic.catalog import build, verify_catalog
 from quditmagic.clifford import clifford_group_order, enumerate_reduced_clifford
-from quditmagic.errors import BudgetExceededError, InvalidStabilizerError
+from quditmagic.errors import BudgetExceededError, DimensionMismatchError, InvalidStabilizerError
 from quditmagic.measures import stabilizer_fidelity
 from quditmagic.measures import wigner_function
 from quditmagic.phasespace import (
     Dims,
-    IsotropicSubspace,
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
     phase_points,
     point,
     point_index,
+    reduce_by_pivots,
+    span_elements,
     symplectic_product,
 )
 from quditmagic.stabilizers import (
@@ -48,22 +49,25 @@ ENUMERATED = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 
 def subspaces(dims):
-    """The enumerated bases, each read as an IsotropicSubspace."""
-    return [IsotropicSubspace(dims, b) for b in enumerate_maximal_isotropic(dims)]
+    """The enumerated bases, one (N, 2N) array per subspace."""
+    return list(enumerate_maximal_isotropic(dims))
+
+
+def contains(basis, chi, d):
+    """Whether chi lies in the span of the basis rows."""
+    return bool(np.any(np.all(span_elements(basis, d) == np.asarray(chi) % d, axis=1)))
 
 
 def test_z_line_gives_ket0():
     dims = Dims(3, 1)
-    M = next(s for s in subspaces(dims)
-             if s.contains(point(0, 1, dims)))
+    M = next(s for s in subspaces(dims) if contains(s, point(0, 1, dims), 3))
     st = stabilizer_state(M, point(0, 0, dims), dims)
     assert np.allclose(st.vector, [1, 0, 0])
 
 
 def test_x_line_gives_uniform():
     dims = Dims(3, 1)
-    M = next(s for s in subspaces(dims)
-             if s.contains(point(1, 0, dims)))
+    M = next(s for s in subspaces(dims) if contains(s, point(1, 0, dims), 3))
     st = stabilizer_state(M, point(0, 0, dims), dims)
     assert np.allclose(st.vector, np.ones(3) / np.sqrt(3))
 
@@ -72,7 +76,7 @@ def test_same_coset_same_ray():
     dims = Dims(3, 1)
     M = subspaces(dims)[0]
     chi = point(1, 2, dims)
-    shifted = (chi + M.elements[1]) % 3
+    shifted = (chi + span_elements(M, 3)[1]) % 3
     s1 = stabilizer_state(M, chi, dims)
     s2 = stabilizer_state(M, shifted, dims)
     assert equal_up_to_phase(s1.vector, s2.vector)
@@ -102,7 +106,7 @@ def test_qutrit_stabilizer_wigner_support():
     dims = Dims(3, 1)
     for s in enumerate_stabilizer_states(dims):
         W = wigner_function(s.vector, dims).values
-        support = (s.subspace.elements - s.displacement) % 3
+        support = (span_elements(s.basis, 3) - s.displacement) % 3
         idx = {int(3 * p[0] + p[1]) for p in support}
         for k, w in enumerate(W):
             target = 1 / 3 if k in idx else 0.0
@@ -141,10 +145,10 @@ def test_max_overlap_strange_state():
 def test_budget():
     # _dictionary_bytes: per state three D-vectors, an int64 D-index and six
     # 2N points, plus the enumeration's bound (per subspace four N x 2N
-    # stacks, an int64 sort index and an N x N product, plus 1 MiB); 5.64e9
-    # for five qubits
+    # stacks, an int64 sort index and an N x N product, plus 1 MiB) and 1 MiB
+    # for the build's own first calls; 5.64e9 for five qubits
     nbytes = (32 * 3 * 5 * 9 * 17 * 33 * (3 * 32 * 16 + 32 * 8 + 6 * 10 * 8)
-              + 3 * 5 * 9 * 17 * 33 * (4 * 5 * 10 + 1 + 5 * 5) * 8 + 2 ** 20)
+              + 3 * 5 * 9 * 17 * 33 * (4 * 5 * 10 + 1 + 5 * 5) * 8 + 2 * 2 ** 20)
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_stabilizer_states(Dims(2, 5))
@@ -164,7 +168,7 @@ def test_newly_admitted_dims():
     for d, N in [(2, 4), (3, 3), (5, 2), (7, 2)]:
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
-        cosets = Counter(s.subspace.basis.tobytes() for s in dd)
+        cosets = Counter(s.basis.tobytes() for s in dd)
         assert len(dd) == stabilizer_count(dims)
         assert len(cosets) == count_maximal_isotropic(dims)
         assert set(cosets.values()) == {dims.D}
@@ -196,19 +200,46 @@ def test_lookup_by_subspace_and_coset():
         dims = Dims(d, N)
         dd = enumerate_stabilizer_states(dims)
         for pos in range(len(dd)):
-            M = IsotropicSubspace(dims, dd.bases[pos // dims.D])
-            chi = (dd.displacements[pos] + M.elements[rng.integers(dims.D)]) % d
+            M = dd.bases[pos // dims.D]
+            chi = (dd.displacements[pos] + span_elements(M, d)[rng.integers(dims.D)]) % d
             s = dd.lookup(M, chi)
             ref = dd[pos]
-            assert np.array_equal(s.subspace.basis, M.basis)
-            assert np.array_equal(ref.subspace.basis, M.basis)
+            assert np.array_equal(s.basis, M)
+            assert np.array_equal(ref.basis, M)
             assert np.array_equal(s.displacement, ref.displacement)
             assert np.array_equal(s.vector, ref.vector)
             assert np.max(np.abs(stabilizer_state(M, chi, dims).vector - s.vector)) < 1e-12
+    # a nested-list basis and a list chi name the same state
+    assert np.array_equal(dd.lookup(M.tolist(), chi.tolist()).vector, s.vector)
     with pytest.raises(KeyError):  # a basis without unit pivots is no dictionary key
-        dd.lookup(IsotropicSubspace(dims, 2 * M.basis % d), chi)
+        dd.lookup(2 * M % d, chi)
     with pytest.raises(KeyError):  # nor is a basis of fewer than N rows
-        dd.lookup(IsotropicSubspace(dims, M.basis[:-1]), chi)
+        dd.lookup(M[:-1], chi)
+    with pytest.raises(KeyError):  # nor one of other dims
+        dd.lookup(M[:, 1:], chi)
+    with pytest.raises(KeyError):  # nor a single row
+        dd.lookup(M[0], chi)
+
+
+def test_stabilizer_state_checks_its_basis():
+    dims = Dims(3, 2)
+    M, chi = enumerate_maximal_isotropic(dims)[5], np.array([1, 0, 2, 2])
+    st = stabilizer_state(M.tolist(), chi, dims)  # a nested list is a basis too
+    assert st.basis.dtype == np.int64 and np.array_equal(st.basis, M)
+    assert st.dims == dims and st.check()
+    assert np.array_equal(st.vector, enumerate_stabilizer_states(dims).lookup(M, chi).vector)
+    for wrong_width in (M[:, :3], M[0], np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(DimensionMismatchError):
+            stabilizer_state(wrong_width, chi, dims)
+    with pytest.raises(DimensionMismatchError):
+        stabilizer_state(M, chi, Dims(3, 1))
+    for wrong_rows in (M[:1], np.concatenate([M, M[:1]])):
+        with pytest.raises(InvalidStabilizerError, match="not maximal"):
+            stabilizer_state(wrong_rows, chi, dims)
+    # X and Z on the first qudit: an echelon basis whose rows do not commute
+    for d in (2, 3):
+        with pytest.raises(InvalidStabilizerError):
+            stabilizer_state([[1, 0, 0, 0], [0, 0, 1, 0]], [0, 0, 0, 0], Dims(d, 2))
 
 
 def test_dictionary_builds_no_state_objects(monkeypatch):
@@ -227,22 +258,29 @@ def test_dictionary_builds_no_state_objects(monkeypatch):
     assert dd[0].check()
 
 
-def test_enumeration_and_dictionary_build_no_subspace_objects(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("IsotropicSubspace built")
+def test_records_are_built_only_for_the_states_read(monkeypatch):
+    # one StabilizerState per state read and none per build or tie count
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return StabilizerState(*args)
 
     stabilizers._dictionary_cached.cache_clear()
-    monkeypatch.setattr(phasespace, "IsotropicSubspace", forbidden)
-    monkeypatch.setattr(stabilizers, "IsotropicSubspace", forbidden)
+    monkeypatch.setattr(stabilizers, "StabilizerState", counted)
     for d, N in ENUMERATED + [(5, 2)]:
         dims = Dims(d, N)
-        assert len(enumerate_maximal_isotropic(dims)) == count_maximal_isotropic(dims)
         dd = enumerate_stabilizer_states(dims)
         assert dd.bases.shape == (count_maximal_isotropic(dims), N, 2 * N)
-        with pytest.raises(AssertionError, match="IsotropicSubspace built"):
-            dd[0]
-    monkeypatch.undo()
-    assert dd[0].check()
+    assert built == []
+    dd[7]
+    assert len(built) == 1
+    built.clear()
+    _, near = max_overlap(build("qutrit:S"), enumerate_stabilizer_states(Dims(3, 1)))
+    assert len(built) == len(near) == 8
+    built.clear()
+    assert not [c for c in verify_catalog() if not c.passed]
+    assert built == []
 
 
 def test_dictionary_indexing_is_list_like():
@@ -251,7 +289,7 @@ def test_dictionary_indexing_is_list_like():
     for i in (0, 7, n - 1):
         for j in (i, i - n):
             s = dd[j]
-            assert np.array_equal(s.subspace.basis, dd.bases[i // 9])
+            assert np.array_equal(s.basis, dd.bases[i // 9])
             assert np.shares_memory(s.vector, dd.matrix)
             assert np.array_equal(s.vector, dd.matrix[i])
             assert np.array_equal(s.displacement, dd.displacements[i])
@@ -298,12 +336,12 @@ def _projector_state(M, chi, dims):
     T = displacement_table(dims)
     if d == 2:
         proj = np.eye(D, dtype=np.complex128)
-        for b in M.basis:
+        for b in M:
             sign = (-1) ** int(symplectic_product(chi, b, d))
             proj = proj @ (np.eye(D) + sign * T[point_index(b, dims)]) / 2.0
     else:
         proj = np.zeros((D, D), dtype=np.complex128)
-        for m in M.elements:
+        for m in span_elements(M, d):
             proj += unit_phase(symplectic_product(chi, m, d), d) * T[point_index(m, dims)]
         proj /= D
     v = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
@@ -317,10 +355,10 @@ def _projector_dictionary(dims):
     for M in subspaces(dims):
         seen = set()
         for chi in phase_points(dims):
-            rep = M.reduce_mod(chi)
+            rep = reduce_by_pivots(chi, M, dims.d)
             if rep.tobytes() not in seen:
                 seen.add(rep.tobytes())
-                out.append((M.basis.tobytes(), rep.tobytes(), _projector_state(M, rep, dims)))
+                out.append((M.tobytes(), rep.tobytes(), _projector_state(M, rep, dims)))
     return out
 
 
@@ -329,7 +367,7 @@ def test_dictionary_matches_projector_oracle(d, N):
     dims = Dims(d, N)
     dd = enumerate_stabilizer_states(dims)
     ref = _projector_dictionary(dims)
-    assert [(s.subspace.basis.tobytes(), s.displacement.tobytes()) for s in dd] == \
+    assert [(s.basis.tobytes(), s.displacement.tobytes()) for s in dd] == \
         [(key, disp) for key, disp, _ in ref]
     assert np.max(np.abs(dd.matrix - np.array([v for _, _, v in ref]))) < 1e-12
 
@@ -344,7 +382,7 @@ def test_coset_representatives_match_first_appearance(d, N):
     place = d ** np.arange(2 * N - 1, -1, -1)
     reps = []
     for M in subspaces(dims):
-        chis = M.reduce_mod(pts)
+        chis = reduce_by_pivots(pts, M, d)
         _, first = np.unique(chis @ place, return_index=True)
         reps.append(chis[np.sort(first)])
     dd = enumerate_stabilizer_states(dims)
@@ -360,7 +398,7 @@ def test_single_coset_matches_dictionary():
         for M in subspaces(dims)[::7]:
             chi = rng.integers(d, size=2 * N)  # any member of the coset
             st = stabilizer_state(M, chi, dims)
-            assert np.array_equal(st.displacement, M.reduce_mod(chi))
+            assert np.array_equal(st.displacement, reduce_by_pivots(chi, M, d))
             assert np.max(np.abs(st.vector - dd.lookup(M, chi).vector)) < 1e-12
             assert st.check(tol=1e-10)
 
@@ -385,9 +423,9 @@ def test_flipped_coset_sign_raises_for_odd_d(monkeypatch, d, N):
     st = stabilizer_state(M, chi, dims)
     assert st.check()
     # the vector of another coset fails the equations of this one
-    off = next(p for p in phase_points(dims) if not M.contains(p))
+    off = next(p for p in phase_points(dims) if not contains(M, p, d))
     other = stabilizer_state(M, chi + off, dims)
-    assert not StabilizerState(M, st.displacement, other.vector).check()
+    assert not StabilizerState(M, st.displacement, other.vector, dims).check()
 
 
 def test_dictionary_builds_no_table():
