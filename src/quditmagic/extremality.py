@@ -143,10 +143,10 @@ def w_matrix(basis: list[np.ndarray], dims: Dims) -> np.ndarray:
 
 def _expansion_bytes(measure: str, dims: Dims) -> int:
     """An upper bound on the peak bytes of one mana or Xi_2 expansion: the
-    transform plan (48 D^2), the arrays the expansion holds and one call's
-    transients.  Traced peaks, plan build included, are 112-113 D^2 (mana)
-    and 168-177 D^2 (xi2) from (2,6) to (3,6)."""
-    return {"mana": 120, "xi2": 184}[measure] * dims.D ** 2
+    transform plan (56 D^2), the arrays the expansion holds and one call's
+    transients.  Traced peaks, plan build included, are 106-115 D^2 (mana)
+    and 176-185 D^2 (xi2) from (2,6) to (3,6)."""
+    return {"mana": 120, "xi2": 192}[measure] * dims.D ** 2
 
 
 def mana_expansion(frame: PerturbationFrame):

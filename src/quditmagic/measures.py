@@ -35,7 +35,7 @@ class WignerFunction:
 
     @property
     def trace_norm(self) -> float:
-        return float(np.abs(self.values).sum())
+        return float(np.add.reduce(np.abs(self.values)))
 
 
 def wigner_function(rho, dims: Dims) -> WignerFunction:
@@ -55,13 +55,17 @@ def wigner_function(rho, dims: Dims) -> WignerFunction:
         raise DimensionMismatchError(f"shape {arr.shape} is neither {(D,)} nor {(D, D)}")
     plan = transform_plan(dims.d, dims.N)
     if arr.ndim == 1:
-        gathered = arr[plan.minus] * arr.conj()[plan.plus]
+        vals = arr[plan.minus]
+        vals *= arr.conj()[plan.plus]
     else:
-        gathered = arr[plan.minus, plan.plus]
-    vals = ((gathered @ plan.characters).take(plan.double, axis=1) / D).ravel()
-    imag = np.abs(vals.imag).max()
+        vals = arr[plan.minus, plan.plus]
+    vals = vals @ plan.characters  # rebinding frees the gather before the column pick
+    vals = vals.take(plan.double, axis=1).ravel()
+    vals /= D
+    imag = np.maximum.reduce(np.abs(vals.imag))
     # the scale max(1, |W|) only matters once imag exceeds the tolerance itself
-    if imag > WIGNER_IMAG_TOL and imag > WIGNER_IMAG_TOL * max(1.0, np.abs(vals).max()):
+    if imag > WIGNER_IMAG_TOL and (
+            imag > WIGNER_IMAG_TOL * max(1.0, np.maximum.reduce(np.abs(vals)))):
         raise ValueError("Wigner values have a non-negligible imaginary part")
     return WignerFunction(dims, vals.real.copy())
 
@@ -109,8 +113,10 @@ class PauliDistribution:
 
 
 def pauli_distribution(psi: np.ndarray, dims: Dims) -> PauliDistribution:
-    exps = shifted_characters(psi, psi, dims)
-    return PauliDistribution(dims, (np.abs(exps) ** 2) / dims.D)
+    probs = np.abs(shifted_characters(psi, psi, dims))
+    np.square(probs, out=probs)
+    probs /= dims.D
+    return PauliDistribution(dims, probs)
 
 
 def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
@@ -118,9 +124,11 @@ def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     probs = pauli_distribution(psi, dims).probs
+    if alpha == 2:  # the distribution is this call's own, so square it in place
+        return float(np.add.reduce(np.square(probs, out=probs)))
     if float(alpha) == int(alpha):
-        return float((probs ** int(alpha)).sum())
-    return float(np.power(probs, alpha).sum())
+        return float(np.add.reduce(probs ** int(alpha)))
+    return float(np.add.reduce(np.power(probs, alpha)))
 
 
 def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
@@ -143,9 +151,10 @@ def mixed_sre2(rho, dims: Dims) -> float:
     if rho.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
     plan = transform_plan(dims.d, dims.N)
-    # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|
-    traces = np.abs(rho[plan.rows, plan.plus] @ plan.characters)
-    return -math.log((traces ** 4).sum() / (traces ** 2).sum())
+    # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|, gathered by flat index
+    traces = np.abs(rho.take(plan.diagonals) @ plan.characters)
+    quartic = np.add.reduce(traces ** 4, axis=None)
+    return -math.log(quartic / np.add.reduce(np.square(traces, out=traces), axis=None))
 
 
 class MeasureReport(NamedTuple):

@@ -29,9 +29,11 @@ class Dims:
     """System shape: N qudits of prime dimension d; immutable and hashable.
 
     A slotted class rather than a NamedTuple: every kernel reads its fields,
-    and slot reads cost about half of NamedTuple field reads."""
+    and slot reads cost about half of NamedTuple field reads.  D = d^N is a
+    slot too, set once, since a measure call reads it several times; equality,
+    hashing and pickling go by (d, N) alone."""
 
-    __slots__ = ("d", "N")
+    __slots__ = ("d", "N", "D")
 
     def __init__(self, d: int, N: int = 1):
         if not _is_prime(d):
@@ -40,6 +42,7 @@ class Dims:
             raise ValueError(f"N={N} must be >= 1")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", N)
+        object.__setattr__(self, "D", d ** N)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Dims.{name}: Dims is immutable")
@@ -57,11 +60,6 @@ class Dims:
 
     def __repr__(self) -> str:
         return f"Dims(d={self.d}, N={self.N})"
-
-    @property
-    def D(self) -> int:
-        """Hilbert-space dimension d^N."""
-        return self.d ** self.N
 
     @property
     def odd(self) -> bool:

@@ -50,6 +50,7 @@ from .phasespace import (
     lex_grid,
     point_index,
     reduce_by_pivots,
+    row_reduce,
     symplectic_product,
 )
 from .tolerances import BUILD_CHECK_TOL, IDENTITY_TOL, SPAN_TOL, TIE_TOL
@@ -114,12 +115,15 @@ def _coset_vectors(basis: np.ndarray, chis: np.ndarray, dims: Dims) -> np.ndarra
 
 def stabilizer_state(basis, chi, dims: Dims) -> StabilizerState:
     """The stabilizer state for the echelon basis (N, 2N) of a maximal
-    isotropic M and displacement chi."""
+    isotropic M and displacement chi.  Any other basis of M is refused: the
+    coset representative is canonical only for the echelon basis."""
     basis = np.asarray(basis, dtype=np.int64)
     if basis.ndim != 2 or basis.shape[1] != 2 * dims.N:
         raise DimensionMismatchError(f"basis of shape {basis.shape} for rows of {2 * dims.N}")
     if len(basis) != dims.N:
         raise InvalidStabilizerError("subspace is not maximal")
+    if not np.array_equal(row_reduce(basis, dims.d), basis):
+        raise InvalidStabilizerError("basis is not the echelon basis of a maximal subspace")
     rep = reduce_by_pivots(chi, basis, dims.d)
     return StabilizerState(basis, rep, _coset_vectors(basis[None], rep[None, None], dims)[0, 0],
                            dims)
@@ -169,7 +173,8 @@ class StabilizerDictionary:
             raise DimensionMismatchError(
                 f"state has length {psi.shape}, dictionary needs {self.dims.D}"
             )
-        return nearest_set(self.overlaps(psi))
+        overlaps = np.abs(self.matrix @ psi.conj())  # as in `overlaps`, squared in place
+        return nearest_set(np.square(overlaps, out=overlaps))
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """|<s|psi>|^2 for every dictionary state, as |<psi|s>|^2 so that only
@@ -242,7 +247,7 @@ def enumerate_stabilizer_states(dims: Dims) -> StabilizerDictionary:
 def nearest_set(overlaps: np.ndarray) -> tuple[float, np.ndarray]:
     """The largest of the overlaps and the indices of every overlap within
     TIE_TOL of it: the nearest set."""
-    best = float(overlaps.max())
+    best = float(np.maximum.reduce(overlaps))
     return best, (overlaps >= best - TIE_TOL).nonzero()[0]
 
 

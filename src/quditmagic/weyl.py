@@ -99,6 +99,7 @@ class TransformPlan(NamedTuple):
     plus[p, j] = p+j, minus[p, j] = p-j  flat indices, digitwise mod d
     double[q] = 2q                       digitwise mod d, a permutation
     rows[j] = j
+    diagonals[p, j] = j D + (p+j)        flat index of rho[j, p+j] in a D x D rho
     characters[j, q] = omega^(q.j)       the N-fold Kronecker power of the DFT
     phases[p, q]                         T_(p,q) = phases[p, q] X^p Z^q: tau^(p.q)
                                          for odd d and i^(p.q) for d = 2, from
@@ -110,16 +111,17 @@ class TransformPlan(NamedTuple):
     minus: np.ndarray
     double: np.ndarray
     rows: np.ndarray
+    diagonals: np.ndarray
     characters: np.ndarray
     phases: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def transform_plan(d: int, N: int) -> TransformPlan:
-    """The `TransformPlan` of (d, N): 48 D^2 bytes (two index and two complex
+    """The `TransformPlan` of (d, N): 56 D^2 bytes (three index and two complex
     D x D tables), checked against the budget before any is built together
-    with 72 D^2 for the transients of one call that reads it.  The hungriest,
-    `wigner_function` of a density matrix, peaks at 108 D^2 in all at (3,6)."""
+    with 64 D^2 for the transients of one call that reads it.  The hungriest,
+    `pauli_coefficients` of a density matrix, peaks at 108 D^2 in all at (3,6)."""
     check_budget(120 * d ** (2 * N), f"the transform plan for {Dims(d, N)}")
     r = np.arange(d)
     plus = _digitwise((r[:, None] + r) % d, N, d)
@@ -129,7 +131,8 @@ def transform_plan(d: int, N: int) -> TransformPlan:
     order, expo = (4, pq % 4) if d == 2 else (d, (tau_exponent(d) * pq) % d)
     plan = TransformPlan(
         D=d ** N, plus=plus, minus=minus, double=plus.diagonal().copy(),
-        rows=np.arange(d ** N), characters=roots[pq % d],
+        rows=np.arange(d ** N), diagonals=np.arange(d ** N) * d ** N + plus,
+        characters=roots[pq % d],
         phases=np.array([unit_phase(k, order) for k in range(order)])[expo])
     for arr in plan[1:]:
         arr.setflags(write=False)
@@ -171,12 +174,15 @@ def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
     This is <x|T_(p,q)|y> without the tau/zeta convention phase, which cancels
     in every |.|^2 and every product of kernels of one point.
     """
+    same = y is x  # then one conversion serves both sides
     x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
+    y = x if same else np.asarray(y, dtype=np.complex128)
     if x.shape != (dims.D,) or y.shape != (dims.D,):
         raise DimensionMismatchError(f"state lengths {x.shape}, {y.shape} != {dims.D}")
     plan = transform_plan(dims.d, dims.N)
-    return ((x.conj()[plan.plus] * y) @ plan.characters).ravel()
+    terms = x.conj()[plan.plus]
+    terms *= y
+    return (terms @ plan.characters).ravel()
 
 
 def global_phase(A, B, tol: float = EQUALITY_TOL):

@@ -1,3 +1,4 @@
+import pickle
 import re
 import time
 from collections import Counter
@@ -46,6 +47,20 @@ def brute_force_lines(d):
         line = frozenset(tuple((k * v) % d) for k in range(d))
         seen.add(line)
     return seen
+
+
+def test_dims_holds_D_and_compares_by_d_and_N():
+    dims = Dims(3, 2)
+    assert type(dims.D) is int and dims.D == 9
+    for name in ("D", "d", "N"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(dims, name, 4)
+    assert dims == Dims(3, 2) and dims != Dims(3, 1) and dims != Dims(2, 3)
+    assert hash(dims) == hash((3, 2)) and {dims, Dims(3, 2)} == {Dims(3, 2)}
+    assert repr(dims) == "Dims(d=3, N=2)"
+    assert dims.__reduce__() == (Dims, (3, 2))
+    back = pickle.loads(pickle.dumps(dims))
+    assert back == dims and hash(back) == hash(dims) and back.D == 9
 
 
 def test_mod_inverse_examples():

@@ -240,6 +240,24 @@ def test_stabilizer_state_checks_its_basis():
     for d in (2, 3):
         with pytest.raises(InvalidStabilizerError):
             stabilizer_state([[1, 0, 0, 0], [0, 0, 1, 0]], [0, 0, 0, 0], Dims(d, 2))
+    # N rows that are not the echelon basis of a maximal subspace: a zero row,
+    # a row that is zero mod d, a repeated row, and a non-unit pivot, whose
+    # reduction would label chi = (1, 0) by (2, 0) rather than by (0, 0)
+    for rows, chi, dims in (([[0, 0]], [0, 0], Dims(3, 1)), ([[3, 0]], [0, 0], Dims(3, 1)),
+                            ([[1, 0, 0, 0], [1, 0, 0, 0]], [0, 0, 0, 0], Dims(3, 2)),
+                            ([[2, 0]], [1, 0], Dims(3, 1))):
+        with pytest.raises(InvalidStabilizerError, match="echelon"):
+            stabilizer_state(rows, chi, dims)
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 1), (3, 2)])
+def test_every_dictionary_basis_builds_its_states(d, N):
+    dims = Dims(d, N)
+    dd = enumerate_stabilizer_states(dims)
+    for M in dd.bases:
+        for chi in (np.zeros(2 * N, dtype=np.int64), np.arange(1, 2 * N + 1)):
+            assert np.array_equal(stabilizer_state(M, chi, dims).vector,
+                                  dd.lookup(M, chi).vector)
 
 
 def test_dictionary_builds_no_state_objects(monkeypatch):

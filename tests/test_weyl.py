@@ -151,7 +151,7 @@ def test_equal_up_to_phase():
 def test_budget_refuses_table_and_caches():
     psi = np.zeros(2 ** 13, dtype=np.complex128)
     psi[0] = 1.0
-    # 48 D^2 bytes for the transform plan and 72 D^2 for one call's transients
+    # 56 D^2 bytes for the transform plan and 64 D^2 for one call's transients
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{120 * 4 ** 13:.3g} bytes")):
         sre(psi, Dims(2, 13))

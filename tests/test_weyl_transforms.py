@@ -22,6 +22,7 @@ from quditmagic.measures import (
     xi,
 )
 from quditmagic.phasespace import Dims
+from quditmagic.weyl import shifted_characters
 
 from oracles import displacement_table, kernel_all, phase_point_table
 
@@ -83,10 +84,25 @@ def test_transforms_match_dense_oracle(dims):
         psi = rand_state(dims.D, rng)
         P = pauli_distribution(psi, dims).probs
         assert np.max(np.abs(P - dense_pauli_distribution(psi, dims))) < TOL
+        # one conversion for both sides when y is x, the same bits as two
+        assert np.array_equal(shifted_characters(psi, psi, dims),
+                              shifted_characters(psi, psi.copy(), dims))
+        assert np.array_equal(shifted_characters(psi.real, psi.real, dims),
+                              shifted_characters(psi.real, psi.real.copy(), dims))
+        # xi squares its own distribution in place, so a second call is unchanged
+        assert xi(psi, dims) == xi(psi, dims)
 
         p = rng.uniform(0.05, 0.5)
         rho = (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(dims.D) / dims.D
         assert abs(mixed_sre2(rho, dims) - dense_mixed_sre2(rho, dims)) < TOL
+        # the flat diagonal gather reads rho in any memory layout: the adjoint
+        # of an exactly Hermitian rho holds the same entries in Fortran order
+        herm = (rho + rho.conj().T) / 2
+        assert np.array_equal(herm.T.conj(), herm)
+        assert not herm.T.conj().flags.c_contiguous
+        m2 = mixed_sre2(herm, dims)
+        assert mixed_sre2(herm.T.conj(), dims) == m2
+        assert mixed_sre2(np.asfortranarray(herm), dims) == m2
 
         if dims.odd:
             H = rng.normal(size=(dims.D,) * 2) + 1j * rng.normal(size=(dims.D,) * 2)
