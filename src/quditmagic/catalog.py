@@ -255,10 +255,9 @@ class CatalogEntry(NamedTuple):
     notes: str = ""
 
 
-def _entry(registry, name, dims, vec_or_fn, **kw):
-    build = vec_or_fn if callable(vec_or_fn) else (lambda v=vec_or_fn: v.copy())
+def _entry(registry, name, dims, vec, **kw):
     kw.setdefault("expected", {})
-    registry[name] = CatalogEntry(name=name, dims=dims, build=build, **kw)
+    registry[name] = CatalogEntry(name=name, dims=dims, build=lambda: vec.copy(), **kw)
 
 
 @lru_cache(maxsize=1)

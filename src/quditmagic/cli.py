@@ -248,8 +248,9 @@ def cmd_eigenstates(args) -> int:
 
 
 def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]:
-    """Companion directions: other eigenstates of the catalog eigen-operator
-    when available, else a Gram-Schmidt completion."""
+    """The first two directions orthogonal to psi (one on a qubit): the other
+    eigenstates of the catalog eigen-operator when available, then a
+    Gram-Schmidt completion over the computational basis."""
     from . import catalog
     from .clifford import nondegenerate_eigenstates
 
@@ -262,30 +263,26 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
         for _, vec in nondegenerate_eigenstates(e.eigen_operator(), e.dims):
             if abs(np.vdot(vec, psi)) < COMPANION_TOL:
                 basis.append(vec)
-    if len(basis) < dims.D - 1:
-        # complete with Gram-Schmidt over the computational basis
-        cur = [psi] + basis
-        for k in range(dims.D):
-            v = np.zeros(dims.D, dtype=np.complex128)
-            v[k] = 1.0
-            for b in cur:
-                v = v - np.vdot(b, v) * b
-            if np.linalg.norm(v) > SPAN_TOL:
-                v = v / np.linalg.norm(v)
-                basis.append(v)
-                cur.append(v)
-            if len(basis) == dims.D - 1:
-                break
-    return basis
+    want = min(2, dims.D - 1)
+    for k in range(dims.D):
+        if len(basis) >= want:
+            break
+        v = np.zeros(dims.D, dtype=np.complex128)
+        v[k] = 1.0
+        for b in [psi] + basis:
+            v = v - np.vdot(b, v) * b
+        if np.linalg.norm(v) > SPAN_TOL:
+            basis.append(v / np.linalg.norm(v))
+    return basis[:want]
 
 
 def cmd_extremality(args) -> int:
-    from .extremality import (PerturbationFrame, angle_direction, classify_mana, classify_xi2,
-                              fidelity_expansion, xi2_expansion)
+    from .extremality import (PerturbationFrame, classify_mana, classify_xi2, fidelity_expansion,
+                              xi2_expansion)
     from .stabilizers import enumerate_stabilizer_states
 
     psi, dims = parse_state(args.state)
-    dd = enumerate_stabilizer_states(dims)  # its budget check also covers the D^2 basis
+    dd = enumerate_stabilizer_states(dims)
     basis = _direction_basis(args.state, psi, dims)
 
     def classify(direction):
@@ -304,11 +301,11 @@ def cmd_extremality(args) -> int:
                  "leading_coefficient"]]
         for th in np.linspace(0, np.pi / 2, nt):
             for ph in np.linspace(0, 2 * np.pi, np_, endpoint=False):
-                # cos(th) b0 + e^(i ph) sin(th) b1, or e^(i ph) b0 on a qubit
                 if len(basis) == 1:
-                    direction = angle_direction(basis, [], [ph])
+                    direction = np.exp(1j * ph) * basis[0]
                 else:
-                    direction = angle_direction(basis[:2], [th], [0.0, ph])
+                    direction = np.cos(th) * basis[0] + np.exp(1j * ph) * np.sin(th) * basis[1]
+                direction = direction / np.linalg.norm(direction)
                 for m, rep in classify(direction)[0].items():
                     rows.append([float(th), float(ph), m, rep.kind,
                                  rep.leading_order, rep.leading_coefficient])

@@ -46,7 +46,6 @@ covers every label and not only the basis.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -62,6 +61,7 @@ from .errors import (
 )
 from .phasespace import (
     Dims,
+    basis_keys,
     is_symplectic,
     mod_inverse,
     phase_points,
@@ -101,7 +101,6 @@ def delta_d(d: int) -> complex:
 
 
 SL2_S_HAT = np.array([[1, 0], [1, 1]], dtype=np.int64)
-SL2_H_HAT = np.array([[0, -1], [1, 0]], dtype=np.int64)
 
 
 def metaplectic_V(F: np.ndarray, d: int) -> np.ndarray:
@@ -328,8 +327,7 @@ def _grid_keys(arr: np.ndarray) -> np.ndarray:
     """One exact key per leading entry of arr, as raw bytes: the real and
     imaginary parts of its entries, in C order, on the KEY_GRID grid."""
     grid = np.round(np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64) / KEY_GRID)
-    grid = grid.astype(np.int64).reshape(len(grid), math.prod(grid.shape[1:]))
-    return grid.view(np.dtype((np.void, grid.shape[1] * 8)))[:, 0]
+    return basis_keys(grid.astype(np.int64))
 
 
 def _ray_keys(vecs: np.ndarray) -> np.ndarray:

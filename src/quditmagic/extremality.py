@@ -86,26 +86,6 @@ def _critical(measure: str, series) -> CriticalReport:
     return CriticalReport(measure, "flat", order, float(c))
 
 
-def angle_direction(basis, angles, phases) -> np.ndarray:
-    """Hyperspherical direction over `basis` with polar angles and phases.
-
-    For basis (b1..bk): coeffs are e^(i phi_1) cos t1, e^(i phi_2) sin t1 cos t2,
-    ..., e^(i phi_k) sin t1 ... sin t_(k-1).
-    """
-    k = len(basis)
-    if len(phases) != k or len(angles) != k - 1:
-        raise ValueError("need k phases and k-1 angles")
-    coeffs = []
-    s = 1.0
-    for i in range(k):
-        c = s * (np.cos(angles[i]) if i < k - 1 else 1.0)
-        coeffs.append(np.exp(1j * phases[i]) * c)
-        if i < k - 1:
-            s *= np.sin(angles[i])
-    v = sum(c * np.asarray(b, dtype=np.complex128) for c, b in zip(coeffs, basis))
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # L and W matrices
 

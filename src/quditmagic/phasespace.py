@@ -8,6 +8,7 @@ Phase-space points chi = (p, q) are stored as flat integer arrays of length
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -282,10 +283,11 @@ def enumerate_maximal_isotropic(dims: Dims) -> np.ndarray:
 
 
 def basis_keys(bases: np.ndarray) -> np.ndarray:
-    """One np.void scalar per basis of an (n, k, 2N) int64 stack, holding its
-    bytes: a zero-copy view that sorts and searches as Python bytes do."""
+    """One np.void scalar per leading entry of an (n, ...) int64 stack, such
+    as n bases (n, k, 2N), holding its bytes: a zero-copy view that sorts and
+    searches as Python bytes do.  An empty stack gives no keys."""
     bases = np.ascontiguousarray(bases, dtype=np.int64)
-    flat = bases.reshape(len(bases), -1)
+    flat = bases.reshape(len(bases), math.prod(bases.shape[1:]))
     return flat.view(np.dtype((np.void, flat.shape[1] * 8)))[:, 0]
 
 

@@ -24,10 +24,6 @@ E4 = unit_phase(1, 8)
 W3 = unit_phase(1, 3)
 
 
-def _c(re, im=0.0):
-    return complex(re, im)
-
-
 # ---------------------------------------------------------------------------
 # expected data
 
@@ -111,10 +107,10 @@ _bp = (1 + SQ3) / (2 * math.sqrt(2 * (3 + SQ3)))
 _bm = (-1 + SQ3) / (2 * math.sqrt(2 * (3 - SQ3)))
 
 QUBIT_L = {
-    "qubit:T0": np.array([[_c(-1 / math.sqrt(6))],
+    "qubit:T0": np.array([[complex(-1 / math.sqrt(6))],
                           [unit_phase(-1, 6) / math.sqrt(6)],
                           [unit_phase(1, 6) / math.sqrt(6)]]),
-    "qubit:H0": np.array([[_c(-1 / (2 * SQ2))], [_c(1 / (2 * SQ2))]]),
+    "qubit:H0": np.array([[complex(-1 / (2 * SQ2))], [complex(1 / (2 * SQ2))]]),
 }
 
 _t18 = math.sin(math.pi / 18)
@@ -353,16 +349,6 @@ def check_w_tables(exact_tol: float = EXACT_TOL,
         for key, (basis_names, expected) in tables.items():
             got = _w_table(basis_names)
             out.append(TableResult(f"W[{key}]", got.tolist(),
-                                   float(np.max(np.abs(got - expected))), tol))
-    return out
-
-
-def check_wigner_tables() -> list[TableResult]:
-    out = []
-    for tables, tol in ((QUTRIT_WIGNER, EXACT_TOL), (QUQUINT_WIGNER_PRINTED, PRINTED_TOL)):
-        for name, expected in tables.items():
-            got = wigner_function(build(name), entry(name).dims).as_grid()
-            out.append(TableResult(f"Wigner[{name}]", got.tolist(),
                                    float(np.max(np.abs(got - expected))), tol))
     return out
 

@@ -120,8 +120,8 @@ class TransformPlan(NamedTuple):
 def transform_plan(d: int, N: int) -> TransformPlan:
     """The `TransformPlan` of (d, N): 56 D^2 bytes (three index and two complex
     D x D tables), checked against the budget before any is built together
-    with 64 D^2 for the transients of one call that reads it.  The hungriest,
-    `pauli_coefficients` of a density matrix, peaks at 108 D^2 in all at (3,6)."""
+    with 64 D^2 for the transients of one call that reads it.  Every reader
+    peaks at about 100 D^2 in all at (3,6)."""
     check_budget(120 * d ** (2 * N), f"the transform plan for {Dims(d, N)}")
     r = np.arange(d)
     plus = _digitwise((r[:, None] + r) % d, N, d)
@@ -147,8 +147,10 @@ def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
     a gather, one character sum and the convention phase of each label.
     """
     plan = transform_plan(dims.d, dims.N)
-    sums = np.conj(M)[..., plan.plus, plan.rows] @ plan.characters
-    return np.conj(sums * plan.phases).reshape(M.shape[:-2] + (-1,)) / plan.D
+    sums = M[..., plan.plus, plan.rows]
+    sums = np.conj(sums, out=sums) @ plan.characters
+    sums *= plan.phases
+    return np.conj(sums, out=sums).reshape(M.shape[:-2] + (-1,)) / plan.D
 
 
 def displace(chi, vectors, dims: Dims) -> np.ndarray:

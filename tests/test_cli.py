@@ -31,6 +31,21 @@ def test_measures_catalog_name(capsys):
     assert abs(data["sre"]["2.0"] - np.log(2)) < 1e-12
 
 
+def test_measures_text_with_alphas(capsys):
+    code, out = run(capsys, "measures", "qutrit:S")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:4] == ["dims: d=3 N=1", "stabilizer fidelity: 0.5   [1/2]",
+                         "nearest stabilizer states: 8", "M_2: 0.69314718056   [log 2]"]
+    assert lines[4:] == ["wigner trace norm: 1.66666666667   [5/3]", "mana: 0.510825623766"]
+    code, out = run(capsys, "measures", "qutrit:S", "--alphas", "2,3")
+    assert code == 0
+    # the one added line is M_3, the text of the JSON's sre["3.0"]
+    assert out.splitlines() == lines[:4] + ["M_3: 0.490414626506"] + lines[4:]
+    _, out = run(capsys, "measures", "qutrit:S", "--alphas", "2,3", "--json")
+    assert f"{json.loads(out)['sre']['3.0']:.12g}" == "0.490414626506"
+
+
 def test_measures_json_round_trip(capsys, tmp_path):
     psi = np.array([1, 1j, 0]) / np.sqrt(2)
     spec = {"d": 3, "N": 1,
@@ -60,6 +75,13 @@ def test_tables_csv_and_unknown(capsys, tmp_path):
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0].startswith("theta") and len(lines) == 1 + 5 * 9
+
+
+def test_table_ids_match_the_tables_module():
+    # a table only the CLI lists makes it fail; one only tables lists is unreachable
+    from quditmagic.tables import _TABLE_STATES
+
+    assert sorted(cli.TABLE_IDS) == sorted(_TABLE_STATES)
 
 
 def test_every_table_id_has_rows():
@@ -325,6 +347,49 @@ def test_extremality_sweep(capsys):
     assert all("sharp_min" in ln for ln in lines[1:] if "fidelity" in ln)
 
 
+def _reports(capsys, *argv):
+    code, out = run(capsys, "extremality", *argv, "--json")
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("state, grid", [("qutrit:S", "4x5"), ("ququint:H,1;1", "3x3")])
+def test_extremality_sweep_turns_between_two_directions(capsys, state, grid):
+    # ququint:H,1;1 has no eigen-operator, so both directions are Gram-Schmidt completions
+    psi, dims = cli.parse_state(state)
+    b0, b1 = cli._direction_basis(state, psi, dims)
+    assert np.allclose(np.array([psi, b0, b1]).conj() @ np.array([psi, b0, b1]).T, np.eye(3),
+                       atol=1e-12)
+    code, out = run(capsys, "extremality", state, "--sweep", grid)
+    assert code == 0
+    n_theta, n_phi = cli.parse_grid(grid)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == n_theta * n_phi * 3  # fidelity, mana and xi2
+    # theta 0 is b0 at every phase, the default direction; theta pi/2 at phase 0 is b1
+    ends = {0.0: _reports(capsys, state),
+            np.pi / 2: _reports(capsys, state, "--direction", "state:" + json.dumps(
+                {"d": dims.d, "N": dims.N, "amplitudes": [[v.real, v.imag] for v in b1]}))}
+    checked = 0
+    for theta, phi, measure, kind, order, coefficient in rows:
+        if float(theta) == 0 or (float(theta) == np.pi / 2 and float(phi) == 0):
+            want = ends[float(theta)][measure]
+            assert (kind, int(order)) == (want["kind"], want["leading_order"])
+            assert abs(float(coefficient) - want["leading_coefficient"]) < 1e-9
+            checked += 1
+    assert checked == (n_phi + 1) * 3
+
+
+def test_extremality_direction_from_a_state_spec(capsys):
+    # Hplus is the first companion eigenstate of qutrit:S, the default direction
+    got = _reports(capsys, "qutrit:S", "--direction", "state:qutrit:Hplus")
+    want = _reports(capsys, "qutrit:S", "--direction", "phase:0")
+    for measure in ("fidelity", "mana", "xi2"):
+        assert got[measure]["kind"] == want[measure]["kind"]
+        assert got[measure]["leading_order"] == want[measure]["leading_order"]
+        assert abs(got[measure]["leading_coefficient"]
+                   - want[measure]["leading_coefficient"]) < 1e-9
+
+
 def test_distill_step_and_sweep(capsys):
     code, out = run(capsys, "distill", "step", "--eps3", "0.05", "--json")
     assert code == 0
@@ -395,7 +460,11 @@ def test_search_does_not_load_numpy_random():
 def test_catalog_verify_exit_code(capsys):
     code, out = run(capsys, "catalog", "verify")
     assert code == 0
-    assert "0 failures" in out
+    assert out.splitlines()[-1] == "363 checks, 0 failures"
+    code, out = run(capsys, "catalog", "verify", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (len(data["checks"]) + len(data["equivalences"]), data["failures"]) == (363, 0)
 
 
 def test_dictionary_dump(capsys, tmp_path):
@@ -437,6 +506,12 @@ def test_search_roundtrip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["found"]
+
+
+def test_search_without_a_word_exits_1(capsys):
+    code, out = run(capsys, "search", "--source", "2q:G20,1", "--target", "2q:G20,3",
+                    "--budget", "1")
+    assert (code, json.loads(out)) == (1, {"found": False})
 
 
 def test_search_across_dims_exits_2(capsys):

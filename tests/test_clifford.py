@@ -12,7 +12,6 @@ import pytest
 
 from quditmagic import clifford, errors
 from quditmagic.clifford import (
-    SL2_H_HAT,
     SL2_S_HAT,
     FiniteUnitaryGroup,
     _affine_data,
@@ -62,6 +61,7 @@ from oracles import (displacement_table, enumerate_symplectic_2x2, generate_grou
                      phase_point_table)
 
 BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
+SL2_H_HAT = np.array([[0, -1], [1, 0]], dtype=np.int64)  # the symplectic part of the Hadamard
 
 
 def test_generators_are_clifford_and_special():

@@ -9,7 +9,6 @@ from quditmagic.catalog import build, entries
 from quditmagic.errors import BudgetExceededError, DimensionMismatchError
 from quditmagic.extremality import (
     PerturbationFrame,
-    angle_direction,
     classify_mana,
     classify_xi2,
     fidelity_expansion,
@@ -18,7 +17,7 @@ from quditmagic.extremality import (
     w_matrix,
     xi2_expansion,
 )
-from quditmagic.measures import xi
+from quditmagic.measures import wigner_function, xi
 from quditmagic.phasespace import Dims
 from quditmagic.stabilizers import enumerate_stabilizer_states, max_overlap
 from quditmagic.tables import (
@@ -26,8 +25,8 @@ from quditmagic.tables import (
     QUTRIT_WIGNER,
     check_l_tables,
     check_w_tables,
-    check_wigner_tables,
 )
+from quditmagic.tolerances import EXACT_TOL, PRINTED_TOL
 
 
 def rand_direction(psi, seed):
@@ -141,11 +140,12 @@ def test_w_matrix_tables_and_diagonal():
 
 
 def test_wigner_tables():
-    # the qutrit grids are exact (1e-9), the printed ququint grids to 1e-4
-    results = check_wigner_tables()
-    assert len(results) == len(QUTRIT_WIGNER) + len(QUQUINT_WIGNER_PRINTED)
-    for res in results:
-        assert res.passed, f"{res.table_id}: err {res.max_error}"
+    # the qutrit grids are exact, the printed ququint grids to their digits
+    for tables, tol in ((QUTRIT_WIGNER, EXACT_TOL), (QUQUINT_WIGNER_PRINTED, PRINTED_TOL)):
+        for name, expected in tables.items():
+            got = wigner_function(build(name), entries()[name].dims).as_grid()
+            err = float(np.max(np.abs(got - expected)))
+            assert err <= tol, f"Wigner[{name}]: err {err}"
 
 
 def test_w_matrix_diagonal_dominance():
@@ -370,13 +370,3 @@ def test_T_state_inflection():
     rep = classify_xi2(co)
     assert rep.kind == "smooth_max" and rep.leading_order == 4
     assert abs(co[4] + 4 / 9) < 1e-9
-
-
-def test_angle_direction():
-    d3 = Dims(3, 1)
-    b = [build("qutrit:T1"), build("qutrit:T2")]
-    v = angle_direction(b, angles=[0.7], phases=[0.3, 1.9])
-    assert abs(np.linalg.norm(v) - 1) < 1e-12
-    expect = (np.exp(0.3j) * np.cos(0.7) * b[0]
-              + np.exp(1.9j) * np.sin(0.7) * b[1])
-    assert np.allclose(v, expect, atol=1e-12)

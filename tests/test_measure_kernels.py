@@ -3,7 +3,8 @@
 Each oracle is the route the measures took before they shared one
 `weyl.transform_plan` per (d, N): the Wigner function gathers from the
 density matrix |psi><psi| and picks its columns by fancy indexing, the
-dictionary overlaps conjugate the whole dictionary, and the reductions and
+dictionary overlaps conjugate the whole dictionary, the Pauli coefficients
+conjugate the whole operator before their gather, and the reductions and
 scalar logs are numpy functions.  The kernels must give the same bits,
 except where a numpy scalar call became its `math` twin; there the swapped
 call itself must agree to within one unit in the last place, and the rest of
@@ -77,6 +78,12 @@ def oracle_overlaps(psi, matrix):
     return np.abs(np.asarray(matrix).conj() @ psi) ** 2
 
 
+def oracle_pauli_coefficients(M, dims):
+    plan = weyl.transform_plan(dims.d, dims.N)
+    sums = np.conj(M)[..., plan.plus, plan.rows] @ plan.characters
+    return np.conj(sums * plan.phases).reshape(M.shape[:-2] + (-1,)) / plan.D
+
+
 def ulps(a, b):
     """|a - b| in units in the last place of a."""
     return abs(a - b) / np.spacing(abs(a))
@@ -121,6 +128,17 @@ def test_kernels_match_previous_formulas(dims):
             if dims in FIDELITY_DIMS:
                 assert measure_report(psi, dims).mana == log(norm)
     assert log.calls > 0
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 1), Dims(2, 3), Dims(3, 2), Dims(5, 1), Dims(2, 5),
+                                  Dims(3, 3)], ids=str)
+def test_pauli_coefficients_match_previous_formula(dims):
+    rng = np.random.default_rng(3000 * dims.d + dims.N)
+    for shape in ((dims.D, dims.D), (3, dims.D, dims.D)):
+        M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for op in (M, M.real.copy()):
+            got, want = weyl.pauli_coefficients(op, dims), oracle_pauli_coefficients(op, dims)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dims", FIDELITY_DIMS, ids=str)
