@@ -184,7 +184,14 @@ def cmd_measures(args) -> int:
             pass
     rep = measure_report(psi, dims, alphas=alphas, exact_forms=exact)
     if args.json:
-        print(rep.to_json())
+        payload = {"d": dims.d, "N": dims.N, "stabilizer_fidelity": rep.stabilizer_fidelity,
+                   "nearest_count": rep.nearest_count,
+                   "sre": {str(a): v for a, v in rep.sre.items()},
+                   "xi": {str(a): v for a, v in rep.xi.items()},
+                   "mana": rep.mana, "wigner_trace_norm": rep.wigner_trace_norm}
+        if exact:
+            payload["exact_forms"] = exact
+        _emit(args, payload)
     else:
         print(f"dims: d={dims.d} N={dims.N}")
         print(f"stabilizer fidelity: {rep.stabilizer_fidelity:.12g}"
@@ -233,15 +240,13 @@ def cmd_eigenstates(args) -> int:
         owner, col = np.nonzero(single)  # element order, then eigenvalue order
         vecs = V[owner, :, col]
         ov = np.abs(vecs @ dd.matrix.conj().T) ** 2
-        keys, states, classes = class_keys(ov), phase_normalize(vecs), {}
-        for i in np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL):
-            key = keys[i].tobytes()
-            if key not in classes:
-                classes[key] = {"state": states[i],
-                                "fidelity": float(np.max(ov[i])),
-                                "word": list(group.word(reps[owner[i]]))}
-        results = [{"class": i, **v} for i, v in enumerate(classes.values())]
-        print(f"# {len(classes)} non-stabilizer inequivalence classes",
+        magic = np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL)
+        # the first eigenvector of each class, in order of appearance
+        first = magic[np.sort(np.unique(class_keys(ov[magic]), axis=0, return_index=True)[1])]
+        results = [{"class": c, "state": state, "fidelity": float(np.max(ov[i])),
+                    "word": list(group.word(reps[owner[i]]))}
+                   for c, (i, state) in enumerate(zip(first, phase_normalize(vecs[first])))]
+        print(f"# {len(results)} non-stabilizer inequivalence classes",
               file=sys.stderr)
     _emit(args, results)
     return 0
@@ -427,7 +432,15 @@ def cmd_dictionary(args) -> int:
     from .stabilizers import enumerate_stabilizer_states
 
     dd = enumerate_stabilizer_states(args.dims)
-    _emit(args, dd.to_json() if args.json else dd.to_csv())
+    if args.json:
+        _emit(args, {"d": dd.dims.d, "N": dd.dims.N, "states": [
+            {"basis": s.basis.tolist(), "displacement": s.displacement.tolist(),
+             "amplitudes": [[float(a.real), float(a.imag)] for a in s.vector]} for s in dd]})
+    else:
+        _emit(args, None, rows=[["basis", "displacement", "amplitudes"]] + [
+            [";".join(",".join(map(str, row)) for row in s.basis),
+             ",".join(map(str, s.displacement)),
+             ";".join(f"{a.real:.17g}{a.imag:+.17g}j" for a in s.vector)] for s in dd])
     return 0
 
 

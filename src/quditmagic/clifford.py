@@ -68,7 +68,6 @@ from .phasespace import (
     symplectic_form,
     symplectic_group_order,
 )
-from .stabilizers import enumerate_stabilizer_states
 from .tolerances import (EIGEN_CLUSTER_TOL, GROUP_MATRIX_TOL, KEY_GRID, OVERLAP_DECIMALS,
                          PAULI_TOL, ROOT_OF_UNITY_TOL, SEARCH_LEAD_TOL, UNITARY_TOL)
 from .weyl import (
@@ -448,19 +447,17 @@ def _code_radix(dims: Dims) -> np.ndarray:
 
 
 def _group_bytes(dims: Dims, n_gens: int) -> int:
-    """Peak bytes of the reduced group and of the (S, a) read off it.
+    """Peak bytes of the BFS that enumerates the reduced group.
 
-    The BFS holds the codes, the closure's four intp arrays (keys, their
-    state indices, parent and generator) and the merged copy of one, the
-    narrowed parent and generator, and one level's candidate block, bounded
-    by the order: per candidate four int64 code blocks of 2N (its gathered
-    codes and their transposed copy, counted twice) and four int64 (its key,
-    and the copy, sort order and sorted key of `np.unique`).  On demand come
-    the (S, a) arrays of every element with their int64 transients."""
+    It holds the codes, the closure's four intp arrays (keys, their state
+    indices, parent and generator) and the merged copy of one, the narrowed
+    parent and generator, and one level's candidate block, bounded by the
+    order: per candidate four int64 code blocks of 2N (its gathered codes and
+    their transposed copy, counted twice) and four int64 (its key, and the
+    copy, sort order and sorted key of `np.unique`)."""
     order, L = clifford_group_order(dims), 2 * dims.N
     code_size = np.min_scalar_type(dims.n_points * dims.d - 1).itemsize
-    return (order * (L * code_size + 5 * 8 + 8 + 1) + order * n_gens * (4 * L * 8 + 4 * 8)
-            + order * (4 * L * L * 8 + 4 * L * 8))
+    return order * (L * code_size + 5 * 8 + 8 + 1) + order * n_gens * (4 * L * 8 + 4 * 8)
 
 
 def _class_bytes(order: int, n_y: int, L: int, G: int) -> int:
@@ -506,8 +503,12 @@ class ReducedCliffordGroup:
         return tuple(t for g in chain for t in self.gen_words[g])
 
     def affine(self, i=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(S, a) of element i, or of all: shapes (order, 2N, 2N), (order, 2N)."""
-        codes = self.codes[i]
+        """(S, a) of element i, or of all: shapes (order, 2N, 2N), (order, 2N).
+        The budget counts (S, a) of the elements asked for, with their int64
+        transients."""
+        codes, L = self.codes[i], 2 * self.dims.N
+        check_budget(codes.size // L * (4 * L * L * 8 + 4 * L * 8),
+                     f"(S, a) of the Clifford group for {self.dims}")
         return _affine_data(codes // self.dims.d, codes % self.dims.d, self.dims)
 
     def unitary(self, i: int) -> np.ndarray:
@@ -591,8 +592,9 @@ def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
     sequence of CliffordElement views in BFS order, each derived when it is
     read.
 
-    The budget check before the BFS also counts (S, a) of every element,
-    which callers read off it on demand."""
+    The budget check before the BFS counts the BFS alone; (S, a) read off
+    the group later is checked by `ReducedCliffordGroup.affine` for the
+    elements it is asked for."""
     words = clifford_generator_words(dims)
     check_budget(_group_bytes(dims, len(words)), f"the reduced Clifford group for {dims}")
     return _reduced_group_cached(dims.d, dims.N)
@@ -740,12 +742,6 @@ def class_keys(overlaps: np.ndarray) -> np.ndarray:
     return np.round(np.sort(overlaps, axis=-1), OVERLAP_DECIMALS)
 
 
-def state_invariant(psi: np.ndarray, dims: Dims) -> tuple:
-    """Sorted multiset of |<s|psi>|^2 over the stabilizer dictionary: psi's
-    `class_keys` as a tuple."""
-    return tuple(class_keys(enumerate_stabilizer_states(dims).overlaps(psi)).tolist())
-
-
 def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
                                 budget: int = 20000):
     """Search for a generator word mapping psi1 to psi2 up to global phase.
@@ -772,8 +768,6 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
             f"states of shapes {psi1.shape} and {psi2.shape} are not both vectors on {dims}")
     if equal_up_to_phase(psi1, psi2):
         return ()
-    if state_invariant(psi1, dims) != state_invariant(psi2, dims):
-        return None
     words = clifford_generator_words(dims)
     words += [invert_word(w, dims.d) for w in words if invert_word(w, dims.d) != w]
     G = len(words)

@@ -56,10 +56,6 @@ class PerturbationFrame:
     def state(self, eps: float) -> np.ndarray:
         return (self.base + eps * self.direction) / np.sqrt(1 + eps ** 2)
 
-    def density(self, eps: float) -> np.ndarray:
-        psi = self.state(eps)
-        return np.outer(psi, psi.conj())
-
 
 class CriticalReport(NamedTuple):
     measure: str       # mana | fidelity | xi2

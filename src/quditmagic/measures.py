@@ -6,7 +6,6 @@ All phase-space sums run over the lexicographic point order of
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -126,8 +125,6 @@ def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     probs = pauli_distribution(psi, dims).probs
     if alpha == 2:  # the distribution is this call's own, so square it in place
         return float(np.add.reduce(np.square(probs, out=probs)))
-    if float(alpha) == int(alpha):
-        return float(np.add.reduce(probs ** int(alpha)))
     return float(np.add.reduce(np.power(probs, alpha)))
 
 
@@ -168,21 +165,6 @@ class MeasureReport(NamedTuple):
     mana: float | None       # None for even d
     wigner_trace_norm: float | None
     exact_forms: dict
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.dims.d,
-            "N": self.dims.N,
-            "stabilizer_fidelity": self.stabilizer_fidelity,
-            "nearest_count": self.nearest_count,
-            "sre": {str(a): v for a, v in self.sre.items()},
-            "xi": {str(a): v for a, v in self.xi.items()},
-            "mana": self.mana,
-            "wigner_trace_norm": self.wigner_trace_norm,
-        }
-        if self.exact_forms:
-            payload["exact_forms"] = self.exact_forms
-        return json.dumps(payload, indent=1)
 
 
 def measure_report(psi: np.ndarray, dims: Dims, alphas=(2.0,),

@@ -80,17 +80,6 @@ def mod_inverse(a: int, d: int) -> int:
     return pow(a, -1, d)
 
 
-def point(p, q, dims: Dims) -> np.ndarray:
-    """Assemble a phase-space point from p and q parts, reduced mod d."""
-    p = np.atleast_1d(np.asarray(p, dtype=np.int64))
-    q = np.atleast_1d(np.asarray(q, dtype=np.int64))
-    if p.shape != (dims.N,) or q.shape != (dims.N,):
-        raise DimensionMismatchError(
-            f"expected p, q of length {dims.N}, got {p.shape}, {q.shape}"
-        )
-    return np.concatenate([p % dims.d, q % dims.d])
-
-
 def split_point(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a flat point into its (p, q) halves."""
     chi = np.asarray(chi)

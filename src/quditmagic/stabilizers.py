@@ -32,8 +32,6 @@ stabilizers of the basis rows generate those of all d^N elements.
 
 from __future__ import annotations
 
-import io
-import json
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -180,25 +178,6 @@ class StabilizerDictionary:
         """|<s|psi>|^2 for every dictionary state, as |<psi|s>|^2 so that only
         psi is conjugated."""
         return np.abs(self.matrix @ np.asarray(psi, dtype=np.complex128).conj()) ** 2
-
-    def to_json(self) -> str:
-        recs = [{"basis": s.basis.tolist(), "displacement": s.displacement.tolist(),
-                 "amplitudes": [[float(a.real), float(a.imag)] for a in s.vector]} for s in self]
-        return json.dumps({"d": self.dims.d, "N": self.dims.N, "states": recs}, indent=1)
-
-    def to_csv(self) -> str:
-        import csv  # only a dictionary dump needs it
-
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["basis", "displacement", "amplitudes"])
-        for s in self:
-            w.writerow([
-                ";".join(",".join(map(str, row)) for row in s.basis),
-                ",".join(map(str, s.displacement)),
-                ";".join(f"{a.real:.17g}{a.imag:+.17g}j" for a in s.vector),
-            ])
-        return buf.getvalue()
 
 
 def stabilizer_count(dims: Dims) -> int:

@@ -356,16 +356,11 @@ def check_w_tables(exact_tol: float = EXACT_TOL,
 def qubit_fidelity_sphere(n_theta: int = 181, n_phi: int = 361) -> np.ndarray:
     """Grid of (theta, phi, F) over the Bloch sphere."""
     dd = enumerate_stabilizer_states(Dims(2, 1))
-    thetas = np.linspace(0, np.pi, n_theta)
-    phis = np.linspace(0, 2 * np.pi, n_phi)
-    rows = []
-    for th in thetas:
-        amps = np.stack([np.full(n_phi, np.cos(th / 2)),
-                         np.exp(1j * phis) * np.sin(th / 2)], axis=1)
-        F = np.max(np.abs(amps.conj() @ dd.matrix.T) ** 2, axis=1)
-        for ph, f in zip(phis, F):
-            rows.append((th, ph, f))
-    return np.array(rows)
+    th, ph = np.meshgrid(np.linspace(0, np.pi, n_theta), np.linspace(0, 2 * np.pi, n_phi),
+                         indexing="ij")
+    amps = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1)
+    F = np.max(np.abs(amps.reshape(-1, 2).conj() @ dd.matrix.T) ** 2, axis=1)
+    return np.column_stack([th.ravel(), ph.ravel(), F])
 
 
 def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
@@ -398,5 +393,4 @@ def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
         return [["state", "M2", "exact"]] + [
             [name, sre(e.build(), e.dims), e.expected["M2"][0]] for name, e in entries().items()
             if name.startswith(f"{system}:") and "M2" in e.expected]
-    return [["theta", "phi", "fidelity"]] + [list(map(float, r))
-                                             for r in qubit_fidelity_sphere(*grid)]
+    return [["theta", "phi", "fidelity"]] + qubit_fidelity_sphere(*grid).tolist()

@@ -35,6 +35,11 @@ from quditmagic.tolerances import (COEFF_TOL, EIGEN_CLUSTER_TOL, EXTENT_TOL, FEA
 from quditmagic.weyl import displacement_matrix, phase_normalize, unit_phase
 
 
+def point(p, q, dims: Dims) -> np.ndarray:
+    """The phase-space point with p and q parts, reduced mod d."""
+    return np.concatenate([np.atleast_1d(p), np.atleast_1d(q)]).astype(np.int64) % dims.d
+
+
 @lru_cache(maxsize=None)
 def _displacement_table(d: int, N: int) -> np.ndarray:
     dims = Dims(d, N)

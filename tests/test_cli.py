@@ -129,6 +129,7 @@ REJECTED_PAIRS = [
     ["measures", "qutrit:S", "--alphas", "inf"],
     ["measures", "qutrit:S", "--alphas", "nan"],
     ["measures", "qutrit:S", "--alphas", "2,1e400"],
+    ["measures", "qutrit:S", "--alphas", "2,1.5"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "inf"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "1e300"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "1"],
@@ -519,3 +520,21 @@ def test_search_across_dims_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_direction_basis_for_a_json_spec():
+    # a JSON spec names no catalog entry, so the basis is a Gram-Schmidt completion
+    spec = json.dumps({"d": 3, "N": 1, "amplitudes": [[0, 0], [1, 0], [0, 0]]})
+    psi, dims = cli.parse_state(spec)
+    basis = cli._direction_basis(spec, psi, dims)
+    frame = np.array([psi] + basis)
+    assert np.allclose(frame.conj() @ frame.T, np.eye(3), atol=1e-12)
+
+
+def test_unknown_table_id_refused():
+    from quditmagic.errors import UnknownTableError
+    from quditmagic.tables import row_multiset_error, table_rows
+
+    with pytest.raises(UnknownTableError, match="unknown table id"):
+        table_rows("qutrit-nope")
+    assert row_multiset_error(np.zeros((2, 2)), np.zeros((2, 3))) == float("inf")

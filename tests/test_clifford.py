@@ -25,6 +25,7 @@ from quditmagic.clifford import (
     clifford_group_order,
     eigenpairs,
     enumerate_reduced_clifford,
+    gate_unitary,
     group_projector,
     group_stabilizer_states,
     invert_word,
@@ -37,13 +38,12 @@ from quditmagic.clifford import (
     word_unitary,
 )
 from quditmagic.cli import main
-from quditmagic.errors import (BudgetExceededError, NonClosedGroupError, NotCliffordError,
-                               UnsupportedDimensionError)
+from quditmagic.errors import (BudgetExceededError, DimensionMismatchError, NonClosedGroupError,
+                               NotCliffordError, UnsupportedDimensionError)
 from quditmagic.phasespace import (
     Dims,
     mod_inverse,
     phase_points,
-    point,
     point_index,
     symplectic_form,
     symplectic_product,
@@ -58,7 +58,7 @@ from quditmagic.weyl import (
 
 import oracles
 from oracles import (displacement_table, enumerate_symplectic_2x2, generate_group,
-                     phase_point_table)
+                     phase_point_table, point)
 
 BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
 SL2_H_HAT = np.array([[0, -1], [1, 0]], dtype=np.int64)  # the symplectic part of the Hadamard
@@ -803,8 +803,8 @@ def test_conjugacy_classes_peak_within_estimate(class_estimates, d, N):
 
 def test_enumeration_refusals():
     # three qubits: 92 897 280 elements, each with its codes and closure arrays,
-    # a candidate block of 9 per element, and (S, a): 3.17e11 bytes in all
-    nbytes = 317_244_211_200
+    # and a candidate block of 9 per element: 1.92e11 bytes in all
+    nbytes = 192_390_266_880
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_reduced_clifford(Dims(2, 3))
@@ -815,13 +815,20 @@ def test_enumeration_refusals():
 
 
 def test_group_refused_before_the_bfs(monkeypatch):
-    # (23,1): 6.4 M elements, an estimated 2.8 GB of codes, closure and (S, a)
+    # (29,1): 20.4 M elements, an estimated 5.0 GB of codes and closure
     def forbidden(*args, **kwargs):
         raise AssertionError("BFS started")
 
     monkeypatch.setattr(clifford, "_reduced_group_cached", forbidden)
     with pytest.raises(BudgetExceededError, match="reduced Clifford group"):
-        enumerate_reduced_clifford(Dims(23, 1))
+        enumerate_reduced_clifford(Dims(29, 1))
+
+
+def test_group_admitted_up_to_d23(monkeypatch):
+    # (23,1): 6.4 M elements in an estimated 1501 MiB; the BFS itself is not run
+    monkeypatch.setattr(clifford, "_reduced_group_cached", lambda d, N: (d, N))
+    assert clifford._group_bytes(Dims(23, 1), 2) == 1_573_923_120
+    assert enumerate_reduced_clifford(Dims(23, 1)) == (23, 1)
 
 
 # The peak RSS is read as VmHWM: ru_maxrss of a process forked from a large
@@ -958,3 +965,18 @@ def test_eigenspaces_orthonormal_and_invariant():
             lam = np.vdot(E[:, 0], U @ E[:, 0])
             assert abs(abs(lam) - 1) < 1e-10
             assert np.max(np.abs(U @ E - lam * E)) < 1e-10
+
+
+def test_malformed_arguments_refused():
+    with pytest.raises(NotCliffordError, match="odd d"):
+        metaplectic_V(np.eye(2, dtype=np.int64), 2)
+    with pytest.raises(NotCliffordError, match="SL"):
+        metaplectic_V(np.array([[1, 1], [1, 1]]), 3)
+    with pytest.raises(NotCliffordError, match="single qudits"):
+        clifford_from_affine(np.eye(4, dtype=np.int64), np.zeros(4, dtype=np.int64), Dims(2, 2))
+    with pytest.raises(NotCliffordError, match="unknown gate token"):
+        gate_unitary("T@1", Dims(2, 1))
+    with pytest.raises(NotCliffordError, match="qubit-only"):
+        gate_unitary("CZ@1,2", Dims(3, 2))
+    with pytest.raises(DimensionMismatchError, match="expected a 2x2 unitary"):
+        nondegenerate_eigenstates(np.eye(3), Dims(2, 1))

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from quditmagic.catalog import build
-from quditmagic.clifford import (
-    clifford_equivalence_search,
-    state_invariant,
-    word_unitary,
-)
+from quditmagic.clifford import class_keys, clifford_equivalence_search, word_unitary
 from quditmagic.extremality import (
     PerturbationFrame,
     classify_xi2,
@@ -238,9 +234,10 @@ def test_single_qudit_equivalences_by_search(dims, a, b):
 
 def test_A_pair_not_equivalent_by_invariant():
     # same fidelity, trace norm and Renyi values, but different stabilizer
-    # overlap multisets, so the search refuses immediately
+    # overlap multisets, so the search finds no word
     a, b = build("ququint:A,w2"), build("ququint:A,-w2")
-    assert state_invariant(a, D5) != state_invariant(b, D5)
+    dd = enumerate_stabilizer_states(D5)
+    assert not np.array_equal(class_keys(dd.overlaps(a)), class_keys(dd.overlaps(b)))
     assert clifford_equivalence_search(a, b, D5, budget=100) is None
 
 

@@ -179,3 +179,8 @@ def test_single_step_cap_returns_unconverged_solution(name):
 def test_bad_tol_or_cap_raises(kwargs):
     with pytest.raises(ValueError):
         solve_extent(_problem("qubit:T0"), **kwargs)
+
+
+def test_witness_orthogonal_to_every_state_refused():
+    with pytest.raises(ZeroDivisionError, match="zero G-stabilizer fidelity"):
+        witness_bound(np.array([1, 0]), np.array([0, 1]), np.array([[1, 0]]))

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from quditmagic import extremality, weyl
 from quditmagic.catalog import build, entries
-from quditmagic.errors import BudgetExceededError, DimensionMismatchError
+from quditmagic.errors import BudgetExceededError, DimensionMismatchError, UnsupportedDimensionError
 from quditmagic.extremality import (
     PerturbationFrame,
     classify_mana,
@@ -42,7 +42,8 @@ def test_frame_density_decomposition():
     phi = rand_direction(psi, 0)
     fr = PerturbationFrame(d3, psi, phi)
     for eps in (0.05, -0.13, 0.31):
-        direct = fr.density(eps)
+        state = fr.state(eps)
+        direct = np.outer(state, state.conj())
         recon = (np.outer(psi, psi.conj())
                  + eps / (1 + eps ** 2) * fr.sigma
                  + eps ** 2 / (1 + eps ** 2) * fr.mu
@@ -62,7 +63,7 @@ def test_frame_holds_two_vectors():
     assert np.array_equal(fr.sigma, np.outer(phi, psi.conj()) + np.outer(psi, phi.conj()))
     assert np.array_equal(fr.mu, np.outer(phi, phi.conj()) - np.outer(psi, psi.conj()))
     state = (psi + 0.3 * phi) / np.sqrt(1 + 0.3 ** 2)
-    assert np.array_equal(fr.density(0.3), np.outer(state, state.conj()))
+    assert np.array_equal(fr.state(0.3), state)
     # (2,10): two 16 KiB vectors, where a dense sigma and mu held 32 MiB
     dims = Dims(2, 10)
     psi = np.zeros(dims.D, dtype=complex)
@@ -370,3 +371,8 @@ def test_T_state_inflection():
     rep = classify_xi2(co)
     assert rep.kind == "smooth_max" and rep.leading_order == 4
     assert abs(co[4] + 4 / 9) < 1e-9
+
+
+def test_w_matrix_refuses_even_d():
+    with pytest.raises(UnsupportedDimensionError, match="odd d"):
+        w_matrix([build("qubit:T0"), build("qubit:T1")], Dims(2, 1))

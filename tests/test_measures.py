@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditmagic.catalog import build
+from quditmagic.cli import main
 from quditmagic.clifford import affine_from_clifford, enumerate_reduced_clifford, single_qudit_H
 from quditmagic.errors import UnsupportedDimensionError
 from quditmagic.measures import (
@@ -236,10 +239,17 @@ def test_clifford_invariance_qutrit():
         assert np.max(np.abs(m2 - m2[0])) < 1e-9
 
 
-def test_measure_report_json():
+def test_measure_report_json(capsys):
     rep = measure_report(build("qutrit:S"), Dims(3, 1), alphas=(2.0, 3.0))
-    js = rep.to_json()
-    assert '"mana"' in js and '"2.0"' in js
+    assert main(["measures", "qutrit:S", "--alphas", "2,3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["d"], payload["N"], payload["nearest_count"]) == (3, 1, rep.nearest_count)
+    assert payload["stabilizer_fidelity"] == rep.stabilizer_fidelity
+    assert payload["sre"] == {"2.0": rep.sre[2.0], "3.0": rep.sre[3.0]}
+    assert payload["xi"] == {"2.0": rep.xi[2.0], "3.0": rep.xi[3.0]}
+    assert payload["mana"] == rep.mana and payload["wigner_trace_norm"] == rep.wigner_trace_norm
+    assert payload["exact_forms"] == {"F": "1/2", "wnorm": "5/3", "mana": "log(5/3)",
+                                      "M2": "log 2"}
 
 
 def test_clifford_invariance_ququint():
@@ -259,3 +269,11 @@ def test_clifford_invariance_ququint():
         exps = np.einsum('ni,kij,nj->nk', rotated.conj(), T, rotated)
         m2 = -np.log(np.sum(np.abs(exps) ** 4, axis=1) / 25) - np.log(5)
         assert np.max(np.abs(m2 - m2[0])) < 1e-9
+
+
+def test_fidelity_arguments_refused():
+    psi = build("qutrit:S")
+    with pytest.raises(ValueError, match="need a dictionary or dims"):
+        stabilizer_fidelity(psi)
+    with pytest.raises(ValueError, match="empty G-stabilizer set"):
+        group_stabilizer_fidelity(psi, [])

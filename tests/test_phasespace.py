@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditmagic.errors import BudgetExceededError, NonInvertibleError
+from quditmagic.errors import BudgetExceededError, DimensionMismatchError, NonInvertibleError
 from quditmagic.phasespace import (
     Dims,
     basis_keys,
@@ -17,7 +17,6 @@ from quditmagic.phasespace import (
     is_symplectic,
     mod_inverse,
     phase_points,
-    point,
     reduce_by_pivots,
     row_reduce,
     span_elements,
@@ -25,7 +24,7 @@ from quditmagic.phasespace import (
     symplectic_product,
 )
 
-from oracles import enumerate_symplectic_2x2
+from oracles import enumerate_symplectic_2x2, point
 
 
 def subspaces(dims):
@@ -316,3 +315,16 @@ def test_basis_keys_view_and_search():
     assert keys.shape == (len(bases),) and np.shares_memory(keys, bases)
     for i in (0, 17, len(bases) - 1):
         assert np.searchsorted(keys, basis_keys(bases[i][None])[0]) == i
+
+
+def test_malformed_arguments_refused():
+    with pytest.raises(ValueError, match="not prime"):
+        Dims(1, 1)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        Dims(3, 0)
+    assert Dims(3, 1).__eq__((3, 1)) is NotImplemented and Dims(3, 1) != (3, 1)
+    with pytest.raises(DimensionMismatchError, match="point lengths differ"):
+        symplectic_product([1, 0], [1, 0, 0, 0], 3)
+    assert not is_symplectic(np.eye(2, 4, dtype=np.int64), 3)
+    # a single row is read as a one-row matrix
+    assert np.array_equal(row_reduce([2, 1, 0, 2], 3), [[1, 2, 0, 1]])

@@ -11,11 +11,11 @@ from quditmagic.clifford import (
     clifford_equivalence_search,
     clifford_generator_words,
     invert_word,
-    state_invariant,
     word_unitary,
 )
 from quditmagic.errors import BudgetExceededError, DimensionMismatchError
 from quditmagic.phasespace import Dims
+from quditmagic.stabilizers import enumerate_stabilizer_states
 from quditmagic.weyl import equal_up_to_phase, phase_normalize
 
 
@@ -30,8 +30,6 @@ def oracle_search(psi1, psi2, dims, budget=20000, seed=0, max_depth=40):
     psi2 = np.asarray(psi2, dtype=np.complex128)
     if equal_up_to_phase(psi1, psi2):
         return ()
-    if state_invariant(psi1, dims) != state_invariant(psi2, dims):
-        return None
     rng = np.random.default_rng(seed)
     gens = [(w, word_unitary(w, dims)) for w in clifford_generator_words(dims)]
     gens += [(invert_word(w, dims.d), U.conj().T) for w, U in list(gens)
@@ -142,10 +140,22 @@ def test_search_refuses_states_of_other_dims(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("search started")
 
-    monkeypatch.setattr(clifford, "state_invariant", forbidden)
     monkeypatch.setattr(clifford, "word_unitary", forbidden)
     qubit, qutrit = catalog.build("qubit:T0"), catalog.build("qutrit:S")
     dims = Dims(2, 1)
     for psi1, psi2 in [(qubit, qutrit), (qutrit, qubit), (qubit, np.outer(qubit, qubit))]:
         with pytest.raises(DimensionMismatchError):
             clifford_equivalence_search(psi1, psi2, dims)
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_search_beyond_the_dictionary_budget(N):
+    # the search holds 2^N-amplitude vectors, where the dictionary is refused
+    dims = Dims(2, N)
+    with pytest.raises(BudgetExceededError, match="stabilizer dictionary"):
+        enumerate_stabilizer_states(dims)
+    zero = np.eye(dims.D, dtype=complex)[0]
+    target = word_unitary(("H@1", "S@2", "H@2", "CZ@1,3"), dims) @ zero
+    word = clifford_equivalence_search(zero, target, dims, budget=100000)
+    assert word is not None
+    assert equal_up_to_phase(word_unitary(word, dims) @ zero, target)

@@ -1,5 +1,8 @@
+import csv
 import functools
 import hashlib
+import io
+import json
 import math
 import re
 import time
@@ -10,6 +13,7 @@ import pytest
 
 from quditmagic import stabilizers
 from quditmagic.catalog import build, verify_catalog
+from quditmagic.cli import main
 from quditmagic.clifford import clifford_group_order, enumerate_reduced_clifford
 from quditmagic.errors import BudgetExceededError, DimensionMismatchError, InvalidStabilizerError
 from quditmagic.measures import stabilizer_fidelity
@@ -19,7 +23,6 @@ from quditmagic.phasespace import (
     count_maximal_isotropic,
     enumerate_maximal_isotropic,
     phase_points,
-    point,
     point_index,
     reduce_by_pivots,
     span_elements,
@@ -41,7 +44,7 @@ from quditmagic.weyl import (
     unit_phase,
 )
 
-from oracles import displacement_table
+from oracles import displacement_table, point
 
 # the dims whose dictionaries the oracle tests rebuild (the seven-dim oracle
 # lists add (5, 2))
@@ -183,12 +186,19 @@ def test_newly_admitted_dims():
     assert len({(e.symplectic.tobytes(), e.displacement.tobytes()) for e in els}) == 16464
 
 
-def test_dictionary_dump_round_trip():
+def test_dictionary_dump_round_trip(capsys):
     dd = enumerate_stabilizer_states(Dims(3, 1))
-    js = dd.to_json()
-    assert '"states"' in js and js.count('"basis"') == 12
-    csv_text = dd.to_csv()
-    assert len(csv_text.strip().splitlines()) == 13
+    assert main(["dictionary", "--dims", "3,1", "--json"]) == 0
+    states = json.loads(capsys.readouterr().out)["states"]
+    assert len(states) == 12
+    for s, rec in zip(dd, states):
+        assert rec["basis"] == s.basis.tolist() and rec["displacement"] == s.displacement.tolist()
+        assert np.array_equal(np.array(rec["amplitudes"]) @ [1, 1j], s.vector)
+    assert main(["dictionary", "--dims", "3,1"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out.strip())))
+    assert rows[0] == ["basis", "displacement", "amplitudes"] and len(rows) == 13
+    for s, (_, _, amps) in zip(dd, rows[1:]):
+        assert np.array_equal([complex(a) for a in amps.split(";")], s.vector)
 
 
 def test_lookup_by_subspace_and_coset():

@@ -4,12 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from quditmagic.errors import BudgetExceededError
+from quditmagic.errors import BudgetExceededError, DimensionMismatchError, UnsupportedDimensionError
 from quditmagic.measures import sre
-from quditmagic.phasespace import Dims, phase_points, point, point_index, symplectic_product
+from quditmagic.phasespace import Dims, phase_points, point_index, symplectic_product
 from quditmagic.weyl import (
     displacement_matrix,
     equal_up_to_phase,
+    global_phase,
     phase_normalize,
     state_from_json,
     tau_exponent,
@@ -17,7 +18,7 @@ from quditmagic.weyl import (
 )
 
 import oracles
-from oracles import displacement_table, phase_point_table
+from oracles import displacement_table, phase_point_table, point
 
 
 def test_displacement_identity_and_shift():
@@ -156,3 +157,14 @@ def test_budget_refuses_table_and_caches():
     with pytest.raises(BudgetExceededError, match=re.escape(f"{120 * 4 ** 13:.3g} bytes")):
         sre(psi, Dims(2, 13))
     assert time.perf_counter() - start < 1.0
+
+
+def test_malformed_arguments_refused():
+    with pytest.raises(UnsupportedDimensionError, match="odd d"):
+        tau_exponent(2)
+    assert global_phase(np.ones(2), np.ones(3)) is None
+    # B is zero within tolerance: A is its multiple only when A is zero too
+    assert global_phase(np.zeros(2), np.full(2, 1e-14)) == 1.0
+    assert global_phase(np.array([1.0, 0.0]), np.zeros(2)) is None
+    with pytest.raises(DimensionMismatchError, match="expected 3 amplitudes"):
+        state_from_json({"d": 3, "N": 1, "amplitudes": [[1, 0], [0, 0]]})
