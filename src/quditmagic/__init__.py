@@ -27,9 +27,9 @@ _EXPORTS = {
     "extremality": ("CriticalReport", "PerturbationFrame", "classify_mana", "classify_xi2",
                     "fidelity_expansion", "l_matrix", "mana_expansion", "w_matrix",
                     "xi2_expansion"),
-    "measures": ("MeasureReport", "group_stabilizer_fidelity", "mana", "measure_report",
-                 "mixed_sre2", "pauli_distribution", "sre", "sre_upper_bound",
-                 "stabilizer_fidelity", "wigner_function", "wigner_trace_norm", "xi"),
+    "measures": ("group_stabilizer_fidelity", "mana", "mixed_sre2", "pauli_distribution", "sre",
+                 "sre_upper_bound", "stabilizer_fidelity", "wigner_function",
+                 "wigner_trace_norm", "xi"),
     "phasespace": ("Dims", "enumerate_maximal_isotropic", "is_symplectic", "mod_inverse",
                    "symplectic_product"),
     "stabilizers": ("StabilizerDictionary", "StabilizerState", "enumerate_stabilizer_states",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -168,42 +169,43 @@ def _jsonable(obj):
 
 def cmd_measures(args) -> int:
     from . import catalog
-    from .measures import measure_report
+    from .measures import sre_from_xi, wigner_trace_norm, xi
+    from .stabilizers import enumerate_stabilizer_states
 
     if not args.state and not args.file:
         raise QuditMagicError("need a state name or --file")
     spec = f"@{args.file}" if args.file else args.state
     psi, dims = parse_state(spec)
-    alphas = args.alphas
     exact = {}
     if args.state:
         try:
-            exact = {k: v[0]
-                     for k, v in catalog.entry(args.state).expected.items()}
+            exact = {k: v[0] for k, v in catalog.entry(args.state).expected.items()}
         except QuditMagicError:
             pass
-    rep = measure_report(psi, dims, alphas=alphas, exact_forms=exact)
+    F, nearest = enumerate_stabilizer_states(dims).nearest(psi)
+    xis = {a: xi(psi, dims, a) for a in args.alphas}
+    sres = {a: sre_from_xi(value, dims, a) for a, value in xis.items()}
+    norm = wigner_trace_norm(psi, dims) if dims.odd else None
+    mana = None if norm is None else math.log(norm)
     if args.json:
-        payload = {"d": dims.d, "N": dims.N, "stabilizer_fidelity": rep.stabilizer_fidelity,
-                   "nearest_count": rep.nearest_count,
-                   "sre": {str(a): v for a, v in rep.sre.items()},
-                   "xi": {str(a): v for a, v in rep.xi.items()},
-                   "mana": rep.mana, "wigner_trace_norm": rep.wigner_trace_norm}
+        payload = {"d": dims.d, "N": dims.N, "stabilizer_fidelity": F,
+                   "nearest_count": len(nearest), "sre": {str(a): v for a, v in sres.items()},
+                   "xi": {str(a): v for a, v in xis.items()},
+                   "mana": mana, "wigner_trace_norm": norm}
         if exact:
             payload["exact_forms"] = exact
         _emit(args, payload)
     else:
         print(f"dims: d={dims.d} N={dims.N}")
-        print(f"stabilizer fidelity: {rep.stabilizer_fidelity:.12g}"
-              + (f"   [{exact['F']}]" if "F" in exact else ""))
-        print(f"nearest stabilizer states: {rep.nearest_count}")
-        for a in alphas:
-            print(f"M_{a:g}: {rep.sre[a]:.12g}"
+        print(f"stabilizer fidelity: {F:.12g}" + (f"   [{exact['F']}]" if "F" in exact else ""))
+        print(f"nearest stabilizer states: {len(nearest)}")
+        for a in args.alphas:
+            print(f"M_{a:g}: {sres[a]:.12g}"
                   + (f"   [{exact['M2']}]" if a == 2.0 and "M2" in exact else ""))
-        if rep.mana is not None:
-            print(f"wigner trace norm: {rep.wigner_trace_norm:.12g}"
+        if norm is not None:
+            print(f"wigner trace norm: {norm:.12g}"
                   + (f"   [{exact['wnorm']}]" if "wnorm" in exact else ""))
-            print(f"mana: {rep.mana:.12g}")
+            print(f"mana: {mana:.12g}")
     return 0
 
 
@@ -218,6 +220,7 @@ def cmd_tables(args) -> int:
 def cmd_eigenstates(args) -> int:
     from .clifford import (class_keys, eigenpairs, enumerate_reduced_clifford,
                            nondegenerate_eigenstates, word_unitary)
+    from .phasespace import basis_keys
     from .stabilizers import enumerate_stabilizer_states
     from .weyl import phase_normalize
 
@@ -242,7 +245,7 @@ def cmd_eigenstates(args) -> int:
         ov = np.abs(vecs @ dd.matrix.conj().T) ** 2
         magic = np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL)
         # the first eigenvector of each class, in order of appearance
-        first = magic[np.sort(np.unique(class_keys(ov[magic]), axis=0, return_index=True)[1])]
+        first = magic[np.sort(np.unique(basis_keys(class_keys(ov[magic])), return_index=True)[1])]
         results = [{"class": c, "state": state, "fidelity": float(np.max(ov[i])),
                     "word": list(group.word(reps[owner[i]]))}
                    for c, (i, state) in enumerate(zip(first, phase_normalize(vecs[first])))]

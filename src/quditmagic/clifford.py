@@ -738,8 +738,8 @@ def nondegenerate_eigenstates(C, dims: Dims) -> list[tuple[complex, np.ndarray]]
 
 def class_keys(overlaps: np.ndarray) -> np.ndarray:
     """The Clifford-class key of each row of stabilizer overlaps |<s|psi>|^2:
-    the row sorted and rounded to OVERLAP_DECIMALS."""
-    return np.round(np.sort(overlaps, axis=-1), OVERLAP_DECIMALS)
+    the row sorted, as int64 multiples of 10^-OVERLAP_DECIMALS (np.round's grid)."""
+    return np.rint(np.sort(overlaps, axis=-1) * 10 ** OVERLAP_DECIMALS).astype(np.int64)
 
 
 def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,

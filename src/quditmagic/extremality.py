@@ -59,7 +59,7 @@ class PerturbationFrame:
 
 class CriticalReport(NamedTuple):
     measure: str       # mana | fidelity | xi2
-    kind: str          # sharp_min | smooth_max | smooth_min | flat | inflection | undetermined
+    kind: str          # sharp_min | smooth_max | smooth_min | flat | inflection
     leading_order: int
     leading_coefficient: float
 

@@ -7,7 +7,6 @@ All phase-space sums run over the lexicographic point order of
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +131,12 @@ def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     """alpha-stabilizer Renyi entropy, offset so stabilizer states give 0."""
     if alpha < 2:
         raise ValueError("alpha < 2 is outside the supported contract")
-    val = xi(psi, dims, alpha)
-    return float(math.log(val) / (1 - alpha) - dims.N * math.log(dims.d))
+    return sre_from_xi(xi(psi, dims, alpha), dims, alpha)
+
+
+def sre_from_xi(xi_alpha: float, dims: Dims, alpha: float) -> float:
+    """M_alpha = log(Xi_alpha) / (1 - alpha) - N log d, from a computed Xi_alpha."""
+    return float(math.log(xi_alpha) / (1 - alpha) - dims.N * math.log(dims.d))
 
 
 def sre_upper_bound(dims: Dims, alpha: float = 2.0) -> float:
@@ -153,32 +156,3 @@ def mixed_sre2(rho, dims: Dims) -> float:
     quartic = np.add.reduce(traces ** 4, axis=None)
     return -math.log(quartic / np.add.reduce(np.square(traces, out=traces), axis=None))
 
-
-class MeasureReport(NamedTuple):
-    """Bundle of the three measures for one state."""
-
-    dims: Dims
-    stabilizer_fidelity: float
-    nearest_count: int
-    sre: dict                # alpha -> value
-    xi: dict                 # alpha -> value
-    mana: float | None       # None for even d
-    wigner_trace_norm: float | None
-    exact_forms: dict
-
-
-def measure_report(psi: np.ndarray, dims: Dims, alphas=(2.0,),
-                   exact_forms: dict | None = None) -> MeasureReport:
-    """Evaluate all applicable measures on a pure state."""
-    F, nearest = enumerate_stabilizer_states(dims).nearest(psi)
-    norm = wigner_trace_norm(psi, dims) if dims.odd else None
-    return MeasureReport(
-        dims=dims,
-        stabilizer_fidelity=F,
-        nearest_count=len(nearest),
-        sre={a: sre(psi, dims, a) for a in alphas},
-        xi={a: xi(psi, dims, a) for a in alphas},
-        mana=None if norm is None else math.log(norm),
-        wigner_trace_norm=norm,
-        exact_forms=exact_forms or {},
-    )

@@ -19,6 +19,7 @@ from quditmagic.clifford import (
     _degenerate_bases,
     _pauli_action,
     affine_from_clifford,
+    class_keys,
     clifford_equivalence_search,
     clifford_from_affine,
     clifford_generator_words,
@@ -42,6 +43,7 @@ from quditmagic.errors import (BudgetExceededError, DimensionMismatchError, NonC
                                NotCliffordError, UnsupportedDimensionError)
 from quditmagic.phasespace import (
     Dims,
+    basis_keys,
     mod_inverse,
     phase_points,
     point_index,
@@ -324,6 +326,36 @@ def test_group_stabilizer_states_by_stabilizer_fidelity(tokens, d, N, order, spl
     fidelity = np.array([np.max(dd.overlaps(s)) for s in states])
     for value, count in split.items():
         assert np.sum(np.abs(fidelity - value) < 1e-9) == count
+
+
+def _first_of_class(groups):
+    """Per row, the index of the first row in its group, from np.unique's
+    (index, inverse) over the rows."""
+    _, index, inverse = groups
+    return index[inverse.ravel()]
+
+
+@pytest.mark.parametrize("dims", [Dims(3, 1), Dims(5, 1), Dims(2, 2), Dims(7, 1)], ids=str)
+def test_class_keys_group_as_the_rounded_overlaps(dims):
+    # the integer keys on 10^-8 grid points group every row as the float rows
+    # rounded by np.round did, so the sweep keeps the same first occurrences
+    group = enumerate_reduced_clifford(dims)
+    _, V, single = eigenpairs(np.array([group.unitary(i) for i in range(0, len(group), 7)]))
+    owner, col = np.nonzero(single)
+    rows = np.abs(V[owner, :, col] @ enumerate_stabilizer_states(dims).matrix.conj().T) ** 2
+    # and rows on and beside the half-way points where rounding turns
+    rng = np.random.default_rng(dims.D)
+    grid = rng.integers(0, 10 ** 8, size=(64, rows.shape[1]), endpoint=True)
+    near = grid + rng.choice([0.0, 0.5, 0.5 - 1e-6, 0.5 + 1e-6, 1e-9], size=grid.shape)
+    rows = np.concatenate([rows, near / 10 ** 8, rows[::-1] + 1e-13])
+    keys = class_keys(rows)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys / 10 ** 8, np.round(np.sort(rows, axis=-1), 8))
+    new = np.unique(basis_keys(keys), return_index=True, return_inverse=True)
+    old = np.unique(np.round(np.sort(rows, axis=-1), 8), axis=0,
+                    return_index=True, return_inverse=True)
+    assert len(new[1]) == len(old[1]) < len(rows)
+    assert np.array_equal(_first_of_class(new), _first_of_class(old))
 
 
 def test_qutrit_group_stabilizer_states_hold_every_eigenstate_class(capsys):

@@ -1,0 +1,88 @@
+"""The golden corpus: each command of tests/golden/regenerate.py, rerun
+in-process, against its committed output.  Structure, integers and strings
+must match exactly and floats within FLOAT_TOL absolute, so the corpus holds
+across BLAS kernels that move the last bits."""
+
+import json
+import os
+import re
+
+import pytest
+
+from golden.regenerate import CASES, HERE, run
+
+FLOAT_TOL = 1e-12
+# a number in text output; the split keeps it, so the text around it is kept too
+NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def assert_close(got, want, where="output"):
+    """Parsed JSON: the same structure, keys in the same order, the same
+    integers, strings and nulls, and floats within FLOAT_TOL."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == want or abs(got - want) <= FLOAT_TOL, (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def _number(text: str) -> int | float:
+    """A number as JSON would parse it: an int unless it has a point or an exponent."""
+    return float(text) if re.search(r"[.eE]", text) else int(text)
+
+
+def assert_text_close(got: str, want: str):
+    """Text output: the same text between numbers, and the numbers compared
+    as assert_close compares them."""
+    got_parts, want_parts = NUMBER.split(got), NUMBER.split(want)
+    assert got_parts[::2] == want_parts[::2]
+    assert_close([_number(s) for s in got_parts[1::2]], [_number(s) for s in want_parts[1::2]])
+
+
+def test_the_corpus_holds_exactly_the_cases():
+    assert {n for n in os.listdir(HERE) if n.endswith((".json", ".txt"))} == set(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_the_corpus(name):
+    code, text = run(CASES[name])
+    assert code == 0
+    with open(os.path.join(HERE, name)) as fh:
+        want = fh.read()
+    if name.endswith(".json"):
+        assert_close(json.loads(text), json.loads(want))
+    else:
+        assert_text_close(text, want)
+
+
+def test_the_comparator_reads_json():
+    with open(os.path.join(HERE, "measures_qutrit_S.json")) as fh:
+        want = fh.read()
+    mana = "0.5108256237659903"
+    assert_close(json.loads(want.replace(mana, "0.5108256237659913")), json.loads(want))
+    for moved in (want.replace(mana, "0.5108256238659903"),
+                  want.replace('"nearest_count": 8', '"nearest_count": 8.0'),
+                  want.replace('"M2": "log 2"', '"M2": "log(2)"'),
+                  want.replace(f'"mana": {mana},', "")):
+        assert moved != want
+        with pytest.raises(AssertionError):
+            assert_close(json.loads(moved), json.loads(want))
+
+
+def test_the_comparator_reads_numbers_in_text():
+    with open(os.path.join(HERE, "measures_qutrit_S.txt")) as fh:
+        want = fh.read()
+    assert_text_close(want.replace("0.69314718056", "0.693147180560001"), want)
+    for moved in (want.replace("0.69314718056", "0.69314718057"),
+                  want.replace("states: 8", "states: 9"),
+                  want.replace("[log 2]", "[log(2)]")):
+        with pytest.raises(AssertionError):
+            assert_text_close(moved, want)

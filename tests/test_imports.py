@@ -60,7 +60,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_public_names_resolve_to_their_defining_module():
-    assert len(quditmagic.__all__) == len(set(quditmagic.__all__)) == 60
+    assert len(quditmagic.__all__) == len(set(quditmagic.__all__)) == 58
     for name in quditmagic.__all__:
         obj = getattr(quditmagic, name)
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name

@@ -25,10 +25,10 @@ from quditmagic.extent import ExtentProblem, solve_extent, witness_bound
 from quditmagic.measures import (
     group_stabilizer_fidelity,
     mana,
-    measure_report,
     mixed_sre2,
     pauli_distribution,
     sre,
+    sre_from_xi,
     stabilizer_fidelity,
     wigner_function,
     wigner_trace_norm,
@@ -125,9 +125,18 @@ def test_kernels_match_previous_formulas(dims):
             norm = float(np.sum(np.abs(oracle_wigner(psi, dims))))
             assert wigner_trace_norm(psi, dims) == norm
             assert mana(psi, dims) == log(norm)
-            if dims in FIDELITY_DIMS:
-                assert measure_report(psi, dims).mana == log(norm)
     assert log.calls > 0
+
+
+def test_sre_is_its_xi_transformed():
+    # each M_alpha that `measures` prints is sre_from_xi of the Xi_alpha beside it
+    rng = np.random.default_rng(4)
+    cases = [(e.build(), e.dims) for e in catalog.entries().values()]
+    cases += [(haar_state(dims.D, rng), dims) for dims in SCAN_DIMS if dims.D <= 32
+              for _ in range(STATES_PER_DIMS)]
+    for psi, dims in cases:
+        for alpha in ALPHAS:
+            assert sre(psi, dims, alpha) == sre_from_xi(xi(psi, dims, alpha), dims, alpha)
 
 
 @pytest.mark.parametrize("dims", [Dims(2, 1), Dims(2, 3), Dims(3, 2), Dims(5, 1), Dims(2, 5),

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditmagic.catalog import build
+from quditmagic.catalog import build, entry
 from quditmagic.cli import main
 from quditmagic.clifford import affine_from_clifford, enumerate_reduced_clifford, single_qudit_H
 from quditmagic.errors import UnsupportedDimensionError
 from quditmagic.measures import (
     group_stabilizer_fidelity,
     mana,
-    measure_report,
     mixed_sre2,
     pauli_distribution,
     sre,
@@ -239,17 +238,25 @@ def test_clifford_invariance_qutrit():
         assert np.max(np.abs(m2 - m2[0])) < 1e-9
 
 
-def test_measure_report_json(capsys):
-    rep = measure_report(build("qutrit:S"), Dims(3, 1), alphas=(2.0, 3.0))
-    assert main(["measures", "qutrit:S", "--alphas", "2,3", "--json"]) == 0
+@pytest.mark.parametrize("name,exact", [
+    ("qutrit:S", {"F": "1/2", "wnorm": "5/3", "mana": "log(5/3)", "M2": "log 2"}),
+    ("2q:G20,1", {"F": "5/8", "M2": "log(16/7)"}),
+])
+def test_measures_json_matches_direct_calls(capsys, name, exact):
+    psi, dims, alphas = build(name), entry(name).dims, (2.0, 2.5, 3.0)
+    assert main(["measures", name, "--alphas", "2,2.5,3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["d"], payload["N"], payload["nearest_count"]) == (3, 1, rep.nearest_count)
-    assert payload["stabilizer_fidelity"] == rep.stabilizer_fidelity
-    assert payload["sre"] == {"2.0": rep.sre[2.0], "3.0": rep.sre[3.0]}
-    assert payload["xi"] == {"2.0": rep.xi[2.0], "3.0": rep.xi[3.0]}
-    assert payload["mana"] == rep.mana and payload["wigner_trace_norm"] == rep.wigner_trace_norm
-    assert payload["exact_forms"] == {"F": "1/2", "wnorm": "5/3", "mana": "log(5/3)",
-                                      "M2": "log 2"}
+    F, nearest = enumerate_stabilizer_states(dims).nearest(psi)
+    assert (payload["d"], payload["N"], payload["nearest_count"]) == (dims.d, dims.N, len(nearest))
+    assert payload["stabilizer_fidelity"] == F
+    assert payload["sre"] == {str(a): sre(psi, dims, a) for a in alphas}
+    assert payload["xi"] == {str(a): xi(psi, dims, a) for a in alphas}
+    if dims.odd:
+        assert payload["wigner_trace_norm"] == wigner_trace_norm(psi, dims)
+        assert payload["mana"] == mana(psi, dims)
+    else:
+        assert payload["wigner_trace_norm"] is None and payload["mana"] is None
+    assert payload["exact_forms"] == exact
 
 
 def test_clifford_invariance_ququint():
