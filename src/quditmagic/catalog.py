@@ -33,7 +33,7 @@ from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
 from .tolerances import (CATALOG_NORM_TOL, EIGEN_RESIDUAL_TOL, EQUALITY_TOL, EXACT_TOL,
                          IDENTITY_TOL, PRINTED_TOL)
-from .weyl import displacement_matrix, equal_up_to_phase, unit_phase
+from .weyl import displacement_matrix, equal_up_to_phase, global_phase, unit_phase
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -252,7 +252,6 @@ class CatalogEntry(NamedTuple):
     eigen_value: complex | None = None
     m_alpha: Callable[[float], float] | None = None
     saturates_sre_bound: bool = False
-    notes: str = ""
 
 
 def _entry(registry, name, dims, vec, **kw):
@@ -333,6 +332,7 @@ def entries() -> dict:
            nearest_state=lambda: ket(1, d=3),
            eigen_operator=_op_qutrit_N, eigen_value=unit_phase(1, 6),
            m_alpha=ma_qutrit_SN, saturates_sre_bound=True)
+    # the M2 value differs from part of the earlier literature
     _entry(reg, "qutrit:Hplus", d3, q3["Hplus"],
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
                      "wnorm": ("1/3+2/sqrt3", 1 / 3 + 2 / SQ3),
@@ -340,8 +340,7 @@ def entries() -> dict:
            expected_nearest_count=2,
            nearest_state=lambda: ket(0, d=3),
            eigen_operator=_op_qutrit_H, eigen_value=-1j,
-           m_alpha=ma_qutrit_Hp,
-           notes="the M2 value differs from part of the earlier literature")
+           m_alpha=ma_qutrit_Hp)
     _entry(reg, "qutrit:Hminus", d3, q3["Hminus"],
            expected={"M2": ("log(8/5)", math.log(8 / 5))},
            eigen_operator=_op_qutrit_H, eigen_value=1j,
@@ -705,20 +704,16 @@ class EquivalenceCheck(NamedTuple):
     source: str
     target: str
     word: tuple
-    phase: complex | None
     passed: bool
 
 
 def verify_equivalences(tol: float = EQUALITY_TOL) -> list[EquivalenceCheck]:
     """Apply each stated Clifford word and compare up to a global phase."""
-    from .weyl import global_phase
-
     out = []
     for source_label, word, target_label in EQUIVALENCES:
         src, dims = _resolve_state(source_label)
         tgt, _ = _resolve_state(target_label)
         mapped = word_unitary(word, dims) @ src
-        ph = global_phase(tgt, mapped, tol=tol)
-        out.append(EquivalenceCheck(source_label, target_label, word, ph,
-                                    ph is not None))
+        out.append(EquivalenceCheck(source_label, target_label, word,
+                                    global_phase(tgt, mapped, tol=tol) is not None))
     return out

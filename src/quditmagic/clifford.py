@@ -52,7 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     NonClosedGroupError,
     NotCliffordError,
@@ -620,10 +619,11 @@ class FiniteUnitaryGroup:
         self.generators = np.asarray(generators, dtype=np.complex128)
 
     @classmethod
-    def generate(cls, generators, max_order: int = 20000) -> "FiniteUnitaryGroup":
+    def generate(cls, generators) -> "FiniteUnitaryGroup":
         """The closure of the generators, in breadth-first order from the
         identity, each level one batched product keyed by `_grid_keys`.
-        BudgetExceededError when it exceeds max_order elements."""
+        BudgetExceededError, from `_products`, before a level whose products
+        and the elements held would pass MEMORY_BUDGET."""
         gens = np.asarray(generators, dtype=np.complex128)
         levels = [np.eye(gens.shape[1], dtype=np.complex128)[None]]
         closure = _Closure(_grid_keys(levels[0]))
@@ -632,8 +632,6 @@ class FiniteUnitaryGroup:
             cand = _products(gens, levels[-1], 3 * len(closure) * gens[0].size * 16)
             base = len(closure) - len(levels[-1])
             levels.append(cand[closure.extend(_grid_keys(cand), base, len(gens))])
-            if len(closure) > max_order:
-                raise BudgetExceededError("group closure exceeds budget")
         return cls(np.concatenate(levels), gens)
 
     def __len__(self) -> int:

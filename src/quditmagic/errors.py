@@ -15,8 +15,8 @@ class DimensionMismatchError(QuditMagicError):
 
 class BudgetExceededError(QuditMagicError):
     """A build's estimated peak, with its transients and what it holds
-    meanwhile (a closure's elements so far), is over MEMORY_BUDGET bytes, or
-    a group closure over its max_order elements; raised before allocating."""
+    meanwhile (a closure's elements so far), is over MEMORY_BUDGET bytes;
+    raised before allocating."""
 
 
 MEMORY_BUDGET = 2 ** 31  # bytes; the one memory limit of the package

@@ -80,13 +80,6 @@ def mod_inverse(a: int, d: int) -> int:
     return pow(a, -1, d)
 
 
-def split_point(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat point into its (p, q) halves."""
-    chi = np.asarray(chi)
-    n = chi.shape[-1] // 2
-    return chi[..., :n], chi[..., n:]
-
-
 def lex_grid(d: int, n: int) -> np.ndarray:
     """All d^n tuples over Z_d as a (d^n, n) int64 array, in lexicographic order."""
     return np.ascontiguousarray(np.indices((d,) * n).reshape(n, d ** n).T, dtype=np.int64)
@@ -177,15 +170,6 @@ def row_reduce(rows: np.ndarray, d: int) -> np.ndarray:
     return mat
 
 
-def span_elements(basis: np.ndarray, d: int) -> np.ndarray:
-    """All d^k points in the span of k basis rows, lexicographic in coefficients;
-    a stack of bases (..., k, 2N) gives a stack of spans (..., d^k, 2N)."""
-    basis = np.asarray(basis, dtype=np.int64)
-    span = lex_grid(d, basis.shape[-2]) @ basis
-    span %= d
-    return span
-
-
 def reduce_by_pivots(chi: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
     """chi with its entries at the unit pivots of an echelon basis (k, 2N)
     cleared by subtracting basis rows, mod d.  A stack of bases (..., k, 2N)
@@ -259,8 +243,8 @@ def enumerate_maximal_isotropic(dims: Dims) -> np.ndarray:
     symmetric matrices of one R are built at once; the basis is already the
     subspace's canonical key, and isotropy is re-checked as B J B^T = 0 mod d
     for every basis B at once.  A subspace is its basis everywhere: its
-    points are `span_elements(basis, d)` and the canonical representative of
-    chi's coset is `reduce_by_pivots(chi, basis, d)`.
+    points are the combinations `lex_grid(d, N) @ basis % d` and the
+    canonical representative of chi's coset is `reduce_by_pivots(chi, basis, d)`.
     """
     check_budget(_isotropic_bytes(dims), f"the isotropic-subspace enumeration for {dims}")
     d, N = dims.d, dims.N

@@ -22,18 +22,19 @@ same transform gives the Pauli coefficients Tr[T_chi^dag M] / D of any
 operator, which the Clifford
 module uses to read conjugation actions, and `displace` applies T_chi to
 vectors by the same index arithmetic for the stabilizer dictionary.  A single
-T_chi is built on demand by `displacement_matrix`.
+T_chi is built on demand by `displacement_matrix`, as `displace` applied to
+the identity, so its phases are the plan's and it passes the plan's check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
-from .phasespace import Dims, mod_inverse, split_point
+from .phasespace import Dims, mod_inverse
 from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, ORTHONORMAL_TOL, UNIT_PHASE_TOL
 
 
@@ -41,10 +42,6 @@ def unit_phase(k: int, order: int) -> complex:
     """exp(2 pi i k / order) with the exponent reduced first."""
     k = int(k) % order
     return np.exp(2j * np.pi * k / order)
-
-
-def zeta(d: int) -> complex:
-    return unit_phase(1, 2 * d)
 
 
 def tau_exponent(d: int) -> int:
@@ -60,25 +57,6 @@ def density_of(psi) -> np.ndarray:
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
     return arr
-
-
-@lru_cache(maxsize=None)
-def _single_displacements(d: int) -> np.ndarray:
-    """Single-qudit T_(p,q) as a read-only (d, d, d, d) array indexed [p, q]."""
-    singles = np.zeros((d, d, d, d), dtype=np.complex128)
-    for p, q, j in np.ndindex(d, d, d):
-        if d == 2:
-            singles[p, q, (p + j) % d, j] = zeta(2) ** ((p * q) % 4) * unit_phase(q * j, d)
-        else:  # tau^(p q) omega^(q j) = omega^(t p q + q j)
-            singles[p, q, (p + j) % d, j] = unit_phase(tau_exponent(d) * p * q + q * j, d)
-    singles.setflags(write=False)
-    return singles
-
-
-def displacement_matrix(chi, dims: Dims) -> np.ndarray:
-    """T_chi alone: the Kronecker product of its single-qudit factors."""
-    p, q = split_point(np.asarray(chi, dtype=np.int64) % dims.d)
-    return reduce(np.kron, _single_displacements(dims.d)[p, q])
 
 
 def _digitwise(one: np.ndarray, N: int, place: int) -> np.ndarray:
@@ -168,6 +146,12 @@ def displace(chi, vectors, dims: Dims) -> np.ndarray:
     vals = (plan.phases[p, q][..., None] * plan.characters[q]
             * np.asarray(vectors, dtype=np.complex128))
     return np.take_along_axis(vals, np.broadcast_to(plan.minus.T[p], vals.shape), axis=-1)
+
+
+def displacement_matrix(chi, dims: Dims) -> np.ndarray:
+    """T_chi alone: `displace` applied to the columns of the identity."""
+    transform_plan(dims.d, dims.N)  # the budget check comes before the identity is built
+    return displace(chi, np.eye(dims.D), dims).T
 
 
 def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:

@@ -12,24 +12,62 @@ file: structure, integers and strings exactly, floats within 1e-12 absolute.
 
 import contextlib
 import io
+import json
 import os
 
-from quditmagic.cli import main
+from quditmagic import catalog
+from quditmagic.cli import TABLE_IDS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def stem(label: str) -> str:
+    """A state label as part of a file name: qutrit:S -> qutrit_S."""
+    return label.replace(":", "_").replace(",", "_")
+
+
+def state_spec(label: str) -> str:
+    """The CLI state argument: the catalog name, or for a prod: label the
+    inline JSON amplitudes of |bit> (x) state."""
+    if not label.startswith("prod:"):
+        return label
+    psi, dims = catalog._resolve_state(label)
+    return json.dumps({"d": dims.d, "N": dims.N,
+                       "amplitudes": [[float(a.real), float(a.imag)] for a in psi]})
+
 
 # file name -> argv; a .json file holds JSON output, a .txt file text
 CASES = {}
 for state in ("qutrit:S", "ququint:H,i", "2q:G20,1", "3q:W"):
-    stem = "measures_" + state.replace(":", "_").replace(",", "_")
-    CASES[stem + ".txt"] = ["measures", state, "--alphas", "2,3"]
-    CASES[stem + ".json"] = ["measures", state, "--alphas", "2,3", "--json"]
+    CASES[f"measures_{stem(state)}.txt"] = ["measures", state, "--alphas", "2,3"]
+    CASES[f"measures_{stem(state)}.json"] = ["measures", state, "--alphas", "2,3", "--json"]
 CASES["catalog_verify.txt"] = ["catalog", "verify"]
 CASES["catalog_verify.json"] = ["catalog", "verify", "--json"]
-# not 5,1: there the class order follows the BLAS kernel's eigenvalue order
-for dims in ("3,1", "2,2"):
-    CASES[f"eigenstates_{dims.replace(',', '_')}.json"] = [
+# not 5,1 or 11,1: there the class states follow the BLAS kernel's eigenvectors
+for dims in ("3,1", "2,2", "7,1"):
+    CASES[f"eigenstates_{stem(dims)}.json"] = [
         "eigenstates", "--dims", dims, "--all-cliffords", "--json"]
+for state in ("3q:W", "3q:TOF", "2q:G20,1"):
+    CASES[f"extent_{stem(state)}.json"] = ["extent", "solve", "--state", state,
+                                            "--tol", "1e-08", "--json"]
+for state, group in (("2q:G20,1", "H@1,S@1,CZ@1,2"), ("qutrit:S", "H@1,S@1")):
+    CASES[f"extent_group_{stem(state)}.json"] = ["extent", "solve", "--state", state,
+                                                  "--group", group, "--json"]
+for source, _, target in catalog.EQUIVALENCES:
+    CASES[f"search_{stem(source)}_to_{stem(target)}.json"] = [
+        "search", "--source", state_spec(source), "--target", state_spec(target),
+        "--seed", "1"]
+CASES["distill_sweep.json"] = ["distill", "sweep", "--eps3", "0.0:0.2:0.01",
+                               "--rounds", "5", "--json"]
+CASES["distill_step.json"] = ["distill", "step", "--eps3", "0.05", "--json"]
+for state in ("qutrit:S", "ququint:A,-w2", "2q:G20,1"):
+    CASES[f"extremality_{stem(state)}.json"] = ["extremality", state, "--json"]
+# not 2,3: its dictionary is 750 KB
+for dims in ("2,2", "3,2"):
+    CASES[f"dictionary_{stem(dims)}.json"] = ["dictionary", "--dims", dims, "--json"]
+for table in TABLE_IDS:
+    CASES[f"tables_{table}.json"] = ["tables", table, "--json"] + (
+        ["--grid", "5x9"] if table == "qubit-fidelity-sphere" else [])
 
 
 def run(argv: list[str]) -> tuple[int, str]:

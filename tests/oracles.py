@@ -5,9 +5,13 @@ index gathers and character sums.  The tables below stack every T_chi and
 every A_chi as a (d^(2N), D, D) array in lexicographic point order, so the
 tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
-cached per (d, N).  The brute-force Sp(2, Z_d) enumeration is a reference
-for the single-qudit Clifford tests, the stack of every reduced-group
-unitary for `ReducedCliffordGroup.unitary`, its conjugation by the
+cached per (d, N).  Each operator is a Kronecker product of single-qudit
+factors, whose phases come from their own exact exponents, so the tables are
+independent of the transform plan they check.  `span_elements` lists the
+points of an isotropic subspace from its basis.  The brute-force
+Sp(2, Z_d) enumeration is a reference for the single-qudit Clifford tests,
+the stack of every reduced-group unitary for `ReducedCliffordGroup.unitary`,
+its conjugation by the
 generators, keyed by floats, for `.conjugacy_classes`, the per-element
 closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
 `group_stabilizer_states`, the per-vector scalar phase of
@@ -28,11 +32,11 @@ from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.extremality import CriticalReport
 from quditmagic.measures import wigner_function
-from quditmagic.phasespace import Dims, phase_points, split_point
+from quditmagic.phasespace import Dims, lex_grid, phase_points
 from quditmagic.stabilizers import max_overlap
 from quditmagic.tolerances import (COEFF_TOL, EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL,
                                    GRAM_CUTOFF, GROUP_MATRIX_TOL, WIGNER_ZERO_TOL)
-from quditmagic.weyl import displacement_matrix, phase_normalize, unit_phase
+from quditmagic.weyl import phase_normalize, tau_exponent, unit_phase
 
 
 def point(p, q, dims: Dims) -> np.ndarray:
@@ -40,10 +44,49 @@ def point(p, q, dims: Dims) -> np.ndarray:
     return np.concatenate([np.atleast_1d(p), np.atleast_1d(q)]).astype(np.int64) % dims.d
 
 
+def split_point(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a flat point into its (p, q) halves."""
+    chi = np.asarray(chi)
+    n = chi.shape[-1] // 2
+    return chi[..., :n], chi[..., n:]
+
+
+def span_elements(basis: np.ndarray, d: int) -> np.ndarray:
+    """All d^k points in the span of k basis rows, lexicographic in coefficients;
+    a stack of bases (..., k, 2N) gives a stack of spans (..., d^k, 2N)."""
+    basis = np.asarray(basis, dtype=np.int64)
+    return lex_grid(d, basis.shape[-2]) @ basis % d
+
+
+def zeta(d: int) -> complex:
+    return unit_phase(1, 2 * d)
+
+
+@lru_cache(maxsize=None)
+def _single_displacements(d: int) -> np.ndarray:
+    """Single-qudit T_(p,q) as a read-only (d, d, d, d) array indexed [p, q],
+    each entry one root of unity from its exact exponent."""
+    singles = np.zeros((d, d, d, d), dtype=np.complex128)
+    for p, q, j in np.ndindex(d, d, d):
+        if d == 2:
+            singles[p, q, (p + j) % d, j] = zeta(2) ** ((p * q) % 4) * unit_phase(q * j, d)
+        else:  # tau^(p q) omega^(q j) = omega^(t p q + q j)
+            singles[p, q, (p + j) % d, j] = unit_phase(tau_exponent(d) * p * q + q * j, d)
+    singles.setflags(write=False)
+    return singles
+
+
+def kron_displacement(chi, dims: Dims) -> np.ndarray:
+    """T_chi as the Kronecker product of its single-qudit factors, with no
+    use of the transform plan that `weyl.displacement_matrix` reads."""
+    p, q = split_point(np.asarray(chi, dtype=np.int64) % dims.d)
+    return reduce(np.kron, _single_displacements(dims.d)[p, q])
+
+
 @lru_cache(maxsize=None)
 def _displacement_table(d: int, N: int) -> np.ndarray:
     dims = Dims(d, N)
-    table = np.array([displacement_matrix(chi, dims) for chi in phase_points(dims)])
+    table = np.array([kron_displacement(chi, dims) for chi in phase_points(dims)])
     table.setflags(write=False)
     return table
 

@@ -275,7 +275,7 @@ def _eigenphase_extended_qutrit_H():
     # the closure of <H> together with the scalar phases from its spectrum
     H = single_qudit_H(3)
     scalars = [val * np.eye(3, dtype=np.complex128) for val in np.linalg.eigvals(H)]
-    return FiniteUnitaryGroup.generate([H] + scalars, max_order=4096)
+    return FiniteUnitaryGroup.generate([H] + scalars)
 
 
 def test_eigenphase_extended_closure_qutrit_H():
@@ -386,12 +386,19 @@ def test_finite_group_matches_per_element_oracle(name, order):
     assert np.array_equal(G.elements, ref)  # bit for bit, in the oracle's order
 
 
-def test_finite_group_closure_over_max_order_raises():
+def test_finite_group_closure_over_the_memory_budget_raises(monkeypatch):
+    # the memory budget is the closure's only limit: refused one byte below
+    # its largest level estimate, admitted at it and at the default
     gens = _generators("qutrit <S, H>")
-    for generate in (FiniteUnitaryGroup.generate, generate_group):
-        with pytest.raises(BudgetExceededError, match="group closure"):
-            generate(gens, max_order=647)
-        assert len(generate(gens, max_order=648)) == 648
+    estimates, check = [], clifford.check_budget
+    monkeypatch.setattr(clifford, "check_budget",
+                        lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what))
+    assert len(FiniteUnitaryGroup.generate(gens)) == 648
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", max(estimates) - 1)
+    with pytest.raises(BudgetExceededError, match="a finite group closure level"):
+        FiniteUnitaryGroup.generate(gens)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", max(estimates))
+    assert len(FiniteUnitaryGroup.generate(gens)) == 648
 
 
 def test_finite_group_closure_counts_what_it_holds(monkeypatch):
@@ -916,7 +923,7 @@ def test_finite_group_closure_peak_within_estimate():
 estimates, check = [], clifford.check_budget
 clifford.check_budget = lambda nbytes, what: estimates.append(nbytes) or check(nbytes, what)
 gens = [clifford.word_unitary([t], dims) for t in ("H@1", "S@1", "H@2", "S@2", "CZ@1,2")]
-assert len(clifford.FiniteUnitaryGroup.generate(gens, max_order=10 ** 5)) == 92160
+assert len(clifford.FiniteUnitaryGroup.generate(gens)) == 92160
 """
     rise, estimate = _peak_rise_and_estimate(build, "max(estimates)", 2, 2)
     assert 0 < rise <= estimate

@@ -92,7 +92,7 @@ def test_l_matrix_contract_and_tables():
 def test_l_forms_match_the_per_entry_oracle():
     # the amplitudes round as np.vdot does, so the L tables, printed to 10
     # decimals, keep every byte, signed zeros included
-    from quditmagic.tables import _L_BASES, QUQUINT_L_PRINTED, ququint_l_matrix
+    from quditmagic.tables import _L_BASES, QUQUINT_L_PRINTED, _l_table
 
     def printed(L):
         return np.round(L, 10).tobytes()
@@ -105,7 +105,7 @@ def test_l_forms_match_the_per_entry_oracle():
             oracles.ell_form(psi, basis, states)), name
     for name, (dirs, _) in QUQUINT_L_PRINTED.items():
         _, nearest = max_overlap(build(name), enumerate_stabilizer_states(Dims(5, 1)))
-        assert printed(ququint_l_matrix(name)) == printed(oracles.ell_form(
+        assert printed(_l_table(name)) == printed(oracles.ell_form(
             build(name), [build(b) for b in dirs], [s.vector for s in nearest])), name
 
 

@@ -1,14 +1,19 @@
 """The golden corpus: each command of tests/golden/regenerate.py, rerun
 in-process, against its committed output.  Structure, integers and strings
 must match exactly and floats within FLOAT_TOL absolute, so the corpus holds
-across BLAS kernels that move the last bits."""
+across BLAS kernels that move the last bits; one test reruns every command
+under OpenBLAS's generic kernel to show it."""
 
 import json
 import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import quditmagic
 from golden.regenerate import CASES, HERE, run
 
 FLOAT_TOL = 1e-12
@@ -51,16 +56,42 @@ def test_the_corpus_holds_exactly_the_cases():
     assert {n for n in os.listdir(HERE) if n.endswith((".json", ".txt"))} == set(CASES)
 
 
+def assert_matches_the_corpus(name: str, text: str):
+    with open(os.path.join(HERE, name)) as fh:
+        want = fh.read()
+    if name.endswith(".json"):
+        assert_close(json.loads(text), json.loads(want), name)
+    else:
+        assert_text_close(text, want)
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_the_corpus(name):
     code, text = run(CASES[name])
     assert code == 0
-    with open(os.path.join(HERE, name)) as fh:
-        want = fh.read()
-    if name.endswith(".json"):
-        assert_close(json.loads(text), json.loads(want))
-    else:
-        assert_text_close(text, want)
+    assert_matches_the_corpus(name, text)
+
+
+BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+
+
+@pytest.mark.skipif("DYNAMIC_ARCH" not in BLAS.get("openblas configuration", ""),
+                    reason=f"numpy's BLAS ({BLAS.get('name', 'unknown')}) is not an OpenBLAS "
+                           "built with DYNAMIC_ARCH, so OPENBLAS_CORETYPE cannot select the "
+                           "generic kernel")
+def test_the_corpus_holds_under_the_generic_kernel():
+    # every command in one fresh process, on OpenBLAS's generic x86-64 kernel
+    probe = ("import json\nfrom golden.regenerate import CASES, run\n"
+             "print(json.dumps({name: run(argv) for name, argv in CASES.items()}))")
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(quditmagic.__file__)),
+                            os.path.dirname(HERE)])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"})
+    outputs = json.loads(out.stdout)
+    assert list(outputs) == list(CASES)
+    for name, (code, text) in outputs.items():
+        assert code == 0, name
+        assert_matches_the_corpus(name, text)
 
 
 def test_the_comparator_reads_json():

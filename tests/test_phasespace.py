@@ -19,12 +19,11 @@ from quditmagic.phasespace import (
     phase_points,
     reduce_by_pivots,
     row_reduce,
-    span_elements,
     symplectic_group_order,
     symplectic_product,
 )
 
-from oracles import enumerate_symplectic_2x2, point
+from oracles import enumerate_symplectic_2x2, point, span_elements
 
 
 def subspaces(dims):

@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from quditmagic.weyl import (
 )
 
 import oracles
-from oracles import displacement_table, phase_point_table, point
+from oracles import displacement_table, kron_displacement, phase_point_table, point
 
 
 def test_displacement_identity_and_shift():
@@ -28,6 +29,27 @@ def test_displacement_identity_and_shift():
     v = np.zeros(3)
     v[0] = 1
     assert np.allclose(X @ v, np.eye(3)[:, 1])  # |0> -> |1>
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+                                 (5, 1), (5, 2), (7, 1)])
+def test_displacement_matrix_matches_the_kronecker_product(d, N):
+    dims = Dims(d, N)
+    for chi in phase_points(dims):
+        T = displacement_matrix(chi, dims)
+        assert np.max(np.abs(T - kron_displacement(chi, dims))) <= 1e-15, chi
+
+
+def test_displacement_matrix_refused_before_allocating():
+    # a dense T_chi goes through the transform plan's check: 120 D^2 bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=re.escape("(7.5 GiB)")):
+            displacement_matrix(np.zeros(26, dtype=np.int64), Dims(2, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 < 2 ** 26 * 8  # the 2^13 x 2^13 identity alone is 512 MiB
 
 
 def test_displacement_composition_example():
