@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,12 +28,12 @@ from .clifford import (
     single_qudit_H,
     word_unitary,
 )
-from .errors import UnknownStateError
+from .errors import DimensionMismatchError, UnknownStateError
 from .measures import sre, sre_upper_bound, wigner_trace_norm
 from .phasespace import Dims
 from .stabilizers import enumerate_stabilizer_states
 from .tolerances import (CATALOG_NORM_TOL, EIGEN_RESIDUAL_TOL, EQUALITY_TOL, EXACT_TOL,
-                         IDENTITY_TOL, PRINTED_TOL)
+                         IDENTITY_TOL, ORTHONORMAL_TOL, PRINTED_TOL)
 from .weyl import displacement_matrix, equal_up_to_phase, global_phase, unit_phase
 
 SQ2 = math.sqrt(2.0)
@@ -603,6 +604,41 @@ def entry(name: str) -> CatalogEntry:
     return reg[key]
 
 
+def resolve(spec: str) -> tuple[np.ndarray, Dims]:
+    """The state and dims of a state spec: a catalog name or alias,
+    prod:<bit>,<spec> for |bit> (x) the state of a qubit spec, @file.json, or
+    inline JSON {"d": .., "N": .., "amplitudes": [[re, im], ..]} of a unit
+    vector.  UnknownStateError, naming the spec, for one that cannot be read;
+    DimensionMismatchError for a wrong amplitude count."""
+    if spec.startswith("prod:"):
+        bit, _, inner = spec[len("prod:"):].partition(",")
+        try:
+            if bit not in ("0", "1"):
+                raise UnknownStateError(f"the bit {bit!r} is not 0 or 1")
+            psi, dims = resolve(inner)
+            if dims.d != 2:
+                raise UnknownStateError(f"{inner!r} is not a qubit state")
+        except UnknownStateError as exc:
+            raise UnknownStateError(f"cannot read state spec {spec!r}: {exc}") from None
+        return np.kron(ket(int(bit)), psi), Dims(2, dims.N + 1)
+    if not spec.startswith("@") and not spec.lstrip().startswith("{"):
+        return build(spec), entry(spec).dims
+    import json
+
+    try:
+        data = json.loads(Path(spec[1:]).read_text() if spec.startswith("@") else spec)
+        dims = Dims(int(data["d"]), int(data["N"]))
+        psi = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
+        if psi.shape != (dims.D,):
+            raise DimensionMismatchError(f"expected {dims.D} amplitudes, got {psi.shape}")
+        if abs(np.linalg.norm(psi) - 1.0) > ORTHONORMAL_TOL:
+            raise ValueError(f"amplitudes of norm {np.linalg.norm(psi):.6g} are not a unit vector")
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise UnknownStateError(f"cannot read state spec {spec!r}: "
+                                f"{type(exc).__name__}: {exc}") from None
+    return psi, dims
+
+
 # ---------------------------------------------------------------------------
 # verification harness
 
@@ -690,16 +726,6 @@ EQUIVALENCES = [
 ]
 
 
-def _resolve_state(label: str) -> tuple[np.ndarray, Dims]:
-    if label.startswith("prod:"):
-        parts = label[len("prod:"):].split(",", 1)
-        left = ket(int(parts[0]))
-        right = build(parts[1])
-        rd = entry(parts[1]).dims
-        return np.kron(left, right), Dims(2, rd.N + 1)
-    return build(label), entry(label).dims
-
-
 class EquivalenceCheck(NamedTuple):
     source: str
     target: str
@@ -711,8 +737,8 @@ def verify_equivalences(tol: float = EQUALITY_TOL) -> list[EquivalenceCheck]:
     """Apply each stated Clifford word and compare up to a global phase."""
     out = []
     for source_label, word, target_label in EQUIVALENCES:
-        src, dims = _resolve_state(source_label)
-        tgt, _ = _resolve_state(target_label)
+        src, dims = resolve(source_label)
+        tgt, _ = resolve(target_label)
         mapped = word_unitary(word, dims) @ src
         out.append(EquivalenceCheck(source_label, target_label, word,
                                     global_phase(tgt, mapped, tol=tol) is not None))

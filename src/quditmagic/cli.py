@@ -1,7 +1,7 @@
 """Command-line front end.
 
-The nine subcommands are declared in COMMANDS.  State specs are catalog names
-(qutrit:S), @file.json, or inline JSON {"d":..,"N":..,"amplitudes":[[re,im],..]}.
+The nine subcommands are declared in COMMANDS.  Every state argument is a
+spec that `catalog.resolve` reads: a catalog name, prod:, @file.json or JSON.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InfeasibleExtentError, QuditMagicError,
-                     UnknownStateError)
+from .errors import DimensionMismatchError, InfeasibleExtentError, QuditMagicError
 from .tolerances import (COMPANION_TOL, EXACT_TOL, EXTENT_TOL, ORTHONORMAL_TOL, RANGE_END_SLACK,
                          RANK_TOL, SPAN_TOL, TIE_TOL)
 
@@ -118,31 +117,10 @@ def parse_direction(text: str) -> tuple[str, float | str]:
     raise argparse.ArgumentTypeError(f"{text!r} is not phase:<phi> or state:<spec>")
 
 
-def parse_state(spec: str) -> tuple[np.ndarray, Dims]:
-    """A catalog name, @file.json or inline JSON; UnknownStateError, naming
-    the spec, for one that cannot be read."""
-    from . import catalog
-    from .weyl import state_from_json
-
-    try:
-        if spec.startswith("@"):
-            with open(spec[1:]) as fh:
-                return state_from_json(json.load(fh))
-        if spec.lstrip().startswith("{"):
-            return state_from_json(json.loads(spec))
-    except (KeyError, OSError, TypeError, ValueError) as exc:
-        raise UnknownStateError(f"cannot read state spec {spec!r}: "
-                                f"{type(exc).__name__}: {exc}") from None
-    psi = catalog.build(spec)
-    return psi, catalog.entry(spec).dims
-
-
 def _emit(args, payload, rows=None):
-    """Print, or write to --out, a text as it is, else `payload` as JSON, or
-    `rows` as CSV when not --json.  A file always ends with a newline."""
-    if isinstance(payload, str):
-        text = payload
-    elif args.json or rows is None:
+    """Print, or write to --out, `payload` as JSON, or `rows` as CSV when not
+    --json.  A file always ends with a newline."""
+    if args.json or rows is None:
         text = json.dumps(payload, indent=1, default=_jsonable)
     else:
         import csv
@@ -172,16 +150,11 @@ def cmd_measures(args) -> int:
     from .measures import sre_from_xi, wigner_trace_norm, xi
     from .stabilizers import enumerate_stabilizer_states
 
-    if not args.state and not args.file:
-        raise QuditMagicError("need a state name or --file")
-    spec = f"@{args.file}" if args.file else args.state
-    psi, dims = parse_state(spec)
-    exact = {}
-    if args.state:
-        try:
-            exact = {k: v[0] for k, v in catalog.entry(args.state).expected.items()}
-        except QuditMagicError:
-            pass
+    psi, dims = catalog.resolve(args.state)
+    try:
+        exact = {k: v[0] for k, v in catalog.entry(args.state).expected.items()}
+    except QuditMagicError:
+        exact = {}
     F, nearest = enumerate_stabilizer_states(dims).nearest(psi)
     xis = {a: xi(psi, dims, a) for a in args.alphas}
     sres = {a: sre_from_xi(value, dims, a) for a, value in xis.items()}
@@ -285,11 +258,12 @@ def _direction_basis(name: str, psi: np.ndarray, dims: Dims) -> list[np.ndarray]
 
 
 def cmd_extremality(args) -> int:
+    from . import catalog
     from .extremality import (PerturbationFrame, classify_mana, classify_xi2, fidelity_expansion,
                               xi2_expansion)
     from .stabilizers import enumerate_stabilizer_states
 
-    psi, dims = parse_state(args.state)
+    psi, dims = catalog.resolve(args.state)
     dd = enumerate_stabilizer_states(dims)
     basis = _direction_basis(args.state, psi, dims)
 
@@ -324,7 +298,7 @@ def cmd_extremality(args) -> int:
     if kind == "phase":
         direction = np.exp(1j * value) * basis[0]
     else:
-        vec, vec_dims = parse_state(value)
+        vec, vec_dims = catalog.resolve(value)
         if vec_dims != dims:
             raise DimensionMismatchError(f"direction {value!r} is not on {dims}")
         vec = vec - np.vdot(psi, vec) * psi
@@ -371,9 +345,10 @@ def cmd_distill(args) -> int:
 
 
 def cmd_extent(args) -> int:
+    from . import catalog
     from .extent import ExtentProblem, solve_extent, witness_bound
 
-    psi, dims = parse_state(args.state)
+    psi, dims = catalog.resolve(args.state)
     if args.dims and args.dims != dims:
         raise DimensionMismatchError(f"--dims {args.dims} does not match the state's {dims}")
     if args.group:
@@ -448,10 +423,11 @@ def cmd_dictionary(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import catalog
     from .clifford import clifford_equivalence_search
 
-    psi1, dims = parse_state(args.source)
-    psi2, _ = parse_state(args.target)
+    psi1, dims = catalog.resolve(args.source)
+    psi2, _ = catalog.resolve(args.target)
     word = clifford_equivalence_search(psi1, psi2, dims, budget=args.budget)
     if word is None:
         print(json.dumps({"found": False}))
@@ -471,8 +447,7 @@ OUT = _arg("--out", default=None)
 # name: (help, handler, arguments); a list of arguments is a mutually exclusive group
 COMMANDS = {
     "measures": ("magic measures of a state", cmd_measures, [
-        [_arg("state", nargs="?", default=None),
-         _arg("--file", default=None, help="JSON state file")],
+        _arg("state"),
         _arg("--alphas", type=parse_alphas, default=(2.0,),
              help="comma-separated SRE orders, each >= 2"),
         JSON]),

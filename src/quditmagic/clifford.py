@@ -741,7 +741,7 @@ def class_keys(overlaps: np.ndarray) -> np.ndarray:
 
 
 def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
-                                budget: int = 20000):
+                                budget: int):
     """Search for a generator word mapping psi1 to psi2 up to global phase.
 
     A deterministic meet-in-the-middle search over the generator alphabet

@@ -23,22 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import qubit_T_states
+from .clifford import qubit_T_states, word_unitary
+from .phasespace import Dims
 from .tolerances import ORTHONORMAL_TOL, PSD_TOL
 from .weyl import unit_phase
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
-
-
-def pauli_string(spec: str) -> np.ndarray:
-    return reduce(np.kron, [_PAULI[ch] for ch in spec], np.ones((1, 1), dtype=np.complex128))
 
 
 class PairParams(NamedTuple):
@@ -82,10 +72,13 @@ def pair_basis() -> list[np.ndarray]:
 
 @lru_cache(maxsize=1)
 def code_projector() -> np.ndarray:
-    """The five-qubit perfect code's trivial-syndrome projector."""
+    """The five-qubit perfect code's trivial-syndrome projector: the product
+    of (1 + g) / 2 over the generators g, each the Clifford word of its X and
+    Z letters."""
     P = np.eye(32, dtype=np.complex128)
     for g in FIVE_QUBIT_GENERATORS:
-        P = P @ (np.eye(32) + pauli_string(g)) / 2.0
+        word = [f"{letter}@{site}" for site, letter in enumerate(g, 1) if letter != "I"]
+        P = P @ (np.eye(32) + word_unitary(word, Dims(2, 5))) / 2.0
     return P
 
 

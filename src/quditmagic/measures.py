@@ -14,7 +14,7 @@ from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary, enumerate_stabilizer_states, max_overlap, nearest_set
 from .tolerances import WIGNER_IMAG_TOL
-from .weyl import density_of, shifted_characters, transform_plan
+from .weyl import shifted_characters, transform_plan
 
 
 class WignerFunction:
@@ -146,8 +146,10 @@ def sre_upper_bound(dims: Dims, alpha: float = 2.0) -> float:
 
 
 def mixed_sre2(rho, dims: Dims) -> float:
-    """Mixed-state 2-SRE: -log of the quartic/quadratic Pauli-moment ratio."""
-    rho = density_of(rho)
+    """Mixed-state 2-SRE of rho, or of |psi><psi| for a vector: -log of the
+    quartic/quadratic Pauli-moment ratio."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
     if rho.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
     plan = transform_plan(dims.d, dims.N)

@@ -346,7 +346,7 @@ def check_w_tables(exact_tol: float = EXACT_TOL,
     return out
 
 
-def qubit_fidelity_sphere(n_theta: int = 181, n_phi: int = 361) -> np.ndarray:
+def qubit_fidelity_sphere(n_theta: int, n_phi: int) -> np.ndarray:
     """Grid of (theta, phi, F) over the Bloch sphere."""
     dd = enumerate_stabilizer_states(Dims(2, 1))
     th, ph = np.meshgrid(np.linspace(0, np.pi, n_theta), np.linspace(0, 2 * np.pi, n_phi),
@@ -356,7 +356,7 @@ def qubit_fidelity_sphere(n_theta: int = 181, n_phi: int = 361) -> np.ndarray:
     return np.column_stack([th.ravel(), ph.ravel(), F])
 
 
-def table_rows(table_id: str, grid: tuple[int, int] = (181, 361)) -> list[list]:
+def table_rows(table_id: str, grid: tuple[int, int]) -> list[list]:
     """Rows (lists of strings/numbers) for a named table; CSV-ready."""
     if table_id not in _TABLE_STATES:
         raise UnknownTableError(f"unknown table id {table_id!r}")

@@ -24,6 +24,7 @@ module uses to read conjugation actions, and `displace` applies T_chi to
 vectors by the same index arithmetic for the stabilizer dictionary.  A single
 T_chi is built on demand by `displacement_matrix`, as `displace` applied to
 the identity, so its phases are the plan's and it passes the plan's check.
+The rest are their phase helpers; state specs are read by `catalog.resolve`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
 from .phasespace import Dims, mod_inverse
-from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, ORTHONORMAL_TOL, UNIT_PHASE_TOL
+from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, UNIT_PHASE_TOL
 
 
 def unit_phase(k: int, order: int) -> complex:
@@ -49,14 +50,6 @@ def tau_exponent(d: int) -> int:
     if d % 2 == 0:
         raise UnsupportedDimensionError("tau = omega^(2^-1) needs odd d")
     return mod_inverse(2, d)
-
-
-def density_of(psi) -> np.ndarray:
-    """Outer product |psi><psi| from a state vector; matrices pass through."""
-    arr = np.asarray(psi, dtype=np.complex128)
-    if arr.ndim == 1:
-        return np.outer(arr, arr.conj())
-    return arr
 
 
 def _digitwise(one: np.ndarray, N: int, place: int) -> np.ndarray:
@@ -201,13 +194,3 @@ def phase_normalize(v: np.ndarray, tol: float = AMPLITUDE_TOL) -> np.ndarray:
     lead = np.take_along_axis(v, first, axis=-1)
     size = np.hypot(lead.real, lead.imag)
     return v / np.divide(lead, size, out=np.ones_like(lead), where=size > tol)
-
-
-def state_from_json(data: dict) -> tuple[np.ndarray, Dims]:
-    dims = Dims(int(data["d"]), int(data["N"]))
-    psi = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
-    if psi.shape != (dims.D,):
-        raise DimensionMismatchError(f"expected {dims.D} amplitudes, got {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > ORTHONORMAL_TOL:
-        raise ValueError(f"amplitudes of norm {np.linalg.norm(psi):.6g} are not a unit vector")
-    return psi, dims

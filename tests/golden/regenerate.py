@@ -12,7 +12,6 @@ file: structure, integers and strings exactly, floats within 1e-12 absolute.
 
 import contextlib
 import io
-import json
 import os
 
 from quditmagic import catalog
@@ -26,21 +25,12 @@ def stem(label: str) -> str:
     return label.replace(":", "_").replace(",", "_")
 
 
-def state_spec(label: str) -> str:
-    """The CLI state argument: the catalog name, or for a prod: label the
-    inline JSON amplitudes of |bit> (x) state."""
-    if not label.startswith("prod:"):
-        return label
-    psi, dims = catalog._resolve_state(label)
-    return json.dumps({"d": dims.d, "N": dims.N,
-                       "amplitudes": [[float(a.real), float(a.imag)] for a in psi]})
-
-
 # file name -> argv; a .json file holds JSON output, a .txt file text
 CASES = {}
 for state in ("qutrit:S", "ququint:H,i", "2q:G20,1", "3q:W"):
     CASES[f"measures_{stem(state)}.txt"] = ["measures", state, "--alphas", "2,3"]
     CASES[f"measures_{stem(state)}.json"] = ["measures", state, "--alphas", "2,3", "--json"]
+CASES["measures_prod_0_2q_G4_2.json"] = ["measures", "prod:0,2q:G4,2", "--alphas", "2,3", "--json"]
 CASES["catalog_verify.txt"] = ["catalog", "verify"]
 CASES["catalog_verify.json"] = ["catalog", "verify", "--json"]
 # not 5,1 or 11,1: there the class states follow the BLAS kernel's eigenvectors
@@ -55,8 +45,7 @@ for state, group in (("2q:G20,1", "H@1,S@1,CZ@1,2"), ("qutrit:S", "H@1,S@1")):
                                                   "--group", group, "--json"]
 for source, _, target in catalog.EQUIVALENCES:
     CASES[f"search_{stem(source)}_to_{stem(target)}.json"] = [
-        "search", "--source", state_spec(source), "--target", state_spec(target),
-        "--seed", "1"]
+        "search", "--source", source, "--target", target, "--seed", "1"]
 CASES["distill_sweep.json"] = ["distill", "sweep", "--eps3", "0.0:0.2:0.01",
                                "--rounds", "5", "--json"]
 CASES["distill_step.json"] = ["distill", "step", "--eps3", "0.05", "--json"]

@@ -18,8 +18,10 @@ closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
 `weyl.phase_normalize`, the per-entry L form for `extremality.l_matrix`,
 the Wigner functions and nearest-state forms of
 the dense operators sigma and mu for `extremality.mana_expansion` and
-`extremality.fidelity_expansion`, and the plain ADMM loop at the end, with no
-active-set polish, is the reference for `extent.solve_extent`.
+`extremality.fidelity_expansion`, the plain ADMM loop, with no active-set
+polish, for `extent.solve_extent`, and the Kronecker products of Pauli
+matrices at the end for the five-qubit code's generators in
+`distill.code_projector`.
 """
 
 import itertools
@@ -365,3 +367,17 @@ def admm_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
         iterations=it,
         converged=abs(l1 - dual_val) <= tol,
     )
+
+
+PAULI = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def pauli_string(spec: str) -> np.ndarray:
+    """The Kronecker product of the Pauli matrices named by the letters of
+    spec, first letter on the first qubit: 'XZZXI' -> X (x) Z (x) Z (x) X (x) I."""
+    return reduce(np.kron, [PAULI[ch] for ch in spec], np.ones((1, 1), dtype=np.complex128))

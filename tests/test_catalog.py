@@ -1,17 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from quditmagic.catalog import (
+    EQUIVALENCES,
     build,
     entries,
     entry,
+    ket,
+    resolve,
     verify_catalog,
     verify_equivalences,
 )
 from quditmagic.clifford import nondegenerate_eigenstates
-from quditmagic.errors import UnknownStateError
+from quditmagic.errors import DimensionMismatchError, UnknownStateError
 from quditmagic.measures import sre, sre_upper_bound
-
+from quditmagic.phasespace import Dims
 from quditmagic.weyl import equal_up_to_phase
 
 
@@ -29,6 +34,42 @@ def test_aliases_and_unknown():
     assert np.allclose(build("qubit:T"), build("qubit:T0"))
     with pytest.raises(UnknownStateError):
         build("qutrit:bogus")
+
+
+def test_resolve_names_and_aliases():
+    for name in ("qutrit:S", "qubit:T", "2q:psi00", "ququint:H,1;1"):
+        psi, dims = resolve(name)
+        assert np.array_equal(psi, build(name)) and dims == entry(name).dims
+
+
+def test_resolve_prod():
+    psi, dims = resolve("prod:1,2q:G20,1")
+    assert np.array_equal(psi, np.kron(ket(1), build("2q:G20,1"))) and dims == Dims(2, 3)
+    psi, dims = resolve("prod:1,prod:0,qubit:T0")
+    assert np.array_equal(psi, np.kron(ket(1), np.kron(ket(0), build("qubit:T0"))))
+    assert dims == Dims(2, 3)
+    # the prod: labels of the equivalence rows
+    labels = {label for s, _, t in EQUIVALENCES for label in (s, t) if label.startswith("prod:")}
+    assert labels == {"prod:0,2q:G4,2", "prod:0,2q:G20,4"}
+    for label in labels:
+        assert resolve(label)[1] == Dims(2, 3)
+
+
+def test_resolve_json_inline_and_from_a_file(tmp_path):
+    psi = np.array([1, 1j, -1]) / np.sqrt(3)
+    s = 1 / np.sqrt(3)
+    text = json.dumps({"d": 3, "N": 1, "amplitudes": [[s, 0.0], [0.0, s], [-s, 0.0]]})
+    path = tmp_path / "psi.json"
+    path.write_text(text)
+    for spec in (text, f"@{path}", "prod:0," + json.dumps(
+            {"d": 2, "N": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]})):
+        vec, dims = resolve(spec)
+        if spec.startswith("prod:"):
+            assert np.array_equal(vec, ket(0, 1)) and dims == Dims(2, 2)
+        else:
+            assert np.allclose(vec, psi) and dims == Dims(3, 1)
+    with pytest.raises(DimensionMismatchError, match="expected 3 amplitudes"):
+        resolve('{"d": 3, "N": 1, "amplitudes": [[1, 0], [0, 0]]}')
 
 
 def test_all_states_normalized():

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from quditmagic import cli, errors, extent, stabilizers
+from quditmagic import catalog, cli, errors, extent, stabilizers
 from quditmagic.cli import main
 from quditmagic.clifford import enumerate_reduced_clifford, gate_unitary, nondegenerate_eigenstates
 from quditmagic.errors import NotCliffordError, UnknownStateError
@@ -109,7 +109,6 @@ def test_malformed_grid_exits_2(capsys, argv):
 REJECTED_PAIRS = [
     (["eigenstates", "--dims", "3,1", "--all-cliffords", "--word", "H@1"], "--all-cliffords"),
     (["extremality", "qutrit:S", "--direction", "phase:0", "--sweep", "3x4"], "--direction"),
-    (["measures", "qutrit:S", "--file", "psi.json"], "state"),
     (["distill", "step", "--rounds", "2"], "step"),
 ]
 
@@ -247,7 +246,6 @@ def test_malformed_direction_exits_2(capsys, direction):
 @pytest.mark.parametrize("argv, message", [
     (["extremality", "qutrit:S", "--direction", "state:qutrit:S"], "no part orthogonal"),
     (["extremality", "qutrit:S", "--direction", "state:qubit:T0"], "is not on Dims(d=3, N=1)"),
-    (["measures"], "need a state name or --file"),
     (["eigenstates", "--dims", "3,1"], "need --word or --all-cliffords"),
     (["extent", "solve", "--state", "qubit:T0", "--dims", "3,1"],
      "--dims Dims(d=3, N=1) does not match the state's Dims(d=2, N=1)"),
@@ -255,7 +253,7 @@ def test_malformed_direction_exits_2(capsys, direction):
     (["extent", "solve", "--state", "2q:TT", "--group", "X@1"], "group 'X@1' stabilizes no state"),
     (["distill", "step", "--eps1", "0.9", "--eps2", "0.9"], "not define a PSD density matrix"),
     (["distill", "sweep", "--eps3", "0.9:1.2:0.2"], "not define a PSD density matrix"),
-], ids=["direction with no orthogonal part", "direction on other dims", "measures without a state",
+], ids=["direction with no orthogonal part", "direction on other dims",
         "eigenstates without an operator", "extent dims mismatch", "extent group H",
         "extent group X", "distill step not PSD", "distill sweep not PSD"])
 def test_input_error_exits_2(capsys, argv, message):
@@ -272,16 +270,41 @@ def test_input_error_exits_2(capsys, argv, message):
     ("qutrit:nope", "unknown catalog state"),
     ('{"d": 2, "N": 1, "amplitudes": [[1, 0], [1, 0]]}', "norm 1.41421 are not a unit vector"),
     ('{"d": 2, "N": 1, "amplitudes": [[0, 0], [0, 0]]}', "norm 0 are not a unit vector"),
+    ("prod:0,qutrit:S", "'qutrit:S' is not a qubit state"),
+    ("prod:2,qubit:T0", "the bit '2' is not 0 or 1"),
+    ("prod:0", "unknown catalog state ''"),
+    ("prod:0,prod:1,qutrit:S", "'qutrit:S' is not a qubit state"),
 ], ids=["missing file", "malformed json", "no amplitudes", "d not prime", "unknown name",
-        "norm sqrt2", "zero vector"])
+        "norm sqrt2", "zero vector", "prod of a qutrit", "prod bit 2", "prod without a state",
+        "nested prod of a qutrit"])
 def test_unreadable_state_spec_exits_2(capsys, tmp_path, spec, message):
     spec = spec.replace("{missing}", str(tmp_path / "missing.json"))
     with pytest.raises(UnknownStateError, match=message):
-        cli.parse_state(spec)
+        catalog.resolve(spec)
     assert main(["measures", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert repr(spec) in captured.err
+
+
+NESTED = "prod:1,prod:0,qubit:T0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "{}", "--alphas", "2,3", "--json"],
+    ["extremality", "{}", "--json"],
+    ["extremality", "3q:W", "--direction", "state:{}", "--json"],
+    ["extent", "solve", "--state", "{}", "--json"],
+    ["search", "--source", "prod:0,prod:0,qubit:T0", "--target", "{}"],
+], ids=["measures", "extremality", "extremality direction", "extent", "search"])
+def test_every_state_argument_reads_a_nested_prod_spec(capsys, argv):
+    # the nested prod: spec and the inline JSON of the same amplitudes print the same
+    psi, dims = catalog.resolve(NESTED)
+    inline = json.dumps({"d": dims.d, "N": dims.N,
+                         "amplitudes": [[a.real, a.imag] for a in psi.tolist()]})
+    nested, as_json = (run(capsys, *[a.replace("{}", spec) for a in argv])
+                       for spec in (NESTED, inline))
+    assert nested[0] == 0 and nested == as_json
 
 
 def test_eigenstates_word(capsys):
@@ -357,7 +380,7 @@ def _reports(capsys, *argv):
 @pytest.mark.parametrize("state, grid", [("qutrit:S", "4x5"), ("ququint:H,1;1", "3x3")])
 def test_extremality_sweep_turns_between_two_directions(capsys, state, grid):
     # ququint:H,1;1 has no eigen-operator, so both directions are Gram-Schmidt completions
-    psi, dims = cli.parse_state(state)
+    psi, dims = catalog.resolve(state)
     b0, b1 = cli._direction_basis(state, psi, dims)
     assert np.allclose(np.array([psi, b0, b1]).conj() @ np.array([psi, b0, b1]).T, np.eye(3),
                        atol=1e-12)
@@ -525,7 +548,7 @@ def test_search_across_dims_exits_2(capsys):
 def test_direction_basis_for_a_json_spec():
     # a JSON spec names no catalog entry, so the basis is a Gram-Schmidt completion
     spec = json.dumps({"d": 3, "N": 1, "amplitudes": [[0, 0], [1, 0], [0, 0]]})
-    psi, dims = cli.parse_state(spec)
+    psi, dims = catalog.resolve(spec)
     basis = cli._direction_basis(spec, psi, dims)
     frame = np.array([psi] + basis)
     assert np.allclose(frame.conj() @ frame.T, np.eye(3), atol=1e-12)
@@ -536,5 +559,5 @@ def test_unknown_table_id_refused():
     from quditmagic.tables import row_multiset_error, table_rows
 
     with pytest.raises(UnknownTableError, match="unknown table id"):
-        table_rows("qutrit-nope")
+        table_rows("qutrit-nope", (5, 9))
     assert row_multiset_error(np.zeros((2, 2)), np.zeros((2, 3))) == float("inf")

@@ -471,7 +471,7 @@ def test_word_times_its_inverse_is_identity(dims):
 def test_equivalence_search_trivial_and_prefilter():
     dims = Dims(2, 1)
     psi = np.array([1, 0], dtype=complex)
-    assert clifford_equivalence_search(psi, psi, dims) == ()
+    assert clifford_equivalence_search(psi, psi, dims, budget=10) == ()
     T0 = np.array([np.sqrt((3 + np.sqrt(3)) / 6),
                    np.exp(1j * np.pi / 4) * np.sqrt((3 - np.sqrt(3)) / 6)])
     # different invariants: inconclusive immediately

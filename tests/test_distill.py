@@ -5,6 +5,7 @@ import pytest
 
 from quditmagic.clifford import qubit_T_gate, qubit_T_states
 from quditmagic.distill import (
+    FIVE_QUBIT_GENERATORS,
     PairParams,
     code_projector,
     distill_step,
@@ -17,6 +18,8 @@ from quditmagic.distill import (
     updated_error_exact,
 )
 
+import oracles
+
 
 def test_code_projector_properties():
     Pi = code_projector()
@@ -24,11 +27,18 @@ def test_code_projector_properties():
     assert np.allclose(Pi @ Pi, Pi, atol=1e-12)
     assert abs(np.trace(Pi).real - 2.0) < 1e-12
     # generators commute
-    from quditmagic.distill import FIVE_QUBIT_GENERATORS, pauli_string
-    gens = [pauli_string(g) for g in FIVE_QUBIT_GENERATORS]
+    gens = [oracles.pauli_string(g) for g in FIVE_QUBIT_GENERATORS]
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
             assert np.allclose(g @ h, h @ g)
+
+
+def test_code_projector_matches_the_kronecker_pauli_strings():
+    # entries 0 and +-1 throughout, so the two constructions agree exactly
+    P = np.eye(32, dtype=np.complex128)
+    for g in FIVE_QUBIT_GENERATORS:
+        P = P @ (np.eye(32) + oracles.pauli_string(g)) / 2.0
+    assert np.array_equal(code_projector(), P)
 
 
 def test_transversal_T_commutes_with_projector():

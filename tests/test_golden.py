@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import quditmagic
-from golden.regenerate import CASES, HERE, run
+from golden.regenerate import CASES, HERE, run, stem
+from quditmagic.catalog import EQUIVALENCES
 
 FLOAT_TOL = 1e-12
 # a number in text output; the split keeps it, so the text around it is kept too
@@ -70,6 +71,15 @@ def test_output_matches_the_corpus(name):
     code, text = run(CASES[name])
     assert code == 0
     assert_matches_the_corpus(name, text)
+
+
+@pytest.mark.parametrize("source, target", [(s, t) for s, _, t in EQUIVALENCES],
+                         ids=[f"{s}->{t}" for s, _, t in EQUIVALENCES])
+def test_equivalence_rows_search_as_written(source, target):
+    # the row's labels, prod: ones included, are the command's state specs
+    code, text = run(["search", "--source", source, "--target", target, "--seed", "1"])
+    with open(os.path.join(HERE, f"search_{stem(source)}_to_{stem(target)}.json")) as fh:
+        assert (code, text) == (0, fh.read())
 
 
 BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})

@@ -52,7 +52,8 @@ def haar_state(D, rng):
 
 def oracle_wigner(op, dims):
     plan = weyl.transform_plan(dims.d, dims.N)
-    rho = weyl.density_of(op)
+    rho = np.asarray(op, dtype=complex)
+    rho = np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
     vals = ((rho[plan.minus, plan.plus] @ plan.characters)[:, plan.double] / dims.D).ravel()
     return vals.real.copy()
 

@@ -79,8 +79,8 @@ SINGLE_QUDIT_PAIRS = [(a, b, 150000) for a, b in [
 
 
 def _pair(source, target):
-    psi1, dims = catalog._resolve_state(source)
-    psi2, _ = catalog._resolve_state(target)
+    psi1, dims = catalog.resolve(source)
+    psi2, _ = catalog.resolve(target)
     return psi1, psi2, dims
 
 
@@ -145,7 +145,7 @@ def test_search_refuses_states_of_other_dims(monkeypatch):
     dims = Dims(2, 1)
     for psi1, psi2 in [(qubit, qutrit), (qutrit, qubit), (qubit, np.outer(qubit, qubit))]:
         with pytest.raises(DimensionMismatchError):
-            clifford_equivalence_search(psi1, psi2, dims)
+            clifford_equivalence_search(psi1, psi2, dims, budget=100)
 
 
 @pytest.mark.parametrize("N", [5, 6])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditmagic.errors import BudgetExceededError, DimensionMismatchError, UnsupportedDimensionError
+from quditmagic.errors import BudgetExceededError, UnsupportedDimensionError
 from quditmagic.measures import sre
 from quditmagic.phasespace import Dims, phase_points, point_index, symplectic_product
 from quditmagic.weyl import (
@@ -13,7 +13,6 @@ from quditmagic.weyl import (
     equal_up_to_phase,
     global_phase,
     phase_normalize,
-    state_from_json,
     tau_exponent,
     unit_phase,
 )
@@ -140,14 +139,6 @@ def test_pair_and_triple_products_d3():
         assert np.allclose(A[i] @ A[j] @ A[k], target, atol=1e-12)
 
 
-def test_json_round_trip():
-    d3 = Dims(3, 1)
-    psi = np.array([1, 1j, -1]) / np.sqrt(3)
-    s = 1 / np.sqrt(3)
-    vec, dims = state_from_json({"d": 3, "N": 1, "amplitudes": [[s, 0.0], [0.0, s], [-s, 0.0]]})
-    assert np.allclose(vec, psi) and dims == d3
-
-
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 def test_phase_normalize_rows_match_the_scalar_phase(tol):
     # every row of a batch, bit for bit, against the one-vector reference:
@@ -188,5 +179,3 @@ def test_malformed_arguments_refused():
     # B is zero within tolerance: A is its multiple only when A is zero too
     assert global_phase(np.zeros(2), np.full(2, 1e-14)) == 1.0
     assert global_phase(np.array([1.0, 0.0]), np.zeros(2)) is None
-    with pytest.raises(DimensionMismatchError, match="expected 3 amplitudes"):
-        state_from_json({"d": 3, "N": 1, "amplitudes": [[1, 0], [0, 0]]})
