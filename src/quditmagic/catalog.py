@@ -627,11 +627,11 @@ def resolve(spec: str) -> tuple[np.ndarray, Dims]:
 
     try:
         data = json.loads(Path(spec[1:]).read_text() if spec.startswith("@") else spec)
-        dims = Dims(int(data["d"]), int(data["N"]))
+        dims = Dims(data["d"], data["N"])
         psi = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
         if psi.shape != (dims.D,):
             raise DimensionMismatchError(f"expected {dims.D} amplitudes, got {psi.shape}")
-        if abs(np.linalg.norm(psi) - 1.0) > ORTHONORMAL_TOL:
+        if not abs(np.linalg.norm(psi) - 1.0) <= ORTHONORMAL_TOL:
             raise ValueError(f"amplitudes of norm {np.linalg.norm(psi):.6g} are not a unit vector")
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise UnknownStateError(f"cannot read state spec {spec!r}: "

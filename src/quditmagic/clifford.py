@@ -10,33 +10,33 @@ For d = 2 the standard qubit H and S = diag(1, i) are used.
 Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi).  A Clifford is
 handled through its exact integer action on the d^(2N) Pauli labels,
     U T_chi U^dag = omega^k[chi] T_perm[chi],
-a permutation `perm` of the labels and phase exponents k mod d.  The action
-of a unitary is read for all labels in one batched transform: `weyl.displace`
+a permutation `perm` of the labels and phase exponents k mod d, held as one
+code perm * d + k per label, never as a (perm, k) pair.  The action of a
+unitary is read for any labels in one batched transform: `weyl.displace`
 applies every T_chi to the columns of U^dag, and the gather-and-character
 transform of `weyl.pauli_coefficients` reads the whole stack U T_chi U^dag
-(no dense table).  Actions compose exactly,
-(G U): perm2 = g_perm[perm], k2 = k + g_k[perm].
+(no dense table).  Codes compose exactly: G after code c gives
+image - image mod d + (image + c) mod d with image = g_code[c // d], and
+`_code_steps` tabulates that map over every code, per generator.
 
 The action on the 2N unit labels e_i (X_i and Z_i) already identifies an
 element modulo global phase: every T_chi is a product of the T_(e_i) up to a
 known phase, so their images fix the image of every label, and a unitary that
 commutes with every Pauli is a scalar.  The reduced group is therefore
-enumerated by a BFS that stores, per element, only the 2N codes
-perm[e_i] * d + k[e_i], packed into one exact int64 key.  A child G U needs
-only its parent's 2N codes and the generator's full action:
-    code[e_i] = g_perm[perm[e_i]] * d + (k[e_i] + g_k[perm[e_i]]) mod d,
-one gather per level from the table of that map over every code.
-S_C and a_C are read off the same codes: column i of S_C is the label
-perm[e_i], and a_C = S_C J k_b with k_b = -k[e_i], because S_C is
-symplectic.  Words and unitaries are rebuilt from each element's parent and
-generator when they are asked for, one element from its lineage.
+enumerated by a BFS that stores, per element, only its 2N codes on the e_i,
+packed into one exact int64 key; a child G U reads its parent's codes
+through G's row of the step table, one gather per level.  S_C and a_C are
+read off the same codes: column i of S_C is the label perm[e_i], and
+a_C = S_C J k_b with k_b = -k[e_i], because S_C is symplectic.  Words,
+unitaries and the codes on any labels (`actions`: the same gather per level)
+are rebuilt from each element's parent and generator when asked for.
 
 Conjugacy classes are exact on the same codes.  With y = perm_h^-1(e_i),
 h g h^-1 sends e_i to perm_h(perm_g(y)) with exponent
 k_g(y) + k_h(perm_g(y)) - k_h(y), so the action of every element on the few
-labels y, built level by level from its parent's, gives the codes of all
-its conjugates by the generators; one lookup of their keys gives the
-conjugation permutations, and the classes are their orbits.
+labels y gives the codes of all its conjugates by the generators; one lookup
+of their keys gives the conjugation permutations, and the classes are their
+orbits.
 
 For d = 2 the Hermitian representatives i^(p.q) X^p Z^q carry a residual
 sign on non-basis labels that no affine phase omega^(-<a, S chi>) describes;
@@ -156,11 +156,10 @@ def qubit_T_states() -> tuple[np.ndarray, np.ndarray]:
     return np.array([a, e * b]), np.array([-b, e * a])
 
 
-def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Label indices perm and exponents k with U T_chi U^dag = omega^k T_perm,
-    one entry per row of `labels`, read in one transform of the stack
-    U T_chi U^dag (T_chi applied to the columns of U^dag by `displace`)."""
+def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray) -> np.ndarray:
+    """The code perm * d + k of U T_chi U^dag = omega^k T_perm for each row
+    of `labels`, read in one transform of the stack U T_chi U^dag (T_chi
+    applied to the columns of U^dag by `displace`)."""
     d = dims.d  # the stack peaks at four (n, D, D) arrays while its coefficients are read
     check_budget(4 * len(labels) * dims.D ** 2 * 16, f"the Pauli action on {dims}")
     conjugated = U @ displace(labels[:, None, :], U.conj(), dims).swapaxes(1, 2)
@@ -173,26 +172,16 @@ def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray
     k = np.rint(np.angle(c) * d / (2 * np.pi)).astype(np.int64) % d
     if np.any(np.abs(c - np.exp(2j * np.pi * k / d)) > ROOT_OF_UNITY_TOL):
         raise NotCliffordError("conjugation phase is not a d-th root of unity")
-    return perm, k
+    return perm * d + k
 
 
-def _compose_action(outer: tuple, inner: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer action of C_outer C_inner from the actions of its factors.
-
-    Stacks compose pairwise: outer actions on leading axes (G, n) and inner
-    ones on (F, n) give the (G, F, n) stack of products."""
-    (g_perm, g_k), (perm, k) = outer, inner
-    return g_perm[..., perm], (k + g_k[..., perm]) % d
-
-
-def _affine_data(perm_basis: np.ndarray, k_basis: np.ndarray, dims: Dims
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(S, a) from the action on the unit labels e_i, batched over leading axes:
-    S e_i is the label with index perm_basis[i], and -k_basis[i] = <a, S e_i>
-    gives a = S J (-k_basis) because S is symplectic.  The inputs may be
-    unsigned codes; k is negated as int64, where it cannot wrap."""
-    S = np.stack(np.unravel_index(perm_basis, (dims.d,) * (2 * dims.N)), axis=-2)
-    k = k_basis.astype(np.int64)
+def _affine_data(codes: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """(S, a) from the codes on the unit labels e_i, batched over leading
+    axes: S e_i is the label codes[i] // d, and -k[i] = <a, S e_i> with
+    k = codes % d gives a = S J (-k) because S is symplectic.  The codes may
+    be unsigned; k is negated as int64, where it cannot wrap."""
+    S = np.stack(np.unravel_index(codes // dims.d, (dims.d,) * (2 * dims.N)), axis=-2)
+    k = (codes % dims.d).astype(np.int64)
     return S, (S @ symplectic_form(dims.N) @ -k[..., None])[..., 0] % dims.d
 
 
@@ -209,7 +198,7 @@ def is_clifford(U, dims: Dims) -> bool:
 def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     """Recover (S_C, a_C) from the conjugation action of a Clifford unitary."""
     U, basis = np.asarray(U, dtype=np.complex128), np.eye(2 * dims.N, dtype=np.int64)
-    S, a = _affine_data(*_pauli_action(U, dims, basis), dims)
+    S, a = _affine_data(_pauli_action(U, dims, basis), dims)
     if not is_symplectic(S, dims.d):
         raise NotCliffordError("recovered label map is not symplectic")
     return S, a
@@ -431,11 +420,12 @@ def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
     return words
 
 
-def _code_steps(g_perm: np.ndarray, g_k: np.ndarray, d: int) -> np.ndarray:
-    """steps[g, c]: the code perm * d + k of generator g composed after an
-    action with code c on some label, for every c below n_points * d."""
-    perm, k = _compose_action((g_perm, g_k), np.divmod(np.arange(g_perm.shape[1] * d), d), d)
-    return perm * d + k
+def _code_steps(g_codes: np.ndarray, d: int) -> np.ndarray:
+    """steps[g, c]: the code of generator g applied after code c on some
+    label, for every c below n_points * d, from g's codes on every label."""
+    c = np.arange(g_codes.shape[1] * d)
+    image = g_codes[:, c // d]
+    return image - image % d + (image + c % d) % d
 
 
 def _code_radix(dims: Dims) -> np.ndarray:
@@ -508,7 +498,7 @@ class ReducedCliffordGroup:
         codes, L = self.codes[i], 2 * self.dims.N
         check_budget(codes.size // L * (4 * L * L * 8 + 4 * L * 8),
                      f"(S, a) of the Clifford group for {self.dims}")
-        return _affine_data(codes // self.dims.d, codes % self.dims.d, self.dims)
+        return _affine_data(codes, self.dims)
 
     def unitary(self, i: int) -> np.ndarray:
         """The unitary of element i: the generators of its lineage applied to
@@ -518,13 +508,27 @@ class ReducedCliffordGroup:
             U = self.gens[g] @ U
         return U
 
+    def actions(self, labels: np.ndarray) -> np.ndarray:
+        """The (order, len(labels)) codes, in the codes' dtype, of every element
+        on the labels with these list-like indices: labels * d for the identity,
+        then one gather per BFS level.  The budget counts the output and the
+        widest level's parent rows and gathered steps, as int64."""
+        labels = np.arange(self.dims.n_points)[labels]
+        n, widest = len(labels), np.diff(self.offsets).max()
+        check_budget(len(self) * n * self.codes.itemsize + 2 * widest * n * 8,
+                     f"the action of the Clifford group for {self.dims} on {n} labels")
+        acts = np.empty((len(self), n), dtype=self.codes.dtype)
+        acts[0] = labels * self.dims.d
+        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+            acts[lo:hi] = self.steps[self.generator[lo:hi, None], acts[self.parent[lo:hi]]]
+        return acts
+
     def conjugacy_classes(self) -> np.ndarray:
         """The class label of every element: the lowest BFS index in its
         conjugacy class, read off the codes exactly (see the module
-        docstring).  The action on y = perm_h^-1(e_i) follows the BFS, one
-        gather per level; the codes of the conjugates by each generator h are
-        looked up among the group's keys; the labels are the orbit minima of
-        those G permutations."""
+        docstring).  The codes on y = perm_h^-1(e_i) are `actions`; those of
+        the conjugates by each generator h are looked up among the group's
+        keys; the labels are the orbit minima of those G permutations."""
         d, L, order, radix = self.dims.d, 2 * self.dims.N, len(self), _code_radix(self.dims)
         perm, k = np.divmod(self.steps[:, ::d], d)  # each generator on every label
         y = np.argsort(perm, axis=1)[:, d ** np.arange(L - 1, -1, -1)]  # (G, L)
@@ -532,10 +536,7 @@ class ReducedCliffordGroup:
         G, nd = self.steps.shape
         check_budget(_class_bytes(order, len(ys), L, G),
                      f"the conjugacy classes of the Clifford group for {self.dims}")
-        acts = np.empty((order, len(ys)), dtype=self.codes.dtype)  # the codes on ys
-        acts[0] = ys * d
-        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
-            acts[lo:hi] = self.steps[self.generator[lo:hi, None], acts[self.parent[lo:hi]]]
+        acts = self.actions(ys)
         # digit[h, i, c]: the key digit of h g h^-1 on e_i when g has code c on y[h, i]
         high, low = np.divmod(self.steps[:, None], d)
         digit = (high * d + (low - np.take_along_axis(k, y, axis=1)[..., None]) % d
@@ -564,8 +565,7 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
     n, order = dims.n_points, clifford_group_order(dims)
     words = clifford_generator_words(dims)
     gens = np.array([word_unitary(w, dims) for w in words])
-    actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
-    steps = _code_steps(np.array([p for p, _ in actions]), np.array([k for _, k in actions]), d)
+    steps = _code_steps(np.array([_pauli_action(G, dims, phase_points(dims)) for G in gens]), d)
     units, radix = d ** np.arange(2 * N - 1, -1, -1), _code_radix(dims)
     codes = np.empty((order, 2 * N), dtype=np.min_scalar_type(n * d - 1))
     codes[0] = units * d

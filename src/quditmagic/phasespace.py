@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -37,6 +38,9 @@ class Dims:
     __slots__ = ("d", "N", "D")
 
     def __init__(self, d: int, N: int = 1):
+        if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in (d, N)):
+            raise ValueError(f"d={d!r}, N={N!r}: both must be integers")
+        d, N = operator.index(d), operator.index(N)
         if not _is_prime(d):
             raise ValueError(f"d={d} is not prime")
         if N < 1:

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +83,23 @@ def test_verify_catalog_all_pass():
     checks = verify_catalog()
     failed = [c for c in checks if not c.passed]
     assert not failed, [(c.name, c.expected, c.got) for c in failed]
+
+
+def _evaluate_exact(text: str) -> float:
+    """The value of an exact-form string such as '(1+2cos(2pi/9))^2/9' or
+    'log 2': sqrtN reads as sqrt(N), and a digit or ')' before a name or '('
+    is a product."""
+    expr = text.replace("^", "**").replace("log 2", "log(2)")
+    expr = re.sub(r"sqrt(\d+)", r"sqrt(\1)", expr)
+    expr = re.sub(r"(?<=[\d)])(?=[a-z(])", "*", expr)
+    return eval(expr, {"__builtins__": {}}, vars(math))
+
+
+def test_exact_forms_evaluate_to_their_values():
+    pairs = [pair for e in entries().values() for pair in e.expected.values()]
+    assert len(pairs) == 78 and len({exact for exact, _ in pairs}) == 41
+    for exact, value in pairs:
+        assert _evaluate_exact(exact) == value, exact
 
 
 def test_verify_equivalences_all_pass():

@@ -274,9 +274,12 @@ def test_input_error_exits_2(capsys, argv, message):
     ("prod:2,qubit:T0", "the bit '2' is not 0 or 1"),
     ("prod:0", "unknown catalog state ''"),
     ("prod:0,prod:1,qutrit:S", "'qutrit:S' is not a qubit state"),
+    ('{"d": 3.9, "N": 1, "amplitudes": [[0, 0], [1, 0], [0, 0]]}', "must be integers"),
+    ('{"d": 2, "N": 1.5, "amplitudes": [[1, 0], [0, 0]]}', "must be integers"),
+    ('{"d": 3, "N": 1, "amplitudes": [[NaN, 0], [1, 0], [0, 0]]}', "norm nan are not a unit"),
 ], ids=["missing file", "malformed json", "no amplitudes", "d not prime", "unknown name",
         "norm sqrt2", "zero vector", "prod of a qutrit", "prod bit 2", "prod without a state",
-        "nested prod of a qutrit"])
+        "nested prod of a qutrit", "d not an integer", "N not an integer", "NaN amplitude"])
 def test_unreadable_state_spec_exits_2(capsys, tmp_path, spec, message):
     spec = spec.replace("{missing}", str(tmp_path / "missing.json"))
     with pytest.raises(UnknownStateError, match=message):

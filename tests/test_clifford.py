@@ -15,7 +15,6 @@ from quditmagic.clifford import (
     SL2_S_HAT,
     FiniteUnitaryGroup,
     _affine_data,
-    _compose_action,
     _degenerate_bases,
     _pauli_action,
     affine_from_clifford,
@@ -575,11 +574,11 @@ def test_conjugated_label_matches_dense_einsum(d, N):
     assert np.array_equal(pauli_coefficients(stack, dims),
                           np.array([pauli_coefficients(A, dims) for A in stack]))
     # the batched action over all labels against U T_chi U^dag, one dense contraction each
-    perm, k = _pauli_action(U, dims, phase_points(dims))
+    codes = _pauli_action(U, dims, phase_points(dims))
     dense = np.einsum('kij,nij->nk', T.conj(), U @ T @ U.conj().T) / dims.D
-    for n in range(dims.n_points):
-        assert np.flatnonzero(np.abs(dense[n]) > 1e-8).tolist() == [perm[n]]
-        assert abs(dense[n, perm[n]] - unit_phase(k[n], d)) < 1e-12
+    for n, c in enumerate(codes):
+        assert np.flatnonzero(np.abs(dense[n]) > 1e-8).tolist() == [c // d]
+        assert abs(dense[n, c // d] - unit_phase(c % d, d)) < 1e-12
 
 
 def _quantised_key(U, grid=1e-8):
@@ -627,15 +626,16 @@ def _action_enumeration(dims):
     d, n = dims.d, dims.n_points
     words = clifford_generator_words(dims)
     gens = [word_unitary(w, dims) for w in words]
-    actions = [_pauli_action(G, dims, phase_points(dims)) for G in gens]
-    g_action = (np.array([p for p, _ in actions]), np.array([k for _, k in actions]))
+    g_codes = np.array([_pauli_action(G, dims, phase_points(dims)) for G in gens])
     unitaries, elem_words = [np.eye(dims.D, dtype=np.complex128)], [()]
     levels = [np.arange(n)[None] * d]
     seen = {levels[0].tobytes()}
     start = 0
     while start < len(unitaries):
-        perm, k = _compose_action(g_action, (levels[-1] // d, levels[-1] % d), d)
-        cand = np.ascontiguousarray((perm * d + k).swapaxes(0, 1)).reshape(-1, n)
+        # G after code c: the label G sends c's label to, and the two exponents added
+        image = g_codes[:, levels[-1] // d]
+        cand = image // d * d + (image + levels[-1]) % d
+        cand = np.ascontiguousarray(cand.swapaxes(0, 1)).reshape(-1, n)
         keys = cand.view(np.dtype((np.void, cand.itemsize * n))).ravel().tolist()
         fresh = []
         for r, key in enumerate(keys):
@@ -648,7 +648,7 @@ def _action_enumeration(dims):
         start += len(levels[-1])
         levels.append(cand[fresh])
     on_basis = np.concatenate(levels)[:, d ** np.arange(2 * dims.N - 1, -1, -1)]
-    S, a = _affine_data(on_basis // d, on_basis % d, dims)
+    S, a = _affine_data(on_basis, dims)
     return list(zip(elem_words, S, a, unitaries))
 
 
@@ -691,8 +691,8 @@ def test_affine_data_negates_unsigned_codes_exactly():
     dims = Dims(3, 1)
     perm = np.array([[3, 1], [4, 7], [8, 2]])
     k = np.array([[1, 2], [0, 1], [2, 2]])
-    S, a = _affine_data(perm, k, dims)
-    S_u, a_u = _affine_data(perm.astype(np.uint8), k.astype(np.uint8), dims)
+    S, a = _affine_data(perm * 3 + k, dims)
+    S_u, a_u = _affine_data((perm * 3 + k).astype(np.uint8), dims)
     assert np.array_equal(S_u, S) and np.array_equal(a_u, a)
     wrapped = (S @ symplectic_form(1) @ (-k.astype(np.uint8))[..., None])[..., 0] % 3
     assert not np.array_equal(wrapped, a)
@@ -702,17 +702,33 @@ def test_affine_data_negates_unsigned_codes_exactly():
 def test_composed_action_matches_dense_conjugation(d, N):
     dims = Dims(d, N)
     T = displacement_table(dims)
-    labels = phase_points(dims)
-    els = enumerate_reduced_clifford(dims)
+    group = enumerate_reduced_clifford(dims)
+    acts = group.actions(np.arange(dims.n_points))
+    assert acts.dtype == group.codes.dtype and acts.shape == (len(group), dims.n_points)
     rng = np.random.default_rng(7)
-    for _ in range(8):
-        U1, U2 = (els[i].unitary for i in rng.integers(len(els), size=2))
-        perm, k = _compose_action(_pauli_action(U1, dims, labels),
-                                  _pauli_action(U2, dims, labels), d)
-        U = U1 @ U2
-        for i in range(len(labels)):
-            assert np.allclose(U @ T[i] @ U.conj().T,
-                               unit_phase(k[i], d) * T[perm[i]], atol=1e-10)
+    for i in rng.integers(len(group), size=8):
+        U = group.unitary(i)
+        for chi, c in enumerate(acts[i].tolist()):
+            assert np.allclose(U @ T[chi] @ U.conj().T,
+                               unit_phase(c % d, d) * T[c // d], atol=1e-10)
+
+
+@pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
+def test_actions_match_dense_pauli_action(d, N):
+    dims = Dims(d, N)
+    group = enumerate_reduced_clifford(dims)
+    labels = phase_points(dims)
+    acts = group.actions(np.arange(dims.n_points))
+    for i, U in enumerate(oracles.clifford_unitary_stack(group)):
+        assert np.array_equal(acts[i], _pauli_action(U, dims, labels))
+    # any labels, in any order and with repeats, read the same columns
+    some = [1, 0, 1, dims.n_points - 1]
+    assert np.array_equal(group.actions(some), acts[:, some])
+    assert np.array_equal(group.actions([-1]), acts[:, -1:])
+    with pytest.raises(IndexError):
+        group.actions([dims.n_points])
+    # the unit labels give the group's own codes
+    assert np.array_equal(group.actions(d ** np.arange(2 * N - 1, -1, -1)), group.codes)
 
 
 def test_enumeration_builds_no_table_and_recovers_nothing(monkeypatch):
@@ -796,11 +812,12 @@ def test_orbit_minima_take_logarithmic_rounds_on_a_cycle(seed):
 
 @pytest.fixture
 def class_estimates(monkeypatch):
-    """The estimates the class computation checks against the budget."""
+    """The estimates the class computation checks against the budget: its
+    own, then that of `actions` on the labels y."""
     estimates, check = [], clifford.check_budget
 
     def spy(nbytes, what):
-        if "conjugacy classes" in what:
+        if "conjugacy classes" in what or "action of the Clifford group" in what:
             estimates.append(nbytes)
         check(nbytes, what)
 
@@ -821,8 +838,12 @@ def _traced_peak(call) -> int:
 def test_conjugacy_classes_refused_before_allocating(monkeypatch, class_estimates):
     group = enumerate_reduced_clifford(Dims(7, 1))
     labels = group.conjugacy_classes()
-    # H and S pull X and Z back to four distinct labels y
-    assert class_estimates == [clifford._class_bytes(16464, 4, 2, 2)]
+    # H and S pull X and Z back to four distinct labels y; the class pass
+    # counts their action as int64 and so covers the check of `actions`
+    widest = np.diff(group.offsets).max()
+    assert class_estimates == [clifford._class_bytes(16464, 4, 2, 2),
+                               16464 * 4 * 2 + 2 * widest * 4 * 8]
+    assert class_estimates[0] > class_estimates[1]
     monkeypatch.setattr(errors, "MEMORY_BUDGET", class_estimates[0] - 1)
 
     def refused():
@@ -838,6 +859,32 @@ def test_conjugacy_classes_refused_before_allocating(monkeypatch, class_estimate
 def test_conjugacy_classes_peak_within_estimate(class_estimates, d, N):
     group = enumerate_reduced_clifford(Dims(d, N))
     assert 0 < _traced_peak(group.conjugacy_classes) <= class_estimates[0]
+
+
+def test_actions_refused_before_allocating(monkeypatch, class_estimates):
+    dims = Dims(7, 1)
+    group = enumerate_reduced_clifford(dims)
+    labels = np.arange(dims.n_points)
+    acts = group.actions(labels)
+    # uint16 codes for every element, and two int64 blocks of the widest level
+    assert class_estimates == [16464 * 49 * 2 + 2 * np.diff(group.offsets).max() * 49 * 8]
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", class_estimates[0] - 1)
+
+    def refused():
+        with pytest.raises(BudgetExceededError, match="action of the Clifford group"):
+            group.actions(labels)
+
+    assert _traced_peak(refused) < 2 ** 14 < class_estimates[0] / 100
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", class_estimates[0])
+    assert np.array_equal(group.actions(labels), acts)
+
+
+@pytest.mark.parametrize("d,N", [(7, 1), (11, 1)])
+def test_actions_peak_within_estimate(class_estimates, d, N):
+    dims = Dims(d, N)
+    group = enumerate_reduced_clifford(dims)
+    peak = _traced_peak(lambda: group.actions(np.arange(dims.n_points)))
+    assert len(group) * dims.n_points * 2 < peak <= class_estimates[0]
 
 
 def test_enumeration_refusals():

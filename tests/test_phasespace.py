@@ -61,6 +61,20 @@ def test_dims_holds_D_and_compares_by_d_and_N():
     assert back == dims and hash(back) == hash(dims) and back.D == 9
 
 
+@pytest.mark.parametrize("d, N", [(3.9, 1), (2, 1.5), (2.0, 1), (3, 1.0), (True, 1),
+                                  (2, True), ("3", 1), (np.float64(3), 1)])
+def test_dims_refuses_non_integers(d, N):
+    # 3.9 never entered the primality loop, and 1.5 made D = 2 ** 1.5
+    with pytest.raises(ValueError, match="must be integers"):
+        Dims(d, N)
+
+
+def test_dims_reads_numpy_integers_as_ints():
+    dims = Dims(np.int64(3), np.int64(2))
+    assert dims == Dims(3, 2) and dims.D == 9
+    assert all(type(v) is int for v in (dims.d, dims.N, dims.D))
+
+
 def test_mod_inverse_examples():
     assert mod_inverse(2, 3) == 2
     assert mod_inverse(1, 5) == 1
