@@ -86,7 +86,7 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     x = Ah @ pb                      # least-norm feasible start
     # feasibility: b must lie in the column span of A
     miss = np.linalg.norm(A @ x - b)
-    if miss > FEASIBILITY_TOL:
+    if not miss <= FEASIBILITY_TOL:  # NaN and inf included
         raise InfeasibleExtentError(f"projected target misses the dictionary span by {miss:.2e}")
 
     def solution(c: np.ndarray, dual: float, iterations: int) -> ExtentSolution:

@@ -6,12 +6,12 @@ has the exact density decomposition
     psi(eps) = psi + eps/(1+eps^2) sigma + eps^2/(1+eps^2) mu,
     sigma = |phi><psi| + |psi><phi|,   mu = |phi><phi| - |psi><psi|.
 
-Every coefficient below is a bilinear form in the frame's two vectors (psi,
-phi), so each is computed from vector transforms, with no D x D operator:
-W(sigma) = W(psi + phi) - W(psi) - W(phi) and W(mu) = W(phi) - W(psi) from
-three vector Wigner functions, the fidelity terms from the amplitudes
-<s|psi> and <s|phi> of the nearest stabilizer states, and the order-8
-series of Xi_2 from the characters <x|X^p Z^q|y> of the pair.
+So (1+eps^2) f(psi(eps)) = f(psi) + eps f(sigma) + eps^2 f(phi) for every
+family f linear in the density operator, and `_family_expansion` reads the
+three from vector transforms alone, with no D x D operator, by polarization:
+f(sigma) = f(psi + phi) - f(psi) - f(phi).  Mana reads it for the Wigner
+function, the fidelity for |<s|x>|^2 over the nearest stabilizer states s and
+the order-8 series of Xi_2 for the characters <x|X^p Z^q|x>: three transforms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError, check_budget
+from .errors import DimensionMismatchError, UnsupportedDimensionError, check_budget
 from .measures import wigner_function
 from .phasespace import Dims
 from .stabilizers import StabilizerDictionary
@@ -37,11 +37,9 @@ class PerturbationFrame:
         self.dims = dims
         self.base = np.asarray(base, dtype=np.complex128)
         self.direction = np.asarray(direction, dtype=np.complex128)
-        for name, v in (("base", self.base), ("direction", self.direction)):
-            if abs(np.linalg.norm(v) - 1.0) > ORTHONORMAL_TOL:
-                raise ValueError(f"{name} is not normalized")
-        if abs(np.vdot(self.base, self.direction)) > ORTHONORMAL_TOL:
-            raise ValueError("direction is not orthogonal to the base state")
+        if self.base.shape != (dims.D,) or self.direction.shape != (dims.D,):
+            raise DimensionMismatchError(f"frame vectors are not of length {dims.D}")
+        _check_orthonormal([self.base, self.direction], "base and direction")
 
     @property
     def sigma(self) -> np.ndarray:
@@ -93,6 +91,12 @@ def amplitudes(bras, kets) -> np.ndarray:
                      np.asarray(kets, dtype=np.complex128)[None])
 
 
+def _check_orthonormal(rows, what: str) -> None:
+    """Refuse rows whose Gram matrix is not the identity, NaN and inf included."""
+    if not np.max(np.abs(amplitudes(rows, rows) - np.eye(len(rows)))) <= ORTHONORMAL_TOL:
+        raise ValueError(f"{what} are not orthonormal")
+
+
 def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray]) -> np.ndarray:
     """First-order fidelity data: L[i, j] = <b_(j+1)|s_i><s_i|b_0>.
 
@@ -100,8 +104,7 @@ def l_matrix(basis: list[np.ndarray], nearest_states: list[np.ndarray]) -> np.nd
     the row order.  Every column sums to zero for Clifford-stabilizer bases.
     """
     basis = np.asarray(basis, dtype=np.complex128)
-    if np.max(np.abs(amplitudes(basis, basis) - np.eye(len(basis)))) > ORTHONORMAL_TOL:
-        raise ValueError("basis is not orthonormal")
+    _check_orthonormal(basis, "the basis vectors")
     return amplitudes(basis[1:], nearest_states).T * amplitudes(nearest_states, basis[:1])
 
 
@@ -125,6 +128,17 @@ def _expansion_bytes(measure: str, dims: Dims) -> int:
     return {"mana": 120, "xi2": 192}[measure] * dims.D ** 2
 
 
+def _family_expansion(frame: PerturbationFrame, family) -> tuple:
+    """(a0, a1, a2) with (1+eps^2) f(psi(eps)) = a0 + eps a1 + eps^2 a2 for a
+    family f linear in the density operator, given as family(x) = f(|x><x|),
+    a new array on each call: a0 = f(psi), a2 = f(phi) and, since
+    |psi+phi><psi+phi| = psi + sigma + phi, a1 = f(sigma) = f(psi+phi) - a0 - a2."""
+    a0, a1, a2 = family(frame.base), family(frame.base + frame.direction), family(frame.direction)
+    a1 -= a0
+    a1 -= a2
+    return a0, a1, a2
+
+
 def mana_expansion(frame: PerturbationFrame):
     """(linear_abs_coeff, quadratic_coeff, vanishing_pattern_ok) for the
     Wigner trace norm along the frame's path.
@@ -132,14 +146,11 @@ def mana_expansion(frame: PerturbationFrame):
     linear_abs_coeff multiplies |eps|/(1+eps^2): the sum of |W_chi(sigma)|
     over the zero set of W(psi).  When it vanishes, quadratic_coeff
     multiplies eps^2/(1+eps^2): sign-weighted W(mu) plus |W(mu)| on the
-    common zero set.  W is real-linear in the operator, so
-    W(sigma) = W(psi + phi) - W(psi) - W(phi) and W(mu) = W(phi) - W(psi).
+    common zero set, with W(mu) = W(phi) - W(psi).
     """
-    dims, b, v = frame.dims, frame.base, frame.direction
+    dims = frame.dims
     check_budget(_expansion_bytes("mana", dims), f"the mana expansion for {dims}")
-    Wpsi = wigner_function(b, dims).values
-    Wphi = wigner_function(v, dims).values
-    Wsig = wigner_function(b + v, dims).values - Wpsi - Wphi
+    Wpsi, Wsig, Wphi = _family_expansion(frame, lambda x: wigner_function(x, dims).values)
     Wmu = Wphi - Wpsi
     zero = np.abs(Wpsi) <= WIGNER_ZERO_TOL
     linear = float(np.sum(np.abs(Wsig[zero])))
@@ -163,10 +174,9 @@ def fidelity_expansion(frame: PerturbationFrame,
     exactly, for each nearest state s.
     """
     _, ties = dictionary.nearest(frame.base)
-    amp = amplitudes(dictionary.matrix[ties], [frame.base, frame.direction])
-    linear = 2 * np.real(amp[:, 1].conj() * amp[:, 0])  # <phi|s> = conj(<s|phi>)
-    quad = np.abs(amp[:, 1]) ** 2 - np.abs(amp[:, 0]) ** 2
-    return _critical("fidelity", [(1, np.max(np.abs(linear))), (2, np.max(quad))])
+    states = dictionary.matrix[ties]
+    F, linear, Fphi = _family_expansion(frame, lambda x: np.abs(np.vecdot(states, x)) ** 2)
+    return _critical("fidelity", [(1, np.max(np.abs(linear))), (2, np.max(Fphi - F))])
 
 
 # (1+eps^2)^-4 = sum_i comb(i+3, 3) (-eps^2)^i, as the matrix that takes the
@@ -178,28 +188,20 @@ _SERIES = sum(comb(i + 3, 3) * (-1) ** i * np.eye(9, k=-2 * i) for i in range(5)
 def xi2_expansion(frame: PerturbationFrame) -> np.ndarray:
     """Taylor coefficients Xi_2^(0..8) of Xi_2(psi(eps)) about eps = 0.
 
-    With b, v the frame's base and direction and c_xy = <x|T_chi|y>,
-    (1+eps^2) <psi(eps)|T_chi|psi(eps)> = a0 + eps a1 + eps^2 a2 with
-    a0 = c_bb, a1 = c_bv + c_vb, a2 = c_vv, so the exact polynomial
+    The characters c_chi(x) = <x|T_chi|x> are a family linear in |x><x|, so
+    (1+eps^2) c_chi(psi(eps)) = a0 + eps a1 + eps^2 a2, and the exact polynomial
     (1+eps^2)^2 P_chi(eps) = sum_i eps^i Ptilde_chi^(i) has coefficients
     |a0|^2, 2Re(a0* a1), |a1|^2 + 2Re(a0* a2), 2Re(a1* a2), |a2|^2 over d^N.
     Xi_2 = sum_chi P_chi^2 is then divided by (1+eps^2)^4 as a power series.
     """
     dims = frame.dims
     check_budget(_expansion_bytes("xi2", dims), f"the Xi_2 expansion for {dims}")
-    b, v = frame.base, frame.direction
-    a0 = shifted_characters(b, b, dims)
-    a1 = shifted_characters(b, v, dims) + shifted_characters(v, b, dims)
-    a2 = shifted_characters(v, v, dims)
-
-    def cross(x, y):
-        return 2 * np.real(x.conj() * y)
-
+    a0, a1, a2 = _family_expansion(frame, lambda x: shifted_characters(x, dims))
     P = np.empty((5, a0.size))  # row i: Ptilde_chi^(i) over d^N
     P[0] = np.abs(a0) ** 2
-    P[1] = cross(a0, a1)
-    P[2] = np.abs(a1) ** 2 + cross(a0, a2)
-    P[3] = cross(a1, a2)
+    P[1] = 2 * np.real(a0.conj() * a1)
+    P[2] = np.abs(a1) ** 2 + 2 * np.real(a0.conj() * a2)
+    P[3] = 2 * np.real(a1.conj() * a2)
     P[4] = np.abs(a2) ** 2
     P /= dims.D
     # order n of (1+eps^2)^4 Xi_2 = sum_chi (sum_i eps^i P_i)^2 sums (P P^T)[i, j] over i + j = n

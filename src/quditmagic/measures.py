@@ -111,7 +111,7 @@ class PauliDistribution:
 
 
 def pauli_distribution(psi: np.ndarray, dims: Dims) -> PauliDistribution:
-    probs = np.abs(shifted_characters(psi, psi, dims))
+    probs = np.abs(shifted_characters(psi, dims))
     np.square(probs, out=probs)
     probs /= dims.D
     return PauliDistribution(dims, probs)

@@ -147,20 +147,18 @@ def displacement_matrix(chi, dims: Dims) -> np.ndarray:
     return displace(chi, np.eye(dims.D), dims).T
 
 
-def shifted_characters(x: np.ndarray, y: np.ndarray, dims: Dims) -> np.ndarray:
-    """<x|X^p Z^q|y> for every (p, q), in lexicographic point order.
+def shifted_characters(x: np.ndarray, dims: Dims) -> np.ndarray:
+    """<x|X^p Z^q|x> for every (p, q), in lexicographic point order.
 
-    This is <x|T_(p,q)|y> without the tau/zeta convention phase, which cancels
+    This is <x|T_(p,q)|x> without the tau/zeta convention phase, which cancels
     in every |.|^2 and every product of kernels of one point.
     """
-    same = y is x  # then one conversion serves both sides
     x = np.asarray(x, dtype=np.complex128)
-    y = x if same else np.asarray(y, dtype=np.complex128)
-    if x.shape != (dims.D,) or y.shape != (dims.D,):
-        raise DimensionMismatchError(f"state lengths {x.shape}, {y.shape} != {dims.D}")
+    if x.shape != (dims.D,):
+        raise DimensionMismatchError(f"state length {x.shape} != {dims.D}")
     plan = transform_plan(dims.d, dims.N)
     terms = x.conj()[plan.plus]
-    terms *= y
+    terms *= x
     return (terms @ plan.characters).ravel()
 
 

@@ -18,7 +18,8 @@ closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
 `weyl.phase_normalize`, the per-entry L form for `extremality.l_matrix`,
 the Wigner functions and nearest-state forms of
 the dense operators sigma and mu for `extremality.mana_expansion` and
-`extremality.fidelity_expansion`, the plain ADMM loop, with no active-set
+`extremality.fidelity_expansion`, the nine Weyl-Heisenberg kernels of psi,
+sigma and phi for `extremality.xi2_expansion`, the plain ADMM loop, with no active-set
 polish, for `extent.solve_extent`, and the Kronecker products of Pauli
 matrices at the end for the five-qubit code's generators in
 `distill.code_projector`.
@@ -26,6 +27,7 @@ matrices at the end for the five-qubit code's generators in
 
 import itertools
 from functools import lru_cache, reduce
+from math import comb
 
 import numpy as np
 
@@ -297,6 +299,26 @@ def fidelity_expansion(frame, dictionary) -> CriticalReport:
     if top > COEFF_TOL:
         return CriticalReport("fidelity", "smooth_min", 2, top)
     return CriticalReport("fidelity", "flat", 2, top)
+
+
+def xi2_expansion(frame):
+    """Xi_2^(0..8) from the nine Weyl-Heisenberg kernels K_chi(A, B) of the
+    dense operators |psi><psi|, sigma and |phi><phi|."""
+    dims = frame.dims
+    ops = {"psi": np.outer(frame.base, frame.base.conj()),
+           "sig": frame.sigma,
+           "phi": np.outer(frame.direction, frame.direction.conj())}
+    K = {(a, b): kernel_all(ops[a], ops[b], dims) for a in ops for b in ops}
+    P = [K["psi", "psi"],
+         K["psi", "sig"] + K["sig", "psi"],
+         K["psi", "phi"] + K["sig", "sig"] + K["phi", "psi"],
+         K["phi", "sig"] + K["sig", "phi"],
+         K["phi", "phi"]]
+    P = [np.real(x) for x in P]
+    xt = [sum(float(np.sum(P[i] * P[n - i])) for i in range(max(0, n - 4), min(n, 4) + 1))
+          for n in range(9)]
+    return np.array([sum(comb(i + 3, 3) * (-1) ** i * xt[n - 2 * i] for i in range(n // 2 + 1))
+                     for n in range(9)])
 
 
 def _soft_threshold(z: np.ndarray, kappa: float) -> np.ndarray:

@@ -87,6 +87,16 @@ def test_extent_clifford_invariance():
     assert abs(sol0.value - sol1.value) < 1e-6
 
 
+def test_non_finite_target_refused_before_iterating():
+    # a comparison with NaN is False, so the feasibility test is written to
+    # refuse it: the solve raises at once instead of running max_iter steps
+    dd = enumerate_stabilizer_states(Dims(2, 2))
+    for bad in (np.nan, np.inf):
+        problem = ExtentProblem.from_dictionary(np.array([bad, 0, 0, 1], dtype=complex), dd)
+        with np.errstate(invalid="ignore"), pytest.raises(InfeasibleExtentError, match="nan"):
+            solve_extent(problem, max_iter=1)
+
+
 def test_projected_variant_and_infeasible():
     dd = enumerate_stabilizer_states(Dims(3, 1))
     # restrict the dictionary to states supported on a 2-dim subspace: a

@@ -79,12 +79,24 @@ def test_frame_validation():
         PerturbationFrame(d3, psi, psi)
     with pytest.raises(ValueError):
         PerturbationFrame(d3, psi, 2 * rand_direction(psi, 1))
+    # a comparison with NaN is False, so the Gram check is written to refuse it
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not orthonormal"):
+            PerturbationFrame(d3, psi, [bad, 0, 0])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not orthonormal"):
+            PerturbationFrame(d3, np.array([bad, 0, 0]), rand_direction(psi, 1))
+    # vectors of another length are refused when the frame is built
+    five = np.eye(5, dtype=complex)
+    with pytest.raises(DimensionMismatchError, match="length 3"):
+        PerturbationFrame(d3, five[0], five[1])
 
 
 def test_l_matrix_contract_and_tables():
     psi = build("qubit:T0")
     with pytest.raises(ValueError):
         l_matrix([psi, psi], [np.array([1, 0])])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        l_matrix([[np.nan, 0], [0, 1]], [[1, 0]])
     for res in check_l_tables():
         assert res.passed, f"{res.table_id}: err {res.max_error}"
 
@@ -162,9 +174,30 @@ def test_w_matrix_diagonal_dominance():
             assert np.all(W[i, i] > row + 1e-9)
 
 
+@pytest.mark.parametrize("dims", [Dims(2, 2), Dims(3, 2), Dims(5, 1)], ids=str)
+def test_family_expansion_is_exact_for_linear_families(dims):
+    # f_k(rho) = Tr(rho M_k) for random Hermitian M_k: a0, a1 and a2 are
+    # f_k(psi), f_k(sigma) and f_k(phi), sigma from the dense frame.sigma
+    rng = np.random.default_rng(dims.D)
+    M = rng.normal(size=(6, dims.D, dims.D)) + 1j * rng.normal(size=(6, dims.D, dims.D))
+    M = M + M.conj().transpose(0, 2, 1)
+    psi = rng.normal(size=dims.D) + 1j * rng.normal(size=dims.D)
+    psi /= np.linalg.norm(psi)
+    fr = PerturbationFrame(dims, psi, rand_direction(psi, dims.D))
+
+    def family(x):
+        return np.real(np.einsum("i,kij,j->k", x.conj(), M, x))
+
+    a0, a1, a2 = extremality._family_expansion(fr, family)
+    traces = np.real(np.einsum("ij,kji->k", fr.sigma, M))
+    assert np.max(np.abs(a1 - traces)) <= 1e-13
+    assert np.array_equal(a0, family(fr.base)) and np.array_equal(a2, family(fr.direction))
+
+
 def test_expansions_match_the_dense_oracles():
-    # every catalog state along 20 seeded directions: the vector routes
-    # against the Wigner functions and forms of the dense sigma and mu
+    # every catalog state along 20 seeded directions (Xi_2 along the first
+    # 5): the vector routes against the Wigner functions and forms of the
+    # dense sigma and mu, and against the kernels of the dense operators
     for name, e in entries().items():
         psi, dd = e.build(), enumerate_stabilizer_states(e.dims)
         for seed in range(20):
@@ -172,6 +205,10 @@ def test_expansions_match_the_dense_oracles():
             got, want = fidelity_expansion(fr, dd), oracles.fidelity_expansion(fr, dd)
             assert got[:3] == want[:3], (name, seed, got, want)
             assert abs(got.leading_coefficient - want.leading_coefficient) <= 1e-12
+            if seed < 5:
+                co, co0 = xi2_expansion(fr), oracles.xi2_expansion(fr)
+                assert np.max(np.abs(co - co0)) <= 1e-12, (name, seed)
+                assert classify_xi2(co)[:3] == classify_xi2(co0)[:3], (name, seed)
             if not e.dims.odd:
                 continue
             (lin, quad, ok), (lin0, quad0, ok0) = mana_expansion(fr), oracles.mana_expansion(fr)

@@ -5,7 +5,6 @@ are the slow references for the gather-and-character path in the measures.
 """
 
 from functools import reduce
-from math import comb
 
 import numpy as np
 import pytest
@@ -22,9 +21,9 @@ from quditmagic.measures import (
     xi,
 )
 from quditmagic.phasespace import Dims
-from quditmagic.weyl import shifted_characters
 
-from oracles import displacement_table, kernel_all, phase_point_table
+import oracles
+from oracles import displacement_table, phase_point_table
 
 # every (d, N) whose dense table is at most 20 MB
 ORACLE_DIMS = ([Dims(2, n) for n in range(1, 6)] + [Dims(3, n) for n in range(1, 4)]
@@ -58,25 +57,6 @@ def dense_wigner(op, dims):
     return np.einsum('kij,ji->k', phase_point_table(dims), op) / dims.D
 
 
-def dense_xi2_expansion(frame):
-    """Xi_2^(0..8) from the nine Weyl-Heisenberg kernels K_chi(A, B)."""
-    dims = frame.dims
-    ops = {"psi": np.outer(frame.base, frame.base.conj()),
-           "sig": frame.sigma,
-           "phi": np.outer(frame.direction, frame.direction.conj())}
-    K = {(a, b): kernel_all(ops[a], ops[b], dims) for a in ops for b in ops}
-    P = [K["psi", "psi"],
-         K["psi", "sig"] + K["sig", "psi"],
-         K["psi", "phi"] + K["sig", "sig"] + K["phi", "psi"],
-         K["phi", "sig"] + K["sig", "phi"],
-         K["phi", "phi"]]
-    P = [np.real(x) for x in P]
-    xt = [sum(float(np.sum(P[i] * P[n - i])) for i in range(max(0, n - 4), min(n, 4) + 1))
-          for n in range(9)]
-    return np.array([sum(comb(i + 3, 3) * (-1) ** i * xt[n - 2 * i] for i in range(n // 2 + 1))
-                     for n in range(9)])
-
-
 @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
 def test_transforms_match_dense_oracle(dims):
     rng = np.random.default_rng(dims.d * 100 + dims.N)
@@ -84,11 +64,6 @@ def test_transforms_match_dense_oracle(dims):
         psi = rand_state(dims.D, rng)
         P = pauli_distribution(psi, dims).probs
         assert np.max(np.abs(P - dense_pauli_distribution(psi, dims))) < TOL
-        # one conversion for both sides when y is x, the same bits as two
-        assert np.array_equal(shifted_characters(psi, psi, dims),
-                              shifted_characters(psi, psi.copy(), dims))
-        assert np.array_equal(shifted_characters(psi.real, psi.real, dims),
-                              shifted_characters(psi.real, psi.real.copy(), dims))
         # xi squares its own distribution in place, so a second call is unchanged
         assert xi(psi, dims) == xi(psi, dims)
 
@@ -113,7 +88,7 @@ def test_transforms_match_dense_oracle(dims):
                 assert np.max(np.abs(W - dense_wigner(op, dims))) < TOL
 
         frame = rand_frame(dims, rng)
-        assert np.max(np.abs(xi2_expansion(frame) - dense_xi2_expansion(frame))) < TOL
+        assert np.max(np.abs(xi2_expansion(frame) - oracles.xi2_expansion(frame))) < TOL
 
 
 @pytest.mark.parametrize("dims", [Dims(3, 2), Dims(2, 4)], ids=str)
