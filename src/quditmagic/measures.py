@@ -1,7 +1,9 @@
 """Magic measures: mana, stabilizer fidelity, and stabilizer Renyi entropies.
 
 All phase-space sums run over the lexicographic point order of
-`phasespace.phase_points`.  Logs are natural.
+`phasespace.phase_points`.  Logs are natural.  Every M_alpha of a state is a
+moment of one Pauli spectrum: `pauli_distribution` keeps the last in one slot,
+keyed by (d, N, shape, bytes) of its complex128 input, and shares it read-only.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ def wigner_function(rho, dims: Dims) -> WignerFunction:
     vals = vals.take(plan.double, axis=1).ravel()
     vals /= D
     imag = np.maximum.reduce(np.abs(vals.imag))
-    # the scale max(1, |W|) only matters once imag exceeds the tolerance itself
-    if imag > WIGNER_IMAG_TOL and (
-            imag > WIGNER_IMAG_TOL * max(1.0, np.maximum.reduce(np.abs(vals)))):
-        raise ValueError("Wigner values have a non-negligible imaginary part")
+    # the scale max(1, |W|) only matters once imag exceeds the tolerance itself;
+    # written `not <=` so that a NaN imag is refused too
+    if not imag <= WIGNER_IMAG_TOL and not (
+            imag <= WIGNER_IMAG_TOL * max(1.0, np.maximum.reduce(np.abs(vals)))):
+        raise ValueError("Wigner values have a non-negligible or non-finite imaginary part")
     return WignerFunction(dims, vals.real.copy())
 
 
@@ -110,10 +113,24 @@ class PauliDistribution:
         self.probs = probs
 
 
+_last_spectrum = (None, None)
+
+
 def pauli_distribution(psi: np.ndarray, dims: Dims) -> PauliDistribution:
-    probs = np.abs(shifted_characters(psi, dims))
-    np.square(probs, out=probs)
-    probs /= dims.D
+    """P_chi = d^-N |<psi|T_chi|psi>|^2; the slot is read once and replaced by one
+    tuple, so no caller, in any thread, pairs a key with another input's spectrum.
+    Non-finite input gives non-finite P, returned as computed (`xi` refuses it)."""
+    global _last_spectrum
+    x = np.asarray(psi, dtype=np.complex128)
+    key = (dims.d, dims.N, x.shape, x.tobytes())
+    last_key, probs = _last_spectrum
+    if key != last_key:
+        _last_spectrum = (None, None)
+        probs = np.abs(shifted_characters(x, dims))
+        np.square(probs, out=probs)
+        probs /= dims.D
+        probs.setflags(write=False)
+        _last_spectrum = (key, probs)
     return PauliDistribution(dims, probs)
 
 
@@ -122,9 +139,10 @@ def xi(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     probs = pauli_distribution(psi, dims).probs
-    if alpha == 2:  # the distribution is this call's own, so square it in place
-        return float(np.add.reduce(np.square(probs, out=probs)))
-    return float(np.add.reduce(np.power(probs, alpha)))
+    total = np.add.reduce(np.square(probs) if alpha == 2 else np.power(probs, alpha))
+    if not math.isfinite(total):
+        raise ValueError(f"Xi_{alpha:g} = {total}: the state is not finite")
+    return float(total)
 
 
 def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
@@ -156,5 +174,9 @@ def mixed_sre2(rho, dims: Dims) -> float:
     # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|, gathered by flat index
     traces = np.abs(rho.take(plan.diagonals) @ plan.characters)
     quartic = np.add.reduce(traces ** 4, axis=None)
-    return -math.log(quartic / np.add.reduce(np.square(traces, out=traces), axis=None))
+    quadratic = np.add.reduce(np.square(traces, out=traces), axis=None)
+    ratio = float(quartic) / float(quadratic) if quadratic else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(f"Pauli-moment ratio {ratio!r}: the operator is zero or not finite")
+    return -math.log(ratio)
 

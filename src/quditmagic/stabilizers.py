@@ -32,6 +32,7 @@ stabilizers of the basis rows generate those of all d^N elements.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -227,6 +228,8 @@ def nearest_set(overlaps: np.ndarray) -> tuple[float, np.ndarray]:
     """The largest of the overlaps and the indices of every overlap within
     TIE_TOL of it: the nearest set."""
     best = float(np.maximum.reduce(overlaps))
+    if not math.isfinite(best):
+        raise ValueError(f"largest overlap {best!r}: the state is not finite")
     return best, (overlaps >= best - TIE_TOL).nonzero()[0]
 
 
