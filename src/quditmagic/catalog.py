@@ -4,6 +4,11 @@ Catalog names are prefixed by system: ``qubit:``, ``qutrit:``, ``ququint:``,
 ``2q:``, ``3q:``.  Expected values carry an exact-form string next to the
 float so reports can print both.
 
+An entry's M_alpha for every alpha comes from one formula, `_m_alpha`, over
+the state's Pauli spectrum typed by hand: the (x, n) pairs, n labels chi with
+|<psi|T_chi|psi>|^2 = x, one spectrum per factor of a product state, so that
+M_alpha = log prod_f (sum n x^alpha / sum n x) / (1 - alpha).
+
 Eigen-operators and eigenvalues follow this package's generator conventions
 (delta_d-normalized Hadamard, S = diag tau^(j(j+1)), qubit S = diag(1, i));
 where a source table used the opposite phase gauge the recorded eigenvalue
@@ -44,6 +49,14 @@ SQ5 = math.sqrt(5.0)
 def _nm(vals) -> np.ndarray:
     v = np.asarray(vals, dtype=np.complex128)
     return v / np.linalg.norm(v)
+
+
+def _m_alpha(*spectra) -> Callable[[float], float]:
+    """M_alpha from one Pauli spectrum per pure factor; sum n x is a factor's D."""
+    def m(alpha: float) -> float:
+        return math.log(math.prod(sum(n * x ** alpha for x, n in s) / sum(n * x for x, n in s)
+                                  for s in spectra)) / (1 - alpha)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +281,8 @@ def entries() -> dict:
     T0, T1 = qubit_T_states()
     H0, H1 = qubit_H_states()
 
-    def ma_prod(*logs_args):
-        # product form (1/(1-a)) log prod_i ((1 + b_i^(1-a))/2)
-        def f(alpha: float) -> float:
-            acc = 1.0
-            for b in logs_args:
-                acc *= (1 + b ** (1 - alpha)) / 2
-            return math.log(acc) / (1 - alpha)
-        return f
+    # Pauli spectra of the states with an m_alpha, read by _m_alpha
+    qubit_T, qubit_H = ((1, 1), (1 / 3, 3)), ((1, 1), (1 / 2, 2))
 
     _entry(reg, "qubit:T0", qb, T0,
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
@@ -283,38 +290,31 @@ def entries() -> dict:
            expected_nearest_count=3,
            nearest_state=lambda: ket(0),
            eigen_operator=qubit_T_gate, eigen_value=unit_phase(1, 6),
-           m_alpha=ma_prod(3.0), saturates_sre_bound=True)
+           m_alpha=_m_alpha(qubit_T), saturates_sre_bound=True)
     _entry(reg, "qubit:T1", qb, T1,
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
                      "M2": ("log(3/2)", math.log(1.5))},
            expected_nearest_count=3,
            eigen_operator=qubit_T_gate, eigen_value=unit_phase(-1, 6),
-           m_alpha=ma_prod(3.0), saturates_sre_bound=True)
+           m_alpha=_m_alpha(qubit_T), saturates_sre_bound=True)
     _entry(reg, "qubit:H0", qb, H0,
            expected={"F": ("(2+sqrt2)/4", (2 + SQ2) / 4),
                      "M2": ("log(4/3)", math.log(4 / 3))},
            expected_nearest_count=2,
            nearest_state=lambda: ket(0),
            eigen_operator=lambda: single_qudit_H(2), eigen_value=1.0 + 0j,
-           m_alpha=ma_prod(2.0))
+           m_alpha=_m_alpha(qubit_H))
     _entry(reg, "qubit:H1", qb, H1,
            expected={"F": ("(2+sqrt2)/4", (2 + SQ2) / 4),
                      "M2": ("log(4/3)", math.log(4 / 3))},
            expected_nearest_count=2,
            eigen_operator=lambda: single_qudit_H(2), eigen_value=-1.0 + 0j,
-           m_alpha=ma_prod(2.0))
+           m_alpha=_m_alpha(qubit_H))
 
     q3 = _qutrit_states()
-
-    def ma_qutrit_SN(alpha):
-        return math.log((8 + 4 ** alpha) / (3 * 4 ** alpha)) / (1 - alpha)
-
-    def ma_qutrit_Hp(alpha):
-        return math.log((8 ** alpha + 4 * (2 - SQ3) ** alpha + 4 * (2 + SQ3) ** alpha)
-                        / (3 * 8 ** alpha)) / (1 - alpha)
-
-    def ma_qutrit_T(alpha):
-        return math.log((6 + 3 ** alpha) / 3 ** (alpha + 1)) / (1 - alpha)
+    qutrit_SN = ((1, 1), (1 / 4, 8))
+    qutrit_H = ((1, 1), ((2 - SQ3) / 8, 4), ((2 + SQ3) / 8, 4))
+    qutrit_T = ((1, 1), (1 / 3, 6))
 
     _entry(reg, "qutrit:S", d3, q3["S"],
            expected={"F": ("1/2", 0.5),
@@ -324,7 +324,7 @@ def entries() -> dict:
            expected_nearest_count=8,
            nearest_state=lambda: ket(1, d=3),
            eigen_operator=_op_qutrit_H, eigen_value=1.0 + 0j,
-           m_alpha=ma_qutrit_SN, saturates_sre_bound=True)
+           m_alpha=_m_alpha(qutrit_SN), saturates_sre_bound=True)
     _entry(reg, "qutrit:N", d3, q3["N"],
            expected={"F": ("2/3", 2 / 3),
                      "wnorm": ("5/3", 5 / 3),
@@ -332,7 +332,7 @@ def entries() -> dict:
            expected_nearest_count=3,
            nearest_state=lambda: ket(1, d=3),
            eigen_operator=_op_qutrit_N, eigen_value=unit_phase(1, 6),
-           m_alpha=ma_qutrit_SN, saturates_sre_bound=True)
+           m_alpha=_m_alpha(qutrit_SN), saturates_sre_bound=True)
     # the M2 value differs from part of the earlier literature
     _entry(reg, "qutrit:Hplus", d3, q3["Hplus"],
            expected={"F": ("(3+sqrt3)/6", (3 + SQ3) / 6),
@@ -341,11 +341,11 @@ def entries() -> dict:
            expected_nearest_count=2,
            nearest_state=lambda: ket(0, d=3),
            eigen_operator=_op_qutrit_H, eigen_value=-1j,
-           m_alpha=ma_qutrit_Hp)
+           m_alpha=_m_alpha(qutrit_H))
     _entry(reg, "qutrit:Hminus", d3, q3["Hminus"],
            expected={"M2": ("log(8/5)", math.log(8 / 5))},
            eigen_operator=_op_qutrit_H, eigen_value=1j,
-           m_alpha=ma_qutrit_Hp)
+           m_alpha=_m_alpha(qutrit_H))
     _entry(reg, "qutrit:T0", d3, q3["T0"],
            expected={"F": ("(1+2cos(2pi/9))^2/9",
                            (1 + 2 * math.cos(2 * math.pi / 9)) ** 2 / 9),
@@ -355,15 +355,15 @@ def entries() -> dict:
            expected_nearest_count=3,
            nearest_state=lambda: _nm([1, 1, 1]),
            eigen_operator=_op_qutrit_T, eigen_value=np.exp(-4j * math.pi / 9),
-           m_alpha=ma_qutrit_T)
+           m_alpha=_m_alpha(qutrit_T))
     _entry(reg, "qutrit:T1", d3, q3["T1"],
            expected={"M2": ("log(9/5)", math.log(9 / 5))},
            eigen_operator=_op_qutrit_T, eigen_value=np.exp(8j * math.pi / 9),
-           m_alpha=ma_qutrit_T)
+           m_alpha=_m_alpha(qutrit_T))
     _entry(reg, "qutrit:T2", d3, q3["T2"],
            expected={"M2": ("log(9/5)", math.log(9 / 5))},
            eigen_operator=_op_qutrit_T, eigen_value=np.exp(2j * math.pi / 9),
-           m_alpha=ma_qutrit_T)
+           m_alpha=_m_alpha(qutrit_T))
     _entry(reg, "qutrit:NB1", d3, q3["NB1"],
            expected={"F": ("1/2", 0.5)},
            eigen_operator=_op_qutrit_N, eigen_value=unit_phase(-1, 3))
@@ -413,67 +413,31 @@ def entries() -> dict:
         "A,-w2": lambda: ket(2, d=5),
     }
 
-    def ma_q5_Hi(alpha):
-        return math.log(2.0 ** (-5 * alpha) / 5 * (
-            2.0 ** (3 + alpha) + 32.0 ** alpha
-            + 4 * (7 - SQ5 - 2 * math.sqrt(10 - 2 * SQ5)) ** alpha
-            + 4 * (7 - SQ5 + 2 * math.sqrt(10 - 2 * SQ5)) ** alpha
-            + 4 * (7 + SQ5 - 2 * math.sqrt(2 * (5 + SQ5))) ** alpha
-            + 4 * (7 + SQ5 + 2 * math.sqrt(2 * (5 + SQ5))) ** alpha
-        )) / (1 - alpha)
-
-    def ma_q5_Hm1(alpha):
-        return math.log(2.0 ** (-5 * alpha) / 5 * (
-            2.0 ** (3 + alpha) + 32.0 ** alpha
-            + 8 * (7 - 3 * SQ5) ** alpha + 8 * (7 + 3 * SQ5) ** alpha
-        )) / (1 - alpha)
-
-    def ma_q5_XVS(alpha):
-        return math.log(0.2 + 4 * 5.0 ** (-alpha)) / (1 - alpha)
-
-    def ma_q5_Bm1(alpha):
-        return math.log(18.0 ** (-alpha) / 5 * (
-            18.0 ** alpha + 12 * (3 - SQ5) ** alpha + 12 * (3 + SQ5) ** alpha
-        )) / (1 - alpha)
-
-    def ma_q5_Bmw(alpha):
-        return math.log(144.0 ** (-alpha) / 5 * (
-            3 * 2.0 ** (1 + alpha) * (12 + SQ5 - math.sqrt(15 - 6 * SQ5)) ** alpha
-            + 2 * (2 + SQ5 + math.sqrt(15 - 6 * SQ5)) ** (2 * alpha)
-            + 2.0 ** alpha * (
-                72.0 ** alpha
-                + 6 * (12 + SQ5 + math.sqrt(15 - 6 * SQ5)) ** alpha
-                + 6 * (12 - SQ5 - math.sqrt(15 + 6 * SQ5)) ** alpha
-                + 4 * (12 - SQ5 + math.sqrt(15 + 6 * SQ5)) ** alpha
-            ))) / (1 - alpha)
-
-    def ma_q5_Bw(alpha):
-        return math.log(24.0 ** (-alpha) / 5 * (
-            24.0 ** alpha
-            + 6 * (4 - SQ5 - math.sqrt(15 - 6 * SQ5)) ** alpha
-            + 6 * (4 - SQ5 + math.sqrt(15 - 6 * SQ5)) ** alpha
-            + 6 * (4 + SQ5 - math.sqrt(15 + 6 * SQ5)) ** alpha
-            + 6 * (4 + SQ5 + math.sqrt(15 + 6 * SQ5)) ** alpha
-        )) / (1 - alpha)
-
-    def ma_q5_A(alpha):
-        return math.log(8.0 ** (-alpha) / 5 * (
-            2.0 ** alpha * (10 + 4.0 ** alpha)
-            + 2 * (3 - SQ5) ** alpha + 2 * (3 + SQ5) ** alpha
-        )) / (1 - alpha)
+    r1, r2 = math.sqrt(10 - 2 * SQ5), math.sqrt(2 * (5 + SQ5))
+    s1, s2 = math.sqrt(15 - 6 * SQ5), math.sqrt(15 + 6 * SQ5)
+    q5_H = ((1, 1), (1 / 16, 8), ((7 - SQ5 - 2 * r1) / 32, 4), ((7 - SQ5 + 2 * r1) / 32, 4),
+            ((7 + SQ5 - 2 * r2) / 32, 4), ((7 + SQ5 + 2 * r2) / 32, 4))
+    q5_Hm1 = ((1, 1), (1 / 16, 8), ((7 - 3 * SQ5) / 32, 8), ((7 + 3 * SQ5) / 32, 8))
+    q5_XVS = ((1, 1), (1 / 5, 20))
+    q5_Bm1 = ((1, 1), ((3 - SQ5) / 18, 12), ((3 + SQ5) / 18, 12))
+    q5_Bmw = ((1, 1), ((12 + SQ5 - s1) / 72, 6), ((12 + SQ5 + s1) / 72, 6),
+              ((12 - SQ5 - s2) / 72, 6), ((12 - SQ5 + s2) / 72, 6))
+    q5_Bw = ((1, 1), ((4 - SQ5 - s1) / 24, 6), ((4 - SQ5 + s1) / 24, 6),
+             ((4 + SQ5 - s2) / 24, 6), ((4 + SQ5 + s2) / 24, 6))
+    q5_A = ((1, 1), (1 / 4, 10), ((3 - SQ5) / 8, 2), ((3 + SQ5) / 8, 2))
 
     q5_m2 = {
-        "H,i": ("log 2", math.log(2), ma_q5_Hi),
-        "H,-i": ("log 2", math.log(2), ma_q5_Hi),
-        "H,-1": ("log 2", math.log(2), ma_q5_Hm1),
-        "XVS,1": ("log(25/9)", math.log(25 / 9), ma_q5_XVS),
-        "Bprime,-1": ("log(27/11)", math.log(27 / 11), ma_q5_Bm1),
-        "Bprime,-w": ("log(54/19)", math.log(54 / 19), ma_q5_Bmw),
-        "Bprime,-wc": ("log(54/19)", math.log(54 / 19), ma_q5_Bmw),
-        "Bprime,w": ("log 2", math.log(2), ma_q5_Bw),
-        "Bprime,wc": ("log 2", math.log(2), ma_q5_Bw),
-        "A,w2": ("log 2", math.log(2), ma_q5_A),
-        "A,-w2": ("log 2", math.log(2), ma_q5_A),
+        "H,i": ("log 2", math.log(2), q5_H),
+        "H,-i": ("log 2", math.log(2), q5_H),
+        "H,-1": ("log 2", math.log(2), q5_Hm1),
+        "XVS,1": ("log(25/9)", math.log(25 / 9), q5_XVS),
+        "Bprime,-1": ("log(27/11)", math.log(27 / 11), q5_Bm1),
+        "Bprime,-w": ("log(54/19)", math.log(54 / 19), q5_Bmw),
+        "Bprime,-wc": ("log(54/19)", math.log(54 / 19), q5_Bmw),
+        "Bprime,w": ("log 2", math.log(2), q5_Bw),
+        "Bprime,wc": ("log 2", math.log(2), q5_Bw),
+        "A,w2": ("log 2", math.log(2), q5_A),
+        "A,-w2": ("log 2", math.log(2), q5_A),
     }
     q5_ops = {
         "H,i": (_op_ququint_H, -1j), "H,-i": (_op_ququint_H, 1j),
@@ -498,9 +462,9 @@ def entries() -> dict:
         if name in w5c:
             kw["expected"] = {"wnorm": w5c[name]}
         if name in q5_m2:
-            s, v, fn = q5_m2[name]
+            s, v, spectrum = q5_m2[name]
             kw.setdefault("expected", {})["M2"] = (s, v)
-            kw["m_alpha"] = fn
+            kw["m_alpha"] = _m_alpha(spectrum)
         if name in w5f:
             printed, nn = w5f[name]
             kw.setdefault("expected", {})["F_printed"] = (f"{printed}", printed)
@@ -516,31 +480,21 @@ def entries() -> dict:
     # two-qubit entries (Table-1 rows and companions)
     q2 = _two_qubit_states()
 
-    def ma_psi0(alpha):
-        return math.log(0.25 * (1 + 3 * 9.0 ** (-alpha)
-                                + 4 * 1.5 ** (1 - 2 * alpha))) / (1 - alpha)
-
-    def ma_G16(alpha):
-        return math.log(0.25 * (1 + 5.0 ** (1 - alpha)
-                                + 5.0 ** (1 - 2 * alpha)
-                                * (5.0 ** alpha + (5 + 2 * SQ5) ** (2 * alpha))
-                                / (5 + 2 * SQ5) ** alpha)) / (1 - alpha)
-
-    def ma_G20(alpha):
-        return math.log(0.25 * (1 + 3 * 4.0 ** (1 - alpha))) / (1 - alpha)
+    G4 = ((1, 1), (1 / 9, 3), (4 / 9, 6))
+    G16 = ((1, 1), (1 / 5, 5), ((5 - 2 * SQ5) / 25, 5), ((5 + 2 * SQ5) / 25, 5))
+    G20 = ((1, 1), (1 / 4, 12))
 
     table1 = {
-        "00": ("1", 1.0, 1, None),
-        "H0": ("(2+sqrt2)/4", (2 + SQ2) / 4, 2, ma_prod(2.0)),
-        "T0": ("(3+sqrt3)/6", (3 + SQ3) / 6, 3, ma_prod(3.0)),
-        "HH": ("(3+2sqrt2)/8", (3 + 2 * SQ2) / 8, 4, ma_prod(2.0, 2.0)),
-        "TH": ("(2+sqrt2)(3+sqrt3)/24", (2 + SQ2) * (3 + SQ3) / 24, 6,
-               ma_prod(3.0, 2.0)),
-        "TT": ("(2+sqrt3)/6", (2 + SQ3) / 6, 9, ma_prod(3.0, 3.0)),
-        "G4,2": ("3/4", 0.75, 2, ma_psi0),
+        "00": ("1", 1.0, 1, ()),
+        "H0": ("(2+sqrt2)/4", (2 + SQ2) / 4, 2, (qubit_H,)),
+        "T0": ("(3+sqrt3)/6", (3 + SQ3) / 6, 3, (qubit_T,)),
+        "HH": ("(3+2sqrt2)/8", (3 + 2 * SQ2) / 8, 4, (qubit_H, qubit_H)),
+        "TH": ("(2+sqrt2)(3+sqrt3)/24", (2 + SQ2) * (3 + SQ3) / 24, 6, (qubit_T, qubit_H)),
+        "TT": ("(2+sqrt3)/6", (2 + SQ3) / 6, 9, (qubit_T, qubit_T)),
+        "G4,2": ("3/4", 0.75, 2, (G4,)),
         "G16,1": ("(5+sqrt5+2sqrt(5+2sqrt5))/20",
-                  (5 + SQ5 + 2 * math.sqrt(5 + 2 * SQ5)) / 20, 5, ma_G16),
-        "G20,1": ("5/8", 0.625, 8, ma_G20),
+                  (5 + SQ5 + 2 * math.sqrt(5 + 2 * SQ5)) / 20, 5, (G16,)),
+        "G20,1": ("5/8", 0.625, 8, (G20,)),
     }
     m2_2q = {
         "G4,2": ("log(9/5)", math.log(9 / 5)), "psi0": ("log(9/5)", math.log(9 / 5)),
@@ -557,11 +511,11 @@ def entries() -> dict:
     for name, vec in q2.items():
         kw = {}
         if name in table1:
-            s, v, nn, ma = table1[name]
+            s, v, nn, spectra = table1[name]
             kw["expected"] = {"F": (s, v)}
             kw["expected_nearest_count"] = nn
-            if ma is not None:
-                kw["m_alpha"] = ma
+            if spectra:  # a |0> factor contributes nothing
+                kw["m_alpha"] = _m_alpha(*spectra)
         if name in m2_2q:
             kw.setdefault("expected", {})["M2"] = m2_2q[name]
         if name in eig2q:
@@ -651,8 +605,9 @@ class Check(NamedTuple):
     exact: str = ""
 
 
-def verify_catalog(tolerance: float = EXACT_TOL) -> list[Check]:
-    """Recompute every expected value in the catalog; failures are data."""
+def verify_catalog() -> list[Check]:
+    """Recompute every expected value in the catalog within EXACT_TOL, the
+    printed digits within PRINTED_TOL; failures are data."""
     out: list[Check] = []
 
     def add(name, expected, got, tol, exact=""):
@@ -674,9 +629,9 @@ def verify_catalog(tolerance: float = EXACT_TOL) -> list[Check]:
             wnorm = wigner_trace_norm(psi, e.dims)
             mana = math.log(wnorm)
         # expected key -> (check label, recomputed value, tolerance)
-        checks = {"F": ("F", F, tolerance), "F_printed": ("F~", F, PRINTED_TOL),
-                  "wnorm": ("wnorm", wnorm, tolerance), "mana": ("mana", mana, tolerance),
-                  "M2": ("M2", m2, tolerance)}
+        checks = {"F": ("F", F, EXACT_TOL), "F_printed": ("F~", F, PRINTED_TOL),
+                  "wnorm": ("wnorm", wnorm, EXACT_TOL), "mana": ("mana", mana, EXACT_TOL),
+                  "M2": ("M2", m2, EXACT_TOL)}
         for key, (exact, val) in e.expected.items():
             label, got, tol = checks[key]
             add(f"{name}:{label}", val, got, tol, exact)
@@ -684,10 +639,10 @@ def verify_catalog(tolerance: float = EXACT_TOL) -> list[Check]:
             add(f"{name}:nearest", e.expected_nearest_count, len(nearest), 0.5)
         if e.nearest_state is not None:
             s = e.nearest_state()
-            add(f"{name}:F==|<s|psi>|^2", abs(np.vdot(s, psi)) ** 2, F, tolerance)
+            add(f"{name}:F==|<s|psi>|^2", abs(np.vdot(s, psi)) ** 2, F, EXACT_TOL)
         if e.m_alpha is not None:
-            add(f"{name}:M2==Malpha(2)", e.m_alpha(2.0), m2, tolerance)
-            add(f"{name}:M3==Malpha(3)", e.m_alpha(3.0), sre(psi, e.dims, 3.0), tolerance)
+            add(f"{name}:M2==Malpha(2)", e.m_alpha(2.0), m2, EXACT_TOL)
+            add(f"{name}:M3==Malpha(3)", e.m_alpha(3.0), sre(psi, e.dims, 3.0), EXACT_TOL)
         if e.eigen_operator is not None:
             U = e.eigen_operator()
             resid = float(np.linalg.norm(U @ psi - (e.eigen_value or 1.0) * psi)) \

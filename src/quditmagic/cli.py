@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleExtentError, QuditMagicError
-from .tolerances import (COMPANION_TOL, EXACT_TOL, EXTENT_TOL, ORTHONORMAL_TOL, RANGE_END_SLACK,
-                         RANK_TOL, SPAN_TOL, TIE_TOL)
+from .tolerances import (COMPANION_TOL, EXTENT_TOL, ORTHONORMAL_TOL, RANGE_END_SLACK, RANK_TOL,
+                         SPAN_TOL, TIE_TOL)
 
 if TYPE_CHECKING:
     from .phasespace import Dims
@@ -83,7 +83,7 @@ def parse_count(least: int, what: str):
 
 
 def parse_tol(text: str) -> float:
-    """A `--tol` argument of `extent` or `catalog verify`: 0 < tol < 1."""
+    """The `--tol` argument of `extent`: 0 < tol < 1."""
     try:
         tol = float(text)
         if not 0 < tol < 1:
@@ -185,7 +185,7 @@ def cmd_measures(args) -> int:
 def cmd_tables(args) -> int:
     from .tables import table_rows
 
-    rows = table_rows(args.table, grid=args.grid)
+    rows = table_rows(args.table, grid=args.grid or (181, 361))
     _emit(args, {"table": args.table, "rows": rows}, rows=rows)
     return 0
 
@@ -212,8 +212,12 @@ def cmd_eigenstates(args) -> int:
         # element to show a class is the lowest of its conjugacy class
         labels = group.conjugacy_classes()
         reps = np.flatnonzero(labels == np.arange(len(group)))
-        _, V, single = eigenpairs(np.array([group.unitary(i) for i in reps]))
-        owner, col = np.nonzero(single)  # element order, then eigenvalue order
+        w, V, single = eigenpairs(np.array([group.unitary(i) for i in reps]))
+        owner, col = np.nonzero(single)
+        # element order, then eigenphase order on a 2^-20 pi grid where -pi is pi,
+        # so that the classes do not follow the BLAS kernel's eigenvalue order
+        phase = np.rint(np.angle(w[owner, col]) * 2 ** 20 / np.pi).astype(np.int64) % 2 ** 21
+        owner, col = np.array([owner, col])[:, np.lexsort((phase, owner))]
         vecs = V[owner, :, col]
         ov = np.abs(vecs @ dd.matrix.conj().T) ** 2
         magic = np.flatnonzero(np.max(ov, axis=1) <= 1 - TIE_TOL)
@@ -317,8 +321,8 @@ def cmd_distill(args) -> int:
 
     try:  # PairParams.density raises ValueError for parameters that are not a state
         if args.mode == "step":
-            params = PairParams(eps1=args.eps1, eps2=args.eps2,
-                                eps3=args.eps3 or 0.0, a=args.a, b=args.b)
+            params = PairParams(**{k: getattr(args, k) for k in PairParams._fields
+                                   if getattr(args, k) is not None})
             out, p = distill_step([params] * 5)
         else:
             start, stop, step = args.eps3 or (0.0, 0.2, 0.01)
@@ -349,8 +353,6 @@ def cmd_extent(args) -> int:
     from .extent import ExtentProblem, solve_extent, witness_bound
 
     psi, dims = catalog.resolve(args.state)
-    if args.dims and args.dims != dims:
-        raise DimensionMismatchError(f"--dims {args.dims} does not match the state's {dims}")
     if args.group:
         from .clifford import FiniteUnitaryGroup, group_stabilizer_states, word_unitary
 
@@ -362,8 +364,8 @@ def cmd_extent(args) -> int:
             raise InfeasibleExtentError(f"group {args.group!r} stabilizes no state")
         u, s, _ = np.linalg.svd(np.array(states).T, full_matrices=False)
         basis = u[:, :int(np.sum(s > RANK_TOL))]  # left singular vectors span the states
-        P = basis @ basis.conj().T
-        sol = solve_extent(ExtentProblem.from_states(psi, states, projector=P), tol=args.tol)
+        P = basis @ basis.conj().T  # the target is psi's projection onto span(S_G)
+        sol = solve_extent(ExtentProblem.from_states(P @ psi, states), tol=args.tol)
         wb = None
     else:
         from .stabilizers import enumerate_stabilizer_states
@@ -385,7 +387,7 @@ def cmd_extent(args) -> int:
 def cmd_catalog(args) -> int:
     from . import catalog
 
-    checks = catalog.verify_catalog(tolerance=args.tol)
+    checks = catalog.verify_catalog()
     equivs = catalog.verify_equivalences()
     n_fail = sum(not c.passed for c in checks) + sum(not e.passed for e in equivs)
     if args.json:
@@ -453,7 +455,8 @@ COMMANDS = {
         JSON]),
     "tables": ("regenerate a reference table", cmd_tables, [
         _arg("table", choices=TABLE_IDS),
-        _arg("--grid", type=parse_grid, default=(181, 361), help="RxC for the sphere grid"),
+        _arg("--grid", type=parse_grid, default=None,
+             help="RxC for qubit-fidelity-sphere (default 181x361)"),
         JSON, OUT]),
     "eigenstates": ("non-degenerate Clifford eigenstates", cmd_eigenstates, [
         _arg("--dims", required=True, type=parse_dims),
@@ -468,25 +471,23 @@ COMMANDS = {
         JSON, OUT]),
     "distill": ("doubled five-qubit code simulation", cmd_distill, [
         _arg("mode", choices=["step", "sweep"]),
-        _arg("--eps1", type=finite_float, default=0.0),
-        _arg("--eps2", type=finite_float, default=0.0),
+        _arg("--eps1", type=finite_float, default=None, help="step only (default 0)"),
+        _arg("--eps2", type=finite_float, default=None, help="step only (default 0)"),
         _arg("--eps3", type=parse_eps3, default=None,
              help="a float for step, start:stop:step for sweep"),
-        _arg("--a", type=finite_float, default=0.0),
-        _arg("--b", type=finite_float, default=0.0),
+        _arg("--a", type=finite_float, default=None, help="step only (default 0)"),
+        _arg("--b", type=finite_float, default=None, help="step only (default 0)"),
         _arg("--rounds", type=parse_count(1, "a round count"), default=1),
         JSON, OUT]),
     "extent": ("stabilizer extent by L1 minimization", cmd_extent, [
         _arg("mode", choices=["solve"]),
         _arg("--state", required=True),
-        _arg("--dims", default=None, type=parse_dims, help="d,N cross-check for JSON state specs"),
         _arg("--group", default=None,
              help="comma-separated generator tokens for the G-variant"),
         _arg("--tol", type=parse_tol, default=EXTENT_TOL),
         JSON]),
     "catalog": ("verify tabulated values", cmd_catalog, [
         _arg("mode", choices=["verify"]),
-        _arg("--tol", type=parse_tol, default=EXACT_TOL),
         JSON]),
     "dictionary": ("dump a stabilizer dictionary", cmd_dictionary, [
         _arg("--dims", required=True, type=parse_dims),
@@ -521,12 +522,18 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
+    if args.command == "tables" and args.grid and args.table != "qubit-fidelity-sphere":
+        parsers["tables"].error(f"argument --grid: only qubit-fidelity-sphere reads a grid, "
+                                f"not {args.table}")
     if args.command == "distill":
         if args.eps3 is not None and isinstance(args.eps3, tuple) != (args.mode == "sweep"):
             form = "start:stop:step" if args.mode == "sweep" else "a float"
             parsers["distill"].error(f"argument --eps3: {args.mode} takes {form}")
         if args.mode == "step" and args.rounds != 1:
             parsers["distill"].error(f"argument --rounds: step runs one round, not {args.rounds}")
+        given = [name for name in ("eps1", "eps2", "a", "b") if getattr(args, name) is not None]
+        if args.mode == "sweep" and given:
+            parsers["distill"].error(f"argument --{given[0]}: sweep reads only --eps3")
     try:
         return args.fn(args)
     except QuditMagicError as exc:

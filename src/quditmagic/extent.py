@@ -1,8 +1,9 @@
 """Stabilizer extent and G-stabilizer extent by complex L1 minimization.
 
-    xi(psi) = min { (sum_i |c_i|)^2 : sum_i c_i |s_i> = P|psi> }
+    xi(psi) = min { (sum_i |c_i|)^2 : sum_i c_i |s_i> = |psi> }
 
-over a finite dictionary of rays.  Solved as complex basis pursuit with
+over a finite dictionary of rays; the G-variant takes as its target P|psi>,
+the projection of psi onto the span of the G-stabilizer states.  Solved as complex basis pursuit with
 scaled ADMM: alternating projection onto the affine constraint and complex
 soft thresholding, with over-relaxation and a dual-certificate stopping
 rule.  The dual of min ||c||_1 s.t. Ac = b is max Re<b, y> s.t.
@@ -32,13 +33,12 @@ from .tolerances import ACTIVE_SET_TOL, EXTENT_TOL, FEASIBILITY_TOL, GRAM_CUTOFF
 
 class ExtentProblem(NamedTuple):
     target: np.ndarray
-    dictionary: np.ndarray               # (K, D): rows are dictionary states
-    projector: np.ndarray | None = None  # optional projector onto span(S_G)
+    dictionary: np.ndarray  # (K, D): rows are dictionary states
 
     @classmethod
-    def from_states(cls, target, states, projector=None) -> "ExtentProblem":
+    def from_states(cls, target, states) -> "ExtentProblem":
         mat = np.array([np.asarray(s, dtype=np.complex128) for s in states])
-        return cls(np.asarray(target, dtype=np.complex128), mat, projector)
+        return cls(np.asarray(target, dtype=np.complex128), mat)
 
     @classmethod
     def from_dictionary(cls, target, dictionary: StabilizerDictionary) -> "ExtentProblem":
@@ -61,7 +61,7 @@ class ExtentSolution(NamedTuple):
 
 def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
                  max_iter: int = 100_000) -> ExtentSolution:
-    """Minimize the l1 norm of c subject to A c = b (b = projected target).
+    """Minimize the l1 norm of c subject to A c = b, b the target.
 
     Every 25th step, on a stalled step and on the last one, the scaled dual
     y certifies two candidates: the polished vector on y's active set and the
@@ -75,8 +75,6 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     A = problem.dictionary.T           # (D, K) with columns the states
     b = problem.target.astype(np.complex128)
-    if problem.projector is not None:
-        b = problem.projector @ b
     K = A.shape[1]
     Ah = A.conj().T                  # (K, D)
     w, V = np.linalg.eigh(A @ Ah)
@@ -87,7 +85,7 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     # feasibility: b must lie in the column span of A
     miss = np.linalg.norm(A @ x - b)
     if not miss <= FEASIBILITY_TOL:  # NaN and inf included
-        raise InfeasibleExtentError(f"projected target misses the dictionary span by {miss:.2e}")
+        raise InfeasibleExtentError(f"the target misses the dictionary span by {miss:.2e}")
 
     def solution(c: np.ndarray, dual: float, iterations: int) -> ExtentSolution:
         l1 = float(np.sum(np.abs(c)))

@@ -33,8 +33,7 @@ for state in ("qutrit:S", "ququint:H,i", "2q:G20,1", "3q:W"):
 CASES["measures_prod_0_2q_G4_2.json"] = ["measures", "prod:0,2q:G4,2", "--alphas", "2,3", "--json"]
 CASES["catalog_verify.txt"] = ["catalog", "verify"]
 CASES["catalog_verify.json"] = ["catalog", "verify", "--json"]
-# not 5,1 or 11,1: there the class states follow the BLAS kernel's eigenvectors
-for dims in ("3,1", "2,2", "7,1"):
+for dims in ("3,1", "2,2", "7,1", "5,1", "11,1", "13,1"):
     CASES[f"eigenstates_{stem(dims)}.json"] = [
         "eigenstates", "--dims", dims, "--all-cliffords", "--json"]
 for state in ("3q:W", "3q:TOF", "2q:G20,1"):

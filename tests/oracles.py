@@ -336,8 +336,6 @@ def admm_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     ADMM that stops only when its own iterate closes the duality gap."""
     A = problem.dictionary.T
     b = problem.target.astype(np.complex128)
-    if problem.projector is not None:
-        b = problem.projector @ b
     D, K = A.shape
     Ah = A.conj().T
     gram = A @ Ah
@@ -347,7 +345,7 @@ def admm_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     b_span = A @ (Ah @ (pinv @ b))
     if np.linalg.norm(b_span - b) > FEASIBILITY_TOL:
         raise InfeasibleExtentError(
-            f"projected target misses the dictionary span by "
+            f"the target misses the dictionary span by "
             f"{np.linalg.norm(b_span - b):.2e}"
         )
 

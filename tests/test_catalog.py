@@ -85,6 +85,16 @@ def test_verify_catalog_all_pass():
     assert not failed, [(c.name, c.expected, c.got) for c in failed]
 
 
+def test_m_alpha_is_the_sre_of_the_state_at_every_alpha():
+    # verify_catalog compares alpha 2 and 3 only; the spectra hold at any alpha
+    with_m_alpha = {name: e for name, e in entries().items() if e.m_alpha is not None}
+    assert len(with_m_alpha) == 30
+    for name, e in with_m_alpha.items():
+        psi = e.build()
+        for alpha in (2.0, 2.5, 3.0, 4.0, 7.0):
+            assert abs(e.m_alpha(alpha) - sre(psi, e.dims, alpha)) < 1e-12, (name, alpha)
+
+
 def _evaluate_exact(text: str) -> float:
     """The value of an exact-form string such as '(1+2cos(2pi/9))^2/9' or
     'log 2': sqrtN reads as sqrt(N), and a digit or ')' before a name or '('

@@ -110,6 +110,9 @@ REJECTED_PAIRS = [
     (["eigenstates", "--dims", "3,1", "--all-cliffords", "--word", "H@1"], "--all-cliffords"),
     (["extremality", "qutrit:S", "--direction", "phase:0", "--sweep", "3x4"], "--direction"),
     (["distill", "step", "--rounds", "2"], "step"),
+    *((["distill", "sweep", "--eps3", "0:0.01:0.01", option, "0.3"], "--eps3")
+      for option in ("--eps1", "--eps2", "--a", "--b")),
+    (["tables", "qubit-L", "--grid", "3x3"], "qubit-L"),
 ]
 
 
@@ -123,8 +126,6 @@ REJECTED_PAIRS = [
     ["extent", "solve", "--state", "qubit:T0", "--tol", "0"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "-1"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "nan"],
-    ["catalog", "verify", "--tol", "0"],
-    ["catalog", "verify", "--tol", "-1"],
     ["measures", "qutrit:S", "--alphas", "inf"],
     ["measures", "qutrit:S", "--alphas", "nan"],
     ["measures", "qutrit:S", "--alphas", "2,1e400"],
@@ -132,7 +133,6 @@ REJECTED_PAIRS = [
     ["extent", "solve", "--state", "qubit:T0", "--tol", "inf"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "1e300"],
     ["extent", "solve", "--state", "qubit:T0", "--tol", "1"],
-    ["catalog", "verify", "--tol", "inf"],
     ["distill", "step", "--eps3", "nan"],
     ["distill", "sweep", "--eps3", "0:inf:0.1"],
     ["distill", "step", "--eps1", "nan"],
@@ -156,6 +156,17 @@ def test_rejected_pair_names_both_options(capsys, argv, other):
         main(argv)
     line = capsys.readouterr().err.splitlines()[-1]
     assert f"error: argument {argv[-2]}" in line and other in line.split(":", 2)[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "verify", "--tol", "1e-10"],
+    ["extent", "solve", "--state", "qubit:T0", "--dims", "2,1"],
+], ids=" ".join)
+def test_retired_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def _count_parsers(monkeypatch):
@@ -247,14 +258,12 @@ def test_malformed_direction_exits_2(capsys, direction):
     (["extremality", "qutrit:S", "--direction", "state:qutrit:S"], "no part orthogonal"),
     (["extremality", "qutrit:S", "--direction", "state:qubit:T0"], "is not on Dims(d=3, N=1)"),
     (["eigenstates", "--dims", "3,1"], "need --word or --all-cliffords"),
-    (["extent", "solve", "--state", "qubit:T0", "--dims", "3,1"],
-     "--dims Dims(d=3, N=1) does not match the state's Dims(d=2, N=1)"),
     (["extent", "solve", "--state", "2q:TT", "--group", "H@1"], "group 'H@1' stabilizes no state"),
     (["extent", "solve", "--state", "2q:TT", "--group", "X@1"], "group 'X@1' stabilizes no state"),
     (["distill", "step", "--eps1", "0.9", "--eps2", "0.9"], "not define a PSD density matrix"),
     (["distill", "sweep", "--eps3", "0.9:1.2:0.2"], "not define a PSD density matrix"),
 ], ids=["direction with no orthogonal part", "direction on other dims",
-        "eigenstates without an operator", "extent dims mismatch", "extent group H",
+        "eigenstates without an operator", "extent group H",
         "extent group X", "distill step not PSD", "distill sweep not PSD"])
 def test_input_error_exits_2(capsys, argv, message):
     assert main(argv) == 2
@@ -332,7 +341,10 @@ def _eigenstate_classes_per_element(dims):
     dd = enumerate_stabilizer_states(dims)
     classes = {}
     for el in enumerate_reduced_clifford(dims):
-        for _, vec in nondegenerate_eigenstates(el.unitary, dims):
+        # in eigenphase order on the CLI's 2^-20 pi grid, where -pi is pi
+        pairs = sorted(nondegenerate_eigenstates(el.unitary, dims),
+                       key=lambda p: round(np.angle(p[0]) * 2 ** 20 / np.pi) % 2 ** 21)
+        for _, vec in pairs:
             ov = dd.overlaps(vec)
             key = tuple(np.round(np.sort(ov), 8).tolist())
             if np.max(ov) <= 1 - 1e-9 and key not in classes:

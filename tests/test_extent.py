@@ -107,7 +107,7 @@ def test_projected_variant_and_infeasible():
     with pytest.raises(InfeasibleExtentError):
         solve_extent(ExtentProblem.from_states(psi, sub))
     P = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    sol = solve_extent(ExtentProblem.from_states(psi, sub, projector=P))
+    sol = solve_extent(ExtentProblem.from_states(P @ psi, sub))
     assert sol.residual < 1e-7
     # projected target reproduced
     A = np.array(sub).T

@@ -21,8 +21,7 @@ CONVENTIONS = {"IDENTITY_TOL": 1e-10, "EQUALITY_TOL": 1e-9, "TIE_TOL": 1e-9,
 # tests and other tests with non-default values, and verify_equivalences
 # passing its tol on to global_phase
 KEPT_PARAMETERS = {
-    ("solve_extent", "tol"), ("verify_catalog", "tolerance"),
-    ("verify_equivalences", "tol"), ("global_phase", "tol"),
+    ("solve_extent", "tol"), ("verify_equivalences", "tol"), ("global_phase", "tol"),
     ("check_l_tables", "exact_tol"), ("check_l_tables", "printed_tol"),
     ("check_w_tables", "exact_tol"), ("check_w_tables", "printed_tol"),
     ("check", "tol"), ("phase_normalize", "tol"),
