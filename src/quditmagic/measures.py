@@ -47,6 +47,11 @@ def wigner_function(rho, dims: Dims) -> WignerFunction:
     psi[p-m] conj(psi[p+m]), the same products |psi><psi| holds, without
     forming |psi><psi|.
     """
+    return WignerFunction(dims, _wigner_values(rho, dims).real.copy())
+
+
+def _wigner_values(rho, dims: Dims) -> np.ndarray:
+    """`wigner_function`'s complex values, their imaginary parts checked negligible."""
     if not dims.odd:
         raise UnsupportedDimensionError("Wigner function requires odd d")
     arr = np.asarray(rho, dtype=np.complex128)
@@ -68,11 +73,11 @@ def wigner_function(rho, dims: Dims) -> WignerFunction:
     if not imag <= WIGNER_IMAG_TOL and not (
             imag <= WIGNER_IMAG_TOL * max(1.0, np.maximum.reduce(np.abs(vals)))):
         raise ValueError("Wigner values have a non-negligible or non-finite imaginary part")
-    return WignerFunction(dims, vals.real.copy())
+    return vals
 
 
 def wigner_trace_norm(rho, dims: Dims) -> float:
-    return wigner_function(rho, dims).trace_norm
+    return float(np.add.reduce(np.abs(_wigner_values(rho, dims).real)))
 
 
 def mana(rho, dims: Dims) -> float:
@@ -87,6 +92,8 @@ def stabilizer_fidelity(psi: np.ndarray, dictionary: StabilizerDictionary | None
         if dims is None:
             raise ValueError("need a dictionary or dims")
         dictionary = enumerate_stabilizer_states(dims)
+    elif dims is not None and dims != dictionary.dims:
+        raise DimensionMismatchError(f"dims {dims} against a dictionary for {dictionary.dims}")
     return max_overlap(psi, dictionary)
 
 
@@ -96,7 +103,11 @@ def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndar
     if len(states) == 0:
         raise ValueError("empty G-stabilizer set")
     psi = np.asarray(psi, dtype=np.complex128)
-    best, ties = nearest_set(np.abs(np.asarray(states) @ psi.conj()) ** 2)
+    try:  # numpy refuses ragged rows, and matmul rows of another length than psi
+        overlaps = np.abs(np.asarray(states) @ psi.conj()) ** 2
+    except ValueError:
+        raise DimensionMismatchError(f"rays are ragged or not of shape {psi.shape}") from None
+    best, ties = nearest_set(overlaps)
     return best, [states[i] for i in ties]
 
 

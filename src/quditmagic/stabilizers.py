@@ -33,6 +33,7 @@ stabilizers of the basis rows generate those of all d^N elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -233,8 +234,25 @@ def nearest_set(overlaps: np.ndarray) -> tuple[float, np.ndarray]:
     return best, (overlaps >= best - TIE_TOL).nonzero()[0]
 
 
+class _NearestStates(Sequence):
+    """The states tied for the largest overlap, read-only: `len` builds nothing,
+    `near[i]` and iteration build dictionary[ties[i]] for the states read."""
+
+    __slots__ = ("_dictionary", "_ties")
+
+    def __init__(self, dictionary: StabilizerDictionary, ties: np.ndarray):
+        self._dictionary = dictionary
+        self._ties = ties
+
+    def __len__(self) -> int:
+        return len(self._ties)
+
+    def __getitem__(self, i: int) -> StabilizerState:
+        return self._dictionary[int(self._ties[i])]  # IndexError past either end, ending iteration
+
+
 def max_overlap(psi: np.ndarray, dictionary: StabilizerDictionary
-                ) -> tuple[float, list[StabilizerState]]:
-    """Largest squared overlap with the dictionary and all states tied for it."""
+                ) -> tuple[float, Sequence[StabilizerState]]:
+    """Largest squared overlap with the dictionary and all states tied for it, built when read."""
     best, ties = dictionary.nearest(psi)
-    return best, [dictionary[i] for i in ties.tolist()]
+    return best, _NearestStates(dictionary, ties)

@@ -1,14 +1,16 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditmagic.catalog import build, entry
+from quditmagic.catalog import build, entries, entry
 from quditmagic.cli import main
 from quditmagic.clifford import affine_from_clifford, enumerate_reduced_clifford, single_qudit_H
-from quditmagic.errors import UnsupportedDimensionError
+from quditmagic.errors import DimensionMismatchError, UnsupportedDimensionError
 from quditmagic.measures import (
     group_stabilizer_fidelity,
     mana,
@@ -22,7 +24,7 @@ from quditmagic.measures import (
     xi,
 )
 from quditmagic.phasespace import Dims, phase_points, point_index
-from quditmagic.stabilizers import enumerate_stabilizer_states
+from quditmagic.stabilizers import enumerate_stabilizer_states, max_overlap
 
 from oracles import displacement_table, kernel_all, phase_point_table
 
@@ -284,3 +286,44 @@ def test_fidelity_arguments_refused():
         stabilizer_fidelity(psi)
     with pytest.raises(ValueError, match="empty G-stabilizer set"):
         group_stabilizer_fidelity(psi, [])
+    dd = enumerate_stabilizer_states(Dims(3, 1))
+    with pytest.raises(DimensionMismatchError, match="against a dictionary for"):
+        stabilizer_fidelity(psi, dictionary=dd, dims=Dims(5, 1))
+    assert stabilizer_fidelity(psi, dictionary=dd, dims=Dims(3, 1))[0] == \
+        stabilizer_fidelity(psi, dictionary=dd)[0]
+    for rays in (dd.matrix[:, :2], list(dd.matrix[:, :2]), np.pad(dd.matrix, ((0, 0), (0, 1))),
+                 [np.ones(3), np.ones(2)], [np.ones(3), np.ones((3, 3))]):
+        with pytest.raises(DimensionMismatchError, match="ragged or not of shape"):
+            group_stabilizer_fidelity(psi, rays)
+
+
+@pytest.mark.parametrize("dims", [Dims(3, 1), Dims(5, 1), Dims(2, 2), Dims(3, 2), Dims(2, 3)],
+                         ids=str)
+def test_lazy_nearest_set_and_copy_free_mana_match_the_eager_forms(dims):
+    # the eager record list and WignerFunction route, field by field and bit for bit
+    dd = enumerate_stabilizer_states(dims)
+    states = [rand_state(dims.D, 100 * dims.d + dims.N + k) for k in range(3)]
+    states += [e.build() for e in entries().values() if e.dims == dims]
+    for psi in states:
+        F, near = max_overlap(psi, dd)
+        eager = [dd[j] for j in dd.nearest(psi)[1].tolist()]
+        n = len(near)
+        assert n == len(eager) and F == stabilizer_fidelity(psi, dims=dims)[0]
+        for i in range(-n, n):
+            got, want = near[i], eager[i]
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.displacement, want.displacement)
+            assert got.vector.tobytes() == want.vector.tobytes() and got.dims == want.dims
+            assert np.shares_memory(got.vector, dd.matrix)
+        # iteration ends after n states: one more is asked for, so a sequence that
+        # never ends fails here instead of running on
+        assert [s.displacement.tolist() for s in itertools.islice(near, n + 1)] == \
+            [s.displacement.tolist() for s in eager]
+        with pytest.raises(IndexError):
+            near[n]
+        if dims.odd:
+            for rho in (psi, np.outer(psi, psi.conj())):
+                W = wigner_function(rho, dims)
+                assert W.values.base is None
+                assert wigner_trace_norm(rho, dims) == W.trace_norm
+                assert mana(rho, dims) == math.log(W.trace_norm)

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -285,7 +286,7 @@ def test_dictionary_builds_no_state_objects(monkeypatch):
 
 
 def test_records_are_built_only_for_the_states_read(monkeypatch):
-    # one StabilizerState per state read and none per build or tie count
+    # one StabilizerState per state read, none per build, tie count or nearest set
     built = []
 
     def counted(*args):
@@ -303,7 +304,11 @@ def test_records_are_built_only_for_the_states_read(monkeypatch):
     assert len(built) == 1
     built.clear()
     _, near = max_overlap(build("qutrit:S"), enumerate_stabilizer_states(Dims(3, 1)))
-    assert len(built) == len(near) == 8
+    assert len(near) == 8 and built == []
+    near[-1]
+    assert len(built) == 1
+    list(itertools.islice(near, 9))  # one past the end: iteration stops after 8
+    assert len(built) == 1 + 8
     built.clear()
     assert not [c for c in verify_catalog() if not c.passed]
     assert built == []
