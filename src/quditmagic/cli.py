@@ -212,7 +212,7 @@ def cmd_eigenstates(args) -> int:
         # element to show a class is the lowest of its conjugacy class
         labels = group.conjugacy_classes()
         reps = np.flatnonzero(labels == np.arange(len(group)))
-        w, V, single = eigenpairs(np.array([group.unitary(i) for i in reps]))
+        w, V, single = eigenpairs(group.unitary(reps))
         owner, col = np.nonzero(single)
         # element order, then eigenphase order on a 2^-20 pi grid where -pi is pi,
         # so that the classes do not follow the BLAS kernel's eigenvalue order

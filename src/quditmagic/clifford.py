@@ -27,9 +27,16 @@ enumerated by a BFS that stores, per element, only its 2N codes on the e_i,
 packed into one exact int64 key; a child G U reads its parent's codes
 through G's row of the step table, one gather per level.  S_C and a_C are
 read off the same codes: column i of S_C is the label perm[e_i], and
-a_C = S_C J k_b with k_b = -k[e_i], because S_C is symplectic.  Words,
-unitaries and the codes on any labels (`actions`: the same gather per level)
-are rebuilt from each element's parent and generator when asked for.
+a_C = S_C J k_b with k_b = -k[e_i], because S_C is symplectic.  Words and the
+codes on any labels (`actions`: the same gather per level) are rebuilt from
+each element's parent and generator when asked for.
+
+A unitary is built from its unit codes alone, for a group element or for any
+(S, a) on any (d, N) (`clifford_from_affine`: perm(e_i) = S e_i, k = S^T J a).
+The codes fix U up to a global phase; `_unitary_from_codes` makes the first
+entry of U|0> above AMPLITUDE_TOL real and positive.  So a group element's
+eigenvalues, and the eigenphase order of the `eigenstates` sweep, follow its
+codes, not the generators on its BFS path.
 
 Conjugacy classes are exact on the same codes.  With y = perm_h^-1(e_i),
 h g h^-1 sends e_i to perm_h(perm_g(y)) with exponent
@@ -81,11 +88,8 @@ from .weyl import (
 
 def legendre(a: int, d: int) -> int:
     """Legendre symbol (a/d) for odd prime d."""
-    a = a % d
-    if a == 0:
-        return 0
-    r = pow(a, (d - 1) // 2, d)
-    return 1 if r == 1 else -1
+    r = pow(a % d, (d - 1) // 2, d)
+    return -1 if r == d - 1 else r
 
 
 def _epsilon(d: int) -> complex:
@@ -113,19 +117,13 @@ def metaplectic_V(F: np.ndarray, d: int) -> np.ndarray:
     a, b, c, dd = int(F[0, 0]), int(F[0, 1]), int(F[1, 0]), int(F[1, 1])
     if (a * dd - b * c) % d != 1:
         raise NotCliffordError("matrix is not in SL(2, Z_d)")
-    V = np.zeros((d, d), dtype=np.complex128)
+    j, k = np.arange(d)[:, None], np.arange(d)
+    roots = np.array([unit_phase(e, d) for e in range(d)])
     if b % d != 0:
-        inv2b = mod_inverse(2 * b, d)
         coeff = legendre(-2 * b, d) * _epsilon(d) / np.sqrt(d)
-        for j in range(d):
-            for k in range(d):
-                expo = (a * k * k - 2 * j * k + dd * j * j) * inv2b
-                V[j, k] = coeff * unit_phase(expo, d)
-    else:
-        inv2 = mod_inverse(2, d)
-        coeff = legendre(a, d)
-        for k in range(d):
-            V[(a * k) % d, k] = coeff * unit_phase(a * c * k * k * inv2, d)
+        return coeff * roots[(a * k * k - 2 * j * k + dd * j * j) * mod_inverse(2 * b, d) % d]
+    V = np.zeros((d, d), dtype=np.complex128)
+    V[a * k % d, k] = legendre(a, d) * roots[a * c * k * k * mod_inverse(2, d) % d]
     return V
 
 
@@ -140,13 +138,11 @@ def single_qudit_S(d: int) -> np.ndarray:
     if d == 2:
         return np.diag([1.0, 1j]).astype(np.complex128)
     t = mod_inverse(2, d)
-    diag = [unit_phase(t * j * (j + 1), d) for j in range(d)]
-    return np.diag(diag).astype(np.complex128)
+    return np.diag([unit_phase(t * j * (j + 1), d) for j in range(d)]).astype(np.complex128)
 
 
 def qubit_T_gate() -> np.ndarray:
-    """T = e^(i pi/4) S H, the order-3 qubit Clifford (the transversal gate of
-    the five-qubit code)."""
+    """T = e^(i pi/4) S H: the order-3 qubit Clifford, transversal on the five-qubit code."""
     return unit_phase(1, 8) * single_qudit_S(2) @ single_qudit_H(2)
 
 
@@ -160,6 +156,8 @@ def _pauli_action(U: np.ndarray, dims: Dims, labels: np.ndarray) -> np.ndarray:
     """The code perm * d + k of U T_chi U^dag = omega^k T_perm for each row
     of `labels`, read in one transform of the stack U T_chi U^dag (T_chi
     applied to the columns of U^dag by `displace`)."""
+    if U.shape != (dims.D, dims.D):
+        raise DimensionMismatchError(f"expected a {dims.D}x{dims.D} unitary, got {U.shape}")
     d = dims.d  # the stack peaks at four (n, D, D) arrays while its coefficients are read
     check_budget(4 * len(labels) * dims.D ** 2 * 16, f"the Pauli action on {dims}")
     conjugated = U @ displace(labels[:, None, :], U.conj(), dims).swapaxes(1, 2)
@@ -185,11 +183,40 @@ def _affine_data(codes: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]
     return S, (S @ symplectic_form(dims.N) @ -k[..., None])[..., 0] % dims.d
 
 
+def _unitary_from_codes(codes: np.ndarray, dims: Dims) -> np.ndarray:
+    """The unitary (..., D, D) with the unit codes (..., 2N).  An image
+    omega^k T_chi of X_i or Z_i has the powers omega^(mk) T_(m chi), m < d, one
+    `displace` call.  The powers of the Z_i images sum to the projector onto
+    U|0>; its largest row is normalized and `phase_normalize`d.  U|x> applies
+    the powers x_i of the X_i images to U|0>, digit by digit."""
+    d, N, D = dims.d, dims.N, dims.D
+    codes = np.asarray(codes, dtype=np.int64)
+    lead, m = codes.shape[:-1], np.arange(d)
+    # a projected identity and its sum, and one power stack: `displace` peaks near 3.5 stacks
+    check_budget((4 * d + 2) * int(np.prod(lead)) * D * D * 16, f"Clifford unitaries on {dims}")
+    labels = np.stack(np.unravel_index(codes // d, (d,) * (2 * N)), axis=-1)
+    roots = np.array([unit_phase(j, d) for j in range(d)])
+
+    def powers(i: int, v: np.ndarray) -> np.ndarray:  # (..., R, D) -> (..., d, R, D)
+        out = displace(m[:, None, None] * labels[..., None, None, i, :], v[..., None, :, :], dims)
+        out *= roots[m * codes[..., i, None] % d][..., None, None]
+        return out
+
+    v = np.broadcast_to(np.eye(D, dtype=np.complex128), lead + (D, D))
+    for i in range(N, 2 * N):
+        v = powers(i, v).sum(axis=-3)
+    best = np.argmax(np.linalg.norm(v, axis=-1), axis=-1)[..., None, None]
+    v = np.take_along_axis(v, best, axis=-2)
+    cols = phase_normalize(v / np.linalg.norm(v, axis=-1, keepdims=True))
+    for i in range(N):
+        cols = powers(i, cols).swapaxes(-3, -2).reshape(lead + (-1, D))
+    return cols.swapaxes(-1, -2)
+
+
 def is_clifford(U, dims: Dims) -> bool:
     """True iff U maps every basis displacement to a displacement under conjugation."""
-    U = np.asarray(U, dtype=np.complex128)
     try:
-        _pauli_action(U, dims, np.eye(2 * dims.N, dtype=np.int64))
+        _pauli_action(np.asarray(U, dtype=np.complex128), dims, np.eye(2 * dims.N, dtype=np.int64))
     except NotCliffordError:
         return False
     return True
@@ -205,23 +232,20 @@ def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray:
-    """A unitary with affine data (S, a) for a single qudit.
-
-    Odd d uses the closed-form section T_a V_S; d = 2 falls back to one
-    match against the (S, a) arrays of the reduced group (24 elements)."""
-    if dims.N != 1:
-        raise NotCliffordError("closed-form section implemented for single qudits")
-    S = np.asarray(S, dtype=np.int64) % dims.d
-    a = np.asarray(a, dtype=np.int64) % dims.d
-    if dims.odd:
-        return displacement_matrix(a, dims) @ metaplectic_V(S, dims.d)
-    group = enumerate_reduced_clifford(dims)
-    S_all, a_all = group.affine()
-    if S.shape == S_all.shape[1:] and a.shape == a_all.shape[1:]:
-        hit = np.flatnonzero(np.all(S_all == S, axis=(1, 2)) & np.all(a_all == a, axis=1))
-        if hit.size:
-            return group.unitary(hit[0])
-    raise NotCliffordError("no qubit Clifford with the requested affine data")
+    """A unitary with affine data (S, a) on any (d, N), from the unit codes
+    perm(e_i) = S e_i and k = S^T J a mod d that `_affine_data` inverts.
+    NotCliffordError unless S is integer and symplectic mod d, a integer."""
+    L, d = 2 * dims.N, dims.d
+    S, a = np.asarray(S), np.asarray(a)
+    with np.errstate(invalid="ignore"):  # inf and nan leave a nan remainder: refused
+        if (S.shape != (L, L) or a.shape != (L,) or not {S.dtype.kind, a.dtype.kind} <= set("iuf")
+                or np.any(np.mod(S, 1) != 0) or np.any(np.mod(a, 1) != 0)):
+            raise NotCliffordError(f"(S, a) is not an integer {L}x{L} matrix and {L}-vector")
+    S, a = S.astype(np.int64) % d, a.astype(np.int64) % d
+    if not is_symplectic(S, d):
+        raise NotCliffordError(f"S is not symplectic mod {d}")
+    perm = np.ravel_multi_index(tuple(S), (d,) * L)
+    return _unitary_from_codes(perm * d + S.T @ symplectic_form(dims.N) @ a % d, dims)
 
 
 class CliffordElement(NamedTuple):
@@ -237,12 +261,9 @@ class CliffordElement(NamedTuple):
 # ---------------------------------------------------------------------------
 # qubit gate library and Clifford words
 
-_QUBIT_GATES = {
-    "H": single_qudit_H(2),
-    "S": single_qudit_S(2),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+_QUBIT_GATES = {"H": single_qudit_H(2), "S": single_qudit_S(2),
+                "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+                "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128)}
 
 
 def _embed(op: np.ndarray, sites: tuple[int, ...], dims: Dims) -> np.ndarray:
@@ -256,13 +277,9 @@ def _embed(op: np.ndarray, sites: tuple[int, ...], dims: Dims) -> np.ndarray:
     return full.transpose(order + [N + i for i in order]).reshape(dims.D, dims.D)
 
 
-_TWO_QUBIT_GATES = {
-    "CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128),
-    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                     dtype=np.complex128),
-    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                     dtype=np.complex128),
-}
+_TWO_QUBIT_GATES = {"CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128),
+                    "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],  # rows permuted
+                    "SWAP": np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]}
 
 
 def gate_unitary(token: str, dims: Dims) -> np.ndarray:
@@ -282,18 +299,15 @@ def gate_unitary(token: str, dims: Dims) -> np.ndarray:
         raise NotCliffordError(f"gate token {token!r} needs {arity} distinct site(s) "
                                f"in 1..{dims.N}")
     d = dims.d
-    if arity == 2:
-        if d != 2:
-            raise NotCliffordError("two-qudit word tokens are qubit-only here")
-        mat = _embed(_TWO_QUBIT_GATES[name], sites, dims)
+    if arity == 2 and d != 2:
+        raise NotCliffordError("two-qudit word tokens are qubit-only here")
+    if d == 2:
+        op = (_QUBIT_GATES if arity == 1 else _TWO_QUBIT_GATES)[name]
+    elif name in ("X", "Z"):
+        op = displacement_matrix((1, 0) if name == "X" else (0, 1), Dims(d, 1))
     else:
-        if d == 2:
-            op = _QUBIT_GATES[name]
-        elif name in ("X", "Z"):
-            op = displacement_matrix((1, 0) if name == "X" else (0, 1), Dims(d, 1))
-        else:
-            op = {"H": single_qudit_H, "S": single_qudit_S}[name](d)
-        mat = _embed(op, sites, dims)
+        op = {"H": single_qudit_H, "S": single_qudit_S}[name](d)
+    mat = _embed(op, sites, dims)
     return mat.conj().T if dagger else mat
 
 
@@ -379,12 +393,8 @@ def _orbit_minima(maps: np.ndarray) -> tuple[np.ndarray, int]:
     and jumps each label to its label's label.  Labels only ever name points
     of their own orbit and only decrease, and a round that changes nothing
     leaves them constant on each orbit."""
-    n = maps.shape[1]
-    edges = list(maps)
-    for m in maps:
-        edges.append(np.empty_like(m))
-        edges[-1][m] = np.arange(n)
-    labels, rounds = np.arange(n), 0
+    edges = list(maps) + [np.argsort(m) for m in maps]  # and their inverses
+    labels, rounds = np.arange(maps.shape[1]), 0
     while True:
         pulled = labels.copy()
         for e in edges:
@@ -406,18 +416,11 @@ def clifford_group_order(dims: Dims) -> int:
 
 
 def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
-    if dims.N == 1:
-        return [("H@1",), ("S@1",)]
-    if dims.d != 2:
+    if dims.N > 1 and dims.d != 2:
         raise UnsupportedDimensionError("multi-qudit generators implemented for qubits only")
-    words = []
-    for i in range(1, dims.N + 1):
-        words.append((f"H@{i}",))
-        words.append((f"S@{i}",))
-    for i in range(1, dims.N + 1):
-        for j in range(i + 1, dims.N + 1):
-            words.append((f"CZ@{i},{j}",))
-    return words
+    sites = range(1, dims.N + 1)
+    return ([(f"{g}@{i}",) for i in sites for g in "HS"]
+            + [(f"CZ@{i},{j}",) for i in sites for j in sites if i < j])
 
 
 def _code_steps(g_codes: np.ndarray, d: int) -> np.ndarray:
@@ -464,19 +467,18 @@ def _class_bytes(order: int, n_y: int, L: int, G: int) -> int:
 class ReducedCliffordGroup:
     """The reduced Clifford group as integer arrays, in BFS order.
 
-    Element 0 is the identity; element i > 0 is gens[generator[i]] times
-    element parent[i], which lies on the previous BFS level.  codes[i, j] =
-    perm * d + k codes element i's action on the unit label e_(j+1), and
-    offsets[l]:offsets[l + 1] is level l.  Words, (S, a), unitaries,
+    Element 0 is the identity; element i > 0 is gen_words[generator[i]]
+    applied after element parent[i], which lies on the previous BFS level.
+    codes[i, j] = perm * d + k codes element i's action on the unit label
+    e_(j+1), and offsets[l]:offsets[l + 1] is level l.  Words, (S, a), unitaries,
     conjugacy classes and each CliffordElement view are derived from these,
     uncached, when asked for."""
 
-    def __init__(self, dims: Dims, gen_words: list[tuple[str, ...]], gens: np.ndarray,
-                 steps: np.ndarray, codes: np.ndarray, parent: np.ndarray,
-                 generator: np.ndarray, offsets: np.ndarray):
+    def __init__(self, dims: Dims, gen_words: list[tuple[str, ...]], steps: np.ndarray,
+                 codes: np.ndarray, parent: np.ndarray, generator: np.ndarray,
+                 offsets: np.ndarray):
         self.dims = dims
         self.gen_words = gen_words
-        self.gens = gens            # (G, D, D) generator unitaries
         self.steps = steps          # (G, n_points * d): `_code_steps` of the generators
         self.codes = codes          # (order, 2N), the smallest unsigned dtype holding n_points * d
         self.parent = parent        # (order,)
@@ -500,13 +502,10 @@ class ReducedCliffordGroup:
                      f"(S, a) of the Clifford group for {self.dims}")
         return _affine_data(codes, self.dims)
 
-    def unitary(self, i: int) -> np.ndarray:
-        """The unitary of element i: the generators of its lineage applied to
-        the identity, root first."""
-        U = np.eye(self.dims.D, dtype=np.complex128)
-        for g in reversed(_lineage(self.parent, self.generator, i)):
-            U = self.gens[g] @ U
-        return U
+    def unitary(self, i) -> np.ndarray:
+        """The unitary of element i, an int or an index array, built from its
+        codes by `_unitary_from_codes`."""
+        return _unitary_from_codes(self.codes[i], self.dims)
 
     def actions(self, labels: np.ndarray) -> np.ndarray:
         """The (order, len(labels)) codes, in the codes' dtype, of every element
@@ -551,12 +550,18 @@ class ReducedCliffordGroup:
         return _orbit_minima(maps.reshape(order, G).T)[0]
 
     def __getitem__(self, i: int) -> CliffordElement:
-        """Element i as a CliffordElement, derived from its lineage and its
-        codes.  List-like: negative indices count from the end, and the
-        IndexError past it also ends iteration."""
+        """Element i as a CliffordElement: its word from its lineage, the rest
+        from its codes.  List-like: negative indices count from the end."""
         i = range(len(self))[i]
-        S, a = self.affine(i)
-        return CliffordElement(self.unitary(i), S, a, self.dims, self.word(i))
+        return CliffordElement(self.unitary(i), *self.affine(i), self.dims, self.word(i))
+
+    def __iter__(self):
+        """The elements in order, their unitaries and (S, a) built a block at a time."""
+        step = max(1, 2 ** 14 // self.dims.D ** 2)
+        for lo in range(0, len(self), step):
+            block = np.arange(lo, min(lo + step, len(self)))
+            for i, U, S, a in zip(block.tolist(), self.unitary(block), *self.affine(block)):
+                yield CliffordElement(U, S, a, self.dims, self.word(i))
 
 
 @lru_cache(maxsize=None)
@@ -564,8 +569,8 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
     dims = Dims(d, N)
     n, order = dims.n_points, clifford_group_order(dims)
     words = clifford_generator_words(dims)
-    gens = np.array([word_unitary(w, dims) for w in words])
-    steps = _code_steps(np.array([_pauli_action(G, dims, phase_points(dims)) for G in gens]), d)
+    steps = _code_steps(np.array([_pauli_action(word_unitary(w, dims), dims, phase_points(dims))
+                                  for w in words]), d)
     units, radix = d ** np.arange(2 * N - 1, -1, -1), _code_radix(dims)
     codes = np.empty((order, 2 * N), dtype=np.min_scalar_type(n * d - 1))
     codes[0] = units * d
@@ -581,7 +586,7 @@ def _reduced_group_cached(d: int, N: int) -> ReducedCliffordGroup:
         offsets.append(len(closure))
     if offsets[-1] != order:
         raise NotCliffordError(f"closure produced {offsets[-1]} elements, expected {order}")
-    return ReducedCliffordGroup(dims, words, gens, steps, codes,
+    return ReducedCliffordGroup(dims, words, steps, codes,
                                 closure.parent.astype(np.min_scalar_type(order - 1)),
                                 closure.generator.astype(np.uint8), np.array(offsets[:-1]))
 
@@ -591,9 +596,9 @@ def enumerate_reduced_clifford(dims: Dims) -> ReducedCliffordGroup:
     sequence of CliffordElement views in BFS order, each derived when it is
     read.
 
-    The budget check before the BFS counts the BFS alone; (S, a) read off
-    the group later is checked by `ReducedCliffordGroup.affine` for the
-    elements it is asked for."""
+    The budget check before the BFS counts the BFS alone; (S, a) and the
+    unitaries read off the group later are checked by `affine` and `unitary`
+    for the elements they are asked for."""
     words = clifford_generator_words(dims)
     check_budget(_group_bytes(dims, len(words)), f"the reduced Clifford group for {dims}")
     return _reduced_group_cached(dims.d, dims.N)
@@ -648,8 +653,7 @@ def group_projector(group: FiniteUnitaryGroup) -> np.ndarray:
     """Projector onto the jointly stabilized subspace: the group average."""
     group.check_closed()
     P = group.elements.mean(axis=0)
-    if (np.max(np.abs(P @ P - P)) > GROUP_MATRIX_TOL
-            or np.max(np.abs(P - P.conj().T)) > GROUP_MATRIX_TOL):
+    if max(np.max(np.abs(P @ P - P)), np.max(np.abs(P - P.conj().T))) > GROUP_MATRIX_TOL:
         raise NonClosedGroupError("group average is not a projector")
     return P
 
@@ -713,8 +717,7 @@ def eigenpairs(U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eigenspace, so its eigenvector is unique up to phase.
     """
     U = np.asarray(U, dtype=np.complex128)
-    eye = np.eye(U.shape[-1])
-    if np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - eye)) > UNITARY_TOL:
+    if np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1]))) > UNITARY_TOL:
         raise ValueError("eigenstate extraction requires a unitary input")
     w, V = np.linalg.eig(U)
     single = np.sum(np.abs(w[..., :, None] - w[..., None, :]) < EIGEN_CLUSTER_TOL, axis=-1) == 1
@@ -759,8 +762,7 @@ def clifford_equivalence_search(psi1: np.ndarray, psi2: np.ndarray, dims: Dims,
     vectors raise DimensionMismatchError.
     """
     D = dims.D
-    psi1 = np.asarray(psi1, dtype=np.complex128)
-    psi2 = np.asarray(psi2, dtype=np.complex128)
+    psi1, psi2 = (np.asarray(psi, dtype=np.complex128) for psi in (psi1, psi2))
     if psi1.shape != (D,) or psi2.shape != (D,):
         raise DimensionMismatchError(
             f"states of shapes {psi1.shape} and {psi2.shape} are not both vectors on {dims}")
@@ -813,9 +815,7 @@ def invert_word(word: tuple, d: int) -> tuple:
         base = name.removesuffix("†").removesuffix("dag")
         if d == 2 and name in _QUBIT_INVOLUTIONS:
             out.append(t)
-        elif base != name:
-            out.append(base + sep + where)
-        else:
-            out.append(name + "†" + sep + where)
+        else:  # drop the dagger, or add one
+            out.append((base if base != name else name + "†") + sep + where)
     return tuple(out)
 

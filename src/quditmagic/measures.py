@@ -103,6 +103,8 @@ def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndar
     if len(states) == 0:
         raise ValueError("empty G-stabilizer set")
     psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim != 1:
+        raise DimensionMismatchError(f"psi of shape {psi.shape} is not a vector")
     try:  # numpy refuses ragged rows, and matmul rows of another length than psi
         overlaps = np.abs(np.asarray(states) @ psi.conj()) ** 2
     except ValueError:

@@ -2,7 +2,8 @@
 one file per command, next to this script.
 
 Run it from the repository root after a change that moves an output on
-purpose, and list each moved command in CHANGES.md:
+purpose, and list each moved command in CHANGES.md; it rewrites only the
+files whose bytes change and prints their names:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -67,10 +68,14 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 if __name__ == "__main__":
+    changed = []
     for name, argv in CASES.items():
         code, text = run(argv)
         if code != 0:
             raise SystemExit(f"quditmagic {' '.join(argv)} exited with {code}")
-        with open(os.path.join(HERE, name), "w") as fh:
-            fh.write(text)
-    print(f"wrote {len(CASES)} files to {HERE}")
+        path, data = os.path.join(HERE, name), text.encode()
+        if not os.path.exists(path) or open(path, "rb").read() != data:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            changed.append(name)
+    print(f"{len(changed)} of {len(CASES)} files in {HERE} changed", *changed, sep="\n")

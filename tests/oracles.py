@@ -8,10 +8,12 @@ transforms against plain contractions.  They cost O(D^4) memory and are
 cached per (d, N).  Each operator is a Kronecker product of single-qudit
 factors, whose phases come from their own exact exponents, so the tables are
 independent of the transform plan they check.  `span_elements` lists the
-points of an isotropic subspace from its basis.  The brute-force
+points of an isotropic subspace from its basis, and `random_clifford` draws a
+Clifford from random (S, a) for covariance checks on dims whose group is not
+enumerated.  The brute-force
 Sp(2, Z_d) enumeration is a reference for the single-qudit Clifford tests,
-the stack of every reduced-group unitary for `ReducedCliffordGroup.unitary`,
-its conjugation by the
+the stack of every reduced-group unitary as a lineage product of its
+generator words, for `ReducedCliffordGroup.unitary`, its conjugation by the
 generators, keyed by floats, for `.conjugacy_classes`, the per-element
 closure loop for `FiniteUnitaryGroup.generate`, the per-pair eigenspace loop for
 `group_stabilizer_states`, the per-vector scalar phase of
@@ -31,12 +33,12 @@ from math import comb
 
 import numpy as np
 
-from quditmagic.clifford import _ray_keys
+from quditmagic.clifford import _ray_keys, clifford_from_affine, word_unitary
 from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.extremality import CriticalReport
 from quditmagic.measures import wigner_function
-from quditmagic.phasespace import Dims, lex_grid, phase_points
+from quditmagic.phasespace import Dims, lex_grid, phase_points, symplectic_form
 from quditmagic.stabilizers import max_overlap
 from quditmagic.tolerances import (COEFF_TOL, EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL,
                                    GRAM_CUTOFF, GROUP_MATRIX_TOL, WIGNER_ZERO_TOL)
@@ -133,16 +135,35 @@ def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
     return out
 
 
+def generator_unitaries(group) -> np.ndarray:
+    """The (G, D, D) unitaries of a ReducedCliffordGroup's generator words."""
+    return np.array([word_unitary(w, group.dims) for w in group.gen_words])
+
+
+def random_clifford(dims: Dims, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, S, a): S a product of 4N random symplectic transvections
+    x -> x + c <v, x> v mod d, a random, and U = clifford_from_affine(S, a),
+    which needs no enumerated group."""
+    L, J = 2 * dims.N, symplectic_form(dims.N)
+    S = np.eye(L, dtype=np.int64)
+    for _ in range(2 * L):
+        v, c = rng.integers(0, dims.d, size=L), rng.integers(1, dims.d) if dims.odd else 1
+        S = (S + c * np.outer(v, v @ J) @ S) % dims.d
+    a = rng.integers(0, dims.d, size=L)
+    return clifford_from_affine(S, a, dims), S, a
+
+
 def clifford_unitary_stack(group) -> np.ndarray:
-    """The (order, D, D) unitaries of a ReducedCliffordGroup, filled level by
-    level in blocks of 4096: each block one batched product of its
-    generators and its parents, read back from the stack."""
-    U = np.empty((len(group),) + group.gens.shape[1:], dtype=np.complex128)
+    """The (order, D, D) unitaries of a ReducedCliffordGroup as lineage
+    products, filled level by level in blocks of 4096: each block one batched
+    product of its generators and its parents, read back from the stack."""
+    gens = generator_unitaries(group)
+    U = np.empty((len(group),) + gens.shape[1:], dtype=np.complex128)
     U[0] = np.eye(group.dims.D)
     for lo, hi in zip(group.offsets[1:-1], group.offsets[2:]):
         for start in range(lo, hi, 4096):
             block = slice(start, min(start + 4096, hi))
-            np.matmul(group.gens[group.generator[block]], U[group.parent[block]], out=U[block])
+            np.matmul(gens[group.generator[block]], U[group.parent[block]], out=U[block])
     return U
 
 
@@ -153,7 +174,7 @@ def conjugation_maps(group) -> np.ndarray:
     U = clifford_unitary_stack(group)
     index = {key: i for i, key in enumerate(_ray_keys(U.reshape(len(U), -1)).tolist())}
     maps = []
-    for h in group.gens:
+    for h in generator_unitaries(group):
         for conj in (h @ U @ h.conj().T, h.conj().T @ U @ h):
             maps.append([index[key] for key in _ray_keys(conj.reshape(len(U), -1)).tolist()])
     return np.array(maps)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -486,6 +487,21 @@ def test_equivalence_search_finds_word():
     assert equal_up_to_phase(word_unitary(word, dims) @ src, tgt)
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_clifford_from_affine_has_the_requested_action(d, N):
+    # on dims whose reduced group is refused or never enumerated: the unit
+    # codes perm(e_i) = S e_i and k = S^T J a, exactly, and (S, a) read back
+    dims, rng = Dims(d, N), np.random.default_rng(100 * d + N)
+    units = np.eye(2 * N, dtype=np.int64)
+    for _ in range(2):
+        U, S, a = oracles.random_clifford(dims, rng)
+        codes = np.ravel_multi_index(tuple(S), (d,) * 2 * N) * d + S.T @ symplectic_form(N) @ a % d
+        assert np.array_equal(_pauli_action(U, dims, units), codes)
+        S2, a2 = affine_from_clifford(U, dims)
+        assert np.array_equal(S2, S) and np.array_equal(a2, a)
+
+
 def test_clifford_from_affine_qubit_lookup():
     dims = Dims(2, 1)
     for el in enumerate_reduced_clifford(dims):
@@ -606,17 +622,38 @@ def _dense_enumeration(dims):
     return [(word, *affine_from_clifford(U, dims), U) for U, word in seen.values()]
 
 
+def _assert_one_phase_apart(U, ref):
+    """Each U[i] is ref[i] times one unit phase, within 1e-12."""
+    c = np.einsum("nij,nij->n", U.conj(), ref) / U.shape[-1]
+    assert np.max(np.abs(np.abs(c) - 1)) < 1e-12
+    assert np.max(np.abs(ref - c[:, None, None] * U)) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _code_unitaries(d, N):
+    """Every element's unitary, built from its codes, once its `_pauli_action`
+    on every label has been checked to equal `group.actions` exactly."""
+    dims = Dims(d, N)
+    group = enumerate_reduced_clifford(dims)
+    U = np.concatenate([group.unitary(np.arange(lo, min(lo + 2048, len(group))))
+                        for lo in range(0, len(group), 2048)])
+    labels = phase_points(dims)
+    for u, acts in zip(U, group.actions(np.arange(dims.n_points))):
+        assert np.array_equal(_pauli_action(u, dims, labels), acts)
+    return U
+
+
 @pytest.mark.parametrize("d,N", BUDGETED)
 def test_enumeration_matches_dense_oracle(d, N):
     dims = Dims(d, N)
     els = enumerate_reduced_clifford(dims)
     ref = _dense_enumeration(dims)
     assert len(els) == len(ref)
-    for el, (word, S, a, U) in zip(els, ref):
+    for el, (word, S, a, _) in zip(els, ref):
         assert el.word == word
         assert np.array_equal(el.symplectic, S)
         assert np.array_equal(el.displacement, a)
-        assert np.array_equal(el.unitary, U)
+    _assert_one_phase_apart(_code_unitaries(d, N), np.array([U for *_, U in ref]))
 
 
 def _action_enumeration(dims):
@@ -658,11 +695,11 @@ def test_enumeration_matches_full_action_oracle(d, N):
     els = enumerate_reduced_clifford(dims)
     ref = _action_enumeration(dims)
     assert len(els) == len(ref) == clifford_group_order(dims)
-    for el, (word, S, a, U) in zip(els, ref):
+    for el, (word, S, a, _) in zip(els, ref):
         assert el.word == word
         assert np.array_equal(el.symplectic, S) and el.symplectic.dtype == S.dtype
         assert np.array_equal(el.displacement, a) and el.displacement.dtype == a.dtype
-        assert np.array_equal(el.unitary, U)
+    _assert_one_phase_apart(_code_unitaries(d, N), np.array([U for *_, U in ref]))
 
 
 @pytest.mark.parametrize("d,N", BUDGETED + [(7, 1)])
@@ -679,8 +716,8 @@ def test_reduced_group_arrays(d, N):
     for i in range(0, len(els), 97):
         assert group.word(i) == els[i].word
         assert np.array_equal(els[i].unitary, group.unitary(i))
-    # integer arrays only: no array of unitaries beyond the generators
-    assert all(v is group.gens or np.ndim(v) < 3 for v in vars(group).values())
+    # integer arrays only: no array of unitaries, not even the generators
+    assert all(np.ndim(v) < 3 for v in vars(group).values())
     # the action on the unit labels identifies the element
     keys = {row.tobytes() for row in group.codes}
     assert len(keys) == len(els)
@@ -754,18 +791,23 @@ def test_enumeration_and_reads_fill_nothing(monkeypatch):
     monkeypatch.undo()
     el = group[-1]
     assert vars(group) == held  # the read derived el and cached nothing
-    assert np.array_equal(el.unitary, oracles.clifford_unitary_stack(group)[215])
+    _assert_one_phase_apart(el.unitary[None], oracles.clifford_unitary_stack(group)[215:])
+    labels = phase_points(group.dims)
+    assert np.array_equal(_pauli_action(el.unitary, group.dims, labels),
+                          group.actions(np.arange(len(labels)))[215])
     assert el.word == group.word(215)
 
 
 def test_group_indexing_is_list_like():
     group = enumerate_reduced_clifford(Dims(2, 1))
     S, a = group.affine()
-    stack = oracles.clifford_unitary_stack(group)
+    stack, acts = oracles.clifford_unitary_stack(group), group.actions(np.arange(4))
     for i in (0, 5, 23):
         for j in (i, i - 24):
             el = group[j]
-            assert np.array_equal(el.unitary, stack[i])
+            _assert_one_phase_apart(el.unitary[None], stack[i:i + 1])
+            assert np.array_equal(_pauli_action(el.unitary, Dims(2, 1), phase_points(Dims(2, 1))),
+                                  acts[i])
             assert np.array_equal(el.symplectic, S[i]) and np.array_equal(el.displacement, a[i])
             assert el.word == group.word(i) and el.dims == Dims(2, 1)
     for bad in (24, -25):
@@ -1058,8 +1100,18 @@ def test_malformed_arguments_refused():
         metaplectic_V(np.eye(2, dtype=np.int64), 2)
     with pytest.raises(NotCliffordError, match="SL"):
         metaplectic_V(np.array([[1, 1], [1, 1]]), 3)
-    with pytest.raises(NotCliffordError, match="single qudits"):
-        clifford_from_affine(np.eye(4, dtype=np.int64), np.zeros(4, dtype=np.int64), Dims(2, 2))
+    for S, a in [(1.5 * np.eye(2), np.zeros(2)),  # truncated to the identity before
+                 (np.eye(2), np.zeros(3, dtype=np.int64)), (np.eye(2), [0.5, 0]),
+                 (np.eye(3, dtype=np.int64), np.zeros(3)), (np.eye(2, dtype=complex), [0, 0]),
+                 (np.diag([np.inf, 1.0]), [0, 0]), (np.eye(2), [np.nan, 0])]:
+        with pytest.raises(NotCliffordError, match="integer"):
+            clifford_from_affine(S, a, Dims(3, 1))
+    with pytest.raises(NotCliffordError, match="symplectic"):
+        clifford_from_affine(np.array([[1, 1], [1, 1]]), [0, 0], Dims(3, 1))
+    with pytest.raises(DimensionMismatchError, match="expected a 3x3 unitary"):
+        is_clifford(np.eye(4), Dims(3, 1))
+    with pytest.raises(DimensionMismatchError, match="expected a 3x3 unitary"):
+        affine_from_clifford(np.eye(4), Dims(3, 1))
     with pytest.raises(NotCliffordError, match="unknown gate token"):
         gate_unitary("T@1", Dims(2, 1))
     with pytest.raises(NotCliffordError, match="qubit-only"):

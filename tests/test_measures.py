@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from quditmagic.measures import (
 from quditmagic.phasespace import Dims, phase_points, point_index
 from quditmagic.stabilizers import enumerate_stabilizer_states, max_overlap
 
-from oracles import displacement_table, kernel_all, phase_point_table
+from oracles import displacement_table, kernel_all, phase_point_table, random_clifford
 
 
 def rand_state(D, seed):
@@ -295,6 +296,41 @@ def test_fidelity_arguments_refused():
                  [np.ones(3), np.ones(2)], [np.ones(3), np.ones((3, 3))]):
         with pytest.raises(DimensionMismatchError, match="ragged or not of shape"):
             group_stabilizer_fidelity(psi, rays)
+    # a density matrix, or a scalar, is not a vector of the rays' length
+    for bad in (np.eye(3) / 3, np.outer(psi, psi.conj()), psi[:1, None], 1.0):
+        with pytest.raises(DimensionMismatchError, match="is not a vector"):
+            group_stabilizer_fidelity(bad, dd.matrix)
+    with pytest.raises(DimensionMismatchError, match="ragged or not of shape"):
+        group_stabilizer_fidelity(psi[:2], dd.matrix)
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 2), Dims(2, 5), Dims(5, 2), Dims(3, 3)],
+                         ids=str)
+def test_measures_are_clifford_invariant_beyond_the_enumerated_groups(dims):
+    # C from random (S, a), where no reduced group is enumerated: M_2, M_3
+    # and, for odd d, mana of C psi are those of psi
+    rng = np.random.default_rng(10 * dims.d + dims.N)
+    for k in range(3):
+        C = random_clifford(dims, rng)[0]
+        psi = rand_state(dims.D, 1000 * dims.d + 10 * dims.N + k)
+        for alpha in (2, 3):
+            assert abs(sre(C @ psi, dims, alpha) - sre(psi, dims, alpha)) < 1e-13
+        if dims.odd:
+            assert abs(mana(C @ psi, dims) - mana(psi, dims)) < 1e-13
+
+
+@pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 2)], ids=str)
+def test_fidelity_is_clifford_invariant_beyond_the_enumerated_groups(dims):
+    # a product of single-qudit magic states has many nearest states, a random state one
+    dd = enumerate_stabilizer_states(dims)
+    rng = np.random.default_rng(20 * dims.d + dims.N)
+    one = build("qubit:T" if dims.d == 2 else "qutrit:S")
+    states = [functools.reduce(np.kron, [one] * dims.N), rand_state(dims.D, 20 * dims.d + dims.N)]
+    for psi in states:
+        F, near = dd.nearest(psi)
+        for _ in range(3):
+            F_c, near_c = dd.nearest(random_clifford(dims, rng)[0] @ psi)
+            assert abs(F_c - F) < 1e-12 and len(near_c) == len(near)
 
 
 @pytest.mark.parametrize("dims", [Dims(3, 1), Dims(5, 1), Dims(2, 2), Dims(3, 2), Dims(2, 3)],
