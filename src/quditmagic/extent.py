@@ -108,7 +108,7 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
     best = None
     for it in range(1, max_iter + 1):
         # v = alpha x + (1 - alpha) z + u with x the projection of z - u
-        v = z + (1 - alpha) * u - relaxed_Ah @ (M @ (z - u) - pb)
+        v = z + (1 - alpha) * u - relaxed_Ah.dot(M.dot(z - u) - pb)
         u = v / np.maximum(np.abs(v), 1.0)  # v projected onto the unit l_inf ball
         z_new = v - u                       # so v - u is v soft-thresholded at 1
         step = z_new - z
@@ -116,8 +116,8 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
         if it % 25 == 0 or np.vdot(step, step).real < step_tol or it == max_iter:
             # dual candidate: least-squares lift of the subgradient u, scaled
             # into the feasible set |A^dag y| <= 1
-            y = M @ u
-            g = Ah @ y
+            y = M.dot(u)
+            g = Ah.dot(y)
             scale = max(float(np.max(np.abs(g))), 1.0)
             y, g = y / scale, g / scale
             dual = float(np.real(np.vdot(b, y)))
@@ -132,10 +132,10 @@ def solve_extent(problem: ExtentProblem, tol: float = EXTENT_TOL,
             t = np.linalg.lstsq(np.vstack([AS.real, AS.imag]), b_stacked, rcond=None)[0]
             polished = np.zeros(K, dtype=np.complex128)
             polished[active] = t * phase
-            iterate = z - Ah @ (M @ z - pb)
+            iterate = z - Ah.dot(M.dot(z) - pb)
             for c in (polished, iterate):
                 l1 = float(np.sum(np.abs(c)))
-                if abs(l1 - dual) < tol and np.linalg.norm(A @ c - b) < 10 * tol:
+                if abs(l1 - dual) < tol and np.linalg.norm(A.dot(c) - b) < 10 * tol:
                     return solution(c, dual, it)
             if best is None or l1 < best[1]:  # l1 of the iterate, the last candidate
                 best = (iterate, l1, dual)

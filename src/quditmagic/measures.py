@@ -4,6 +4,7 @@ All phase-space sums run over the lexicographic point order of
 `phasespace.phase_points`.  Logs are natural.  Every M_alpha of a state is a
 moment of one Pauli spectrum: `pauli_distribution` keeps the last in one slot,
 keyed by (d, N, shape, bytes) of its complex128 input, and shares it read-only.
+Products are one BLAS call each by `ndarray.dot`, for the reason `weyl` gives.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class WignerFunction:
 
     def as_grid(self) -> np.ndarray:
         """(d^N, d^N) view with rows indexed by p and columns by q."""
-        D = self.dims.D
-        return self.values.reshape(D, D)
+        return self.values.reshape(self.dims.D, self.dims.D)
 
     @property
     def trace_norm(self) -> float:
@@ -64,7 +64,7 @@ def _wigner_values(rho, dims: Dims) -> np.ndarray:
         vals *= arr.conj()[plan.plus]
     else:
         vals = arr[plan.minus, plan.plus]
-    vals = vals @ plan.characters  # rebinding frees the gather before the column pick
+    vals = vals.dot(plan.characters)  # rebinding frees the gather before the column pick
     vals = vals.take(plan.double, axis=1).ravel()
     vals /= D
     imag = np.maximum.reduce(np.abs(vals.imag))
@@ -82,7 +82,10 @@ def wigner_trace_norm(rho, dims: Dims) -> float:
 
 def mana(rho, dims: Dims) -> float:
     """log of the Wigner trace norm; 0 exactly on the stabilizer polytope."""
-    return math.log(wigner_trace_norm(rho, dims))
+    norm = wigner_trace_norm(rho, dims)
+    if not norm > 0:
+        raise ValueError(f"Wigner trace norm {norm!r}: the operator is zero")
+    return math.log(norm)
 
 
 def stabilizer_fidelity(psi: np.ndarray, dictionary: StabilizerDictionary | None = None,
@@ -105,8 +108,8 @@ def group_stabilizer_fidelity(psi: np.ndarray, states: np.ndarray | list[np.ndar
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1:
         raise DimensionMismatchError(f"psi of shape {psi.shape} is not a vector")
-    try:  # numpy refuses ragged rows, and matmul rows of another length than psi
-        overlaps = np.abs(np.asarray(states) @ psi.conj()) ** 2
+    try:  # numpy refuses ragged rows, and `dot` rows of another length than psi
+        overlaps = np.abs(np.asarray(states).dot(psi.conj())) ** 2
     except ValueError:
         raise DimensionMismatchError(f"rays are ragged or not of shape {psi.shape}") from None
     best, ties = nearest_set(overlaps)
@@ -167,11 +170,15 @@ def sre(psi: np.ndarray, dims: Dims, alpha: float = 2.0) -> float:
 
 def sre_from_xi(xi_alpha: float, dims: Dims, alpha: float) -> float:
     """M_alpha = log(Xi_alpha) / (1 - alpha) - N log d, from a computed Xi_alpha."""
+    if not xi_alpha > 0:
+        raise ValueError(f"Xi_{alpha:g} = {xi_alpha!r} is not > 0: a zero or non-finite state")
     return float(math.log(xi_alpha) / (1 - alpha) - dims.N * math.log(dims.d))
 
 
 def sre_upper_bound(dims: Dims, alpha: float = 2.0) -> float:
-    """(1-alpha)^-1 log[(1 + (D-1)(D+1)^(1-alpha)) / D]."""
+    """(1-alpha)^-1 log[(1 + (D-1)(D+1)^(1-alpha)) / D], for a finite alpha >= 2."""
+    if not (math.isfinite(alpha) and alpha >= 2):
+        raise ValueError(f"alpha = {alpha!r} is outside the supported contract: finite, >= 2")
     D = dims.D
     return float(np.log((1 + (D - 1) * (D + 1) ** (1 - alpha)) / D) / (1 - alpha))
 
@@ -185,7 +192,7 @@ def mixed_sre2(rho, dims: Dims) -> float:
         raise DimensionMismatchError(f"operator shape {rho.shape} != {(dims.D, dims.D)}")
     plan = transform_plan(dims.d, dims.N)
     # |Tr(T_(p,q) rho)| = |sum_j omega^(q.j) rho[j, p+j]|, gathered by flat index
-    traces = np.abs(rho.take(plan.diagonals) @ plan.characters)
+    traces = np.abs(rho.take(plan.diagonals).dot(plan.characters))
     quartic = np.add.reduce(traces ** 4, axis=None)
     quadratic = np.add.reduce(np.square(traces, out=traces), axis=None)
     ratio = float(quartic) / float(quadratic) if quadratic else math.nan

@@ -168,18 +168,16 @@ class StabilizerDictionary:
 
     def nearest(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
         """Largest squared overlap with psi and the indices of the states tied for it."""
-        psi = np.asarray(psi, dtype=np.complex128)
-        if psi.shape != (self.dims.D,):
-            raise DimensionMismatchError(
-                f"state has length {psi.shape}, dictionary needs {self.dims.D}"
-            )
-        overlaps = np.abs(self.matrix @ psi.conj())  # as in `overlaps`, squared in place
-        return nearest_set(np.square(overlaps, out=overlaps))
+        return nearest_set(self.overlaps(psi))
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """|<s|psi>|^2 for every dictionary state, as |<psi|s>|^2 so that only
-        psi is conjugated."""
-        return np.abs(self.matrix @ np.asarray(psi, dtype=np.complex128).conj()) ** 2
+        psi is conjugated, for a psi of shape (D,) only: `dot` would scale by a scalar."""
+        psi = np.asarray(psi, dtype=np.complex128)
+        if psi.shape != (self.dims.D,):
+            raise DimensionMismatchError(f"state of shape {psi.shape}, not ({self.dims.D},)")
+        overlaps = np.abs(self.matrix.dot(psi.conj()))
+        return np.square(overlaps, out=overlaps)
 
 
 def stabilizer_count(dims: Dims) -> int:

@@ -15,16 +15,16 @@ materialized to complex doubles only when a matrix is built.
 No table of all d^(2N) operators is ever built.  Every Weyl transform the
 package needs is a shift in p followed by a character sum in q: index gathers
 and one character matrix, in O(D^2) memory and O(D^3) time.  All of them read
-one cached `TransformPlan` per (d, N), which holds the index tables, the
-character matrix and the convention phases and passes one budget check for
-all of them and one call's transients (120 D^2 bytes) when it is built.  The
-same transform gives the Pauli coefficients Tr[T_chi^dag M] / D of any
-operator, which the Clifford
-module uses to read conjugation actions, and `displace` applies T_chi to
-vectors by the same index arithmetic for the stabilizer dictionary.  A single
-T_chi is built on demand by `displacement_matrix`, as `displace` applied to
-the identity, so its phases are the plan's and it passes the plan's check.
-The rest are their phase helpers; state specs are read by `catalog.resolve`.
+one cached `TransformPlan` per (d, N), which passes one budget check for its
+tables and one call's transients (120 D^2 bytes) when it is built.  Each
+character sum is one zgemm called by `ndarray.dot`, which dispatches faster
+than `@` at scan sizes, with the same bytes; a stack is one gemm on its
+(n D, D) view, as OpenBLAS rounds a row alike at any offset (not a column).
+The same transform gives the Pauli coefficients Tr[T_chi^dag M] / D of any
+operator, which the Clifford module uses to read conjugation actions, and
+`displace` applies T_chi to vectors by the same index arithmetic for the
+stabilizer dictionary; `displacement_matrix` is `displace` applied to the
+identity.  The rest are phase helpers; `catalog.resolve` reads state specs.
 """
 
 from __future__ import annotations
@@ -115,11 +115,11 @@ def pauli_coefficients(M: np.ndarray, dims: Dims) -> np.ndarray:
     an operator M (D, D) or each operator of a stack (..., D, D).
 
     Tr[T_(p,q)^dag M] = conj(phase_(p,q) sum_j omega^(q.j) conj(M[p+j, j])):
-    a gather, one character sum and the convention phase of each label.
+    a gather, one character sum (one gemm for a stack), each label's phase.
     """
     plan = transform_plan(dims.d, dims.N)
     sums = M[..., plan.plus, plan.rows]
-    sums = np.conj(sums, out=sums) @ plan.characters
+    sums = np.conj(sums, out=sums).reshape(-1, plan.D).dot(plan.characters).reshape(sums.shape)
     sums *= plan.phases
     return np.conj(sums, out=sums).reshape(M.shape[:-2] + (-1,)) / plan.D
 
@@ -128,17 +128,19 @@ def displace(chi, vectors, dims: Dims) -> np.ndarray:
     """T_chi |v> without forming T_chi, broadcast over the leading axes of
     chi (..., 2N) and vectors (..., D).
 
-    (T_(p,q) v)[i] = phase_(p,q) omega^(q.(i-p)) v[i-p]: a character
-    product followed by one gather at the digitwise differences i - p.
+    (T_(p,q) v)[i] = phase_(p,q) omega^(q.(i-p)) v[i-p]: one flat gather of
+    v at the digitwise differences i - p, then the character product in place.
     """
     d, N = dims.d, dims.N
     plan = transform_plan(d, N)
     chi = np.asarray(chi, dtype=np.int64) % d
     place = d ** np.arange(N - 1, -1, -1)
     p, q = chi[..., :N] @ place, chi[..., N:] @ place
-    vals = (plan.phases[p, q][..., None] * plan.characters[q]
-            * np.asarray(vectors, dtype=np.complex128))
-    return np.take_along_axis(vals, np.broadcast_to(plan.minus.T[p], vals.shape), axis=-1)
+    shift = plan.minus.T[p]  # i - p; row offsets make it one index into the flat v
+    out = np.asarray(vectors, dtype=np.complex128)
+    out = out.take(np.arange(0, out.size, plan.D).reshape(out.shape[:-1] + (1,)) + shift)
+    factor = plan.phases[p, q][..., None] * plan.characters[q[..., None], shift]
+    return np.multiply(factor, out, out=out)  # factor first: the bits of factor * v
 
 
 def displacement_matrix(chi, dims: Dims) -> np.ndarray:
@@ -159,7 +161,7 @@ def shifted_characters(x: np.ndarray, dims: Dims) -> np.ndarray:
     plan = transform_plan(dims.d, dims.N)
     terms = x.conj()[plan.plus]
     terms *= x
-    return (terms @ plan.characters).ravel()
+    return terms.dot(plan.characters).ravel()
 
 
 def global_phase(A, B, tol: float = EQUALITY_TOL):

@@ -7,10 +7,11 @@ tests can check operator identities exhaustively and compare the table-free
 transforms against plain contractions.  They cost O(D^4) memory and are
 cached per (d, N).  Each operator is a Kronecker product of single-qudit
 factors, whose phases come from their own exact exponents, so the tables are
-independent of the transform plan they check.  `span_elements` lists the
-points of an isotropic subspace from its basis, and `random_clifford` draws a
-Clifford from random (S, a) for covariance checks on dims whose group is not
-enumerated.  The brute-force
+independent of the transform plan they check.  `take_along_displace` is
+`weyl.displace` with the gather it had before its flat `take`.
+`span_elements` lists the points of an isotropic subspace from its basis, and
+`random_clifford` draws a Clifford from random (S, a) for covariance checks on
+dims whose group is not enumerated.  The brute-force
 Sp(2, Z_d) enumeration is a reference for the single-qudit Clifford tests,
 the stack of every reduced-group unitary as a lineage product of its
 generator words, for `ReducedCliffordGroup.unitary`, its conjugation by the
@@ -42,7 +43,7 @@ from quditmagic.phasespace import Dims, lex_grid, phase_points, symplectic_form
 from quditmagic.stabilizers import max_overlap
 from quditmagic.tolerances import (COEFF_TOL, EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL,
                                    GRAM_CUTOFF, GROUP_MATRIX_TOL, WIGNER_ZERO_TOL)
-from quditmagic.weyl import phase_normalize, tau_exponent, unit_phase
+from quditmagic.weyl import phase_normalize, tau_exponent, transform_plan, unit_phase
 
 
 def point(p, q, dims: Dims) -> np.ndarray:
@@ -87,6 +88,19 @@ def kron_displacement(chi, dims: Dims) -> np.ndarray:
     use of the transform plan that `weyl.displacement_matrix` reads."""
     p, q = split_point(np.asarray(chi, dtype=np.int64) % dims.d)
     return reduce(np.kron, _single_displacements(dims.d)[p, q])
+
+
+def take_along_displace(chi, vectors, dims: Dims) -> np.ndarray:
+    """`weyl.displace` with its former gather, `np.take_along_axis` over an
+    index broadcast to the output, which builds index arrays of its size."""
+    d, N = dims.d, dims.N
+    plan = transform_plan(d, N)
+    chi = np.asarray(chi, dtype=np.int64) % d
+    place = d ** np.arange(N - 1, -1, -1)
+    p, q = chi[..., :N] @ place, chi[..., N:] @ place
+    vals = (plan.phases[p, q][..., None] * plan.characters[q]
+            * np.asarray(vectors, dtype=np.complex128))
+    return np.take_along_axis(vals, np.broadcast_to(plan.minus.T[p], vals.shape), axis=-1)
 
 
 @lru_cache(maxsize=None)

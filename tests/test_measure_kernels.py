@@ -140,11 +140,17 @@ def test_sre_is_its_xi_transformed():
             assert sre(psi, dims, alpha) == sre_from_xi(xi(psi, dims, alpha), dims, alpha)
 
 
+# stacks long enough that one gemm on the (n D, D) view puts rows far from their
+# matrix's first, against the oracle's gemm per matrix
+PAULI_STACKS = {Dims(2, 1): 24, Dims(3, 2): 50, Dims(7, 1): 100}
+
+
 @pytest.mark.parametrize("dims", [Dims(2, 1), Dims(2, 3), Dims(3, 2), Dims(5, 1), Dims(2, 5),
-                                  Dims(3, 3)], ids=str)
+                                  Dims(3, 3), Dims(7, 1)], ids=str)
 def test_pauli_coefficients_match_previous_formula(dims):
     rng = np.random.default_rng(3000 * dims.d + dims.N)
-    for shape in ((dims.D, dims.D), (3, dims.D, dims.D)):
+    stacks = [(PAULI_STACKS[dims], dims.D, dims.D)] if dims in PAULI_STACKS else []
+    for shape in [(dims.D, dims.D), (3, dims.D, dims.D)] + stacks:
         M = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for op in (M, M.real.copy()):
             got, want = weyl.pauli_coefficients(op, dims), oracle_pauli_coefficients(op, dims)

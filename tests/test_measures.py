@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from quditmagic.measures import (
     mixed_sre2,
     pauli_distribution,
     sre,
+    sre_from_xi,
     sre_upper_bound,
     stabilizer_fidelity,
     wigner_function,
@@ -140,6 +142,27 @@ def test_sre_contract_and_additivity():
     both = np.kron(psi, phi)
     assert abs(sre(both, Dims(3, 2)) - sre(psi, d3) - sre(phi, d3)) < 1e-10
     assert abs(mana(both, Dims(3, 2)) - mana(psi, d3) - mana(phi, d3)) < 1e-10
+
+
+def test_zero_states_and_out_of_contract_alpha_refused():
+    # each refusal is a named ValueError, with no numpy warning before it
+    d3 = Dims(3, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (2.0, 2.5, 3.0):
+            with pytest.raises(ValueError, match=r"Xi_\S+ = 0.0 is not > 0"):
+                sre(np.zeros(3), d3, alpha)
+        for value in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="is not > 0: a zero or non-finite state"):
+                sre_from_xi(value, d3, 2.0)
+        for op in (np.zeros(3), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="Wigner trace norm 0.0: the operator is zero"):
+                mana(op, d3)
+        for alpha in (1.0, 1.5, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="outside the supported contract"):
+                sre_upper_bound(d3, alpha)
+        assert abs(sre_upper_bound(d3, 2.0) - math.log(2)) < 1e-15  # (1 + 2/4) / 3 = 1/2
+        assert sre_upper_bound(Dims(2, 2), 3.0) > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,6 +325,11 @@ def test_fidelity_arguments_refused():
             group_stabilizer_fidelity(bad, dd.matrix)
     with pytest.raises(DimensionMismatchError, match="ragged or not of shape"):
         group_stabilizer_fidelity(psi[:2], dd.matrix)
+    # `overlaps` and `nearest` take one state: `dot` would scale the rows by a scalar
+    for bad in (1.0, psi[:2], np.outer(psi, psi.conj()), psi[:, None]):
+        for read in (dd.overlaps, dd.nearest):
+            with pytest.raises(DimensionMismatchError, match=r"not \(3,\)"):
+                read(bad)
 
 
 @pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 2), Dims(2, 5), Dims(5, 2), Dims(3, 3)],

@@ -9,6 +9,7 @@ from quditmagic.errors import BudgetExceededError, UnsupportedDimensionError
 from quditmagic.measures import sre
 from quditmagic.phasespace import Dims, phase_points, point_index, symplectic_product
 from quditmagic.weyl import (
+    displace,
     displacement_matrix,
     equal_up_to_phase,
     global_phase,
@@ -49,6 +50,41 @@ def test_displacement_matrix_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20 < 2 ** 26 * 8  # the 2^13 x 2^13 identity alone is 512 MiB
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_displace_matches_the_take_along_axis_gather(d, N):
+    # broadcast shapes: labels against one matrix, one label against rows, labels against a row
+    dims, L, k = Dims(d, N), 7, 4
+    rng = np.random.default_rng(100 * d + N)
+
+    def vectors(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def labels(*shape):  # out of range both ways, reduced mod d by `displace`
+        return rng.integers(-d, 2 * d, size=shape + (2 * N,))
+
+    for chi, v in ((labels(L, 1), vectors(dims.D, dims.D)), (labels(), vectors(k, dims.D)),
+                   (labels(k), vectors(dims.D))):
+        got, want = displace(chi, v, dims), oracles.take_along_displace(chi, v, dims)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_displace_peaks_below_three_outputs():
+    # the power stack `_unitary_from_codes` asks for on (3,2): 50 unitaries, d = 3 powers
+    dims = Dims(3, 2)
+    rng = np.random.default_rng(5)
+    chi = rng.integers(0, 3, size=(50, 3, 1, 4))
+    v = rng.normal(size=(50, 1, 9, 9)) + 1j * rng.normal(size=(50, 1, 9, 9))
+    displace(chi, v, dims)  # the transform plan is built outside the trace
+    tracemalloc.start()
+    try:
+        out = displace(chi, v, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (50, 3, 9, 9)
+    assert peak <= 2.7 * out.nbytes, peak / out.nbytes
 
 
 def test_displacement_composition_example():
