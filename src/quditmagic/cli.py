@@ -94,13 +94,13 @@ def parse_tol(text: str) -> float:
 
 
 def parse_eps3(text: str) -> float | tuple[float, float, float]:
-    """The `--eps3` argument: a finite float, or a finite start:stop:step with step > 0."""
+    """`--eps3`: a finite float, or a finite start:stop:step with step > 0 and stop >= start."""
     try:
         values = tuple(finite_float(x) for x in text.split(":"))
         if len(values) == 1:
             return values[0]
-        if len(values) != 3 or values[2] <= 0:
-            raise ValueError("need a float or start:stop:step with step > 0")
+        if len(values) != 3 or values[2] <= 0 or values[1] < values[0]:
+            raise ValueError("need a float or start:stop:step with step > 0 and stop >= start")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a float or a range: {exc}")
     return values

@@ -9,11 +9,18 @@ basis
     psi_2 = |T1 T0>                        (eigenvalue e^(-2 pi i/3))
     psi_3 = (|T0 T0> + |T1 T1>)/sqrt2      (the stabilizer state (|00>+i|11>)/sqrt2)
 
-so the ten-qubit computation runs in the 4^5 = 1024-dimensional pair basis,
-where trivial-syndrome projection preserves the parametrized form
+and trivial-syndrome projection preserves the parametrized form
 
     rho = (1 - e1 - e2 - e3) psi_0 + e1 psi_1 + e2 psi_2 + e3 psi_3
           + (a + ib)|psi_0><psi_3| + h.c.
+
+No ten-qubit operator is built.  For a logical Pauli P of one code, P Pi is
+P times the code's 16 stabilizers, weighted 1/16 in modulus, so on the product
+input rho_1 x ... x rho_5 the doubled code's stabilizer group gives the sum
+
+    Tr[rho (P_a Pi x P_b Pi)] = sum_(s, t) w_a(s) w_b(t) prod_i Tr[rho_i (s_i x t_i)]
+
+of 256 products of pair expectations: the logical density's 16 Pauli values.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import qubit_T_states, word_unitary
-from .phasespace import Dims
-from .tolerances import ORTHONORMAL_TOL, PSD_TOL
-from .weyl import unit_phase
+from .phasespace import Dims, lex_grid
+from .tolerances import COEFF_TOL, PSD_TOL
+from .weyl import displacement_matrix, pauli_coefficients, unit_phase
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
@@ -46,17 +53,15 @@ class PairParams(NamedTuple):
             raise ValueError(f"parameters must be finite, got {self}")
         rho = np.diag([1.0 - self.eps1 - self.eps2 - self.eps3,
                        self.eps1, self.eps2, self.eps3]).astype(np.complex128)
-        rho[0, 3] = self.a + 1j * self.b
-        rho[3, 0] = self.a - 1j * self.b
+        rho[0, 3], rho[3, 0] = self.a + 1j * self.b, self.a - 1j * self.b
         if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
             raise ValueError("parameters do not define a PSD density matrix")
         return rho
 
     @classmethod
     def from_density(cls, rho: np.ndarray) -> "PairParams":
-        return cls(eps1=float(rho[1, 1].real), eps2=float(rho[2, 2].real),
-                   eps3=float(rho[3, 3].real),
-                   a=float(rho[0, 3].real), b=float(rho[0, 3].imag))
+        return cls(float(rho[1, 1].real), float(rho[2, 2].real), float(rho[3, 3].real),
+                   float(rho[0, 3].real), float(rho[0, 3].imag))
 
 
 def _pairs(T0: np.ndarray, T1: np.ndarray) -> list[np.ndarray]:
@@ -91,89 +96,84 @@ def project_T_overlaps() -> dict:
     that makes the weight-2 phases +-pi/3 and the weight-3 phases +-2pi/3;
     the partition of bitstrings into equal-phase sets is gauge-independent.
     """
-    Pi = code_projector()
-    T0, T1 = qubit_T_states()
+    Pi, (T0, T1) = code_projector(), qubit_T_states()
     T1 = unit_phase(1, 6) * T1
-    vecs = {}
-    for x in range(32):
-        vecs[x] = reduce(np.kron, [T1 if (x >> (4 - i)) & 1 else T0 for i in range(5)])
-    T0L = np.sqrt(6) * Pi @ vecs[0b11111]   # logical |T0>
-    T1L = np.sqrt(6) * Pi @ vecs[0b00000]   # logical |T1>
+    vecs = {x: reduce(np.kron, [T1 if (x >> (4 - i)) & 1 else T0 for i in range(5)])
+            for x in range(32)}
+    T0L, T1L = (np.sqrt(6) * Pi @ vecs[x] for x in (0b11111, 0b00000))  # logical |T0>, |T1>
     out = {}
     for x, v in vecs.items():
-        w = bin(x).count("1")
-        pv = Pi @ v
-        overlap = float(np.real(np.vdot(v, pv)))
-        phase = None
-        if w in (2, 3):
-            ref = T0L if w == 2 else T1L
-            amp = np.vdot(ref, pv) * np.sqrt(12)
-            phase = float(np.angle(amp))
-        out[x] = {"weight": w, "overlap": overlap, "phase": phase}
+        w, pv = bin(x).count("1"), Pi @ v
+        ref = {2: T0L, 3: T1L}.get(w)
+        phase = None if ref is None else float(np.angle(np.vdot(ref, pv) * np.sqrt(12)))
+        out[x] = {"weight": w, "overlap": float(np.real(np.vdot(v, pv))), "phase": phase}
     return out
 
 
 def logical_t_states() -> tuple[np.ndarray, np.ndarray]:
     """|T0_L>, |T1_L> of the five-qubit code: sqrt6 Pi |T1^x5> and
-    sqrt6 Pi |T0^x5| (the trivial-syndrome projection flips the label)."""
+    sqrt6 Pi |T0^x5> (the trivial-syndrome projection flips the label)."""
     Pi = code_projector()
     return tuple(np.sqrt(6) * Pi @ reduce(np.kron, [t] * 5) for t in qubit_T_states()[::-1])
 
 
 @lru_cache(maxsize=1)
-def logical_pair_vectors() -> np.ndarray:
-    """Columns L[:, n]: the logical pair basis, expressed in the 1024-dim
-    physical pair-basis coordinates used by `distill_step`.
-
-    The logical basis repeats the pair construction on the logical T states
-    of the two codes, so the output PairParams live in the same convention
-    as the input ones.
-    """
-    basis = pair_basis()
-    L_block = np.array(_pairs(*logical_t_states())).T  # (A-block, B-block) order
-    # A1..A5 B1..B5 qubit axes to pair-major A1 B1 A2 B2 ..
-    L_pairmajor = L_block.reshape((2,) * 10 + (4,)).transpose(
-        0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 10).reshape(1024, 4)
-    # express in pair-basis coordinates, matching the kron of 4x4 densities
-    L = _act_on_pairs([np.array(basis).conj()] * 5, L_pairmajor)
-    gram = L.conj().T @ L
-    if np.max(np.abs(gram - np.eye(4))) > ORTHONORMAL_TOL:
-        raise RuntimeError("logical pair vectors are not orthonormal")
-    return L
+def _code_tables() -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (p, q) labels, as (10, 16) columns, and weights of the 16 Pauli strings
+    of P Pi for each logical Pauli P = T_(x^5, z^5) of the code, (x, z) = I, Z, X, Y."""
+    Pi, dims, tables = code_projector(), Dims(2, 5), []
+    for x, z in lex_grid(2, 2):
+        coeffs = pauli_coefficients(displacement_matrix([x] * 5 + [z] * 5, dims) @ Pi, dims)
+        terms = np.flatnonzero(np.abs(coeffs) > COEFF_TOL)
+        tables.append((np.array(np.unravel_index(terms, (2,) * 10)), coeffs[terms]))
+    return tables
 
 
-def _act_on_pairs(ops: list[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """(ops[0] x ... x ops[4]) X for 4x4 ops and X of shape (1024, m), applied
-    one pair axis at a time, so no 1024 x 1024 Kronecker product is formed."""
-    X = X.reshape((4,) * 5 + (-1,))
-    for axis, op in enumerate(ops):
-        X = np.moveaxis(np.tensordot(op, X, axes=([1], [axis])), 0, axis)
-    return X.reshape(1024, -1)
+@lru_cache(maxsize=1)
+def _stabilizer_sum() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For each logical Pauli P_a x P_b of the doubled code: the (5, 16, 256) flat
+    indices of its terms' site labels (p_A, p_B, q_A, q_B) into the five pairs'
+    stacked expectations, the (16, 256) weights w_a(s) w_b(t), the pair basis and
+    <L_m| P_a x P_b |L_n> / 4 in the logical basis |0_L> = 4 Pi |0>, X^x5 |0_L>."""
+    tables = _code_tables()
+    sites = [4 * chi[:5] + chi[5:] for chi, _ in tables]  # 4 p_i + q_i of each term at site i
+    index, weights, logicals = [], [], []
+    for a, b in lex_grid(4, 2):
+        index.append((2 * sites[a][:, :, None] + sites[b][:, None, :]).reshape(5, 256))
+        weights.append(np.outer(tables[a][1], tables[b][1]).ravel())
+        logicals.append(displacement_matrix([a >> 1, b >> 1, a & 1, b & 1], Dims(2, 2)))
+    zero = 4 * code_projector()[:, 0]
+    coords = np.array([zero, displacement_matrix([1] * 5 + [0] * 5, Dims(2, 5)) @ zero]).conj()
+    L = np.array(_pairs(*(coords @ t for t in logical_t_states()))).T
+    return (np.stack(index, axis=1) + 16 * np.arange(5)[:, None, None], np.array(weights),
+            np.array(pair_basis()).T, L.conj().T @ np.array(logicals) @ L / 4)
 
 
 def distill_step(params: list[PairParams]) -> tuple[PairParams, float]:
-    """One round on five pairs: project both codes on the trivial syndrome.
-
-    Returns the renormalized logical PairParams and the success probability.
-    """
+    """One round on five pairs: the renormalized logical PairParams after both
+    codes are projected on the trivial syndrome, and the success probability."""
     rho_L = logical_density(params)
     p_success = float(np.real(np.trace(rho_L)))
     return PairParams.from_density(rho_L / p_success), p_success
 
 
 def logical_density(params: list[PairParams]) -> np.ndarray:
-    """Unnormalized 4x4 logical operator L^dag (rho_1 x ... x rho_5) L after
-    trivial-syndrome projection."""
+    """Unnormalized 4x4 logical density <L_m| Pi (rho_1 x ... x rho_5) Pi |L_n>,
+    read from the 16 Pauli expectations Tr[rho_i T_chi] of each distinct pair."""
     if len(params) != 5:
         raise ValueError("need exactly five pairs")
-    L = logical_pair_vectors()
-    return L.conj().T @ _act_on_pairs([p.density() for p in params], L)
+    index, weights, basis, contraction = _stabilizer_sum()
+    distinct = list(dict.fromkeys(params))
+    rho = basis @ np.array([p.density() for p in distinct]) @ basis.conj().T
+    expectations = 4 * pauli_coefficients(rho, Dims(2, 2))
+    sites = expectations[[distinct.index(p) for p in params]].ravel()
+    values = (sites[index].prod(axis=0) * weights).sum(axis=-1)  # Tr[rho P_a x P_b Pi]
+    return np.tensordot(values, contraction, axes=1)
 
 
 def success_probability_exact(eps: float) -> float:
     """p(eps) for five identical copies with only eps3 = eps nonzero."""
-    return (49 - 240 * eps + 600 * eps ** 2 - 640 * eps ** 3
-            + 240 * eps ** 4) / 2304
+    return (49 - 240 * eps + 600 * eps ** 2 - 640 * eps ** 3 + 240 * eps ** 4) / 2304
 
 
 def updated_error_exact(eps: float) -> float:
@@ -187,8 +187,7 @@ def iterate_protocol(params: PairParams, rounds: int) -> list[dict]:
     """Repeat distill_step on five identical copies of the running state."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    traj = []
-    current = params
+    traj, current = [], params
     for r in range(rounds):
         current, p = distill_step([current] * 5)
         traj.append({"round": r + 1, "params": current, "p_success": p})

@@ -25,7 +25,9 @@ the dense operators sigma and mu for `extremality.mana_expansion` and
 sigma and phi for `extremality.xi2_expansion`, the plain ADMM loop, with no active-set
 polish, for `extent.solve_extent`, and the Kronecker products of Pauli
 matrices at the end for the five-qubit code's generators in
-`distill.code_projector`.
+`distill.code_projector`, followed by the 4^5 = 1024-dimensional pair-basis
+route of `distill.logical_density`: the logical pair vectors as (1024, 4)
+columns, contracted with the five pair densities one pair axis at a time.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from math import comb
 import numpy as np
 
 from quditmagic.clifford import _ray_keys, clifford_from_affine, word_unitary
+from quditmagic.distill import PairParams, _pairs, logical_t_states, pair_basis
 from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.extremality import CriticalReport
@@ -436,3 +439,43 @@ def pauli_string(spec: str) -> np.ndarray:
     """The Kronecker product of the Pauli matrices named by the letters of
     spec, first letter on the first qubit: 'XZZXI' -> X (x) Z (x) Z (x) X (x) I."""
     return reduce(np.kron, [PAULI[ch] for ch in spec], np.ones((1, 1), dtype=np.complex128))
+
+
+@lru_cache(maxsize=1)
+def logical_pair_vectors() -> np.ndarray:
+    """Columns L[:, n]: the logical pair basis, expressed in the 1024-dim
+    physical pair-basis coordinates of the five pairs.
+
+    The logical basis repeats the pair construction on the logical T states
+    of the two codes, so the output PairParams live in the same convention
+    as the input ones.
+    """
+    basis = pair_basis()
+    L_block = np.array(_pairs(*logical_t_states())).T  # (A-block, B-block) order
+    # A1..A5 B1..B5 qubit axes to pair-major A1 B1 A2 B2 ..
+    L_pairmajor = L_block.reshape((2,) * 10 + (4,)).transpose(
+        0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 10).reshape(1024, 4)
+    # express in pair-basis coordinates, matching the kron of 4x4 densities
+    return _act_on_pairs([np.array(basis).conj()] * 5, L_pairmajor)
+
+
+def _act_on_pairs(ops: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """(ops[0] x ... x ops[4]) X for 4x4 ops and X of shape (1024, m), applied
+    one pair axis at a time, so no 1024 x 1024 Kronecker product is formed."""
+    X = X.reshape((4,) * 5 + (-1,))
+    for axis, op in enumerate(ops):
+        X = np.moveaxis(np.tensordot(op, X, axes=([1], [axis])), 0, axis)
+    return X.reshape(1024, -1)
+
+
+def logical_density(params: list[PairParams]) -> np.ndarray:
+    """L^dag (rho_1 x ... x rho_5) L for the logical pair vectors L."""
+    L = logical_pair_vectors()
+    return L.conj().T @ _act_on_pairs([p.density() for p in params], L)
+
+
+def distill_step(params: list[PairParams]) -> tuple[PairParams, float]:
+    """`distill.distill_step` on the 1024-dimensional route."""
+    rho_L = logical_density(params)
+    p_success = float(np.real(np.trace(rho_L)))
+    return PairParams.from_density(rho_L / p_success), p_success

@@ -135,6 +135,7 @@ REJECTED_PAIRS = [
     ["extent", "solve", "--state", "qubit:T0", "--tol", "1"],
     ["distill", "step", "--eps3", "nan"],
     ["distill", "sweep", "--eps3", "0:inf:0.1"],
+    ["distill", "sweep", "--eps3", "0.3:0.1:0.01"],  # stop < start would sweep nothing
     ["distill", "step", "--eps1", "nan"],
     ["distill", "step", "--eps2", "inf"],
     ["distill", "step", "--a", "-inf"],
@@ -440,6 +441,9 @@ def test_distill_step_and_sweep(capsys):
                     "--rounds", "2", "--json")
     assert code == 0
     assert len(json.loads(out)) == 3
+    code, out = run(capsys, "distill", "sweep", "--eps3", "0.05:0.05:0.01", "--json")
+    assert code == 0
+    assert [row["eps3"] for row in json.loads(out)] == [0.05]
 
 
 def test_extent_solve(capsys):

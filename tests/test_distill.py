@@ -1,8 +1,10 @@
+import itertools
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from quditmagic import distill
 from quditmagic.clifford import qubit_T_gate, qubit_T_states
 from quditmagic.distill import (
     FIVE_QUBIT_GENERATORS,
@@ -11,12 +13,12 @@ from quditmagic.distill import (
     distill_step,
     iterate_protocol,
     logical_density,
-    logical_pair_vectors,
     pair_basis,
     project_T_overlaps,
     success_probability_exact,
     updated_error_exact,
 )
+from quditmagic.phasespace import Dims
 
 import oracles
 
@@ -89,7 +91,7 @@ def test_project_T_overlap_table():
 
 
 def test_logical_vectors_orthonormal():
-    L = logical_pair_vectors()
+    L = oracles.logical_pair_vectors()
     assert np.allclose(L.conj().T @ L, np.eye(4), atol=1e-10)
 
 
@@ -149,11 +151,82 @@ def test_structure_preservation_random_draws():
 
 def test_logical_density_matches_kron_oracle():
     rng = np.random.default_rng(17)
-    L = logical_pair_vectors()
+    L = oracles.logical_pair_vectors()
     for _ in range(6):
         params = [_random_valid_params(rng) for _ in range(5)]
         rho = reduce(np.kron, [p.density() for p in params])
         assert np.max(np.abs(logical_density(params) - L.conj().T @ rho @ L)) < 1e-14
+
+
+def _distinct_quintuples(seed, count):
+    """count quintuples of five distinct random PairParams with coherences."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params = [_random_valid_params(rng) for _ in range(5)]
+        if len(set(params)) == 5 and all(p.a and p.b for p in params):
+            out.append(params)
+    return out
+
+
+SWEEP = [float(eps) for eps in np.arange(0.0, 0.2 + 1e-12, 0.01)]
+
+
+def _params_gap(x: PairParams, y: PairParams) -> float:
+    return max(abs(u - v) for u, v in zip(x, y))
+
+
+def test_stabilizer_sum_matches_pair_basis_oracle():
+    # the stabilizer sum against the 1024-dimensional route, on 30 seeded
+    # quintuples of distinct pairs with coherences
+    for params in _distinct_quintuples(23, 30):
+        assert np.max(np.abs(logical_density(params) - oracles.logical_density(params))) < 1e-14
+        (out, p), (want, p_want) = distill_step(params), oracles.distill_step(params)
+        assert abs(p - p_want) < 1e-14 and _params_gap(out, want) < 1e-14
+        traj = iterate_protocol(params[0], 3)
+        current = params[0]
+        for t in traj:
+            current, p_want = oracles.distill_step([current] * 5)
+            assert abs(t["p_success"] - p_want) < 1e-14
+            assert _params_gap(t["params"], current) < 1e-14
+
+
+@pytest.mark.parametrize("eps", SWEEP)
+def test_sweep_matches_pair_basis_oracle(eps):
+    # every point of `distill sweep --eps3 0:0.2:0.01 --rounds 5`
+    current = PairParams(eps3=eps)
+    assert np.max(np.abs(logical_density([current] * 5)
+                         - oracles.logical_density([current] * 5))) < 1e-14
+    for t in iterate_protocol(current, 5):
+        current, p_want = oracles.distill_step([current] * 5)
+        assert abs(t["p_success"] - p_want) < 1e-14
+        assert _params_gap(t["params"], current) < 1e-14
+
+
+def _symplectic_label(spec: str) -> tuple[int, ...]:
+    """The (p, q) label of a Pauli string: X -> p = 1, Z -> q = 1, Y -> both."""
+    return tuple(int(c in "XY") for c in spec) + tuple(int(c in "ZY") for c in spec)
+
+
+def test_code_tables_are_the_stabilizer_group_times_each_logical():
+    tables = distill._code_tables()
+    gens = np.array([_symplectic_label(g) for g in FIVE_QUBIT_GENERATORS])
+    group = {tuple(np.bitwise_xor.reduce(gens[list(subset)], axis=0))
+             for k in range(5) for subset in itertools.combinations(range(4), k)}
+    assert len(group) == 16
+    assert {tuple(chi) for chi in tables[0][0].T} == group
+    dims = Dims(2, 5)
+    for (x, z), (labels, weights) in zip([(0, 0), (0, 1), (1, 0), (1, 1)], tables):
+        assert labels.shape == (10, 16) and weights.shape == (16,)
+        assert np.max(np.abs(np.abs(weights) - 1 / 16)) < 1e-15
+        # P Pi is P times the group: the labels shift by P's own (x^5, z^5)
+        assert {tuple(chi) for chi in labels.T} == {
+            tuple(np.bitwise_xor(g, [x] * 5 + [z] * 5)) for g in group}
+        # and the 16 weighted strings rebuild P Pi
+        P = oracles.kron_displacement([x] * 5 + [z] * 5, dims)
+        rebuilt = sum(w * oracles.kron_displacement(chi, dims)
+                      for chi, w in zip(labels.T, weights))
+        assert np.max(np.abs(rebuilt - P @ code_projector())) < 1e-14
 
 
 def dephasing_channel(rho_pair: np.ndarray) -> np.ndarray:
