@@ -9,8 +9,8 @@ the state's Pauli spectrum typed by hand: the (x, n) pairs, n labels chi with
 |<psi|T_chi|psi>|^2 = x, one spectrum per factor of a product state, so that
 M_alpha = log prod_f (sum n x^alpha / sum n x) / (1 - alpha).
 
-Eigen-operators and eigenvalues follow this package's generator conventions
-(delta_d-normalized Hadamard, S = diag tau^(j(j+1)), qubit S = diag(1, i));
+Eigen-operators and eigenvalues follow this package's gate rows (`clifford._GATES`:
+odd-d H times delta_d = (2/d) eps_d, S = diag tau^(j(j+1)), qubit S = diag(1, i));
 where a source table used the opposite phase gauge the recorded eigenvalue
 is the one this construction actually produces.
 """

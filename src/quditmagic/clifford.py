@@ -2,10 +2,12 @@
 eigenstates, twirling, and a deterministic equivalence search, batched by
 breadth-first level.
 
-Single-qudit generators for odd d (delta_d fixed so det H = 1):
-    S = sum_j tau^(j(j+1)) |j><j|,   H = (delta_d / sqrt d) sum_jk omega^(jk) |j><k|
-together with the metaplectic homomorphism V: SL(2, Z_d) -> SU(d).
-For d = 2 the standard qubit H and S = diag(1, i) are used.
+Every named gate is a row (S, a) of `_GATES` built by `clifford_from_affine`:
+H = (H hat, 0), S = (S hat, (0, 2^-1)) for odd d and (S hat, 0) for qubits,
+X = (1, (1, 0)), Z = (1, (0, 1)), and the qubit CZ, CNOT and SWAP.  Two phase
+rules remain: odd-d H takes delta_d = (2/d) eps_d, so det H = 1, and the
+metaplectic image V_F of F = [[a, b], [c, e]] in SL(2, Z_d) takes (-2b/d) eps_d,
+or (a/d) when b = 0 (Gross, quant-ph/0602001; Appleby, quant-ph/0412001).
 
 Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi).  A Clifford is
 handled through its exact integer action on the d^(2N) Pauli labels,
@@ -78,7 +80,6 @@ from .tolerances import (EIGEN_CLUSTER_TOL, GROUP_MATRIX_TOL, KEY_GRID, OVERLAP_
                          PAULI_TOL, ROOT_OF_UNITY_TOL, SEARCH_LEAD_TOL, UNITARY_TOL)
 from .weyl import (
     displace,
-    displacement_matrix,
     equal_up_to_phase,
     pauli_coefficients,
     phase_normalize,
@@ -97,48 +98,31 @@ def _epsilon(d: int) -> complex:
     return 1.0 + 0j if d % 4 == 1 else 1j
 
 
-def delta_d(d: int) -> complex:
-    """Hadamard normalization phase by residue of d mod 8."""
-    return {1: 1.0 + 0j, 3: -1j, 5: -1.0 + 0j, 7: 1j}[d % 8]
-
-
+SL2_H_HAT = np.array([[0, -1], [1, 0]], dtype=np.int64)  # X -> Z, Z -> X^-1
 SL2_S_HAT = np.array([[1, 0], [1, 1]], dtype=np.int64)
 
 
 def metaplectic_V(F: np.ndarray, d: int) -> np.ndarray:
-    """The SU(d) image of F in SL(2, Z_d), odd d.
-
-    Satisfies V_F T_chi V_F^dag = T_(F chi) exactly and
-    V_(F1) V_(F2) = V_(F1 F2) up to a global phase.
-    """
-    if d % 2 == 0:
+    """The SU(d) image of F in SL(2, Z_d), odd d, with its phase rule (see the
+    module docstring): V_F T_chi V_F^dag = T_(F chi) exactly, and
+    V_(F1) V_(F2) = V_(F1 F2) up to a global phase."""
+    dims = Dims(d, 1)
+    if d == 2:
         raise NotCliffordError("metaplectic map needs odd d")
-    F = np.asarray(F, dtype=np.int64) % d
-    a, b, c, dd = int(F[0, 0]), int(F[0, 1]), int(F[1, 0]), int(F[1, 1])
-    if (a * dd - b * c) % d != 1:
+    F = _integer_affine(F, (0, 0), dims)[0]
+    a, b, c, e = F.ravel().tolist()
+    if (a * e - b * c) % d != 1:
         raise NotCliffordError("matrix is not in SL(2, Z_d)")
-    j, k = np.arange(d)[:, None], np.arange(d)
-    roots = np.array([unit_phase(e, d) for e in range(d)])
-    if b % d != 0:
-        coeff = legendre(-2 * b, d) * _epsilon(d) / np.sqrt(d)
-        return coeff * roots[(a * k * k - 2 * j * k + dd * j * j) * mod_inverse(2 * b, d) % d]
-    V = np.zeros((d, d), dtype=np.complex128)
-    V[a * k % d, k] = legendre(a, d) * roots[a * c * k * k * mod_inverse(2, d) % d]
-    return V
+    phase = legendre(-2 * b, d) * _epsilon(d) if b else legendre(a, d)
+    return phase * clifford_from_affine(F, (0, 0), dims)
 
 
 def single_qudit_H(d: int) -> np.ndarray:
-    if d == 2:
-        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-    jk = np.outer(np.arange(d), np.arange(d)) % d
-    return delta_d(d) / np.sqrt(d) * np.exp(2j * np.pi * jk / d)
+    return _gate("H", d).copy()
 
 
 def single_qudit_S(d: int) -> np.ndarray:
-    if d == 2:
-        return np.diag([1.0, 1j]).astype(np.complex128)
-    t = mod_inverse(2, d)
-    return np.diag([unit_phase(t * j * (j + 1), d) for j in range(d)]).astype(np.complex128)
+    return _gate("S", d).copy()
 
 
 def qubit_T_gate() -> np.ndarray:
@@ -232,17 +216,23 @@ def affine_from_clifford(U, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     return S, a
 
 
-def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray:
-    """A unitary with affine data (S, a) on any (d, N), from the unit codes
-    perm(e_i) = S e_i and k = S^T J a mod d that `_affine_data` inverts.
-    NotCliffordError unless S is integer and symplectic mod d, a integer."""
+def _integer_affine(S, a, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """(S, a) as int64 mod d; NotCliffordError unless both are finite, integral, 2N x 2N and 2N."""
     L, d = 2 * dims.N, dims.d
     S, a = np.asarray(S), np.asarray(a)
     with np.errstate(invalid="ignore"):  # inf and nan leave a nan remainder: refused
         if (S.shape != (L, L) or a.shape != (L,) or not {S.dtype.kind, a.dtype.kind} <= set("iuf")
                 or np.any(np.mod(S, 1) != 0) or np.any(np.mod(a, 1) != 0)):
             raise NotCliffordError(f"(S, a) is not an integer {L}x{L} matrix and {L}-vector")
-    S, a = S.astype(np.int64) % d, a.astype(np.int64) % d
+    return S.astype(np.int64) % d, a.astype(np.int64) % d
+
+
+def clifford_from_affine(S: np.ndarray, a: np.ndarray, dims: Dims) -> np.ndarray:
+    """A unitary with affine data (S, a) on any (d, N), from the unit codes
+    perm(e_i) = S e_i and k = S^T J a mod d that `_affine_data` inverts.
+    NotCliffordError unless S is integer and symplectic mod d, a integer."""
+    L, d = 2 * dims.N, dims.d
+    S, a = _integer_affine(S, a, dims)
     if not is_symplectic(S, d):
         raise NotCliffordError(f"S is not symplectic mod {d}")
     perm = np.ravel_multi_index(tuple(S), (d,) * L)
@@ -260,11 +250,30 @@ class CliffordElement(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# qubit gate library and Clifford words
+# gate library and Clifford words
 
-_QUBIT_GATES = {"H": single_qudit_H(2), "S": single_qudit_S(2),
-                "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-                "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128)}
+# name -> (S, a) on the gate's own qudits, labels (p_1, .., q_1, ..): S's columns
+# are the images of X_1, .., Z_1, ..; for odd d, a gains 2^-1 times _HALF_SHIFTS[name]
+_GATES = {"H": (SL2_H_HAT, (0, 0)), "S": (SL2_S_HAT, (0, 0)),
+          "X": (np.eye(2, dtype=np.int64), (1, 0)), "Z": (np.eye(2, dtype=np.int64), (0, 1)),
+          "CZ": (np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]), (0,) * 4),
+          "CNOT": (np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]), (0,) * 4),
+          "SWAP": (np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), (0,) * 4)}
+_HALF_SHIFTS = {"S": (0, 1)}  # odd-d S = diag tau^(j(j+1)) = V_(S hat) Z^(2^-1)
+
+
+@lru_cache(maxsize=None)
+def _gate(name: str, d: int) -> np.ndarray:
+    """The read-only unitary of `_GATES[name]` on its own qudits, U|0> with a real
+    positive first entry; odd-d H takes delta_d = (2/d) eps_d, which makes det H = 1."""
+    S, a = _GATES[name]
+    dims = Dims(d, len(S) // 2)
+    half = mod_inverse(2, d) if d % 2 else 0
+    U = clifford_from_affine(S, np.add(a, half * np.array(_HALF_SHIFTS.get(name, 0))), dims)
+    if name == "H" and d % 2:
+        U *= legendre(2, d) * _epsilon(d)
+    U.setflags(write=False)
+    return U
 
 
 def _embed(op: np.ndarray, sites: tuple[int, ...], dims: Dims) -> np.ndarray:
@@ -278,11 +287,6 @@ def _embed(op: np.ndarray, sites: tuple[int, ...], dims: Dims) -> np.ndarray:
     return full.transpose(order + [N + i for i in order]).reshape(dims.D, dims.D)
 
 
-_TWO_QUBIT_GATES = {"CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128),
-                    "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],  # rows permuted
-                    "SWAP": np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]}
-
-
 def gate_unitary(token: str, dims: Dims) -> np.ndarray:
     """Matrix for a word token like 'H@1', 'S†@2', 'CZ@1,2', 'CNOT@1,2', 'SWAP@1,2'.
 
@@ -292,23 +296,16 @@ def gate_unitary(token: str, dims: Dims) -> np.ndarray:
     name, _, where = token.partition("@")
     dagger = name.endswith("†") or name.endswith("dag")
     name = name.removesuffix("†").removesuffix("dag")
-    if name not in _QUBIT_GATES and name not in _TWO_QUBIT_GATES:
+    if name not in _GATES:
         raise NotCliffordError(f"unknown gate token {token!r}")
-    arity = 1 if name in _QUBIT_GATES else 2
+    arity = len(_GATES[name][0]) // 2
     sites = tuple(int(s) if s.isdecimal() else 0 for s in where.split(",")) if where else (1,)
     if len(sites) != arity or len(set(sites)) != arity or not all(0 < s <= dims.N for s in sites):
         raise NotCliffordError(f"gate token {token!r} needs {arity} distinct site(s) "
                                f"in 1..{dims.N}")
-    d = dims.d
-    if arity == 2 and d != 2:
+    if arity == 2 and dims.d != 2:
         raise NotCliffordError("two-qudit word tokens are qubit-only here")
-    if d == 2:
-        op = (_QUBIT_GATES if arity == 1 else _TWO_QUBIT_GATES)[name]
-    elif name in ("X", "Z"):
-        op = displacement_matrix((1, 0) if name == "X" else (0, 1), Dims(d, 1))
-    else:
-        op = {"H": single_qudit_H, "S": single_qudit_S}[name](d)
-    mat = _embed(op, sites, dims)
+    mat = _embed(_gate(name, dims.d), sites, dims)
     return mat.conj().T if dagger else mat
 
 
@@ -726,8 +723,8 @@ def eigenpairs(U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def nondegenerate_eigenstates(C, dims: Dims) -> list[tuple[complex, np.ndarray]]:
-    """Eigenpairs of a unitary whose eigenvalue cluster is one-dimensional,
-    in eigenvalue order, each eigenvector phase-normalized."""
+    """Eigenpairs of a unitary whose eigenvalue cluster is one-dimensional, in
+    `np.linalg.eig`'s order (not by eigenvalue), eigenvectors phase-normalized."""
     U = np.asarray(C, dtype=np.complex128)
     if U.shape != (dims.D, dims.D):
         raise DimensionMismatchError(f"expected a {dims.D}x{dims.D} unitary, got {U.shape}")

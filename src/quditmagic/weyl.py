@@ -10,7 +10,7 @@ zeta^(p.q) X^p Z^q = i^(p.q) X^p Z^q (one per phase-reduced label); the
 phase-point operators are defined for odd d only.
 
 Group-theoretic phases are kept as integer exponents of roots of unity and
-materialized to complex doubles only when a matrix is built.
+materialized to complex doubles, exact at 1, i, -1 and -i, when a matrix is built.
 
 No table of all d^(2N) operators is ever built.  Every Weyl transform the
 package needs is a shift in p followed by a character sum in q: index gathers
@@ -40,9 +40,10 @@ from .tolerances import AMPLITUDE_TOL, EQUALITY_TOL, UNIT_PHASE_TOL
 
 
 def unit_phase(k: int, order: int) -> complex:
-    """exp(2 pi i k / order) with the exponent reduced first."""
+    """exp(2 pi i k / order) with the exponent reduced first; exactly 1, i, -1
+    or -i at a quarter turn (4k = 0 mod order), where exp leaves a 1e-16 residue."""
     k = int(k) % order
-    return np.exp(2j * np.pi * k / order)
+    return 1j ** (4 * k // order) if 4 * k % order == 0 else np.exp(2j * np.pi * k / order)
 
 
 def tau_exponent(d: int) -> int:

@@ -11,7 +11,11 @@ independent of the transform plan they check.  `take_along_displace` is
 `weyl.displace` with the gather it had before its flat `take`.
 `span_elements` lists the points of an isotropic subspace from its basis, and
 `random_clifford` draws a Clifford from random (S, a) for covariance checks on
-dims whose group is not enumerated.  The brute-force
+dims whose group is not enumerated.  The gates written out (the qubit
+literals, delta_d and the closed-form odd-d H, S, X and Z, with
+`literal_gate_unitary` embedding them) and the Gauss-sum formula of the
+metaplectic map are references for the gates that `clifford` builds from
+affine data.  The brute-force
 Sp(2, Z_d) enumeration is a reference for the single-qudit Clifford tests,
 the stack of every reduced-group unitary as a lineage product of its
 generator words, for `ReducedCliffordGroup.unitary`, its conjugation by the
@@ -36,13 +40,14 @@ from math import comb
 
 import numpy as np
 
-from quditmagic.clifford import _ray_keys, clifford_from_affine, word_unitary
+from quditmagic.clifford import (_embed, _epsilon, _ray_keys, clifford_from_affine, legendre,
+                                 word_unitary)
 from quditmagic.distill import PairParams, _pairs, logical_t_states, pair_basis
 from quditmagic.errors import BudgetExceededError, InfeasibleExtentError
 from quditmagic.extent import ExtentProblem, ExtentSolution
 from quditmagic.extremality import CriticalReport
 from quditmagic.measures import wigner_function
-from quditmagic.phasespace import Dims, lex_grid, phase_points, symplectic_form
+from quditmagic.phasespace import Dims, lex_grid, mod_inverse, phase_points, symplectic_form
 from quditmagic.stabilizers import max_overlap
 from quditmagic.tolerances import (COEFF_TOL, EIGEN_CLUSTER_TOL, EXTENT_TOL, FEASIBILITY_TOL,
                                    GRAM_CUTOFF, GROUP_MATRIX_TOL, WIGNER_ZERO_TOL)
@@ -150,6 +155,64 @@ def enumerate_symplectic_2x2(d: int) -> list[np.ndarray]:
         if (a * e - b * c) % d == 1:
             out.append(np.array([[a, b], [c, e]], dtype=np.int64))
     return out
+
+
+# the gate matrices written out, as `clifford` built them before every gate
+# became a row of affine data read by `clifford_from_affine`
+QUBIT_GATES = {"H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2),
+               "S": np.diag([1.0, 1j]).astype(np.complex128),
+               "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+               "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128)}
+TWO_QUBIT_GATES = {"CZ": np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128),
+                   "CNOT": np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],  # rows permuted
+                   "SWAP": np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]}
+
+
+def delta_d(d: int) -> complex:
+    """Hadamard normalization phase by residue of d mod 8 (odd d)."""
+    return {1: 1.0 + 0j, 3: -1j, 5: -1.0 + 0j, 7: 1j}[d % 8]
+
+
+def closed_form_gate(name: str, d: int) -> np.ndarray:
+    """A one-qudit gate in closed form: for odd d, H = (delta_d / sqrt d)
+    sum_jk omega^(jk) |j><k|, S = sum_j tau^(j(j+1)) |j><j|, X and Z the
+    displacements T_(1,0) and T_(0,1); the qubit literals for d = 2."""
+    if d == 2:
+        return QUBIT_GATES[name]
+    if name == "H":
+        jk = np.outer(np.arange(d), np.arange(d)) % d
+        return delta_d(d) / np.sqrt(d) * np.exp(2j * np.pi * jk / d)
+    if name == "S":
+        return np.diag([unit_phase(tau_exponent(d) * j * (j + 1), d) for j in range(d)])
+    return kron_displacement((1, 0) if name == "X" else (0, 1), Dims(d, 1))
+
+
+def literal_gate_unitary(token: str, dims: Dims) -> np.ndarray:
+    """`clifford.gate_unitary` from the written-out gates: the token's matrix
+    embedded on its sites by `clifford._embed`, conjugated for a dagger."""
+    name, _, where = token.partition("@")
+    base = name.removesuffix("†").removesuffix("dag")
+    sites = tuple(int(s) for s in where.split(",")) if where else (1,)
+    op = TWO_QUBIT_GATES[base] if base in TWO_QUBIT_GATES else closed_form_gate(base, dims.d)
+    mat = _embed(op, sites, dims)
+    return mat.conj().T if base != name else mat
+
+
+def gauss_sum_metaplectic(F, d: int) -> np.ndarray:
+    """The metaplectic image V_F of F = [[a, b], [c, e]] in SL(2, Z_d), odd d,
+    from its Gauss-sum formula (Gross, quant-ph/0602001; Appleby,
+    quant-ph/0412001): for b != 0,
+        V_F = (-2b/d) eps_d / sqrt d sum_jk omega^((a k^2 - 2jk + e j^2) / 2b) |j><k|,
+    and for b = 0, V_F = (a/d) sum_k omega^(a c k^2 / 2) |a k><k|."""
+    a, b, c, e = (int(x) % d for x in np.ravel(F))
+    j, k = np.arange(d)[:, None], np.arange(d)
+    roots = np.array([unit_phase(x, d) for x in range(d)])
+    if b:
+        coeff = legendre(-2 * b, d) * _epsilon(d) / np.sqrt(d)
+        return coeff * roots[(a * k * k - 2 * j * k + e * j * j) * mod_inverse(2 * b, d) % d]
+    V = np.zeros((d, d), dtype=np.complex128)
+    V[a * k % d, k] = legendre(a, d) * roots[a * c * k * k * mod_inverse(2, d) % d]
+    return V
 
 
 def generator_unitaries(group) -> np.ndarray:

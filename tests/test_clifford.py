@@ -7,16 +7,19 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from quditmagic import clifford, errors
 from quditmagic.clifford import (
+    SL2_H_HAT,
     SL2_S_HAT,
     FiniteUnitaryGroup,
     _affine_data,
     _degenerate_bases,
+    _epsilon,
     _pauli_action,
     affine_from_clifford,
     class_keys,
@@ -31,6 +34,7 @@ from quditmagic.clifford import (
     group_stabilizer_states,
     invert_word,
     is_clifford,
+    legendre,
     metaplectic_V,
     nondegenerate_eigenstates,
     single_qudit_H,
@@ -63,7 +67,6 @@ from oracles import (displacement_table, enumerate_symplectic_2x2, generate_grou
                      phase_point_table, point)
 
 BUDGETED = [(2, 1), (3, 1), (5, 1), (2, 2)]
-SL2_H_HAT = np.array([[0, -1], [1, 0]], dtype=np.int64)  # the symplectic part of the Hadamard
 
 
 def test_generators_are_clifford_and_special():
@@ -96,6 +99,47 @@ def test_metaplectic_identities():
         chi = point_index(point(0, mod_inverse(2, d), dims), dims)
         assert np.allclose(T[chi] @ metaplectic_V(SL2_S_HAT, d), single_qudit_S(d),
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_qubit_gates_are_the_literal_tables_bit_for_bit(N):
+    # every token, with and without a dagger, on every site and ordered site pair
+    dims = Dims(2, N)
+    tokens = [f"{g}{dag}@{i}" for g in "HSXZ" for dag in ("", "†") for i in range(1, N + 1)]
+    tokens += [f"{g}{dag}@{i},{j}" for g in ("CZ", "CNOT", "SWAP") for dag in ("", "†")
+               for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
+    for token in tokens:
+        got = gate_unitary(token, dims)
+        assert got.tobytes() == oracles.literal_gate_unitary(token, dims).tobytes(), token
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_odd_generators_match_their_closed_forms(d):
+    dims, labels = Dims(d, 1), phase_points(Dims(d, 1))
+    for name in "HSXZ":
+        got, want = gate_unitary(name, dims), oracles.closed_form_gate(name, d)
+        assert np.max(np.abs(got - want)) <= 2e-15, name
+        assert np.array_equal(_pauli_action(got, dims, labels), _pauli_action(want, dims, labels))
+    assert np.array_equal(single_qudit_H(d), gate_unitary("H", dims))
+    assert np.array_equal(single_qudit_S(d), gate_unitary("S", dims))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_metaplectic_matches_the_gauss_sum_formula(d):
+    # every element of SL(2, Z_d), global phase included
+    for F in enumerate_symplectic_2x2(d):
+        assert np.max(np.abs(metaplectic_V(F, d) - oracles.gauss_sum_metaplectic(F, d))) <= 1e-15
+
+
+def test_hadamard_phase_is_the_legendre_symbol_of_two_times_eps():
+    for d in (p for p in range(3, 100, 2) if all(p % q for q in range(3, p, 2))):
+        assert legendre(2, d) * _epsilon(d) == oracles.delta_d(d), d
+
+
+def test_gates_are_built_once_and_read_only():
+    H = clifford._gate("H", 3)
+    assert clifford._gate("H", 3) is H and not H.flags.writeable
+    assert single_qudit_H(3).flags.writeable and single_qudit_H(3) is not H
 
 
 def test_metaplectic_homomorphism_up_to_phase():
@@ -1100,6 +1144,20 @@ def test_malformed_arguments_refused():
         metaplectic_V(np.eye(2, dtype=np.int64), 2)
     with pytest.raises(NotCliffordError, match="SL"):
         metaplectic_V(np.array([[1, 1], [1, 1]]), 3)
+    # F read from its top-left block, truncated to the identity, or cast from nan before
+    for F in (np.eye(3, dtype=int), [[1.5, 0], [0, 1]], [[1, np.nan], [0, 1]],
+              [[1, np.inf], [0, 1]], [1, 0, 0, 1], np.eye(2, dtype=complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotCliffordError, match="integer"):
+                metaplectic_V(F, 3)
+    with pytest.raises(NotCliffordError, match="integer"):  # before the SL(2) check
+        metaplectic_V([[1.5, 1], [1, 1]], 3)
+    # a non-unitary 9x9 matrix, a KeyError and two matrices before: d must be prime
+    for refused in (lambda: metaplectic_V([[1, 1], [0, 1]], 9), lambda: single_qudit_H(4),
+                    lambda: single_qudit_H(9), lambda: single_qudit_S(9)):
+        with pytest.raises(ValueError, match="not prime"):
+            refused()
     for S, a in [(1.5 * np.eye(2), np.zeros(2)),  # truncated to the identity before
                  (np.eye(2), np.zeros(3, dtype=np.int64)), (np.eye(2), [0.5, 0]),
                  (np.eye(3, dtype=np.int64), np.zeros(3)), (np.eye(2, dtype=complex), [0, 0]),

@@ -6,7 +6,6 @@ under OpenBLAS's generic kernel to show it."""
 
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -14,43 +13,19 @@ import numpy as np
 import pytest
 
 import quditmagic
-from golden.regenerate import CASES, HERE, run, stem
+from golden.regenerate import (CASES, HERE, describe, differences, file_differences, run, stem,
+                               text_differences)
 from quditmagic.catalog import EQUIVALENCES
 
 FLOAT_TOL = 1e-12
-# a number in text output; the split keeps it, so the text around it is kept too
-NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 
 
-def assert_close(got, want, where="output"):
-    """Parsed JSON: the same structure, keys in the same order, the same
-    integers, strings and nulls, and floats within FLOAT_TOL."""
-    assert type(got) is type(want), (where, got, want)
-    if isinstance(want, dict):
-        assert list(got) == list(want), where
-        for key in want:
-            assert_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_close(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert got == want or abs(got - want) <= FLOAT_TOL, (where, got, want)
-    else:
-        assert got == want, (where, got, want)
-
-
-def _number(text: str) -> int | float:
-    """A number as JSON would parse it: an int unless it has a point or an exponent."""
-    return float(text) if re.search(r"[.eE]", text) else int(text)
-
-
-def assert_text_close(got: str, want: str):
-    """Text output: the same text between numbers, and the numbers compared
-    as assert_close compares them."""
-    got_parts, want_parts = NUMBER.split(got), NUMBER.split(want)
-    assert got_parts[::2] == want_parts[::2]
-    assert_close([_number(s) for s in got_parts[1::2]], [_number(s) for s in want_parts[1::2]])
+def assert_within_tolerance(diffs):
+    """Every difference that `differences` walks to is a float move of at
+    most FLOAT_TOL: the same structure, keys in the same order, the same
+    integers, strings and nulls."""
+    for at, got, want, move in diffs:
+        assert move is not None and move <= FLOAT_TOL, (at, got, want)
 
 
 def test_the_corpus_holds_exactly_the_cases():
@@ -60,10 +35,7 @@ def test_the_corpus_holds_exactly_the_cases():
 def assert_matches_the_corpus(name: str, text: str):
     with open(os.path.join(HERE, name)) as fh:
         want = fh.read()
-    if name.endswith(".json"):
-        assert_close(json.loads(text), json.loads(want), name)
-    else:
-        assert_text_close(text, want)
+    assert_within_tolerance(file_differences(name, text, want))
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -108,22 +80,39 @@ def test_the_comparator_reads_json():
     with open(os.path.join(HERE, "measures_qutrit_S.json")) as fh:
         want = fh.read()
     mana = "0.5108256237659903"
-    assert_close(json.loads(want.replace(mana, "0.5108256237659913")), json.loads(want))
+    assert_within_tolerance(differences(json.loads(want.replace(mana, "0.5108256237659913")),
+                                        json.loads(want)))
     for moved in (want.replace(mana, "0.5108256238659903"),
                   want.replace('"nearest_count": 8', '"nearest_count": 8.0'),
                   want.replace('"M2": "log 2"', '"M2": "log(2)"'),
                   want.replace(f'"mana": {mana},', "")):
         assert moved != want
         with pytest.raises(AssertionError):
-            assert_close(json.loads(moved), json.loads(want))
+            assert_within_tolerance(differences(json.loads(moved), json.loads(want)))
 
 
 def test_the_comparator_reads_numbers_in_text():
     with open(os.path.join(HERE, "measures_qutrit_S.txt")) as fh:
         want = fh.read()
-    assert_text_close(want.replace("0.69314718056", "0.693147180560001"), want)
+    assert_within_tolerance(text_differences(want.replace("0.69314718056", "0.693147180560001"),
+                                             want))
     for moved in (want.replace("0.69314718056", "0.69314718057"),
                   want.replace("states: 8", "states: 9"),
                   want.replace("[log 2]", "[log(2)]")):
         with pytest.raises(AssertionError):
-            assert_text_close(moved, want)
+            assert_within_tolerance(text_differences(moved, want))
+
+
+def test_regenerate_reports_the_largest_float_move_and_any_other_change():
+    with open(os.path.join(HERE, "measures_qutrit_S.json")) as fh:
+        want = fh.read()
+    mana = "0.5108256237659903"
+    assert describe("a.json", want.replace(mana, "0.5108256237659913"), want) == (
+        "a.json: largest float move 1e-15, nothing but floats changed")
+    moved = want.replace(mana, "0.52").replace('"nearest_count": 8', '"nearest_count": 8.0')
+    assert describe("a.json", moved, want) == (
+        "a.json: largest float move 0.0092, 1 other differences, the first at a.json.nearest_count")
+    with open(os.path.join(HERE, "measures_qutrit_S.txt")) as fh:
+        want = fh.read()
+    assert describe("a.txt", want.replace("states: 8", "states: 9"), want).endswith(
+        "largest float move 0, 1 other differences, the first at numbers[5]")

@@ -332,8 +332,8 @@ def test_fidelity_arguments_refused():
                 read(bad)
 
 
-@pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 2), Dims(2, 5), Dims(5, 2), Dims(3, 3)],
-                         ids=str)
+@pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 2), Dims(2, 5), Dims(5, 2), Dims(3, 3),
+                                  Dims(2, 6), Dims(3, 4), Dims(5, 3)], ids=str)
 def test_measures_are_clifford_invariant_beyond_the_enumerated_groups(dims):
     # C from random (S, a), where no reduced group is enumerated: M_2, M_3
     # and, for odd d, mana of C psi are those of psi

@@ -40,6 +40,23 @@ def test_displacement_matrix_matches_the_kronecker_product(d, N):
         assert np.max(np.abs(T - kron_displacement(chi, dims))) <= 1e-15, chi
 
 
+def test_quarter_turn_roots_are_exact():
+    # exp(2 pi i k / order) leaves a 1e-16 residue at -1, i and -i
+    for k in range(-8, 9):
+        assert unit_phase(k, 2) == (1, -1)[k % 2]
+        assert unit_phase(k, 4) == (1, 1j, -1, -1j)[k % 4]
+    assert unit_phase(3, 6) == -1 and unit_phase(5, 10) == -1 and unit_phase(6, 8) == -1j
+    assert unit_phase(1, 3) == np.exp(2j * np.pi / 3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_qubit_displacements_are_exactly_real_or_imaginary(N):
+    dims = Dims(2, N)
+    for chi in phase_points(dims):
+        T = displacement_matrix(chi, dims)
+        assert np.all((T.real == 0) | (T.imag == 0)), chi
+
+
 def test_displacement_matrix_refused_before_allocating():
     # a dense T_chi goes through the transform plan's check: 120 D^2 bytes
     tracemalloc.start()
