@@ -2,12 +2,11 @@
 eigenstates, twirling, and a deterministic equivalence search, batched by
 breadth-first level.
 
-Every named gate is a row (S, a) of `_GATES` built by `clifford_from_affine`:
-H = (H hat, 0), S = (S hat, (0, 2^-1)) for odd d and (S hat, 0) for qubits,
-X = (1, (1, 0)), Z = (1, (0, 1)), and the qubit CZ, CNOT and SWAP.  Two phase
-rules remain: odd-d H takes delta_d = (2/d) eps_d, so det H = 1, and the
-metaplectic image V_F of F = [[a, b], [c, e]] in SL(2, Z_d) takes (-2b/d) eps_d,
-or (a/d) when b = 0 (Gross, quant-ph/0602001; Appleby, quant-ph/0412001).
+Every named gate is a row (S, a) of `_GATES` built by `clifford_from_affine` on
+every prime d: H = (H hat, 0), S = (S hat, (0, 2^-1)) for odd d and (S hat, 0) for qubits,
+X = (1, (1, 0)), Z = (1, (0, 1)), CZ, SWAP and CNOT, the SUM for odd d (quant-ph/0408190).
+One phase rule: odd-d V_F, F = [[a, b], [c, e]] in SL(2, Z_d), and every odd-d one-qudit gate
+take (-2b/d) eps_d, or (a/d) when b = 0 (Gross, quant-ph/0602001; Appleby, quant-ph/0412001).
 
 Conjugation sends T_chi to omega^(-<a_C, S_C chi>) T_(S_C chi).  A Clifford is
 handled through its exact integer action on the d^(2N) Pauli labels,
@@ -64,7 +63,6 @@ from .errors import (
     DimensionMismatchError,
     NonClosedGroupError,
     NotCliffordError,
-    UnsupportedDimensionError,
     check_budget,
 )
 from .phasespace import (
@@ -98,6 +96,11 @@ def _epsilon(d: int) -> complex:
     return 1.0 + 0j if d % 4 == 1 else 1j
 
 
+def _metaplectic_phase(a: int, b: int, d: int) -> complex:
+    """The phase of V_F over `clifford_from_affine(F, 0)` for F's first row (a, b), odd d."""
+    return legendre(-2 * b, d) * _epsilon(d) if b else legendre(a, d)
+
+
 SL2_H_HAT = np.array([[0, -1], [1, 0]], dtype=np.int64)  # X -> Z, Z -> X^-1
 SL2_S_HAT = np.array([[1, 0], [1, 1]], dtype=np.int64)
 
@@ -110,11 +113,10 @@ def metaplectic_V(F: np.ndarray, d: int) -> np.ndarray:
     if d == 2:
         raise NotCliffordError("metaplectic map needs odd d")
     F = _integer_affine(F, (0, 0), dims)[0]
-    a, b, c, e = F.ravel().tolist()
+    (a, b), (c, e) = F.tolist()
     if (a * e - b * c) % d != 1:
         raise NotCliffordError("matrix is not in SL(2, Z_d)")
-    phase = legendre(-2 * b, d) * _epsilon(d) if b else legendre(a, d)
-    return phase * clifford_from_affine(F, (0, 0), dims)
+    return _metaplectic_phase(a, b, d) * clifford_from_affine(F, (0, 0), dims)
 
 
 def single_qudit_H(d: int) -> np.ndarray:
@@ -257,7 +259,7 @@ class CliffordElement(NamedTuple):
 _GATES = {"H": (SL2_H_HAT, (0, 0)), "S": (SL2_S_HAT, (0, 0)),
           "X": (np.eye(2, dtype=np.int64), (1, 0)), "Z": (np.eye(2, dtype=np.int64), (0, 1)),
           "CZ": (np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]), (0,) * 4),
-          "CNOT": (np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]), (0,) * 4),
+          "CNOT": (np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]), (0,) * 4),
           "SWAP": (np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), (0,) * 4)}
 _HALF_SHIFTS = {"S": (0, 1)}  # odd-d S = diag tau^(j(j+1)) = V_(S hat) Z^(2^-1)
 
@@ -265,13 +267,14 @@ _HALF_SHIFTS = {"S": (0, 1)}  # odd-d S = diag tau^(j(j+1)) = V_(S hat) Z^(2^-1)
 @lru_cache(maxsize=None)
 def _gate(name: str, d: int) -> np.ndarray:
     """The read-only unitary of `_GATES[name]` on its own qudits, U|0> with a real
-    positive first entry; odd-d H takes delta_d = (2/d) eps_d, which makes det H = 1."""
+    positive first entry; an odd-d one-qudit gate takes V_S's phase, so det H = 1."""
     S, a = _GATES[name]
     dims = Dims(d, len(S) // 2)
     half = mod_inverse(2, d) if d % 2 else 0
     U = clifford_from_affine(S, np.add(a, half * np.array(_HALF_SHIFTS.get(name, 0))), dims)
-    if name == "H" and d % 2:
-        U *= legendre(2, d) * _epsilon(d)
+    phase = _metaplectic_phase(*(S[0] % d).tolist(), d) if d % 2 and dims.N == 1 else 1
+    if phase != 1:  # S, X and Z keep their bytes
+        U *= phase
     U.setflags(write=False)
     return U
 
@@ -303,8 +306,6 @@ def gate_unitary(token: str, dims: Dims) -> np.ndarray:
     if len(sites) != arity or len(set(sites)) != arity or not all(0 < s <= dims.N for s in sites):
         raise NotCliffordError(f"gate token {token!r} needs {arity} distinct site(s) "
                                f"in 1..{dims.N}")
-    if arity == 2 and dims.d != 2:
-        raise NotCliffordError("two-qudit word tokens are qubit-only here")
     mat = _embed(_gate(name, dims.d), sites, dims)
     return mat.conj().T if dagger else mat
 
@@ -414,8 +415,6 @@ def clifford_group_order(dims: Dims) -> int:
 
 
 def clifford_generator_words(dims: Dims) -> list[tuple[str, ...]]:
-    if dims.N > 1 and dims.d != 2:
-        raise UnsupportedDimensionError("multi-qudit generators implemented for qubits only")
     sites = range(1, dims.N + 1)
     return ([(f"{g}@{i}",) for i in sites for g in "HS"]
             + [(f"CZ@{i},{j}",) for i in sites for j in sites if i < j])

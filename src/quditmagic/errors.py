@@ -34,8 +34,7 @@ def check_budget(nbytes: int, what: str) -> None:
 
 
 class UnsupportedDimensionError(QuditMagicError):
-    """Operation not implemented for this (d, N): phase-point operators need
-    odd d, and multi-qudit Clifford generators exist for d = 2 only."""
+    """Operation not implemented for this (d, N): phase-point operators need odd d."""
 
 
 class InvalidStabilizerError(QuditMagicError):

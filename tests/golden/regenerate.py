@@ -52,6 +52,17 @@ for state, group in (("2q:G20,1", "H@1,S@1,CZ@1,2"), ("qutrit:S", "H@1,S@1")):
 for source, _, target in catalog.EQUIVALENCES:
     CASES[f"search_{stem(source)}_to_{stem(target)}.json"] = [
         "search", "--source", source, "--target", target, "--seed", "1"]
+
+
+def two_qutrits(i: int, j: int) -> str:
+    """(|i> + |j>)/sqrt 2 on two qutrits, i != j, as an inline-JSON state."""
+    amplitudes = [[2 ** -0.5 if k in (i, j) else 0, 0] for k in range(9)]
+    return json.dumps({"d": 3, "N": 2, "amplitudes": amplitudes})
+
+
+# (|00> + |11>)/sqrt 2 to its X@2 image (|01> + |12>)/sqrt 2
+CASES["search_2qutrit_00_11_to_01_12.json"] = [
+    "search", "--source", two_qutrits(0, 4), "--target", two_qutrits(1, 5), "--seed", "1"]
 CASES["distill_sweep.json"] = ["distill", "sweep", "--eps3", "0.0:0.2:0.01",
                                "--rounds", "5", "--json"]
 CASES["distill_step.json"] = ["distill", "step", "--eps3", "0.05", "--json"]

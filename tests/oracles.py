@@ -12,7 +12,7 @@ independent of the transform plan they check.  `take_along_displace` is
 `span_elements` lists the points of an isotropic subspace from its basis, and
 `random_clifford` draws a Clifford from random (S, a) for covariance checks on
 dims whose group is not enumerated.  The gates written out (the qubit
-literals, delta_d and the closed-form odd-d H, S, X and Z, with
+literals, delta_d and the closed-form odd-d H, S, X, Z, CZ, SWAP and SUM, with
 `literal_gate_unitary` embedding them) and the Gauss-sum formula of the
 metaplectic map are references for the gates that `clifford` builds from
 affine data.  The brute-force
@@ -174,11 +174,18 @@ def delta_d(d: int) -> complex:
 
 
 def closed_form_gate(name: str, d: int) -> np.ndarray:
-    """A one-qudit gate in closed form: for odd d, H = (delta_d / sqrt d)
+    """A named gate in closed form: for odd d, H = (delta_d / sqrt d)
     sum_jk omega^(jk) |j><k|, S = sum_j tau^(j(j+1)) |j><j|, X and Z the
-    displacements T_(1,0) and T_(0,1); the qubit literals for d = 2."""
+    displacements T_(1,0) and T_(0,1), CZ = sum_jk omega^(jk) |jk><jk|, SWAP
+    and CNOT = SUM |j, k> -> |j, j + k>; the qubit literals for d = 2."""
     if d == 2:
-        return QUBIT_GATES[name]
+        return {**QUBIT_GATES, **TWO_QUBIT_GATES}[name]
+    if name in TWO_QUBIT_GATES:
+        j, k = np.divmod(np.arange(d * d), d)
+        if name == "CZ":
+            return np.diag([unit_phase(x, d) for x in j * k % d])
+        image = k * d + j if name == "SWAP" else j * d + (j + k) % d
+        return np.eye(d * d, dtype=np.complex128)[:, image]
     if name == "H":
         jk = np.outer(np.arange(d), np.arange(d)) % d
         return delta_d(d) / np.sqrt(d) * np.exp(2j * np.pi * jk / d)
@@ -193,8 +200,7 @@ def literal_gate_unitary(token: str, dims: Dims) -> np.ndarray:
     name, _, where = token.partition("@")
     base = name.removesuffix("†").removesuffix("dag")
     sites = tuple(int(s) for s in where.split(",")) if where else (1,)
-    op = TWO_QUBIT_GATES[base] if base in TWO_QUBIT_GATES else closed_form_gate(base, dims.d)
-    mat = _embed(op, sites, dims)
+    mat = _embed(closed_form_gate(base, dims.d), sites, dims)
     return mat.conj().T if base != name else mat
 
 

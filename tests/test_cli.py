@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from golden.regenerate import two_qutrits
 from quditmagic import catalog, cli, errors, extent, stabilizers
 from quditmagic.cli import main
 from quditmagic.clifford import enumerate_reduced_clifford, gate_unitary, nondegenerate_eigenstates
@@ -549,6 +550,14 @@ def test_search_roundtrip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["found"]
+
+
+def test_two_qutrit_search_and_word_eigenstates(capsys):
+    # (|00> + |11>)/sqrt 2 to its X@2 image, both as inline JSON; then a word with SUM
+    code, out = run(capsys, "search", "--source", two_qutrits(0, 4), "--target", two_qutrits(1, 5))
+    assert code == 0 and json.loads(out)["found"]
+    code, out = run(capsys, "eigenstates", "--dims", "3,2", "--word", "CNOT@1,2 H@2", "--json")
+    assert code == 0 and len(json.loads(out)) == 3
 
 
 def test_search_without_a_word_exits_1(capsys):

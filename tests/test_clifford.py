@@ -44,7 +44,7 @@ from quditmagic.clifford import (
 )
 from quditmagic.cli import main
 from quditmagic.errors import (BudgetExceededError, DimensionMismatchError, NonClosedGroupError,
-                               NotCliffordError, UnsupportedDimensionError)
+                               NotCliffordError)
 from quditmagic.phasespace import (
     Dims,
     basis_keys,
@@ -122,6 +122,30 @@ def test_odd_generators_match_their_closed_forms(d):
         assert np.array_equal(_pauli_action(got, dims, labels), _pauli_action(want, dims, labels))
     assert np.array_equal(single_qudit_H(d), gate_unitary("H", dims))
     assert np.array_equal(single_qudit_S(d), gate_unitary("S", dims))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_odd_two_qudit_gates_match_their_closed_forms(d):
+    # CZ = diag omega^(jk), SWAP and CNOT = SUM |j, k> -> |j, j + k>, daggers
+    # included, on both site orders and on every site pair of (3,3)
+    dims = Dims(d, 2)
+    for name in ("CZ", "SWAP", "CNOT"):
+        row = clifford._GATES[name][0] % d
+        for dag in ("", "†"):
+            for sites, order in (("1,2", [0, 1, 2, 3]), ("2,1", [1, 0, 3, 2])):
+                token = f"{name}{dag}@{sites}"
+                got = gate_unitary(token, dims)
+                assert np.max(np.abs(got - oracles.literal_gate_unitary(token, dims))) <= 1e-14
+                S, a = affine_from_clifford(got, dims)
+                want = row[np.ix_(order, order)]
+                if dag:
+                    want = np.round(np.linalg.inv(want)).astype(np.int64) % d
+                assert np.array_equal(S, want) and not a.any(), token
+    wide = Dims(3, 3)
+    for token in (f"{g}@{i},{j}" for g in ("CZ", "SWAP", "CNOT")
+                  for i in range(1, 4) for j in range(1, 4) if i != j):
+        got = gate_unitary(token, wide)
+        assert np.max(np.abs(got - oracles.literal_gate_unitary(token, wide))) <= 1e-14, token
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11])
@@ -981,9 +1005,11 @@ def test_enumeration_refusals():
     with pytest.raises(BudgetExceededError, match=re.escape(f"{nbytes:.3g} bytes")):
         enumerate_reduced_clifford(Dims(2, 3))
     assert time.perf_counter() - start < 1.0
-    # odd-d multi-qudit generators are not implemented: no size limit at all
-    with pytest.raises(UnsupportedDimensionError):
+    # two qutrits: 4 199 040 elements and five generators, 3.58e9 bytes
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape("3.58e+09 bytes")):
         enumerate_reduced_clifford(Dims(3, 2))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_group_refused_before_the_bfs(monkeypatch):
@@ -1172,7 +1198,7 @@ def test_malformed_arguments_refused():
         affine_from_clifford(np.eye(4), Dims(3, 1))
     with pytest.raises(NotCliffordError, match="unknown gate token"):
         gate_unitary("T@1", Dims(2, 1))
-    with pytest.raises(NotCliffordError, match="qubit-only"):
-        gate_unitary("CZ@1,2", Dims(3, 2))
+    with pytest.raises(NotCliffordError, match="distinct site"):
+        gate_unitary("CZ@1,1", Dims(3, 2))
     with pytest.raises(DimensionMismatchError, match="expected a 2x2 unitary"):
         nondegenerate_eigenstates(np.eye(3), Dims(2, 1))

@@ -159,3 +159,33 @@ def test_search_beyond_the_dictionary_budget(N):
     word = clifford_equivalence_search(zero, target, dims, budget=100000)
     assert word is not None
     assert equal_up_to_phase(word_unitary(word, dims) @ zero, target)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_search_on_two_odd_qudits(d):
+    # seeded length-6 generator words on Haar states: each search finds a
+    # verified word, no longer than the oracle's or the one applied
+    dims, rng = Dims(d, 2), np.random.default_rng(d)
+    tokens = [w[0] for w in clifford_generator_words(dims)]
+    assert tokens == ["H@1", "S@1", "H@2", "S@2", "CZ@1,2"]
+    for _ in range(3):
+        psi1 = rng.normal(size=dims.D) + 1j * rng.normal(size=dims.D)
+        psi1 /= np.linalg.norm(psi1)
+        psi2 = word_unitary(tuple(rng.choice(tokens, size=6)), dims) @ psi1
+        word = clifford_equivalence_search(psi1, psi2, dims, budget=20000)
+        ref = oracle_search(psi1, psi2, dims, budget=20000)
+        for w in (word, ref):
+            assert w is not None
+            assert equal_up_to_phase(word_unitary(w, dims) @ psi1, psi2)
+        assert len(word) <= min(len(ref), 6)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_odd_two_qudit_words_invert_token_by_token(d):
+    # on odd d every token takes or drops a dagger: SUM, CZ and SWAP included
+    dims, rng = Dims(d, 2), np.random.default_rng(d)
+    tokens = [f"{g}{dag}@{s}" for g in ("CZ", "CNOT", "SWAP") for dag in ("", "†")
+              for s in ("1,2", "2,1")] + ["H@1", "S@2", "X@1", "Z@2"]
+    for _ in range(10):
+        w = tuple(rng.choice(tokens, size=6))
+        assert equal_up_to_phase(word_unitary(w + invert_word(w, d), dims), np.eye(dims.D)), w
